@@ -72,7 +72,7 @@ fn bench_gtree_scaling(c: &mut Criterion) {
 
 fn bench_knn_query_scaling(_c: &mut Criterion) {
     // Query-side trajectory (ISSUE 5): persist the 23k/116k smoke tier of
-    // BENCH_knn_query.json (fresh vs pooled per-method p50 + q/s, Dijkstra-verified;
+    // BENCH_knn_query.json (per-method pooled p50 + q/s, Dijkstra-verified;
     // the `knn_query_bench` binary extends the same trajectory to 290k/580k).
     knn_query::run_and_track();
 }

@@ -199,6 +199,10 @@ fn table2(ctx: &mut Ctx) {
 
 /// Figure 4 / Figure 23: IER variants (Dijk, MGtree, PHL, TNR, CH) varying k and density
 /// on the NW stand-in.
+///
+/// Every `X::new(..)` below is the oracle the engine ships, on fresh buffers: all
+/// candidate searches are bounded by IER's running k-th candidate, so the columns
+/// are not comparable with runs from before PR 12 (unbounded Dijk/TNR/CH modes).
 fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let queries = {
         let bed = ctx.testbed(DatasetPreset::NW, kind);
@@ -307,18 +311,16 @@ fn distance_matrix_study(ctx: &mut Ctx) {
         })
         .collect();
 
-    let time_workload = |gtree: &Gtree, occ: &OccurrenceList, k: usize| -> f64 {
+    // Returns (µs/query, matrix cells read over the workload).
+    let time_workload = |gtree: &Gtree, occ: &OccurrenceList, k: usize| -> (f64, u64) {
+        let mut cells = 0u64;
         let start = Instant::now();
         for &q in &queries {
-            // The instrumented (tracked) search keeps the Table 3 probe counters
-            // meaningful; the pooled production path bypasses them.
-            std::hint::black_box(GtreeSearch::new_unpooled(gtree, &graph, q).knn(
-                k,
-                occ,
-                LeafSearchMode::Improved,
-            ));
+            let mut search = GtreeSearch::new(gtree, &graph, q);
+            std::hint::black_box(search.knn(k, occ, LeafSearchMode::Improved));
+            cells += search.stats.matrix_cells;
         }
-        start.elapsed().as_micros() as f64 / queries.len() as f64
+        (start.elapsed().as_micros() as f64 / queries.len() as f64, cells)
     };
 
     let objects = uniform(&graph, defaults::DENSITY, 9);
@@ -333,7 +335,7 @@ fn distance_matrix_study(ctx: &mut Ctx) {
             .iter()
             .map(|(_, gtree)| {
                 let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, k)
+                time_workload(gtree, &occ, k).0
             })
             .collect();
         by_k.push(k.to_string(), values);
@@ -352,14 +354,16 @@ fn distance_matrix_study(ctx: &mut Ctx) {
             .iter()
             .map(|(_, gtree)| {
                 let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, defaults::K)
+                time_workload(gtree, &occ, defaults::K).0
             })
             .collect();
         by_d.push(format!("{d}"), values);
     }
     ctx.emit(by_d);
 
-    // Table 3 analogue: software probe counters instead of hardware cache misses.
+    // Table 3 analogue, in software instead of hardware cache misses: cell reads are
+    // the searches' `matrix_cells`; physical probes scale them by the layout's mean
+    // probe length over every stored cell (1 by construction for array and chained).
     let mut profile = Table::new(
         "Table 3: distance-matrix profile over the query workload (software counters)",
         "layout",
@@ -368,18 +372,17 @@ fn distance_matrix_study(ctx: &mut Ctx) {
     );
     let objects = uniform(&graph, defaults::DENSITY, 9);
     for (mk, gtree) in &trees {
-        for node in gtree.nodes() {
-            node.matrix.stats().reset();
-        }
         let occ = OccurrenceList::build(gtree, objects.vertices());
-        let micros = time_workload(gtree, &occ, defaults::K);
-        let (mut reads, mut probes) = (0u64, 0u64);
-        for node in gtree.nodes() {
-            let (r, p) = node.matrix.stats().snapshot();
-            reads += r;
-            probes += p;
+        let (micros, reads) = time_workload(gtree, &occ, defaults::K);
+        let (mut stored, mut probes) = (0u64, 0u64);
+        for m in gtree.nodes().iter().map(|node| &node.matrix) {
+            stored += (m.rows() * m.cols()) as u64;
+            probes += (0..m.rows())
+                .flat_map(|r| (0..m.cols()).map(move |c| m.probe_length(r, c)))
+                .sum::<u64>();
         }
-        profile.push(mk.name(), vec![reads as f64, probes as f64, micros]);
+        let mean_probe_length = probes as f64 / stored.max(1) as f64;
+        profile.push(mk.name(), vec![reads as f64, reads as f64 * mean_probe_length, micros]);
     }
     ctx.emit(profile);
 }

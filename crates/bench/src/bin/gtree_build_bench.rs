@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use rnknn::gtree::{GtreeConfig, MatrixOracle};
+use rnknn::gtree::GtreeConfig;
 use rnknn_bench::{artifacts, gtree_build};
 
 fn main() {
@@ -26,10 +26,6 @@ fn main() {
     let mut leaf_capacity: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut fanout: Option<usize> = None;
-    let mut ch_oracle = false;
-    let mut no_oracle = false;
-    let mut oracle_min_borders: Option<usize> = None;
-    let mut oracle_core_degree: Option<f64> = None;
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
@@ -54,16 +50,6 @@ fn main() {
                 i += 1;
                 fanout = Some(args[i].parse().expect("fanout"));
             }
-            "--ch-oracle" => ch_oracle = true,
-            "--no-oracle" => no_oracle = true,
-            "--oracle-min-borders" => {
-                i += 1;
-                oracle_min_borders = Some(args[i].parse().expect("border count"));
-            }
-            "--oracle-core-degree" => {
-                i += 1;
-                oracle_core_degree = Some(args[i].parse().expect("core degree threshold"));
-            }
             "--save" => {
                 i += 1;
                 io.save_dir = Some(args[i].clone());
@@ -81,13 +67,7 @@ fn main() {
     // even when other knobs are overridden.
     let mut points = Vec::new();
     for &size in &sizes {
-        let defaults = leaf_capacity.is_none()
-            && fanout.is_none()
-            && threads.is_none()
-            && !ch_oracle
-            && !no_oracle
-            && oracle_min_borders.is_none()
-            && oracle_core_degree.is_none();
+        let defaults = leaf_capacity.is_none() && fanout.is_none() && threads.is_none();
         let config = if defaults {
             None
         } else {
@@ -101,20 +81,6 @@ fn main() {
             }
             if let Some(f) = fanout {
                 config.fanout = f;
-            }
-            if ch_oracle {
-                config.matrix_oracle = MatrixOracle::Ch(rnknn::ch::ChConfig::default());
-            }
-            if no_oracle {
-                config.matrix_oracle = MatrixOracle::Composed;
-            }
-            if let Some(b) = oracle_min_borders {
-                config.oracle_min_borders = b;
-            }
-            if let Some(d) = oracle_core_degree {
-                if let MatrixOracle::Ch(ref mut ch_config) = config.matrix_oracle {
-                    ch_config.core_degree_threshold = d;
-                }
             }
             Some(config)
         };

@@ -3,8 +3,8 @@
 //!
 //! Builds the query-side indexes (G-tree + CH) on generated networks of increasing
 //! size, verifies every tracked method against the Dijkstra ground truth, measures
-//! per-method p50 latency and queries/sec on both the fresh-allocation baseline and
-//! the pooled `Engine::query_into` path, and writes the trajectory to
+//! per-method p50 latency and queries/sec of `Engine::query_into` on the warm
+//! per-thread scratch pool, and writes the trajectory to
 //! `BENCH_knn_query.json` in the workspace root so CI can track steady-state query
 //! performance across PRs.
 //!

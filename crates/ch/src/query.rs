@@ -224,44 +224,21 @@ impl ContractionHierarchy {
         (best, counters)
     }
 
-    /// Exact network distance from a previously materialised forward space to `t`.
+    /// Bounded network distance from a previously materialised forward space —
+    /// projected densely into `projection` — to `t`: exact when the distance is
+    /// `< bound`, any value `>= bound` otherwise.
     ///
-    /// This is the IER-CH hot path: the query vertex's forward space is computed once
-    /// per kNN query, then every candidate object runs only this backward upward
-    /// search, pruned against the best meet exactly like
-    /// [`ContractionHierarchy::distance_with_counters`].
-    pub fn distance_from_space(&self, forward: &ChSearchSpace, t: NodeId) -> Weight {
-        self.distance_from_space_with_counters(forward, t).0
-    }
-
-    /// [`ContractionHierarchy::distance_from_space`] plus search-effort counters.
-    pub fn distance_from_space_with_counters(
-        &self,
-        forward: &ChSearchSpace,
-        t: NodeId,
-    ) -> (Weight, ChSearchCounters) {
-        self.distance_from_space_within_with_counters(forward, t, INFINITY)
-    }
-
-    /// [`ContractionHierarchy::distance_from_space_within_with_counters`] reading the
-    /// forward side from a dense [`ChSpaceProjection`] instead of binary-searching the
-    /// sorted entry list — every meet test becomes one array load. The projection is
-    /// an epoch-tagged n-sized array, affordable only because it is pooled and
-    /// re-pointed per query in `O(|space|)`; this is the steady-state IER-CH
-    /// candidate loop.
-    pub fn distance_from_projection_within_with_counters(
-        &self,
-        projection: &ChSpaceProjection,
-        t: NodeId,
-        bound: Weight,
-    ) -> (Weight, ChSearchCounters) {
-        self.distance_from_projection_within_budgeted_with_counters(
-            projection, t, bound, &UNLIMITED,
-        )
-    }
-
-    /// [`ContractionHierarchy::distance_from_projection_within_with_counters`]
-    /// honoring a [`QueryBudget`] (one step per settled vertex; an exhausted budget
+    /// This is the IER-CH candidate loop: the query vertex's forward space is
+    /// computed once per kNN query, then every candidate object runs only this
+    /// backward upward search. The meet starts pre-clamped to `bound` (IER passes
+    /// its current k-th candidate distance), so labels that cannot produce a path
+    /// `< bound` are never pushed — safe for the same reason the evolving-meet
+    /// pruning is: a label `>= best` can never improve the meet, whatever `best`
+    /// started at. Every meet test is one array load from the epoch-tagged
+    /// [`ChSpaceProjection`], affordable only because it is pooled and re-pointed
+    /// per query in `O(|space|)`.
+    ///
+    /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
     /// saturates the answer to the best meet found so far).
     pub fn distance_from_projection_within_budgeted_with_counters(
         &self,
@@ -325,75 +302,6 @@ impl ContractionHierarchy {
         (best, counters)
     }
 
-    /// Bounded variant of [`ContractionHierarchy::distance_from_space_with_counters`]:
-    /// exact when the distance is `< bound`, any value `>= bound` otherwise. The
-    /// backward search starts with the meet pre-clamped to `bound`, so labels that
-    /// cannot produce a path `< bound` are never pushed — IER-CH passes its current
-    /// k-th candidate distance here and pays almost nothing for far candidates.
-    /// The initialisation is safe for the same reason the evolving-meet pruning is:
-    /// a label `>= best` can never improve the meet, whatever `best` started at.
-    pub fn distance_from_space_within_with_counters(
-        &self,
-        forward: &ChSearchSpace,
-        t: NodeId,
-        bound: Weight,
-    ) -> (Weight, ChSearchCounters) {
-        self.distance_from_space_within_budgeted_with_counters(forward, t, bound, &UNLIMITED)
-    }
-
-    /// [`ContractionHierarchy::distance_from_space_within_with_counters`] honoring
-    /// a [`QueryBudget`] (one step per settled vertex).
-    pub fn distance_from_space_within_budgeted_with_counters(
-        &self,
-        forward: &ChSearchSpace,
-        t: NodeId,
-        bound: Weight,
-        budget: &QueryBudget,
-    ) -> (Weight, ChSearchCounters) {
-        let mut counters = ChSearchCounters::default();
-        if bound == 0 {
-            return (bound, counters);
-        }
-        let best = SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(self.num_vertices());
-            scratch.set(BACKWARD, t, 0);
-            scratch.heap[BACKWARD].push(0, t);
-            counters.heap_pushes += 1;
-            let mut best = bound;
-            while let Some((d, x)) = scratch.heap[BACKWARD].pop() {
-                if d >= best {
-                    break;
-                }
-                if d > scratch.get(BACKWARD, x) {
-                    continue;
-                }
-                counters.settled += 1;
-                if !budget.charge(1) {
-                    break;
-                }
-                if let Some(df) = forward.distance_to(x) {
-                    best = best.min(df + d);
-                }
-                if self.is_stalled(scratch, BACKWARD, x, d) {
-                    counters.stalled += 1;
-                    continue;
-                }
-                for (y, w) in self.upward_edges(x) {
-                    let nd = d + w;
-                    // A backward label at distance >= best cannot improve the meet.
-                    if nd < best && nd < scratch.get(BACKWARD, y) {
-                        scratch.set(BACKWARD, y, nd);
-                        scratch.heap[BACKWARD].push(nd, y);
-                        counters.heap_pushes += 1;
-                    }
-                }
-            }
-            best
-        });
-        (best, counters)
-    }
-
     /// Computes the complete upward search space from `v`: the set of vertices reachable
     /// by only ascending in rank, with their (upper-bound) distances.
     ///
@@ -404,47 +312,21 @@ impl ContractionHierarchy {
         self.search_space_impl(v, |_| false).0
     }
 
-    /// [`ContractionHierarchy::upward_search_space`] plus search-effort counters, so
-    /// callers that account for materialization cost (the IER-CH oracle) report the
-    /// same settled/heap-push vocabulary as the pruned searches.
-    pub fn upward_search_space_with_counters(
-        &self,
-        v: NodeId,
-    ) -> (ChSearchSpace, ChSearchCounters) {
-        self.search_space_impl(v, |_| false)
-    }
-
-    /// [`ContractionHierarchy::upward_search_space_with_counters`] writing into a
-    /// caller-owned space, reusing its entry buffer. This is the steady-state path of
-    /// the IER-CH oracle: the forward space is re-materialised once per kNN query
-    /// into the engine's pooled [`ChSearchSpace`], so repeated queries allocate
-    /// nothing once the buffer has grown to the workload's largest space.
-    pub fn upward_search_space_into(
-        &self,
-        v: NodeId,
-        space: &mut ChSearchSpace,
-    ) -> ChSearchCounters {
-        self.search_space_into_impl(v, |_| false, false, space, &UNLIMITED)
-    }
-
-    /// [`ContractionHierarchy::upward_search_space_into`] with stall-on-demand:
-    /// dominated labels are still *recorded* (they are valid upper bounds) but not
+    /// [`ContractionHierarchy::upward_search_space`] with stall-on-demand, writing
+    /// into a caller-owned space and reusing its entry buffer — the IER-CH oracle
+    /// re-materialises the forward space once per kNN query into the engine's
+    /// pooled [`ChSearchSpace`], so repeated queries allocate nothing once the
+    /// buffer has grown to the workload's largest space.
+    ///
+    /// Dominated labels are still *recorded* (they are valid upper bounds) but not
     /// *expanded*, which shrinks the materialised space the same way stalling
     /// shrinks the bidirectional search (−27% settled at 69k). Safe for meets
     /// against any upward backward search for the usual stalling reason: a path
     /// through a pruned label is matched by one through the dominating neighbour,
-    /// which both sides do explore. This is the pooled IER-CH forward space.
-    pub fn upward_search_space_stalled_into(
-        &self,
-        v: NodeId,
-        space: &mut ChSearchSpace,
-    ) -> ChSearchCounters {
-        self.search_space_into_impl(v, |_| false, self.stall_on_demand, space, &UNLIMITED)
-    }
-
-    /// [`ContractionHierarchy::upward_search_space_stalled_into`] honoring a
-    /// [`QueryBudget`] (one step per settled vertex; an exhausted budget leaves a
-    /// truncated — still sorted — space behind).
+    /// which both sides do explore.
+    ///
+    /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
+    /// leaves a truncated — still sorted — space behind).
     pub fn upward_search_space_stalled_budgeted_into(
         &self,
         v: NodeId,
@@ -489,70 +371,6 @@ impl ContractionHierarchy {
         stop: impl Fn(NodeId) -> bool,
     ) -> (ChSearchSpace, ChSearchCounters) {
         self.search_space_impl(v, |x| x != v && stop(x))
-    }
-
-    /// All-pairs network distances among `vertices` (row-major `len × len` matrix),
-    /// via the classic bucket-join many-to-many CH algorithm: materialise every
-    /// upward search space once, bucket the entries per graph vertex, and join each
-    /// space against the buckets. Cost is `Σ_x fwd(x) · bucket(x)` instead of the
-    /// `len²/2 · |space|` of pairwise sorted meets — at thousands of sources
-    /// (G-tree's upper-level border matrices) that is orders of magnitude less work.
-    ///
-    /// The network is undirected, so one space per vertex serves as both the forward
-    /// and the backward side and the result is symmetric.
-    pub fn many_to_many(&self, vertices: &[NodeId]) -> Vec<Weight> {
-        let s = vertices.len();
-        let mut out = vec![INFINITY; s * s];
-        if s == 0 {
-            return out;
-        }
-        for (i, row) in out.chunks_mut(s).enumerate() {
-            row[i] = 0;
-        }
-        if s < 2 {
-            return out;
-        }
-        let spaces: Vec<ChSearchSpace> =
-            vertices.iter().map(|&v| self.upward_search_space(v)).collect();
-        // Per-graph-vertex buckets of (source index, upward distance), CSR-packed
-        // via a counting pass.
-        let n = self.num_vertices();
-        let mut counts = vec![0u32; n + 1];
-        for space in &spaces {
-            for &(x, _) in space.entries() {
-                counts[x as usize + 1] += 1;
-            }
-        }
-        for x in 0..n {
-            counts[x + 1] += counts[x];
-        }
-        let total = counts[n] as usize;
-        let mut bucket_src = vec![0u32; total];
-        let mut bucket_dist = vec![0 as Weight; total];
-        let mut cursor = counts.clone();
-        for (i, space) in spaces.iter().enumerate() {
-            for &(x, d) in space.entries() {
-                let slot = cursor[x as usize] as usize;
-                bucket_src[slot] = i as u32;
-                bucket_dist[slot] = d;
-                cursor[x as usize] += 1;
-            }
-        }
-        for (i, space) in spaces.iter().enumerate() {
-            let row = i * s;
-            for &(x, df) in space.entries() {
-                let lo = counts[x as usize] as usize;
-                let hi = counts[x as usize + 1] as usize;
-                for (slot, &j) in bucket_src[lo..hi].iter().enumerate() {
-                    let d = df + bucket_dist[lo + slot];
-                    let cell = &mut out[row + j as usize];
-                    if d < *cell {
-                        *cell = d;
-                    }
-                }
-            }
-        }
-        out
     }
 
     fn search_space_impl(
@@ -622,8 +440,8 @@ pub struct ChSearchSpace {
 
 impl ChSearchSpace {
     /// Creates an empty space, ready to be filled by
-    /// [`ContractionHierarchy::upward_search_space_into`] (no allocation until then;
-    /// the entry buffer is reused across refills).
+    /// [`ContractionHierarchy::upward_search_space_stalled_budgeted_into`] (no
+    /// allocation until then; the entry buffer is reused across refills).
     pub fn new() -> Self {
         Self::default()
     }
@@ -767,33 +585,22 @@ mod tests {
     }
 
     #[test]
-    fn many_to_many_matches_pairwise_meets() {
-        let net = RoadNetwork::generate(&GeneratorConfig::new(500, 8));
-        let g = net.graph(EdgeWeightKind::Distance);
-        let ch = ContractionHierarchy::build(&g);
-        let vertices: Vec<NodeId> = (0..g.num_vertices() as NodeId).step_by(29).collect();
-        let s = vertices.len();
-        let matrix = ch.many_to_many(&vertices);
-        for (i, &a) in vertices.iter().enumerate() {
-            for (j, &b) in vertices.iter().enumerate() {
-                assert_eq!(matrix[i * s + j], dijkstra::distance(&g, a, b), "{a}->{b}");
-            }
-        }
-        // Degenerate inputs return the trivial matrices instead of panicking.
-        assert!(ch.many_to_many(&[]).is_empty());
-        assert_eq!(ch.many_to_many(&[7]), vec![0]);
-    }
-
-    #[test]
-    fn distance_from_space_matches_meet() {
+    fn projection_distance_matches_meet() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(700, 12));
         let g = net.graph(EdgeWeightKind::Time);
         let ch = ContractionHierarchy::build(&g);
         let s: NodeId = 41;
         let forward = ch.upward_search_space(s);
+        let mut projection = ChSpaceProjection::new();
+        projection.set_from(g.num_vertices(), &forward);
         for t in (0..g.num_vertices() as NodeId).step_by(53) {
             let want = forward.meet(&ch.upward_search_space(t));
-            let (got, counters) = ch.distance_from_space_with_counters(&forward, t);
+            let (got, counters) = ch.distance_from_projection_within_budgeted_with_counters(
+                &projection,
+                t,
+                INFINITY,
+                &UNLIMITED,
+            );
             assert_eq!(got, want, "{s}->{t}");
             // The pruned backward search must not settle more than the full backward
             // space would.
@@ -815,15 +622,20 @@ mod tests {
             let mut space = ChSearchSpace::new();
             let mut projection = ChSpaceProjection::new();
             for s in [2u32, n / 3, n - 7] {
-                let stalled = ch.upward_search_space_stalled_into(s, &mut space);
+                let stalled =
+                    ch.upward_search_space_stalled_budgeted_into(s, &mut space, &UNLIMITED);
                 let full = ch.upward_search_space(s);
                 assert!(space.len() <= full.len(), "stalling enlarged the space from {s}");
                 assert!(stalled.settled <= full.len() as u64);
                 projection.set_from(g.num_vertices(), &space);
                 for t in (0..n).step_by(29) {
                     let exact = dijkstra::distance(&g, s, t);
-                    let (got, _) =
-                        ch.distance_from_projection_within_with_counters(&projection, t, INFINITY);
+                    let (got, _) = ch.distance_from_projection_within_budgeted_with_counters(
+                        &projection,
+                        t,
+                        INFINITY,
+                        &UNLIMITED,
+                    );
                     assert_eq!(got, exact, "{s}->{t} {kind:?}");
                 }
             }
@@ -831,24 +643,32 @@ mod tests {
     }
 
     #[test]
-    fn bounded_distance_from_space_is_exact_below_the_bound() {
+    fn bounded_projection_distance_is_exact_below_the_bound() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 52));
         let g = net.graph(EdgeWeightKind::Distance);
         let ch = ContractionHierarchy::build(&g);
         let s: NodeId = 11;
-        let forward = ch.upward_search_space(s);
+        let mut projection = ChSpaceProjection::new();
+        projection.set_from(g.num_vertices(), &ch.upward_search_space(s));
+        let within = |t, bound| {
+            ch.distance_from_projection_within_budgeted_with_counters(
+                &projection,
+                t,
+                bound,
+                &UNLIMITED,
+            )
+        };
         for t in (0..g.num_vertices() as NodeId).step_by(41) {
             let exact = dijkstra::distance(&g, s, t);
             for bound in [0, exact / 2, exact, exact.saturating_add(1), INFINITY] {
-                let (got, counters) =
-                    ch.distance_from_space_within_with_counters(&forward, t, bound);
+                let (got, counters) = within(t, bound);
                 if exact < bound {
                     assert_eq!(got, exact, "{s}->{t} bound={bound}");
                 } else {
                     assert!(got >= bound, "{s}->{t} bound={bound} got={got}");
                 }
                 // A tight bound must never search more than the unbounded query.
-                let (_, unbounded) = ch.distance_from_space_with_counters(&forward, t);
+                let (_, unbounded) = within(t, INFINITY);
                 assert!(counters.settled <= unbounded.settled);
             }
         }
@@ -858,11 +678,14 @@ mod tests {
     fn space_into_reuses_the_buffer_and_matches_fresh_spaces() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 21));
         let g = net.graph(EdgeWeightKind::Distance);
-        let ch = ContractionHierarchy::build(&g);
+        // With stall-on-demand off, the stalled `_into` variant materialises the
+        // full space, so it must equal the allocating one entry for entry.
+        let config = crate::ChConfig { stall_on_demand: false, ..Default::default() };
+        let ch = ContractionHierarchy::build_with_config(&g, &config);
         let mut space = ChSearchSpace::new();
         assert!(space.is_empty());
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
-            let counters = ch.upward_search_space_into(v, &mut space);
+            let counters = ch.upward_search_space_stalled_budgeted_into(v, &mut space, &UNLIMITED);
             let fresh = ch.upward_search_space(v);
             assert_eq!(space.entries(), fresh.entries(), "space from {v}");
             assert_eq!(counters.settled, fresh.len() as u64);

@@ -6,11 +6,15 @@
 //! object indexes are cheap and swapped per object set (Section 7.4), and every method
 //! answers the same queries.
 //!
-//! Queries go through [`Engine::query`], which returns a `Result` carrying the
-//! kNN result plus unified [`crate::QueryStats`], and dispatches through the
-//! [`crate::methods`] registry of [`crate::KnnAlgorithm`] implementors. The
-//! engine is [`Sync`]: [`Engine::knn_batch`] fans a query workload across
-//! scoped threads over one shared engine.
+//! Every query runs through one body, [`Engine::execute_with_scratch`]: a
+//! [`QueryRequest`] names the method, vertex and `k` plus the two optional inputs
+//! (a [`QueryBudget`] and an external object view), and the body validates, picks
+//! the object view and dispatches through the [`crate::methods`] registry of
+//! [`crate::KnnAlgorithm`] implementors. [`Engine::execute`] supplies the calling
+//! thread's pooled scratch; [`Engine::query`], [`Engine::query_into`] and
+//! [`Engine::query_snapshot`] are one-line forwards. The engine is [`Sync`]:
+//! [`Engine::knn_batch`] fans a query workload across scoped threads over one
+//! shared engine.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -32,7 +36,7 @@ thread_local! {
     /// The engine scratch pool: one [`EngineScratch`] per thread, created lazily on
     /// the first query and reused by every subsequent query on that thread (across
     /// engines — epoch tags keep differently-sized graphs from interfering). This is
-    /// what lets `Engine::query` on `&self` reuse heaps, distance arrays, G-tree
+    /// what lets `Engine::execute` on `&self` reuse heaps, distance arrays, G-tree
     /// border storage, IER candidate buffers and oracle search spaces while keeping
     /// `Engine: Sync`.
     static ENGINE_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::new());
@@ -87,6 +91,56 @@ impl Method {
     }
 }
 
+/// One kNN query as [`Engine::execute`] sees it: the method, the query vertex and
+/// `k`, plus the two optional inputs (budget and object view).
+///
+/// ```
+/// # use rnknn::{Method, QueryBudget, QueryRequest};
+/// let budget = QueryBudget::new(None, 10_000, 256);
+/// let request = QueryRequest::new(Method::Gtree, 17, 5).with_budget(&budget);
+/// assert!(request.objects.is_none()); // the engine's installed object set
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct QueryRequest<'a> {
+    /// The kNN method to dispatch to.
+    pub method: Method,
+    /// The query vertex.
+    pub query: NodeId,
+    /// How many neighbors to return (must be positive).
+    pub k: usize,
+    /// Cooperative budget, charged inside the method's search loops (one step per
+    /// settled vertex / materialized cell batch, checked in
+    /// [`QueryBudget::check_every`]-sized strides). Defaults to [`UNLIMITED`]; a
+    /// budget that never exhausts leaves the answer bit-identical.
+    pub budget: &'a QueryBudget,
+    /// The object view to answer against. `None` (the default) means the engine's
+    /// installed set; `Some` is the serving layer's epoch-snapshot path — the
+    /// engine contributes the (immutable) road-network indexes, the caller the
+    /// object view, so many epochs can serve concurrently over one engine. The
+    /// bundle must have been built against this engine
+    /// ([`Engine::build_object_indexes`]) and may have been evolved with
+    /// [`Engine::apply_object_update`]; the engine's own set is then ignored and
+    /// need not exist.
+    pub objects: Option<&'a ObjectIndexes>,
+}
+
+impl<'a> QueryRequest<'a> {
+    /// An unbudgeted request against the engine's installed object set.
+    pub fn new(method: Method, query: NodeId, k: usize) -> Self {
+        QueryRequest { method, query, k, budget: &UNLIMITED, objects: None }
+    }
+
+    /// The same request under `budget`.
+    pub fn with_budget(self, budget: &'a QueryBudget) -> Self {
+        QueryRequest { budget, ..self }
+    }
+
+    /// The same request against the external object view `objects`.
+    pub fn with_objects(self, objects: &'a ObjectIndexes) -> Self {
+        QueryRequest { objects: Some(objects), ..self }
+    }
+}
+
 /// Which road-network indexes the engine builds.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -105,8 +159,8 @@ pub struct EngineConfig {
     pub build_tnr: bool,
     /// Override the G-tree leaf capacity (defaults to the paper's size-based rule).
     pub gtree_leaf_capacity: Option<usize>,
-    /// G-tree construction knobs (matrix oracle, worker threads, fanout, matrix
-    /// layout; see [`rnknn_gtree::GtreeConfig`]). The leaf capacity inside this value
+    /// G-tree construction knobs (worker threads, fanout, matrix layout; see
+    /// [`rnknn_gtree::GtreeConfig`]). The leaf capacity inside this value
     /// is ignored — it is controlled by `gtree_leaf_capacity` above, falling back to
     /// the paper's size-based rule.
     pub gtree_config: GtreeConfig,
@@ -343,10 +397,16 @@ impl Engine {
         }
     }
 
-    /// Shared validation for `query` and `knn_batch*`: `k` must be positive,
-    /// every index the method requires must have been built, and an object set
-    /// must have been injected.
-    fn validate(&self, method: Method, k: usize) -> Result<&'static dyn KnnAlgorithm, EngineError> {
+    /// The one validation, shared by [`Engine::execute_with_scratch`] and
+    /// `knn_batch*`: `k` must be positive, every index the method requires must
+    /// have been built, and there must be an object view — `objects` if given,
+    /// the installed set otherwise.
+    fn validate<'a>(
+        &'a self,
+        method: Method,
+        k: usize,
+        objects: Option<&'a ObjectIndexes>,
+    ) -> Result<(&'static dyn KnnAlgorithm, &'a ObjectIndexes), EngineError> {
         if k == 0 {
             return Err(EngineError::InvalidK { k });
         }
@@ -356,10 +416,8 @@ impl Engine {
                 return Err(EngineError::MissingIndex { method, index: kind });
             }
         }
-        if self.live.is_none() {
-            return Err(EngineError::NoObjects);
-        }
-        Ok(algorithm)
+        let live = objects.or(self.live.as_ref()).ok_or(EngineError::NoObjects)?;
+        Ok((algorithm, live))
     }
 
     /// Injects an object set, rebuilding the per-method object indexes (the cheap,
@@ -419,7 +477,8 @@ impl Engine {
     }
 
     /// Answers a kNN query with the chosen method, returning the result together
-    /// with unified per-query [`crate::QueryStats`].
+    /// with unified per-query [`crate::QueryStats`] (a forward to
+    /// [`Engine::execute`]; allocates only the returned result vector).
     ///
     /// This never panics: a missing index, a missing object set, an out-of-range
     /// vertex or `k == 0` come back as an [`EngineError`]. The engine is borrowed
@@ -458,17 +517,8 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::query`] writing into a caller-owned [`QueryOutput`] (the result
-    /// vector is cleared, keeping its capacity, and refilled).
-    ///
-    /// This is the steady-state serving path: together with the engine's per-thread
-    /// scratch pool it performs **zero heap allocations** after a warm-up query for
-    /// the pooled methods (G-tree, INE, IER-CH and the other IER oracles; proven by
-    /// the allocation-guard test). [`Engine::query`] itself delegates here and only
-    /// additionally allocates the returned result vector.
-    ///
-    /// On error, `out` is left cleared. The reuse contract of the underlying pool is
-    /// documented on [`crate::scratch::EngineScratch`].
+    /// [`Engine::query`] writing into a caller-owned [`QueryOutput`]: a forward to
+    /// [`Engine::execute`] with the default request (no budget, installed objects).
     pub fn query_into(
         &self,
         method: Method,
@@ -476,131 +526,12 @@ impl Engine {
         k: usize,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
-        self.query_into_budgeted(method, query, k, &UNLIMITED, out)
+        self.execute(&QueryRequest::new(method, query, k), out)
     }
 
-    /// [`Engine::query`] under a [`QueryBudget`]: a fresh output on success,
-    /// [`EngineError::DeadlineExceeded`] when the budget exhausts mid-search.
-    pub fn query_budgeted(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut out = QueryOutput::default();
-        self.query_into_budgeted(method, query, k, budget, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Engine::query_into`] under a [`QueryBudget`].
-    ///
-    /// The budget is charged cooperatively inside the method's search loops (one
-    /// step per settled vertex / materialized cell batch, checked in
-    /// [`QueryBudget::check_every`]-sized strides). When it exhausts, the search
-    /// unwinds normally — no thread is killed, the thread's scratch pool stays
-    /// reusable — and the call returns [`EngineError::DeadlineExceeded`] carrying
-    /// the counters accumulated so far; `out` is left cleared. A budget that never
-    /// exhausts leaves the answer bit-identical to the unbudgeted path.
-    pub fn query_into_budgeted(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        ENGINE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.query_with_scratch(method, query, k, budget, scratch, out)
-        })
-    }
-
-    /// [`Engine::query`] with every piece of per-query state allocated fresh — the
-    /// pre-pooling behaviour. Kept as the baseline the query benchmarks and the
-    /// allocation tests compare the pooled path against; there is no reason to use
-    /// it for serving.
-    pub fn query_fresh(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut scratch = EngineScratch::unpooled();
-        let mut out = QueryOutput::default();
-        self.query_with_scratch(method, query, k, &UNLIMITED, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Shared body of the query entry points: validate, build the context, dispatch
-    /// through the registry with `scratch`, and stamp the elapsed time.
-    fn query_with_scratch(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        scratch: &mut EngineScratch,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        out.result.clear();
-        out.stats = Default::default();
-        let algorithm = self.validate(method, k)?;
-        let live = self.live.as_ref().ok_or(EngineError::NoObjects)?;
-        self.dispatch(algorithm, query, k, budget, live, scratch, out)
-    }
-
-    /// Answers a kNN query against **external** object indexes instead of the
-    /// engine's installed set — the serving layer's epoch-snapshot path: the engine
-    /// contributes the (immutable) road-network indexes, the caller the object view
-    /// and the scratch, so many epochs can serve concurrently over one engine.
-    ///
-    /// `live` must have been built against this engine ([`Engine::build_object_indexes`])
-    /// and may have been evolved with [`Engine::apply_object_update`]. The engine's
-    /// own object set, if any, is ignored and need not exist.
-    pub fn query_with_objects(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        live: &ObjectIndexes,
-        scratch: &mut EngineScratch,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        self.query_with_objects_budgeted(method, query, k, &UNLIMITED, live, scratch, out)
-    }
-
-    /// [`Engine::query_with_objects`] under a [`QueryBudget`] — the serving
-    /// layer's deadline path (see [`Engine::query_into_budgeted`] for the budget
-    /// contract).
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_with_objects_budgeted(
-        &self,
-        method: Method,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        live: &ObjectIndexes,
-        scratch: &mut EngineScratch,
-        out: &mut QueryOutput,
-    ) -> Result<(), EngineError> {
-        out.result.clear();
-        out.stats = Default::default();
-        if k == 0 {
-            return Err(EngineError::InvalidK { k });
-        }
-        let algorithm = methods::algorithm(method);
-        for &kind in algorithm.required_indexes() {
-            if !self.has_index(kind) {
-                return Err(EngineError::MissingIndex { method, index: kind });
-            }
-        }
-        self.dispatch(algorithm, query, k, budget, live, scratch, out)
-    }
-
-    /// [`Engine::query_with_objects`] on the calling thread's pooled scratch,
-    /// returning a fresh [`QueryOutput`] (convenience for tests and callers outside
-    /// a serving worker).
+    /// [`Engine::query`] against the external object view `live` instead of the
+    /// installed set (see [`QueryRequest::objects`]): a forward to
+    /// [`Engine::execute`] for tests and callers outside a serving worker.
     pub fn query_snapshot(
         &self,
         method: Method,
@@ -609,27 +540,49 @@ impl Engine {
         live: &ObjectIndexes,
     ) -> Result<QueryOutput, EngineError> {
         let mut out = QueryOutput::default();
-        ENGINE_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.query_with_objects(method, query, k, live, scratch, &mut out)
-        })?;
+        self.execute(&QueryRequest::new(method, query, k).with_objects(live), &mut out)?;
         Ok(out)
     }
 
-    /// The validated dispatch tail shared by every query path: range-check the
-    /// query vertex, sync the scratch's object generation, build the context over
-    /// `live`'s object view and run the algorithm.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
+    /// Answers `request` on the calling thread's pooled scratch, writing into a
+    /// caller-owned [`QueryOutput`] (the result vector is cleared, keeping its
+    /// capacity, and refilled).
+    ///
+    /// This is the steady-state serving path: with the per-thread scratch pool it
+    /// performs **zero heap allocations** after a warm-up query for the pooled
+    /// methods (G-tree, INE, IER-CH and the other IER oracles; proven by the
+    /// allocation-guard test), budgeted or not. The reuse contract of the pool is
+    /// documented on [`crate::scratch::EngineScratch`].
+    pub fn execute(
         &self,
-        algorithm: &'static dyn KnnAlgorithm,
-        query: NodeId,
-        k: usize,
-        budget: &QueryBudget,
-        live: &ObjectIndexes,
+        request: &QueryRequest<'_>,
+        out: &mut QueryOutput,
+    ) -> Result<(), EngineError> {
+        ENGINE_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            self.execute_with_scratch(request, scratch, out)
+        })
+    }
+
+    /// The one query body: validate, pick the object view, range-check the query
+    /// vertex, sync the scratch's object generation, build the context and run the
+    /// algorithm. [`Engine::execute`] calls it with the thread's pooled scratch; a
+    /// serving worker calls it directly with its thread-private one.
+    ///
+    /// On error, `out` is left cleared. When the request's budget exhausts, the
+    /// search unwinds normally — no thread is killed, `scratch` stays reusable —
+    /// and the call returns [`EngineError::DeadlineExceeded`] carrying the counters
+    /// accumulated so far.
+    pub fn execute_with_scratch(
+        &self,
+        request: &QueryRequest<'_>,
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
+        let &QueryRequest { method, query, k, budget, objects } = request;
+        out.result.clear();
+        out.stats = Default::default();
+        let (algorithm, live) = self.validate(method, k, objects)?;
         let num_vertices = self.graph.num_vertices();
         if query as usize >= num_vertices {
             return Err(EngineError::InvalidVertex { vertex: query, num_vertices });
@@ -715,7 +668,7 @@ impl Engine {
     ) -> Result<Vec<QueryOutput>, EngineError> {
         // Surface configuration errors (bad k, missing index) even for an empty
         // workload, so a warm-up batch is a reliable configuration check.
-        self.validate(method, k)?;
+        self.validate(method, k, None)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -856,7 +809,7 @@ mod tests {
         assert!(engine.query(Method::Ine, 0, 3).is_ok());
     }
 
-    /// The drift guard for `Engine::supports` vs what `KnnAlgorithm::knn`
+    /// The drift guard for `Engine::supports` vs what `KnnAlgorithm::knn_into`
     /// implementations actually dereference: for every registry entry and every
     /// index kind, an engine built without that index must (a) report
     /// `supports == false` exactly when the method requires it, and (b) surface a
@@ -961,7 +914,7 @@ mod tests {
         }
     }
 
-    /// External snapshots answer through `query_with_objects` without touching (or
+    /// External snapshots answer through `query_snapshot` without touching (or
     /// requiring) the engine's installed set, and generations stay distinct.
     #[test]
     fn external_snapshots_serve_queries_independently() {

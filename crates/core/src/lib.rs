@@ -23,13 +23,14 @@
 //!
 //! Queries run on a per-thread [`scratch::EngineScratch`] pool: heaps, epoch-tagged
 //! distance arrays, materialization stores and oracle search spaces are reused across
-//! queries, so the steady-state serving path ([`Engine::query_into`]) performs zero
-//! heap allocations for the pooled methods — see [`scratch`] for the reuse contract.
+//! queries, so the steady-state serving path ([`Engine::execute`], the one body every
+//! entry point forwards to) performs zero heap allocations for the pooled methods —
+//! see [`scratch`] for the reuse contract.
 //!
 //! Object sets need not be swapped wholesale: [`live::ObjectIndexes`] maintains every
 //! method's object index **incrementally** under insert/remove/move updates
 //! ([`Engine::update_objects`] in place, or [`Engine::apply_object_update`] on
-//! caller-owned epoch snapshots served through [`Engine::query_with_objects`]) — the
+//! caller-owned epoch snapshots served through [`QueryRequest::with_objects`]) — the
 //! substrate of the `rnknn-serve` live-traffic layer.
 //!
 //! ```
@@ -73,7 +74,7 @@ pub mod query;
 pub mod scratch;
 pub mod verify;
 
-pub use engine::{BuildTimes, Engine, EngineConfig, Method};
+pub use engine::{BuildTimes, Engine, EngineConfig, Method, QueryRequest};
 pub use error::EngineError;
 pub use live::ObjectIndexes;
 pub use query::{IndexKind, KnnAlgorithm, QueryContext, QueryOutput, QueryStats};

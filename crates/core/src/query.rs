@@ -34,9 +34,7 @@ pub struct QueryStats {
     pub oracle_calls: u64,
     /// Candidate objects examined (Euclidean candidates, interval candidates).
     pub candidates_examined: u64,
-    /// Distance-matrix cells read by G-tree assembly, counted in per-row batches
-    /// on the pooled hot path (the untracked sweeps bypass the per-cell atomic
-    /// matrix probes, which used to make pooled G-tree queries report zero here).
+    /// Distance-matrix cells read by G-tree assembly, counted in per-row batches.
     pub matrix_cells: u64,
     /// Wall-clock time of the query in microseconds (filled in by the engine).
     pub elapsed_micros: u64,
@@ -253,19 +251,4 @@ pub trait KnnAlgorithm: Sync {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError>;
-
-    /// One-shot convenience over [`KnnAlgorithm::knn_into`]: allocates a fresh
-    /// unpooled scratch and output per call. This is the pre-pooling behaviour,
-    /// kept for tests and as the baseline the query benchmarks compare against.
-    fn knn(
-        &self,
-        ctx: &QueryContext<'_>,
-        query: NodeId,
-        k: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut scratch = EngineScratch::unpooled();
-        let mut out = QueryOutput::default();
-        self.knn_into(ctx, query, k, &mut scratch, &mut out)?;
-        Ok(out)
-    }
 }

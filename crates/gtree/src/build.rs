@@ -9,18 +9,12 @@
 //! * **internal nodes** — composed bottom-up from the children's already-computed
 //!   matrices (border cliques + original cross edges), never re-running searches on the
 //!   full graph; the per-row Dijkstras over the reduced border graph run on scoped
-//!   worker threads because upper levels hold few nodes but many rows;
-//! * **upper levels, optionally** — with [`MatrixOracle::Ch`] a contraction hierarchy
-//!   is built once and wide internal nodes (at least
-//!   [`GtreeConfig::oracle_min_borders`] child borders) read exact global
-//!   border-to-border distances from cached CH upward search spaces instead of running
-//!   reduced-graph Dijkstras; those matrices need no refinement pass.
+//!   worker threads because upper levels hold few nodes but many rows.
 //!
-//! The top-down refinement pass (on by default) upgrades every remaining matrix from
+//! The top-down refinement pass (on by default) upgrades every matrix from
 //! subgraph-restricted to exact global distances using the parent's already-exact
 //! matrix as external shortcut edges (DESIGN.md §4).
 
-use rnknn_ch::{ChConfig, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_partition::Partitioner;
 use rnknn_pathfinding::heap::MinHeap;
@@ -30,23 +24,6 @@ use crate::kernel::min_plus_into;
 use crate::tree::{Gtree, GtreeNode, NodeIndex};
 
 use std::collections::HashMap;
-
-/// How inter-border distance matrices are computed during construction.
-#[derive(Debug, Clone)]
-pub enum MatrixOracle {
-    /// Compose child matrices bottom-up and refine top-down (the default; needs no
-    /// auxiliary index).
-    Composed,
-    /// Build a contraction hierarchy once (with the given preprocessing knobs) and
-    /// fill the matrices of wide internal nodes — at least
-    /// [`GtreeConfig::oracle_min_borders`] child borders — with exact global distances
-    /// read from cached CH upward search spaces. Narrow nodes still compose. Under
-    /// the default [`GtreeConfig::exact_refinement`] the final matrices are identical
-    /// either way, only the build-time trade-off changes; with refinement disabled,
-    /// oracle matrices are exact while composed ones stay subgraph-restricted, so the
-    /// two strategies genuinely differ.
-    Ch(ChConfig),
-}
 
 /// Configuration of G-tree construction.
 #[derive(Debug, Clone)]
@@ -62,14 +39,6 @@ pub struct GtreeConfig {
     /// When true (default) a top-down refinement pass upgrades every distance-matrix
     /// entry from subgraph-restricted to exact global network distance (DESIGN.md §4).
     pub exact_refinement: bool,
-    /// How inter-border matrices are computed (composition by default, optionally
-    /// CH-backed at the upper levels). Matrices produced by the CH oracle are exact
-    /// regardless of [`GtreeConfig::exact_refinement`].
-    pub matrix_oracle: MatrixOracle,
-    /// Minimum child-border count for an internal node to use the CH oracle (ignored
-    /// under [`MatrixOracle::Composed`]). Narrow nodes compose faster than they can
-    /// query, so the oracle only pays off on the wide upper-level matrices.
-    pub oracle_min_borders: usize,
     /// Worker threads for matrix assembly (`0` = one per available core). Construction
     /// is deterministic regardless of the thread count.
     pub build_threads: usize,
@@ -82,8 +51,6 @@ impl Default for GtreeConfig {
             leaf_capacity: 128,
             matrix_kind: MatrixKind::Array,
             exact_refinement: true,
-            matrix_oracle: MatrixOracle::Composed,
-            oracle_min_borders: 64,
             build_threads: 0,
         }
     }
@@ -138,7 +105,6 @@ impl Gtree {
             config: config.clone(),
             partitioner: Partitioner::new(),
             nodes: Vec::new(),
-            exact: Vec::new(),
             leaf_of_vertex: vec![0; graph.num_vertices()],
             vertex_position: vec![0; graph.num_vertices()],
             next_leaf_index: 0,
@@ -148,17 +114,7 @@ impl Gtree {
         phase("partitioning");
         builder.compute_borders();
         phase("borders");
-        builder.exact = vec![false; builder.nodes.len()];
-        let ch = match &config.matrix_oracle {
-            MatrixOracle::Ch(ch_config) if builder.any_oracle_node() => {
-                Some(ContractionHierarchy::build_with_config(graph, ch_config))
-            }
-            _ => None,
-        };
-        if ch.is_some() {
-            phase("matrix-oracle CH");
-        }
-        builder.compute_matrices(ch.as_ref());
+        builder.compute_matrices();
         phase("bottom-up matrices");
         if config.exact_refinement {
             builder.refine_matrices();
@@ -278,9 +234,6 @@ struct Builder<'a> {
     config: GtreeConfig,
     partitioner: Partitioner,
     nodes: Vec<GtreeNode>,
-    /// Per node: matrix already holds exact global distances (set by the CH oracle in
-    /// the bottom-up pass), so the refinement pass can skip it.
-    exact: Vec<bool>,
     leaf_of_vertex: Vec<NodeIndex>,
     vertex_position: Vec<u32>,
     next_leaf_index: u32,
@@ -429,25 +382,11 @@ impl<'a> Builder<'a> {
         levels
     }
 
-    /// True when the CH oracle would apply to at least one internal node (so the
-    /// hierarchy is only built when it will be used).
-    fn any_oracle_node(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| !n.is_leaf() && n.child_borders.len() >= self.config.oracle_min_borders)
-    }
-
-    /// True when internal node `i` reads its matrix from the CH oracle.
-    fn uses_oracle(&self, ch: Option<&ContractionHierarchy>, i: usize) -> bool {
-        ch.is_some() && self.nodes[i].child_borders.len() >= self.config.oracle_min_borders
-    }
-
     /// Bottom-up computation of all distance matrices, level-parallel: leaves run one
     /// multi-target Dijkstra per border confined to the leaf subgraph (leaves fanned
     /// across worker threads); internal nodes compose their children's matrices (rows
-    /// fanned across worker threads), or read the CH oracle when enabled and wide
-    /// enough (those matrices are exact immediately).
-    fn compute_matrices(&mut self, ch: Option<&ContractionHierarchy>) {
+    /// fanned across worker threads).
+    fn compute_matrices(&mut self) {
         let trace = std::env::var_os("RNKNN_GTREE_TRACE").is_some();
         let start = std::time::Instant::now();
         let threads = self.config.resolved_threads();
@@ -462,12 +401,7 @@ impl<'a> Builder<'a> {
             let internals: Vec<usize> =
                 level.iter().copied().filter(|&i| !self.nodes[i].is_leaf()).collect();
             for i in internals {
-                if self.uses_oracle(ch, i) {
-                    self.nodes[i].matrix = self.oracle_matrix(ch.expect("oracle in use"), i);
-                    self.exact[i] = true;
-                } else {
-                    self.nodes[i].matrix = self.internal_matrix(i);
-                }
+                self.nodes[i].matrix = self.internal_matrix(i);
             }
             if trace {
                 let widest = level
@@ -487,7 +421,7 @@ impl<'a> Builder<'a> {
     /// Top-down refinement: upgrade matrices to exact global distances using the
     /// parent's already-exact matrix as "external shortcut" edges between this node's
     /// borders (DESIGN.md §4). The root is already exact (its restriction is the whole
-    /// graph), as is every matrix the CH oracle produced.
+    /// graph).
     ///
     /// Refinement never re-runs a search: a node's pass-1 matrix `M` is already the
     /// all-pairs closure of its restricted graph, and the external matrix `ext` holds
@@ -501,11 +435,8 @@ impl<'a> Builder<'a> {
         let trace = std::env::var_os("RNKNN_GTREE_TRACE").is_some();
         let start = std::time::Instant::now();
         for (depth, level) in self.levels().iter().enumerate() {
-            let pending: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&i| self.nodes[i].parent.is_some() && !self.exact[i])
-                .collect();
+            let pending: Vec<usize> =
+                level.iter().copied().filter(|&i| self.nodes[i].parent.is_some()).collect();
             if trace && !pending.is_empty() {
                 let widest =
                     pending.iter().map(|&i| self.nodes[i].matrix.rows()).max().unwrap_or(0);
@@ -851,23 +782,6 @@ impl<'a> Builder<'a> {
         }
         matrix
     }
-
-    /// Fills internal node `i`'s matrix with exact global child-border-to-child-border
-    /// distances from the CH via the bucket-join many-to-many algorithm
-    /// ([`ContractionHierarchy::many_to_many`]): every border's upward space is
-    /// materialised once and joined through per-vertex buckets, instead of one
-    /// sorted-merge meet per border pair — the difference between the oracle being a
-    /// curiosity and it carrying the widest matrices at 500k+ vertices.
-    fn oracle_matrix(&self, ch: &ContractionHierarchy, i: usize) -> DistanceMatrix {
-        let borders = &self.nodes[i].child_borders;
-        let n_local = borders.len();
-        let distances = ch.many_to_many(borders);
-        let mut matrix = DistanceMatrix::new(self.config.matrix_kind, n_local, n_local, INFINITY);
-        for (r, row) in distances.chunks(n_local).enumerate() {
-            matrix.set_row(r, row);
-        }
-        matrix
-    }
 }
 
 #[cfg(test)]
@@ -998,9 +912,8 @@ mod tests {
         assert_eq!(GtreeConfig::for_network(24_000).leaf_capacity, 256);
     }
 
-    /// Every (matrix_oracle, build_threads) combination must produce cell-for-cell
-    /// identical matrices — construction strategy is a performance knob, not a
-    /// semantics knob.
+    /// Every `build_threads` setting must produce cell-for-cell identical matrices —
+    /// the worker count is a performance knob, not a semantics knob.
     #[test]
     fn build_strategies_agree_cell_for_cell() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(700, 21));
@@ -1010,20 +923,8 @@ mod tests {
             GtreeConfig { leaf_capacity: 40, build_threads: 1, ..Default::default() },
         );
         let variants = [
+            GtreeConfig { leaf_capacity: 40, build_threads: 2, ..Default::default() },
             GtreeConfig { leaf_capacity: 40, build_threads: 4, ..Default::default() },
-            GtreeConfig {
-                leaf_capacity: 40,
-                build_threads: 2,
-                matrix_oracle: MatrixOracle::Ch(ChConfig::default()),
-                oracle_min_borders: 1,
-                ..Default::default()
-            },
-            GtreeConfig {
-                leaf_capacity: 40,
-                matrix_oracle: MatrixOracle::Ch(ChConfig::default()),
-                oracle_min_borders: 24,
-                ..Default::default()
-            },
         ];
         for config in variants {
             let tree = Gtree::build_with_config(&g, config.clone());

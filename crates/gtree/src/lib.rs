@@ -8,7 +8,7 @@
 //!   flat 1-D arrays grouped by child (the cache-friendly layout of Section 6.1).
 //! * [`DistanceMatrix`] / [`MatrixKind`] — the three distance-matrix implementations the
 //!   paper compares in Figure 6 and Table 3 (1-D array, chained hashing, quadratic
-//!   probing), with software probe counters standing in for hardware cache profiling.
+//!   probing), with a pure probe-length function standing in for hardware cache profiling.
 //! * [`OccurrenceList`] — the decoupled object index (Section 3.5).
 //! * [`GtreeSearch`] — materialized distance assembly, the kNN algorithm with the
 //!   improved leaf search of Appendix A.2.1 (the original leaf search is kept for the
@@ -35,8 +35,8 @@ pub mod persist;
 mod search;
 mod tree;
 
-pub use build::{GtreeConfig, MatrixOracle};
-pub use distmatrix::{DistanceMatrix, MatrixKind, MatrixStats};
+pub use build::GtreeConfig;
+pub use distmatrix::{DistanceMatrix, MatrixKind};
 pub use occurrence::OccurrenceList;
 pub use search::{GtreeDistanceOracle, GtreeSearch, GtreeSearchStats, LeafSearchMode};
 pub use tree::{Gtree, GtreeNode, NodeIndex};

@@ -21,10 +21,9 @@
 //! list lengths. Matrix *cells* are distances, used only arithmetically, and
 //! are covered by the arena checksum.
 
-use crate::build::{GtreeConfig, MatrixOracle};
+use crate::build::GtreeConfig;
 use crate::distmatrix::{DistanceMatrix, MatrixKind};
 use crate::tree::{Gtree, GtreeNode, NodeIndex};
-use rnknn_ch::ChConfig;
 use rnknn_graph::NodeId;
 use rnknn_persist::{
     Artifact, ArtifactWriter, Fingerprint, MetaReader, MetaWriter, PVec, PersistError, SharedSlice,
@@ -88,25 +87,15 @@ impl GtreeConfig {
     /// deterministic regardless of the worker count (a documented invariant,
     /// tested by `build_determinism`), so an artifact built with 8 threads is
     /// byte-identical to one built with 1 and must load under either setting.
-    /// Everything else — fanout, leaf capacity, matrix layout, refinement,
-    /// oracle choice including the nested [`ChConfig`] — changes the tree and
-    /// therefore the fingerprint.
+    /// Everything else — fanout, leaf capacity, matrix layout, refinement —
+    /// changes the tree and therefore the fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.push_str("GtreeConfig")
             .push_usize(self.fanout)
             .push_usize(self.leaf_capacity)
             .push_u64(matrix_kind_code(self.matrix_kind))
-            .push_bool(self.exact_refinement)
-            .push_usize(self.oracle_min_borders);
-        match &self.matrix_oracle {
-            MatrixOracle::Composed => {
-                fp.push_str("Composed");
-            }
-            MatrixOracle::Ch(ch) => {
-                fp.push_str("Ch").push_u64(ch.fingerprint());
-            }
-        }
+            .push_bool(self.exact_refinement);
         fp.finish()
     }
 }
@@ -116,24 +105,7 @@ fn write_meta_config(meta: &mut MetaWriter, config: &GtreeConfig) {
         .usize(config.leaf_capacity)
         .u64(matrix_kind_code(config.matrix_kind))
         .bool(config.exact_refinement)
-        .usize(config.oracle_min_borders)
         .usize(config.build_threads);
-    match &config.matrix_oracle {
-        MatrixOracle::Composed => {
-            meta.u64(0);
-        }
-        MatrixOracle::Ch(ch) => {
-            meta.u64(1)
-                .usize(ch.witness_settle_limit)
-                .i64(ch.deleted_neighbour_weight)
-                .i64(ch.level_weight)
-                .usize(ch.hop_limit)
-                .f64(ch.core_degree_threshold)
-                .i64(ch.search_space_weight)
-                .usize(ch.separator_cell_target)
-                .bool(ch.stall_on_demand);
-        }
-    }
 }
 
 fn read_meta_config(meta: &mut MetaReader<'_>) -> Result<GtreeConfig, PersistError> {
@@ -149,33 +121,8 @@ fn read_meta_config(meta: &mut MetaReader<'_>) -> Result<GtreeConfig, PersistErr
         }
     };
     let exact_refinement = meta.bool()?;
-    let oracle_min_borders = meta.usize()?;
     let build_threads = meta.usize()?;
-    let matrix_oracle = match meta.u64()? {
-        0 => MatrixOracle::Composed,
-        1 => MatrixOracle::Ch(ChConfig {
-            witness_settle_limit: meta.usize()?,
-            deleted_neighbour_weight: meta.i64()?,
-            level_weight: meta.i64()?,
-            hop_limit: meta.usize()?,
-            core_degree_threshold: meta.f64()?,
-            search_space_weight: meta.i64()?,
-            separator_cell_target: meta.usize()?,
-            stall_on_demand: meta.bool()?,
-        }),
-        v => {
-            return Err(PersistError::corrupt("GT.META", format!("unknown matrix-oracle code {v}")))
-        }
-    };
-    Ok(GtreeConfig {
-        fanout,
-        leaf_capacity,
-        matrix_kind,
-        exact_refinement,
-        matrix_oracle,
-        oracle_min_borders,
-        build_threads,
-    })
+    Ok(GtreeConfig { fanout, leaf_capacity, matrix_kind, exact_refinement, build_threads })
 }
 
 /// Writes a concatenated per-node `u32` array family: one offsets section
@@ -746,15 +693,6 @@ mod tests {
             GtreeConfig { leaf_capacity: 129, ..GtreeConfig::default() },
             GtreeConfig { matrix_kind: MatrixKind::ChainedHashing, ..GtreeConfig::default() },
             GtreeConfig { exact_refinement: false, ..GtreeConfig::default() },
-            GtreeConfig { oracle_min_borders: 65, ..GtreeConfig::default() },
-            GtreeConfig {
-                matrix_oracle: MatrixOracle::Ch(ChConfig::default()),
-                ..GtreeConfig::default()
-            },
-            GtreeConfig {
-                matrix_oracle: MatrixOracle::Ch(ChConfig { hop_limit: 9, ..ChConfig::default() }),
-                ..GtreeConfig::default()
-            },
         ];
         let mut seen = vec![base];
         for v in &variants {

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// First 8 bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"RNKNIDX\0";
 /// The single format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 48;
 /// Section-table entry size in bytes.
@@ -651,18 +651,22 @@ mod tests {
 
     #[test]
     fn bumped_version_is_typed() {
-        let mut data = sample_artifact();
-        // Patch the version field and fix up the header checksum so the gate
-        // (not the checksum) rejects it.
-        data[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let ck = checksum(&data[0..40]);
-        data[40..48].copy_from_slice(&ck.to_le_bytes());
-        match Artifact::from_vec(data).unwrap_err() {
-            PersistError::UnsupportedVersion { found, supported } => {
-                assert_eq!(found, 2);
-                assert_eq!(supported, FORMAT_VERSION);
+        // Both a stale artifact (the previous format) and one from the future
+        // must hit the version gate — never `Corrupt`, never a misparse.
+        for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut data = sample_artifact();
+            // Patch the version field and fix up the header checksum so the gate
+            // (not the checksum) rejects it.
+            data[8..12].copy_from_slice(&version.to_le_bytes());
+            let ck = checksum(&data[0..40]);
+            data[40..48].copy_from_slice(&ck.to_le_bytes());
+            match Artifact::from_vec(data).unwrap_err() {
+                PersistError::UnsupportedVersion { found, supported } => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 

@@ -50,7 +50,7 @@ use crate::channel::{channel, sync_channel, Receiver, Sender, SyncSender, TrySen
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::sync::{thread, Arc};
 
-use rnknn::{EngineError, EngineScratch, Method, QueryBudget, QueryOutput};
+use rnknn::{EngineError, EngineScratch, Method, QueryBudget, QueryOutput, QueryRequest};
 use rnknn_graph::NodeId;
 use rnknn_objects::UpdateEvent;
 
@@ -734,17 +734,10 @@ fn run_one(
         Some(deadline) => QueryBudget::new(Some(deadline), u64::MAX, seed.check_every),
         None => QueryBudget::unlimited(),
     };
-    let result = engine
-        .query_with_objects_budgeted(
-            request.method,
-            request.query,
-            request.k,
-            &budget,
-            snapshot.indexes(),
-            scratch,
-            out,
-        )
-        .map(|()| std::mem::take(out));
+    let query = QueryRequest::new(request.method, request.query, request.k)
+        .with_budget(&budget)
+        .with_objects(snapshot.indexes());
+    let result = engine.execute_with_scratch(&query, scratch, out).map(|()| std::mem::take(out));
     // Model-checked protocol obligation: a successfully dispatched query
     // leaves the pooled scratch stamped with the generation of the exact
     // object view it served — the backstop that makes scratch reuse safe

@@ -36,7 +36,7 @@ use rnknn_objects::{ObjectSet, UpdateEvent};
 
 /// One published epoch: an immutable object-set + object-index view tagged with
 /// the epoch number it was published under. Readers hold it via `Arc` and query
-/// through `Engine::query_with_objects(..., snapshot.indexes(), ...)`.
+/// through `QueryRequest::with_objects(snapshot.indexes())` / `Engine::query_snapshot`.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     epoch: u64,

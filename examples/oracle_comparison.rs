@@ -69,6 +69,8 @@ fn main() {
     let queries: Vec<NodeId> = (0..40u32).map(|i| (i * 2_654_435) % n).collect();
     let k = 10;
 
+    // Each `X::new(..)` is the oracle the engine ships, on fresh buffers: every
+    // candidate search is bounded by IER's running k-th candidate distance.
     let rows = vec![
         time_oracle(&graph, DijkstraOracle::new(&graph), &rtree, &objects, &queries, k),
         time_oracle(&graph, AStarOracle::new(&graph), &rtree, &objects, &queries, k),

@@ -6,15 +6,15 @@
 //! G-tree, INE and IER-CH (and, as a bonus, the remaining IER oracle methods),
 //! and pins `Engine::query`'s overhead to exactly the returned result vector.
 //!
-//! The counter is process-global but the test binary runs these assertions from a
-//! single thread; `cargo test` parallelism across *binaries* does not share the
-//! allocator static.
+//! The counter is **per thread**: `cargo test` runs this binary's tests on sibling
+//! threads, and each assertion window must measure the querying thread only — a
+//! process-wide counter lets a neighbour's index build pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rnknn::engine::{Engine, EngineConfig, Method};
-use rnknn::QueryOutput;
+use rnknn::{QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::uniform;
@@ -23,15 +23,24 @@ use rnknn_objects::uniform;
 /// argument and are not counted).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and destructor-free, so touching it from inside the
+    // allocator never allocates and never registers a TLS destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
+fn count_allocation() {
+    // `try_with`: a thread past its TLS teardown may still free/allocate.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump; every
 // layout/pointer contract of `GlobalAlloc` is forwarded unchanged, so `System`'s
 // own guarantees carry over verbatim.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     // SAFETY: caller upholds `GlobalAlloc::dealloc`'s contract; forwarded as-is.
@@ -40,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract; forwarded as-is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocator calls made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Builds an engine with the indexes the pooled methods need (no SILC/PHL — the
@@ -181,7 +191,8 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
                 // Warm the truncated path too: an exhausted search may park
                 // different high-water state in the pool than a completed one.
                 let starved = QueryBudget::new(None, 4, 1);
-                let _ = engine.query_into_budgeted(method, q, k, &starved, &mut out);
+                let _ = engine
+                    .execute(&QueryRequest::new(method, q, k).with_budget(&starved), &mut out);
             }
         }
         for &q in &queries {
@@ -193,7 +204,9 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
                 1,
             );
             let before = allocations();
-            engine.query_into_budgeted(method, q, k, &generous, &mut out).expect("budgeted query");
+            engine
+                .execute(&QueryRequest::new(method, q, k).with_budget(&generous), &mut out)
+                .expect("budgeted query");
             let after = allocations();
             assert_eq!(
                 after - before,
@@ -206,7 +219,8 @@ fn budgeted_queries_and_deadline_cuts_allocate_nothing() {
             // output, error with partial stats) must also be allocation-free.
             let starved = QueryBudget::new(None, 4, 1);
             let before = allocations();
-            let err = engine.query_into_budgeted(method, q, k, &starved, &mut out);
+            let err =
+                engine.execute(&QueryRequest::new(method, q, k).with_budget(&starved), &mut out);
             let after = allocations();
             assert!(
                 matches!(err, Err(EngineError::DeadlineExceeded { .. })),
@@ -248,27 +262,5 @@ fn query_overhead_over_query_into_is_exactly_the_result_vector() {
             after - before
         );
         drop(output);
-    }
-}
-
-#[test]
-fn fresh_baseline_allocates_and_pooled_path_agrees_with_it() {
-    let (engine, queries) = pooled_engine();
-    let k = 8;
-    let mut out = QueryOutput::default();
-    for &method in &[Method::Gtree, Method::Ine, Method::IerCh] {
-        for &q in &queries {
-            engine.query_into(method, q, k, &mut out).expect("pooled query");
-            let before = allocations();
-            let fresh = engine.query_fresh(method, q, k).expect("fresh query");
-            let after = allocations();
-            assert!(
-                after - before > 0,
-                "{} fresh baseline made no allocations — it no longer measures the \
-                 pre-pooling cost",
-                method.name()
-            );
-            assert_eq!(fresh.result, out.result, "{} pooled != fresh at q={q}", method.name());
-        }
     }
 }

@@ -14,7 +14,7 @@
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::{ground_truth, matches_ground_truth};
-use rnknn::{EngineError, QueryBudget};
+use rnknn::{EngineError, QueryBudget, QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{uniform, ObjectSet};
@@ -55,9 +55,11 @@ struct Config {
 /// Asserts every supported method against INE and the ground truth on `queries`.
 /// Every method runs **twice back-to-back** from the same engine — the first call
 /// may warm the per-thread scratch pool, the second must reuse it bit-for-bit —
-/// and on the first query additionally against the fresh-allocation baseline
-/// (`Engine::query_fresh`), closing the class of stale-scratch bugs the pooled
-/// query path could introduce. Returns how many (method × query) checks ran.
+/// and on the first query additionally on a **cold thread** (freshly spawned:
+/// empty engine scratch, empty G-tree store pool, empty CH/leaf scratches),
+/// closing the class of stale-scratch bugs pooling could introduce: whatever the
+/// warm thread's buffers hold, they must not change the answer. Returns how many
+/// (method × query) checks ran.
 fn check_conformance(
     engine: &Engine,
     objects: &ObjectSet,
@@ -117,8 +119,13 @@ fn check_conformance(
                 u64::MAX,
                 1,
             );
-            let budgeted =
-                engine.query_budgeted(method, q, config.k, &generous).unwrap_or_else(|e| {
+            let mut budgeted = QueryOutput::default();
+            engine
+                .execute(
+                    &QueryRequest::new(method, q, config.k).with_budget(&generous),
+                    &mut budgeted,
+                )
+                .unwrap_or_else(|e| {
                     panic!("{} budgeted rerun failed under {config:?}: {e}", method.name())
                 });
             assert_eq!(
@@ -127,16 +134,19 @@ fn check_conformance(
                 "{} diverged under a generous budget at q={q} under {config:?}",
                 method.name()
             );
-            // The fresh-allocation baseline is the pre-pooling code path; spot-check
-            // it on the first query of each configuration.
+            // Cold-thread check on the first query of each configuration: a thread
+            // that has never run a query owns no pooled state at all.
             if qi == 0 {
-                let fresh = engine.query_fresh(method, q, config.k).unwrap_or_else(|e| {
-                    panic!("{} query_fresh failed under {config:?}: {e}", method.name())
+                let cold = std::thread::scope(|scope| {
+                    scope.spawn(|| engine.query(method, q, config.k)).join().expect("cold thread")
+                })
+                .unwrap_or_else(|e| {
+                    panic!("{} cold-thread query failed under {config:?}: {e}", method.name())
                 });
                 assert_eq!(
-                    fresh.result,
+                    cold.result,
                     output.result,
-                    "{} pooled path disagrees with the fresh baseline at q={q} under {config:?}",
+                    "{} warm pool disagrees with a cold thread at q={q} under {config:?}",
                     method.name()
                 );
             }
@@ -260,7 +270,8 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
             // Two steps (inclusive limit), checked every step: the second
             // charge exhausts, after exactly one unit of search work.
             let starved = QueryBudget::new(None, 2, 1);
-            match engine.query_budgeted(method, q, k, &starved) {
+            let request = QueryRequest::new(method, q, k).with_budget(&starved);
+            match engine.execute(&request, &mut QueryOutput::default()) {
                 Err(EngineError::DeadlineExceeded { partial }) => {
                     let work = partial.nodes_expanded
                         + partial.heap_operations

@@ -204,10 +204,8 @@ fn every_method_reports_non_trivial_query_stats() {
             assert!(s.candidates_examined > 0, "{} must report candidates", method.name());
         }
         // The two G-tree-backed methods assemble border distances out of the
-        // distance matrices. The pooled hot path (`engine.query` runs on pooled
-        // scratch) reads rows with untracked batch sweeps that bypass the
-        // per-cell matrix probes, which used to make this counter report zero
-        // here — the stats blackout this assertion pins down.
+        // distance matrices; the per-row-batch counter must see that work (it
+        // once read zero on the pooled path — the stats blackout this pins down).
         if matches!(method, Method::Gtree | Method::IerGtree) {
             assert!(s.matrix_cells > 0, "{} reported zero matrix_cells", method.name());
         }

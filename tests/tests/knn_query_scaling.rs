@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::matches_ground_truth;
-use rnknn::QueryOutput;
+use rnknn::{QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::uniform;
@@ -44,7 +44,9 @@ fn p50_micros(
             rnknn::pathfinding::budget::DEFAULT_CHECK_EVERY,
         );
         let start = Instant::now();
-        engine.query_into_budgeted(method, q, k, &budget, &mut out).expect("measured query");
+        engine
+            .execute(&QueryRequest::new(method, q, k).with_budget(&budget), &mut out)
+            .expect("measured query");
         times.push(start.elapsed().as_micros() as u64);
     }
     times.sort_unstable();

@@ -174,20 +174,26 @@ fn bumped_format_version_is_rejected_with_both_versions_named() {
     let graph =
         RoadNetwork::generate(&GeneratorConfig::new(200, 4)).graph(EdgeWeightKind::Distance);
     let config = battery_config();
-    let mut bytes = Engine::build(graph, &config).save_indexes_to_vec().unwrap();
+    let pristine = Engine::build(graph, &config).save_indexes_to_vec().unwrap();
+    let supported = rnknn::persist_format::FORMAT_VERSION;
 
-    // Bump the version field and forge the header checksum so the version
-    // gate itself (not the checksum) does the rejecting.
-    bytes[8..12].copy_from_slice(&(rnknn::persist_format::FORMAT_VERSION + 1).to_le_bytes());
-    let ck = checksum(&bytes[0..40]);
-    bytes[40..48].copy_from_slice(&ck.to_le_bytes());
-    match Engine::load_indexes_from_vec(bytes, &config) {
-        Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, rnknn::persist_format::FORMAT_VERSION + 1);
-            assert_eq!(supported, rnknn::persist_format::FORMAT_VERSION);
+    // A stale artifact (the previous format, whose `GT.META` was longer) and one
+    // from the future: patch the version field and forge the header checksum so
+    // the version gate itself (not the checksum, and never a `Corrupt` misparse
+    // of the old layout) does the rejecting.
+    for version in [supported - 1, supported + 1] {
+        let mut bytes = pristine.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let ck = checksum(&bytes[0..40]);
+        bytes[40..48].copy_from_slice(&ck.to_le_bytes());
+        match Engine::load_indexes_from_vec(bytes, &config) {
+            Err(PersistError::UnsupportedVersion { found, supported: named }) => {
+                assert_eq!(found, version);
+                assert_eq!(named, supported);
+            }
+            Err(other) => panic!("expected UnsupportedVersion, got {other}"),
+            Ok(_) => panic!("expected UnsupportedVersion, load succeeded"),
         }
-        Err(other) => panic!("expected UnsupportedVersion, got {other}"),
-        Ok(_) => panic!("expected UnsupportedVersion, load succeeded"),
     }
 }
 
