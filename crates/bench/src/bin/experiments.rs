@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the paper's evaluation (see DESIGN.md §3).
+//! Regenerates every table and figure of the paper's evaluation (run without
+//! arguments for the list of experiments).
 //!
 //! ```sh
 //! cargo run --release -p rnknn-bench --bin experiments -- all --scale 0.15
@@ -16,7 +17,7 @@ use std::time::Instant;
 use rnknn::engine::{EngineConfig, Method};
 use rnknn::ier::{ChOracle, DijkstraOracle, GtreeOracle, IerSearch, PhlOracle, TnrOracle};
 use rnknn::ine::{IneSearch, IneVariant};
-use rnknn_bench::{defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
+use rnknn_bench::{cli, defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
 use rnknn_graph::generator::DatasetPreset;
 use rnknn_graph::EdgeWeightKind;
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, MatrixKind, OccurrenceList};
@@ -1050,57 +1051,47 @@ fn run(ctx: &mut Ctx, name: &str) {
         "fig26" => index_costs(ctx, EdgeWeightKind::Time, "Figure 26"),
         "fig27" => poi_k_study(ctx, EdgeWeightKind::Time, "Figure 27"),
         "table5" => ranking(ctx),
-        other => eprintln!("unknown experiment '{other}' (see DESIGN.md §3 for the list)"),
+        other => unreachable!("main validates names, got '{other}'"),
     }
 }
 
-const ALL: &[&str] = &[
+const ALL: [&str; 25] = [
     "table1", "table2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
     "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig22", "fig23", "fig24",
     "fig25", "fig26", "fig27", "table5",
 ];
 
+/// Names `run` accepts besides [`ALL`]: the sweep itself and two figures that
+/// share an experiment with a listed one (`fig6`, `fig20`).
+const EXTRA: [&str; 3] = ["all", "table3", "fig21"];
+
+const USAGE: &str =
+    "usage: experiments [--scale S] [--queries N] [--save DIR] [--load DIR] <all | table1 | fig4 | ...>";
+
+fn parse() -> Result<(Ctx, Vec<String>), String> {
+    let args =
+        cli::parse(std::env::args().skip(1), &["--scale", "--queries", "--save", "--load"], &[])?;
+    let io = rnknn_bench::artifacts::ArtifactIo {
+        save_dir: args.value("--save")?,
+        load_dir: args.value("--load")?,
+    };
+    let ctx = Ctx::new(
+        args.value("--scale")?.unwrap_or(DEFAULT_SCALE),
+        args.value("--queries")?.unwrap_or(DEFAULT_QUERIES),
+        io,
+    );
+    let accepted: Vec<&str> = ALL.iter().chain(&EXTRA).copied().collect();
+    Ok((ctx, args.positionals_in(&accepted)?.to_vec()))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = DEFAULT_SCALE;
-    let mut queries = DEFAULT_QUERIES;
-    let mut io = rnknn_bench::artifacts::ArtifactIo::none();
-    let mut selected: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE);
-                i += 1;
-            }
-            "--queries" => {
-                queries = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_QUERIES);
-                i += 1;
-            }
-            "--save" => {
-                io.save_dir = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--load" => {
-                io.load_dir = args.get(i + 1).cloned();
-                i += 1;
-            }
-            other => selected.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if selected.is_empty() {
-        eprintln!(
-            "usage: experiments [--scale S] [--queries N] [--save DIR] [--load DIR] <all | table1 | fig4 | ...>"
-        );
-        eprintln!("experiments: {}", ALL.join(" "));
-        return;
-    }
+    let (mut ctx, selected) = parse().unwrap_or_else(|e| {
+        cli::exit_with_usage(&format!("{USAGE}\nexperiments: {}", ALL.join(" ")), &e)
+    });
     let run_all = selected.iter().any(|s| s == "all");
     let list: Vec<&str> =
         if run_all { ALL.to_vec() } else { selected.iter().map(|s| s.as_str()).collect() };
 
-    let mut ctx = Ctx::new(scale, queries, io);
     let start = Instant::now();
     for name in &list {
         eprintln!("=== running {name} ===");
@@ -1110,7 +1101,10 @@ fn main() {
 
     if run_all {
         let mut doc = String::from("# Experiment results (generated by `experiments all`)\n\n");
-        doc.push_str(&format!("Scale factor {scale}, {queries} queries per measurement.\n\n```\n"));
+        doc.push_str(&format!(
+            "Scale factor {}, {} queries per measurement.\n\n```\n",
+            ctx.scale, ctx.queries
+        ));
         for table in &ctx.collected {
             doc.push_str(&table.render());
         }

@@ -25,13 +25,7 @@
 //!   [`ChConfig::core_degree_threshold`], the remaining near-clique core is eliminated
 //!   in minimum-live-degree order on hash-map adjacency with 1-hop witness checks
 //!   (linear-scan upserts plus futile witness searches previously made the last ~2k
-//!   vertices of a 290k build cost more than the first 288k);
-//! * **separator-guided priorities (experimental, off by default)** — a
-//!   nested-dissection sweep labels each vertex with its separator depth as an upward
-//!   search-space estimate ([`ChConfig::search_space_weight`]). On the generated
-//!   grid-like networks this ordering *loses* to greedy on both axes (ND fill-in makes
-//!   witness-based contraction slower and queries scan more), so the default weight is
-//!   `0`; the knob remains for separator-structured inputs where it may pay off.
+//!   vertices of a 290k build cost more than the first 288k).
 //!
 //! Witness-search invariant: a *witness* for the pair `(u, t)` around `v` is a path
 //! avoiding `v` (and all contracted vertices) of weight **at most** `w(u,v) + w(v,t)`;
@@ -40,7 +34,6 @@
 //! which adds redundant shortcuts but never breaks correctness.
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
-use rnknn_partition::Partitioner;
 use rnknn_pathfinding::heap::MinHeap;
 use rnknn_persist::PVec;
 use std::collections::HashMap;
@@ -78,25 +71,6 @@ pub struct ChConfig {
     /// time. Measured at 69k vertices: threshold 20 ≈ 2× faster build but ≈ 2×
     /// slower queries than threshold 40.
     pub core_degree_threshold: f64,
-    /// Weighting of the *search-space estimate* term in the node priority: the
-    /// nested-dissection separator depth of a vertex (see
-    /// [`ChConfig::separator_cell_target`]) estimates how large its upward search
-    /// space will be, so penalising deep separator vertices contracts cell interiors
-    /// first and top separators last — the customizable-CH ordering, as a soft
-    /// priority term. `0` (the default) disables the term and skips the
-    /// nested-dissection sweep entirely.
-    ///
-    /// Experimental: on the generated grid-like networks this ordering measurably
-    /// *loses* to pure greedy (at 69k vertices, weight 32: ~2.5× slower build, ~2×
-    /// more shortcuts, ~2× slower queries — nested-dissection fill-in is exactly
-    /// what witness-based contraction is worst at). It is kept for
-    /// separator-structured inputs and ablation studies.
-    pub search_space_weight: i64,
-    /// Cell size at which the guidance nested-dissection sweep stops bisecting
-    /// (only read when [`ChConfig::search_space_weight`] is non-zero). Smaller cells
-    /// give finer guidance at slightly higher preprocessing cost; the sweep is
-    /// near-linear per depth level, so the total cost is `O(n log(n / cell))`.
-    pub separator_cell_target: usize,
     /// Enable stall-on-demand in the pruned bidirectional query searches: a settled
     /// vertex whose tentative distance is dominated via an edge from a
     /// higher-ranked vertex cannot lie on a shortest up-down path, so its edges are
@@ -114,8 +88,6 @@ impl Default for ChConfig {
             level_weight: 2,
             hop_limit: 8,
             core_degree_threshold: 40.0,
-            search_space_weight: 0,
-            separator_cell_target: 64,
             stall_on_demand: true,
         }
     }
@@ -314,10 +286,6 @@ struct Contractor<'a> {
     /// Set for the surviving neighbours of every contracted vertex; cleared when the
     /// priority is lazily recomputed.
     dirty: Vec<bool>,
-    /// Separator-depth search-space estimate per vertex (empty when
-    /// [`ChConfig::search_space_weight`] is `0`): larger values mean shallower
-    /// separators, which must contract later.
-    guidance: Vec<i64>,
     rank: Vec<u32>,
     next_rank: u32,
     num_shortcuts: usize,
@@ -335,11 +303,6 @@ impl<'a> Contractor<'a> {
         let adjacency: Vec<Vec<(NodeId, Weight)>> =
             (0..n).map(|v| graph.neighbors(v as NodeId).collect()).collect();
         let live_edge_halves = adjacency.iter().map(|edges| edges.len()).sum();
-        let guidance = if config.search_space_weight != 0 {
-            separator_depths(graph, config.separator_cell_target.max(2))
-        } else {
-            Vec::new()
-        };
         Contractor {
             config,
             adjacency,
@@ -348,7 +311,6 @@ impl<'a> Contractor<'a> {
             level: vec![0i64; n],
             priority: vec![0i64; n],
             dirty: vec![false; n],
-            guidance,
             rank: vec![0u32; n],
             next_rank: 0,
             num_shortcuts: 0,
@@ -394,12 +356,9 @@ impl<'a> Contractor<'a> {
         );
         let new_edges = self.plan.iter().filter(|s| s.is_new).count();
         let edge_difference = new_edges as i64 - neighbours.len() as i64;
-        let guidance =
-            self.guidance.get(v as usize).map_or(0, |&g| g * self.config.search_space_weight);
         edge_difference * 4
             + self.deleted_neighbours[v as usize] * self.config.deleted_neighbour_weight
             + self.level[v as usize] * self.config.level_weight
-            + guidance
     }
 
     /// Contracts `v`: assigns its rank, prunes and dirties its surviving neighbours,
@@ -579,66 +538,6 @@ impl<'a> Contractor<'a> {
             config_fingerprint,
         }
     }
-}
-
-/// Separator-depth ("search-space estimate") labels for every vertex: recursive
-/// balanced bisection down to cells of at most `cell_target` vertices, recording for
-/// each vertex the shallowest depth at which it lay on a bisection cut. The returned
-/// guidance value is `max_depth + 1 - cut_depth` for cut vertices (top-level
-/// separators largest) and `0` for cell interiors, so it slots directly into the
-/// priority as a term that delays separator contraction.
-///
-/// On a separator-structured graph the upward search space of a vertex is (up to
-/// constants) the total size of the separators enclosing it, which is what this depth
-/// measures — hence "search-space estimate". The sweep is near-linear per depth level
-/// and there are `O(log(n / cell_target))` levels.
-fn separator_depths(graph: &Graph, cell_target: usize) -> Vec<i64> {
-    let n = graph.num_vertices();
-    let mut cut_depth = vec![u32::MAX; n];
-    // Which side of the bisection currently being scanned each vertex is on
-    // (`u8::MAX` = not in the current vertex set); reset after every bisection.
-    let mut side = vec![u8::MAX; n];
-    let partitioner = Partitioner::new();
-    let all: Vec<NodeId> = graph.vertices().collect();
-    let mut stack: Vec<(Vec<NodeId>, u32)> = vec![(all, 0)];
-    let mut max_depth = 0u32;
-    while let Some((vertices, depth)) = stack.pop() {
-        if vertices.len() <= cell_target {
-            continue;
-        }
-        max_depth = max_depth.max(depth);
-        let assignment = partitioner.partition(graph, &vertices, 2);
-        for (i, &v) in vertices.iter().enumerate() {
-            side[v as usize] = assignment[i] as u8;
-        }
-        let mut parts: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
-        for (i, &v) in vertices.iter().enumerate() {
-            let s = assignment[i] as u8;
-            // DFS order guarantees shallower bisections are scanned first, so the
-            // first recorded depth is the shallowest cut containing the vertex.
-            if cut_depth[v as usize] == u32::MAX
-                && graph
-                    .neighbor_ids(v)
-                    .iter()
-                    .any(|&t| side[t as usize] != u8::MAX && side[t as usize] != s)
-            {
-                cut_depth[v as usize] = depth;
-            }
-            parts[s as usize].push(v);
-        }
-        for &v in &vertices {
-            side[v as usize] = u8::MAX;
-        }
-        for part in parts {
-            if part.len() > cell_target {
-                stack.push((part, depth + 1));
-            }
-        }
-    }
-    cut_depth
-        .into_iter()
-        .map(|d| if d == u32::MAX { 0 } else { (max_depth + 1 - d) as i64 })
-        .collect()
 }
 
 /// The dense-core endgame performs hundreds of millions of single-`u32`-key map

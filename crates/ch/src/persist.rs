@@ -49,8 +49,6 @@ impl ChConfig {
             .push_i64(self.level_weight)
             .push_usize(self.hop_limit)
             .push_f64(self.core_degree_threshold)
-            .push_i64(self.search_space_weight)
-            .push_usize(self.separator_cell_target)
             .push_bool(self.stall_on_demand);
         fp.finish()
     }
@@ -275,8 +273,6 @@ mod tests {
             ChConfig { level_weight: 3, ..ChConfig::default() },
             ChConfig { hop_limit: 9, ..ChConfig::default() },
             ChConfig { core_degree_threshold: 41.0, ..ChConfig::default() },
-            ChConfig { search_space_weight: 1, ..ChConfig::default() },
-            ChConfig { separator_cell_target: 65, ..ChConfig::default() },
             ChConfig { stall_on_demand: false, ..ChConfig::default() },
         ];
         let mut seen = vec![base];

@@ -15,7 +15,7 @@
 //!   lower bound (critical for IER and DisBrw).
 //!
 //! The DIMACS-named presets ([`DatasetPreset`]) are scaled-down stand-ins for the
-//! paper's datasets (DESIGN.md §5).
+//! paper's datasets (docs/ARCHITECTURE.md, "Substitutions").
 
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeWeightKind, Graph};
@@ -26,7 +26,7 @@ use crate::{NodeId, Weight};
 ///
 /// The generator must be deterministic across platforms for reproducible experiments;
 /// a tiny local PRNG avoids pulling `rand` into the library crates (it stays a
-/// dev-dependency only, per DESIGN.md).
+/// dev-dependency only, per docs/ARCHITECTURE.md, "Substitutions").
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

@@ -9,7 +9,7 @@
 //! * [`Point`] and Euclidean geometry helpers, including the travel-time lower
 //!   bound scaling `S = max(d_i / w_i)` from Section 7.5.
 //! * [`generator`] — a synthetic road-network generator used as a substitute for
-//!   the 9th DIMACS Challenge datasets (see DESIGN.md §5).
+//!   the 9th DIMACS Challenge datasets (docs/ARCHITECTURE.md, "Substitutions").
 //! * [`dimacs`] — a parser/writer for the DIMACS `.gr` / `.co` exchange format so
 //!   real datasets can be plugged in when available.
 //! * [`chains`] — degree-2 chain extraction used by the SILC/DisBrw degree-2

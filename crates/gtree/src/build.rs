@@ -13,7 +13,8 @@
 //!
 //! The top-down refinement pass (on by default) upgrades every matrix from
 //! subgraph-restricted to exact global distances using the parent's already-exact
-//! matrix as external shortcut edges (DESIGN.md §4).
+//! matrix as external shortcut edges (docs/ARCHITECTURE.md, "G-tree
+//! construction").
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_partition::Partitioner;
@@ -37,7 +38,8 @@ pub struct GtreeConfig {
     /// default and the only sensible production choice.
     pub matrix_kind: MatrixKind,
     /// When true (default) a top-down refinement pass upgrades every distance-matrix
-    /// entry from subgraph-restricted to exact global network distance (DESIGN.md §4).
+    /// entry from subgraph-restricted to exact global network distance
+    /// (docs/ARCHITECTURE.md, "G-tree construction").
     pub exact_refinement: bool,
     /// Worker threads for matrix assembly (`0` = one per available core). Construction
     /// is deterministic regardless of the thread count.
@@ -420,8 +422,8 @@ impl<'a> Builder<'a> {
 
     /// Top-down refinement: upgrade matrices to exact global distances using the
     /// parent's already-exact matrix as "external shortcut" edges between this node's
-    /// borders (DESIGN.md §4). The root is already exact (its restriction is the whole
-    /// graph).
+    /// borders (docs/ARCHITECTURE.md, "G-tree construction"). The root is already exact
+    /// (its restriction is the whole graph).
     ///
     /// Refinement never re-runs a search: a node's pass-1 matrix `M` is already the
     /// all-pairs closure of its restricted graph, and the external matrix `ext` holds

@@ -15,8 +15,8 @@
 //!   Figure 22 ablation), and the `MGtree` point-to-point oracle used by IER-Gt.
 //!
 //! Distance matrices are made globally exact by a top-down refinement pass after the
-//! usual bottom-up computation (see DESIGN.md §4), so every distance returned by this
-//! crate equals the Dijkstra distance.
+//! usual bottom-up computation (see docs/ARCHITECTURE.md, "G-tree construction"), so
+//! every distance returned by this crate equals the Dijkstra distance.
 
 // The only crate in the workspace allowed to contain `unsafe` (the SIMD
 // min-plus kernels in `kernel.rs`, shared by the build-side refinement sweep

@@ -6,7 +6,7 @@
 //! * [`ObjectSet`] — a set of object vertices with `O(1)` membership tests;
 //! * the paper's object-set generators (Section 4.2): uniform, clustered and
 //!   minimum-object-distance sets, plus POI-like presets standing in for the
-//!   OpenStreetMap extracts of Table 2 (DESIGN.md §5);
+//!   OpenStreetMap extracts of Table 2 (docs/ARCHITECTURE.md, "Substitutions");
 //! * the object indexes whose size and construction time Figure 18 compares:
 //!   an R-tree over object coordinates ([`ObjectRTree`], used by IER and DB-ENN),
 //!   G-tree occurrence lists and ROAD association directories (re-exported from their

@@ -4,7 +4,7 @@
 //! fairly uniform) to Courthouses (density ≈ 0.00009, very sparse), with Fast Food and
 //! Hotels appearing in clusters around towns. The generator reproduces each category's
 //! density and clustering character on the synthetic networks so that Figures 13, 15,
-//! 25 and 27 can be regenerated (DESIGN.md §5 records the substitution).
+//! 25 and 27 can be regenerated (docs/ARCHITECTURE.md, "Substitutions").
 
 use rnknn_graph::Graph;
 

@@ -5,8 +5,8 @@
 //! of Karypis & Kumar (the paper's reference \[18\]) via the G-tree authors' code;
 //! since the road-network
 //! partitioning problem is NP-complete, any balanced small-cut heuristic preserves the
-//! experimental trends (DESIGN.md §5). This crate implements a self-contained multilevel
-//! partitioner:
+//! experimental trends (docs/ARCHITECTURE.md, "Substitutions"). This crate implements a
+//! self-contained multilevel partitioner:
 //!
 //! 1. **Coarsening** — repeated heavy-edge matching until the graph is small;
 //! 2. **Initial partitioning** — greedy BFS region growing from pseudo-peripheral seeds;

@@ -5,7 +5,8 @@
 //! closely related *pruned landmark labelling* scheme: hub labels are built by running a
 //! pruned Dijkstra from every vertex in importance order, which yields the same query
 //! interface (sorted label intersection) and the same experimental role — the fastest
-//! point-to-point oracle with the largest index (DESIGN.md §5 records the substitution).
+//! point-to-point oracle with the largest index (docs/ARCHITECTURE.md,
+//! "Substitutions").
 //!
 //! Labels are canonical hub labels, so every query returns an exact network distance.
 //!
