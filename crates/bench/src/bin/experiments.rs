@@ -15,16 +15,22 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use rnknn::engine::{EngineConfig, Method};
-use rnknn::ier::{ChOracle, DijkstraOracle, GtreeOracle, IerSearch, PhlOracle, TnrOracle};
+use rnknn::ier::{ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle, TnrOracle};
 use rnknn::ine::{IneSearch, IneVariant};
+use rnknn::tnr::TnrSourceState;
 use rnknn_bench::{cli, defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
+use rnknn_ch::{ChSearchSpace, ChSpaceProjection};
 use rnknn_graph::generator::DatasetPreset;
-use rnknn_graph::EdgeWeightKind;
-use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, MatrixKind, OccurrenceList};
+use rnknn_graph::{EdgeWeightKind, Graph, NodeId};
+use rnknn_gtree::{
+    Gtree, GtreeConfig, GtreeDistanceOracle, GtreeSearch, LeafSearchMode, MatrixKind,
+    OccurrenceList,
+};
 use rnknn_objects::{
     build_association_directory, build_occurrence_list, build_rtree, clustered,
     min_object_distance, uniform, ObjectRTree, PoiSets,
 };
+use rnknn_pathfinding::SearchScratch;
 use rnknn_road::{RoadIndex, RoadKnn};
 use rnknn_silc::{SilcConfig, SilcIndex};
 
@@ -220,52 +226,38 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let gtree = Gtree::build(&graph);
 
     let series = vec!["Dijk".into(), "MGtree".into(), "PHL".into(), "TNR".into(), "CH".into()];
-    let measure = |objects: &rnknn_objects::ObjectSet, rtree: &ObjectRTree, k: usize| -> Vec<f64> {
-        let mut out = Vec::new();
-        {
-            let mut ier = IerSearch::new(&graph, DijkstraOracle::new(&graph));
-            let start = Instant::now();
-            for &q in &queries {
-                std::hint::black_box(ier.knn(q, k, rtree, objects));
-            }
-            out.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
+    fn time<O: DistanceOracle>(
+        graph: &Graph,
+        oracle: O,
+        queries: &[NodeId],
+        rtree: &ObjectRTree,
+        k: usize,
+    ) -> f64 {
+        let mut ier = IerSearch::new(graph, oracle);
+        let start = Instant::now();
+        for &q in queries {
+            std::hint::black_box(ier.knn(q, k, rtree));
         }
-        {
-            let mut ier = IerSearch::new(&graph, GtreeOracle::new(&gtree, &graph));
-            let start = Instant::now();
-            for &q in &queries {
-                std::hint::black_box(ier.knn(q, k, rtree, objects));
-            }
-            out.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
-        }
-        match &phl {
-            Some(phl) => {
-                let mut ier = IerSearch::new(&graph, PhlOracle::new(phl));
-                let start = Instant::now();
-                for &q in &queries {
-                    std::hint::black_box(ier.knn(q, k, rtree, objects));
-                }
-                out.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
-            }
-            None => out.push(f64::NAN),
-        }
-        {
-            let mut ier = IerSearch::new(&graph, TnrOracle::new(&tnr));
-            let start = Instant::now();
-            for &q in &queries {
-                std::hint::black_box(ier.knn(q, k, rtree, objects));
-            }
-            out.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
-        }
-        {
-            let mut ier = IerSearch::new(&graph, ChOracle::new(&ch));
-            let start = Instant::now();
-            for &q in &queries {
-                std::hint::black_box(ier.knn(q, k, rtree, objects));
-            }
-            out.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
-        }
-        out
+        start.elapsed().as_micros() as f64 / queries.len() as f64
+    }
+    let measure = |rtree: &ObjectRTree, k: usize| -> Vec<f64> {
+        let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+        vec![
+            time(
+                &graph,
+                DijkstraOracle::new(&graph, &mut SearchScratch::new()),
+                &queries,
+                rtree,
+                k,
+            ),
+            time(&graph, GtreeDistanceOracle::new(&gtree, &graph, queries[0]), &queries, rtree, k),
+            match &phl {
+                Some(phl) => time(&graph, PhlOracle::new(phl), &queries, rtree, k),
+                None => f64::NAN,
+            },
+            time(&graph, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &queries, rtree, k),
+            time(&graph, ChOracle::new(&ch, &mut space, &mut projection), &queries, rtree, k),
+        ]
     };
 
     let mut by_k = Table::new(
@@ -277,7 +269,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let objects = uniform(&graph, defaults::DENSITY, 3);
     let rtree = ObjectRTree::build(&graph, &objects);
     for &k in &defaults::K_SWEEP {
-        by_k.push(k.to_string(), measure(&objects, &rtree, k));
+        by_k.push(k.to_string(), measure(&rtree, k));
     }
     ctx.emit(by_k);
 
@@ -290,7 +282,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     for &d in &defaults::DENSITY_SWEEP {
         let objects = uniform(&graph, d, 5);
         let rtree = ObjectRTree::build(&graph, &objects);
-        by_d.push(format!("{d}"), measure(&objects, &rtree, defaults::K));
+        by_d.push(format!("{d}"), measure(&rtree, defaults::K));
     }
     ctx.emit(by_d);
 }
@@ -561,9 +553,9 @@ fn network_size_study(ctx: &mut Ctx) {
             search.knn(defaults::K, &occ, LeafSearchMode::Improved);
             gtree_comps += search.stats.border_computations;
 
-            let mut ier = IerSearch::new(&graph, GtreeOracle::new(&gtree, &graph));
-            ier.knn(q, defaults::K, &rtree, &objects);
-            ier_comps += ier.oracle().border_computations();
+            let mut ier = IerSearch::new(&graph, GtreeDistanceOracle::new(&gtree, &graph, q));
+            ier.knn(q, defaults::K, &rtree);
+            ier_comps += ier.oracle().stats().border_computations;
 
             let (_, stats) = RoadKnn::new(&graph, &road).knn_with_stats(q, defaults::K, &directory);
             bypassed += stats.vertices_bypassed;

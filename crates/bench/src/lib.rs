@@ -1,4 +1,4 @@
-//! Experiment harness shared by the `experiments` binary and the Criterion benches.
+//! Experiment harness shared by the `experiments` and `trajectory_bench` binaries.
 //!
 //! The harness mirrors the paper's experimental setup (Section 7.1): synthetic stand-ins
 //! for the DIMACS road networks ([`rnknn_graph::DatasetPreset`]), uniform / clustered /

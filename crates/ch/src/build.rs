@@ -127,8 +127,6 @@ impl ContractionHierarchy {
     /// Builds the hierarchy with explicit parameters.
     pub fn build_with_config(graph: &Graph, config: &ChConfig) -> Self {
         let n = graph.num_vertices();
-        let trace = std::env::var_os("RNKNN_CH_TRACE").is_some();
-        let start = std::time::Instant::now();
         let mut c = Contractor::new(graph, config);
 
         // Initial priorities, computed once; afterwards a priority is only recomputed
@@ -162,17 +160,6 @@ impl ContractionHierarchy {
                 }
             }
             c.contract(v);
-            if trace && c.next_rank.is_multiple_of(10_000) {
-                eprintln!(
-                    "ch trace: contracted={} remaining={} avg_live_degree={:.2} shortcuts={} elapsed={:.2}s effort={:?}",
-                    c.next_rank,
-                    c.remaining,
-                    c.average_live_degree(),
-                    c.num_shortcuts,
-                    start.elapsed().as_secs_f64(),
-                    c.scratch.effort
-                );
-            }
 
             // Check whether the dense core has been reached (the live-degree sum is
             // maintained incrementally, so this is O(1) per contraction); if so,
@@ -181,13 +168,6 @@ impl ContractionHierarchy {
             if config.core_degree_threshold > 0.0
                 && c.average_live_degree() > config.core_degree_threshold
             {
-                if trace {
-                    eprintln!(
-                        "ch trace: dense-core fallback fired with remaining={} elapsed={:.2}s",
-                        c.remaining,
-                        start.elapsed().as_secs_f64()
-                    );
-                }
                 c.contract_rest_by_degree();
                 break;
             }
@@ -571,15 +551,6 @@ type CoreMap = HashMap<NodeId, Weight, std::hash::BuildHasherDefault<FibonacciHa
 /// full budget made ordering cost 3× contraction cost at 250k+ vertices).
 const ESTIMATE_SETTLE_LIMIT: usize = 32;
 
-/// Coarse witness-work counters behind the `RNKNN_CH_TRACE` diagnostics.
-#[derive(Debug, Default, Clone, Copy)]
-struct BuildEffort {
-    plans: u64,
-    two_hop_scans: u64,
-    dijkstras: u64,
-    dijkstra_settles: u64,
-}
-
 /// Decides, for every unordered pair of live neighbours of `v`, whether contracting
 /// `v` requires a shortcut, writing the required shortcuts into `plan`.
 ///
@@ -609,7 +580,6 @@ fn plan_contraction(
     plan: &mut Vec<PlannedShortcut>,
 ) {
     plan.clear();
-    scratch.effort.plans += 1;
     if neighbours.len() < 2 {
         return;
     }
@@ -646,7 +616,6 @@ fn plan_contraction(
                         break 'two_hop;
                     }
                     budget -= 1;
-                    scratch.effort.two_hop_scans += 1;
                     if let Some(via) = scratch.target_cutoff(y) {
                         if wx + wxy <= via && scratch.mark_witnessed(y) {
                             unresolved -= 1;
@@ -723,8 +692,6 @@ struct WitnessScratch {
     target_touched: Vec<NodeId>,
     /// Largest via cutoff among the current targets (global search bound).
     max_cutoff: Weight,
-    /// Coarse witness-work counters behind the `RNKNN_CH_TRACE` diagnostics.
-    effort: BuildEffort,
 }
 
 impl WitnessScratch {
@@ -739,7 +706,6 @@ impl WitnessScratch {
             witnessed: vec![false; n],
             target_touched: Vec::new(),
             max_cutoff: 0,
-            effort: BuildEffort::default(),
         }
     }
 
@@ -816,7 +782,6 @@ fn witness_search(
     scratch: &mut WitnessScratch,
 ) {
     scratch.reset_search();
-    scratch.effort.dijkstras += 1;
     scratch.dist[source as usize] = 0;
     scratch.hops[source as usize] = 0;
     scratch.touched.push(source);
@@ -839,7 +804,6 @@ fn witness_search(
             }
         }
         settled += 1;
-        scratch.effort.dijkstra_settles += 1;
         if settled > settle_limit {
             break;
         }

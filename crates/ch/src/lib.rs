@@ -11,7 +11,7 @@
 //! a contract-rest-by-rank fallback guards against pathological dense cores (all
 //! tunable via [`ChConfig`]). Queries run on a reusable epoch-tagged scratch with
 //! frontier pruning; see [`ContractionHierarchy::distance_with_counters`] and
-//! [`ContractionHierarchy::distance_from_projection_within_budgeted_with_counters`]
+//! [`ContractionHierarchy::distance_from_projection_within_with_counters`]
 //! (the IER-CH hot path).
 //!
 //! Besides serving as the IER-CH oracle, the hierarchy's contraction order is reused by

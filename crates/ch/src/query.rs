@@ -1,6 +1,6 @@
 //! CH queries: pruned bidirectional upward search, reusable upward search spaces.
 //!
-//! All searches run on a thread-local, epoch-tagged scratch (distance array + heap
+//! All searches run on a thread-local, stamped scratch (label tables + heaps
 //! reused across queries), so a query allocates nothing beyond its result and never
 //! touches a `HashMap`. [`ContractionHierarchy::distance`] is a bidirectional upward
 //! Dijkstra that stops each direction as soon as its frontier minimum reaches the best
@@ -13,6 +13,7 @@ use std::cell::RefCell;
 use rnknn_graph::{NodeId, Weight, INFINITY};
 use rnknn_pathfinding::budget::{QueryBudget, UNLIMITED};
 use rnknn_pathfinding::heap::MinHeap;
+use rnknn_pathfinding::scratch::Stamped;
 
 use crate::build::ContractionHierarchy;
 
@@ -38,65 +39,42 @@ impl ChSearchCounters {
     }
 }
 
-/// Reusable per-thread search state. Distance entries are validated by an epoch tag,
-/// so "clearing" between queries is one integer increment instead of an O(n) wipe.
-/// Each entry packs its distance with its epoch so a label probe — the dominant
-/// random access of the memory-bound upward searches — touches one cache line, not
-/// two parallel arrays.
+/// Reusable per-thread search state: one [`Stamped`] label table and one heap per
+/// direction, so "clearing" between queries is a stamp bump instead of an O(n)
+/// wipe.
 struct QueryScratch {
-    /// Per direction (0 = forward, 1 = backward): `(tentative distance, epoch)`;
-    /// an epoch mismatch means "unvisited this query".
-    label: [Vec<(Weight, u32)>; 2],
+    /// Tentative distances per direction (0 = forward, 1 = backward); absent
+    /// means "unvisited this query".
+    label: [Stamped<Weight>; 2],
     heap: [MinHeap<NodeId>; 2],
     /// Neighbour staging buffer for the fused stall-check + relaxation pass:
     /// `(target, tentative distance via x, target's current label)`.
     neighbors: Vec<(NodeId, Weight, Weight)>,
-    epoch: u32,
 }
 
 impl QueryScratch {
     fn new() -> Self {
         QueryScratch {
-            label: [Vec::new(), Vec::new()],
+            label: [Stamped::default(), Stamped::default()],
             heap: [MinHeap::new(), MinHeap::new()],
             neighbors: Vec::new(),
-            epoch: 0,
         }
     }
 
-    /// Starts a new query over a hierarchy of `n` vertices: grows the arrays if this
-    /// thread has only seen smaller hierarchies, and advances the epoch (resetting the
-    /// tags on the rare u32 wrap-around).
+    /// Starts a new query over a hierarchy of `n` vertices.
     fn begin(&mut self, n: usize) {
         for side in 0..2 {
-            if self.label[side].len() < n {
-                self.label[side].resize(n, (INFINITY, 0));
-            }
+            self.label[side].begin(n);
             self.heap[side].clear();
         }
-        if self.epoch == u32::MAX {
-            for side in 0..2 {
-                self.label[side].iter_mut().for_each(|e| e.1 = 0);
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
     }
+}
 
-    #[inline]
-    fn get(&self, side: usize, v: NodeId) -> Weight {
-        let (d, e) = self.label[side][v as usize];
-        if e == self.epoch {
-            d
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, side: usize, v: NodeId, d: Weight) {
-        self.label[side][v as usize] = (d, self.epoch);
-    }
+/// Tentative distance of `v` in one direction's table ([`INFINITY`] when unvisited
+/// this query).
+#[inline]
+fn label(labels: &Stamped<Weight>, v: NodeId) -> Weight {
+    labels.get(v as usize).unwrap_or(INFINITY)
 }
 
 thread_local! {
@@ -114,13 +92,14 @@ impl ContractionHierarchy {
     /// relaxed. Tentative labels suffice for safety — they only ever overestimate,
     /// and the `<=` comparison errs on stalling exactly dominated labels.
     #[inline]
-    fn is_stalled(&self, scratch: &QueryScratch, side: usize, x: NodeId, d: Weight) -> bool {
+    fn is_stalled(&self, labels: &Stamped<Weight>, x: NodeId, d: Weight) -> bool {
         self.stall_on_demand
             && self.upward_edges(x).any(|(y, w)| {
-                let dy = scratch.get(side, y);
+                let dy = label(labels, y);
                 dy != INFINITY && dy + w <= d
             })
     }
+
     /// Exact network distance between `s` and `t`.
     pub fn distance(&self, s: NodeId, t: NodeId) -> Weight {
         self.distance_with_counters(s, t).0
@@ -133,19 +112,6 @@ impl ContractionHierarchy {
     /// direction would cost at least the frontier minimum), so neither search space is
     /// materialised in full.
     pub fn distance_with_counters(&self, s: NodeId, t: NodeId) -> (Weight, ChSearchCounters) {
-        self.distance_budgeted_with_counters(s, t, &UNLIMITED)
-    }
-
-    /// [`ContractionHierarchy::distance_with_counters`] honoring a [`QueryBudget`]
-    /// (one step per settled vertex; an exhausted budget returns the best meet
-    /// found so far, which the caller must treat as truncated via
-    /// [`QueryBudget::is_exhausted`]).
-    pub fn distance_budgeted_with_counters(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        budget: &QueryBudget,
-    ) -> (Weight, ChSearchCounters) {
         let mut counters = ChSearchCounters::default();
         if s == t {
             return (0, counters);
@@ -153,58 +119,60 @@ impl ContractionHierarchy {
         let best = SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(self.num_vertices());
-            scratch.set(FORWARD, s, 0);
-            scratch.heap[FORWARD].push(0, s);
-            scratch.set(BACKWARD, t, 0);
-            scratch.heap[BACKWARD].push(0, t);
+            let QueryScratch { label: [forward, backward], heap, .. } = scratch;
+            forward.set(s as usize, 0);
+            heap[FORWARD].push(0, s);
+            backward.set(t as usize, 0);
+            heap[BACKWARD].push(0, t);
             counters.heap_pushes += 2;
 
             let mut best = INFINITY;
             loop {
                 // Advance the direction with the smaller frontier, pruning any
                 // direction whose frontier minimum can no longer improve the meet.
-                let side =
-                    match (scratch.heap[FORWARD].peek_key(), scratch.heap[BACKWARD].peek_key()) {
-                        (Some(f), Some(b)) => {
-                            if f.min(b) >= best {
-                                break;
-                            }
-                            if f <= b {
-                                FORWARD
-                            } else {
-                                BACKWARD
-                            }
+                let side = match (heap[FORWARD].peek_key(), heap[BACKWARD].peek_key()) {
+                    (Some(f), Some(b)) => {
+                        if f.min(b) >= best {
+                            break;
                         }
-                        (Some(f), None) => {
-                            if f >= best {
-                                break;
-                            }
+                        if f <= b {
                             FORWARD
-                        }
-                        (None, Some(b)) => {
-                            if b >= best {
-                                break;
-                            }
+                        } else {
                             BACKWARD
                         }
-                        (None, None) => break,
-                    };
-                let Some((d, x)) = scratch.heap[side].pop() else { break };
-                if d > scratch.get(side, x) {
+                    }
+                    (Some(f), None) => {
+                        if f >= best {
+                            break;
+                        }
+                        FORWARD
+                    }
+                    (None, Some(b)) => {
+                        if b >= best {
+                            break;
+                        }
+                        BACKWARD
+                    }
+                    (None, None) => break,
+                };
+                let (mine, theirs) = if side == FORWARD {
+                    (&mut *forward, &*backward)
+                } else {
+                    (&mut *backward, &*forward)
+                };
+                let Some((d, x)) = heap[side].pop() else { break };
+                if d > label(mine, x) {
                     continue;
                 }
                 counters.settled += 1;
-                if !budget.charge(1) {
-                    break;
-                }
-                let other = scratch.get(1 - side, x);
+                let other = label(theirs, x);
                 if other != INFINITY {
                     best = best.min(d + other);
                 }
                 // Stall-on-demand: a dominated label cannot start a shortest
                 // up-segment, so its edges are never relaxed (the meet update above
                 // is still safe — the label is a valid upper bound).
-                if self.is_stalled(scratch, side, x, d) {
+                if self.is_stalled(mine, x, d) {
                     counters.stalled += 1;
                     continue;
                 }
@@ -212,9 +180,9 @@ impl ContractionHierarchy {
                     let nd = d + w;
                     // A label at distance >= best can never improve the meet (both
                     // directions only ascend), so don't even push it.
-                    if nd < best && nd < scratch.get(side, y) {
-                        scratch.set(side, y, nd);
-                        scratch.heap[side].push(nd, y);
+                    if nd < best && nd < label(mine, y) {
+                        mine.set(y as usize, nd);
+                        heap[side].push(nd, y);
                         counters.heap_pushes += 1;
                     }
                 }
@@ -240,7 +208,7 @@ impl ContractionHierarchy {
     ///
     /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
     /// saturates the answer to the best meet found so far).
-    pub fn distance_from_projection_within_budgeted_with_counters(
+    pub fn distance_from_projection_within_with_counters(
         &self,
         projection: &ChSpaceProjection,
         t: NodeId,
@@ -254,15 +222,16 @@ impl ContractionHierarchy {
         let best = SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(self.num_vertices());
-            scratch.set(BACKWARD, t, 0);
-            scratch.heap[BACKWARD].push(0, t);
+            let QueryScratch { label: [_, labels], heap: [_, heap], neighbors } = scratch;
+            labels.set(t as usize, 0);
+            heap.push(0, t);
             counters.heap_pushes += 1;
             let mut best = bound;
-            'settle: while let Some((d, x)) = scratch.heap[BACKWARD].pop() {
+            'settle: while let Some((d, x)) = heap.pop() {
                 if d >= best {
                     break;
                 }
-                if d > scratch.get(BACKWARD, x) {
+                if d > label(labels, x) {
                     continue;
                 }
                 counters.settled += 1;
@@ -277,25 +246,22 @@ impl ContractionHierarchy {
                 // probed once (the dominant random access of this memory-bound
                 // loop), staged, and either abandoned on a stall or relaxed from
                 // the sequential buffer.
-                let mut neighbors = std::mem::take(&mut scratch.neighbors);
                 neighbors.clear();
                 for (y, w) in self.upward_edges(x) {
-                    let dy = scratch.get(BACKWARD, y);
+                    let dy = label(labels, y);
                     if self.stall_on_demand && dy != INFINITY && dy + w <= d {
                         counters.stalled += 1;
-                        scratch.neighbors = neighbors;
                         continue 'settle;
                     }
                     neighbors.push((y, d + w, dy));
                 }
-                for &(y, nd, dy) in &neighbors {
+                for &(y, nd, dy) in neighbors.iter() {
                     if nd < best && nd < dy {
-                        scratch.set(BACKWARD, y, nd);
-                        scratch.heap[BACKWARD].push(nd, y);
+                        labels.set(y as usize, nd);
+                        heap.push(nd, y);
                         counters.heap_pushes += 1;
                     }
                 }
-                scratch.neighbors = neighbors;
             }
             best
         });
@@ -327,7 +293,7 @@ impl ContractionHierarchy {
     ///
     /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
     /// leaves a truncated — still sorted — space behind).
-    pub fn upward_search_space_stalled_budgeted_into(
+    pub fn upward_search_space_stalled_into(
         &self,
         v: NodeId,
         space: &mut ChSearchSpace,
@@ -397,11 +363,12 @@ impl ContractionHierarchy {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(self.num_vertices());
-            scratch.set(FORWARD, v, 0);
-            scratch.heap[FORWARD].push(0, v);
+            let QueryScratch { label: [labels, _], heap: [heap, _], .. } = scratch;
+            labels.set(v as usize, 0);
+            heap.push(0, v);
             counters.heap_pushes += 1;
-            while let Some((d, x)) = scratch.heap[FORWARD].pop() {
-                if d > scratch.get(FORWARD, x) {
+            while let Some((d, x)) = heap.pop() {
+                if d > label(labels, x) {
                     continue;
                 }
                 entries.push((x, d));
@@ -411,15 +378,15 @@ impl ContractionHierarchy {
                 if stop(x) {
                     continue;
                 }
-                if stall && self.is_stalled(scratch, FORWARD, x, d) {
+                if stall && self.is_stalled(labels, x, d) {
                     counters.stalled += 1;
                     continue;
                 }
                 for (y, w) in self.upward_edges(x) {
                     let nd = d + w;
-                    if nd < scratch.get(FORWARD, y) {
-                        scratch.set(FORWARD, y, nd);
-                        scratch.heap[FORWARD].push(nd, y);
+                    if nd < label(labels, y) {
+                        labels.set(y as usize, nd);
+                        heap.push(nd, y);
                         counters.heap_pushes += 1;
                     }
                 }
@@ -440,7 +407,7 @@ pub struct ChSearchSpace {
 
 impl ChSearchSpace {
     /// Creates an empty space, ready to be filled by
-    /// [`ContractionHierarchy::upward_search_space_stalled_budgeted_into`] (no
+    /// [`ContractionHierarchy::upward_search_space_stalled_into`] (no
     /// allocation until then; the entry buffer is reused across refills).
     pub fn new() -> Self {
         Self::default()
@@ -490,17 +457,15 @@ impl ChSearchSpace {
     }
 }
 
-/// A dense, epoch-tagged projection of one [`ChSearchSpace`] over the vertex set:
+/// A dense, stamped projection of one [`ChSearchSpace`] over the vertex set:
 /// `get(v)` is one array load instead of a binary search over the sorted entries.
 /// Re-pointing the projection at a new space ([`ChSpaceProjection::set_from`]) costs
-/// `O(|space|)` — one epoch bump plus one write per entry — so a pooled projection
+/// `O(|space|)` — one stamp bump plus one write per entry — so a pooled projection
 /// makes the IER-CH candidate loop's meet tests O(1) without ever wiping the
-/// n-sized arrays.
+/// n-sized table.
 #[derive(Debug, Default)]
 pub struct ChSpaceProjection {
-    /// `(distance, epoch)` per vertex, packed so a probe is one cache line.
-    label: Vec<(Weight, u32)>,
-    epoch: u32,
+    label: Stamped<Weight>,
 }
 
 impl ChSpaceProjection {
@@ -509,32 +474,19 @@ impl ChSpaceProjection {
         Self::default()
     }
 
-    /// Points the projection at `space` over a graph of `n` vertices: grows the
-    /// arrays if needed, bumps the epoch (invalidating the previous space's
-    /// entries), and writes the new entries.
+    /// Points the projection at `space` over a graph of `n` vertices, invalidating
+    /// the previous space's entries.
     pub fn set_from(&mut self, n: usize, space: &ChSearchSpace) {
-        if self.label.len() < n {
-            self.label.resize(n, (INFINITY, 0));
-        }
-        if self.epoch == u32::MAX {
-            self.label.iter_mut().for_each(|e| e.1 = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        self.label.begin(n);
         for &(v, d) in space.entries() {
-            self.label[v as usize] = (d, self.epoch);
+            self.label.set(v as usize, d);
         }
     }
 
     /// The projected distance of `v` ([`INFINITY`] when `v` is not in the space).
     #[inline]
     pub fn get(&self, v: NodeId) -> Weight {
-        let (d, e) = self.label[v as usize];
-        if e == self.epoch {
-            d
-        } else {
-            INFINITY
-        }
+        self.label.get(v as usize).unwrap_or(INFINITY)
     }
 }
 
@@ -595,7 +547,7 @@ mod tests {
         projection.set_from(g.num_vertices(), &forward);
         for t in (0..g.num_vertices() as NodeId).step_by(53) {
             let want = forward.meet(&ch.upward_search_space(t));
-            let (got, counters) = ch.distance_from_projection_within_budgeted_with_counters(
+            let (got, counters) = ch.distance_from_projection_within_with_counters(
                 &projection,
                 t,
                 INFINITY,
@@ -622,15 +574,14 @@ mod tests {
             let mut space = ChSearchSpace::new();
             let mut projection = ChSpaceProjection::new();
             for s in [2u32, n / 3, n - 7] {
-                let stalled =
-                    ch.upward_search_space_stalled_budgeted_into(s, &mut space, &UNLIMITED);
+                let stalled = ch.upward_search_space_stalled_into(s, &mut space, &UNLIMITED);
                 let full = ch.upward_search_space(s);
                 assert!(space.len() <= full.len(), "stalling enlarged the space from {s}");
                 assert!(stalled.settled <= full.len() as u64);
                 projection.set_from(g.num_vertices(), &space);
                 for t in (0..n).step_by(29) {
                     let exact = dijkstra::distance(&g, s, t);
-                    let (got, _) = ch.distance_from_projection_within_budgeted_with_counters(
+                    let (got, _) = ch.distance_from_projection_within_with_counters(
                         &projection,
                         t,
                         INFINITY,
@@ -651,12 +602,7 @@ mod tests {
         let mut projection = ChSpaceProjection::new();
         projection.set_from(g.num_vertices(), &ch.upward_search_space(s));
         let within = |t, bound| {
-            ch.distance_from_projection_within_budgeted_with_counters(
-                &projection,
-                t,
-                bound,
-                &UNLIMITED,
-            )
+            ch.distance_from_projection_within_with_counters(&projection, t, bound, &UNLIMITED)
         };
         for t in (0..g.num_vertices() as NodeId).step_by(41) {
             let exact = dijkstra::distance(&g, s, t);
@@ -685,7 +631,7 @@ mod tests {
         let mut space = ChSearchSpace::new();
         assert!(space.is_empty());
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
-            let counters = ch.upward_search_space_stalled_budgeted_into(v, &mut space, &UNLIMITED);
+            let counters = ch.upward_search_space_stalled_into(v, &mut space, &UNLIMITED);
             let fresh = ch.upward_search_space(v);
             assert_eq!(space.entries(), fresh.entries(), "space from {v}");
             assert_eq!(counters.settled, fresh.len() as u64);

@@ -10,7 +10,7 @@
 //! baseline it dethroned (Figure 4).
 
 use rnknn_graph::{EuclideanBound, Graph, NodeId, Weight, INFINITY};
-use rnknn_objects::{BrowserScratch, ObjectRTree, ObjectSet};
+use rnknn_objects::{BrowserScratch, ObjectRTree};
 use rnknn_pathfinding::scratch::SearchScratch;
 use rnknn_pathfinding::{QueryBudget, UNLIMITED};
 
@@ -20,22 +20,18 @@ use crate::KnnResult;
 ///
 /// `begin_query` is called once per kNN query with the query vertex, letting oracles
 /// with per-source state (MGtree materialization, cached CH search spaces) reset or
-/// pre-compute; `network_distance` is then called once per candidate object.
+/// pre-compute; `distance_within` is then called once per candidate object.
 pub trait DistanceOracle {
     /// Human-readable name used in experiment output ("Dijk", "PHL", "MGtree", ...).
     fn name(&self) -> &'static str;
     /// Prepares the oracle for a sequence of distance queries from `source`.
     fn begin_query(&mut self, _source: NodeId) {}
-    /// Exact network distance from `source` to `target` ([`INFINITY`] when unreachable).
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight;
-    /// Bounded network distance: exact when it is `< bound`, any value `>= bound`
-    /// otherwise (IER discards such candidates without reading the value). Search
-    /// oracles override this to prune against the caller's current k-th candidate;
-    /// the default ignores the bound.
-    fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        let _ = bound;
-        self.network_distance(source, target)
-    }
+    /// Network distance from `source` to `target`: exact when it is `< bound`, any
+    /// value `>= bound` otherwise (IER passes its current k-th candidate distance
+    /// and discards such candidates without reading the value). Pass [`INFINITY`]
+    /// for the exact distance ([`INFINITY`] when unreachable). Search oracles prune
+    /// against the bound; table-lookup oracles (PHL, TNR) ignore it.
+    fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight;
     /// Search-effort counters accumulated since construction. Oracles that run real
     /// searches per candidate (CH) report settles and heap work here so IER's unified
     /// [`crate::QueryStats`] reflects oracle effort; table-lookup oracles keep the
@@ -106,22 +102,9 @@ impl<'a, O: DistanceOracle> IerSearch<'a, O> {
         &self.oracle
     }
 
-    /// Consumes the search, returning the oracle (so callers can recover pooled
-    /// state the oracle borrowed-by-value from a scratch, e.g. the IER-CH forward
-    /// search space).
-    pub fn into_oracle(self) -> O {
-        self.oracle
-    }
-
     /// The `k` objects nearest to `query` by network distance.
-    pub fn knn(
-        &mut self,
-        query: NodeId,
-        k: usize,
-        rtree: &ObjectRTree,
-        objects: &ObjectSet,
-    ) -> KnnResult {
-        self.knn_with_stats(query, k, rtree, objects).0
+    pub fn knn(&mut self, query: NodeId, k: usize, rtree: &ObjectRTree) -> KnnResult {
+        self.knn_with_stats(query, k, rtree).0
     }
 
     /// Same as [`IerSearch::knn`] but also returns operation counters. Allocates the
@@ -132,7 +115,6 @@ impl<'a, O: DistanceOracle> IerSearch<'a, O> {
         query: NodeId,
         k: usize,
         rtree: &ObjectRTree,
-        _objects: &ObjectSet,
     ) -> (KnnResult, IerStats) {
         let mut browser = BrowserScratch::new();
         let mut candidates: Vec<(NodeId, Weight)> = Vec::new();
@@ -181,7 +163,7 @@ impl<'a, O: DistanceOracle> IerSearch<'a, O> {
             stats.euclidean_candidates += 1;
             // Candidates at distance >= dk are discarded below, so the oracle may
             // stop searching at dk (exactness of kept candidates is unaffected).
-            let d = self.oracle.network_distance_within(query, object, dk);
+            let d = self.oracle.distance_within(query, object, dk);
             stats.network_distance_computations += 1;
             if d == INFINITY {
                 continue;
@@ -211,28 +193,21 @@ impl<'a, O: DistanceOracle> IerSearch<'a, O> {
 // ---------------------------------------------------------------------------
 
 /// The original IER oracle: a Dijkstra per candidate (the configuration every
-/// previous study used, and the slowest line of Figure 4). The search state lives in
-/// an owned [`SearchScratch`], so candidates after the first reuse the distance
-/// arrays and heap; construct it via [`DijkstraOracle::with_scratch`] to reuse a
-/// pooled scratch across whole queries as well. Candidate searches are bounded by
-/// IER's current k-th candidate.
+/// previous study used, and the slowest line of Figure 4). The search state is a
+/// borrowed [`SearchScratch`] — the engine lends its pooled one — so every
+/// candidate reuses the distance tables and heap. Candidate searches are bounded
+/// by IER's current k-th candidate.
 #[derive(Debug)]
 pub struct DijkstraOracle<'a> {
     graph: &'a Graph,
-    scratch: SearchScratch,
+    scratch: &'a mut SearchScratch,
     budget: &'a QueryBudget,
     stats: OracleSearchStats,
 }
 
 impl<'a> DijkstraOracle<'a> {
-    /// Creates the oracle over a fresh scratch of its own.
-    pub fn new(graph: &'a Graph) -> Self {
-        Self::with_scratch(graph, SearchScratch::new())
-    }
-
-    /// Creates the oracle over a caller-provided (pooled) scratch; recover the
-    /// scratch with [`DijkstraOracle::into_scratch`].
-    pub fn with_scratch(graph: &'a Graph, scratch: SearchScratch) -> Self {
+    /// Creates the oracle over `scratch`.
+    pub fn new(graph: &'a Graph, scratch: &'a mut SearchScratch) -> Self {
         DijkstraOracle { graph, scratch, budget: &UNLIMITED, stats: OracleSearchStats::default() }
     }
 
@@ -241,36 +216,19 @@ impl<'a> DijkstraOracle<'a> {
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
-
-    /// Consumes the oracle, returning its search scratch to the caller's pool.
-    pub fn into_scratch(self) -> SearchScratch {
-        self.scratch
-    }
 }
 
 impl<'a> DistanceOracle for DijkstraOracle<'a> {
     fn name(&self) -> &'static str {
         "Dijk"
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
-        let (d, stats) = rnknn_pathfinding::dijkstra::distance_with_stats_budgeted_in(
-            self.graph,
-            source,
-            target,
-            &mut self.scratch,
-            self.budget,
-        );
-        self.stats.nodes_expanded += stats.settled as u64;
-        self.stats.heap_operations += stats.pushes as u64;
-        d
-    }
-    fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        let (d, stats) = rnknn_pathfinding::dijkstra::distance_within_with_stats_budgeted_in(
+    fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
+        let (d, stats) = rnknn_pathfinding::dijkstra::distance_within_with_stats_in(
             self.graph,
             source,
             target,
             bound,
-            &mut self.scratch,
+            self.scratch,
             self.budget,
         );
         self.stats.nodes_expanded += stats.settled as u64;
@@ -283,26 +241,19 @@ impl<'a> DistanceOracle for DijkstraOracle<'a> {
 }
 
 /// A* with the Euclidean lower bound — the natural strengthening of the Dijkstra
-/// oracle. Search state is reused across candidates exactly like
-/// [`DijkstraOracle`]'s.
+/// oracle, on a borrowed [`SearchScratch`] exactly like [`DijkstraOracle`]'s.
 #[derive(Debug)]
 pub struct AStarOracle<'a> {
     graph: &'a Graph,
     bound: EuclideanBound,
-    scratch: SearchScratch,
+    scratch: &'a mut SearchScratch,
     budget: &'a QueryBudget,
     stats: OracleSearchStats,
 }
 
 impl<'a> AStarOracle<'a> {
-    /// Creates the oracle over a fresh scratch of its own.
-    pub fn new(graph: &'a Graph) -> Self {
-        Self::with_scratch(graph, SearchScratch::new())
-    }
-
-    /// Creates the oracle over a caller-provided (pooled) scratch; recover the
-    /// scratch with [`AStarOracle::into_scratch`].
-    pub fn with_scratch(graph: &'a Graph, scratch: SearchScratch) -> Self {
+    /// Creates the oracle over `scratch`.
+    pub fn new(graph: &'a Graph, scratch: &'a mut SearchScratch) -> Self {
         AStarOracle {
             graph,
             bound: graph.euclidean_bound(),
@@ -317,38 +268,20 @@ impl<'a> AStarOracle<'a> {
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
-
-    /// Consumes the oracle, returning its search scratch to the caller's pool.
-    pub fn into_scratch(self) -> SearchScratch {
-        self.scratch
-    }
 }
 
 impl<'a> DistanceOracle for AStarOracle<'a> {
     fn name(&self) -> &'static str {
         "A*"
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
-        let (d, stats) = rnknn_pathfinding::astar::astar_distance_with_stats_budgeted_in(
-            self.graph,
-            &self.bound,
-            source,
-            target,
-            &mut self.scratch,
-            self.budget,
-        );
-        self.stats.nodes_expanded += stats.settled as u64;
-        self.stats.heap_operations += stats.pushes as u64;
-        d
-    }
-    fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        let (d, stats) = rnknn_pathfinding::astar::astar_distance_within_with_stats_budgeted_in(
+    fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
+        let (d, stats) = rnknn_pathfinding::astar::astar_distance_within_with_stats_in(
             self.graph,
             &self.bound,
             source,
             target,
             bound,
-            &mut self.scratch,
+            self.scratch,
             self.budget,
         );
         self.stats.nodes_expanded += stats.settled as u64;
@@ -364,33 +297,26 @@ impl<'a> DistanceOracle for AStarOracle<'a> {
 /// computed once per kNN query (stall-pruned) and reused for every candidate; each
 /// candidate then runs only a backward upward search bounded by IER's current k-th
 /// candidate, meeting the forward side through a dense projection
-/// ([`rnknn_ch::ContractionHierarchy::distance_from_projection_within_budgeted_with_counters`])
+/// ([`rnknn_ch::ContractionHierarchy::distance_from_projection_within_with_counters`])
 /// instead of materialising its full search space. The forward space's entry buffer
-/// is owned by value (take it from a pool with [`ChOracle::with_space`], recover it
-/// with [`ChOracle::into_parts`]), so re-materialising for a new source allocates
-/// nothing once the buffer has grown.
+/// and the projection are borrowed (the engine lends its pooled ones), so
+/// re-materialising for a new source allocates nothing once they have grown.
 #[derive(Debug)]
 pub struct ChOracle<'a> {
     ch: &'a rnknn_ch::ContractionHierarchy,
     source: Option<NodeId>,
-    space: rnknn_ch::ChSearchSpace,
-    projection: rnknn_ch::ChSpaceProjection,
+    space: &'a mut rnknn_ch::ChSearchSpace,
+    projection: &'a mut rnknn_ch::ChSpaceProjection,
     budget: &'a QueryBudget,
     counters: rnknn_ch::ChSearchCounters,
 }
 
 impl<'a> ChOracle<'a> {
-    /// Creates the oracle over fresh buffers of its own.
-    pub fn new(ch: &'a rnknn_ch::ContractionHierarchy) -> Self {
-        Self::with_space(ch, rnknn_ch::ChSearchSpace::new(), rnknn_ch::ChSpaceProjection::new())
-    }
-
-    /// Creates the oracle reusing a caller-provided (pooled) forward-space buffer
-    /// and dense projection.
-    pub fn with_space(
+    /// Creates the oracle over a forward-space buffer and dense projection.
+    pub fn new(
         ch: &'a rnknn_ch::ContractionHierarchy,
-        space: rnknn_ch::ChSearchSpace,
-        projection: rnknn_ch::ChSpaceProjection,
+        space: &'a mut rnknn_ch::ChSearchSpace,
+        projection: &'a mut rnknn_ch::ChSpaceProjection,
     ) -> Self {
         ChOracle {
             ch,
@@ -407,12 +333,6 @@ impl<'a> ChOracle<'a> {
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
-
-    /// Consumes the oracle, returning the forward-space buffer and projection to the
-    /// caller's pool.
-    pub fn into_parts(self) -> (rnknn_ch::ChSearchSpace, rnknn_ch::ChSpaceProjection) {
-        (self.space, self.projection)
-    }
 }
 
 impl<'a> DistanceOracle for ChOracle<'a> {
@@ -423,24 +343,20 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         // Stall-pruned forward space: dominated labels are recorded but not
         // expanded, shrinking the space (and the projection fill) while meets
         // stay exact.
-        let counters =
-            self.ch.upward_search_space_stalled_budgeted_into(source, &mut self.space, self.budget);
+        let counters = self.ch.upward_search_space_stalled_into(source, self.space, self.budget);
         self.counters.accumulate(counters);
-        self.projection.set_from(self.ch.num_vertices(), &self.space);
+        self.projection.set_from(self.ch.num_vertices(), self.space);
         self.source = Some(source);
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
-        self.network_distance_within(source, target, rnknn_graph::INFINITY)
-    }
-    fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
+    fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
         if source == target {
             return 0;
         }
         if self.source != Some(source) {
             self.begin_query(source);
         }
-        let (d, counters) = self.ch.distance_from_projection_within_budgeted_with_counters(
-            &self.projection,
+        let (d, counters) = self.ch.distance_from_projection_within_with_counters(
+            self.projection,
             target,
             bound,
             self.budget,
@@ -475,7 +391,7 @@ impl<'a> DistanceOracle for PhlOracle<'a> {
     fn name(&self) -> &'static str {
         "PHL"
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
+    fn distance_within(&mut self, source: NodeId, target: NodeId, _bound: Weight) -> Weight {
         let (d, entries) = self.labels.distance_with_stats(source, target);
         // Label intersection has no heap or settled set; the hub entries examined
         // are its comparable notion of "nodes expanded".
@@ -495,28 +411,18 @@ impl<'a> DistanceOracle for PhlOracle<'a> {
 #[derive(Debug)]
 pub struct TnrOracle<'a> {
     tnr: &'a rnknn_tnr::TransitNodeRouting,
-    state: rnknn_tnr::TnrSourceState,
+    state: &'a mut rnknn_tnr::TnrSourceState,
     counters: rnknn_ch::ChSearchCounters,
 }
 
 impl<'a> TnrOracle<'a> {
-    /// Creates the oracle over a fresh source state of its own.
-    pub fn new(tnr: &'a rnknn_tnr::TransitNodeRouting) -> Self {
-        Self::with_state(tnr, rnknn_tnr::TnrSourceState::new())
-    }
-
-    /// Creates the oracle reusing a caller-provided (pooled) source state (forward
-    /// stopped space + folded table row computed once per source).
-    pub fn with_state(
+    /// Creates the oracle over a source state (forward stopped space + folded
+    /// table row, computed once per source).
+    pub fn new(
         tnr: &'a rnknn_tnr::TransitNodeRouting,
-        state: rnknn_tnr::TnrSourceState,
+        state: &'a mut rnknn_tnr::TnrSourceState,
     ) -> Self {
         TnrOracle { tnr, state, counters: rnknn_ch::ChSearchCounters::default() }
-    }
-
-    /// Consumes the oracle, returning the source state to the caller's pool.
-    pub fn into_state(self) -> rnknn_tnr::TnrSourceState {
-        self.state
     }
 }
 
@@ -525,14 +431,14 @@ impl<'a> DistanceOracle for TnrOracle<'a> {
         "TNR"
     }
     fn begin_query(&mut self, source: NodeId) {
-        let counters = self.tnr.begin_source(source, &mut self.state);
+        let counters = self.tnr.begin_source(source, self.state);
         self.counters.accumulate(counters);
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
+    fn distance_within(&mut self, source: NodeId, target: NodeId, _bound: Weight) -> Weight {
         if self.state.source() != Some(source) {
             self.begin_query(source);
         }
-        let (d, counters) = self.tnr.distance_from_source_with_counters(&mut self.state, target);
+        let (d, counters) = self.tnr.distance_from_source_with_counters(self.state, target);
         self.counters.accumulate(counters);
         d
     }
@@ -545,95 +451,42 @@ impl<'a> DistanceOracle for TnrOracle<'a> {
     }
 }
 
-/// MGtree oracle: G-tree distance assembly with per-source materialization (Section 5).
-/// The materialization cache is epoch-reset (not rebuilt) whenever the query source
-/// changes, so hopping between sources reuses all of the search's pooled buffers.
-#[derive(Debug)]
-pub struct GtreeOracle<'a> {
-    gtree: &'a rnknn_gtree::Gtree,
-    graph: &'a Graph,
-    search: Option<rnknn_gtree::GtreeSearch<'a>>,
-    budget: &'a QueryBudget,
-}
-
-impl<'a> GtreeOracle<'a> {
-    /// Creates the oracle over a prebuilt G-tree (materialization storage comes from
-    /// the G-tree crate's thread-local pool).
-    pub fn new(gtree: &'a rnknn_gtree::Gtree, graph: &'a Graph) -> Self {
-        GtreeOracle { gtree, graph, search: None, budget: &UNLIMITED }
-    }
-
-    /// Attaches a [`QueryBudget`], forwarded to the underlying [`GtreeSearch`]
-    /// (charged per materialized matrix-cell batch and leaf-search settle).
-    ///
-    /// [`GtreeSearch`]: rnknn_gtree::GtreeSearch
-    pub fn set_budget(&mut self, budget: &'a QueryBudget) {
-        self.budget = budget;
-        if let Some(search) = &mut self.search {
-            search.set_budget(budget);
-        }
-    }
-
-    /// Border-to-border computation count accumulated by the current materialization
-    /// (the IER-Gt series of Figure 9(b)).
-    pub fn border_computations(&self) -> u64 {
-        self.search.as_ref().map_or(0, |s| s.stats.border_computations)
-    }
-}
-
-impl<'a> DistanceOracle for GtreeOracle<'a> {
+/// MGtree oracle: G-tree distance assembly with per-source materialization
+/// (Section 5), bound-pruned against the caller's current k-th candidate.
+impl DistanceOracle for rnknn_gtree::GtreeDistanceOracle<'_> {
     fn name(&self) -> &'static str {
         "MGtree"
     }
     fn begin_query(&mut self, source: NodeId) {
-        match &mut self.search {
-            Some(search) => search.reset(source),
-            None => {
-                let mut search = rnknn_gtree::GtreeSearch::new(self.gtree, self.graph, source);
-                search.set_budget(self.budget);
-                self.search = Some(search);
-            }
-        }
+        self.begin_source(source);
     }
-    fn network_distance(&mut self, source: NodeId, target: NodeId) -> Weight {
-        let rebuild = match &self.search {
-            Some(s) => s.source() != source,
-            None => true,
-        };
-        if rebuild {
-            self.begin_query(source);
+    fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
+        if self.source() != source {
+            self.begin_source(source);
         }
-        self.search.as_mut().expect("initialised").distance_to(target)
-    }
-    fn network_distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
-        let rebuild = match &self.search {
-            Some(s) => s.source() != source,
-            None => true,
-        };
-        if rebuild {
-            self.begin_query(source);
-        }
-        // Bound-pruned materialization: rows are assembled only up to the caller's
-        // current k-th candidate distance, and rematerialized if a later (exact or
-        // looser) request needs them — see `GtreeSearch::distance_to_within`.
-        self.search.as_mut().expect("initialised").distance_to_within(target, bound)
+        rnknn_gtree::GtreeDistanceOracle::distance_within(self, target, bound)
     }
     fn search_stats(&self) -> OracleSearchStats {
-        self.search.as_ref().map_or_else(OracleSearchStats::default, |s| OracleSearchStats {
-            nodes_expanded: s.stats.materialized_nodes + s.stats.leaf_vertices_settled,
-            heap_operations: s.stats.heap_pushes,
-            matrix_cells: s.stats.matrix_cells,
-        })
+        let stats = self.stats();
+        OracleSearchStats {
+            nodes_expanded: stats.materialized_nodes + stats.leaf_vertices_settled,
+            heap_operations: stats.heap_pushes,
+            matrix_cells: stats.matrix_cells,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ContractionHierarchy};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
-    use rnknn_objects::{uniform, ObjectRTree};
+    use rnknn_gtree::{Gtree, GtreeConfig, GtreeDistanceOracle};
+    use rnknn_objects::{uniform, ObjectRTree, ObjectSet};
     use rnknn_pathfinding::dijkstra;
+    use rnknn_phl::HubLabels;
+    use rnknn_tnr::{TnrSourceState, TransitNodeRouting};
 
     fn brute_knn(g: &Graph, q: NodeId, k: usize, objects: &ObjectSet) -> Vec<Weight> {
         let all = dijkstra::single_source(g, q);
@@ -641,6 +494,10 @@ mod tests {
         d.sort_unstable();
         d.truncate(k);
         d
+    }
+
+    fn small_leaves() -> GtreeConfig {
+        GtreeConfig { leaf_capacity: 64, ..Default::default() }
     }
 
     fn check_oracle<O: DistanceOracle>(
@@ -653,7 +510,7 @@ mod tests {
         let n = g.num_vertices() as NodeId;
         for &q in &[1u32, n / 3, n - 2] {
             let want = brute_knn(g, q, 6, objects);
-            let (got, stats) = ier.knn_with_stats(q, 6, rtree, objects);
+            let (got, stats) = ier.knn_with_stats(q, 6, rtree);
             assert_eq!(
                 got.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
                 want,
@@ -672,19 +529,56 @@ mod tests {
         let objects = uniform(&g, 0.02, 3);
         let rtree = ObjectRTree::build(&g, &objects);
 
-        check_oracle(&g, DijkstraOracle::new(&g), &objects, &rtree);
-        check_oracle(&g, AStarOracle::new(&g), &objects, &rtree);
-        let ch = rnknn_ch::ContractionHierarchy::build(&g);
-        check_oracle(&g, ChOracle::new(&ch), &objects, &rtree);
-        let labels = rnknn_phl::HubLabels::build(&g).expect("within budget");
+        check_oracle(&g, DijkstraOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
+        check_oracle(&g, AStarOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
+        let ch = ContractionHierarchy::build(&g);
+        let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+        check_oracle(&g, ChOracle::new(&ch, &mut space, &mut projection), &objects, &rtree);
+        let labels = HubLabels::build(&g).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
-        let tnr = rnknn_tnr::TransitNodeRouting::build(&g);
-        check_oracle(&g, TnrOracle::new(&tnr), &objects, &rtree);
-        let gtree = rnknn_gtree::Gtree::build_with_config(
-            &g,
-            rnknn_gtree::GtreeConfig { leaf_capacity: 64, ..Default::default() },
-        );
-        check_oracle(&g, GtreeOracle::new(&gtree, &g), &objects, &rtree);
+        let tnr = TransitNodeRouting::build(&g);
+        check_oracle(&g, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &objects, &rtree);
+        let gtree = Gtree::build_with_config(&g, small_leaves());
+        check_oracle(&g, GtreeDistanceOracle::new(&gtree, &g, 0), &objects, &rtree);
+    }
+
+    #[test]
+    fn every_oracle_honors_the_bounded_distance_contract() {
+        // `distance_within(s, t, b)` is the Dijkstra truth when that is `< b` and
+        // some value `>= b` otherwise, for bounds below, at and above the truth.
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(500, 29));
+            let g = net.graph(kind);
+            let n = g.num_vertices() as NodeId;
+            let ch = ContractionHierarchy::build(&g);
+            let labels = HubLabels::build(&g).expect("within budget");
+            let tnr = TransitNodeRouting::build(&g);
+            let gtree = Gtree::build_with_config(&g, small_leaves());
+            let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+            let check = |oracle: &mut dyn DistanceOracle| {
+                for s in [3, n / 2] {
+                    let truth = dijkstra::single_source(&g, s);
+                    for t in (0..n).step_by(37).chain([s]) {
+                        let exact = truth[t as usize];
+                        for bound in [0, exact / 2, exact, exact + 1, INFINITY] {
+                            let got = oracle.distance_within(s, t, bound);
+                            let name = oracle.name();
+                            if exact < bound {
+                                assert_eq!(got, exact, "{name} {kind:?} {s}->{t} bound={bound}");
+                            } else {
+                                assert!(got >= bound, "{name} {kind:?} {s}->{t} bound={bound}");
+                            }
+                        }
+                    }
+                }
+            };
+            check(&mut DijkstraOracle::new(&g, &mut SearchScratch::new()));
+            check(&mut AStarOracle::new(&g, &mut SearchScratch::new()));
+            check(&mut ChOracle::new(&ch, &mut space, &mut projection));
+            check(&mut PhlOracle::new(&labels));
+            check(&mut TnrOracle::new(&tnr, &mut TnrSourceState::new()));
+            check(&mut GtreeDistanceOracle::new(&gtree, &g, 0));
+        }
     }
 
     #[test]
@@ -695,13 +589,10 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Time);
         let objects = uniform(&g, 0.01, 5);
         let rtree = ObjectRTree::build(&g, &objects);
-        check_oracle(&g, DijkstraOracle::new(&g), &objects, &rtree);
-        let gtree = rnknn_gtree::Gtree::build_with_config(
-            &g,
-            rnknn_gtree::GtreeConfig { leaf_capacity: 64, ..Default::default() },
-        );
-        check_oracle(&g, GtreeOracle::new(&gtree, &g), &objects, &rtree);
-        let labels = rnknn_phl::HubLabels::build(&g).expect("within budget");
+        check_oracle(&g, DijkstraOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
+        let gtree = Gtree::build_with_config(&g, small_leaves());
+        check_oracle(&g, GtreeDistanceOracle::new(&gtree, &g, 0), &objects, &rtree);
+        let labels = HubLabels::build(&g).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
     }
 
@@ -711,14 +602,15 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Distance);
         let empty = ObjectSet::new("empty", g.num_vertices(), vec![]);
         let rtree = ObjectRTree::build(&g, &empty);
-        let mut ier = IerSearch::new(&g, DijkstraOracle::new(&g));
-        assert!(ier.knn(0, 5, &rtree, &empty).is_empty());
+        let mut scratch = SearchScratch::new();
+        let mut ier = IerSearch::new(&g, DijkstraOracle::new(&g, &mut scratch));
+        assert!(ier.knn(0, 5, &rtree).is_empty());
 
         let two = ObjectSet::new("two", g.num_vertices(), vec![10, 20]);
         let rtree = ObjectRTree::build(&g, &two);
-        assert_eq!(ier.knn(10, 5, &rtree, &two).len(), 2);
-        assert!(ier.knn(10, 0, &rtree, &two).is_empty());
-        assert_eq!(ier.knn(10, 1, &rtree, &two)[0], (10, 0));
+        assert_eq!(ier.knn(10, 5, &rtree).len(), 2);
+        assert!(ier.knn(10, 0, &rtree).is_empty());
+        assert_eq!(ier.knn(10, 1, &rtree)[0], (10, 0));
     }
 
     #[test]
@@ -728,11 +620,12 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Time);
         let objects = uniform(&g, 0.05, 7);
         let rtree = ObjectRTree::build(&g, &objects);
-        let mut ier = IerSearch::new(&g, DijkstraOracle::new(&g));
+        let mut scratch = SearchScratch::new();
+        let mut ier = IerSearch::new(&g, DijkstraOracle::new(&g, &mut scratch));
         let mut total_false = 0;
         let n = g.num_vertices() as NodeId;
         for q in (0..n).step_by(97) {
-            let (_, stats) = ier.knn_with_stats(q, 5, &rtree, &objects);
+            let (_, stats) = ier.knn_with_stats(q, 5, &rtree);
             total_false += stats.false_hits;
         }
         // Across many queries on a travel-time graph at this density, at least one

@@ -13,8 +13,7 @@ use crate::disbrw::{DisBrwSearch, DisBrwVariant};
 use crate::engine::Method;
 use crate::error::EngineError;
 use crate::ier::{
-    AStarOracle, ChOracle, DijkstraOracle, DistanceOracle, GtreeOracle, IerSearch, PhlOracle,
-    TnrOracle,
+    AStarOracle, ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle, TnrOracle,
 };
 use crate::ine::IneSearch;
 use crate::query::{IndexKind, KnnAlgorithm, QueryContext, QueryOutput, QueryStats};
@@ -71,24 +70,22 @@ pub fn algorithm(method: Method) -> &'static dyn KnnAlgorithm {
         .expect("every Method variant has a registered KnnAlgorithm")
 }
 
-/// Shared body of the seven IER variants: run IER with `oracle` (reusing the
-/// scratch pool's browse heap and writing into `out`), translate
-/// [`crate::ier::IerStats`] into the unified vocabulary, and hand the oracle back so
-/// callers can recover pooled state it carried (forward search spaces, Dijkstra
-/// scratches).
-fn ier_knn<'a, O: DistanceOracle>(
-    ctx: &QueryContext<'a>,
+/// Shared body of the six IER variants: run IER with `oracle` (reusing the
+/// scratch pool's browse heap and writing into `out`) and translate
+/// [`crate::ier::IerStats`] into the unified vocabulary. Oracles with pooled state
+/// borrow it from the other fields of the same [`EngineScratch`].
+fn ier_knn<O: DistanceOracle>(
+    ctx: &QueryContext<'_>,
     oracle: O,
     query: NodeId,
     k: usize,
     browser: &mut rnknn_objects::BrowserScratch,
     out: &mut QueryOutput,
-) -> O {
+) {
     let mut search = IerSearch::new(ctx.graph, oracle);
     search.set_budget(ctx.budget);
     let stats = search.knn_with_stats_into(query, k, ctx.rtree, browser, &mut out.result);
-    let oracle = search.into_oracle();
-    let oracle_stats = oracle.search_stats();
+    let oracle_stats = search.oracle().search_stats();
     out.stats = QueryStats {
         oracle_calls: stats.network_distance_computations as u64,
         candidates_examined: stats.euclidean_candidates as u64,
@@ -97,7 +94,6 @@ fn ier_knn<'a, O: DistanceOracle>(
         matrix_cells: oracle_stats.matrix_cells,
         ..Default::default()
     };
-    oracle
 }
 
 /// Incremental Network Expansion (the expansion-based baseline).
@@ -154,11 +150,9 @@ impl KnnAlgorithm for IerDijkstra {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
-        let expansion = std::mem::take(&mut scratch.expansion);
-        let mut oracle = DijkstraOracle::with_scratch(ctx.graph, expansion);
+        let mut oracle = DijkstraOracle::new(ctx.graph, &mut scratch.expansion);
         oracle.set_budget(ctx.budget);
-        let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
-        scratch.expansion = oracle.into_scratch();
+        ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
     }
 }
@@ -181,11 +175,9 @@ impl KnnAlgorithm for IerAStar {
         scratch: &mut EngineScratch,
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
-        let expansion = std::mem::take(&mut scratch.expansion);
-        let mut oracle = AStarOracle::with_scratch(ctx.graph, expansion);
+        let mut oracle = AStarOracle::new(ctx.graph, &mut scratch.expansion);
         oracle.set_budget(ctx.budget);
-        let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
-        scratch.expansion = oracle.into_scratch();
+        ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
     }
 }
@@ -212,14 +204,9 @@ impl KnnAlgorithm for IerCh {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let ch = ctx.require_ch(self.method())?;
-        let space = std::mem::take(&mut scratch.ch_forward);
-        let projection = std::mem::take(&mut scratch.ch_projection);
-        let mut oracle = ChOracle::with_space(ch, space, projection);
+        let mut oracle = ChOracle::new(ch, &mut scratch.ch_forward, &mut scratch.ch_projection);
         oracle.set_budget(ctx.budget);
-        let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
-        let (space, projection) = oracle.into_parts();
-        scratch.ch_forward = space;
-        scratch.ch_projection = projection;
+        ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
     }
 }
@@ -273,9 +260,8 @@ impl KnnAlgorithm for IerTnr {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let tnr = ctx.require_tnr(self.method())?;
-        let oracle = TnrOracle::with_state(tnr, std::mem::take(&mut scratch.tnr));
-        let oracle = ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
-        scratch.tnr = oracle.into_state();
+        let oracle = TnrOracle::new(tnr, &mut scratch.tnr);
+        ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
     }
 }
@@ -302,7 +288,7 @@ impl KnnAlgorithm for IerGtree {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let gtree = ctx.require_gtree(self.method())?;
-        let mut oracle = GtreeOracle::new(gtree, ctx.graph);
+        let mut oracle = rnknn_gtree::GtreeDistanceOracle::new(gtree, ctx.graph, query);
         oracle.set_budget(ctx.budget);
         ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())

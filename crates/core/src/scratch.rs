@@ -5,12 +5,16 @@
 //! cost of short queries on large graphs, so [`EngineScratch`] keeps one instance of
 //! everything alive per thread: `Engine::execute` (on `&self`) borrows the calling
 //! thread's scratch from a `thread_local` pool and hands it to the dispatched
-//! [`crate::KnnAlgorithm`], which reuses whichever pieces it needs. Stale state is
-//! invalidated by epoch tags (one integer bump per query) rather than wiped, the
-//! buffers grow to the largest workload seen on the thread and are then reused
-//! forever, and the steady-state query path performs **zero heap allocations** for
-//! the pooled methods (proven by the allocation-guard test for G-tree, INE and
-//! IER-CH).
+//! [`crate::KnnAlgorithm`], which **borrows** whichever fields it needs for the
+//! duration of the query — an IER oracle is constructed over `&mut` references to
+//! its pooled state (`DijkstraOracle::new(graph, &mut scratch.expansion)`, disjoint
+//! from the `&mut scratch.browser` IER itself holds), so nothing is moved out of the
+//! pool and there is nothing to hand back. Stale state is invalidated by the stamps
+//! of [`rnknn_pathfinding::scratch::Stamped`] tables (one integer bump per query)
+//! rather than wiped, the buffers grow to the largest workload seen on the thread
+//! and are then reused forever, and the steady-state query path performs **zero
+//! heap allocations** for the pooled methods (proven by the allocation-guard test
+//! for G-tree, INE and IER-CH).
 //!
 //! ## Reuse contract
 //!
@@ -18,9 +22,13 @@
 //!   first query and kept until the thread exits. Scratches are never shared, so the
 //!   engine stays [`Sync`] and `knn_batch`'s worker threads each warm their own.
 //! * **Epoch invalidation** — nothing in the scratch carries meaning across queries;
-//!   each query re-arms what it uses (epoch bump or `clear()` that keeps capacity).
-//!   A scratch serves engines of different sizes interleaved on one thread: arrays
-//!   size to the largest graph seen, epoch tags keep smaller queries correct.
+//!   each query re-arms what it uses (stamp bump or `clear()` that keeps capacity).
+//!   A scratch serves engines of different sizes interleaved on one thread: tables
+//!   size to the largest graph seen, stamps keep smaller queries correct.
+//! * **One oracle contract** — every IER oracle answers through
+//!   [`crate::ier::DistanceOracle::distance_within`] (exact below the bound, anything
+//!   `>=` it otherwise), so the pooled state above is only ever driven by one
+//!   bounded, budgeted loop body per search algorithm.
 //! * **Object-generation invalidation** — candidate buffers, browse heaps and
 //!   best-k storage are refilled per query, but as a hard backstop every scratch
 //!   also carries the [object generation](crate::ObjectIndexes::generation) it
@@ -40,7 +48,7 @@ use crate::disbrw::DisBrwScratch;
 /// `Engine::execute` manages a thread-local instance automatically.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    /// Expansion-search state (epoch-tagged distances/settled + heap), shared by
+    /// Expansion-search state (stamped distances/settled + heap), shared by
     /// INE, ROAD and the Dijkstra/A* IER oracles.
     pub(crate) expansion: SearchScratch,
     /// R-tree browse heap, shared by every IER variant and DB-ENN.
@@ -48,7 +56,7 @@ pub struct EngineScratch {
     /// IER-CH forward upward search space, re-materialised per query into the same
     /// entry buffer.
     pub(crate) ch_forward: rnknn_ch::ChSearchSpace,
-    /// Dense epoch-tagged projection of `ch_forward` (O(1) meet tests in the
+    /// Dense stamped projection of `ch_forward` (O(1) meet tests in the
     /// candidate loop — affordable only because it is pooled).
     pub(crate) ch_projection: rnknn_ch::ChSpaceProjection,
     /// IER-TNR per-source state (stopped forward space, folded table row, backward

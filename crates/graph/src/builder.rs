@@ -34,11 +34,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Overrides the coordinates of an existing vertex.
-    pub fn set_coord(&mut self, v: NodeId, p: Point) {
-        self.coords[v as usize] = p;
-    }
-
     /// Adds an undirected edge of weight `w` between `u` and `v`.
     ///
     /// Zero-weight edges are clamped to weight 1 so that Dijkstra invariants (strictly

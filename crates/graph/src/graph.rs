@@ -218,37 +218,6 @@ impl Graph {
         }
     }
 
-    /// Extracts the induced subgraph over `vertices`.
-    ///
-    /// Returns the subgraph (with vertices renumbered `0..vertices.len()` in the given
-    /// order) and the mapping from new ids back to the original ids. Edges with either
-    /// endpoint outside `vertices` are dropped. Used by the partitioner and by the
-    /// G-tree / ROAD builders, which repeatedly work on vertex subsets.
-    pub fn induced_subgraph(&self, vertices: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut local = vec![u32::MAX; self.num_vertices()];
-        for (i, &v) in vertices.iter().enumerate() {
-            local[v as usize] = i as u32;
-        }
-        let mut offsets = Vec::with_capacity(vertices.len() + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut coords = Vec::with_capacity(vertices.len());
-        offsets.push(0u32);
-        for &v in vertices {
-            for (t, w) in self.neighbors(v) {
-                let lt = local[t as usize];
-                if lt != u32::MAX {
-                    targets.push(lt);
-                    weights.push(w);
-                }
-            }
-            offsets.push(targets.len() as u32);
-            coords.push(self.coord(v));
-        }
-        let sub = Graph::from_csr(offsets, targets, weights, coords).with_kind(self.kind);
-        (sub, vertices.to_vec())
-    }
-
     /// CSR internals, for the persistence layer.
     pub(crate) fn csr_parts(&self) -> (&[u32], &[NodeId], &[Weight]) {
         (&self.offsets, &self.targets, &self.weights)
@@ -288,11 +257,6 @@ impl EuclideanBound {
     /// meaningless, e.g. unit-weight test graphs).
     pub fn trivial() -> Self {
         EuclideanBound { scale: 0.0 }
-    }
-
-    /// Creates a bound with an explicit Euclidean-to-weight scale factor.
-    pub fn with_scale(scale: f64) -> Self {
-        EuclideanBound { scale }
     }
 
     /// The scale factor applied to Euclidean distances.

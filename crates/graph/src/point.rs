@@ -50,11 +50,6 @@ impl Rect {
         }
     }
 
-    /// Rectangle covering a single point.
-    pub fn from_point(p: Point) -> Self {
-        Rect { min_x: p.x, min_y: p.y, max_x: p.x, max_y: p.y }
-    }
-
     /// Expands the rectangle to cover `p`.
     pub fn expand_point(&mut self, p: Point) {
         self.min_x = self.min_x.min(p.x);

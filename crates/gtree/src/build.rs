@@ -95,13 +95,6 @@ impl Gtree {
     pub fn build_with_config(graph: &Graph, config: GtreeConfig) -> Gtree {
         assert!(config.fanout >= 2, "fanout must be at least 2");
         assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
-        let trace = std::env::var_os("RNKNN_GTREE_TRACE").is_some();
-        let start = std::time::Instant::now();
-        let phase = |name: &str| {
-            if trace {
-                eprintln!("gtree trace: {name} done at {:.2}s", start.elapsed().as_secs_f64());
-            }
-        };
         let mut builder = Builder {
             graph,
             config: config.clone(),
@@ -113,14 +106,10 @@ impl Gtree {
         };
         let all: Vec<NodeId> = graph.vertices().collect();
         let root = builder.build_node(None, all, 0);
-        phase("partitioning");
         builder.compute_borders();
-        phase("borders");
         builder.compute_matrices();
-        phase("bottom-up matrices");
         if config.exact_refinement {
             builder.refine_matrices();
-            phase("refinement sweep");
         }
         Gtree {
             nodes: builder.nodes,
@@ -389,10 +378,8 @@ impl<'a> Builder<'a> {
     /// across worker threads); internal nodes compose their children's matrices (rows
     /// fanned across worker threads).
     fn compute_matrices(&mut self) {
-        let trace = std::env::var_os("RNKNN_GTREE_TRACE").is_some();
-        let start = std::time::Instant::now();
         let threads = self.config.resolved_threads();
-        for (depth, level) in self.levels().iter().enumerate().rev() {
+        for level in self.levels().iter().rev() {
             let leaves: Vec<usize> =
                 level.iter().copied().filter(|&i| self.nodes[i].is_leaf()).collect();
             let this = &*self;
@@ -404,18 +391,6 @@ impl<'a> Builder<'a> {
                 level.iter().copied().filter(|&i| !self.nodes[i].is_leaf()).collect();
             for i in internals {
                 self.nodes[i].matrix = self.internal_matrix(i);
-            }
-            if trace {
-                let widest = level
-                    .iter()
-                    .map(|&i| self.nodes[i].child_borders.len().max(self.nodes[i].borders.len()))
-                    .max()
-                    .unwrap_or(0);
-                eprintln!(
-                    "gtree trace:   level {depth}: {} nodes (widest {widest}) done at {:.2}s",
-                    level.len(),
-                    start.elapsed().as_secs_f64()
-                );
             }
         }
     }
@@ -434,22 +409,9 @@ impl<'a> Builder<'a> {
     /// One min-plus sweep therefore yields exactness:
     /// `refined[x][y] = min(M[x][y], min_{a,d} M[x][a] + ext[a][d] + M[d][y])`.
     fn refine_matrices(&mut self) {
-        let trace = std::env::var_os("RNKNN_GTREE_TRACE").is_some();
-        let start = std::time::Instant::now();
-        for (depth, level) in self.levels().iter().enumerate() {
+        for level in self.levels().iter() {
             let pending: Vec<usize> =
                 level.iter().copied().filter(|&i| self.nodes[i].parent.is_some()).collect();
-            if trace && !pending.is_empty() {
-                let widest =
-                    pending.iter().map(|&i| self.nodes[i].matrix.rows()).max().unwrap_or(0);
-                let max_nb =
-                    pending.iter().map(|&i| self.nodes[i].borders.len()).max().unwrap_or(0);
-                eprintln!(
-                    "gtree trace:   refine level {depth}: {} nodes (widest {widest}, max own borders {max_nb}) starting at {:.2}s",
-                    pending.len(),
-                    start.elapsed().as_secs_f64()
-                );
-            }
             for i in pending {
                 let node = &self.nodes[i];
                 let ext = self.external_matrix(i);
@@ -771,12 +733,6 @@ impl<'a> Builder<'a> {
         } else {
             1
         };
-        if std::env::var_os("RNKNN_GTREE_TRACE").is_some() && n_local >= 900 {
-            eprintln!(
-                "gtree trace:     internal node: {n_local} borders, {} reduced edges",
-                edges.len()
-            );
-        }
         let dists = parallel_map(&rows, threads, |row| local.sssp(row));
         let mut matrix = DistanceMatrix::new(self.config.matrix_kind, n_local, n_local, INFINITY);
         for (row, dist) in dists.iter().enumerate() {

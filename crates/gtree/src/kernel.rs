@@ -18,10 +18,8 @@
 //! lets an unreachable cell improve a result, and `out` entries never exceed
 //! `INFINITY` on exit.
 //!
-//! Dispatch is decided once (and cached) from CPU feature detection, capped by the
-//! `RNKNN_KERNEL` environment variable (`scalar`, `avx2` or `avx512`) so CI and
-//! benchmarks can force a lower tier; [`min_plus_into_tier`] bypasses the cache for
-//! the cross-tier equivalence tests.
+//! Dispatch is decided once (and cached) from CPU feature detection;
+//! [`min_plus_into_tier`] bypasses the cache for the cross-tier equivalence tests.
 
 use std::sync::OnceLock;
 
@@ -36,18 +34,6 @@ pub enum KernelTier {
     Avx2,
     /// AVX-512F: 8 lanes via `vpminuq`.
     Avx512,
-}
-
-/// Parses an `RNKNN_KERNEL` override; `None` when absent or unrecognised
-/// (unrecognised values fall back to full auto-detection rather than aborting a
-/// serving process over a typo).
-fn parse_forced(value: &str) -> Option<KernelTier> {
-    match value.to_ascii_lowercase().as_str() {
-        "scalar" => Some(KernelTier::Scalar),
-        "avx2" => Some(KernelTier::Avx2),
-        "avx512" | "avx512f" => Some(KernelTier::Avx512),
-        _ => None,
-    }
 }
 
 /// The strongest tier this CPU supports (always [`KernelTier::Scalar`] off x86-64
@@ -65,25 +51,12 @@ fn detected_tier() -> KernelTier {
     KernelTier::Scalar
 }
 
-/// Resolves the forced cap against what the hardware supports: the override can
-/// lower the tier but never raise it above `detected` (forcing `avx512` on an
-/// AVX2-only machine must not execute illegal instructions).
-fn resolve(forced: Option<KernelTier>, detected: KernelTier) -> KernelTier {
-    match forced {
-        Some(t) => t.min(detected),
-        None => detected,
-    }
-}
-
-/// The tier every [`min_plus_into`] call in this process dispatches to. Decided on
-/// first use from `RNKNN_KERNEL` + CPU feature detection, then cached — the sweeps
-/// call this per row, so the decision must be a single atomic load in steady state.
+/// The tier every [`min_plus_into`] call in this process dispatches to. Detected on
+/// first use, then cached — the sweeps call this per row, so the decision must be a
+/// single atomic load in steady state.
 pub fn active_tier() -> KernelTier {
     static TIER: OnceLock<KernelTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        let forced = std::env::var("RNKNN_KERNEL").ok().as_deref().and_then(parse_forced);
-        resolve(forced, detected_tier())
-    })
+    *TIER.get_or_init(detected_tier)
 }
 
 /// `out[i] = min(out[i], s + addend[i])` over equal-length slices, dispatched to
@@ -217,22 +190,6 @@ mod tests {
             2 => INFINITY - (rng.next() % 1000),
             _ => INFINITY,
         }
-    }
-
-    #[test]
-    fn forced_tier_parses_and_never_exceeds_detection() {
-        assert_eq!(parse_forced("scalar"), Some(KernelTier::Scalar));
-        assert_eq!(parse_forced("AVX2"), Some(KernelTier::Avx2));
-        assert_eq!(parse_forced("avx512"), Some(KernelTier::Avx512));
-        assert_eq!(parse_forced("avx512f"), Some(KernelTier::Avx512));
-        assert_eq!(parse_forced("turbo"), None);
-        // Forcing down always wins; forcing up is capped at what the CPU has.
-        assert_eq!(resolve(Some(KernelTier::Scalar), KernelTier::Avx512), KernelTier::Scalar);
-        assert_eq!(resolve(Some(KernelTier::Avx512), KernelTier::Avx2), KernelTier::Avx2);
-        assert_eq!(resolve(None, KernelTier::Avx2), KernelTier::Avx2);
-        assert_eq!(resolve(Some(KernelTier::Avx512), KernelTier::Scalar), KernelTier::Scalar);
-        // The cached process-wide tier obeys the same cap.
-        assert!(active_tier() <= detected_tier());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! G-tree queries: materialized distance assembly, the kNN algorithm (with both leaf
 //! searches) and the MGtree point-to-point oracle.
 //!
-//! All per-query state is pooled. Leaf-confined Dijkstras run on a thread-local,
-//! epoch-tagged scratch — distance/settled arrays and the heap are reused across
-//! queries, so "clearing" between queries is one integer increment instead of an
-//! O(τ) wipe (mirroring the CH query scratch in `rnknn-ch`). The materialization
+//! All per-query state is pooled. Leaf-confined Dijkstras run on a thread-local
+//! [`SearchScratch`] — the same stamped distance/settled tables and heap every
+//! other expansion search uses, so "clearing" between queries is one stamp bump
+//! instead of an O(τ) wipe. The materialization
 //! store itself (per-node border-distance rows, the within-leaf distance cache and
 //! the kNN traversal queue) lives in a thread-local [`SearchStore`] pool:
 //! [`GtreeSearch::new`] takes the store from the pool and `Drop` returns it, so the
 //! steady-state kNN query performs **zero heap allocations** — materializing a node
-//! reuses that node's row buffer from earlier queries, keyed by a query epoch
+//! reuses that node's row buffer from earlier queries, keyed by a query stamp
 //! instead of freshly zeroed vectors. [`GtreeSearch::reset`] re-arms an existing
-//! search for a new source (one epoch bump), which is how the IER-Gt oracle hops
+//! search for a new source (one stamp bump), which is how the IER-Gt oracle hops
 //! between sources without touching the allocator.
 //!
 //! Two query-side optimisations ride on the materialization sweep (see
@@ -30,12 +30,9 @@
 //!   materialized under and are recomputed when a later caller needs them exact
 //!   (`row_bound` in [`SearchStore`]).
 //!
-//! Epoch tags are `u64`: at one query per nanosecond a serving thread would need
-//! ~580 years to wrap, so stale-row aliasing after epoch reuse is structurally
-//! unreachable — and the wrap branch still resets every tag and is unit-tested.
 //! Rows are mutated strictly in place (disjoint borrows via `get_disjoint_mut`
 //! instead of take-and-restore), so a panic mid-materialization can never leave a
-//! row emptied-but-marked-valid: the interrupted node's epoch tag is simply never
+//! row emptied-but-marked-valid: the interrupted node's stamp is simply never
 //! set, and the next query rematerializes it.
 
 use std::cell::{Cell, RefCell};
@@ -43,137 +40,53 @@ use std::cell::{Cell, RefCell};
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_pathfinding::budget::{QueryBudget, UNLIMITED};
 use rnknn_pathfinding::heap::MinHeap;
+use rnknn_pathfinding::scratch::{SearchScratch, Stamped};
 
 use crate::distmatrix::MatrixKind;
 use crate::kernel;
 use crate::occurrence::OccurrenceList;
 use crate::tree::{Gtree, NodeIndex};
 
-/// Reusable per-thread state for leaf-confined Dijkstras. Distance and settled
-/// entries are validated by an epoch tag, so starting a new search is one integer
-/// increment; the arrays grow to the largest leaf seen by this thread and are then
-/// reused by every query on it.
+/// Reusable per-thread state for leaf-confined Dijkstras, indexed by leaf position:
+/// the tables grow to the largest leaf seen by this thread and are then reused by
+/// every query on it.
+#[derive(Default)]
 struct LeafScratch {
-    /// Tentative distances per leaf position.
-    dist: Vec<Weight>,
-    /// Epoch that wrote each `dist` entry; a mismatch means "unvisited this search".
-    dist_epoch: Vec<u64>,
-    /// Epoch that settled each leaf position.
-    settled_epoch: Vec<u64>,
+    search: SearchScratch,
     /// Border row of each leaf position (improved leaf search only).
-    border_row: Vec<u32>,
-    /// Epoch that wrote each `border_row` entry.
-    border_row_epoch: Vec<u64>,
-    heap: MinHeap<u32>,
-    epoch: u64,
+    border_row: Stamped<u32>,
 }
 
 impl LeafScratch {
-    fn new() -> Self {
-        LeafScratch {
-            dist: Vec::new(),
-            dist_epoch: Vec::new(),
-            settled_epoch: Vec::new(),
-            border_row: Vec::new(),
-            border_row_epoch: Vec::new(),
-            heap: MinHeap::new(),
-            epoch: 0,
-        }
-    }
-
-    /// Starts a new search over a leaf of `n` vertices: grows the arrays if this
-    /// thread has only seen smaller leaves, clears the heap, and advances the epoch
-    /// (resetting the tags on the — with `u64` tags, unreachable in practice —
-    /// wrap-around, so reuse can never alias a stale entry as current).
+    /// Starts a new search over a leaf of `n` vertices.
     fn begin(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, INFINITY);
-            self.dist_epoch.resize(n, 0);
-            self.settled_epoch.resize(n, 0);
-            self.border_row.resize(n, u32::MAX);
-            self.border_row_epoch.resize(n, 0);
-        }
-        self.heap.clear();
-        if self.epoch == u64::MAX {
-            self.dist_epoch.iter_mut().for_each(|e| *e = 0);
-            self.settled_epoch.iter_mut().for_each(|e| *e = 0);
-            self.border_row_epoch.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    #[inline]
-    fn get(&self, p: u32) -> Weight {
-        if self.dist_epoch[p as usize] == self.epoch {
-            self.dist[p as usize]
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, p: u32, d: Weight) {
-        self.dist[p as usize] = d;
-        self.dist_epoch[p as usize] = self.epoch;
-    }
-
-    /// Marks `p` settled, returning false when it already was this search.
-    #[inline]
-    fn settle(&mut self, p: u32) -> bool {
-        if self.settled_epoch[p as usize] == self.epoch {
-            return false;
-        }
-        self.settled_epoch[p as usize] = self.epoch;
-        true
-    }
-
-    #[inline]
-    fn is_settled(&self, p: u32) -> bool {
-        self.settled_epoch[p as usize] == self.epoch
-    }
-
-    #[inline]
-    fn set_border_row(&mut self, p: u32, row: u32) {
-        self.border_row[p as usize] = row;
-        self.border_row_epoch[p as usize] = self.epoch;
-    }
-
-    /// The border row recorded for leaf position `p` this search, if any.
-    #[inline]
-    fn border_row_of(&self, p: u32) -> Option<u32> {
-        if self.border_row_epoch[p as usize] == self.epoch {
-            Some(self.border_row[p as usize])
-        } else {
-            None
-        }
+        self.search.begin(n);
+        self.border_row.begin(n);
     }
 }
 
 thread_local! {
-    static LEAF_SCRATCH: RefCell<LeafScratch> = RefCell::new(LeafScratch::new());
+    static LEAF_SCRATCH: RefCell<LeafScratch> = RefCell::new(LeafScratch::default());
 }
 
 /// Reusable per-search materialization state, pooled per thread. Border-distance
-/// rows are validated by an epoch tag: a row whose `row_epoch` does not match the
-/// current epoch is "not materialized this search", so starting a new search (or
-/// [`GtreeSearch::reset`]) is one integer increment — the row buffers keep their
-/// capacity and are refilled in place when their node is next materialized.
+/// rows are validated by a stamp: a row with no `row_bound` entry this search is
+/// "not materialized", so starting a new search (or [`GtreeSearch::reset`]) is one
+/// stamp bump — the row buffers keep their capacity and are refilled in place when
+/// their node is next materialized.
 #[derive(Debug, Default)]
 struct SearchStore {
     /// Per G-tree node: distances from the source to the node's borders.
     rows: Vec<Vec<Weight>>,
-    /// Epoch that materialized each row; a mismatch means "stale".
-    row_epoch: Vec<u64>,
-    /// The kNN bound each row was materialized under ([`INFINITY`] = exact).
-    /// Entries above the bound were clamped, so a later caller that needs the row
-    /// under a looser bound must rematerialize it; see
+    /// Per row materialized this search: the kNN bound it was materialized under
+    /// ([`INFINITY`] = exact). Entries above the bound were clamped, so a later
+    /// caller that needs the row under a looser bound must rematerialize it; see
     /// [`GtreeSearch::ensure_border_distances`].
-    row_bound: Vec<Weight>,
+    row_bound: Stamped<Weight>,
     /// Within-leaf distances from the source to every vertex of its own leaf.
     same_leaf: Vec<Weight>,
-    /// Epoch that filled `same_leaf` (valid iff it equals `epoch`).
-    same_leaf_epoch: u64,
+    /// True once `same_leaf` was filled this search.
+    same_leaf_valid: bool,
     /// The kNN traversal queue.
     queue: MinHeap<Element>,
     /// Full-matrix-width scratch for the climb-case SIMD sweep (the node's own
@@ -184,34 +97,20 @@ struct SearchStore {
     /// kNN query, sorted ascending. Full at `k` entries, its maximum is the
     /// pruning bound `B` (see the module docs).
     knn_cand: Vec<Weight>,
-    epoch: u64,
 }
 
 impl SearchStore {
     /// Starts a new search over a tree of `n` nodes: grows the per-node arrays if
     /// this store has only seen smaller trees, clears the queue and candidate
-    /// bound, and advances the epoch (resetting the tags on the — with `u64`
-    /// tags, unreachable in practice — wrap-around).
+    /// bound, and invalidates every row.
     fn begin(&mut self, n: usize) {
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
-            self.row_epoch.resize(n, 0);
-            self.row_bound.resize(n, INFINITY);
         }
+        self.row_bound.begin(n);
+        self.same_leaf_valid = false;
         self.queue.clear();
         self.knn_cand.clear();
-        if self.epoch == u64::MAX {
-            self.row_epoch.iter_mut().for_each(|e| *e = 0);
-            self.same_leaf_epoch = 0;
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// True when `node`'s border distances were materialized this search.
-    #[inline]
-    fn is_materialized(&self, node: NodeIndex) -> bool {
-        self.row_epoch[node as usize] == self.epoch
     }
 }
 
@@ -343,7 +242,7 @@ impl<'a> GtreeSearch<'a> {
         self.budget = budget;
     }
 
-    /// Re-arms this search for a new source: one epoch bump invalidates every
+    /// Re-arms this search for a new source: one stamp bump invalidates every
     /// materialized row (their buffers are kept and refilled lazily) and the
     /// counters restart. Equivalent to — but much cheaper than — constructing a
     /// fresh search, and the way long-lived consumers (the IER-Gt oracle) hop
@@ -415,7 +314,7 @@ impl<'a> GtreeSearch<'a> {
 
     /// Distance from the source to `target` using only vertices of the source's leaf.
     fn same_leaf_distance(&mut self, target: NodeId) -> Weight {
-        if self.store.same_leaf_epoch != self.store.epoch {
+        if !self.store.same_leaf_valid {
             let gtree = self.gtree;
             let graph = self.graph;
             let source = self.source;
@@ -427,11 +326,12 @@ impl<'a> GtreeSearch<'a> {
             LEAF_SCRATCH.with(|scratch| {
                 let scratch = &mut *scratch.borrow_mut();
                 scratch.begin(nv);
+                let SearchScratch { heap, visited } = &mut scratch.search;
                 let qpos = gtree.position_in_leaf(source);
-                scratch.set(qpos, 0);
-                scratch.heap.push(0, qpos);
-                while let Some((d, p)) = scratch.heap.pop() {
-                    if !scratch.settle(p) {
+                visited.set_dist(qpos, 0);
+                heap.push(0, qpos);
+                while let Some((d, p)) = heap.pop() {
+                    if !visited.settle(p) {
                         continue;
                     }
                     let v = node.leaf_vertices[p as usize];
@@ -441,28 +341,23 @@ impl<'a> GtreeSearch<'a> {
                         }
                         let tp = gtree.position_in_leaf(t);
                         let nd = d + w;
-                        if nd < scratch.get(tp) {
-                            scratch.set(tp, nd);
-                            scratch.heap.push(nd, tp);
+                        if nd < visited.dist(tp) {
+                            visited.set_dist(tp, nd);
+                            heap.push(nd, tp);
                         }
                     }
                 }
-                store.same_leaf.extend((0..nv as u32).map(|p| scratch.get(p)));
+                store.same_leaf.extend((0..nv as u32).map(|p| visited.dist(p)));
             });
-            store.same_leaf_epoch = store.epoch;
+            store.same_leaf_valid = true;
         }
         let pos = self.gtree.position_in_leaf(target) as usize;
         self.store.same_leaf[pos]
     }
 
-    /// Minimum distance from the source to any border of `node` (the priority-queue key
-    /// for G-tree nodes). Exact — kNN-internal callers use the bounded variant.
-    pub fn min_border_distance(&mut self, node: NodeIndex) -> Weight {
-        self.min_border_distance_bounded(node, INFINITY)
-    }
-
-    /// [`GtreeSearch::min_border_distance`] under a pruning bound: exact whenever
-    /// the true minimum is `<= bound`, some value `> bound` otherwise.
+    /// Minimum distance from the source to any border of `node` (the priority-queue
+    /// key for G-tree nodes) under a pruning bound: exact whenever the true minimum
+    /// is `<= bound`, some value `> bound` otherwise.
     fn min_border_distance_bounded(&mut self, node: NodeIndex, bound: Weight) -> Weight {
         self.ensure_border_distances(node, bound);
         self.store.rows[node as usize].iter().copied().min().unwrap_or(INFINITY)
@@ -501,7 +396,7 @@ impl<'a> GtreeSearch<'a> {
 
     /// Materializes the distances from the source to the borders of `t` (assembly along
     /// the tree path, reusing previously materialized nodes). The row buffer of `t` is
-    /// reused from earlier queries — epoch tags mark it stale, and it is refilled in
+    /// reused from earlier queries — its stamp marks it stale, and it is refilled in
     /// place (disjoint in-place borrows, so a panic mid-assembly leaves no row
     /// emptied-but-valid), so steady-state materialization performs no allocation.
     ///
@@ -511,8 +406,7 @@ impl<'a> GtreeSearch<'a> {
     /// rematerializes the row.
     fn ensure_border_distances(&mut self, t: NodeIndex, bound: Weight) {
         let ti = t as usize;
-        if self.store.is_materialized(t) {
-            let rb = self.store.row_bound[ti];
+        if let Some(rb) = self.store.row_bound.get(ti) {
             if rb == INFINITY || bound <= rb {
                 return;
             }
@@ -525,6 +419,7 @@ impl<'a> GtreeSearch<'a> {
         // assembly calls charge their own deltas, so the mark is re-taken
         // after each nested call returns.
         let mut cells_mark = self.stats.matrix_cells;
+        let mut row_bound = bound;
         if t == self.source_leaf {
             // Column of the source vertex in its own leaf matrix: one strided
             // gather per border, always exact (it is the root of every assembly).
@@ -535,7 +430,7 @@ impl<'a> GtreeSearch<'a> {
             out.clear();
             out.extend((0..nb).map(|row| node.matrix.get(row, col)));
             self.stats.matrix_cells += nb as u64;
-            self.store.row_bound[ti] = INFINITY;
+            row_bound = INFINITY;
         } else if gtree.is_ancestor_of(t, self.source_leaf) {
             // Climb: combine the child-on-the-path's border distances with this node's
             // matrix to reach this node's own borders.
@@ -604,7 +499,6 @@ impl<'a> GtreeSearch<'a> {
                     }
                 }
             }
-            self.store.row_bound[ti] = bound;
         } else {
             // Descend: this node hangs off the path; go through its parent's matrix.
             let node = gtree.node(t);
@@ -674,11 +568,10 @@ impl<'a> GtreeSearch<'a> {
                     }
                 }
             }
-            self.store.row_bound[ti] = bound;
         }
         self.budget.charge(self.stats.matrix_cells - cells_mark);
         self.stats.materialized_nodes += 1;
-        self.store.row_epoch[ti] = self.store.epoch;
+        self.store.row_bound.set(ti, row_bound);
     }
 
     /// k-nearest-neighbor query: the `k` objects of `occurrence` closest to the source
@@ -843,20 +736,21 @@ impl<'a> GtreeSearch<'a> {
         LEAF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(nv);
+            let LeafScratch { search: SearchScratch { heap, visited }, border_row } = scratch;
             // border_row[pos] = row of the border located at leaf position `pos`.
             for (row, &pos) in node.own_border_positions.iter().enumerate() {
-                scratch.set_border_row(pos, row as u32);
+                border_row.set(pos as usize, row as u32);
             }
             let qpos = gtree.position_in_leaf(self.source);
-            scratch.set(qpos, 0);
-            scratch.heap.push(0, qpos);
+            visited.set_dist(qpos, 0);
+            heap.push(0, qpos);
             let mut targets_found = 0usize;
             let mut border_found = false;
-            while let Some((d, p)) = scratch.heap.pop() {
+            while let Some((d, p)) = heap.pop() {
                 if result.len() >= k || targets_found >= k {
                     break;
                 }
-                if !scratch.settle(p) {
+                if !visited.settle(p) {
                     continue;
                 }
                 self.stats.leaf_vertices_settled += 1;
@@ -880,20 +774,20 @@ impl<'a> GtreeSearch<'a> {
                         continue;
                     }
                     let tp = gtree.position_in_leaf(t);
-                    if scratch.is_settled(tp) {
+                    if visited.is_settled(tp) {
                         continue;
                     }
                     let nd = d + w;
-                    if nd < scratch.get(tp) {
-                        scratch.set(tp, nd);
-                        scratch.heap.push(nd, tp);
+                    if nd < visited.dist(tp) {
+                        visited.set_dist(tp, nd);
+                        heap.push(nd, tp);
                     }
                 }
                 // Relax border-to-border shortcuts when standing on a border.
-                if let Some(row) = scratch.border_row_of(p) {
+                if let Some(row) = border_row.get(p as usize) {
                     border_found = true;
                     for (orow, &opos) in node.own_border_positions.iter().enumerate() {
-                        if orow as u32 == row || scratch.is_settled(opos) {
+                        if orow as u32 == row || visited.is_settled(opos) {
                             continue;
                         }
                         let w = node.matrix.get(row as usize, opos as usize);
@@ -903,9 +797,9 @@ impl<'a> GtreeSearch<'a> {
                             continue;
                         }
                         let nd = d + w;
-                        if nd < scratch.get(opos) {
-                            scratch.set(opos, nd);
-                            scratch.heap.push(nd, opos);
+                        if nd < visited.dist(opos) {
+                            visited.set_dist(opos, nd);
+                            heap.push(nd, opos);
                         }
                     }
                 }
@@ -925,15 +819,16 @@ impl<'a> GtreeSearch<'a> {
         let inside_dists: Vec<Weight> = LEAF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(nv);
+            let SearchScratch { heap, visited } = &mut scratch.search;
             let qpos = gtree.position_in_leaf(self.source);
-            scratch.set(qpos, 0);
-            scratch.heap.push(0, qpos);
+            visited.set_dist(qpos, 0);
+            heap.push(0, qpos);
             let mut remaining = objects.len();
-            while let Some((d, p)) = scratch.heap.pop() {
+            while let Some((d, p)) = heap.pop() {
                 if remaining == 0 {
                     break;
                 }
-                if !scratch.settle(p) {
+                if !visited.settle(p) {
                     continue;
                 }
                 self.stats.leaf_vertices_settled += 1;
@@ -949,17 +844,17 @@ impl<'a> GtreeSearch<'a> {
                         continue;
                     }
                     let tp = gtree.position_in_leaf(t);
-                    if scratch.is_settled(tp) {
+                    if visited.is_settled(tp) {
                         continue;
                     }
                     let nd = d + w;
-                    if nd < scratch.get(tp) {
-                        scratch.set(tp, nd);
-                        scratch.heap.push(nd, tp);
+                    if nd < visited.dist(tp) {
+                        visited.set_dist(tp, nd);
+                        heap.push(nd, tp);
                     }
                 }
             }
-            objects.iter().map(|&o| scratch.get(gtree.position_in_leaf(o))).collect()
+            objects.iter().map(|&o| visited.dist(gtree.position_in_leaf(o))).collect()
         });
         for (&o, &inside) in objects.iter().zip(&inside_dists) {
             let b = self.knn_bound(k);
@@ -977,7 +872,8 @@ impl<'a> GtreeSearch<'a> {
 
 /// The "MGtree" point-to-point oracle: a thin wrapper around [`GtreeSearch`] that keeps
 /// the materialization cache alive across many distance queries from the same source —
-/// the property that makes IER-Gt robust to Euclidean false hits (Section 5).
+/// the property that makes IER-Gt robust to Euclidean false hits (Section 5). The
+/// `rnknn` crate implements its IER `DistanceOracle` trait for this type.
 #[derive(Debug)]
 pub struct GtreeDistanceOracle<'a> {
     search: GtreeSearch<'a>,
@@ -995,9 +891,27 @@ impl<'a> GtreeDistanceOracle<'a> {
         self.search.set_budget(budget);
     }
 
+    /// The source vertex distances currently originate at.
+    pub fn source(&self) -> NodeId {
+        self.search.source()
+    }
+
+    /// Re-arms the oracle for a new source (see [`GtreeSearch::reset`]): the
+    /// materialization cache is stamp-reset, not rebuilt, so hopping between
+    /// sources reuses all of the search's pooled buffers.
+    pub fn begin_source(&mut self, source: NodeId) {
+        self.search.reset(source);
+    }
+
     /// Exact network distance from the source to `target`.
     pub fn distance(&mut self, target: NodeId) -> Weight {
         self.search.distance_to(target)
+    }
+
+    /// Bounded network distance from the source to `target`, with
+    /// bound-pruned materialization (see [`GtreeSearch::distance_to_within`]).
+    pub fn distance_within(&mut self, target: NodeId, bound: Weight) -> Weight {
+        self.search.distance_to_within(target, bound)
     }
 
     /// Operation counters accumulated so far.
@@ -1299,37 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn search_store_epoch_wrap_resets_all_tags() {
-        let mut store = SearchStore::default();
-        store.begin(4);
-        store.row_epoch[2] = store.epoch; // pretend node 2 was materialized
-        store.same_leaf_epoch = store.epoch;
-        // Force the wrap: the next begin() must zero every tag, so nothing stale
-        // can alias as materialized under the restarted epoch counter.
-        store.epoch = u64::MAX;
-        store.begin(4);
-        assert_eq!(store.epoch, 1);
-        assert!(store.row_epoch.iter().all(|&e| e == 0));
-        assert_ne!(store.same_leaf_epoch, store.epoch);
-        assert!(!store.is_materialized(2));
-    }
-
-    #[test]
-    fn leaf_scratch_epoch_wrap_resets_all_tags() {
-        let mut scratch = LeafScratch::new();
-        scratch.begin(3);
-        scratch.set(1, 42);
-        scratch.settle(1);
-        scratch.set_border_row(2, 7);
-        scratch.epoch = u64::MAX;
-        scratch.begin(3);
-        assert_eq!(scratch.epoch, 1);
-        assert_eq!(scratch.get(1), INFINITY, "stale distance aliased across the wrap");
-        assert!(!scratch.is_settled(1));
-        assert_eq!(scratch.border_row_of(2), None);
-    }
-
-    #[test]
     fn queries_stay_exact_across_a_forced_epoch_wrap() {
         let (g, tree) = setup(400, 41, 40);
         let n = g.num_vertices() as NodeId;
@@ -1337,8 +1220,8 @@ mod tests {
         let occ = OccurrenceList::build(&tree, &objects);
         let mut search = GtreeSearch::new(&tree, &g, 3);
         search.knn(5, &occ, LeafSearchMode::Improved);
-        // Park the epoch at the wrap boundary; the next reset takes the wrap path.
-        search.store.epoch = u64::MAX;
+        // Park the stamp at the wrap boundary; the next reset takes the wrap path.
+        search.store.row_bound.park_before_wrap();
         search.reset(77 % n);
         let got: Vec<Weight> =
             search.knn(5, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();

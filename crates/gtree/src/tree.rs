@@ -1,6 +1,6 @@
 //! The G-tree data structure: nodes, borders, distance matrices and basic accessors.
 
-use rnknn_graph::{NodeId, Weight};
+use rnknn_graph::NodeId;
 
 use crate::build::GtreeConfig;
 use crate::distmatrix::DistanceMatrix;
@@ -46,16 +46,6 @@ impl GtreeNode {
     /// True when this node is a leaf.
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
-    }
-
-    /// Number of borders.
-    pub fn num_borders(&self) -> usize {
-        self.borders.len()
-    }
-
-    /// For internal nodes: the slice of `child_borders` belonging to child `i`.
-    pub fn child_border_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.child_border_offsets[i] as usize..self.child_border_offsets[i + 1] as usize
     }
 }
 
@@ -142,20 +132,6 @@ impl Gtree {
     pub fn average_borders(&self) -> f64 {
         let total: usize = self.nodes.iter().map(|n| n.borders.len()).sum();
         total as f64 / self.nodes.len().max(1) as f64
-    }
-
-    /// Border-to-border distance between two borders of a node, read from the node's
-    /// matrix (for leaves the second border's matrix column is its leaf position).
-    pub fn border_to_border(&self, node: NodeIndex, border_i: usize, border_j: usize) -> Weight {
-        let n = &self.nodes[node as usize];
-        if n.is_leaf() {
-            n.matrix.get(border_i, n.own_border_positions[border_j] as usize)
-        } else {
-            n.matrix.get(
-                n.own_border_positions[border_i] as usize,
-                n.own_border_positions[border_j] as usize,
-            )
-        }
     }
 
     /// Approximate resident size of the index in bytes (Figure 8(a)).

@@ -42,11 +42,6 @@ impl Partitioner {
         Partitioner { config: PartitionConfig::default() }
     }
 
-    /// Creates a partitioner with an explicit configuration.
-    pub fn with_config(config: PartitionConfig) -> Self {
-        Partitioner { config }
-    }
-
     /// Partitions the subgraph of `graph` induced by `vertices` into `parts` pieces.
     ///
     /// Returns one part id (in `0..parts`) per entry of `vertices`. Parts are balanced

@@ -20,90 +20,31 @@ pub fn astar_distance(
     source: NodeId,
     target: NodeId,
 ) -> Weight {
-    astar_distance_with_stats(graph, bound, source, target).0
-}
-
-/// Same as [`astar_distance`] but also returns operation counters (the same
-/// [`SearchStats`] vocabulary as the Dijkstra searches, so the IER oracles report
-/// comparable effort).
-pub fn astar_distance_with_stats(
-    graph: &Graph,
-    bound: &EuclideanBound,
-    source: NodeId,
-    target: NodeId,
-) -> (Weight, SearchStats) {
     let mut scratch = SearchScratch::new();
-    astar_distance_with_stats_in(graph, bound, source, target, &mut scratch)
+    astar_distance_within_with_stats_in(
+        graph,
+        bound,
+        source,
+        target,
+        INFINITY,
+        &mut scratch,
+        &UNLIMITED,
+    )
+    .0
 }
 
-/// [`astar_distance_with_stats`] running on a reusable [`SearchScratch`]: after a
-/// warm-up search, repeated point-to-point queries allocate nothing (the IER
-/// A*-oracle hot path). The scratch's distance array stores g-scores; the heap is
-/// keyed by f-score.
-pub fn astar_distance_with_stats_in(
-    graph: &Graph,
-    bound: &EuclideanBound,
-    source: NodeId,
-    target: NodeId,
-    scratch: &mut SearchScratch,
-) -> (Weight, SearchStats) {
-    astar_distance_with_stats_budgeted_in(graph, bound, source, target, scratch, &UNLIMITED)
-}
-
-/// [`astar_distance_with_stats_in`] honoring a [`QueryBudget`] (one step per
-/// settled vertex; an exhausted budget truncates to [`INFINITY`]).
-pub fn astar_distance_with_stats_budgeted_in(
-    graph: &Graph,
-    bound: &EuclideanBound,
-    source: NodeId,
-    target: NodeId,
-    scratch: &mut SearchScratch,
-    budget: &QueryBudget,
-) -> (Weight, SearchStats) {
-    let mut stats = SearchStats::default();
-    if source == target {
-        return (0, stats);
-    }
-    let target_point = graph.coord(target);
-    scratch.begin(graph.num_vertices());
-    scratch.visited.set_dist(source, 0);
-    let h0 = bound.lower_bound(graph.coord(source), target_point);
-    scratch.heap.push(h0, source);
-    stats.pushes += 1;
-    while let Some((_, v)) = scratch.heap.pop() {
-        if !scratch.visited.settle(v) {
-            continue;
-        }
-        stats.settled += 1;
-        if v == target {
-            return (scratch.visited.dist(v), stats);
-        }
-        if !budget.charge(1) {
-            break;
-        }
-        let dv = scratch.visited.dist(v);
-        for (t, w) in graph.neighbors(v) {
-            if scratch.visited.is_settled(t) {
-                continue;
-            }
-            stats.relaxed += 1;
-            let nd = dv + w;
-            if nd < scratch.visited.dist(t) {
-                scratch.visited.set_dist(t, nd);
-                let h = bound.lower_bound(graph.coord(t), target_point);
-                scratch.heap.push(nd + h, t);
-                stats.pushes += 1;
-            }
-        }
-    }
-    (INFINITY, stats)
-}
-
-/// Bounded A* distance: the exact distance when it is `< bound`, otherwise `bound`
-/// itself (or [`INFINITY`] when `bound == INFINITY` and `target` is unreachable).
-/// Admissibility makes the cut safe: every remaining label's f-score lower-bounds
-/// the true distance through it, so once the frontier's f-minimum reaches `bound`
-/// no path `< bound` remains.
+/// The A* search: the exact distance when it is `< bound`, otherwise `bound` itself
+/// (so [`INFINITY`] when `bound == INFINITY` and `target` is unreachable), plus
+/// operation counters in the same [`SearchStats`] vocabulary as the Dijkstra
+/// searches, so the IER oracles report comparable effort. Admissibility makes the
+/// cut safe: every remaining label's f-score lower-bounds the true distance
+/// through it, so once the frontier's f-minimum reaches `bound` no path `< bound`
+/// remains.
+///
+/// Runs on a reusable [`SearchScratch`] (after a warm-up search, repeated queries
+/// allocate nothing — the IER A*-oracle hot path): the scratch's distance array
+/// stores g-scores, the heap is keyed by f-score. One step of `budget` is charged
+/// per settled vertex; an exhausted budget saturates the answer to `bound`.
 pub fn astar_distance_within_with_stats_in(
     graph: &Graph,
     bound_fn: &EuclideanBound,
@@ -111,29 +52,9 @@ pub fn astar_distance_within_with_stats_in(
     target: NodeId,
     bound: Weight,
     scratch: &mut SearchScratch,
-) -> (Weight, SearchStats) {
-    astar_distance_within_with_stats_budgeted_in(
-        graph, bound_fn, source, target, bound, scratch, &UNLIMITED,
-    )
-}
-
-/// [`astar_distance_within_with_stats_in`] honoring a [`QueryBudget`] (one step
-/// per settled vertex; an exhausted budget saturates the answer to `bound`).
-pub fn astar_distance_within_with_stats_budgeted_in(
-    graph: &Graph,
-    bound_fn: &EuclideanBound,
-    source: NodeId,
-    target: NodeId,
-    bound: Weight,
-    scratch: &mut SearchScratch,
     budget: &QueryBudget,
 ) -> (Weight, SearchStats) {
     let mut stats = SearchStats::default();
-    if bound == INFINITY {
-        return astar_distance_with_stats_budgeted_in(
-            graph, bound_fn, source, target, scratch, budget,
-        );
-    }
     if bound == 0 {
         return (bound, stats);
     }

@@ -26,99 +26,40 @@ pub struct SearchStats {
 /// Point-to-point network distance from `source` to `target`, or [`INFINITY`] when
 /// unreachable. Terminates as soon as `target` is settled.
 pub fn distance(graph: &Graph, source: NodeId, target: NodeId) -> Weight {
-    distance_with_stats(graph, source, target).0
+    distance_with_stats_in(graph, source, target, &mut SearchScratch::new()).0
 }
 
-/// Same as [`distance`] but also returns operation counters.
-pub fn distance_with_stats(graph: &Graph, source: NodeId, target: NodeId) -> (Weight, SearchStats) {
-    let mut scratch = SearchScratch::new();
-    distance_with_stats_in(graph, source, target, &mut scratch)
-}
-
-/// [`distance_with_stats`] running on a reusable [`SearchScratch`]: after a warm-up
-/// search, repeated point-to-point queries allocate nothing (the IER Dijkstra-oracle
-/// hot path).
+/// [`distance`] running on a reusable [`SearchScratch`] and returning operation
+/// counters: [`distance_within_with_stats_in`] with no bound and no budget.
 pub fn distance_with_stats_in(
     graph: &Graph,
     source: NodeId,
     target: NodeId,
     scratch: &mut SearchScratch,
 ) -> (Weight, SearchStats) {
-    distance_with_stats_budgeted_in(graph, source, target, scratch, &UNLIMITED)
+    distance_within_with_stats_in(graph, source, target, INFINITY, scratch, &UNLIMITED)
 }
 
-/// [`distance_with_stats_in`] honoring a [`QueryBudget`]: one step is charged per
-/// settled vertex, and an exhausted budget makes the search return [`INFINITY`]
-/// early (the caller detects truncation via [`QueryBudget::is_exhausted`]).
-pub fn distance_with_stats_budgeted_in(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    scratch: &mut SearchScratch,
-    budget: &QueryBudget,
-) -> (Weight, SearchStats) {
-    let mut stats = SearchStats::default();
-    if source == target {
-        return (0, stats);
-    }
-    scratch.begin(graph.num_vertices());
-    scratch.visited.set_dist(source, 0);
-    scratch.heap.push(0, source);
-    stats.pushes += 1;
-    while let Some((d, v)) = scratch.heap.pop() {
-        if !scratch.visited.settle(v) {
-            continue;
-        }
-        stats.settled += 1;
-        if v == target {
-            return (d, stats);
-        }
-        if !budget.charge(1) {
-            break;
-        }
-        for (t, w) in graph.neighbors(v) {
-            stats.relaxed += 1;
-            let nd = d + w;
-            if nd < scratch.visited.dist(t) {
-                scratch.visited.set_dist(t, nd);
-                scratch.heap.push(nd, t);
-                stats.pushes += 1;
-            }
-        }
-    }
-    (INFINITY, stats)
-}
-
-/// Bounded point-to-point distance: the exact distance when it is `< bound`,
-/// otherwise `bound` itself (or [`INFINITY`] when `bound == INFINITY` and `target`
-/// is unreachable). The search stops as soon as the frontier minimum reaches
-/// `bound` and never pushes labels `>= bound`, so a caller that only needs to know
-/// whether a vertex is closer than its current k-th candidate (IER's candidate
-/// loop) pays a fraction of the full search.
+/// The point-to-point search: the exact distance when it is `< bound`, otherwise
+/// `bound` itself (so [`INFINITY`] when `bound == INFINITY` and `target` is
+/// unreachable). The search stops as soon as the frontier minimum reaches `bound`
+/// and never pushes labels `>= bound`, so a caller that only needs to know whether
+/// a vertex is closer than its current k-th candidate (IER's candidate loop) pays
+/// a fraction of the full search. After a warm-up search on `scratch`, repeated
+/// queries allocate nothing (the IER Dijkstra-oracle hot path).
+///
+/// One step of `budget` is charged per settled vertex; an exhausted budget
+/// saturates the answer to `bound` (the caller detects truncation via
+/// [`QueryBudget::is_exhausted`]).
 pub fn distance_within_with_stats_in(
     graph: &Graph,
     source: NodeId,
     target: NodeId,
     bound: Weight,
     scratch: &mut SearchScratch,
-) -> (Weight, SearchStats) {
-    distance_within_with_stats_budgeted_in(graph, source, target, bound, scratch, &UNLIMITED)
-}
-
-/// [`distance_within_with_stats_in`] honoring a [`QueryBudget`] (one step per
-/// settled vertex; an exhausted budget saturates the answer to `bound`).
-pub fn distance_within_with_stats_budgeted_in(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    bound: Weight,
-    scratch: &mut SearchScratch,
     budget: &QueryBudget,
 ) -> (Weight, SearchStats) {
     let mut stats = SearchStats::default();
-    if bound == INFINITY {
-        return distance_with_stats_budgeted_in(graph, source, target, scratch, budget);
-    }
     if bound == 0 {
         return (bound, stats);
     }
@@ -220,9 +161,6 @@ pub fn single_source_to_targets(graph: &Graph, source: NodeId, targets: &[NodeId
         } else {
             remaining -= 1; // duplicate target
         }
-    }
-    if source < n as NodeId && is_target[source as usize] {
-        // Handled naturally below, nothing special needed.
     }
     let mut dist = vec![INFINITY; n];
     let mut settled = BitSettled::new(n);
@@ -353,7 +291,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let g = small_graph();
-        let (d, stats) = distance_with_stats(&g, 0, 4);
+        let (d, stats) = distance_with_stats_in(&g, 0, 4, &mut SearchScratch::new());
         assert_eq!(d, 3);
         assert!(stats.settled >= 3);
         assert!(stats.pushes >= stats.settled);
@@ -364,10 +302,13 @@ mod tests {
     fn bounded_distance_is_exact_below_the_bound_and_saturated_above() {
         let g = small_graph();
         let mut scratch = SearchScratch::new();
+        let mut within = |g: &Graph, s, t, bound| {
+            distance_within_with_stats_in(g, s, t, bound, &mut scratch, &UNLIMITED)
+        };
         for (s, t) in [(0u32, 4u32), (3, 1), (0, 3), (0, 2)] {
             let exact = distance(&g, s, t);
             for bound in [0, 1, exact, exact + 1, exact + 100, INFINITY] {
-                let (got, _) = distance_within_with_stats_in(&g, s, t, bound, &mut scratch);
+                let (got, _) = within(&g, s, t, bound);
                 if exact < bound {
                     assert_eq!(got, exact, "{s}->{t} bound={bound}");
                 } else {
@@ -379,8 +320,8 @@ mod tests {
         let mut b = GraphBuilder::with_vertices(3);
         b.add_edge(0, 1, 1);
         let g2 = b.build();
-        assert_eq!(distance_within_with_stats_in(&g2, 0, 2, INFINITY, &mut scratch).0, INFINITY);
-        assert_eq!(distance_within_with_stats_in(&g2, 0, 2, 10, &mut scratch).0, 10);
+        assert_eq!(within(&g2, 0, 2, INFINITY).0, INFINITY);
+        assert_eq!(within(&g2, 0, 2, 10).0, 10);
     }
 
     #[test]
@@ -388,10 +329,9 @@ mod tests {
         let g = small_graph();
         let mut scratch = SearchScratch::new();
         for (s, t) in [(0u32, 4u32), (3, 1), (0, 3), (4, 0), (2, 2)] {
-            let (fresh, fresh_stats) = distance_with_stats(&g, s, t);
-            let (reused, reused_stats) = distance_with_stats_in(&g, s, t, &mut scratch);
+            let fresh = distance_with_stats_in(&g, s, t, &mut SearchScratch::new());
+            let reused = distance_with_stats_in(&g, s, t, &mut scratch);
             assert_eq!(fresh, reused, "{s}->{t}");
-            assert_eq!(fresh_stats, reused_stats, "{s}->{t}");
         }
     }
 
@@ -456,7 +396,7 @@ mod tests {
         let mut scratch = SearchScratch::new();
         // A one-step quota (checked every step) cannot reach vertex 3 from 0.
         let budget = QueryBudget::new(None, 1, 1);
-        let (d, stats) = distance_with_stats_budgeted_in(&g, 0, 3, &mut scratch, &budget);
+        let (d, stats) = distance_within_with_stats_in(&g, 0, 3, INFINITY, &mut scratch, &budget);
         assert_eq!(d, INFINITY);
         assert!(budget.is_exhausted());
         assert!(stats.settled >= 1, "a partial search still reports its work");
@@ -464,7 +404,8 @@ mod tests {
         let generous = QueryBudget::with_step_limit(1 << 40);
         for (s, t) in [(0u32, 4u32), (3, 1), (0, 3)] {
             let plain = distance_with_stats_in(&g, s, t, &mut scratch);
-            let budgeted = distance_with_stats_budgeted_in(&g, s, t, &mut scratch, &generous);
+            let budgeted =
+                distance_within_with_stats_in(&g, s, t, INFINITY, &mut scratch, &generous);
             assert_eq!(plain, budgeted, "{s}->{t}");
         }
         assert!(!generous.is_exhausted());

@@ -15,7 +15,8 @@
 //!   reduced graphs used while building G-tree and ROAD.
 //! * [`astar`] — A* point-to-point search with a Euclidean lower-bound heuristic.
 //! * [`bidirectional`] — bidirectional Dijkstra point-to-point search.
-//! * [`scratch`] — reusable, epoch-tagged per-search state ([`SearchScratch`]), so the
+//! * [`scratch`] — reusable per-search state: [`Stamped`], the workspace's one
+//!   epoch-stamped table, and the [`SearchScratch`] built on it, so the
 //!   point-to-point searches above can run allocation-free in steady state.
 //! * [`budget`] — cooperative per-query deadlines/step quotas ([`QueryBudget`]) that
 //!   the point-to-point loops above honor, so a serving layer can cancel a runaway
@@ -35,9 +36,9 @@ pub use astar::astar_distance;
 pub use bidirectional::bidirectional_distance;
 pub use budget::{QueryBudget, UNLIMITED};
 pub use dijkstra::{
-    dijkstra_adjacency, distance, distance_with_stats, single_source, single_source_restricted,
+    dijkstra_adjacency, distance, single_source, single_source_restricted,
     single_source_to_targets, sssp_tree, SearchStats,
 };
 pub use heap::{IndexedMinHeap, MinHeap};
-pub use scratch::{SearchScratch, VisitedScratch};
+pub use scratch::{SearchScratch, Stamped, VisitedScratch};
 pub use settled::{BitSettled, HashSettled, SettledContainer};

@@ -8,10 +8,13 @@
 
 use std::time::Instant;
 
+use rnknn::ch::{ChSearchSpace, ChSpaceProjection};
+use rnknn::gtree::GtreeDistanceOracle;
 use rnknn::ier::{
-    AStarOracle, ChOracle, DijkstraOracle, DistanceOracle, GtreeOracle, IerSearch, PhlOracle,
-    TnrOracle,
+    AStarOracle, ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle, TnrOracle,
 };
+use rnknn::pathfinding::SearchScratch;
+use rnknn::tnr::TnrSourceState;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{uniform, ObjectRTree};
@@ -20,7 +23,6 @@ fn time_oracle<O: DistanceOracle>(
     graph: &rnknn_graph::Graph,
     oracle: O,
     rtree: &ObjectRTree,
-    objects: &rnknn_objects::ObjectSet,
     queries: &[NodeId],
     k: usize,
 ) -> (String, f64, Vec<u64>) {
@@ -29,7 +31,7 @@ fn time_oracle<O: DistanceOracle>(
     let start = Instant::now();
     let mut last = Vec::new();
     for &q in queries {
-        last = ier.knn(q, k, rtree, objects).iter().map(|&(_, d)| d).collect();
+        last = ier.knn(q, k, rtree).iter().map(|&(_, d)| d).collect();
     }
     let avg_micros = start.elapsed().as_micros() as f64 / queries.len() as f64;
     (name, avg_micros, last)
@@ -69,15 +71,19 @@ fn main() {
     let queries: Vec<NodeId> = (0..40u32).map(|i| (i * 2_654_435) % n).collect();
     let k = 10;
 
-    // Each `X::new(..)` is the oracle the engine ships, on fresh buffers: every
-    // candidate search is bounded by IER's running k-th candidate distance.
+    // Each `X::new(..)` is the oracle the engine ships, borrowing fresh buffers
+    // where the engine would lend its pooled ones: every candidate search is
+    // bounded by IER's running k-th candidate distance.
+    let mut scratch = SearchScratch::new();
+    let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+    let mut state = TnrSourceState::new();
     let rows = vec![
-        time_oracle(&graph, DijkstraOracle::new(&graph), &rtree, &objects, &queries, k),
-        time_oracle(&graph, AStarOracle::new(&graph), &rtree, &objects, &queries, k),
-        time_oracle(&graph, ChOracle::new(&ch), &rtree, &objects, &queries, k),
-        time_oracle(&graph, TnrOracle::new(&tnr), &rtree, &objects, &queries, k),
-        time_oracle(&graph, GtreeOracle::new(&gtree, &graph), &rtree, &objects, &queries, k),
-        time_oracle(&graph, PhlOracle::new(&phl), &rtree, &objects, &queries, k),
+        time_oracle(&graph, DijkstraOracle::new(&graph, &mut scratch), &rtree, &queries, k),
+        time_oracle(&graph, AStarOracle::new(&graph, &mut scratch), &rtree, &queries, k),
+        time_oracle(&graph, ChOracle::new(&ch, &mut space, &mut projection), &rtree, &queries, k),
+        time_oracle(&graph, TnrOracle::new(&tnr, &mut state), &rtree, &queries, k),
+        time_oracle(&graph, GtreeDistanceOracle::new(&gtree, &graph, 0), &rtree, &queries, k),
+        time_oracle(&graph, PhlOracle::new(&phl), &rtree, &queries, k),
     ];
 
     let reference = rows[0].2.clone();

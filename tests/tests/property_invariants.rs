@@ -13,7 +13,7 @@ use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{ChainIndex, EdgeWeightKind, Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet};
-use rnknn_pathfinding::dijkstra;
+use rnknn_pathfinding::{dijkstra, SearchScratch};
 use rnknn_road::{AssociationDirectory, RoadConfig, RoadIndex, RoadKnn};
 use rnknn_silc::{SilcConfig, SilcIndex};
 
@@ -88,8 +88,8 @@ fn ier_matches_ground_truth() {
         let (graph, objects) = make_world(size, seed, kind, stride);
         let q = (sweep.next() as NodeId) % graph.num_vertices() as NodeId;
         let rtree = ObjectRTree::build(&graph, &objects);
-        let answer =
-            IerSearch::new(&graph, DijkstraOracle::new(&graph)).knn(q, k, &rtree, &objects);
+        let answer = IerSearch::new(&graph, DijkstraOracle::new(&graph, &mut SearchScratch::new()))
+            .knn(q, k, &rtree);
         assert!(
             matches_ground_truth(&graph, q, k, &objects, &answer),
             "seed={seed} size={size} stride={stride} k={k} q={q} kind={kind:?}"
