@@ -5,7 +5,7 @@
 //! ground truth for kNN, per-epoch interleaved verification plus exactly-once
 //! accounting for serving, post-clock verification for cold start), measures,
 //! and merges its records by name into `BENCH_<bench>.json` in the workspace
-//! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree p50
+//! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree and ROAD p50s
 //! against the file's previous contents; re-baselining an intentional change is
 //! committing the written file.
 

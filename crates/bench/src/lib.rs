@@ -444,7 +444,7 @@ pub mod gtree_build {
 pub mod knn_query {
     use std::time::Instant;
 
-    use rnknn::engine::Method;
+    use rnknn::engine::{EngineConfig, Method};
     use rnknn::verify::matches_ground_truth;
     use rnknn::QueryOutput;
     use rnknn_graph::NodeId;
@@ -454,11 +454,17 @@ pub mod knn_query {
     use crate::defaults::K;
     use crate::track::{self, Record};
 
-    /// The methods the trajectory tracks: the acceptance trio (G-tree, INE, IER-CH)
-    /// plus IER-Gt, which shares the G-tree materialization pool. The heavier
-    /// index builds (SILC, PHL, TNR, ROAD) are excluded so the 580k tier stays
-    /// buildable in minutes.
-    pub const METHODS: [Method; 4] = [Method::Ine, Method::Gtree, Method::IerGtree, Method::IerCh];
+    /// The methods the trajectory tracks: the acceptance trio (G-tree, INE, IER-CH),
+    /// IER-Gt, which shares the G-tree materialization pool, and ROAD — the other
+    /// expansion search — at the tiers up to `ROAD_MAX_SIZE`. The heavier index
+    /// builds (SILC, PHL, TNR, and ROAD above that size) are excluded so the 580k
+    /// tier stays buildable in minutes.
+    pub const METHODS: [Method; 5] =
+        [Method::Ine, Method::Gtree, Method::IerGtree, Method::IerCh, Method::Road];
+
+    /// Largest generator target size whose engine also builds the ROAD index:
+    /// the two tiers `--smoke` runs (23 190 and 115 766 vertices).
+    const ROAD_MAX_SIZE: usize = 100_000;
 
     /// Measures every tracked method at every requested size. Each method is
     /// first verified against the Dijkstra ground truth on 3 query vertices,
@@ -473,7 +479,9 @@ pub mod knn_query {
         let mut records = Vec::new();
         for &size in sizes {
             let build_start = Instant::now();
-            let mut engine = tier_engine("knn", size, &engine_config(true, true), io);
+            let config =
+                EngineConfig { build_road: size <= ROAD_MAX_SIZE, ..engine_config(true, true) };
+            let mut engine = tier_engine("knn", size, &config, io);
             let objects = uniform(engine.graph(), density, 1);
             engine.set_objects(objects.clone());
             let n = engine.graph().num_vertices() as NodeId;
@@ -496,7 +504,7 @@ pub mod knn_query {
                 ],
             ));
 
-            for method in METHODS {
+            for method in METHODS.into_iter().filter(|&m| engine.supports(m)) {
                 // Exactness gate.
                 for &q in queries.iter().take(3) {
                     let output = engine.query(method, q, K).expect("query");
@@ -532,42 +540,50 @@ pub mod knn_query {
         records
     }
 
-    /// Fails the run if a G-tree p50 in `current` regressed by more than 20%
-    /// against `baseline` (the trajectory file's previous contents).
+    /// Fails the run if a G-tree or ROAD p50 in `current` regressed by more than
+    /// 20% against `baseline` (the trajectory file's previous contents).
     /// Host-speed differences are normalised out with the INE p50 of the same
-    /// tier (INE shares none of the G-tree query code, so its current/baseline
-    /// ratio measures the machine, not the change under test). Tiers are
-    /// matched by record name, i.e. by exact vertex count — the generator is
-    /// deterministic, so a miss means the baseline predates a generator change
-    /// and the tier is skipped rather than misjudged. Re-baselining an
-    /// intentional change is committing the file the run has already written.
+    /// tier: its current/baseline ratio measures the machine as long as the
+    /// change under test leaves INE alone. INE shares none of G-tree's matrix
+    /// assembly but it does share `rnknn_pathfinding`'s `MinHeap` and
+    /// `SearchScratch` with every method here (all of ROAD's search; ≈ 53 heap
+    /// operations per G-tree query), so a change under `rnknn-pathfinding` moves
+    /// the normaliser itself and re-baselines in the commit that makes it. Tiers
+    /// are matched by record name, i.e. by exact vertex count — the generator is
+    /// deterministic, so a miss means the baseline predates a generator change (or
+    /// the method's row) and the tier is skipped rather than misjudged.
+    /// Re-baselining an intentional change is committing the file the run has
+    /// already written.
     pub fn check_regression(current: &[Record], baseline: &[Record]) {
         const TOLERANCE: f64 = 1.2;
-        for gtree in current.iter().filter(|r| r.name.ends_with("/Gtree/p50_us")) {
-            let tier = gtree.name.trim_end_matches("/Gtree/p50_us");
-            let ine = format!("{tier}/INE/p50_us");
-            let (Some(base_gtree), Some(base_ine), Some(cur_ine)) = (
-                track::value(baseline, &gtree.name),
-                track::value(baseline, &ine),
-                track::value(current, &ine),
-            ) else {
-                println!("regression guard: no baseline for {tier}, skipping");
-                continue;
-            };
-            let host_scale = cur_ine.max(1.0) / base_ine.max(1.0);
-            let limit = base_gtree * TOLERANCE * host_scale;
-            println!(
-                "regression guard @ {tier}: Gtree p50 {:.1}µs vs limit {limit:.1}µs \
-                 (baseline {base_gtree:.1}µs × {TOLERANCE} tolerance × {host_scale:.2} host scale)",
-                gtree.value
-            );
-            assert!(
-                gtree.value <= limit,
-                "G-tree pooled p50 regressed at {tier}: {:.1}µs > {limit:.1}µs (baseline \
-                 {base_gtree:.1}µs, host scale {host_scale:.2}); if intentional, commit the \
-                 trajectory file this run has written",
-                gtree.value
-            );
+        for method in [Method::Gtree, Method::Road].map(Method::name) {
+            let suffix = format!("/{method}/p50_us");
+            for gated in current.iter().filter(|r| r.name.ends_with(&suffix)) {
+                let tier = gated.name.trim_end_matches(&suffix);
+                let ine = format!("{tier}/INE/p50_us");
+                let (Some(base), Some(base_ine), Some(cur_ine)) = (
+                    track::value(baseline, &gated.name),
+                    track::value(baseline, &ine),
+                    track::value(current, &ine),
+                ) else {
+                    println!("regression guard: no {method} baseline for {tier}, skipping");
+                    continue;
+                };
+                let host_scale = cur_ine.max(1.0) / base_ine.max(1.0);
+                let limit = base * TOLERANCE * host_scale;
+                println!(
+                    "regression guard @ {tier}: {method} p50 {:.1}µs vs limit {limit:.1}µs \
+                     (baseline {base:.1}µs × {TOLERANCE} tolerance × {host_scale:.2} host scale)",
+                    gated.value
+                );
+                assert!(
+                    gated.value <= limit,
+                    "{method} pooled p50 regressed at {tier}: {:.1}µs > {limit:.1}µs (baseline \
+                     {base:.1}µs, host scale {host_scale:.2}); if intentional, commit the \
+                     trajectory file this run has written",
+                    gated.value
+                );
+            }
         }
     }
 
@@ -579,6 +595,7 @@ pub mod knn_query {
             vec![
                 Record::new(format!("knn_query/{vertices}/INE/p50_us"), ine_p50, "µs"),
                 Record::new(format!("knn_query/{vertices}/Gtree/p50_us"), gtree_p50, "µs"),
+                Record::new(format!("knn_query/{vertices}/ROAD/p50_us"), 300.0, "µs"),
             ]
         }
 
@@ -591,14 +608,24 @@ pub mod knn_query {
             check_regression(&tier(23_190, 2000.0, 200.0), &baseline);
             // Unknown tier: skipped, not misjudged.
             check_regression(&tier(99_999, 9e9, 100.0), &baseline);
+            // A baseline from before ROAD had a row: G-tree judged, ROAD skipped.
+            check_regression(&tier(23_190, 1000.0, 100.0), &baseline[..2]);
         }
 
         #[test]
-        #[should_panic(expected = "G-tree pooled p50 regressed")]
+        #[should_panic(expected = "Gtree pooled p50 regressed")]
         fn guard_rejects_a_real_regression() {
             let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
             // INE unchanged (same host) but G-tree 1.5x slower: over the 1.2x gate.
             check_regression(&tier(23_190, 1500.0, 100.0), &baseline);
+        }
+
+        #[test]
+        #[should_panic(expected = "ROAD pooled p50 regressed")]
+        fn guard_rejects_a_road_regression() {
+            let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
+            // A host that got 2x faster by INE's measure: ROAD standing still is a regression.
+            check_regression(&tier(23_190, 500.0, 50.0), &baseline);
         }
     }
 }

@@ -23,7 +23,7 @@ pub enum IneVariant {
     /// "1st Cut": decrease-key binary heap with a position map, hash-set settled
     /// container, per-vertex adjacency-list objects.
     FirstCut,
-    /// "PQueue": no-decrease-key binary heap (duplicates allowed).
+    /// "PQueue": the workspace's no-decrease-key [`MinHeap`] (duplicates allowed).
     PQueue,
     /// "Settled": bit-array settled container.
     Settled,
@@ -148,8 +148,7 @@ impl<'a> IneSearch<'a> {
             return stats;
         }
         scratch.begin(self.graph.num_vertices());
-        scratch.visited.set_dist(query, 0);
-        scratch.heap.push(0, query);
+        scratch.relax(query, 0);
         stats.heap_operations += 1;
         while let Some((d, v)) = scratch.heap.pop() {
             if !scratch.visited.settle(v) {
@@ -166,10 +165,7 @@ impl<'a> IneSearch<'a> {
                 break;
             }
             for (t, w) in self.graph.neighbors(v) {
-                let nd = d + w;
-                if nd < scratch.visited.dist(t) {
-                    scratch.visited.set_dist(t, nd);
-                    scratch.heap.push(nd, t);
+                if scratch.relax(t, d + w) {
                     stats.heap_operations += 1;
                 }
             }

@@ -1,6 +1,6 @@
 //! Dijkstra searches in the flavours needed across the workspace.
 //!
-//! All variants use the no-decrease-key binary heap and a bit-array settled container
+//! All variants use the no-decrease-key [`MinHeap`] and a bit-array settled container
 //! (the paper's recommended combination), and all assume strictly positive edge weights
 //! (enforced by [`rnknn_graph::GraphBuilder`]).
 
@@ -67,8 +67,7 @@ pub fn distance_within_with_stats_in(
         return (0, stats);
     }
     scratch.begin(graph.num_vertices());
-    scratch.visited.set_dist(source, 0);
-    scratch.heap.push(0, source);
+    scratch.relax(source, 0);
     stats.pushes += 1;
     while let Some((d, v)) = scratch.heap.pop() {
         if d >= bound {
@@ -87,9 +86,7 @@ pub fn distance_within_with_stats_in(
         for (t, w) in graph.neighbors(v) {
             stats.relaxed += 1;
             let nd = d + w;
-            if nd < bound && nd < scratch.visited.dist(t) {
-                scratch.visited.set_dist(t, nd);
-                scratch.heap.push(nd, t);
+            if nd < bound && scratch.relax(t, nd) {
                 stats.pushes += 1;
             }
         }

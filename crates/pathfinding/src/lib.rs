@@ -5,9 +5,9 @@
 //! This crate provides exactly those building blocks so every method uses the same,
 //! carefully chosen subroutines (as the paper does "to ensure fairness"):
 //!
-//! * [`heap`] — binary min-heaps: the default *no-decrease-key* heap (duplicates are
-//!   pushed and stale entries skipped on pop) and an indexed decrease-key heap used by
-//!   the "first cut" INE ablation of Figure 7.
+//! * [`heap`] — min-heaps: the default *no-decrease-key* heap (4-ary, hole-sifting;
+//!   duplicates are pushed and stale entries skipped on pop) and an indexed
+//!   decrease-key binary heap used only by the "first cut" INE ablation of Figure 7.
 //! * [`settled`] — settled-vertex containers: a bit-array (the paper's recommendation)
 //!   and a hash-set variant for the same ablation.
 //! * [`dijkstra`] — single-source, point-to-point, many-target and restricted-subgraph
@@ -16,8 +16,9 @@
 //! * [`astar`] — A* point-to-point search with a Euclidean lower-bound heuristic.
 //! * [`bidirectional`] — bidirectional Dijkstra point-to-point search.
 //! * [`scratch`] — reusable per-search state: [`Stamped`], the workspace's one
-//!   epoch-stamped table, and the [`SearchScratch`] built on it, so the
-//!   point-to-point searches above can run allocation-free in steady state.
+//!   epoch-stamped table, and the [`SearchScratch`] built on it — visited set, heap
+//!   and the one relaxation step ([`SearchScratch::relax`]) of every pooled
+//!   expansion search — so those searches run allocation-free in steady state.
 //! * [`budget`] — cooperative per-query deadlines/step quotas ([`QueryBudget`]) that
 //!   the point-to-point loops above honor, so a serving layer can cancel a runaway
 //!   query without killing its thread.

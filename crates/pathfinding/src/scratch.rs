@@ -11,7 +11,9 @@
 //! CH query labels and forward-space projection, and the G-tree materialization
 //! tags — one grow, one wrap branch, one place to test them. [`SearchScratch`]
 //! pairs the visited set with a heap (one pooled instance per thread, via the
-//! engine's scratch pool).
+//! engine's scratch pool) and owns the label-setting step on the pair,
+//! [`SearchScratch::relax`]: INE, the Dijkstra oracle and ROAD all queue through
+//! it, so none of them can queue a label that does not improve its vertex.
 
 use rnknn_graph::{NodeId, Weight, INFINITY};
 
@@ -136,6 +138,21 @@ impl SearchScratch {
         self.heap.clear();
         self.visited.begin(n);
     }
+
+    /// The one relaxation step of every label-setting search on this scratch:
+    /// when `nd` improves on `t`'s tentative distance, records it, queues
+    /// `(nd, t)` and returns true; an equal or worse label is dropped. A settled
+    /// vertex holds its final (smallest) label, so it is never queued again, and
+    /// a search seeds itself with `relax(source, 0)`.
+    #[inline]
+    pub fn relax(&mut self, t: NodeId, nd: Weight) -> bool {
+        let improves = nd < self.visited.dist(t);
+        if improves {
+            self.visited.set_dist(t, nd);
+            self.heap.push(nd, t);
+        }
+        improves
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +175,24 @@ mod tests {
         assert_eq!(s.visited.dist(3), INFINITY);
         assert!(!s.visited.is_settled(3));
         assert!(s.heap.is_empty());
+    }
+
+    #[test]
+    fn relax_queues_strict_improvements_only_and_is_forgotten_by_begin() {
+        let mut s = SearchScratch::new();
+        s.begin(10);
+        assert!(s.relax(3, 7), "first label of an unvisited vertex improves on INFINITY");
+        assert!(!s.relax(3, 7), "an equal label is refused");
+        assert!(!s.relax(3, 9), "a worse label is refused");
+        assert_eq!((s.visited.dist(3), s.heap.len()), (7, 1));
+        assert!(s.relax(3, 4));
+        assert_eq!((s.visited.dist(3), s.heap.len()), (4, 2));
+        assert_eq!(s.heap.pop(), Some((4, 3)));
+
+        s.begin(10);
+        assert!(s.heap.is_empty());
+        assert_eq!(s.visited.dist(3), INFINITY);
+        assert!(s.relax(3, 9), "the previous search's smaller label must not block this one");
     }
 
     #[test]
