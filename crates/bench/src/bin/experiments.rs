@@ -21,14 +21,14 @@ use rnknn::tnr::TnrSourceState;
 use rnknn_bench::{cli, defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
 use rnknn_ch::{ChSearchSpace, ChSpaceProjection};
 use rnknn_graph::generator::DatasetPreset;
-use rnknn_graph::{EdgeWeightKind, Graph, NodeId};
+use rnknn_graph::{EdgeWeightKind, Graph, NodeId, Weight, INFINITY};
 use rnknn_gtree::{
-    Gtree, GtreeConfig, GtreeDistanceOracle, GtreeSearch, LeafSearchMode, MatrixKind,
-    OccurrenceList,
+    widen, Cell, DistanceMatrix, Gtree, GtreeDistanceOracle, GtreeSearch, LeafSearchMode,
+    NodeIndex, OccurrenceList,
 };
 use rnknn_objects::{
     build_association_directory, build_occurrence_list, build_rtree, clustered,
-    min_object_distance, uniform, ObjectRTree, PoiSets,
+    min_object_distance, uniform, ObjectRTree, ObjectSet, PoiSets,
 };
 use rnknn_pathfinding::SearchScratch;
 use rnknn_road::{RoadIndex, RoadKnn};
@@ -287,33 +287,235 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     ctx.emit(by_d);
 }
 
-/// Figure 6 + Table 3: distance-matrix implementation comparison.
+/// The three physical distance-matrix layouts of Figure 6 / Table 3. The library
+/// ships the array only; the two hash tables exist here, as probe structures
+/// filled from the array tree's real cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MatrixKind {
+    /// Separate chaining keyed by `(row, col)` (the `std` `HashMap`, mirroring the
+    /// paper's `unordered_map` variant).
+    ChainedHashing,
+    /// Open addressing with quadratic probing (the paper's `dense_hash_map` variant).
+    QuadraticProbing,
+    /// The shipped row-major array.
+    Array,
+}
+
+impl MatrixKind {
+    /// All variants, in the order the paper plots them.
+    fn all() -> [MatrixKind; 3] {
+        [MatrixKind::ChainedHashing, MatrixKind::QuadraticProbing, MatrixKind::Array]
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            MatrixKind::Array => "Array",
+            MatrixKind::ChainedHashing => "Chained Hashing",
+            MatrixKind::QuadraticProbing => "Quad. Probing",
+        }
+    }
+}
+
+/// Open-addressing hash table with quadratic probing, sized once at fill time.
+struct QuadraticTable {
+    keys: Vec<u64>,
+    values: Vec<Cell>,
+    mask: u64,
+}
+
+const EMPTY_KEY: u64 = u64::MAX;
+
+impl QuadraticTable {
+    fn with_capacity(n: usize) -> Self {
+        let cap = (n.max(4) * 2).next_power_of_two();
+        QuadraticTable { keys: vec![EMPTY_KEY; cap], values: vec![0; cap], mask: cap as u64 - 1 }
+    }
+
+    #[inline]
+    fn hash(key: u64) -> u64 {
+        // Fibonacci hashing; adequate spread for (row, col) packed keys.
+        key.wrapping_mul(0x9E3779B97F4A7C15)
+    }
+
+    fn insert(&mut self, key: u64, value: Cell) {
+        let mut idx = Self::hash(key) & self.mask;
+        let mut step = 0u64;
+        while self.keys[idx as usize] != EMPTY_KEY && self.keys[idx as usize] != key {
+            step += 1;
+            idx = (idx + step * step) & self.mask;
+        }
+        self.keys[idx as usize] = key;
+        self.values[idx as usize] = value;
+    }
+
+    /// The value stored under `key` and the number of slots the probe sequence
+    /// inspected to reach it.
+    #[inline]
+    fn find(&self, key: u64) -> (Cell, u64) {
+        let mut idx = Self::hash(key) & self.mask;
+        let mut step = 0u64;
+        while self.keys[idx as usize] != key {
+            assert!(self.keys[idx as usize] != EMPTY_KEY, "cell {key:#x} was never filled");
+            step += 1;
+            idx = (idx + step * step) & self.mask;
+        }
+        (self.values[idx as usize], step + 1)
+    }
+}
+
+#[inline]
+fn pack(row: usize, col: usize) -> u64 {
+    ((row as u64) << 32) | col as u64
+}
+
+/// One G-tree node's matrix in one of the three layouts.
+enum ProbeMatrix<'a> {
+    Array(&'a DistanceMatrix),
+    Chained(HashMap<u64, Cell>),
+    Quadratic(QuadraticTable),
+}
+
+impl<'a> ProbeMatrix<'a> {
+    /// `m`'s cells in layout `kind`.
+    fn fill(kind: MatrixKind, m: &'a DistanceMatrix) -> ProbeMatrix<'a> {
+        let cells = || {
+            (0..m.rows()).flat_map(move |r| (0..m.cols()).map(move |c| (pack(r, c), m.get(r, c))))
+        };
+        match kind {
+            MatrixKind::Array => ProbeMatrix::Array(m),
+            MatrixKind::ChainedHashing => ProbeMatrix::Chained(cells().collect()),
+            MatrixKind::QuadraticProbing => {
+                let mut table = QuadraticTable::with_capacity(m.rows() * m.cols());
+                cells().for_each(|(key, value)| table.insert(key, value));
+                ProbeMatrix::Quadratic(table)
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, row: usize, col: usize) -> Cell {
+        match self {
+            ProbeMatrix::Array(m) => m.get(row, col),
+            ProbeMatrix::Chained(map) => map[&pack(row, col)],
+            ProbeMatrix::Quadratic(table) => table.find(pack(row, col)).0,
+        }
+    }
+
+    /// Physical probes one read of `(row, col)` costs: slots inspected along the
+    /// quadratic probe sequence, and 1 by construction for the array (one load) and
+    /// the chained table (one bucket). The software stand-in for Table 3's hardware
+    /// profile.
+    fn probe_length(&self, row: usize, col: usize) -> u64 {
+        match self {
+            ProbeMatrix::Array(_) | ProbeMatrix::Chained(_) => 1,
+            ProbeMatrix::Quadratic(table) => table.find(pack(row, col)).1,
+        }
+    }
+}
+
+/// The paper's assembly (Figure 5) from `s` to `t` along the tree path — up from
+/// `s`'s leaf to the lowest common ancestor, down to `t`'s leaf — reading one cell
+/// per border pair through `cell(node, row, col)`. The via-border distance: exact
+/// whenever the two vertices sit in different leaves.
+fn assemble(
+    gtree: &Gtree,
+    s: NodeId,
+    t: NodeId,
+    cell: &impl Fn(NodeIndex, usize, usize) -> Cell,
+) -> Weight {
+    let (source_leaf, target_leaf) = (gtree.leaf_of(s), gtree.leaf_of(t));
+    let base_in = |parent: NodeIndex, child: NodeIndex| {
+        let pnode = gtree.node(parent);
+        let ci = pnode.children.iter().position(|&c| c == child).expect("child of its parent");
+        pnode.child_border_offsets[ci] as usize
+    };
+    // One min-plus step through `via`'s matrix: `dist` holds the distances to the
+    // borders at matrix rows `rows`, the result those to the borders at `cols`.
+    let step = |via: NodeIndex, dist: &[Weight], rows: &[usize], cols: &[usize]| -> Vec<Weight> {
+        cols.iter()
+            .map(|&c| {
+                let through = |(&d, &r): (&Weight, &usize)| d + widen(cell(via, r, c));
+                dist.iter().zip(rows).map(through).min().unwrap_or(INFINITY).min(INFINITY)
+            })
+            .collect()
+    };
+    let span = |base: usize, node: NodeIndex| -> Vec<usize> {
+        (base..base + gtree.node(node).borders.len()).collect()
+    };
+    let own = |node: NodeIndex| -> Vec<usize> {
+        gtree.node(node).own_border_positions.iter().map(|&p| p as usize).collect()
+    };
+
+    let spos = gtree.position_in_leaf(s) as usize;
+    let mut at = source_leaf;
+    let mut dist: Vec<Weight> =
+        (0..gtree.node(at).borders.len()).map(|b| widen(cell(at, b, spos))).collect();
+    if source_leaf != target_leaf {
+        // Climb to the child of the lowest common ancestor, cross it, descend.
+        loop {
+            let parent = gtree.node(at).parent.expect("distinct leaves share an ancestor");
+            let rows = span(base_in(parent, at), at);
+            if gtree.is_ancestor_of(parent, target_leaf) {
+                at = gtree.child_towards(parent, target_leaf);
+                dist = step(parent, &dist, &rows, &span(base_in(parent, at), at));
+                break;
+            }
+            dist = step(parent, &dist, &rows, &own(parent));
+            at = parent;
+        }
+        while at != target_leaf {
+            let child = gtree.child_towards(at, target_leaf);
+            dist = step(at, &dist, &own(at), &span(base_in(at, child), child));
+            at = child;
+        }
+    }
+    let tpos = gtree.position_in_leaf(t) as usize;
+    let arrive = |(b, &d): (usize, &Weight)| d + widen(cell(at, b, tpos));
+    dist.iter().enumerate().map(arrive).min().unwrap_or(INFINITY).min(INFINITY)
+}
+
+/// Figure 6 + Table 3: distance-matrix implementation comparison. One G-tree, its
+/// cells mirrored into each layout; a workload is every query's assembly to each of
+/// its k nearest objects, timed through each layout.
 fn distance_matrix_study(ctx: &mut Ctx) {
     let queries = ctx.testbed(DatasetPreset::NW, EdgeWeightKind::Distance).queries.clone();
     let graph = ctx.testbed(DatasetPreset::NW, EdgeWeightKind::Distance).graph().clone();
     let series: Vec<String> = MatrixKind::all().iter().map(|k| k.name().to_string()).collect();
-    let trees: Vec<(MatrixKind, Gtree)> = MatrixKind::all()
+    let gtree = Gtree::build(&graph);
+    let layouts: Vec<(MatrixKind, Vec<ProbeMatrix>)> = MatrixKind::all()
         .iter()
-        .map(|&mk| {
-            let config = GtreeConfig {
-                matrix_kind: mk,
-                leaf_capacity: GtreeConfig::paper_leaf_capacity(graph.num_vertices()),
-                ..Default::default()
-            };
-            (mk, Gtree::build_with_config(&graph, config))
+        .map(|&kind| {
+            (kind, gtree.nodes().iter().map(|n| ProbeMatrix::fill(kind, &n.matrix)).collect())
         })
         .collect();
 
-    // Returns (µs/query, matrix cells read over the workload).
-    let time_workload = |gtree: &Gtree, occ: &OccurrenceList, k: usize| -> (f64, u64) {
-        let mut cells = 0u64;
+    // Each query with its k nearest objects (the real search's answer, which the
+    // assembly over the tree's own cells must reproduce wherever the leaves differ).
+    let workload = |objects: &ObjectSet, k: usize| -> Vec<(NodeId, Vec<NodeId>)> {
+        let occ = OccurrenceList::build(&gtree, objects.vertices());
+        queries
+            .iter()
+            .map(|&q| {
+                let knn =
+                    GtreeSearch::new(&gtree, &graph, q).knn(k, &occ, LeafSearchMode::Improved);
+                for &(o, d) in knn.iter().filter(|&&(o, _)| gtree.leaf_of(o) != gtree.leaf_of(q)) {
+                    let cell = |n: NodeIndex, r: usize, c: usize| gtree.node(n).matrix.get(r, c);
+                    assert_eq!(assemble(&gtree, q, o, &cell), d, "assembly {q}->{o}");
+                }
+                (q, knn.into_iter().map(|(o, _)| o).collect())
+            })
+            .collect()
+    };
+    // µs/query of the workload's assemblies through one layout.
+    let time_workload = |layout: &[ProbeMatrix], work: &[(NodeId, Vec<NodeId>)]| -> f64 {
+        let cell = |n: NodeIndex, r: usize, c: usize| layout[n as usize].get(r, c);
         let start = Instant::now();
-        for &q in &queries {
-            let mut search = GtreeSearch::new(gtree, &graph, q);
-            std::hint::black_box(search.knn(k, occ, LeafSearchMode::Improved));
-            cells += search.stats.matrix_cells;
+        for (q, targets) in work {
+            for &o in targets {
+                std::hint::black_box(assemble(&gtree, *q, o, &cell));
+            }
         }
-        (start.elapsed().as_micros() as f64 / queries.len() as f64, cells)
+        start.elapsed().as_micros() as f64 / work.len() as f64
     };
 
     let objects = uniform(&graph, defaults::DENSITY, 9);
@@ -324,14 +526,8 @@ fn distance_matrix_study(ctx: &mut Ctx) {
         "µs/query",
     );
     for &k in &defaults::K_SWEEP {
-        let values: Vec<f64> = trees
-            .iter()
-            .map(|(_, gtree)| {
-                let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, k).0
-            })
-            .collect();
-        by_k.push(k.to_string(), values);
+        let work = workload(&objects, k);
+        by_k.push(k.to_string(), layouts.iter().map(|(_, l)| time_workload(l, &work)).collect());
     }
     ctx.emit(by_k);
 
@@ -342,40 +538,35 @@ fn distance_matrix_study(ctx: &mut Ctx) {
         "µs/query",
     );
     for &d in &defaults::DENSITY_SWEEP {
-        let objects = uniform(&graph, d, 31);
-        let values: Vec<f64> = trees
-            .iter()
-            .map(|(_, gtree)| {
-                let occ = OccurrenceList::build(gtree, objects.vertices());
-                time_workload(gtree, &occ, defaults::K).0
-            })
-            .collect();
-        by_d.push(format!("{d}"), values);
+        let work = workload(&uniform(&graph, d, 31), defaults::K);
+        by_d.push(format!("{d}"), layouts.iter().map(|(_, l)| time_workload(l, &work)).collect());
     }
     ctx.emit(by_d);
 
-    // Table 3 analogue, in software instead of hardware cache misses: cell reads are
-    // the searches' `matrix_cells`; physical probes scale them by the layout's mean
-    // probe length over every stored cell (1 by construction for array and chained).
+    // Table 3 analogue, in software instead of hardware cache misses: the cells the
+    // workload's assemblies read, and the physical probes each layout spends on
+    // exactly those reads (1 per read by construction for array and chained).
     let mut profile = Table::new(
         "Table 3: distance-matrix profile over the query workload (software counters)",
         "layout",
         vec!["cell reads".into(), "physical probes".into(), "query µs".into()],
         "count / µs",
     );
-    let objects = uniform(&graph, defaults::DENSITY, 9);
-    for (mk, gtree) in &trees {
-        let occ = OccurrenceList::build(gtree, objects.vertices());
-        let (micros, reads) = time_workload(gtree, &occ, defaults::K);
-        let (mut stored, mut probes) = (0u64, 0u64);
-        for m in gtree.nodes().iter().map(|node| &node.matrix) {
-            stored += (m.rows() * m.cols()) as u64;
-            probes += (0..m.rows())
-                .flat_map(|r| (0..m.cols()).map(move |c| m.probe_length(r, c)))
-                .sum::<u64>();
+    let work = workload(&objects, defaults::K);
+    for (kind, layout) in &layouts {
+        let (reads, probes) = (std::cell::Cell::new(0u64), std::cell::Cell::new(0u64));
+        let counted = |n: NodeIndex, r: usize, c: usize| {
+            reads.set(reads.get() + 1);
+            probes.set(probes.get() + layout[n as usize].probe_length(r, c));
+            layout[n as usize].get(r, c)
+        };
+        for (q, targets) in &work {
+            for &o in targets {
+                std::hint::black_box(assemble(&gtree, *q, o, &counted));
+            }
         }
-        let mean_probe_length = probes as f64 / stored.max(1) as f64;
-        profile.push(mk.name(), vec![reads as f64, reads as f64 * mean_probe_length, micros]);
+        let micros = time_workload(layout, &work);
+        profile.push(kind.name(), vec![reads.get() as f64, probes.get() as f64, micros]);
     }
     ctx.emit(profile);
 }
@@ -1106,5 +1297,78 @@ fn main() {
         } else {
             eprintln!("wrote experiments_results.md");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A matrix with every cell distinct, mirrored into `kind`.
+    fn sample(rows: usize, cols: usize) -> DistanceMatrix {
+        let mut m = DistanceMatrix::new(rows, cols, 999);
+        for r in 0..rows {
+            for c in 0..cols {
+                m.set(r, c, ((r * 31 + c * 17) % 100 + r * 100) as Cell);
+            }
+        }
+        m
+    }
+
+    fn exercise(kind: MatrixKind) {
+        let m = sample(7, 5);
+        let layout = ProbeMatrix::fill(kind, &m);
+        for r in 0..7 {
+            for c in 0..5 {
+                assert_eq!(layout.get(r, c), m.get(r, c), "{kind:?} ({r},{c})");
+                assert!(layout.probe_length(r, c) >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn chained_hash_matrix_behaviour() {
+        exercise(MatrixKind::ChainedHashing);
+    }
+
+    #[test]
+    fn quadratic_probing_matrix_behaviour() {
+        exercise(MatrixKind::QuadraticProbing);
+    }
+
+    #[test]
+    fn variants_agree_cell_by_cell() {
+        let m = sample(9, 9);
+        let layouts = MatrixKind::all().map(|kind| ProbeMatrix::fill(kind, &m));
+        for r in 0..9 {
+            for c in 0..9 {
+                assert!(layouts.iter().all(|l| l.get(r, c) == m.get(r, c)), "({r},{c})");
+            }
+        }
+    }
+
+    #[test]
+    fn probe_counts_reflect_layout_costs() {
+        // The array and the chained table cost exactly one probe per read; quadratic
+        // probing costs at least one, and more than one somewhere once the table
+        // holds colliding keys.
+        let m = DistanceMatrix::new(16, 16, 5);
+        let [chained, quadratic, array] = MatrixKind::all().map(|kind| ProbeMatrix::fill(kind, &m));
+        let mut quadratic_probes = 0;
+        for r in 0..16 {
+            for c in 0..16 {
+                assert_eq!(array.probe_length(r, c), 1);
+                assert_eq!(chained.probe_length(r, c), 1);
+                assert!(quadratic.probe_length(r, c) >= 1);
+                quadratic_probes += quadratic.probe_length(r, c);
+            }
+        }
+        assert!(quadratic_probes > 256, "no collision among 256 keys in 512 slots?");
+    }
+
+    #[test]
+    fn names_and_kinds() {
+        assert_eq!(MatrixKind::Array.name(), "Array");
+        assert_eq!(MatrixKind::all().len(), 3);
     }
 }

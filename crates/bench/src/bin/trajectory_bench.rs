@@ -6,8 +6,9 @@
 //! accounting for serving, post-clock verification for cold start), measures,
 //! and merges its records by name into `BENCH_<bench>.json` in the workspace
 //! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree and ROAD p50s
-//! against the file's previous contents; re-baselining an intentional change is
-//! committing the written file.
+//! against the file's previous contents, and `gtree` / `cold-start` fail when the
+//! index's `memory_bytes` / the artifact's `artifact_bytes` grew (deterministic
+//! counts); re-baselining an intentional change is committing the written file.
 
 #![forbid(unsafe_code)]
 
@@ -85,8 +86,11 @@ fn run(args: &cli::Args) -> Result<(), String> {
             continue;
         }
         let previous = track::update(bench, &records);
-        if bench == "knn_query" {
-            knn_query::check_regression(&records, &previous);
+        match bench {
+            "knn_query" => knn_query::check_regression(&records, &previous),
+            "gtree_build" => track::check_bytes_not_grown(&records, &previous, "/memory_bytes"),
+            "cold_start" => track::check_bytes_not_grown(&records, &previous, "/artifact_bytes"),
+            _ => {}
         }
     }
     Ok(())

@@ -179,9 +179,69 @@ fn update_file(path: &Path, records: &[Record]) -> Vec<Record> {
     previous
 }
 
+/// Fails the run if a byte count in `current` — every record whose name ends in
+/// `field` — *grew* against `baseline` (the file's previous contents). Index and
+/// artifact sizes are deterministic for a generator size, so there is no noise to
+/// tolerate: any growth is a change someone made. A name the baseline lacks is
+/// skipped; re-baselining an intentional growth is committing the file the run
+/// has already written.
+pub fn check_bytes_not_grown(current: &[Record], baseline: &[Record], field: &str) {
+    for record in current.iter().filter(|r| r.name.ends_with(field)) {
+        let Some(committed) = value(baseline, &record.name) else {
+            println!("byte guard: no baseline for {}, skipping", record.name);
+            continue;
+        };
+        println!("byte guard: {} = {} (committed {committed})", record.name, record.value);
+        assert!(
+            record.value <= committed,
+            "{} grew: {} > committed {committed}; if intentional, commit the trajectory file \
+             this run has written",
+            record.name,
+            record.value
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod guard_tests {
+        use super::*;
+
+        fn sizes(memory: f64, artifact: f64) -> Vec<Record> {
+            vec![
+                Record::new("gtree_build/23190/memory_bytes", memory, "bytes"),
+                Record::new("gtree_build/23190/build_seconds", 0.7, "s"),
+                Record::new("cold_start/23190/artifact_bytes", artifact, "bytes"),
+            ]
+        }
+
+        #[test]
+        fn byte_guard_accepts_equal_smaller_and_unknown() {
+            let baseline = read(&write(&sizes(13_500_000.0, 16_000_000.0))).unwrap();
+            for field in ["/memory_bytes", "/artifact_bytes"] {
+                check_bytes_not_grown(&sizes(13_500_000.0, 16_000_000.0), &baseline, field);
+                check_bytes_not_grown(&sizes(13_000_000.0, 15_000_000.0), &baseline, field);
+                // A tier the committed file has no row for is skipped, not misjudged.
+                check_bytes_not_grown(&sizes(9e12, 9e12), &[], field);
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "gtree_build/23190/memory_bytes grew")]
+        fn byte_guard_rejects_a_grown_gtree() {
+            let baseline = read(&write(&sizes(13_500_000.0, 16_000_000.0))).unwrap();
+            check_bytes_not_grown(&sizes(13_500_004.0, 16_000_000.0), &baseline, "/memory_bytes");
+        }
+
+        #[test]
+        #[should_panic(expected = "cold_start/23190/artifact_bytes grew")]
+        fn byte_guard_rejects_a_grown_artifact() {
+            let baseline = read(&write(&sizes(13_500_000.0, 16_000_000.0))).unwrap();
+            check_bytes_not_grown(&sizes(13_500_000.0, 16_000_008.0), &baseline, "/artifact_bytes");
+        }
+    }
 
     #[test]
     fn write_read_round_trip() {

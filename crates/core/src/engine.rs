@@ -144,7 +144,8 @@ impl<'a> QueryRequest<'a> {
 /// Which road-network indexes the engine builds.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Build the G-tree (needed by `Gtree` and `IerGtree`).
+    /// Build the G-tree (needed by `Gtree` and `IerGtree`). A graph whose distances
+    /// do not fit its 32-bit matrix cells gets none ([`rnknn_gtree::GtreeBuildError`]).
     pub build_gtree: bool,
     /// Build the ROAD index.
     pub build_road: bool,
@@ -262,8 +263,8 @@ impl Engine {
         let chains = ChainIndex::build(&graph);
         let mut build_times = BuildTimes::default();
 
-        let gtree = config.build_gtree.then(|| {
-            preloaded_gtree.unwrap_or_else(|| {
+        let gtree = if config.build_gtree {
+            preloaded_gtree.or_else(|| {
                 let start = Instant::now();
                 let gconfig = GtreeConfig {
                     leaf_capacity: config
@@ -271,11 +272,16 @@ impl Engine {
                         .unwrap_or_else(|| GtreeConfig::paper_leaf_capacity(graph.num_vertices())),
                     ..config.gtree_config.clone()
                 };
-                let t = Gtree::build_with_config(&graph, gconfig);
+                // A graph whose distances do not fit the G-tree's 32-bit cells is
+                // refused, not approximated: the engine then holds no G-tree and its
+                // methods answer `MissingIndex` (as with SILC above its size cap).
+                let t = Gtree::try_build_with_config(&graph, gconfig).ok();
                 build_times.gtree_micros = start.elapsed().as_micros();
                 t
             })
-        });
+        } else {
+            None
+        };
         let road = config.build_road.then(|| {
             let start = Instant::now();
             let mut rconfig = RoadConfig::for_network(graph.num_vertices());
@@ -344,7 +350,8 @@ impl Engine {
         self.build_times
     }
 
-    /// The G-tree, if built.
+    /// The G-tree, if built (it may be absent because the graph's distances do not
+    /// fit the matrix cells).
     pub fn gtree(&self) -> Option<&Gtree> {
         self.gtree.as_ref()
     }

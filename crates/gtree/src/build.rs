@@ -20,7 +20,7 @@ use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_partition::Partitioner;
 use rnknn_pathfinding::heap::MinHeap;
 
-use crate::distmatrix::{DistanceMatrix, MatrixKind};
+use crate::distmatrix::{narrow, Cell, DistanceMatrix, CELL_INFINITY};
 use crate::kernel::min_plus_into;
 use crate::tree::{Gtree, GtreeNode, NodeIndex};
 
@@ -34,9 +34,6 @@ pub struct GtreeConfig {
     /// Leaf capacity `τ ≥ 1`: maximum number of vertices per leaf. The paper uses
     /// 64–512 depending on network size.
     pub leaf_capacity: usize,
-    /// Distance-matrix storage layout (Figure 6 ablation); the array layout is the
-    /// default and the only sensible production choice.
-    pub matrix_kind: MatrixKind,
     /// When true (default) a top-down refinement pass upgrades every distance-matrix
     /// entry from subgraph-restricted to exact global network distance
     /// (docs/ARCHITECTURE.md, "G-tree construction").
@@ -48,13 +45,7 @@ pub struct GtreeConfig {
 
 impl Default for GtreeConfig {
     fn default() -> Self {
-        GtreeConfig {
-            fanout: 4,
-            leaf_capacity: 128,
-            matrix_kind: MatrixKind::Array,
-            exact_refinement: true,
-            build_threads: 0,
-        }
+        GtreeConfig { fanout: 4, leaf_capacity: 128, exact_refinement: true, build_threads: 0 }
     }
 }
 
@@ -85,16 +76,121 @@ impl GtreeConfig {
     }
 }
 
+/// Why a G-tree cannot be built over a graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GtreeBuildError {
+    /// Some distance the builder stores, or a query can form, does not fit the
+    /// 32-bit cell range. The matrices hold exact distances or nothing: the graph
+    /// is refused rather than the distance saturated into "unreachable".
+    DistanceOutOfRange {
+        /// The offending distance (a matrix cell, or twice a component's
+        /// eccentricity — the bound on every pairwise distance in it).
+        distance: Weight,
+        /// The first distance that does not fit ([`CELL_INFINITY`]).
+        limit: Weight,
+    },
+}
+
+impl std::fmt::Display for GtreeBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GtreeBuildError::DistanceOutOfRange { distance, limit } => write!(
+                f,
+                "network distance {distance} does not fit the G-tree's 32-bit cells \
+                 (distances must stay below {limit}); rescale the edge weights"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GtreeBuildError {}
+
+fn out_of_range(distance: Weight) -> GtreeBuildError {
+    GtreeBuildError::DistanceOutOfRange { distance, limit: CELL_INFINITY as Weight }
+}
+
+/// A matrix whose rows are the given single-source distance vectors, each cell
+/// range-checked on the way in.
+fn matrix_from_rows(
+    rows: impl ExactSizeIterator<Item = Vec<Weight>>,
+    cols: usize,
+) -> Result<DistanceMatrix, GtreeBuildError> {
+    let mut cells: Vec<Cell> = Vec::with_capacity(rows.len() * cols);
+    let num_rows = rows.len();
+    for dist in rows {
+        debug_assert_eq!(dist.len(), cols);
+        for d in dist {
+            cells.push(narrow(d).ok_or_else(|| out_of_range(d))?);
+        }
+    }
+    Ok(DistanceMatrix::from_cells(num_rows, cols, cells.into()))
+}
+
+/// Refuses a graph on which a query could form a distance outside the cell range:
+/// one SSSP per connected component, from its lowest-numbered vertex `r`. The
+/// network is undirected, so every pairwise distance within the component is at
+/// most `d(u, r) + d(r, v) <= 2·ecc(r)`; with that below the sentinel, no border
+/// row a query materializes (each entry a true distance) can reach it.
+fn check_distance_range(graph: &Graph) -> Result<(), GtreeBuildError> {
+    let mut dist = vec![INFINITY; graph.num_vertices()];
+    let mut heap: MinHeap<NodeId> = MinHeap::new();
+    for root in graph.vertices() {
+        if dist[root as usize] != INFINITY {
+            continue;
+        }
+        dist[root as usize] = 0;
+        heap.push(0, root);
+        let mut eccentricity = 0;
+        while let Some((d, v)) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            eccentricity = d; // pops are non-decreasing
+            for (t, w) in graph.neighbors(v) {
+                let nd = d + w;
+                if nd < dist[t as usize] {
+                    dist[t as usize] = nd;
+                    heap.push(nd, t);
+                }
+            }
+        }
+        let bound = eccentricity.saturating_mul(2);
+        if bound >= CELL_INFINITY as Weight {
+            return Err(out_of_range(bound));
+        }
+    }
+    Ok(())
+}
+
 impl Gtree {
     /// Builds a G-tree over `graph` with the default configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gtree::build_with_config`].
     pub fn build(graph: &Graph) -> Gtree {
         Self::build_with_config(graph, GtreeConfig::for_network(graph.num_vertices()))
     }
 
     /// Builds a G-tree with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// If the graph's distances do not fit the cell range; callers that take
+    /// graphs from outside use [`Gtree::try_build_with_config`].
     pub fn build_with_config(graph: &Graph, config: GtreeConfig) -> Gtree {
+        Self::try_build_with_config(graph, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a G-tree, or refuses a graph whose distances do not fit the 32-bit
+    /// matrix cells (see [`GtreeBuildError`]).
+    pub fn try_build_with_config(
+        graph: &Graph,
+        config: GtreeConfig,
+    ) -> Result<Gtree, GtreeBuildError> {
         assert!(config.fanout >= 2, "fanout must be at least 2");
         assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
+        check_distance_range(graph)?;
         let mut builder = Builder {
             graph,
             config: config.clone(),
@@ -107,17 +203,17 @@ impl Gtree {
         let all: Vec<NodeId> = graph.vertices().collect();
         let root = builder.build_node(None, all, 0);
         builder.compute_borders();
-        builder.compute_matrices();
+        builder.compute_matrices()?;
         if config.exact_refinement {
             builder.refine_matrices();
         }
-        Gtree {
+        Ok(Gtree {
             nodes: builder.nodes,
             root,
             leaf_of_vertex: builder.leaf_of_vertex,
             vertex_position: builder.vertex_position,
             config,
-        }
+        })
     }
 }
 
@@ -135,7 +231,7 @@ const MIN_PARALLEL_WORK: usize = 1 << 20;
 /// memory traffic by the block height.
 const SWEEP_ROW_BLOCK: usize = 16;
 
-/// Columns per refinement-sweep tile: 1024 `Weight`s = 8 KiB, so one border-row tile
+/// Columns per refinement-sweep tile: 1024 cells = 4 KiB, so one border-row tile
 /// plus one output-row tile stay comfortably L1-resident while the innermost min-plus
 /// loop runs over them.
 const SWEEP_TILE_COLS: usize = 1024;
@@ -248,7 +344,7 @@ impl<'a> Builder<'a> {
             child_borders: Vec::new(),
             child_border_offsets: Vec::new(),
             own_border_positions: Vec::new(),
-            matrix: DistanceMatrix::new(self.config.matrix_kind, 0, 0, INFINITY),
+            matrix: DistanceMatrix::new(0, 0, CELL_INFINITY),
             leaf_range: (0, 0),
             depth,
         });
@@ -376,8 +472,9 @@ impl<'a> Builder<'a> {
     /// Bottom-up computation of all distance matrices, level-parallel: leaves run one
     /// multi-target Dijkstra per border confined to the leaf subgraph (leaves fanned
     /// across worker threads); internal nodes compose their children's matrices (rows
-    /// fanned across worker threads).
-    fn compute_matrices(&mut self) {
+    /// fanned across worker threads). Every cell is range-checked as it is narrowed
+    /// from the searches' `Weight`s; the first one that does not fit ends the build.
+    fn compute_matrices(&mut self) -> Result<(), GtreeBuildError> {
         let threads = self.config.resolved_threads();
         for level in self.levels().iter().rev() {
             let leaves: Vec<usize> =
@@ -385,14 +482,15 @@ impl<'a> Builder<'a> {
             let this = &*self;
             let matrices = parallel_map(&leaves, threads, |i| this.leaf_matrix(i));
             for (&i, m) in leaves.iter().zip(matrices) {
-                self.nodes[i].matrix = m;
+                self.nodes[i].matrix = m?;
             }
             let internals: Vec<usize> =
                 level.iter().copied().filter(|&i| !self.nodes[i].is_leaf()).collect();
             for i in internals {
-                self.nodes[i].matrix = self.internal_matrix(i);
+                self.nodes[i].matrix = self.internal_matrix(i)?;
             }
         }
+        Ok(())
     }
 
     /// Top-down refinement: upgrade matrices to exact global distances using the
@@ -440,7 +538,7 @@ impl<'a> Builder<'a> {
 
     /// Exact distances between every ordered pair of node `i`'s own borders, read from
     /// the parent's (already refined) matrix as a flat `nb × nb` row-major array.
-    fn external_matrix(&self, i: usize) -> Vec<Weight> {
+    fn external_matrix(&self, i: usize) -> Vec<Cell> {
         let parent = self.nodes[i].parent.expect("non-root") as usize;
         let pnode = &self.nodes[parent];
         let child_pos =
@@ -449,17 +547,16 @@ impl<'a> Builder<'a> {
         let nb = self.nodes[i].borders.len();
         let mut ext = Vec::with_capacity(nb * nb);
         for a in 0..nb {
-            for d in 0..nb {
-                ext.push(pnode.matrix.get(base + a, base + d));
-            }
+            ext.extend_from_slice(&pnode.matrix.row(base + a)[base..base + nb]);
         }
         ext
     }
 
     /// One min-plus refinement sweep (see [`Builder::refine_matrices`]): returns
     /// `refined[x][y] = min(m[x][y], min_{a,d} m[x][border_cols[a]] + ext[a*nb+d] +
-    /// m[border_rows[d]][y])`. All arithmetic stays below `2 * INFINITY`, which
-    /// `Weight` accommodates without overflow.
+    /// m[border_rows[d]][y])`. Every sum is a finite cell plus a cell, which cannot
+    /// wrap (`crate::kernel`), and every result is a min with the pass-1 value, so
+    /// the refined matrix stays in cell range by construction.
     ///
     /// The sweep is organised for the cache and the vectoriser, which is what lets
     /// construction cross the 500k-vertex mark on one core:
@@ -483,18 +580,13 @@ impl<'a> Builder<'a> {
         m: &DistanceMatrix,
         border_cols: &[u32],
         border_rows: &[u32],
-        ext: &[Weight],
+        ext: &[Cell],
         symmetric: bool,
     ) -> DistanceMatrix {
         let rows = m.rows();
         let cols = m.cols();
         let nb = border_cols.len();
-        // Flatten the matrix once (and the border rows contiguously) so the sweep runs
-        // on plain slices whatever the storage layout.
-        let mut mflat: Vec<Weight> = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            mflat.extend(m.row(r));
-        }
+        let mflat = m.cells();
         debug_assert!(
             !symmetric
                 || (rows == cols
@@ -502,15 +594,10 @@ impl<'a> Builder<'a> {
                         .all(|x| (0..x).all(|y| mflat[x * cols + y] == mflat[y * cols + x]))),
             "symmetric sweep requested for an asymmetric matrix"
         );
-        let border_row_flat: Vec<Weight> = border_rows
-            .iter()
-            .flat_map(|&d| {
-                let start = d as usize * cols;
-                mflat[start..start + cols].iter().copied()
-            })
-            .collect();
+        // The border rows, gathered contiguously so stage 2 streams them in order.
+        let border_row_flat: Vec<Cell> =
+            border_rows.iter().flat_map(|&d| m.row(d as usize).iter().copied()).collect();
         let block_starts: Vec<usize> = (0..rows).step_by(SWEEP_ROW_BLOCK).collect();
-        let mflat = &mflat;
         let border_row_flat = &border_row_flat;
         let threads = if rows * cols * nb.max(1) >= MIN_PARALLEL_WORK {
             self.config.resolved_threads()
@@ -524,19 +611,19 @@ impl<'a> Builder<'a> {
             // d-major (`via[d * rb + r]`) so stage 2 reads the block's d-column
             // contiguously.
             let rb = r1 - r0;
-            let mut via_rows = vec![INFINITY; rb * nb];
+            let mut via_rows = vec![CELL_INFINITY; rb * nb];
             for (ri, x) in (r0..r1).enumerate() {
                 let mx = &mflat[x * cols..(x + 1) * cols];
                 let out = &mut via_rows[ri * nb..(ri + 1) * nb];
                 for (a, &ca) in border_cols.iter().enumerate() {
                     let base = mx[ca as usize];
-                    if base >= INFINITY {
+                    if base >= CELL_INFINITY {
                         continue;
                     }
                     min_plus_into(out, base, &ext[a * nb..(a + 1) * nb]);
                 }
             }
-            let mut via = vec![INFINITY; nb * rb];
+            let mut via = vec![CELL_INFINITY; nb * rb];
             for ri in 0..rb {
                 for d in 0..nb {
                     via[d * rb + ri] = via_rows[ri * nb + d];
@@ -549,7 +636,7 @@ impl<'a> Builder<'a> {
             // needed (x, y >= x) pair still lands in the block, since y >= x >= r0).
             let c_base = if symmetric { r0 } else { 0 };
             let out_stride = cols - c_base;
-            let mut out: Vec<Weight> = Vec::with_capacity(rb * out_stride);
+            let mut out: Vec<Cell> = Vec::with_capacity(rb * out_stride);
             for x in r0..r1 {
                 out.extend_from_slice(&mflat[x * cols + c_base..(x + 1) * cols]);
             }
@@ -560,7 +647,7 @@ impl<'a> Builder<'a> {
                     let mrow = &border_row_flat[d * cols + c0..d * cols + c1];
                     let via_d = &via[d * rb..(d + 1) * rb];
                     for (ri, &s) in via_d.iter().enumerate() {
-                        if s >= INFINITY {
+                        if s >= CELL_INFINITY {
                             continue;
                         }
                         let start = ri * out_stride + (c0 - c_base);
@@ -572,22 +659,14 @@ impl<'a> Builder<'a> {
             }
             (r0, c_base, out)
         });
-        let mut refined = DistanceMatrix::new(self.config.matrix_kind, rows, cols, INFINITY);
-        let mut full_row = vec![INFINITY; cols];
+        // Start from the pass-1 cells: columns below a block's aligned start were
+        // skipped by the triangle sweep and keep their pass-1 values until the mirror
+        // pass below overwrites them with the refined transposes.
+        let mut refined = mflat.to_vec();
         for (r0, c_base, block) in &refined_blocks {
-            let stride = cols - c_base;
-            for (ri, values) in block.chunks(stride).enumerate() {
-                if *c_base == 0 {
-                    refined.set_row(r0 + ri, values);
-                } else {
-                    // Columns below the block's aligned start were skipped by the
-                    // triangle sweep; seed them with the pass-1 values (the mirror
-                    // pass below overwrites them with the refined transposes).
-                    let x = r0 + ri;
-                    full_row[..*c_base].copy_from_slice(&mflat[x * cols..x * cols + c_base]);
-                    full_row[*c_base..].copy_from_slice(values);
-                    refined.set_row(x, &full_row);
-                }
+            for (ri, values) in block.chunks(cols - c_base).enumerate() {
+                let x = r0 + ri;
+                refined[x * cols + c_base..(x + 1) * cols].copy_from_slice(values);
             }
         }
         if symmetric {
@@ -596,16 +675,17 @@ impl<'a> Builder<'a> {
             // the whole triangle is cheap and keeps the invariant obvious.
             for x in 0..rows {
                 for y in 0..x {
-                    refined.set(x, y, refined.get(y, x));
+                    refined[x * cols + y] = refined[y * cols + x];
                 }
             }
         }
-        refined
+        debug_assert!(refined.iter().all(|&c| c <= CELL_INFINITY), "refined cell out of range");
+        DistanceMatrix::from_cells(rows, cols, refined.into())
     }
 
     /// Computes a leaf's (subgraph-restricted) border-to-vertex matrix: one
     /// multi-target Dijkstra per border, confined to the leaf's induced subgraph.
-    fn leaf_matrix(&self, i: usize) -> DistanceMatrix {
+    fn leaf_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
         let node = &self.nodes[i];
         let n_local = node.leaf_vertices.len();
         // The induced subgraph, straight from the global vertex→leaf/position arrays
@@ -619,12 +699,7 @@ impl<'a> Builder<'a> {
             }
         }
         let local = LocalGraph::from_edges(n_local, &edges);
-        let mut matrix =
-            DistanceMatrix::new(self.config.matrix_kind, node.borders.len(), n_local, INFINITY);
-        for (row, &pos) in node.own_border_positions.iter().enumerate() {
-            matrix.set_row(row, &local.sssp(pos));
-        }
-        matrix
+        matrix_from_rows(node.own_border_positions.iter().map(|&pos| local.sssp(pos)), n_local)
     }
 
     /// Composes an internal node's (subgraph-restricted) child-border-to-child-border
@@ -639,7 +714,7 @@ impl<'a> Builder<'a> {
     /// unchanged while its edge count falls from Θ(borders²) to near-linear on road
     /// networks. This is what keeps the upper-level compositions from dominating the
     /// build.
-    fn internal_matrix(&self, i: usize) -> DistanceMatrix {
+    fn internal_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
         let node = &self.nodes[i];
         let n_local = node.child_borders.len();
         let mut local_of: HashMap<NodeId, u32> = HashMap::with_capacity(n_local);
@@ -655,19 +730,11 @@ impl<'a> Builder<'a> {
             let nb = child.borders.len();
             // Flat border-to-border submatrix of the child (symmetric: the network is
             // undirected), so the redundancy scan below runs on contiguous rows.
-            let mut sub: Vec<Weight> = Vec::with_capacity(nb * nb);
+            let mut sub: Vec<Cell> = Vec::with_capacity(nb * nb);
             for a in 0..nb {
-                for b in 0..nb {
-                    let d = if child.is_leaf() {
-                        child.matrix.get(a, child.own_border_positions[b] as usize)
-                    } else {
-                        child.matrix.get(
-                            child.own_border_positions[a] as usize,
-                            child.own_border_positions[b] as usize,
-                        )
-                    };
-                    sub.push(d);
-                }
+                let row = if child.is_leaf() { a } else { child.own_border_positions[a] as usize };
+                let row = child.matrix.row(row);
+                sub.extend(child.own_border_positions.iter().map(|&b| row[b as usize]));
             }
             // Witness scan order: nearest borders of `a` first. A clique edge's
             // witness, when one exists, is almost always a border close to an
@@ -687,7 +754,7 @@ impl<'a> Builder<'a> {
                 let nearest = &by_distance[a * nb..(a + 1) * nb];
                 for b in (a + 1)..nb {
                     let d = row_a[b];
-                    if d >= INFINITY {
+                    if d >= CELL_INFINITY {
                         continue;
                     }
                     let row_b = &sub[b * nb..(b + 1) * nb];
@@ -704,8 +771,8 @@ impl<'a> Builder<'a> {
                         }
                     }
                     if !redundant {
-                        edges.push(((base + a) as u32, (base + b) as u32, d));
-                        edges.push(((base + b) as u32, (base + a) as u32, d));
+                        edges.push(((base + a) as u32, (base + b) as u32, d as Weight));
+                        edges.push(((base + b) as u32, (base + a) as u32, d as Weight));
                     }
                 }
             }
@@ -734,17 +801,14 @@ impl<'a> Builder<'a> {
             1
         };
         let dists = parallel_map(&rows, threads, |row| local.sssp(row));
-        let mut matrix = DistanceMatrix::new(self.config.matrix_kind, n_local, n_local, INFINITY);
-        for (row, dist) in dists.iter().enumerate() {
-            matrix.set_row(row, dist);
-        }
-        matrix
+        matrix_from_rows(dists.into_iter(), n_local)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distmatrix::widen;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
@@ -823,7 +887,7 @@ mod tests {
             for (row, &b) in node.borders.iter().enumerate().take(3) {
                 for (col, &v) in node.leaf_vertices.iter().enumerate().step_by(7) {
                     assert_eq!(
-                        node.matrix.get(row, col),
+                        widen(node.matrix.get(row, col)),
                         dijkstra::distance(&g, b, v),
                         "leaf matrix {b}->{v}"
                     );
@@ -840,7 +904,7 @@ mod tests {
             for i in (0..cb.len()).step_by(5) {
                 for j in (0..cb.len()).step_by(7) {
                     assert_eq!(
-                        node.matrix.get(i, j),
+                        widen(node.matrix.get(i, j)),
                         dijkstra::distance(&g, cb[i], cb[j]),
                         "matrix {}->{}",
                         cb[i],
@@ -891,15 +955,7 @@ mod tests {
                 assert_eq!(a.borders, b.borders);
                 assert_eq!(a.matrix.rows(), b.matrix.rows());
                 assert_eq!(a.matrix.cols(), b.matrix.cols());
-                for r in 0..a.matrix.rows() {
-                    for c in 0..a.matrix.cols() {
-                        assert_eq!(
-                            a.matrix.get(r, c),
-                            b.matrix.get(r, c),
-                            "cell ({r},{c}) under {config:?}"
-                        );
-                    }
-                }
+                assert_eq!(a.matrix.cells(), b.matrix.cells(), "cells under {config:?}");
             }
         }
     }
@@ -917,14 +973,14 @@ mod tests {
                 for (row, &b) in node.borders.iter().enumerate() {
                     let truth = dijkstra::single_source(&g, b);
                     for (col, &v) in node.leaf_vertices.iter().enumerate() {
-                        assert_eq!(node.matrix.get(row, col), truth[v as usize], "{b}->{v}");
+                        assert_eq!(widen(node.matrix.get(row, col)), truth[v as usize], "{b}->{v}");
                     }
                 }
             } else {
                 for (row, &a) in node.child_borders.iter().enumerate() {
                     let truth = dijkstra::single_source(&g, a);
                     for (col, &b) in node.child_borders.iter().enumerate() {
-                        assert_eq!(node.matrix.get(row, col), truth[b as usize], "{a}->{b}");
+                        assert_eq!(widen(node.matrix.get(row, col)), truth[b as usize], "{a}->{b}");
                     }
                 }
             }

@@ -2,37 +2,36 @@
 //! and the query-side materialization sweep.
 //!
 //! The innermost operation of both sweeps is `out[i] = min(out[i], s + addend[i])`
-//! over equal-length `u64` slices. `Weight` is `u64`, and baseline x86-64 has no
-//! unsigned 64-bit vector min, so the autovectorizer leaves this loop scalar
-//! (measured: leaf refinement alone took ~16s of a 250k build before PR 4). Both
-//! operands are at most `2 × INFINITY < 2^63`, so signed and unsigned comparison
-//! agree, and explicit AVX-512F (`vpminuq`) or AVX2 (`vpcmpgtq` + blend) kernels —
-//! selected once per process — recover the ~8× data-parallel throughput the
-//! build-side tiling was designed around. The scalar fallback keeps every other
-//! architecture (and Miri) correct.
+//! over equal-length slices of 32-bit distance cells ([`Cell`]). Both sweeps are
+//! bandwidth-bound (a query streams its matrix rows once, out of a pool far larger
+//! than L2), so the kernel's job is to keep up with memory at the narrowest cell
+//! that holds every distance: `vpminud` is a native unsigned min on both vector
+//! tiers — 16 lanes per instruction under AVX-512F, 8 under AVX2 — and the scalar
+//! loop keeps every other architecture (and Miri) correct.
 //!
-//! Contract shared by every tier: `s < INFINITY`, every `addend[i] <= INFINITY`,
-//! every `out[i] <= INFINITY` on entry, so all sums stay below `2^63` (no overflow,
-//! and the signed SIMD compares are exact). `addend` entries equal to `INFINITY`
-//! need no special casing: `s + INFINITY >= INFINITY >= out[i]`, so the min never
-//! lets an unreachable cell improve a result, and `out` entries never exceed
-//! `INFINITY` on exit.
+//! Contract shared by every tier: `s < CELL_INFINITY`, every `addend[i] <=
+//! CELL_INFINITY`, every `out[i] <= CELL_INFINITY` on entry. The sentinel is
+//! `u32::MAX / 2`, so the largest legal sum is `2^32 − 3` and `s + addend[i]`
+//! never wraps. `addend` entries equal to the sentinel need no special casing:
+//! `s + CELL_INFINITY >= CELL_INFINITY >= out[i]`, so the min never lets an
+//! unreachable cell improve a result, and `out` entries never exceed the sentinel
+//! on exit.
 //!
 //! Dispatch is decided once (and cached) from CPU feature detection;
 //! [`min_plus_into_tier`] bypasses the cache for the cross-tier equivalence tests.
 
 use std::sync::OnceLock;
 
-use rnknn_graph::Weight;
+use crate::distmatrix::Cell;
 
 /// One dispatch tier of the min-plus kernel, ordered weakest to strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelTier {
     /// Portable scalar loop (every architecture, and the whole story under Miri).
     Scalar,
-    /// AVX2: 4 lanes via `vpcmpgtq` + byte blend.
+    /// AVX2: 8 lanes of `vpminud`.
     Avx2,
-    /// AVX-512F: 8 lanes via `vpminuq`.
+    /// AVX-512F: 16 lanes of `vpminud`.
     Avx512,
 }
 
@@ -62,7 +61,7 @@ pub fn active_tier() -> KernelTier {
 /// `out[i] = min(out[i], s + addend[i])` over equal-length slices, dispatched to
 /// the process-wide [`active_tier`]. See the module docs for the value contract.
 #[inline]
-pub fn min_plus_into(out: &mut [Weight], s: Weight, addend: &[Weight]) {
+pub fn min_plus_into(out: &mut [Cell], s: Cell, addend: &[Cell]) {
     min_plus_into_tier(active_tier(), out, s, addend)
 }
 
@@ -70,7 +69,7 @@ pub fn min_plus_into(out: &mut [Weight], s: Weight, addend: &[Weight]) {
 /// [`active_tier`]'s detection cap unless they have verified CPU support
 /// themselves (the equivalence tests iterate `0..=detected`).
 #[inline]
-pub fn min_plus_into_tier(tier: KernelTier, out: &mut [Weight], s: Weight, addend: &[Weight]) {
+pub fn min_plus_into_tier(tier: KernelTier, out: &mut [Cell], s: Cell, addend: &[Cell]) {
     match tier {
         KernelTier::Scalar => min_plus_into_scalar(out, s, addend),
         #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -86,7 +85,7 @@ pub fn min_plus_into_tier(tier: KernelTier, out: &mut [Weight], s: Weight, adden
 }
 
 #[inline]
-fn min_plus_into_scalar(out: &mut [Weight], s: Weight, addend: &[Weight]) {
+fn min_plus_into_scalar(out: &mut [Cell], s: Cell, addend: &[Cell]) {
     for (o, &md) in out.iter_mut().zip(addend) {
         let v = s + md;
         if v < *o {
@@ -95,7 +94,7 @@ fn min_plus_into_scalar(out: &mut [Weight], s: Weight, addend: &[Weight]) {
     }
 }
 
-/// AVX-512F kernel for [`min_plus_into`] (`vpminuq` over 8 lanes).
+/// AVX-512F kernel for [`min_plus_into`] (`vpminud` over 16 lanes).
 ///
 /// # Safety
 ///
@@ -103,53 +102,50 @@ fn min_plus_into_scalar(out: &mut [Weight], s: Weight, addend: &[Weight]) {
 /// `is_x86_feature_detected!` check).
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-unsafe fn min_plus_into_avx512(out: &mut [Weight], s: Weight, addend: &[Weight]) {
+unsafe fn min_plus_into_avx512(out: &mut [Cell], s: Cell, addend: &[Cell]) {
     use std::arch::x86_64::*;
     let n = out.len().min(addend.len());
-    let sv = _mm512_set1_epi64(s as i64);
+    let sv = _mm512_set1_epi32(s as i32);
+    let mut i = 0;
+    while i + 16 <= n {
+        // SAFETY: `i + 16 <= n <=` both slices' lengths, so the 16-lane reads
+        // and the write stay in bounds; `loadu`/`storeu` require no alignment.
+        unsafe {
+            let a = _mm512_loadu_si512(addend.as_ptr().add(i) as *const _);
+            let o = _mm512_loadu_si512(out.as_ptr().add(i) as *const _);
+            let v = _mm512_add_epi32(a, sv);
+            let m = _mm512_min_epu32(v, o);
+            _mm512_storeu_si512(out.as_mut_ptr().add(i) as *mut _, m);
+        }
+        i += 16;
+    }
+    min_plus_into_scalar(&mut out[i..n], s, &addend[i..n]);
+}
+
+/// AVX2 kernel for [`min_plus_into`] (`vpminud` over 8 lanes).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (guaranteed by the caller's runtime
+/// `is_x86_feature_detected!` check).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn min_plus_into_avx2(out: &mut [Cell], s: Cell, addend: &[Cell]) {
+    use std::arch::x86_64::*;
+    let n = out.len().min(addend.len());
+    let sv = _mm256_set1_epi32(s as i32);
     let mut i = 0;
     while i + 8 <= n {
         // SAFETY: `i + 8 <= n <=` both slices' lengths, so the 8-lane reads
         // and the write stay in bounds; `loadu`/`storeu` require no alignment.
         unsafe {
-            let a = _mm512_loadu_si512(addend.as_ptr().add(i) as *const _);
-            let o = _mm512_loadu_si512(out.as_ptr().add(i) as *const _);
-            let v = _mm512_add_epi64(a, sv);
-            let m = _mm512_min_epu64(v, o);
-            _mm512_storeu_si512(out.as_mut_ptr().add(i) as *mut _, m);
-        }
-        i += 8;
-    }
-    min_plus_into_scalar(&mut out[i..n], s, &addend[i..n]);
-}
-
-/// AVX2 kernel for [`min_plus_into`] (`vpcmpgtq` + blend over 4 lanes).
-///
-/// # Safety
-///
-/// The CPU must support AVX2 (guaranteed by the caller's runtime
-/// `is_x86_feature_detected!` check). Values stay below `2^63`
-/// (`2 × INFINITY`), so the signed `vpcmpgtq` compare is exact.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-unsafe fn min_plus_into_avx2(out: &mut [Weight], s: Weight, addend: &[Weight]) {
-    use std::arch::x86_64::*;
-    let n = out.len().min(addend.len());
-    let sv = _mm256_set1_epi64x(s as i64);
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: `i + 4 <= n <=` both slices' lengths, so the 4-lane reads
-        // and the write stay in bounds; `loadu`/`storeu` require no alignment.
-        unsafe {
             let a = _mm256_loadu_si256(addend.as_ptr().add(i) as *const _);
             let o = _mm256_loadu_si256(out.as_ptr().add(i) as *const _);
-            let v = _mm256_add_epi64(a, sv);
-            // m = o > v ? v : o  (signed compare is exact below 2^63).
-            let gt = _mm256_cmpgt_epi64(o, v);
-            let m = _mm256_blendv_epi8(o, v, gt);
+            let v = _mm256_add_epi32(a, sv);
+            let m = _mm256_min_epu32(v, o);
             _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut _, m);
         }
-        i += 4;
+        i += 8;
     }
     min_plus_into_scalar(&mut out[i..n], s, &addend[i..n]);
 }
@@ -157,7 +153,7 @@ unsafe fn min_plus_into_avx2(out: &mut [Weight], s: Weight, addend: &[Weight]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnknn_graph::INFINITY;
+    use crate::distmatrix::CELL_INFINITY;
 
     /// xorshift64* — deterministic, dependency-free test randomness.
     struct Rng(u64);
@@ -170,6 +166,10 @@ mod tests {
             self.0 = x;
             x.wrapping_mul(0x2545_f491_4f6c_dd1d)
         }
+
+        fn below(&mut self, bound: Cell) -> Cell {
+            (self.next() % bound as u64) as Cell
+        }
     }
 
     /// Every tier the current process can actually execute.
@@ -181,33 +181,40 @@ mod tests {
             .collect()
     }
 
-    /// A weight that exercises the interesting ranges: small distances, values
-    /// near `INFINITY`, and exactly `INFINITY` (saturation).
-    fn random_weight(rng: &mut Rng) -> Weight {
+    /// A cell that exercises the interesting ranges: small distances, values
+    /// near the sentinel, and exactly the sentinel (saturation).
+    fn random_cell(rng: &mut Rng) -> Cell {
         match rng.next() % 4 {
-            0 => rng.next() % 1000,
-            1 => rng.next() % INFINITY,
-            2 => INFINITY - (rng.next() % 1000),
-            _ => INFINITY,
+            0 => rng.below(1000),
+            1 => rng.below(CELL_INFINITY),
+            2 => CELL_INFINITY - rng.below(1000),
+            _ => CELL_INFINITY,
         }
     }
 
     #[test]
     fn all_available_tiers_match_scalar_exactly() {
-        // Seeded equivalence fuzz: random values (including INFINITY saturation),
-        // lengths straddling the 4- and 8-lane boundaries, and unaligned starting
-        // offsets so the vector loops hit every `loadu` alignment.
+        // Seeded equivalence fuzz: random values (including sentinel saturation),
+        // lengths straddling the 8- and 16-lane boundaries, and every starting
+        // offset within a 16-lane vector so the loops hit every `loadu` alignment.
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
         let tiers = available_tiers();
         assert!(tiers.contains(&KernelTier::Scalar));
-        for case in 0..200 {
+        for case in 0..400 {
             let len = (rng.next() % 131) as usize;
-            let offset = (rng.next() % 8) as usize;
-            let s = if case % 5 == 0 { 0 } else { rng.next() % INFINITY };
-            let addend: Vec<Weight> = (0..offset + len).map(|_| random_weight(&mut rng)).collect();
-            let out0: Vec<Weight> = (0..offset + len).map(|_| random_weight(&mut rng)).collect();
+            let offset = case % 16;
+            let s = match case % 5 {
+                0 => 0,
+                1 => CELL_INFINITY - 1,
+                _ => rng.below(CELL_INFINITY),
+            };
+            let addend: Vec<Cell> = (0..offset + len).map(|_| random_cell(&mut rng)).collect();
+            let out0: Vec<Cell> = (0..offset + len).map(|_| random_cell(&mut rng)).collect();
             let mut want = out0.clone();
-            min_plus_into_scalar(&mut want[offset..], s, &addend[offset..]);
+            for (o, &a) in want[offset..].iter_mut().zip(&addend[offset..]) {
+                // The reference in 64 bits, where nothing can wrap.
+                *o = (*o as u64).min(s as u64 + a as u64) as Cell;
+            }
             for &tier in &tiers {
                 let mut got = out0.clone();
                 min_plus_into_tier(tier, &mut got[offset..], s, &addend[offset..]);
@@ -218,25 +225,34 @@ mod tests {
 
     #[test]
     fn infinity_addend_never_improves_and_results_stay_clamped() {
-        let tiers = available_tiers();
-        for &tier in &tiers {
-            let mut out = vec![INFINITY; 9];
-            let addend = vec![INFINITY; 9];
-            min_plus_into_tier(tier, &mut out, 7, &addend);
-            assert!(out.iter().all(|&v| v == INFINITY), "tier {tier:?}");
-            let mut out = vec![5, INFINITY, 0, INFINITY, 42, INFINITY, 1, INFINITY, 3];
-            let addend = vec![INFINITY, 10, INFINITY, 0, INFINITY, INFINITY, INFINITY, 2, 1];
+        const INF: Cell = CELL_INFINITY;
+        for &tier in &available_tiers() {
+            // 17 and 33 cells: one past the 16-lane body and one past two of them.
+            for len in [9, 17, 33] {
+                let mut out = vec![INF; len];
+                min_plus_into_tier(tier, &mut out, 7, &vec![INF; len]);
+                assert!(out.iter().all(|&v| v == INF), "tier {tier:?} len {len}");
+                // The largest legal sum, 2^32 − 3, must not wrap into a small value.
+                let mut out = vec![INF; len];
+                min_plus_into_tier(tier, &mut out, INF - 1, &vec![INF; len]);
+                assert!(out.iter().all(|&v| v == INF), "tier {tier:?} len {len} wrapped");
+                let mut out = vec![INF - 1; len];
+                min_plus_into_tier(tier, &mut out, INF - 1, &vec![INF - 1; len]);
+                assert!(out.iter().all(|&v| v == INF - 1), "tier {tier:?} len {len} wrapped");
+            }
+            let mut out = vec![5, INF, 0, INF, 42, INF, 1, INF, 3];
+            let addend = vec![INF, 10, INF, 0, INF, INF, INF, 2, 1];
             min_plus_into_tier(tier, &mut out, 3, &addend);
-            assert_eq!(out, vec![5, 13, 0, 3, 42, INFINITY, 1, 5, 3], "tier {tier:?}");
+            assert_eq!(out, vec![5, 13, 0, 3, 42, INF, 1, 5, 3], "tier {tier:?}");
         }
     }
 
     #[test]
     fn empty_and_sub_lane_lengths() {
         for &tier in &available_tiers() {
-            let mut out: Vec<Weight> = vec![];
+            let mut out: Vec<Cell> = vec![];
             min_plus_into_tier(tier, &mut out, 1, &[]);
-            for len in 1..=7usize {
+            for len in 1..=15usize {
                 let mut out = vec![100; len];
                 let addend = vec![1; len];
                 min_plus_into_tier(tier, &mut out, 10, &addend);

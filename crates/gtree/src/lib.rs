@@ -6,9 +6,10 @@
 //! * [`Gtree`] — the index: a recursive partitioning of the road network (fanout `f`,
 //!   leaf capacity `τ`), border sets per node, and per-node distance matrices stored as
 //!   flat 1-D arrays grouped by child (the cache-friendly layout of Section 6.1).
-//! * [`DistanceMatrix`] / [`MatrixKind`] — the three distance-matrix implementations the
-//!   paper compares in Figure 6 and Table 3 (1-D array, chained hashing, quadratic
-//!   probing), with a pure probe-length function standing in for hardware cache profiling.
+//! * [`DistanceMatrix`] — the one matrix layout: a bare row-major arena of 32-bit
+//!   [`Cell`]s (the hashed layouts of the paper's Figure 6 / Table 3 live in
+//!   `experiments fig6 table3`, filled from these cells). A graph whose distances do
+//!   not fit the cell range is refused at build time ([`GtreeBuildError`]).
 //! * [`OccurrenceList`] — the decoupled object index (Section 3.5).
 //! * [`GtreeSearch`] — materialized distance assembly, the kNN algorithm with the
 //!   improved leaf search of Appendix A.2.1 (the original leaf search is kept for the
@@ -35,8 +36,8 @@ pub mod persist;
 mod search;
 mod tree;
 
-pub use build::GtreeConfig;
-pub use distmatrix::{DistanceMatrix, MatrixKind};
+pub use build::{GtreeBuildError, GtreeConfig};
+pub use distmatrix::{narrow, widen, Cell, DistanceMatrix, CELL_INFINITY};
 pub use occurrence::OccurrenceList;
 pub use search::{GtreeDistanceOracle, GtreeSearch, GtreeSearchStats, LeafSearchMode};
 pub use tree::{Gtree, GtreeNode, NodeIndex};

@@ -2,17 +2,13 @@
 //!
 //! Layout strategy: the G-tree splits into *topology* (parents, children,
 //! border lists, vertex↔leaf maps — a few MB even at 580k vertices) and the
-//! *distance-matrix arena* (~1 GB at 580k). Topology is persisted as
+//! *distance-matrix arena* (~0.5 GB at 580k). Topology is persisted as
 //! concatenated per-node arrays with `u64` offset tables and copied into owned
 //! `Vec`s on load, leaving [`GtreeNode`] unchanged for every consumer. The
-//! matrices are streamed into **one contiguous `u64` arena section** addressed
-//! by a per-node offset table; on load each node's matrix becomes an O(1)
-//! zero-copy [`PVec`] sub-view of the mapped arena — this is what makes the
-//! sub-200ms cold start possible.
-//!
-//! Only [`MatrixKind::Array`] trees are persistable; the hash-table layouts
-//! exist for the paper's Figure 6 ablation and saving one is refused with a
-//! typed [`PersistError::Unsupported`].
+//! matrices are streamed into **one contiguous arena section of 4-byte cells**
+//! addressed by a per-node offset table; on load each node's matrix becomes an
+//! O(1) zero-copy [`PVec`] sub-view of the mapped arena — this is what makes
+//! the cold start checksum-bound instead of copy-bound.
 //!
 //! Structural validation on load covers every value the search code uses as
 //! an index: tree shape (root/parent/child mutual consistency, depth
@@ -22,7 +18,7 @@
 //! are covered by the arena checksum.
 
 use crate::build::GtreeConfig;
-use crate::distmatrix::{DistanceMatrix, MatrixKind};
+use crate::distmatrix::DistanceMatrix;
 use crate::tree::{Gtree, GtreeNode, NodeIndex};
 use rnknn_graph::NodeId;
 use rnknn_persist::{
@@ -60,9 +56,9 @@ pub const TAG_CB_INNER_OFF_OFF: Tag = Tag::new(b"GT.CBIF\0");
 pub const TAG_OWN_BORDER_POS: Tag = Tag::new(b"GT.OBPO\0");
 /// Own-border-position offsets (`u64`).
 pub const TAG_OWN_BORDER_POS_OFF: Tag = Tag::new(b"GT.OBOF\0");
-/// Matrix arena offsets (`u64`, `num_nodes + 1`, in `u64` cells).
+/// Matrix arena offsets (`u64`, `num_nodes + 1`, in cells).
 pub const TAG_MATRIX_OFF: Tag = Tag::new(b"GT.MXOF\0");
-/// The single contiguous matrix arena (`u64` cells, row-major per node).
+/// The single contiguous matrix arena (`u32` cells, row-major per node).
 pub const TAG_ARENA: Tag = Tag::new(b"GT.ARNA\0");
 /// Leaf node of every road-network vertex (`u32`).
 pub const TAG_LEAF_OF_VERTEX: Tag = Tag::new(b"GT.LEAF\0");
@@ -72,14 +68,6 @@ pub const TAG_VERTEX_POSITION: Tag = Tag::new(b"GT.VPOS\0");
 const NODE_RECORD_WORDS: usize = 6;
 const NO_PARENT: u32 = u32::MAX;
 
-fn matrix_kind_code(kind: MatrixKind) -> u64 {
-    match kind {
-        MatrixKind::Array => 0,
-        MatrixKind::ChainedHashing => 1,
-        MatrixKind::QuadraticProbing => 2,
-    }
-}
-
 impl GtreeConfig {
     /// A stable fingerprint over every field that influences the *built tree*.
     ///
@@ -87,14 +75,13 @@ impl GtreeConfig {
     /// deterministic regardless of the worker count (a documented invariant,
     /// tested by `build_determinism`), so an artifact built with 8 threads is
     /// byte-identical to one built with 1 and must load under either setting.
-    /// Everything else — fanout, leaf capacity, matrix layout, refinement —
-    /// changes the tree and therefore the fingerprint.
+    /// Everything else — fanout, leaf capacity, refinement — changes the tree
+    /// and therefore the fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.push_str("GtreeConfig")
             .push_usize(self.fanout)
             .push_usize(self.leaf_capacity)
-            .push_u64(matrix_kind_code(self.matrix_kind))
             .push_bool(self.exact_refinement);
         fp.finish()
     }
@@ -103,7 +90,6 @@ impl GtreeConfig {
 fn write_meta_config(meta: &mut MetaWriter, config: &GtreeConfig) {
     meta.usize(config.fanout)
         .usize(config.leaf_capacity)
-        .u64(matrix_kind_code(config.matrix_kind))
         .bool(config.exact_refinement)
         .usize(config.build_threads);
 }
@@ -111,18 +97,9 @@ fn write_meta_config(meta: &mut MetaWriter, config: &GtreeConfig) {
 fn read_meta_config(meta: &mut MetaReader<'_>) -> Result<GtreeConfig, PersistError> {
     let fanout = meta.usize()?;
     let leaf_capacity = meta.usize()?;
-    let matrix_kind = match meta.u64()? {
-        0 => MatrixKind::Array,
-        v => {
-            return Err(PersistError::corrupt(
-                "GT.META",
-                format!("persisted G-tree has non-array matrix kind code {v}"),
-            ))
-        }
-    };
     let exact_refinement = meta.bool()?;
     let build_threads = meta.usize()?;
-    Ok(GtreeConfig { fanout, leaf_capacity, matrix_kind, exact_refinement, build_threads })
+    Ok(GtreeConfig { fanout, leaf_capacity, exact_refinement, build_threads })
 }
 
 /// Writes a concatenated per-node `u32` array family: one offsets section
@@ -186,27 +163,11 @@ fn read_concat(
 }
 
 /// Writes the G-tree's sections into an open artifact.
-///
-/// Refuses trees with hash-table matrix layouts (`Unsupported`): the array
-/// layout is the only production layout and the only one with a flat cell
-/// image to persist.
 pub fn save_gtree<W: Write + Seek>(
     gtree: &Gtree,
     writer: &mut ArtifactWriter<W>,
 ) -> Result<(), PersistError> {
     let nodes = gtree.nodes();
-    for (i, n) in nodes.iter().enumerate() {
-        if n.matrix.kind() != MatrixKind::Array {
-            return Err(PersistError::Unsupported {
-                detail: format!(
-                    "cannot persist a G-tree with {} matrices (node {i}); only the Array \
-                     layout is persistable — rebuild with MatrixKind::Array",
-                    n.matrix.kind().name()
-                ),
-            });
-        }
-    }
-
     let mut meta = MetaWriter::new();
     write_meta_config(&mut meta, gtree.config());
     meta.u64(gtree.config().fingerprint())
@@ -243,7 +204,7 @@ pub fn save_gtree<W: Write + Seek>(
         &n.own_border_positions
     })?;
 
-    // Matrix arena: offsets in u64 cells, then one contiguous section streamed
+    // Matrix arena: offsets in cells, then one contiguous section streamed
     // node by node (no intermediate concatenated copy is ever materialised).
     let mut arena_offsets = Vec::with_capacity(nodes.len() + 1);
     let mut total_cells = 0u64;
@@ -257,8 +218,7 @@ pub fn save_gtree<W: Write + Seek>(
     writer.end_section()?;
     writer.begin_section(TAG_ARENA)?;
     for n in nodes {
-        let cells = n.matrix.array_data().expect("checked Array above");
-        writer.write_u64s(cells)?;
+        writer.write_u32s(n.matrix.cells())?;
     }
     writer.end_section()?;
 
@@ -348,7 +308,7 @@ pub fn load_gtree(
         read_concat(artifact, TAG_OWN_BORDER_POS, TAG_OWN_BORDER_POS_OFF, num_nodes)?;
 
     let arena_offsets = artifact.u64s(TAG_MATRIX_OFF)?;
-    let arena = artifact.u64s(TAG_ARENA)?;
+    let arena = artifact.u32s(TAG_ARENA)?;
     if arena_offsets.len() != num_nodes + 1 {
         return Err(PersistError::corrupt(
             "GT.MXOF",
@@ -415,7 +375,7 @@ pub fn load_gtree(
             child_borders: cb,
             child_border_offsets: cbi,
             own_border_positions: obp,
-            matrix: DistanceMatrix::from_array_parts(rows, cols, PVec::from_view(view)),
+            matrix: DistanceMatrix::from_cells(rows, cols, PVec::from_view(view)),
             leaf_range: (rec[2], rec[3]),
             depth: rec[1],
         });
@@ -638,8 +598,9 @@ mod tests {
             assert_eq!(a.depth, b.depth);
             assert_eq!(a.matrix.rows(), b.matrix.rows());
             assert_eq!(a.matrix.cols(), b.matrix.cols());
-            // Cell-for-cell arena comparison.
-            assert_eq!(a.matrix.array_data(), b.matrix.array_data());
+            // Cell-for-cell arena comparison, the loaded side still a view.
+            assert_eq!(a.matrix.cells(), b.matrix.cells());
+            assert!(a.matrix.is_view() && !b.matrix.is_view());
         }
         for v in 0..graph.num_vertices() as NodeId {
             assert_eq!(loaded.leaf_of(v), gtree.leaf_of(v));
@@ -658,25 +619,6 @@ mod tests {
         assert!(load_gtree(&art, graph.num_vertices(), None).is_ok());
     }
 
-    #[test]
-    fn hash_layout_trees_are_refused() {
-        let graph =
-            RoadNetwork::generate(&GeneratorConfig::new(100, 5)).graph(EdgeWeightKind::Distance);
-        let config = GtreeConfig {
-            leaf_capacity: 32,
-            matrix_kind: MatrixKind::ChainedHashing,
-            ..GtreeConfig::default()
-        };
-        let gtree = Gtree::build_with_config(&graph, config);
-        let mut w = ArtifactWriter::new(Cursor::new(Vec::new())).unwrap();
-        match save_gtree(&gtree, &mut w) {
-            Err(PersistError::Unsupported { detail }) => {
-                assert!(detail.contains("Array"), "actionable message: {detail}")
-            }
-            other => panic!("expected Unsupported, got {other:?}"),
-        }
-    }
-
     /// Locks the fingerprint inputs. `build_threads` must NOT change the
     /// fingerprint (construction is deterministic across thread counts);
     /// every other field must.
@@ -691,7 +633,6 @@ mod tests {
         let variants: Vec<GtreeConfig> = vec![
             GtreeConfig { fanout: 5, ..GtreeConfig::default() },
             GtreeConfig { leaf_capacity: 129, ..GtreeConfig::default() },
-            GtreeConfig { matrix_kind: MatrixKind::ChainedHashing, ..GtreeConfig::default() },
             GtreeConfig { exact_refinement: false, ..GtreeConfig::default() },
         ];
         let mut seen = vec![base];

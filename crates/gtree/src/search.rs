@@ -20,11 +20,13 @@
 //! * **SIMD min-plus assembly** — the row-major sweep `dist[b] = min(dist[b],
 //!   src[a] + M[a][b])` over the contiguous matrix arena dispatches to the shared
 //!   [`crate::kernel`] min-plus kernels (AVX-512F/AVX2, scalar under Miri and off
-//!   x86-64), the same code the build-side refinement sweep runs.
+//!   x86-64), the same code the build-side refinement sweep runs. Border rows are
+//!   32-bit cells like the matrices they are swept against; a distance widens to
+//!   `Weight` (sentinel → [`INFINITY`]) where it becomes a queue key or a result.
 //! * **Bound-pruned materialization** — once the kNN search holds `k` candidate
 //!   distances, their maximum `B` upper-bounds the final answer: source borders
 //!   whose distance exceeds `B` are skipped, materialized entries above `B` are
-//!   clamped to [`INFINITY`], and whole nodes whose best entry distance exceeds
+//!   clamped to "unreachable", and whole nodes whose best entry distance exceeds
 //!   `B` are never enqueued. Every value `<= B` stays exact (an inflated value is
 //!   always `> B`), so results are unchanged; rows remember the bound they were
 //!   materialized under and are recomputed when a later caller needs them exact
@@ -35,14 +37,14 @@
 //! row emptied-but-marked-valid: the interrupted node's stamp is simply never
 //! set, and the next query rematerializes it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{self, RefCell};
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_pathfinding::budget::{QueryBudget, UNLIMITED};
 use rnknn_pathfinding::heap::MinHeap;
 use rnknn_pathfinding::scratch::{SearchScratch, Stamped};
 
-use crate::distmatrix::MatrixKind;
+use crate::distmatrix::{narrow_bound, widen, Cell, CELL_INFINITY};
 use crate::kernel;
 use crate::occurrence::OccurrenceList;
 use crate::tree::{Gtree, NodeIndex};
@@ -77,12 +79,12 @@ thread_local! {
 #[derive(Debug, Default)]
 struct SearchStore {
     /// Per G-tree node: distances from the source to the node's borders.
-    rows: Vec<Vec<Weight>>,
+    rows: Vec<Vec<Cell>>,
     /// Per row materialized this search: the kNN bound it was materialized under
-    /// ([`INFINITY`] = exact). Entries above the bound were clamped, so a later
+    /// ([`CELL_INFINITY`] = exact). Entries above the bound were clamped, so a later
     /// caller that needs the row under a looser bound must rematerialize it; see
     /// [`GtreeSearch::ensure_border_distances`].
-    row_bound: Stamped<Weight>,
+    row_bound: Stamped<Cell>,
     /// Within-leaf distances from the source to every vertex of its own leaf.
     same_leaf: Vec<Weight>,
     /// True once `same_leaf` was filled this search.
@@ -92,7 +94,7 @@ struct SearchStore {
     /// Full-matrix-width scratch for the climb-case SIMD sweep (the node's own
     /// borders sit at scattered columns; sweeping the whole contiguous row into
     /// this buffer and gathering afterwards beats a strided per-column walk).
-    wide: Vec<Weight>,
+    wide: Vec<Cell>,
     /// The `min(k, discovered)` smallest candidate distances seen by the current
     /// kNN query, sorted ascending. Full at `k` entries, its maximum is the
     /// pruning bound `B` (see the module docs).
@@ -118,14 +120,14 @@ thread_local! {
     /// One pooled [`SearchStore`] per thread: `GtreeSearch::new` takes it,
     /// `Drop` puts it back (keeping the larger of the two on collisions), so
     /// back-to-back searches on a thread reuse all materialization buffers.
-    static STORE_POOL: Cell<Option<SearchStore>> = const { Cell::new(None) };
+    static STORE_POOL: cell::Cell<Option<SearchStore>> = const { cell::Cell::new(None) };
 }
 
 #[cfg(test)]
 thread_local! {
     /// Test-only fault injection: `Some(n)` makes the `n+1`-th materialization on
     /// this thread panic mid-assembly (see the panic-safety regression test).
-    static FAIL_MATERIALIZE_AFTER: Cell<Option<u32>> = const { Cell::new(None) };
+    static FAIL_MATERIALIZE_AFTER: cell::Cell<Option<u32>> = const { cell::Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -282,7 +284,6 @@ impl<'a> GtreeSearch<'a> {
             let via = self.via_border_distance(target_leaf, target, bound);
             return inside.min(via);
         }
-        self.ensure_border_distances(target_leaf, bound);
         self.via_border_distance(target_leaf, target, bound)
     }
 
@@ -290,6 +291,7 @@ impl<'a> GtreeSearch<'a> {
     /// Exact whenever the true via-border distance is `<= bound`; borders whose
     /// source distance already exceeds the bound are skipped.
     fn via_border_distance(&mut self, leaf: NodeIndex, target: NodeId, bound: Weight) -> Weight {
+        let bound = narrow_bound(bound);
         self.ensure_border_distances(leaf, bound);
         let gtree = self.gtree;
         let node = gtree.node(leaf);
@@ -298,13 +300,13 @@ impl<'a> GtreeSearch<'a> {
         let mut best = INFINITY;
         let mut combinations = 0u64;
         for (bi, &d) in dists.iter().enumerate() {
-            if d == INFINITY || d > bound {
+            if d == CELL_INFINITY || d > bound {
                 continue;
             }
             let m = node.matrix.get(bi, col);
             combinations += 1;
-            if m != INFINITY && d + m < best {
-                best = d + m;
+            if m != CELL_INFINITY {
+                best = best.min(d as Weight + m as Weight);
             }
         }
         self.stats.border_computations += combinations;
@@ -359,8 +361,8 @@ impl<'a> GtreeSearch<'a> {
     /// key for G-tree nodes) under a pruning bound: exact whenever the true minimum
     /// is `<= bound`, some value `> bound` otherwise.
     fn min_border_distance_bounded(&mut self, node: NodeIndex, bound: Weight) -> Weight {
-        self.ensure_border_distances(node, bound);
-        self.store.rows[node as usize].iter().copied().min().unwrap_or(INFINITY)
+        self.ensure_border_distances(node, narrow_bound(bound));
+        self.store.rows[node as usize].iter().copied().min().map_or(INFINITY, widen)
     }
 
     /// The current kNN pruning bound: the k-th smallest candidate distance
@@ -401,13 +403,13 @@ impl<'a> GtreeSearch<'a> {
     /// emptied-but-valid), so steady-state materialization performs no allocation.
     ///
     /// Under a finite `bound`, source borders beyond the bound are skipped and
-    /// entries that come out above it are clamped to [`INFINITY`]; the bound is
+    /// entries that come out above it are clamped to [`CELL_INFINITY`]; the bound is
     /// recorded in `row_bound` so a later request needing looser (or exact) values
     /// rematerializes the row.
-    fn ensure_border_distances(&mut self, t: NodeIndex, bound: Weight) {
+    fn ensure_border_distances(&mut self, t: NodeIndex, bound: Cell) {
         let ti = t as usize;
         if let Some(rb) = self.store.row_bound.get(ti) {
-            if rb == INFINITY || bound <= rb {
+            if rb == CELL_INFINITY || bound <= rb {
                 return;
             }
             // Materialized under a tighter bound than requested: recompute below.
@@ -430,7 +432,7 @@ impl<'a> GtreeSearch<'a> {
             out.clear();
             out.extend((0..nb).map(|row| node.matrix.get(row, col)));
             self.stats.matrix_cells += nb as u64;
-            row_bound = INFINITY;
+            row_bound = CELL_INFINITY;
         } else if gtree.is_ancestor_of(t, self.source_leaf) {
             // Climb: combine the child-on-the-path's border distances with this node's
             // matrix to reach this node's own borders.
@@ -448,57 +450,28 @@ impl<'a> GtreeSearch<'a> {
                 .rows
                 .get_disjoint_mut([ti, c as usize])
                 .expect("a node is distinct from its on-path child");
+            // The node's own borders sit at scattered matrix columns, so a
+            // direct sweep would be a per-column gather. Instead min-plus the
+            // full contiguous rows into the pooled full-width buffer with the
+            // SIMD kernel and gather the border positions once at the end —
+            // more cells touched than strictly needed, but contiguous, which
+            // wins for any realistic border density.
+            let width = node.matrix.cols();
+            wide.clear();
+            wide.resize(width, CELL_INFINITY);
+            let mut active = 0u64;
+            for (bi, &d) in src.iter().enumerate() {
+                if d == CELL_INFINITY || d > bound {
+                    continue;
+                }
+                active += 1;
+                kernel::min_plus_into(wide, d, node.matrix.row(base + bi));
+            }
             out.clear();
-            out.resize(nb, INFINITY);
-            if node.matrix.kind() == MatrixKind::Array {
-                // The node's own borders sit at scattered matrix columns, so a
-                // direct sweep would be a per-column gather. Instead min-plus the
-                // full contiguous rows into the pooled full-width buffer with the
-                // SIMD kernel and gather the border positions once at the end —
-                // more cells touched than strictly needed, but contiguous, which
-                // wins for any realistic border density.
-                let width = node.matrix.cols();
-                wide.clear();
-                wide.resize(width, INFINITY);
-                let mut active = 0u64;
-                for (bi, &d) in src.iter().enumerate() {
-                    if d == INFINITY || d > bound {
-                        continue;
-                    }
-                    active += 1;
-                    let row = node.matrix.row_slice(base + bi).expect("array layout");
-                    kernel::min_plus_into(wide, d, row);
-                }
-                for (out_x, &px) in out.iter_mut().zip(&node.own_border_positions) {
-                    *out_x = wide[px as usize];
-                }
-                stats.border_computations += active * nb as u64;
-                stats.matrix_cells += active * width as u64;
-            } else {
-                // Hash-table ablation layouts: per-cell gather, same arithmetic.
-                let mut active = 0u64;
-                for (bi, &d) in src.iter().enumerate() {
-                    if d == INFINITY || d > bound {
-                        continue;
-                    }
-                    active += 1;
-                    for (out_x, &px) in out.iter_mut().zip(&node.own_border_positions) {
-                        let m = node.matrix.get(base + bi, px as usize);
-                        if m != INFINITY && d + m < *out_x {
-                            *out_x = d + m;
-                        }
-                    }
-                }
-                stats.border_computations += active * nb as u64;
-                stats.matrix_cells += active * nb as u64;
-            }
-            if bound < INFINITY {
-                for o in out.iter_mut() {
-                    if *o > bound {
-                        *o = INFINITY;
-                    }
-                }
-            }
+            out.extend(node.own_border_positions.iter().map(|&px| wide[px as usize]));
+            stats.border_computations += active * nb as u64;
+            stats.matrix_cells += active * width as u64;
+            clamp_above(out, bound);
         } else {
             // Descend: this node hangs off the path; go through its parent's matrix.
             let node = gtree.node(t);
@@ -531,13 +504,13 @@ impl<'a> GtreeSearch<'a> {
                 .get_disjoint_mut([ti, src_node as usize])
                 .expect("the materialization source is a sibling or the parent, never t");
             out.clear();
-            out.resize(nb, INFINITY);
+            out.resize(nb, CELL_INFINITY);
             // The target's borders occupy the contiguous parent-matrix columns
             // `t_base..t_base+nb`, so each surviving source border contributes
             // one contiguous row segment — a pure SIMD min-plus row sweep.
             let mut active = 0u64;
             for (si, &d) in src.iter().enumerate() {
-                if d == INFINITY || d > bound {
+                if d == CELL_INFINITY || d > bound {
                     continue;
                 }
                 active += 1;
@@ -545,29 +518,11 @@ impl<'a> GtreeSearch<'a> {
                     Some(sb) => sb + si,
                     None => pnode.own_border_positions[si] as usize,
                 };
-                match pnode.matrix.row_slice(pos) {
-                    Some(row) => {
-                        kernel::min_plus_into(out, d, &row[t_base..t_base + nb]);
-                    }
-                    None => {
-                        for (yi, out_y) in out.iter_mut().enumerate() {
-                            let m = pnode.matrix.get(pos, t_base + yi);
-                            if m != INFINITY && d + m < *out_y {
-                                *out_y = d + m;
-                            }
-                        }
-                    }
-                }
+                kernel::min_plus_into(out, d, &pnode.matrix.row(pos)[t_base..t_base + nb]);
             }
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * nb as u64;
-            if bound < INFINITY {
-                for o in out.iter_mut() {
-                    if *o > bound {
-                        *o = INFINITY;
-                    }
-                }
-            }
+            clamp_above(out, bound);
         }
         self.budget.charge(self.stats.matrix_cells - cells_mark);
         self.stats.materialized_nodes += 1;
@@ -654,7 +609,7 @@ impl<'a> GtreeSearch<'a> {
                     let xnode = gtree.node(x);
                     if xnode.is_leaf() {
                         let b = self.knn_bound(k);
-                        self.ensure_border_distances(x, b);
+                        self.ensure_border_distances(x, narrow_bound(b));
                         for &o in occurrence.leaf_objects(x) {
                             let b = self.knn_bound(k);
                             let dist = self.via_border_distance(x, o, b);
@@ -793,10 +748,10 @@ impl<'a> GtreeSearch<'a> {
                         let w = node.matrix.get(row as usize, opos as usize);
                         self.stats.border_computations += 1;
                         self.stats.matrix_cells += 1;
-                        if w == INFINITY {
+                        if w == CELL_INFINITY {
                             continue;
                         }
-                        let nd = d + w;
+                        let nd = d + w as Weight;
                         if nd < visited.dist(opos) {
                             visited.set_dist(opos, nd);
                             heap.push(nd, opos);
@@ -866,6 +821,17 @@ impl<'a> GtreeSearch<'a> {
             self.store.queue.push(dist, Element::Object(o));
             self.stats.heap_pushes += 1;
             self.note_candidate(dist, k);
+        }
+    }
+}
+
+/// Clamps every entry above a finite pruning `bound` to "unreachable" (such an
+/// entry may be inflated — its best source border was skipped — and must never
+/// be read as a distance).
+fn clamp_above(row: &mut [Cell], bound: Cell) {
+    if bound < CELL_INFINITY {
+        for o in row.iter_mut().filter(|o| **o > bound) {
+            *o = CELL_INFINITY;
         }
     }
 }

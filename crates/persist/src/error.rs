@@ -70,12 +70,6 @@ pub enum PersistError {
         /// Fingerprint of the requested configuration.
         expected: u64,
     },
-    /// The in-memory structure cannot be represented in the format (e.g. a
-    /// G-tree built with a hash-table matrix layout).
-    Unsupported {
-        /// Why the save was refused.
-        detail: String,
-    },
 }
 
 impl fmt::Display for PersistError {
@@ -121,7 +115,6 @@ impl fmt::Display for PersistError {
                  but the requested config fingerprints to {expected:#018x}; rebuild the \
                  artifact under the new config or load it without a config constraint"
             ),
-            PersistError::Unsupported { detail } => write!(f, "{detail}"),
         }
     }
 }

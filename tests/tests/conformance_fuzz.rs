@@ -14,9 +14,9 @@
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::{ground_truth, matches_ground_truth};
-use rnknn::{EngineError, QueryBudget, QueryOutput, QueryRequest};
+use rnknn::{EngineError, IndexKind, QueryBudget, QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-use rnknn_graph::{EdgeWeightKind, NodeId};
+use rnknn_graph::{EdgeWeightKind, Graph, GraphBuilder, NodeId, Point, Weight};
 use rnknn_objects::{uniform, ObjectSet};
 
 /// xorshift64* — deterministic, dependency-free stream for seeds and query picks.
@@ -308,4 +308,87 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
         }
     }
     assert!(methods_cut >= 5 * 3, "only {methods_cut} (method × query) cuts exercised");
+}
+
+/// A path `0 — 1 — … — n-1` whose end-to-end distance is exactly `length` (the
+/// remainder of the even split rides on the last edge).
+fn path_graph(n: usize, length: Weight) -> Graph {
+    let mut b = GraphBuilder::new();
+    for i in 0..n {
+        b.add_vertex(Point::new(i as f64, 0.0));
+    }
+    let edges = n as Weight - 1;
+    for i in 0..edges {
+        let w = length / edges + if i == edges - 1 { length % edges } else { 0 };
+        b.add_edge(i as NodeId, i as NodeId + 1, w);
+    }
+    b.build()
+}
+
+/// An engine over [`path_graph`] with objects at both ends and in the middle, and
+/// the queries (both ends, the middle) whose answers span the whole path.
+fn path_engine(length: Weight) -> (Engine, ObjectSet, [NodeId; 3]) {
+    const N: usize = 200;
+    let config = EngineConfig {
+        build_silc: false,
+        build_phl: false,
+        build_tnr: false,
+        gtree_leaf_capacity: Some(16),
+        ..Default::default()
+    };
+    let mut engine = Engine::build(path_graph(N, length), &config);
+    let last = N as NodeId - 1;
+    let objects = ObjectSet::new("path", N, vec![0, 1, last / 2, last - 1, last]);
+    engine.set_objects(objects.clone());
+    (engine, objects, [0, last / 2, last])
+}
+
+fn assert_exact(engine: &Engine, objects: &ObjectSet, methods: &[Method], queries: &[NodeId]) {
+    for &q in queries {
+        let truth = ground_truth(engine.graph(), q, 5, objects);
+        for &method in methods {
+            let output = engine.query(method, q, 5).expect("supported method");
+            assert_eq!(
+                output.distances(),
+                truth.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
+                "{} disagrees with Dijkstra at q={q}",
+                method.name()
+            );
+        }
+    }
+}
+
+/// The G-tree's range guard admits a graph when twice the eccentricity of each
+/// component's first vertex stays below the 32-bit cell sentinel `2^31 − 1`; on a
+/// path rooted at one end that is an end-to-end distance of at most `2^30 − 1`.
+const LONGEST_PATH_THAT_FITS: Weight = (1 << 30) - 1;
+
+#[test]
+fn the_largest_graph_that_fits_the_cell_range_is_answered_exactly() {
+    let (engine, objects, queries) = path_engine(LONGEST_PATH_THAT_FITS);
+    assert!(engine.supports(Method::Gtree) && engine.supports(Method::IerGtree));
+    let methods = [Method::Ine, Method::Gtree, Method::IerGtree, Method::IerCh, Method::Road];
+    assert_exact(&engine, &objects, &methods, &queries);
+    // The far end really is a whole path away: the cells hold distances up to the
+    // guard's limit, not a rescaled or saturated stand-in.
+    let far = engine.query(Method::Gtree, 0, 5).unwrap();
+    assert_eq!(far.distances().last(), Some(&LONGEST_PATH_THAT_FITS));
+}
+
+#[test]
+fn a_graph_beyond_the_cell_range_gets_no_gtree_and_every_other_method_stays_exact() {
+    // One past the guard, past the sentinel itself, and past `u32` altogether.
+    for length in [LONGEST_PATH_THAT_FITS + 1, 3 << 30, (1 << 32) + 5] {
+        let (engine, objects, queries) = path_engine(length);
+        assert!(engine.gtree().is_none(), "length {length}: a G-tree was built");
+        for method in [Method::Gtree, Method::IerGtree] {
+            assert!(!engine.supports(method), "length {length}: {} supported", method.name());
+            assert_eq!(
+                engine.query(method, 0, 5).unwrap_err(),
+                EngineError::MissingIndex { method, index: IndexKind::Gtree },
+                "length {length}"
+            );
+        }
+        assert_exact(&engine, &objects, &[Method::Ine, Method::IerCh, Method::Road], &queries);
+    }
 }

@@ -144,6 +144,35 @@ fn section_length_lies_are_typed_errors() {
     }
 }
 
+/// The 48-byte header of the artifact `saved_engine_bytes()` produced under format
+/// version 2 (this battery's graph and config at the last commit that wrote `u64`
+/// matrix cells): magic, version 2, 28 sections, section table at 213 656 of
+/// 214 552 bytes, with the table and header checksums that build computed.
+const V2_HEADER: [u8; 48] = [
+    82, 78, 75, 78, 73, 68, 88, 0, 2, 0, 0, 0, 28, 0, 0, 0, 152, 66, 3, 0, 0, 0, 0, 0, 24, 70, 3,
+    0, 0, 0, 0, 0, 47, 183, 207, 129, 245, 230, 191, 100, 208, 70, 226, 32, 249, 209, 1, 146,
+];
+
+/// A version-2 artifact holds 8-byte cells and a five-word `GT.META` config; the
+/// version gate must refuse it by name before any section (or even the header's
+/// own length fields) is interpreted — alone, and in front of a current body.
+#[test]
+fn a_real_version_2_header_fails_the_version_gate() {
+    let supported = rnknn::persist_format::FORMAT_VERSION;
+    assert_eq!(supported, 3, "a format bump re-derives this fixture's expectations");
+    let mut grafted = V2_HEADER.to_vec();
+    grafted.extend_from_slice(&saved_engine_bytes()[V2_HEADER.len()..]);
+    for (what, bytes) in [("bare header", V2_HEADER.to_vec()), ("grafted body", grafted)] {
+        match Engine::load_indexes_from_vec(bytes, &battery_config()) {
+            Err(PersistError::UnsupportedVersion { found: 2, supported: named }) => {
+                assert_eq!(named, supported, "{what}")
+            }
+            Err(other) => panic!("{what}: expected UnsupportedVersion, got {other}"),
+            Ok(_) => panic!("{what}: a version-2 artifact loaded"),
+        }
+    }
+}
+
 /// The "never a wrong answer" half of the contract: after the corruption
 /// sweeps, the pristine bytes still load into an engine that answers exactly
 /// like the one that saved them.
