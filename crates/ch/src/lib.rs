@@ -10,9 +10,10 @@
 //! invalidated neighbour-only, witness searches run as staged hop-limited passes, and
 //! a contract-rest-by-rank fallback guards against pathological dense cores (all
 //! tunable via [`ChConfig`]). Queries run on a reusable epoch-tagged scratch with
-//! frontier pruning; see [`ContractionHierarchy::distance_with_counters`] and
-//! [`ContractionHierarchy::distance_from_projection_within_with_counters`]
-//! (the IER-CH hot path).
+//! frontier pruning; see [`ContractionHierarchy::distance_with_counters`]. The
+//! IER-CH hot path searches once per query and *reads* per candidate: a
+//! [`ChTargetDirectory`] keeps each object's upward space as a lazily filled label,
+//! scanned against the query's forward projection ([`ChSpaceProjection::meet_within`]).
 //!
 //! Besides serving as the IER-CH oracle, the hierarchy's contraction order is reused by
 //! the [`rnknn-tnr`](../rnknn_tnr/index.html) crate to select transit nodes and by
@@ -23,6 +24,8 @@
 mod build;
 pub mod persist;
 mod query;
+mod targets;
 
 pub use build::{ChConfig, ContractionHierarchy};
 pub use query::{ChSearchCounters, ChSearchSpace, ChSpaceProjection};
+pub use targets::ChTargetDirectory;

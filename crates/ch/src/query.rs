@@ -6,7 +6,8 @@
 //! Dijkstra that stops each direction as soon as its frontier minimum reaches the best
 //! meet found so far — on road networks that prunes most of the full upward search
 //! space. Materialised [`ChSearchSpace`]s remain available for consumers that reuse a
-//! space across many queries (IER-CH's forward space, TNR's access-node searches).
+//! space across many queries (IER-CH's forward space and per-object target labels —
+//! see [`crate::ChTargetDirectory`] — and TNR's access-node searches).
 
 use std::cell::RefCell;
 
@@ -47,9 +48,6 @@ struct QueryScratch {
     /// means "unvisited this query".
     label: [Stamped<Weight>; 2],
     heap: [MinHeap<NodeId>; 2],
-    /// Neighbour staging buffer for the fused stall-check + relaxation pass:
-    /// `(target, tentative distance via x, target's current label)`.
-    neighbors: Vec<(NodeId, Weight, Weight)>,
 }
 
 impl QueryScratch {
@@ -57,7 +55,6 @@ impl QueryScratch {
         QueryScratch {
             label: [Stamped::default(), Stamped::default()],
             heap: [MinHeap::new(), MinHeap::new()],
-            neighbors: Vec::new(),
         }
     }
 
@@ -119,7 +116,7 @@ impl ContractionHierarchy {
         let best = SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(self.num_vertices());
-            let QueryScratch { label: [forward, backward], heap, .. } = scratch;
+            let QueryScratch { label: [forward, backward], heap } = scratch;
             forward.set(s as usize, 0);
             heap[FORWARD].push(0, s);
             backward.set(t as usize, 0);
@@ -192,82 +189,6 @@ impl ContractionHierarchy {
         (best, counters)
     }
 
-    /// Bounded network distance from a previously materialised forward space —
-    /// projected densely into `projection` — to `t`: exact when the distance is
-    /// `< bound`, any value `>= bound` otherwise.
-    ///
-    /// This is the IER-CH candidate loop: the query vertex's forward space is
-    /// computed once per kNN query, then every candidate object runs only this
-    /// backward upward search. The meet starts pre-clamped to `bound` (IER passes
-    /// its current k-th candidate distance), so labels that cannot produce a path
-    /// `< bound` are never pushed — safe for the same reason the evolving-meet
-    /// pruning is: a label `>= best` can never improve the meet, whatever `best`
-    /// started at. Every meet test is one array load from the epoch-tagged
-    /// [`ChSpaceProjection`], affordable only because it is pooled and re-pointed
-    /// per query in `O(|space|)`.
-    ///
-    /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
-    /// saturates the answer to the best meet found so far).
-    pub fn distance_from_projection_within_with_counters(
-        &self,
-        projection: &ChSpaceProjection,
-        t: NodeId,
-        bound: Weight,
-        budget: &QueryBudget,
-    ) -> (Weight, ChSearchCounters) {
-        let mut counters = ChSearchCounters::default();
-        if bound == 0 {
-            return (bound, counters);
-        }
-        let best = SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(self.num_vertices());
-            let QueryScratch { label: [_, labels], heap: [_, heap], neighbors } = scratch;
-            labels.set(t as usize, 0);
-            heap.push(0, t);
-            counters.heap_pushes += 1;
-            let mut best = bound;
-            'settle: while let Some((d, x)) = heap.pop() {
-                if d >= best {
-                    break;
-                }
-                if d > label(labels, x) {
-                    continue;
-                }
-                counters.settled += 1;
-                if !budget.charge(1) {
-                    break;
-                }
-                let df = projection.get(x);
-                if df != INFINITY {
-                    best = best.min(df + d);
-                }
-                // Fused stall-check + relaxation: each upward neighbour's label is
-                // probed once (the dominant random access of this memory-bound
-                // loop), staged, and either abandoned on a stall or relaxed from
-                // the sequential buffer.
-                neighbors.clear();
-                for (y, w) in self.upward_edges(x) {
-                    let dy = label(labels, y);
-                    if self.stall_on_demand && dy != INFINITY && dy + w <= d {
-                        counters.stalled += 1;
-                        continue 'settle;
-                    }
-                    neighbors.push((y, d + w, dy));
-                }
-                for &(y, nd, dy) in neighbors.iter() {
-                    if nd < best && nd < dy {
-                        labels.set(y as usize, nd);
-                        heap.push(nd, y);
-                        counters.heap_pushes += 1;
-                    }
-                }
-            }
-            best
-        });
-        (best, counters)
-    }
-
     /// Computes the complete upward search space from `v`: the set of vertices reachable
     /// by only ascending in rank, with their (upper-bound) distances.
     ///
@@ -279,17 +200,19 @@ impl ContractionHierarchy {
     }
 
     /// [`ContractionHierarchy::upward_search_space`] with stall-on-demand, writing
-    /// into a caller-owned space and reusing its entry buffer — the IER-CH oracle
-    /// re-materialises the forward space once per kNN query into the engine's
-    /// pooled [`ChSearchSpace`], so repeated queries allocate nothing once the
-    /// buffer has grown to the workload's largest space.
+    /// into a caller-owned space and reusing its entry buffer. This is the one
+    /// routine behind both sides of an IER-CH meet: the oracle materialises the
+    /// query's forward space once per kNN query into the engine's pooled
+    /// [`ChSearchSpace`], and [`crate::ChTargetDirectory`] fills an object's
+    /// target label from the same buffer — so repeated queries allocate nothing
+    /// once the buffer has grown to the workload's largest space.
     ///
     /// Dominated labels are still *recorded* (they are valid upper bounds) but not
     /// *expanded*, which shrinks the materialised space the same way stalling
     /// shrinks the bidirectional search (−27% settled at 69k). Safe for meets
-    /// against any upward backward search for the usual stalling reason: a path
-    /// through a pruned label is matched by one through the dominating neighbour,
-    /// which both sides do explore.
+    /// against any upward search from the other side, stalled or not, for the
+    /// usual stalling reason: a path through a pruned label is matched by one
+    /// through the dominating neighbour, which both sides do explore.
     ///
     /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
     /// leaves a truncated — still sorted — space behind).
@@ -363,7 +286,7 @@ impl ContractionHierarchy {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(self.num_vertices());
-            let QueryScratch { label: [labels, _], heap: [heap, _], .. } = scratch;
+            let QueryScratch { label: [labels, _], heap: [heap, _] } = scratch;
             labels.set(v as usize, 0);
             heap.push(0, v);
             counters.heap_pushes += 1;
@@ -488,6 +411,16 @@ impl ChSpaceProjection {
     pub fn get(&self, v: NodeId) -> Weight {
         self.label.get(v as usize).unwrap_or(INFINITY)
     }
+
+    /// Bounded meet of the projected (forward) space with a target's upward space
+    /// `label`: `min(bound, min_v get(v) + d_v)` in one linear pass — the exact
+    /// network distance when that is `< bound`, `bound` otherwise. This is the
+    /// IER-CH candidate step: one array load per label entry, no heap, no search.
+    pub fn meet_within(&self, label: &[(NodeId, Weight)], bound: Weight) -> Weight {
+        // An absent vertex reads `INFINITY` (= `Weight::MAX / 4`), so the sum
+        // cannot wrap and simply loses the `min`.
+        label.iter().fold(bound, |best, &(v, d)| best.min(self.get(v) + d))
+    }
 }
 
 #[cfg(test)]
@@ -546,32 +479,24 @@ mod tests {
         let mut projection = ChSpaceProjection::new();
         projection.set_from(g.num_vertices(), &forward);
         for t in (0..g.num_vertices() as NodeId).step_by(53) {
-            let want = forward.meet(&ch.upward_search_space(t));
-            let (got, counters) = ch.distance_from_projection_within_with_counters(
-                &projection,
-                t,
-                INFINITY,
-                &UNLIMITED,
-            );
-            assert_eq!(got, want, "{s}->{t}");
-            // The pruned backward search must not settle more than the full backward
-            // space would.
-            assert!(counters.settled <= ch.upward_search_space(t).len() as u64);
+            let backward = ch.upward_search_space(t);
+            let got = projection.meet_within(backward.entries(), INFINITY);
+            assert_eq!(got, forward.meet(&backward), "{s}->{t}");
         }
     }
 
     #[test]
     fn stalled_space_meets_and_projection_queries_stay_exact() {
-        // The stall-pruned forward space (dominated labels recorded, not expanded)
-        // must still produce exact distances against the stalled, bounded backward
-        // searches of the pooled IER-CH path — and it must not be larger than the
-        // full space.
+        // The stall-pruned spaces (dominated labels recorded, not expanded) must
+        // still meet at the exact distance when *both* sides are stalled — the
+        // forward space projected, the target's scanned against it, which is the
+        // IER-CH label path — and stalling must not enlarge a space.
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
             let g = net.graph(kind);
             let ch = ContractionHierarchy::build(&g);
             let n = g.num_vertices() as NodeId;
-            let mut space = ChSearchSpace::new();
+            let (mut space, mut target) = (ChSearchSpace::new(), ChSearchSpace::new());
             let mut projection = ChSpaceProjection::new();
             for s in [2u32, n / 3, n - 7] {
                 let stalled = ch.upward_search_space_stalled_into(s, &mut space, &UNLIMITED);
@@ -581,12 +506,8 @@ mod tests {
                 projection.set_from(g.num_vertices(), &space);
                 for t in (0..n).step_by(29) {
                     let exact = dijkstra::distance(&g, s, t);
-                    let (got, _) = ch.distance_from_projection_within_with_counters(
-                        &projection,
-                        t,
-                        INFINITY,
-                        &UNLIMITED,
-                    );
+                    ch.upward_search_space_stalled_into(t, &mut target, &UNLIMITED);
+                    let got = projection.meet_within(target.entries(), INFINITY);
                     assert_eq!(got, exact, "{s}->{t} {kind:?}");
                 }
             }
@@ -601,21 +522,17 @@ mod tests {
         let s: NodeId = 11;
         let mut projection = ChSpaceProjection::new();
         projection.set_from(g.num_vertices(), &ch.upward_search_space(s));
-        let within = |t, bound| {
-            ch.distance_from_projection_within_with_counters(&projection, t, bound, &UNLIMITED)
-        };
+        let mut target = ChSearchSpace::new();
         for t in (0..g.num_vertices() as NodeId).step_by(41) {
             let exact = dijkstra::distance(&g, s, t);
+            ch.upward_search_space_stalled_into(t, &mut target, &UNLIMITED);
             for bound in [0, exact / 2, exact, exact.saturating_add(1), INFINITY] {
-                let (got, counters) = within(t, bound);
+                let got = projection.meet_within(target.entries(), bound);
                 if exact < bound {
                     assert_eq!(got, exact, "{s}->{t} bound={bound}");
                 } else {
                     assert!(got >= bound, "{s}->{t} bound={bound} got={got}");
                 }
-                // A tight bound must never search more than the unbounded query.
-                let (_, unbounded) = within(t, INFINITY);
-                assert!(counters.settled <= unbounded.settled);
             }
         }
     }

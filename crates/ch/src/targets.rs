@@ -1,0 +1,235 @@
+//! The CH object index: one lazily filled target label per object vertex.
+//!
+//! IER-CH answers a candidate object `t` by meeting the query's forward upward
+//! space with `t`'s backward one. The backward space depends on the hierarchy and
+//! `t` only — never on the query — so searching it once per candidate per query
+//! recomputes the same `(vertex, distance)` set over and over. A
+//! [`ChTargetDirectory`] keeps that set beside the object instead: one slot per
+//! object vertex whose **label** is the vertex's stall-pruned upward space exactly
+//! as [`ContractionHierarchy::upward_search_space_stalled_into`] materialises it,
+//! and a candidate costs one linear pass of the label against the dense forward
+//! projection ([`ChSpaceProjection::meet_within`]).
+//!
+//! The write path only creates and drops slots (`O(1)` per update event, no CH
+//! search); a label is filled **on the read side**, by the first query that meets
+//! its object, through a write-once cell — so it is shared by every thread that
+//! reads the directory, lives exactly as long as its object, and there is no
+//! capacity, eviction or per-thread copy to tune.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::OnceLock;
+
+use rnknn_graph::{NodeId, Weight};
+use rnknn_pathfinding::budget::QueryBudget;
+
+use crate::build::ContractionHierarchy;
+use crate::query::{ChSearchCounters, ChSearchSpace};
+
+/// A filled label: the settled `(vertex, distance)` pairs, sorted by vertex id.
+type Label = Box<[(NodeId, Weight)]>;
+
+/// Per-object CH target labels (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ChTargetDirectory {
+    /// Identity of the hierarchy the labels are spaces of.
+    num_vertices: usize,
+    config_fingerprint: u64,
+    slots: HashMap<NodeId, OnceLock<Label>>,
+}
+
+impl ChTargetDirectory {
+    /// A directory beside `ch` with one empty slot per vertex of `objects`. Runs no
+    /// search: every label is filled by the first query that needs it.
+    pub fn build(ch: &ContractionHierarchy, objects: &[NodeId]) -> Self {
+        ChTargetDirectory {
+            num_vertices: ch.num_vertices(),
+            config_fingerprint: ch.config_fingerprint(),
+            slots: objects.iter().map(|&v| (v, OnceLock::new())).collect(),
+        }
+    }
+
+    /// Creates the (empty) slot of a new object at `v`; false when `v` has one.
+    pub fn insert(&mut self, v: NodeId) -> bool {
+        match self.slots.entry(v) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(OnceLock::new());
+                true
+            }
+        }
+    }
+
+    /// Drops the slot of the object at `v` together with its label; false when `v`
+    /// has none.
+    pub fn remove(&mut self, v: NodeId) -> bool {
+        self.slots.remove(&v).is_some()
+    }
+
+    /// Number of slots (= object vertices).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no object has a slot.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// How many slots carry a filled label.
+    pub fn filled_labels(&self) -> usize {
+        self.slots.values().filter(|slot| slot.get().is_some()).count()
+    }
+
+    /// Resident size in bytes: the slot table plus every filled label. Grows as
+    /// queries touch objects and falls when a filled object is removed.
+    pub fn memory_bytes(&self) -> usize {
+        let labels: usize =
+            self.slots.values().filter_map(OnceLock::get).map(|l| l.len()).sum::<usize>()
+                * std::mem::size_of::<(NodeId, Weight)>();
+        self.slots.capacity() * std::mem::size_of::<(NodeId, OnceLock<Label>)>() + labels
+    }
+
+    /// The label of target `t`: read from its slot when filled; otherwise
+    /// materialised into `buffer` (search effort added to `counters`, one budget
+    /// step per settle) and, when `t` has a slot, published into it. A target
+    /// without a slot is answered from `buffer` alone.
+    ///
+    /// Returns `None` when `budget` ran out: the space left in `buffer` is then
+    /// truncated, so it is neither stored nor handed out.
+    pub fn label<'a>(
+        &'a self,
+        ch: &ContractionHierarchy,
+        t: NodeId,
+        buffer: &'a mut ChSearchSpace,
+        budget: &QueryBudget,
+        counters: &mut ChSearchCounters,
+    ) -> Option<&'a [(NodeId, Weight)]> {
+        debug_assert!(
+            self.num_vertices == ch.num_vertices()
+                && self.config_fingerprint == ch.config_fingerprint(),
+            "CH target directory queried with a hierarchy it was not built beside"
+        );
+        let slot = self.slots.get(&t);
+        if let Some(label) = slot.and_then(OnceLock::get) {
+            return Some(label);
+        }
+        counters.accumulate(ch.upward_search_space_stalled_into(t, buffer, budget));
+        if budget.is_exhausted() {
+            return None;
+        }
+        match slot {
+            // A racing reader may have published first; both hold the same space.
+            Some(slot) => Some(slot.get_or_init(|| buffer.entries().into())),
+            None => Some(buffer.entries()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::ChSpaceProjection;
+    use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
+    use rnknn_graph::{EdgeWeightKind, INFINITY};
+    use rnknn_pathfinding::budget::UNLIMITED;
+    use rnknn_pathfinding::dijkstra;
+
+    /// Distance `s -> t` through the label path: `s`'s stalled forward space
+    /// projected densely, `t`'s label scanned against it.
+    fn label_distance(
+        ch: &ContractionHierarchy,
+        targets: &ChTargetDirectory,
+        projection: &ChSpaceProjection,
+        t: NodeId,
+        bound: Weight,
+    ) -> Weight {
+        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let label = targets.label(ch, t, &mut buffer, &UNLIMITED, &mut counters).unwrap();
+        projection.meet_within(label, bound)
+    }
+
+    #[test]
+    fn stalled_label_meets_equal_dijkstra_with_and_without_a_slot() {
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
+            let g = net.graph(kind);
+            let ch = ContractionHierarchy::build(&g);
+            let n = g.num_vertices() as NodeId;
+            // Every other probed target has a slot; the rest take the buffer path.
+            let with_slot: Vec<NodeId> = (0..n).step_by(58).collect();
+            let targets = ChTargetDirectory::build(&ch, &with_slot);
+            let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+            for s in [2u32, n / 3, n - 7] {
+                ch.upward_search_space_stalled_into(s, &mut space, &UNLIMITED);
+                projection.set_from(g.num_vertices(), &space);
+                for t in (0..n).step_by(29) {
+                    let exact = dijkstra::distance(&g, s, t);
+                    let got = label_distance(&ch, &targets, &projection, t, INFINITY);
+                    assert_eq!(got, exact, "{s}->{t} {kind:?}");
+                }
+            }
+            assert_eq!(targets.filled_labels(), with_slot.len());
+        }
+    }
+
+    #[test]
+    fn slots_follow_inserts_and_removes_and_a_label_dies_with_its_object() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(400, 9));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let ch = ContractionHierarchy::build(&g);
+        let mut targets = ChTargetDirectory::build(&ch, &[3, 40]);
+        assert_eq!((targets.len(), targets.filled_labels()), (2, 0));
+        assert!(!targets.insert(3), "duplicate insert");
+        assert!(targets.insert(77));
+        assert!(!targets.remove(5), "never inserted");
+
+        let empty = targets.memory_bytes();
+        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let label = targets.label(&ch, 40, &mut buffer, &UNLIMITED, &mut counters).unwrap();
+        let (filled, label_bytes) = (label.len(), std::mem::size_of_val(label));
+        assert_eq!(counters.settled, filled as u64);
+        assert_eq!(targets.filled_labels(), 1);
+        assert_eq!(targets.memory_bytes(), empty + label_bytes);
+        // A second read is served from the slot: no search, the same entries.
+        let again = targets.label(&ch, 40, &mut buffer, &UNLIMITED, &mut counters).unwrap().len();
+        assert_eq!((again, counters.settled), (filled, filled as u64));
+
+        // A clone carries the filled label; removing the object drops it, and a
+        // re-inserted object starts empty again.
+        assert_eq!(targets.clone().filled_labels(), 1);
+        assert!(targets.remove(40));
+        assert_eq!((targets.len(), targets.filled_labels()), (2, 0));
+        assert_eq!(targets.memory_bytes(), empty);
+        assert!(targets.insert(40));
+        assert_eq!(targets.filled_labels(), 0);
+    }
+
+    #[test]
+    fn a_budget_cut_fill_is_neither_stored_nor_returned() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(500, 21));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let ch = ContractionHierarchy::build(&g);
+        let targets = ChTargetDirectory::build(&ch, &[17]);
+        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        for t in [17, 18] {
+            let starved = QueryBudget::new(None, 4, 1);
+            assert!(targets.label(&ch, t, &mut buffer, &starved, &mut counters).is_none());
+        }
+        assert_eq!(targets.filled_labels(), 0);
+        assert!(targets.label(&ch, 17, &mut buffer, &UNLIMITED, &mut counters).is_some());
+        assert_eq!(targets.filled_labels(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not built beside")]
+    fn a_directory_refuses_a_foreign_hierarchy() {
+        let small = RoadNetwork::generate(&GeneratorConfig::new(150, 2));
+        let big = RoadNetwork::generate(&GeneratorConfig::new(400, 3));
+        let ch_small = ContractionHierarchy::build(&small.graph(EdgeWeightKind::Distance));
+        let ch_big = ContractionHierarchy::build(&big.graph(EdgeWeightKind::Distance));
+        let targets = ChTargetDirectory::build(&ch_small, &[1]);
+        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let _ = targets.label(&ch_big, 1, &mut buffer, &UNLIMITED, &mut counters);
+    }
+}

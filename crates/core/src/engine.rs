@@ -454,6 +454,10 @@ impl Engine {
             self.road.is_none() || live.association().is_some(),
             "object indexes lack the association directory this engine's ROAD needs"
         );
+        debug_assert!(
+            self.ch.is_none() || live.ch_targets().is_some(),
+            "object indexes lack the target directory this engine's CH needs"
+        );
         self.live = Some(live);
     }
 
@@ -461,7 +465,13 @@ impl Engine {
     /// road-network indexes, without installing it — the full-rebuild baseline, and
     /// the way the serving layer seeds an epoch before evolving it incrementally.
     pub fn build_object_indexes(&self, objects: ObjectSet) -> ObjectIndexes {
-        ObjectIndexes::build(&self.graph, self.gtree.as_ref(), self.road.as_ref(), objects)
+        ObjectIndexes::build(
+            &self.graph,
+            self.gtree.as_ref(),
+            self.road.as_ref(),
+            self.ch.as_ref(),
+            objects,
+        )
     }
 
     /// Applies one update event to `live` **in place** (no index rebuild; see
@@ -613,6 +623,7 @@ impl Engine {
             rtree: live.rtree(),
             occurrence: live.occurrence(),
             association: live.association(),
+            ch_targets: live.ch_targets(),
             budget,
         };
         let start = Instant::now();
@@ -901,12 +912,7 @@ mod tests {
             assert_eq!(engine.update_objects(event).unwrap(), event.apply_to(&mut reference));
             if i % 15 == 0 {
                 let q = (i as NodeId * 37) % n;
-                let rebuilt = ObjectIndexes::build(
-                    engine.graph(),
-                    engine.gtree(),
-                    engine.road(),
-                    reference.clone(),
-                );
+                let rebuilt = engine.build_object_indexes(reference.clone());
                 for m in [Method::Ine, Method::Gtree, Method::Road, Method::IerDijkstra] {
                     let live = engine.query(m, q, 5).unwrap();
                     let fresh = engine.query_snapshot(m, q, 5, &rebuilt).unwrap();

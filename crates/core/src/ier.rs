@@ -33,7 +33,7 @@ pub trait DistanceOracle {
     /// against the bound; table-lookup oracles (PHL, TNR) ignore it.
     fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight;
     /// Search-effort counters accumulated since construction. Oracles that run real
-    /// searches per candidate (CH) report settles and heap work here so IER's unified
+    /// searches (Dijkstra, A*, CH, TNR) report settles and heap work here so IER's unified
     /// [`crate::QueryStats`] reflects oracle effort; table-lookup oracles keep the
     /// default zeros.
     fn search_stats(&self) -> OracleSearchStats {
@@ -49,7 +49,8 @@ pub struct OracleSearchStats {
     pub nodes_expanded: u64,
     /// Priority-queue operations performed by oracle-internal searches.
     pub heap_operations: u64,
-    /// Distance-matrix cells read by G-tree assembly (MGtree oracle only).
+    /// Cells of a precomputed table swept: distance-matrix cells read by G-tree
+    /// assembly (MGtree), target-label entries scanned (CH).
     pub matrix_cells: u64,
 }
 
@@ -293,43 +294,55 @@ impl<'a> DistanceOracle for AStarOracle<'a> {
     }
 }
 
-/// Contraction Hierarchies oracle. The forward (query-side) upward search space is
-/// computed once per kNN query (stall-pruned) and reused for every candidate; each
-/// candidate then runs only a backward upward search bounded by IER's current k-th
-/// candidate, meeting the forward side through a dense projection
-/// ([`rnknn_ch::ContractionHierarchy::distance_from_projection_within_with_counters`])
-/// instead of materialising its full search space. The forward space's entry buffer
-/// and the projection are borrowed (the engine lends its pooled ones), so
-/// re-materialising for a new source allocates nothing once they have grown.
+/// Contraction Hierarchies oracle: one upward search per kNN query, one label scan
+/// per candidate. The forward (query-side) upward space is computed once per query
+/// (stall-pruned) and projected densely; a candidate's backward space depends on the
+/// hierarchy and the candidate only, so it is *read* from the object's label in the
+/// [`rnknn_ch::ChTargetDirectory`] — filled by the first query that meets the
+/// object — and scanned against the projection
+/// ([`rnknn_ch::ChSpaceProjection::meet_within`]). The space buffer and the
+/// projection are borrowed (the engine lends its pooled ones): the forward space is
+/// materialised into the buffer, projected, and the buffer is then free for label
+/// fills, so a query whose candidates all carry labels allocates nothing.
 #[derive(Debug)]
 pub struct ChOracle<'a> {
     ch: &'a rnknn_ch::ContractionHierarchy,
+    targets: &'a rnknn_ch::ChTargetDirectory,
     source: Option<NodeId>,
     space: &'a mut rnknn_ch::ChSearchSpace,
     projection: &'a mut rnknn_ch::ChSpaceProjection,
     budget: &'a QueryBudget,
     counters: rnknn_ch::ChSearchCounters,
+    /// Label entries swept against the projection.
+    scanned: u64,
 }
 
 impl<'a> ChOracle<'a> {
-    /// Creates the oracle over a forward-space buffer and dense projection.
+    /// Creates the oracle over the object set's target directory, an upward-space
+    /// buffer and a dense projection. A target without a slot in `targets` is
+    /// still answered exactly — its space is materialised into the buffer on every
+    /// call instead of being kept.
     pub fn new(
         ch: &'a rnknn_ch::ContractionHierarchy,
+        targets: &'a rnknn_ch::ChTargetDirectory,
         space: &'a mut rnknn_ch::ChSearchSpace,
         projection: &'a mut rnknn_ch::ChSpaceProjection,
     ) -> Self {
         ChOracle {
             ch,
+            targets,
             source: None,
             space,
             projection,
             budget: &UNLIMITED,
             counters: rnknn_ch::ChSearchCounters::default(),
+            scanned: 0,
         }
     }
 
     /// Attaches a [`QueryBudget`] charged per settled vertex inside the forward
-    /// upward search and the per-candidate backward searches.
+    /// upward search and the label fills, and once per candidate with the number
+    /// of label entries scanned.
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
@@ -355,20 +368,22 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         if self.source != Some(source) {
             self.begin_query(source);
         }
-        let (d, counters) = self.ch.distance_from_projection_within_with_counters(
-            self.projection,
-            target,
-            bound,
-            self.budget,
-        );
-        self.counters.accumulate(counters);
-        d
+        // A budget-cut fill leaves no label: answer "not below the bound" and let
+        // the dispatch tail raise `DeadlineExceeded` from the latched budget.
+        let Some(label) =
+            self.targets.label(self.ch, target, self.space, self.budget, &mut self.counters)
+        else {
+            return bound;
+        };
+        self.scanned += label.len() as u64;
+        self.budget.charge(label.len() as u64);
+        self.projection.meet_within(label, bound)
     }
     fn search_stats(&self) -> OracleSearchStats {
         OracleSearchStats {
             nodes_expanded: self.counters.settled,
             heap_operations: self.counters.heap_pushes,
-            matrix_cells: 0,
+            matrix_cells: self.scanned,
         }
     }
 }
@@ -479,7 +494,7 @@ impl DistanceOracle for rnknn_gtree::GtreeDistanceOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ContractionHierarchy};
+    use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ChTargetDirectory, ContractionHierarchy};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_gtree::{Gtree, GtreeConfig, GtreeDistanceOracle};
@@ -532,8 +547,11 @@ mod tests {
         check_oracle(&g, DijkstraOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
         check_oracle(&g, AStarOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
         let ch = ContractionHierarchy::build(&g);
+        let targets = ChTargetDirectory::build(&ch, objects.vertices());
         let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
-        check_oracle(&g, ChOracle::new(&ch, &mut space, &mut projection), &objects, &rtree);
+        let oracle = ChOracle::new(&ch, &targets, &mut space, &mut projection);
+        check_oracle(&g, oracle, &objects, &rtree);
+        assert!(targets.filled_labels() > 0, "IER-CH answered without filling a label");
         let labels = HubLabels::build(&g).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
         let tnr = TransitNodeRouting::build(&g);
@@ -551,6 +569,10 @@ mod tests {
             let g = net.graph(kind);
             let n = g.num_vertices() as NodeId;
             let ch = ContractionHierarchy::build(&g);
+            // Slots for a third of the probed targets: the contract must hold on
+            // the stored-label path and on the no-slot buffer path alike.
+            let with_slot: Vec<NodeId> = (0..n).step_by(37 * 3).collect();
+            let targets = ChTargetDirectory::build(&ch, &with_slot);
             let labels = HubLabels::build(&g).expect("within budget");
             let tnr = TransitNodeRouting::build(&g);
             let gtree = Gtree::build_with_config(&g, small_leaves());
@@ -574,7 +596,7 @@ mod tests {
             };
             check(&mut DijkstraOracle::new(&g, &mut SearchScratch::new()));
             check(&mut AStarOracle::new(&g, &mut SearchScratch::new()));
-            check(&mut ChOracle::new(&ch, &mut space, &mut projection));
+            check(&mut ChOracle::new(&ch, &targets, &mut space, &mut projection));
             check(&mut PhlOracle::new(&labels));
             check(&mut TnrOracle::new(&tnr, &mut TnrSourceState::new()));
             check(&mut GtreeDistanceOracle::new(&gtree, &g, 0));

@@ -13,6 +13,12 @@
 //! | R-tree (IER, DB-ENN) | incremental insert / delete with rect refits |
 //! | G-tree occurrence list | leaf-path presence propagation, both directions |
 //! | ROAD association directory | eager insert, dirty-marked remove + lazy repair |
+//! | CH target directory (IER-CH) | O(1) slot create/drop, lazy read-side fill |
+//!
+//! The CH target directory is the one index whose contents are written on the
+//! **read** side: an update only creates or drops an object's slot, and the first
+//! query that meets the object fills the slot's label (its CH upward space) through
+//! a write-once cell, for every later query on any thread to scan.
 //!
 //! Every successful update advances a process-wide **object generation** counter
 //! (also bumped by full rebuilds). The engine stamps the generation a thread's
@@ -21,6 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rnknn_ch::{ChTargetDirectory, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId};
 use rnknn_gtree::{Gtree, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet, UpdateEvent};
@@ -50,27 +57,32 @@ pub struct ObjectIndexes {
     rtree: ObjectRTree,
     occurrence: Option<OccurrenceList>,
     association: Option<AssociationDirectory>,
+    ch_targets: Option<ChTargetDirectory>,
     generation: u64,
 }
 
 impl ObjectIndexes {
     /// Builds all object indexes from scratch for `objects` (the full-rebuild
-    /// baseline the incremental path is measured against).
+    /// baseline the incremental path is measured against). The CH target directory
+    /// gets its slots only — no label is filled until a query needs it.
     pub fn build(
         graph: &Graph,
         gtree: Option<&Gtree>,
         road: Option<&RoadIndex>,
+        ch: Option<&ContractionHierarchy>,
         objects: ObjectSet,
     ) -> ObjectIndexes {
         let rtree = ObjectRTree::build(graph, &objects);
         let occurrence = gtree.map(|g| OccurrenceList::build(g, objects.vertices()));
         let association =
             road.map(|r| AssociationDirectory::build(r, graph.num_vertices(), objects.vertices()));
+        let ch_targets = ch.map(|c| ChTargetDirectory::build(c, objects.vertices()));
         ObjectIndexes {
             objects,
             rtree,
             occurrence,
             association,
+            ch_targets,
             generation: next_object_generation(),
         }
     }
@@ -95,6 +107,11 @@ impl ObjectIndexes {
         self.association.as_ref()
     }
 
+    /// The CH target directory (present iff the engine built a CH).
+    pub fn ch_targets(&self) -> Option<&ChTargetDirectory> {
+        self.ch_targets.as_ref()
+    }
+
     /// The object generation these indexes were last modified under. Strictly
     /// increasing across rebuilds and applied updates, unique process-wide.
     pub fn generation(&self) -> u64 {
@@ -103,8 +120,9 @@ impl ObjectIndexes {
 
     /// Applies one update event to the set and every index **in place**, without
     /// any rebuild: `O(log |O|)` for the set, `O(log |O| + split)` R-tree
-    /// surgery, `O(tree depth)` occurrence propagation, and `O(1)` association
-    /// edits (amortised by the lazy repair). Returns whether the event changed
+    /// surgery, `O(tree depth)` occurrence propagation, `O(1)` association
+    /// edits (amortised by the lazy repair) and one CH target slot created or
+    /// dropped — never a CH search. Returns whether the event changed
     /// anything — the semantics match [`UpdateEvent::apply_to`] exactly: inserts
     /// of members, removals of non-members and invalid moves are no-ops.
     ///
@@ -142,7 +160,7 @@ impl ObjectIndexes {
         &mut self,
         graph: &Graph,
         gtree: Option<&Gtree>,
-        _road: Option<&RoadIndex>,
+        road: Option<&RoadIndex>,
         v: NodeId,
     ) -> bool {
         if !self.objects.insert(v) {
@@ -153,9 +171,13 @@ impl ObjectIndexes {
             let inserted = occ.insert(g, v);
             debug_assert!(inserted, "occurrence list out of sync with object set");
         }
-        if let (Some(r), Some(assoc)) = (_road, self.association.as_mut()) {
+        if let (Some(r), Some(assoc)) = (road, self.association.as_mut()) {
             let inserted = assoc.insert(r, v);
             debug_assert!(inserted, "association directory out of sync with object set");
+        }
+        if let Some(targets) = self.ch_targets.as_mut() {
+            let inserted = targets.insert(v);
+            debug_assert!(inserted, "CH target directory out of sync with object set");
         }
         true
     }
@@ -182,6 +204,10 @@ impl ObjectIndexes {
             if assoc.needs_repair() {
                 assoc.repair(r, self.objects.vertices());
             }
+        }
+        if let Some(targets) = self.ch_targets.as_mut() {
+            let removed = targets.remove(v);
+            debug_assert!(removed, "CH target directory out of sync with object set");
         }
         true
     }

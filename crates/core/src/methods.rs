@@ -204,7 +204,9 @@ impl KnnAlgorithm for IerCh {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let ch = ctx.require_ch(self.method())?;
-        let mut oracle = ChOracle::new(ch, &mut scratch.ch_forward, &mut scratch.ch_projection);
+        let targets = ctx.require_ch_targets(self.method())?;
+        let mut oracle =
+            ChOracle::new(ch, targets, &mut scratch.ch_space, &mut scratch.ch_projection);
         oracle.set_budget(ctx.budget);
         ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())

@@ -34,7 +34,9 @@ pub struct QueryStats {
     pub oracle_calls: u64,
     /// Candidate objects examined (Euclidean candidates, interval candidates).
     pub candidates_examined: u64,
-    /// Distance-matrix cells read by G-tree assembly, counted in per-row batches.
+    /// Cells of a precomputed table swept: distance-matrix cells read by G-tree
+    /// assembly (counted in per-row batches), CH target-label entries scanned by
+    /// IER-CH (counted per candidate).
     pub matrix_cells: u64,
     /// Wall-clock time of the query in microseconds (filled in by the engine).
     pub elapsed_micros: u64,
@@ -142,6 +144,8 @@ pub struct QueryContext<'a> {
     pub occurrence: Option<&'a OccurrenceList>,
     /// ROAD association directory for the current object set (present iff ROAD is).
     pub association: Option<&'a AssociationDirectory>,
+    /// CH target directory for the current object set (present iff the CH is).
+    pub ch_targets: Option<&'a rnknn_ch::ChTargetDirectory>,
     /// Cooperative cancellation budget for this query. Methods charge it as they
     /// settle vertices / materialize cells; an exhausted budget makes them unwind
     /// with a truncated answer, which the engine converts into
@@ -206,6 +210,14 @@ impl<'a> QueryContext<'a> {
     /// The occurrence list, or [`EngineError::MissingIndex`] (absent iff the G-tree is).
     pub fn require_occurrence(&self, method: Method) -> Result<&'a OccurrenceList, EngineError> {
         self.occurrence.ok_or(Self::missing(method, IndexKind::Gtree))
+    }
+
+    /// The CH target directory, or [`EngineError::MissingIndex`] (absent iff the CH is).
+    pub fn require_ch_targets(
+        &self,
+        method: Method,
+    ) -> Result<&'a rnknn_ch::ChTargetDirectory, EngineError> {
+        self.ch_targets.ok_or(Self::missing(method, IndexKind::Ch))
     }
 
     /// The association directory, or [`EngineError::MissingIndex`] (absent iff ROAD is).

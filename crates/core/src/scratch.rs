@@ -53,11 +53,12 @@ pub struct EngineScratch {
     pub(crate) expansion: SearchScratch,
     /// R-tree browse heap, shared by every IER variant and DB-ENN.
     pub(crate) browser: BrowserScratch,
-    /// IER-CH forward upward search space, re-materialised per query into the same
-    /// entry buffer.
-    pub(crate) ch_forward: rnknn_ch::ChSearchSpace,
-    /// Dense stamped projection of `ch_forward` (O(1) meet tests in the
-    /// candidate loop — affordable only because it is pooled).
+    /// IER-CH upward-space buffer: each query materialises its forward space into
+    /// it, projects it, and then reuses the same entries for any target label it
+    /// has to fill.
+    pub(crate) ch_space: rnknn_ch::ChSearchSpace,
+    /// Dense stamped projection of the query's forward space (one array load per
+    /// label entry in the candidate scan — affordable only because it is pooled).
     pub(crate) ch_projection: rnknn_ch::ChSpaceProjection,
     /// IER-TNR per-source state (stopped forward space, folded table row, backward
     /// space buffer).

@@ -5,6 +5,9 @@
 //! methods. This binary installs a counting global allocator and proves it for
 //! G-tree, INE and IER-CH (and, as a bonus, the remaining IER oracle methods),
 //! and pins `Engine::query`'s overhead to exactly the returned result vector.
+//! IER-CH's steady state is "every candidate's target label is filled": the
+//! warm-up passes fill the labels the measured pass reads, and one test pins what
+//! a first touch costs instead — the label's own allocation, nothing else.
 //!
 //! The counter is **per thread**: `cargo test` runs this binary's tests on sibling
 //! threads, and each assertion window must measure the querying thread only — a
@@ -17,7 +20,7 @@ use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::{QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
-use rnknn_objects::uniform;
+use rnknn_objects::{uniform, UpdateEvent};
 
 /// Counts `alloc`/`realloc` calls (deallocations are free to the steady-state
 /// argument and are not counted).
@@ -170,6 +173,70 @@ fn steady_state_stays_allocation_free_on_a_loaded_engine() {
             assert!(!out.result.is_empty(), "{} returned nothing at q={q}", method.name());
         }
     }
+}
+
+/// What IER-CH allocates outside its steady state: an object a query meets for the
+/// first time gets its target label filled into the (warm) pooled space buffer and
+/// published as one exact-size boxed slice. So the first query whose candidates
+/// include a freshly inserted vertex allocates for that label only, and the same
+/// query again allocates nothing.
+fn first_touch_allocates_only_the_label(engine: &mut Engine, queries: &[NodeId], label: &str) {
+    let k = 8;
+    let mut out = QueryOutput::default();
+    for _ in 0..2 {
+        for &q in queries {
+            engine.query_into(Method::IerCh, q, k, &mut out).expect("warm-up query");
+        }
+    }
+    let q = queries[0];
+    let v = engine
+        .graph()
+        .neighbor_ids(q)
+        .iter()
+        .copied()
+        .find(|&v| !engine.objects().unwrap().contains(v))
+        .expect("a non-object neighbour of the query vertex");
+    assert!(engine.update_objects(UpdateEvent::Insert(v)).unwrap());
+    // The insert reshaped the R-tree: re-warm the shared browse heap through an
+    // oracle that touches no CH state, so only the label is left to allocate.
+    engine.query_into(Method::IerDijkstra, q, k, &mut out).expect("browse re-warm");
+
+    let filled = |engine: &Engine| {
+        engine.object_indexes().and_then(|live| live.ch_targets()).unwrap().filled_labels()
+    };
+    let (filled_before, before) = (filled(engine), allocations());
+    engine.query_into(Method::IerCh, q, k, &mut out).expect("first-touch query");
+    let (filled_after, after) = (filled(engine), allocations());
+    assert!(out.result.iter().any(|&(o, _)| o == v), "{label}: {v} was not a candidate of {q}");
+    let newly = (filled_after - filled_before) as u64;
+    assert!(newly >= 1, "{label}: the inserted object's label was not filled");
+    assert!(
+        after - before <= 2 * newly,
+        "{label}: {} allocator calls for {newly} newly filled label(s)",
+        after - before
+    );
+
+    let before = allocations();
+    engine.query_into(Method::IerCh, q, k, &mut out).expect("repeat query");
+    assert_eq!(allocations() - before, 0, "{label}: the repeat query allocated");
+    assert_eq!(filled(engine), filled_after);
+}
+
+#[test]
+fn a_first_touch_allocates_only_its_label_on_built_and_loaded_engines() {
+    let (mut engine, queries) = pooled_engine();
+    let bytes = engine.save_indexes_to_vec().expect("save engine");
+    first_touch_allocates_only_the_label(&mut engine, &queries, "built");
+
+    let config = EngineConfig {
+        build_road: false,
+        build_silc: false,
+        build_phl: false,
+        ..Default::default()
+    };
+    let mut loaded = Engine::load_indexes_from_vec(bytes, &config).expect("load engine");
+    loaded.set_objects(uniform(loaded.graph(), 0.02, 9));
+    first_touch_allocates_only_the_label(&mut loaded, &queries, "loaded");
 }
 
 /// The budgeted path shares the zero-allocation steady state: deadline

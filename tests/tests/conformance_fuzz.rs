@@ -17,7 +17,7 @@ use rnknn::verify::{ground_truth, matches_ground_truth};
 use rnknn::{EngineError, IndexKind, QueryBudget, QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, Graph, GraphBuilder, NodeId, Point, Weight};
-use rnknn_objects::{uniform, ObjectSet};
+use rnknn_objects::{churn_stream, uniform, ChurnConfig, ObjectSet, UpdateEvent};
 
 /// xorshift64* — deterministic, dependency-free stream for seeds and query picks.
 struct Rng(u64);
@@ -390,5 +390,82 @@ fn a_graph_beyond_the_cell_range_gets_no_gtree_and_every_other_method_stays_exac
             );
         }
         assert_exact(&engine, &objects, &[Method::Ine, Method::IerCh, Method::Road], &queries);
+    }
+}
+
+/// Update conformance for the CH object index: a seeded insert/remove/move stream
+/// through `ObjectIndexes::apply` — each batch ending in a remove-then-reinsert of
+/// one vertex and a move onto a vertex vacated one event earlier — with IER-CH
+/// checked against Dijkstra after every batch. After every single event the target
+/// directory holds exactly one slot per object, a removed object takes its filled
+/// label (and its bytes) with it, and a new or re-inserted object starts unfilled.
+#[test]
+fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
+    let net = RoadNetwork::generate(&GeneratorConfig::new(700, 2718));
+    let config = EngineConfig {
+        build_silc: false,
+        build_phl: false,
+        gtree_leaf_capacity: Some(32),
+        ..Default::default()
+    };
+    let engine = Engine::build(net.graph(EdgeWeightKind::Distance), &config);
+    let n = engine.graph().num_vertices();
+    let mut reference = uniform(engine.graph(), 0.03, 77);
+    let mut live = engine.build_object_indexes(reference.clone());
+    // Object vertices whose label some query has filled.
+    let mut filled = std::collections::HashSet::<NodeId>::new();
+    let mut rng = Rng(0xC0FF_EE00_1234_5678);
+    for round in 0..10u64 {
+        let mut batch = churn_stream(
+            n,
+            &reference,
+            &ChurnConfig { events: 20, seed: 400 + round, ..Default::default() },
+        );
+        let mut after = reference.clone();
+        for event in &batch {
+            event.apply_to(&mut after);
+        }
+        let members = after.vertices();
+        let (again, mover, vacated) = (members[0], members[1], members[members.len() - 1]);
+        batch.extend([
+            UpdateEvent::Remove(again),
+            UpdateEvent::Insert(again),
+            UpdateEvent::Remove(vacated),
+            UpdateEvent::Move { from: mover, to: vacated },
+        ]);
+
+        for event in batch {
+            let targets = live.ch_targets().expect("engine built a CH");
+            let bytes_before = targets.memory_bytes();
+            assert!(event.apply_to(&mut reference), "round {round}: {event:?} was a no-op");
+            assert!(engine.apply_object_update(&mut live, event), "round {round}: {event:?}");
+            let dropped = match event {
+                UpdateEvent::Insert(_) => false,
+                UpdateEvent::Remove(v) | UpdateEvent::Move { from: v, .. } => filled.remove(&v),
+            };
+            let targets = live.ch_targets().unwrap();
+            assert_eq!(targets.len(), live.objects().len(), "round {round}: {event:?}");
+            assert_eq!(targets.filled_labels(), filled.len(), "round {round}: {event:?}");
+            if dropped {
+                assert!(
+                    targets.memory_bytes() < bytes_before,
+                    "round {round}: {event:?} removed a filled object but kept its bytes"
+                );
+            }
+        }
+        assert_eq!(live.objects().vertices(), reference.vertices(), "round {round}");
+
+        // k beyond |O| makes every object a candidate, so two distinct query
+        // vertices between them fill every label.
+        let k = reference.len() + 1;
+        let q0 = rng.below(n as u64) as NodeId;
+        for q in [q0, (q0 + 1) % n as NodeId, rng.below(n as u64) as NodeId] {
+            let truth: Vec<_> =
+                ground_truth(engine.graph(), q, k, &reference).iter().map(|&(_, d)| d).collect();
+            let got = engine.query_snapshot(Method::IerCh, q, k, &live).unwrap();
+            assert_eq!(got.distances(), truth, "round {round}: IER-CH inexact at q={q}");
+        }
+        filled = reference.vertices().iter().copied().collect();
+        assert_eq!(live.ch_targets().unwrap().filled_labels(), filled.len(), "round {round}");
     }
 }

@@ -4,10 +4,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rnknn::{Engine, EngineConfig, EngineError, IndexKind, Method, QueryOutput};
+use rnknn::verify::ground_truth;
+use rnknn::{
+    Engine, EngineConfig, EngineError, IndexKind, Method, QueryBudget, QueryOutput, QueryRequest,
+};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
-use rnknn_objects::uniform;
+use rnknn_objects::{churn_stream, uniform, ChurnConfig};
 
 fn full_engine(n: usize, seed: u64) -> Engine {
     let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
@@ -210,4 +213,58 @@ fn every_method_reports_non_trivial_query_stats() {
             assert!(s.matrix_cells > 0, "{} reported zero matrix_cells", method.name());
         }
     }
+}
+
+/// The engine's CH target directory (always present on a [`full_engine`]).
+fn ch_targets(engine: &Engine) -> &rnknn::ch::ChTargetDirectory {
+    engine.object_indexes().and_then(|live| live.ch_targets()).expect("engine built a CH")
+}
+
+/// A label is published only by a fill that ran to completion: a starved pass over
+/// fresh indexes cuts every IER-CH query inside its forward space or a fill, leaves
+/// the directory empty, and the unbudgeted pass right after it is exact (and fills).
+#[test]
+fn a_budget_cut_fill_is_never_stored() {
+    let mut engine = full_engine(900, 19);
+    let objects = uniform(engine.graph(), 0.02, 6);
+    engine.set_objects(objects.clone());
+    let n = engine.graph().num_vertices() as NodeId;
+    let queries: Vec<NodeId> = (0..24u32).map(|i| (i * 389 + 2) % n).collect();
+    let mut out = QueryOutput::default();
+    for &q in &queries {
+        let starved = QueryBudget::new(None, 4, 1);
+        let err =
+            engine.execute(&QueryRequest::new(Method::IerCh, q, 6).with_budget(&starved), &mut out);
+        assert!(matches!(err, Err(EngineError::DeadlineExceeded { .. })), "q={q}: {err:?}");
+    }
+    assert_eq!(ch_targets(&engine).filled_labels(), 0, "a truncated space was published");
+    for &q in &queries {
+        let truth: Vec<_> =
+            ground_truth(engine.graph(), q, 6, &objects).iter().map(|&(_, d)| d).collect();
+        assert_eq!(engine.query(Method::IerCh, q, 6).unwrap().distances(), truth, "q={q}");
+    }
+    assert!(ch_targets(&engine).filled_labels() > 0);
+}
+
+/// The write path never runs a CH search: building the indexes and applying 10 000
+/// update events creates and drops slots only. Labels appear with the first query.
+#[test]
+fn object_updates_fill_no_ch_label() {
+    let mut engine = full_engine(700, 23);
+    let initial = uniform(engine.graph(), 0.05, 4);
+    let events = churn_stream(
+        engine.graph().num_vertices(),
+        &initial,
+        &ChurnConfig { events: 10_000, seed: 5, ..Default::default() },
+    );
+    assert_eq!(events.len(), 10_000);
+    engine.set_objects(initial);
+    for event in events {
+        assert!(engine.update_objects(event).unwrap());
+    }
+    let targets = ch_targets(&engine);
+    assert_eq!(targets.len(), engine.objects().unwrap().len());
+    assert_eq!(targets.filled_labels(), 0, "an update event ran a CH search");
+    engine.query(Method::IerCh, 1, 3).unwrap();
+    assert!(ch_targets(&engine).filled_labels() >= 3);
 }

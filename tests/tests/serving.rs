@@ -15,7 +15,7 @@ use rnknn::verify::ground_truth;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{churn_stream, uniform, ChurnConfig};
-use rnknn_serve::{KnnRequest, ObjectStore, ServeConfig, ServeFront};
+use rnknn_serve::{EpochSnapshot, KnnRequest, ObjectStore, ServeConfig, ServeFront};
 
 fn build_engine(size: usize, seed: u64) -> Arc<Engine> {
     let net = RoadNetwork::generate(&GeneratorConfig::new(size, seed));
@@ -237,13 +237,19 @@ fn object_set_flips_between_pooled_queries_never_leak_stale_state() {
     });
 }
 
-/// End-to-end: a running `ServeFront` stays correct while updates stream through
-/// it — every response is re-checked against the Dijkstra ground truth of the
-/// exact epoch it was served from. Rounds are paced (publish, query, drain) so
-/// each response's epoch is known deterministically.
-#[test]
-fn serve_front_responses_match_ground_truth_of_their_epoch() {
-    let engine = build_engine(800, 31415);
+/// Ten paced rounds through a running `ServeFront` — stage a churn batch, publish
+/// it as the round's epoch, submit twelve `method` queries, drain — with every
+/// response re-checked against the Dijkstra ground truth of the exact epoch it was
+/// served from (no publish happens between a round's submit and its drain, so that
+/// epoch is known). `pin_round` holds a snapshot of the previous epoch across that
+/// round's publish, which defeats every reclaim spin and forces the clone fallback.
+/// `after_round` sees each round's drained epoch.
+fn front_rounds_match_their_epochs(
+    engine: Arc<Engine>,
+    method: Method,
+    pin_round: Option<u64>,
+    after_round: impl Fn(u64, &EpochSnapshot),
+) -> Arc<ObjectStore> {
     let initial = uniform(engine.graph(), 0.04, 8);
     let mut feeder = initial.clone();
     let store = Arc::new(ObjectStore::new(Arc::clone(&engine), initial));
@@ -255,7 +261,8 @@ fn serve_front_responses_match_ground_truth_of_their_epoch() {
     let n = engine.graph().num_vertices();
     let mut id = 0u64;
     for round in 0..10u64 {
-        // Apply one churn batch and publish it as this round's epoch.
+        let pin = (pin_round == Some(round)).then(|| store.snapshot());
+        let fallbacks_before = store.clone_fallbacks();
         let batch = churn_stream(
             n,
             &feeder,
@@ -267,16 +274,16 @@ fn serve_front_responses_match_ground_truth_of_their_epoch() {
         }
         let snap = store.publish();
         assert_eq!(snap.objects().vertices(), feeder.vertices(), "round {round}");
+        if pin.is_some() {
+            assert!(store.clone_fallbacks() > fallbacks_before, "pinned epoch was reclaimed");
+        }
+        drop(pin);
 
-        // Queries submitted now can only be admitted against this epoch (no
-        // further publish happens until they are drained).
         let mut queries: std::collections::HashMap<u64, NodeId> = Default::default();
         for probe in 0..12u64 {
             let q = ((round * 257 + probe * 7919) % n as u64) as NodeId;
             queries.insert(id, q);
-            front
-                .submit(KnnRequest { id, method: Method::Gtree, query: q, k: 5, deadline: None })
-                .unwrap();
+            front.submit(KnnRequest { id, method, query: q, k: 5, deadline: None }).unwrap();
             id += 1;
         }
         for _ in 0..queries.len() {
@@ -290,10 +297,39 @@ fn serve_front_responses_match_ground_truth_of_their_epoch() {
             assert_eq!(
                 r.output.expect("query failed").distances(),
                 truth,
-                "round {round}: response {} diverged from its epoch's ground truth at q={q}",
-                r.id
+                "round {round}: {} response {} diverged from epoch {}'s ground truth at q={q}",
+                method.name(),
+                r.id,
+                snap.epoch()
             );
         }
+        after_round(round, &snap);
     }
     drop(front);
+    store
+}
+
+/// End-to-end: a running `ServeFront` stays correct while updates stream through
+/// it.
+#[test]
+fn serve_front_responses_match_ground_truth_of_their_epoch() {
+    front_rounds_match_their_epochs(build_engine(800, 31415), Method::Gtree, None, |_, _| {});
+}
+
+/// IER-CH's target labels are filled on the read side, by whichever worker meets an
+/// object first, into the bundle that is published at that moment — so they ride
+/// the double buffer: a reclaimed bundle comes back with the labels it filled two
+/// epochs ago minus the objects replayed away, and a clone fallback copies them.
+/// Across both paths every response must be exact for the epoch it names.
+#[test]
+fn ier_ch_through_the_front_is_exact_per_epoch_across_reclaims_and_a_clone_fallback() {
+    let net = RoadNetwork::generate(&GeneratorConfig::new(800, 2024));
+    let config = EngineConfig { build_ch: true, ..EngineConfig::minimal() };
+    let engine = Arc::new(Engine::build(net.graph(EdgeWeightKind::Distance), &config));
+    let store = front_rounds_match_their_epochs(engine, Method::IerCh, Some(2), |round, snap| {
+        let targets = snap.indexes().ch_targets().expect("engine built a CH");
+        assert_eq!(targets.len(), snap.objects().len(), "round {round}");
+        assert!(targets.filled_labels() > 0, "round {round}: the workers filled no label");
+    });
+    assert!(store.clone_fallbacks() < 10, "no publish took the reclaim path");
 }
