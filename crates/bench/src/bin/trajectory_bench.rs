@@ -6,10 +6,10 @@
 //! accounting for serving, post-clock verification for cold start), measures,
 //! and merges its records by name into `BENCH_<bench>.json` in the workspace
 //! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree, ROAD and
-//! IER-CH p50s against the file's previous contents, and `gtree` / `cold-start`
-//! fail when the index's `memory_bytes` / the artifact's `artifact_bytes` grew
-//! (deterministic counts); re-baselining an intentional change is committing the
-//! written file.
+//! IER-CH p50s against the file's previous contents, and `gtree`, `knn` /
+//! `cold-start` fail when the G-tree's or ROAD's `memory_bytes` / the artifact's
+//! `artifact_bytes` grew (deterministic counts); re-baselining an intentional
+//! change is committing the written file.
 
 #![forbid(unsafe_code)]
 
@@ -88,7 +88,10 @@ fn run(args: &cli::Args) -> Result<(), String> {
         }
         let previous = track::update(bench, &records);
         match bench {
-            "knn_query" => knn_query::check_regression(&records, &previous),
+            "knn_query" => {
+                knn_query::check_regression(&records, &previous);
+                track::check_bytes_not_grown(&records, &previous, "/memory_bytes");
+            }
             "gtree_build" => track::check_bytes_not_grown(&records, &previous, "/memory_bytes"),
             "cold_start" => track::check_bytes_not_grown(&records, &previous, "/artifact_bytes"),
             _ => {}

@@ -503,6 +503,10 @@ pub mod knn_query {
                     ("queries", queries.len() as f64, "count"),
                 ],
             ));
+            if let Some(road) = engine.road() {
+                let bytes = road.memory_bytes() as f64;
+                records.extend(track::records(&tier, &[("ROAD/memory_bytes", bytes, "bytes")]));
+            }
 
             for method in METHODS.into_iter().filter(|&m| engine.supports(m)) {
                 // Exactness gate.

@@ -236,6 +236,15 @@ mod tests {
         }
 
         #[test]
+        #[should_panic(expected = "knn_query/23190/ROAD/memory_bytes grew")]
+        fn byte_guard_rejects_a_grown_road_overlay() {
+            let row =
+                |bytes| vec![Record::new("knn_query/23190/ROAD/memory_bytes", bytes, "bytes")];
+            let baseline = read(&write(&row(3_272_416.0))).unwrap();
+            check_bytes_not_grown(&row(3_272_428.0), &baseline, "/memory_bytes");
+        }
+
+        #[test]
         #[should_panic(expected = "cold_start/23190/artifact_bytes grew")]
         fn byte_guard_rejects_a_grown_artifact() {
             let baseline = read(&write(&sizes(13_500_000.0, 16_000_000.0))).unwrap();

@@ -58,9 +58,42 @@ pub struct Rnet {
     pub borders: Vec<NodeId>,
     /// Range of leaf-Rnet DFS indexes covered (for `O(1)` containment tests).
     pub leaf_range: (u32, u32),
-    /// Start of this Rnet's shortcut rows in the global shortcut array: row `i` holds
-    /// the distances from `borders[i]` to every border of this Rnet.
-    pub shortcut_offset: u32,
+}
+
+/// CSR rows of `(target, weight)` entries, split into parallel arrays like the
+/// adjacency lists of [`Graph`] so that an entry costs 12 bytes.
+#[derive(Debug, Clone)]
+struct Rows {
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+    weights: Vec<Weight>,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows { offsets: vec![0], targets: Vec::new(), weights: Vec::new() }
+    }
+}
+
+impl Rows {
+    #[inline]
+    fn row(&self, i: usize) -> impl ExactSizeIterator<Item = (NodeId, Weight)> + '_ {
+        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        self.targets[lo..hi].iter().copied().zip(self.weights[lo..hi].iter().copied())
+    }
+
+    fn push_row(&mut self, entries: impl Iterator<Item = (NodeId, Weight)>) {
+        for (t, w) in entries {
+            self.targets.push(t);
+            self.weights.push(w);
+        }
+        self.offsets.push(u32::try_from(self.targets.len()).expect("row offsets fit in u32"));
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.offsets.len() + self.targets.len()) * 4
+            + self.weights.len() * std::mem::size_of::<Weight>()
+    }
 }
 
 /// The ROAD road-network index: Rnet hierarchy plus Route Overlay.
@@ -70,11 +103,17 @@ pub struct RoadIndex {
     root: RnetIndex,
     /// Leaf Rnet of every vertex.
     leaf_of_vertex: Vec<RnetIndex>,
-    /// For every vertex, the lowest level (closest to the root) at which it is a border,
-    /// or `u32::MAX` when it is interior to its leaf Rnet.
-    highest_border_level: Vec<u32>,
-    /// Global flat shortcut array (Section 6.2: a single array with per-Rnet offsets).
-    shortcuts: Vec<Weight>,
+    /// The Route Overlay, one flat vertex-major CSR (Section 6.2: a single array with
+    /// offsets). A row is the kept shortcuts of one (Rnet, border) followed by the
+    /// border's graph edges that leave the Rnet: its complete out-list while that Rnet
+    /// is bypassed.
+    overlay: Rows,
+    /// Rows `rows_of_vertex[v]..rows_of_vertex[v + 1]` of the overlay belong to `v`, one
+    /// per Rnet it borders, top level first: a border of an Rnet is a border of every
+    /// deeper Rnet containing it, so they are the last Rnets of [`RoadIndex::chain_of`].
+    rows_of_vertex: Vec<u32>,
+    /// Per Rnet, the vertices that are not its borders (what a bypass skips).
+    interior_vertices: Vec<u32>,
     /// Per-Rnet containment chains (root's child down to the Rnet itself),
     /// CSR-packed so [`RoadIndex::chain_of`] is an allocation-free slice lookup on
     /// the query hot path.
@@ -104,11 +143,8 @@ impl RoadIndex {
         let all: Vec<NodeId> = graph.vertices().collect();
         let root = builder.build_rnet(None, all, 0);
         builder.compute_borders();
-        let (shortcuts, offsets) = builder.compute_shortcuts();
-        for (i, off) in offsets.into_iter().enumerate() {
-            builder.rnets[i].shortcut_offset = off;
-        }
-        let highest_border_level = builder.compute_highest_border_levels();
+        let kept = builder.compute_shortcuts();
+        let (overlay, rows_of_vertex) = builder.pack_overlay(&kept);
         // CSR-pack every Rnet's containment chain (top-down, root omitted) so the
         // kNN search reads it as a slice instead of rebuilding a Vec per vertex.
         let num_rnets = builder.rnets.len();
@@ -127,12 +163,15 @@ impl RoadIndex {
             chain_entries[start..].reverse();
             chain_offsets[i + 1] = chain_entries.len() as u32;
         }
+        let interior_vertices =
+            builder.rnets.iter().map(|r| r.num_vertices - r.borders.len() as u32).collect();
         RoadIndex {
+            interior_vertices,
             rnets: builder.rnets,
             root,
             leaf_of_vertex: builder.leaf_of_vertex,
-            highest_border_level,
-            shortcuts,
+            overlay,
+            rows_of_vertex,
             chain_entries,
             chain_offsets,
             config,
@@ -179,48 +218,78 @@ impl RoadIndex {
         &self.chain_entries[lo..hi]
     }
 
+    /// True when `v` lies inside Rnet `r`.
+    fn contains(&self, r: RnetIndex, v: NodeId) -> bool {
+        let range = self.rnets[r as usize].leaf_range;
+        let leaf = self.rnets[self.leaf_of_vertex[v as usize] as usize].leaf_range.0;
+        range.0 <= leaf && leaf < range.1
+    }
+
     /// True when `v` is a border of Rnet `r`.
     pub fn is_border_of(&self, r: RnetIndex, v: NodeId) -> bool {
         self.rnets[r as usize].borders.binary_search(&v).is_ok()
     }
 
-    /// The lowest hierarchy level at which `v` is a border (`u32::MAX` when it is not a
-    /// border of any Rnet).
-    pub fn highest_border_level(&self, v: NodeId) -> u32 {
-        self.highest_border_level[v as usize]
+    /// The Rnets of which `v` is a border, top level first, and the overlay row of the
+    /// first of them; the following Rnets own the following rows.
+    #[inline]
+    pub(crate) fn border_rows(&self, v: NodeId) -> (&[RnetIndex], usize) {
+        let first = self.rows_of_vertex[v as usize] as usize;
+        let count = self.rows_of_vertex[v as usize + 1] as usize - first;
+        if count == 0 {
+            return (&[], first);
+        }
+        let chain = self.chain_of(v);
+        (&chain[chain.len() - count..], first)
     }
 
-    /// The shortcuts from border `v` of Rnet `r`: pairs of (other border, restricted
-    /// network distance). Returns `None` when `v` is not a border of `r`.
+    /// Overlay row `row`: everything a border relaxes while its Rnet is bypassed — the
+    /// kept shortcuts, then the border's graph edges that leave the Rnet.
+    #[inline]
+    pub(crate) fn overlay_row(
+        &self,
+        row: usize,
+    ) -> impl ExactSizeIterator<Item = (NodeId, Weight)> + '_ {
+        self.overlay.row(row)
+    }
+
+    /// Vertices of Rnet `r` that are not its borders.
+    #[inline]
+    pub(crate) fn interior_vertices(&self, r: RnetIndex) -> usize {
+        self.interior_vertices[r as usize] as usize
+    }
+
+    /// The kept shortcuts from border `v` of Rnet `r`: pairs of (other border,
+    /// restricted network distance). A shortcut is stored only when no third border
+    /// splits it into two shorter ones, so every border of `r` is still reached at its
+    /// restricted distance, possibly over several shortcuts.
+    /// Returns `None` when `v` is not a border of `r`.
     pub fn shortcuts_from(
         &self,
         r: RnetIndex,
         v: NodeId,
     ) -> Option<impl Iterator<Item = (NodeId, Weight)> + '_> {
-        let rnet = &self.rnets[r as usize];
-        let row = rnet.borders.binary_search(&v).ok()?;
-        let nb = rnet.borders.len();
-        let base = rnet.shortcut_offset as usize + row * nb;
-        Some(
-            rnet.borders
-                .iter()
-                .copied()
-                .zip(self.shortcuts[base..base + nb].iter().copied())
-                .filter(move |&(b, _)| b != v),
-        )
+        let (rnets, first_row) = self.border_rows(v);
+        let row = first_row + rnets.iter().position(|&x| x == r)?;
+        // The row's leaving edges end outside `r`, its shortcuts at borders of `r`.
+        Some(self.overlay.row(row).filter(move |&(t, _)| self.contains(r, t)))
     }
 
-    /// Total number of shortcut entries stored.
+    /// Total number of Route Overlay entries stored (kept shortcuts plus leaving edges).
     pub fn num_shortcut_entries(&self) -> usize {
-        self.shortcuts.len()
+        self.overlay.targets.len()
     }
 
-    /// Approximate resident size in bytes (Figure 8(a): ROAD's Route Overlay is larger
-    /// than G-tree because border lists repeat across levels).
+    /// Resident size in bytes of everything the index holds (Figure 8(a)). The
+    /// overlay dominates; with triangle-sparsified rows it is smaller than the
+    /// G-tree's matrices even though border lists repeat across levels.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.leaf_of_vertex.len() * 4
-            + self.highest_border_level.len() * 4
-            + self.shortcuts.len() * std::mem::size_of::<Weight>();
+        let words = self.leaf_of_vertex.len()
+            + self.rows_of_vertex.len()
+            + self.interior_vertices.len()
+            + self.chain_entries.len()
+            + self.chain_offsets.len();
+        let mut bytes = words * 4 + self.overlay.memory_bytes();
         for r in &self.rnets {
             bytes += std::mem::size_of::<Rnet>() + r.children.len() * 4 + r.borders.len() * 4;
         }
@@ -252,7 +321,6 @@ impl<'a> Builder<'a> {
             num_vertices: vertices.len() as u32,
             borders: Vec::new(),
             leaf_range: (0, 0),
-            shortcut_offset: 0,
         });
         let is_leaf =
             level as usize >= self.config.levels || vertices.len() <= self.config.min_rnet_vertices;
@@ -290,8 +358,10 @@ impl<'a> Builder<'a> {
         index
     }
 
-    fn leaf_dfs_of(&self, v: NodeId) -> u32 {
-        self.rnets[self.leaf_of_vertex[v as usize] as usize].leaf_range.0
+    /// True when vertex `t` lies outside the Rnet covering the leaf range `range`.
+    fn outside(&self, range: (u32, u32), t: NodeId) -> bool {
+        let leaf = self.rnets[self.leaf_of_vertex[t as usize] as usize].leaf_range.0;
+        leaf < range.0 || leaf >= range.1
     }
 
     fn compute_borders(&mut self) {
@@ -300,10 +370,7 @@ impl<'a> Builder<'a> {
             let mut r = self.leaf_of_vertex[v as usize];
             loop {
                 let range = self.rnets[r as usize].leaf_range;
-                let is_border = self.graph.neighbor_ids(v).iter().any(|&t| {
-                    let tl = self.leaf_dfs_of(t);
-                    tl < range.0 || tl >= range.1
-                });
+                let is_border = self.graph.neighbor_ids(v).iter().any(|&t| self.outside(range, t));
                 if !is_border {
                     break;
                 }
@@ -321,9 +388,10 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Bottom-up shortcut computation. Returns the global shortcut array and the
-    /// per-Rnet offsets into it.
-    fn compute_shortcuts(&mut self) -> (Vec<Weight>, Vec<u32>) {
+    /// Bottom-up shortcut computation: every Rnet's kept shortcut rows, one per border in
+    /// border-list order. An Rnet's dense border matrix lives only until it is
+    /// sparsified; its parent composes from the kept rows, which carry the same distances.
+    fn compute_shortcuts(&self) -> Vec<Rows> {
         let n_rnets = self.rnets.len();
         let mut order: Vec<usize> = (0..n_rnets).collect();
         order.sort_unstable_by_key(|&i| std::cmp::Reverse(self.rnets[i].level));
@@ -334,29 +402,46 @@ impl<'a> Builder<'a> {
             leaf_vertices[self.leaf_of_vertex[v as usize] as usize].push(v);
         }
 
-        // Temporary per-Rnet matrices (borders × borders); flattened at the end.
-        let mut matrices: Vec<Vec<Weight>> = vec![Vec::new(); n_rnets];
+        let mut kept = vec![Rows::default(); n_rnets];
         for &i in &order {
-            let borders = self.rnets[i].borders.clone();
-            let nb = borders.len();
-            if nb == 0 {
+            let borders = &self.rnets[i].borders;
+            if borders.is_empty() {
                 continue;
             }
             let matrix = if self.rnets[i].children.is_empty() {
-                self.leaf_shortcut_matrix(&leaf_vertices[i], &borders)
+                self.leaf_shortcut_matrix(&leaf_vertices[i], borders)
             } else {
-                self.internal_shortcut_matrix(i, &borders, &matrices)
+                self.internal_shortcut_matrix(i, borders, &kept)
             };
-            matrices[i] = matrix;
+            kept[i] = sparsify(borders, &matrix);
         }
+        kept
+    }
 
-        let mut shortcuts = Vec::new();
-        let mut offsets = vec![0u32; n_rnets];
-        for i in 0..n_rnets {
-            offsets[i] = shortcuts.len() as u32;
-            shortcuts.extend_from_slice(&matrices[i]);
+    /// Re-packs the kept rows vertex-major, top level first, each row closed by its
+    /// vertex's graph edges that leave the Rnet: the overlay and its `rows_of_vertex`
+    /// as documented on [`RoadIndex`].
+    fn pack_overlay(&self, kept: &[Rows]) -> (Rows, Vec<u32>) {
+        let mut overlay = Rows::default();
+        let mut rows_of_vertex = Vec::with_capacity(self.graph.num_vertices() + 1);
+        let mut bordered: Vec<(usize, usize)> = Vec::new();
+        for v in self.graph.vertices() {
+            rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
+            // Leaf upwards: the Rnets `v` borders and its position in their border lists.
+            bordered.clear();
+            let mut r = self.leaf_of_vertex[v as usize] as usize;
+            while let Ok(pos) = self.rnets[r].borders.binary_search(&v) {
+                bordered.push((r, pos));
+                r = self.rnets[r].parent.expect("the root has no borders") as usize;
+            }
+            for &(r, pos) in bordered.iter().rev() {
+                let range = self.rnets[r].leaf_range;
+                let leaving = self.graph.neighbors(v).filter(|&(t, _)| self.outside(range, t));
+                overlay.push_row(kept[r].row(pos).chain(leaving));
+            }
         }
-        (shortcuts, offsets)
+        rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
+        (overlay, rows_of_vertex)
     }
 
     /// Border-to-border distances within a leaf Rnet (Dijkstra on the induced subgraph).
@@ -387,13 +472,8 @@ impl<'a> Builder<'a> {
     }
 
     /// Border-to-border distances within an internal Rnet, computed on the reduced graph
-    /// of child borders (children's shortcut cliques + cross edges inside this Rnet).
-    fn internal_shortcut_matrix(
-        &self,
-        i: usize,
-        borders: &[NodeId],
-        matrices: &[Vec<Weight>],
-    ) -> Vec<Weight> {
+    /// of child borders (children's kept shortcuts + cross edges inside this Rnet).
+    fn internal_shortcut_matrix(&self, i: usize, borders: &[NodeId], kept: &[Rows]) -> Vec<Weight> {
         let rnet = &self.rnets[i];
         let mut child_borders: Vec<NodeId> = Vec::new();
         for &c in &rnet.children {
@@ -407,29 +487,17 @@ impl<'a> Builder<'a> {
         }
         let n_local = child_borders.len();
         let mut adjacency: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); n_local];
-        // Child shortcut cliques.
+        // Child shortcuts (kept symmetrically, so each row adds its own direction).
         for &c in &rnet.children {
-            let cb = &self.rnets[c as usize].borders;
-            let m = &matrices[c as usize];
-            let nb = cb.len();
-            for a in 0..nb {
-                for b in (a + 1)..nb {
-                    let d = m[a * nb + b];
-                    if d < INFINITY {
-                        let la = local_of[&cb[a]];
-                        let lb = local_of[&cb[b]];
-                        adjacency[la as usize].push((lb, d));
-                        adjacency[lb as usize].push((la, d));
-                    }
-                }
+            for (row, &b) in self.rnets[c as usize].borders.iter().enumerate() {
+                let out = &mut adjacency[local_of[&b] as usize];
+                out.extend(kept[c as usize].row(row).map(|(t, d)| (local_of[&t], d)));
             }
         }
         // Cross edges between different children, inside this Rnet.
-        let range = rnet.leaf_range;
         for (pos, &v) in child_borders.iter().enumerate() {
             for (t, w) in self.graph.neighbors(v) {
-                let tl = self.leaf_dfs_of(t);
-                if tl < range.0 || tl >= range.1 {
+                if self.outside(rnet.leaf_range, t) {
                     continue;
                 }
                 if let Some(&lt) = local_of.get(&t) {
@@ -449,24 +517,40 @@ impl<'a> Builder<'a> {
         }
         matrix
     }
+}
 
-    fn compute_highest_border_levels(&self) -> Vec<u32> {
-        let mut levels = vec![u32::MAX; self.graph.num_vertices()];
-        for (i, rnet) in self.rnets.iter().enumerate() {
-            if i == 0 {
-                continue; // the root can never be bypassed
-            }
-            for &b in &rnet.borders {
-                levels[b as usize] = levels[b as usize].min(rnet.level);
-            }
-        }
-        levels
+/// Thins the dense border × border matrix `m` of one Rnet with the triangle rule that
+/// G-tree composition applies to child cliques: shortcut `(a, b)` is dropped when a
+/// third border `t` has `m[a][t] + m[t][b] == m[a][b]` with both legs positive. Both
+/// legs are then strictly shorter than the shortcut, so by induction on distance every
+/// border pair stays connected at exactly `m[a][b]` through kept shortcuts; a
+/// zero-length leg never justifies a drop, so equal-distance borders cannot drop each
+/// other in a cycle. Unreachable pairs are not stored. `m` is symmetric (the network
+/// is undirected), hence so is the kept set.
+fn sparsify(borders: &[NodeId], m: &[Weight]) -> Rows {
+    let nb = borders.len();
+    let mut kept = Rows::default();
+    // Witnesses are probed nearest-first: one exists only among borders strictly
+    // closer to `a` than `b` is, and is almost always among the closest few.
+    let mut nearest: Vec<usize> = (0..nb).collect();
+    for a in 0..nb {
+        let row_a = &m[a * nb..(a + 1) * nb];
+        nearest.sort_unstable_by_key(|&t| row_a[t]);
+        let keeps = |b: usize| {
+            let (d, row_b) = (row_a[b], &m[b * nb..(b + 1) * nb]);
+            let mut legs =
+                nearest.iter().map(|&t| (row_a[t], row_b[t])).take_while(|&(at, _)| at < d);
+            b != a && d < INFINITY && !legs.any(|(at, tb)| at > 0 && at + tb == d)
+        };
+        kept.push_row((0..nb).filter(|&b| keeps(b)).map(|b| (borders[b], row_a[b])));
     }
+    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
 
@@ -507,10 +591,7 @@ mod tests {
                 continue;
             }
             for &b in &rnet.borders {
-                let outside = g.neighbor_ids(b).iter().any(|&t| {
-                    let tl = idx.rnet(idx.leaf_of(t)).leaf_range.0;
-                    tl < rnet.leaf_range.0 || tl >= rnet.leaf_range.1
-                });
+                let outside = g.neighbor_ids(b).iter().any(|&t| !idx.contains(ri as RnetIndex, t));
                 assert!(outside, "border {b} of rnet {ri} has no outside edge");
                 assert!(idx.is_border_of(ri as RnetIndex, b));
             }
@@ -528,9 +609,6 @@ mod tests {
             }
             for &b in rnet.borders.iter().take(3) {
                 for (other, d) in idx.shortcuts_from(ri as RnetIndex, b).unwrap() {
-                    if d == INFINITY {
-                        continue;
-                    }
                     let truth = dijkstra::distance(&g, b, other);
                     assert!(d >= truth, "shortcut {b}->{other} = {d} < true {truth}");
                 }
@@ -539,20 +617,105 @@ mod tests {
     }
 
     #[test]
-    fn highest_border_level_is_consistent_with_border_lists() {
+    fn overlay_rows_are_consistent_with_border_lists() {
         let (g, idx) = build(400, 7, 3);
         for v in g.vertices() {
-            let level = idx.highest_border_level(v);
-            if level == u32::MAX {
-                for &r in idx.chain_of(v) {
-                    assert!(!idx.is_border_of(r, v));
-                }
-            } else {
-                let chain = idx.chain_of(v);
-                let r = chain.iter().find(|&&r| idx.rnet(r).level == level).copied();
-                assert!(r.is_some_and(|r| idx.is_border_of(r, v)));
+            // The Rnets v borders are exactly the tail of its chain that has rows.
+            let chain = idx.chain_of(v);
+            let (bordered, first_row) = idx.border_rows(v);
+            let (above, tail) = chain.split_at(chain.len() - bordered.len());
+            assert_eq!(tail, bordered);
+            for &r in above {
+                assert!(!idx.is_border_of(r, v));
+                assert!(idx.shortcuts_from(r, v).is_none());
+            }
+            // A row is the kept shortcuts (to borders of the Rnet), then v's leaving edges.
+            for (j, &r) in bordered.iter().enumerate() {
+                assert!(idx.is_border_of(r, v));
+                let mut want: Vec<(NodeId, Weight)> = idx.shortcuts_from(r, v).unwrap().collect();
+                assert!(want
+                    .iter()
+                    .all(|&(b, d)| b != v && idx.is_border_of(r, b) && d < INFINITY));
+                want.extend(g.neighbors(v).filter(|&(t, _)| !idx.contains(r, t)));
+                let row: Vec<(NodeId, Weight)> = idx.overlay_row(first_row + j).collect();
+                assert_eq!(row, want, "row of {v} in rnet {r}");
             }
         }
+    }
+
+    /// Border-to-border distances of Rnet `r` over `edges(v)`, `INFINITY` when apart.
+    fn border_distances(
+        g: &Graph,
+        idx: &RoadIndex,
+        r: RnetIndex,
+        mut edges: impl FnMut(NodeId, &mut Vec<(NodeId, Weight)>),
+    ) -> Vec<Weight> {
+        let borders = &idx.rnet(r).borders;
+        let mut all = Vec::with_capacity(borders.len() * borders.len());
+        for &a in borders {
+            let dist = dijkstra::dijkstra_adjacency(g.num_vertices(), a, &mut edges);
+            all.extend(borders.iter().map(|&b| dist[b as usize]));
+        }
+        all
+    }
+
+    /// Ordered pairs of distinct borders, summed over all Rnets of one index.
+    #[derive(Debug, Default)]
+    struct BorderPairs {
+        /// Pairs joined by a stored shortcut.
+        kept: usize,
+        /// Pairs connected inside their Rnet (what the dense cliques stored).
+        connected: usize,
+        /// Connected pairs at distance zero.
+        at_zero: usize,
+        /// Pairs with no path inside their Rnet.
+        apart: usize,
+    }
+
+    /// The triangle rule may drop a shortcut only if the kept ones still carry its
+    /// distance: per Rnet, Dijkstra over the kept rows (borders only) must equal
+    /// Dijkstra over the Rnet's induced subgraph.
+    fn check_kept_shortcuts(g: &Graph) -> BorderPairs {
+        let config = RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 };
+        let idx = RoadIndex::build_with_config(g, config);
+        let mut pairs = BorderPairs::default();
+        for r in (0..idx.num_rnets() as RnetIndex).filter(|&r| r != idx.root()) {
+            let borders = &idx.rnet(r).borders;
+            let restricted = border_distances(g, &idx, r, |v, out| {
+                out.extend(g.neighbors(v).filter(|&(t, _)| idx.contains(r, t)));
+            });
+            let over_kept = border_distances(g, &idx, r, |v, out| {
+                out.extend(idx.shortcuts_from(r, v).expect("shortcuts lead to borders of r"));
+            });
+            if let Some(i) = (0..restricted.len()).find(|&i| over_kept[i] != restricted[i]) {
+                let (a, b) = (borders[i / borders.len()], borders[i % borders.len()]);
+                let (kept, inside) = (over_kept[i], restricted[i]);
+                panic!("rnet {r}: {a} -> {b} is {kept} over kept rows, {inside} inside the Rnet");
+            }
+            pairs.kept +=
+                borders.iter().map(|&b| idx.shortcuts_from(r, b).unwrap().count()).sum::<usize>();
+            pairs.apart += restricted.iter().filter(|&&d| d == INFINITY).count();
+            pairs.at_zero += restricted.iter().filter(|&&d| d == 0).count() - borders.len();
+            pairs.connected += restricted.iter().filter(|&&d| d < INFINITY).count() - borders.len();
+        }
+        pairs
+    }
+
+    #[test]
+    fn kept_shortcuts_preserve_every_border_pair_distance() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(900, 12));
+        let generated = check_kept_shortcuts(&net.graph(EdgeWeightKind::Distance));
+        assert!(generated.kept * 2 < generated.connected, "{generated:?}");
+        // Unit weights: nearly every pair has an equal-length cover through a third border.
+        let ties = check_kept_shortcuts(&unit_grids(24, 1));
+        assert!(ties.kept * 3 < ties.connected, "{ties:?}");
+        // Zero-weight edges: a zero leg must not justify a drop (two borders at
+        // distance zero would otherwise each drop the other's shortcuts).
+        let zeros = check_kept_shortcuts(&zero_weight_grid(24));
+        assert!(zeros.at_zero > 0 && zeros.kept < zeros.connected, "{zeros:?}");
+        // Several components: unreachable pairs are not stored and stay unreachable.
+        let split = check_kept_shortcuts(&unit_grids(9, 5));
+        assert!(split.apart > 0 && split.kept < split.connected, "{split:?}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! ROAD kNN search (Algorithm 5 / 6 of the paper's appendix).
 //!
 //! The search expands from the query vertex exactly like INE, but whenever it reaches a
-//! vertex that is a border of an object-free Rnet it *bypasses* that Rnet: it relaxes
-//! the precomputed shortcuts to the Rnet's other borders (plus the vertex's edges that
-//! leave the Rnet) instead of exploring the Rnet's interior.
+//! vertex that is a border of an object-free Rnet it *bypasses* that Rnet: instead of
+//! the vertex's edges it relaxes one Route Overlay row — the kept shortcuts to other
+//! borders of the Rnet plus the vertex's edges that leave it — and never explores the
+//! Rnet's interior.
 //!
 //! It is a label-setting search like every other expansion in the workspace: shortcut
 //! and edge relaxations alike go through [`SearchScratch::relax`], which queues a label
@@ -14,8 +15,21 @@
 //! settled vertex holds its final label, which nothing improves. It also bounds the
 //! queue — a border that many already-settled borders of one Rnet can reach is queued
 //! once per improvement, not once per shortcut row that names it.
+//!
+//! The rows are triangle-sparsified (`sparsify` in `index.rs`), so a border of the
+//! bypassed Rnet may be reached over several kept shortcuts instead of one. Nothing is
+//! lost. What a vertex relaxes depends on the vertex and the directory only, so the
+//! search is Dijkstra on a fixed graph, and that graph preserves the distance from
+//! every vertex `x` to every object `o`, by induction on that distance (among equals,
+//! on the edges of a fewest-edges shortest path). If `x` bypasses an Rnet — object-free,
+//! so `o` is outside — the path leaves it at a border `c` after a within-Rnet shortest
+//! walk; the kept shortcuts join `x` to `c` at that length, over positive legs or as
+//! one zero-length shortcut, so the first of them ends strictly nearer to `o` (or at
+//! `c`, further along the path), where the induction applies whichever Rnet that
+//! vertex bypasses in turn. Only a clear bit on an Rnet that holds an object could
+//! break this; the stale-true bits a removal leaves just mean fewer bypasses.
 
-use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
+use rnknn_graph::{Graph, NodeId, Weight};
 use rnknn_pathfinding::scratch::SearchScratch;
 use rnknn_pathfinding::{QueryBudget, UNLIMITED};
 
@@ -34,7 +48,8 @@ pub struct RoadSearchStats {
     /// Total interior vertices of bypassed Rnets (an estimate of the expansion work
     /// avoided).
     pub vertices_bypassed: usize,
-    /// Shortcut relaxations performed.
+    /// Overlay entries relaxed: every entry of each bypassed row, the border's edges
+    /// that leave the bypassed Rnet included.
     pub shortcuts_relaxed: usize,
 }
 
@@ -133,40 +148,21 @@ impl<'a> RoadKnn<'a> {
         stats: &mut RoadSearchStats,
     ) {
         let road = self.road;
-        // Find the highest-level (largest) object-free Rnet of which v is a border.
-        let border_level = road.highest_border_level(v);
-        if border_level != u32::MAX {
-            for &r in road.chain_of(v) {
-                let rnet = road.rnet(r);
-                if rnet.level < border_level {
-                    continue; // v is interior to this Rnet, cannot bypass from it
-                }
-                if directory.rnet_has_object(r) {
-                    continue; // objects inside: must descend further
-                }
-                // Bypass: relax shortcuts to the Rnet's other borders...
-                if let Some(shortcuts) = road.shortcuts_from(r, v) {
-                    stats.bypasses += 1;
-                    stats.vertices_bypassed +=
-                        (rnet.num_vertices as usize).saturating_sub(rnet.borders.len());
-                    for (b, w) in shortcuts {
-                        stats.shortcuts_relaxed += 1;
-                        if w != INFINITY && scratch.relax(b, d + w) {
-                            stats.heap_pushes += 1;
-                        }
-                    }
-                    // ...plus the edges of v that leave the bypassed Rnet.
-                    let range = rnet.leaf_range;
-                    for (t, w) in self.graph.neighbors(v) {
-                        let tl = road.rnet(road.leaf_of(t)).leaf_range.0;
-                        let outside = tl < range.0 || tl >= range.1;
-                        if outside && scratch.relax(t, d + w) {
-                            stats.heap_pushes += 1;
-                        }
-                    }
-                    return;
+        // Bypass the highest-level (largest) object-free Rnet of which v is a border:
+        // its overlay row — kept shortcuts, then the edges of v that leave the Rnet —
+        // is everything v relaxes.
+        let (rnets, first_row) = road.border_rows(v);
+        if let Some(j) = rnets.iter().position(|&r| !directory.rnet_has_object(r)) {
+            let row = road.overlay_row(first_row + j);
+            stats.bypasses += 1;
+            stats.vertices_bypassed += road.interior_vertices(rnets[j]);
+            stats.shortcuts_relaxed += row.len();
+            for (t, w) in row {
+                if scratch.relax(t, d + w) {
+                    stats.heap_pushes += 1;
                 }
             }
+            return;
         }
         // No bypass possible: relax edges exactly as INE does.
         for (t, w) in self.graph.neighbors(v) {
@@ -181,6 +177,7 @@ impl<'a> RoadKnn<'a> {
 mod tests {
     use super::*;
     use crate::index::RoadConfig;
+    use crate::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
@@ -245,7 +242,7 @@ mod tests {
         assert!(objects.len() * 200 <= n as usize);
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
         let knn = RoadKnn::new(&g, &road);
-        let (mut pushes, mut settled) = (0, 0);
+        let (mut pushes, mut settled, mut relaxed) = (0, 0, 0);
         for i in 0..60 {
             let q = (i * 7919 + 3) % n;
             let (got, stats) = knn.knn_with_stats(q, 5, &dir);
@@ -253,6 +250,7 @@ mod tests {
             assert_eq!(got.iter().map(|&(_, d)| d).collect::<Vec<_>>(), want, "q={q}");
             pushes += stats.heap_pushes;
             settled += stats.settled;
+            relaxed += stats.shortcuts_relaxed;
         }
         assert!(
             pushes <= 4 * settled,
@@ -260,6 +258,62 @@ mod tests {
              through the label test (at the benchmark's 23k tier, density 0.002, the ratio \
              was 13.9 when only settled borders were skipped and is 3.0 with the test)"
         );
+        assert!(
+            relaxed <= 10 * settled,
+            "{relaxed} overlay entries relaxed for {settled} settled vertices: a bypass must \
+             read one triangle-sparsified row (here 5.8 per settled vertex, leaving edges \
+             included; a dense border x border row read 19.2 without them — 7.4 against 26.3 \
+             at the benchmark's 23k tier, density 0.002)"
+        );
+    }
+
+    /// Removals leave Rnet bits stale-true until the next `repair`: the search then
+    /// bypasses fewer Rnets than it could, and must stay exact.
+    #[test]
+    fn knn_is_exact_on_a_dirty_directory() {
+        let (g, road) = setup(1500, 31, 4);
+        let n = g.num_vertices() as NodeId;
+        let mut objects: Vec<NodeId> = (0..n).filter(|v| v % 40 == 3).collect();
+        let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        for _ in 0..16 {
+            let v = objects.swap_remove(objects.len() / 3);
+            assert!(dir.remove(v));
+        }
+        assert!(dir.dirty_removals() == 16 && !dir.needs_repair());
+        let exact = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let stale = (0..road.num_rnets() as u32)
+            .filter(|&r| dir.rnet_has_object(r) && !exact.rnet_has_object(r))
+            .count();
+        assert!(stale > 0, "no Rnet lost its last object: nothing stale to test");
+        let knn = RoadKnn::new(&g, &road);
+        for i in 0..40 {
+            let q = (i * 7919 + 11) % n;
+            let got: Vec<Weight> = knn.knn(q, 6, &dir).iter().map(|&(_, d)| d).collect();
+            assert_eq!(got, brute_knn(&g, q, 6, &objects), "q={q}");
+        }
+    }
+
+    /// The inputs the generator never produces: unit weights (every shortcut has
+    /// equal-length covers), zero-weight edges (borders at distance zero), and several
+    /// components with `k` above what the query's component holds.
+    #[test]
+    fn knn_is_exact_on_ties_zero_weights_and_split_networks() {
+        for g in [unit_grids(24, 1), zero_weight_grid(24), unit_grids(12, 4)] {
+            let config = RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 };
+            let road = RoadIndex::build_with_config(&g, config);
+            let n = g.num_vertices() as NodeId;
+            let objects: Vec<NodeId> = (0..n).filter(|v| v % 37 == 5).collect();
+            let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+            let knn = RoadKnn::new(&g, &road);
+            for i in 0..40 {
+                let q = (i * 7919 + 1) % n;
+                let (got, stats) = knn.knn_with_stats(q, 6, &dir);
+                let mut want = brute_knn(&g, q, 6, &objects);
+                want.retain(|&d| d < rnknn_graph::INFINITY);
+                assert_eq!(got.iter().map(|&(_, d)| d).collect::<Vec<_>>(), want, "q={q}");
+                assert!(stats.bypasses > 0, "q={q}: the overlay was never used");
+            }
+        }
     }
 
     #[test]

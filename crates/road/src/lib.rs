@@ -8,8 +8,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`RoadIndex`] — the Rnet hierarchy plus Route Overlay (per-Rnet border shortcut
-//!   lists stored in one flat array, as Section 6.2 recommends);
+//! * [`RoadIndex`] — the Rnet hierarchy plus Route Overlay (triangle-sparsified border
+//!   shortcut rows stored vertex-major in one flat array, as Section 6.2 recommends);
 //! * [`AssociationDirectory`] — the decoupled object index: one bit per Rnet plus the
 //!   object bitmap (Section 7.4 measures exactly this structure);
 //! * [`RoadKnn`] — the kNN search of Appendix A.3, including the fix that skips
@@ -20,6 +20,8 @@
 mod association;
 mod index;
 mod knn;
+#[cfg(test)]
+mod testgraphs;
 
 pub use association::AssociationDirectory;
 pub use index::{RnetIndex, RoadConfig, RoadIndex};
