@@ -376,11 +376,13 @@ impl<'a> DisBrwSearch<'a> {
 
     /// Converts the best-k upper-bound list into exact results (the bounds of the
     /// winning candidates are fully refined, which costs at most one path walk each),
-    /// writing into the caller's (already cleared) result vector.
+    /// writing into the caller's (already cleared) result vector. Objects in another
+    /// component are dropped, as every other method does, not reported at `INFINITY`.
     fn finalize_into(&self, query: NodeId, best: &BestK<'_>, result: &mut KnnResult) {
         result.extend(best.entries().iter().map(|&(object, _)| {
             (object, self.silc.distance(self.graph, query, object, self.chains))
         }));
+        result.retain(|&(_, d)| d < INFINITY);
         result.sort_unstable_by_key(|&(_, d)| d);
         result.truncate(best.k);
     }

@@ -14,6 +14,8 @@
 //!   real datasets can be plugged in when available.
 //! * [`chains`] — degree-2 chain extraction used by the SILC/DisBrw degree-2
 //!   optimisation (Appendix A.1.2).
+//! * [`testgraphs`] — hand-built networks with the input shapes the generator never
+//!   produces (ties, zero-weight edges, several components), for tests everywhere.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +26,7 @@ pub mod generator;
 pub mod graph;
 pub mod persist;
 pub mod point;
+pub mod testgraphs;
 
 pub use builder::GraphBuilder;
 pub use chains::ChainIndex;

@@ -1,11 +1,12 @@
-//! Small hand-built networks for the crate's tests: the input shapes the generator
-//! never produces (heavy ties, zero-weight edges, several components).
+//! Small hand-built networks for tests across the workspace: the input shapes the
+//! [generator](crate::generator) never produces (heavy ties, zero-weight edges,
+//! several components) but the loaders accept.
 
-use rnknn_graph::{Graph, GraphBuilder, Point, Weight};
+use crate::{Graph, GraphBuilder, Point, Weight};
 
 /// `side × side` unit-weight grids, `components` of them with no edge in between:
-/// every border pair of an Rnet has many equal-length paths, through many borders.
-pub(crate) fn unit_grids(side: u32, components: u32) -> Graph {
+/// every border pair of a partition has many equal-length paths, through many borders.
+pub fn unit_grids(side: u32, components: u32) -> Graph {
     let mut b = GraphBuilder::new();
     for c in 0..components {
         let base = c * side * side;
@@ -31,7 +32,7 @@ pub(crate) fn unit_grids(side: u32, components: u32) -> Graph {
 
 /// A grid a third of whose edges weigh nothing — distinct borders at distance zero.
 /// Built as CSR directly: [`GraphBuilder::add_edge`] clamps a zero weight to one.
-pub(crate) fn zero_weight_grid(side: u32) -> Graph {
+pub fn zero_weight_grid(side: u32) -> Graph {
     let g = unit_grids(side, 1);
     let (mut offsets, mut targets, mut weights) = (vec![0u32], Vec::new(), Vec::new());
     for v in g.vertices() {

@@ -1,5 +1,6 @@
-//! G-tree construction: recursive partitioning, border extraction, bottom-up distance
-//! matrices and the top-down exactness refinement.
+//! G-tree construction: bottom-up distance matrices over the shared partition
+//! hierarchy (`rnknn_partition::hierarchy`: the recursion, the borders, the reduced
+//! graphs' edge lists and the triangle rule) and the top-down exactness refinement.
 //!
 //! Matrix assembly is the scaling-critical phase and is organised level by level:
 //!
@@ -17,14 +18,13 @@
 //! construction").
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
-use rnknn_partition::Partitioner;
+use rnknn_partition::hierarchy::{sparsify, Hierarchy};
+use rnknn_pathfinding::dijkstra::LocalGraph;
 use rnknn_pathfinding::heap::MinHeap;
 
 use crate::distmatrix::{narrow, Cell, DistanceMatrix, CELL_INFINITY};
 use crate::kernel::min_plus_into;
-use crate::tree::{Gtree, GtreeNode, NodeIndex};
-
-use std::collections::HashMap;
+use crate::tree::{Gtree, GtreeNode};
 
 /// Configuration of G-tree construction.
 #[derive(Debug, Clone)]
@@ -188,32 +188,44 @@ impl Gtree {
         graph: &Graph,
         config: GtreeConfig,
     ) -> Result<Gtree, GtreeBuildError> {
-        assert!(config.fanout >= 2, "fanout must be at least 2");
         assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
         check_distance_range(graph)?;
-        let mut builder = Builder {
-            graph,
-            config: config.clone(),
-            partitioner: Partitioner::new(),
-            nodes: Vec::new(),
-            leaf_of_vertex: vec![0; graph.num_vertices()],
-            vertex_position: vec![0; graph.num_vertices()],
-            next_leaf_index: 0,
-        };
-        let all: Vec<NodeId> = graph.vertices().collect();
-        let root = builder.build_node(None, all, 0);
-        builder.compute_borders();
+        let hierarchy =
+            Hierarchy::build(graph, config.fanout, |_, len| len <= config.leaf_capacity);
+        let nodes = (0..hierarchy.parts.len() as u32).map(|i| tree_node(&hierarchy, i)).collect();
+        let mut builder = Builder { graph, config: config.clone(), hierarchy, nodes };
         builder.compute_matrices()?;
         if config.exact_refinement {
             builder.refine_matrices();
         }
         Ok(Gtree {
             nodes: builder.nodes,
-            root,
-            leaf_of_vertex: builder.leaf_of_vertex,
-            vertex_position: builder.vertex_position,
+            root: 0,
+            leaf_of_vertex: builder.hierarchy.leaf_of_vertex,
+            vertex_position: builder.hierarchy.position_in_leaf,
             config,
         })
+    }
+}
+
+/// Tree node `i` as the hierarchy describes it (docs/ARCHITECTURE.md, "Partition
+/// hierarchy"), its matrix still empty.
+fn tree_node(hierarchy: &Hierarchy, i: u32) -> GtreeNode {
+    let part = &hierarchy.parts[i as usize];
+    // A leaf has no grouped child borders, not even the leading offset.
+    let (child_borders, child_border_offsets) =
+        if part.children.is_empty() { Default::default() } else { hierarchy.child_borders(i) };
+    GtreeNode {
+        parent: part.parent,
+        children: part.children.clone(),
+        leaf_vertices: part.vertices.clone(),
+        borders: part.borders.clone(),
+        child_borders,
+        child_border_offsets,
+        own_border_positions: hierarchy.border_positions(i),
+        matrix: DistanceMatrix::new(0, 0, CELL_INFINITY),
+        leaf_range: part.leaf_range,
+        depth: part.level,
     }
 }
 
@@ -259,206 +271,14 @@ where
     })
 }
 
-/// A compact adjacency (CSR) over a reduced local graph, built once per matrix and
-/// shared read-only by all row searches.
-struct LocalGraph {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    weights: Vec<Weight>,
-}
-
-impl LocalGraph {
-    /// Builds the CSR from an undirected-edge-agnostic edge list (every `(a, b, w)` is
-    /// one directed edge; callers push both directions where needed).
-    fn from_edges(n: usize, edges: &[(u32, u32, Weight)]) -> LocalGraph {
-        let mut offsets = vec![0u32; n + 1];
-        for &(a, _, _) in edges {
-            offsets[a as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; edges.len()];
-        let mut weights = vec![0 as Weight; edges.len()];
-        for &(a, b, w) in edges {
-            let slot = cursor[a as usize] as usize;
-            targets[slot] = b;
-            weights[slot] = w;
-            cursor[a as usize] += 1;
-        }
-        LocalGraph { offsets, targets, weights }
-    }
-
-    /// Single-source distances from `source` to every local vertex.
-    fn sssp(&self, source: u32) -> Vec<Weight> {
-        let n = self.offsets.len() - 1;
-        let mut dist = vec![INFINITY; n];
-        let mut heap: MinHeap<u32> = MinHeap::new();
-        dist[source as usize] = 0;
-        heap.push(0, source);
-        while let Some((d, v)) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
-            }
-            let lo = self.offsets[v as usize] as usize;
-            let hi = self.offsets[v as usize + 1] as usize;
-            for e in lo..hi {
-                let t = self.targets[e];
-                let nd = d + self.weights[e];
-                if nd < dist[t as usize] {
-                    dist[t as usize] = nd;
-                    heap.push(nd, t);
-                }
-            }
-        }
-        dist
-    }
-}
-
 struct Builder<'a> {
     graph: &'a Graph,
     config: GtreeConfig,
-    partitioner: Partitioner,
+    hierarchy: Hierarchy,
     nodes: Vec<GtreeNode>,
-    leaf_of_vertex: Vec<NodeIndex>,
-    vertex_position: Vec<u32>,
-    next_leaf_index: u32,
 }
 
 impl<'a> Builder<'a> {
-    /// Recursively partitions `vertices`, appending nodes and returning the new node's
-    /// index. Children are built before the parent's metadata is finalised.
-    fn build_node(
-        &mut self,
-        parent: Option<NodeIndex>,
-        vertices: Vec<NodeId>,
-        depth: u32,
-    ) -> NodeIndex {
-        let index = self.nodes.len() as NodeIndex;
-        self.nodes.push(GtreeNode {
-            parent,
-            children: Vec::new(),
-            leaf_vertices: Vec::new(),
-            borders: Vec::new(),
-            child_borders: Vec::new(),
-            child_border_offsets: Vec::new(),
-            own_border_positions: Vec::new(),
-            matrix: DistanceMatrix::new(0, 0, CELL_INFINITY),
-            leaf_range: (0, 0),
-            depth,
-        });
-
-        if vertices.len() <= self.config.leaf_capacity {
-            let leaf_index = self.next_leaf_index;
-            self.next_leaf_index += 1;
-            for (pos, &v) in vertices.iter().enumerate() {
-                self.leaf_of_vertex[v as usize] = index;
-                self.vertex_position[v as usize] = pos as u32;
-            }
-            let node = &mut self.nodes[index as usize];
-            node.leaf_vertices = vertices;
-            node.leaf_range = (leaf_index, leaf_index + 1);
-            return index;
-        }
-
-        let assignment = self.partitioner.partition(self.graph, &vertices, self.config.fanout);
-        let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); self.config.fanout];
-        for (i, &v) in vertices.iter().enumerate() {
-            parts[assignment[i] as usize].push(v);
-        }
-        // Guard against degenerate partitions (possible on pathological inputs): if any
-        // part is empty or a single part holds everything, fall back to a round-robin
-        // split so recursion always terminates.
-        let non_empty = parts.iter().filter(|p| !p.is_empty()).count();
-        if non_empty <= 1 {
-            parts.iter_mut().for_each(|p| p.clear());
-            for (i, &v) in vertices.iter().enumerate() {
-                parts[i % self.config.fanout].push(v);
-            }
-        }
-
-        let leaf_lo = self.next_leaf_index;
-        let mut children = Vec::new();
-        for part in parts.into_iter().filter(|p| !p.is_empty()) {
-            let child = self.build_node(Some(index), part, depth + 1);
-            children.push(child);
-        }
-        let leaf_hi = self.next_leaf_index;
-        let node = &mut self.nodes[index as usize];
-        node.children = children;
-        node.leaf_range = (leaf_lo, leaf_hi);
-        index
-    }
-
-    /// Computes the border set of every node. A vertex is a border of node `X` when it
-    /// has a neighbour whose leaf falls outside `X`'s leaf range; borders propagate
-    /// upward only as long as that holds, so we walk each vertex up from its leaf.
-    fn compute_borders(&mut self) {
-        let mut borders_per_node: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
-        for v in self.graph.vertices() {
-            let leaf = self.leaf_of_vertex[v as usize];
-            // Leaf DFS indexes of all neighbours.
-            let mut node = leaf;
-            loop {
-                let range = self.nodes[node as usize].leaf_range;
-                let is_border = self.graph.neighbor_ids(v).iter().any(|&t| {
-                    let tl = self.nodes[self.leaf_of_vertex[t as usize] as usize].leaf_range.0;
-                    tl < range.0 || tl >= range.1
-                });
-                if !is_border {
-                    break;
-                }
-                borders_per_node[node as usize].push(v);
-                match self.nodes[node as usize].parent {
-                    Some(p) => node = p,
-                    None => break,
-                }
-            }
-        }
-        for (i, mut borders) in borders_per_node.into_iter().enumerate() {
-            borders.sort_unstable();
-            borders.dedup();
-            self.nodes[i].borders = borders;
-        }
-        // Fill in the grouped child-border arrays and own-border positions.
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].is_leaf() {
-                let node = &self.nodes[i];
-                let positions: Vec<u32> = node
-                    .borders
-                    .iter()
-                    .map(|&b| {
-                        node.leaf_vertices.iter().position(|&v| v == b).expect("border in leaf")
-                            as u32
-                    })
-                    .collect();
-                self.nodes[i].own_border_positions = positions;
-                continue;
-            }
-            let children = self.nodes[i].children.clone();
-            let mut child_borders = Vec::new();
-            let mut offsets = vec![0u32];
-            for &c in &children {
-                child_borders.extend_from_slice(&self.nodes[c as usize].borders);
-                offsets.push(child_borders.len() as u32);
-            }
-            let mut position_of: HashMap<NodeId, u32> = HashMap::with_capacity(child_borders.len());
-            for (pos, &b) in child_borders.iter().enumerate() {
-                position_of.entry(b).or_insert(pos as u32);
-            }
-            let own_positions: Vec<u32> = self.nodes[i]
-                .borders
-                .iter()
-                .map(|&b| *position_of.get(&b).expect("own border is a child border"))
-                .collect();
-            let node = &mut self.nodes[i];
-            node.child_borders = child_borders;
-            node.child_border_offsets = offsets;
-            node.own_border_positions = own_positions;
-        }
-    }
-
     /// Node indexes grouped by depth (index 0 = root level).
     fn levels(&self) -> Vec<Vec<usize>> {
         let height = self.nodes.iter().map(|n| n.depth as usize).max().unwrap_or(0) + 1;
@@ -688,109 +508,34 @@ impl<'a> Builder<'a> {
     fn leaf_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
         let node = &self.nodes[i];
         let n_local = node.leaf_vertices.len();
-        // The induced subgraph, straight from the global vertex→leaf/position arrays
-        // (no per-leaf hash map needed).
-        let mut edges: Vec<(u32, u32, Weight)> = Vec::new();
-        for (pos, &v) in node.leaf_vertices.iter().enumerate() {
-            for (t, w) in self.graph.neighbors(v) {
-                if self.leaf_of_vertex[t as usize] == i as NodeIndex {
-                    edges.push((pos as u32, self.vertex_position[t as usize], w));
-                }
-            }
-        }
+        let edges = self.hierarchy.leaf_edges(self.graph, i as u32);
         let local = LocalGraph::from_edges(n_local, &edges);
         matrix_from_rows(node.own_border_positions.iter().map(|&pos| local.sssp(pos)), n_local)
     }
 
     /// Composes an internal node's (subgraph-restricted) child-border-to-child-border
-    /// matrix over the reduced graph: child matrices contribute intra-child border
-    /// edges, plus the original cross edges between different children. Row Dijkstras
-    /// are fanned across worker threads.
-    ///
-    /// Child border "cliques" are sparsified before the searches: a clique edge
-    /// `(a, b)` is dropped whenever some third border `t` of the same child satisfies
-    /// `M[a][t] + M[t][b] == M[a][b]` — the two shorter edges (strictly, since weights
-    /// are positive) carry the same distance, so the reduced graph's metric is
-    /// unchanged while its edge count falls from Θ(borders²) to near-linear on road
-    /// networks. This is what keeps the upper-level compositions from dominating the
-    /// build.
+    /// matrix over the reduced graph: the original cross edges between its children,
+    /// plus every child's border-to-border distances as intra-child edges — thinned by
+    /// the hierarchy's triangle rule ([`sparsify`]), which is what keeps the
+    /// upper-level compositions from dominating the build. Row Dijkstras are fanned
+    /// across worker threads.
     fn internal_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
         let node = &self.nodes[i];
         let n_local = node.child_borders.len();
-        let mut local_of: HashMap<NodeId, u32> = HashMap::with_capacity(n_local);
-        for (pos, &v) in node.child_borders.iter().enumerate() {
-            local_of.entry(v).or_insert(pos as u32);
-        }
-
-        let mut edges: Vec<(u32, u32, Weight)> = Vec::new();
-        // (a) Sparsified intra-child cliques from the children's matrices.
-        for (ci, &c) in node.children.iter().enumerate() {
+        let mut edges = self.hierarchy.cross_edges(self.graph, i as u32);
+        for (&c, &base) in node.children.iter().zip(&node.child_border_offsets) {
             let child = &self.nodes[c as usize];
-            let base = node.child_border_offsets[ci] as usize;
             let nb = child.borders.len();
             // Flat border-to-border submatrix of the child (symmetric: the network is
-            // undirected), so the redundancy scan below runs on contiguous rows.
+            // undirected).
             let mut sub: Vec<Cell> = Vec::with_capacity(nb * nb);
             for a in 0..nb {
                 let row = if child.is_leaf() { a } else { child.own_border_positions[a] as usize };
                 let row = child.matrix.row(row);
                 sub.extend(child.own_border_positions.iter().map(|&b| row[b as usize]));
             }
-            // Witness scan order: nearest borders of `a` first. A clique edge's
-            // witness, when one exists, is almost always a border close to an
-            // endpoint (the next border along the same road corridor), and any
-            // witness `t` must satisfy `d(a,t) <= d(a,b)` (weights are positive), so
-            // scanning in ascending `d(a,·)` both finds witnesses after a handful of
-            // probes and admits a sharp cutoff — without it this scan is the O(b³)
-            // term that dominated upper-level composition.
-            let mut order: Vec<u32> = (0..nb as u32).collect();
-            let mut by_distance = vec![0u32; nb * nb];
-            for a in 0..nb {
-                order.sort_unstable_by_key(|&t| sub[a * nb + t as usize]);
-                by_distance[a * nb..(a + 1) * nb].copy_from_slice(&order);
-            }
-            for a in 0..nb {
-                let row_a = &sub[a * nb..(a + 1) * nb];
-                let nearest = &by_distance[a * nb..(a + 1) * nb];
-                for b in (a + 1)..nb {
-                    let d = row_a[b];
-                    if d >= CELL_INFINITY {
-                        continue;
-                    }
-                    let row_b = &sub[b * nb..(b + 1) * nb];
-                    let mut redundant = false;
-                    for &t in nearest.iter() {
-                        let t = t as usize;
-                        let at = row_a[t];
-                        if at > d {
-                            break;
-                        }
-                        if t != a && t != b && at + row_b[t] == d {
-                            redundant = true;
-                            break;
-                        }
-                    }
-                    if !redundant {
-                        edges.push(((base + a) as u32, (base + b) as u32, d as Weight));
-                        edges.push(((base + b) as u32, (base + a) as u32, d as Weight));
-                    }
-                }
-            }
-        }
-        // (b) Original cross edges between different children of this node.
-        let leaf_range = node.leaf_range;
-        for (pos, &v) in node.child_borders.iter().enumerate() {
-            for (t, w) in self.graph.neighbors(v) {
-                let t_leaf = self.nodes[self.leaf_of_vertex[t as usize] as usize].leaf_range.0;
-                if t_leaf < leaf_range.0 || t_leaf >= leaf_range.1 {
-                    continue; // edge leaves this node entirely
-                }
-                if let Some(&lt) = local_of.get(&t) {
-                    // Edges within the same child are already covered by the clique
-                    // (keeping them is harmless but redundant).
-                    edges.push((pos as u32, lt, w));
-                }
-            }
+            let kept = sparsify(&sub, nb, CELL_INFINITY);
+            edges.extend(kept.iter().map(|&(a, b, d)| (base + a, base + b, d as Weight)));
         }
 
         let local = LocalGraph::from_edges(n_local, &edges);
@@ -809,6 +554,7 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
     use crate::distmatrix::widen;
+    use crate::tree::NodeIndex;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;

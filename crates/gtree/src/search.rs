@@ -891,6 +891,7 @@ mod tests {
     use super::*;
     use crate::build::GtreeConfig;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
+    use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
 
@@ -970,6 +971,37 @@ mod tests {
                 // Results are sorted and are actual objects.
                 assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
                 assert!(got.iter().all(|&(v, _)| objects.contains(&v)));
+            }
+        }
+    }
+
+    /// The input shapes the generator never produces but the loaders accept:
+    /// zero-weight edges (distinct borders at distance zero, which must not drop each
+    /// other's clique edges during composition), heavy ties, several components.
+    #[test]
+    fn exact_on_zero_weights_ties_and_components() {
+        let cases = [
+            (zero_weight_grid(24), 16),
+            (zero_weight_grid(24), 32),
+            (unit_grids(24, 1), 16),
+            (unit_grids(9, 5), 16),
+        ];
+        for (case, (g, tau)) in cases.into_iter().enumerate() {
+            let config = GtreeConfig { leaf_capacity: tau, ..Default::default() };
+            let tree = Gtree::build_with_config(&g, config);
+            let n = g.num_vertices() as NodeId;
+            let objects: Vec<NodeId> = (0..n).filter(|v| v % 7 == 3).collect();
+            let occ = OccurrenceList::build(&tree, &objects);
+            for q in (0..n).step_by(5) {
+                let truth = dijkstra::single_source(&g, q);
+                let mut oracle = GtreeDistanceOracle::new(&tree, &g, q);
+                for t in (0..n).step_by(3) {
+                    assert_eq!(oracle.distance(t), truth[t as usize], "case {case}: {q}->{t}");
+                }
+                let mut search = GtreeSearch::new(&tree, &g, q);
+                let got: Vec<Weight> =
+                    search.knn(5, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
+                assert_eq!(got, brute_knn(&g, q, 5, &objects), "case {case}: kNN of {q}");
             }
         }
     }

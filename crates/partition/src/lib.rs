@@ -14,14 +14,19 @@
 //!    boundary Fiduccia–Mattheyses-style moves at every level.
 //!
 //! `k`-way partitions are produced by recursive bisection, which is how both G-tree
-//! (fanout `f`) and ROAD (`f` child Rnets) consume it.
+//! (fanout `f`) and ROAD (`f` child Rnets) consume it — through [`hierarchy`], the one
+//! build-time module that recurses, finds every part's borders, lists the edges of the
+//! reduced graphs their border distances are composed on, and holds the triangle rule
+//! ([`hierarchy::sparsify`]) that thins those distances.
 
 #![forbid(unsafe_code)]
 
+pub mod hierarchy;
 pub mod multilevel;
 pub mod refine;
 
-pub use multilevel::{PartitionConfig, Partitioner};
+pub use hierarchy::Hierarchy;
+pub use multilevel::Partitioner;
 
 /// A `k`-way partition assignment: `parts[i]` is the part (in `0..k`) of the `i`-th
 /// vertex of the partitioned vertex set.

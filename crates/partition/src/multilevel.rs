@@ -5,47 +5,30 @@ use rnknn_graph::{Graph, NodeId};
 use crate::refine::{refine_bisection, WorkGraph};
 use crate::PartitionAssignment;
 
-/// Tuning knobs for the partitioner.
-#[derive(Debug, Clone)]
-pub struct PartitionConfig {
-    /// Coarsening stops once the working graph has at most this many vertices.
-    pub coarsen_until: usize,
-    /// Allowed imbalance: each side of a bisection may hold at most
-    /// `(1 + balance_tolerance) / 2` of the total vertex weight.
-    pub balance_tolerance: f64,
-    /// Refinement passes applied at every uncoarsening level.
-    pub refinement_passes: usize,
-    /// Seed for the deterministic tie-breaking order.
-    pub seed: u64,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            coarsen_until: 512,
-            balance_tolerance: 0.10,
-            refinement_passes: 4,
-            seed: 1,
-        }
-    }
-}
+/// Coarsening stops once the working graph has at most this many vertices.
+const COARSEN_UNTIL: usize = 512;
+/// Allowed imbalance: each side of a bisection may hold at most
+/// `(1 + BALANCE_TOLERANCE) / 2` of the total vertex weight.
+const BALANCE_TOLERANCE: f64 = 0.10;
+/// Refinement passes applied at every uncoarsening level.
+const REFINEMENT_PASSES: usize = 4;
+/// Seed for the deterministic tie-breaking order.
+const SEED: u64 = 1;
 
 /// Multilevel recursive-bisection graph partitioner.
 #[derive(Debug, Clone, Default)]
-pub struct Partitioner {
-    config: PartitionConfig,
-}
+pub struct Partitioner;
 
 impl Partitioner {
-    /// Creates a partitioner with the default configuration.
+    /// Creates the partitioner.
     pub fn new() -> Self {
-        Partitioner { config: PartitionConfig::default() }
+        Partitioner
     }
 
     /// Partitions the subgraph of `graph` induced by `vertices` into `parts` pieces.
     ///
     /// Returns one part id (in `0..parts`) per entry of `vertices`. Parts are balanced
-    /// within the configured tolerance and every part is non-empty whenever
+    /// within the balance tolerance and every part is non-empty whenever
     /// `vertices.len() >= parts`.
     pub fn partition(
         &self,
@@ -164,30 +147,29 @@ impl Partitioner {
     fn multilevel_bisect(&self, graph: &WorkGraph, left_fraction: f64) -> Vec<bool> {
         let total = graph.total_weight();
         let target_right = ((1.0 - left_fraction) * total as f64).round() as u64;
-        let max_side = |target: u64| -> u64 {
-            ((target as f64) * (1.0 + self.config.balance_tolerance)).ceil() as u64
-        };
+        let max_side =
+            |target: u64| -> u64 { ((target as f64) * (1.0 + BALANCE_TOLERANCE)).ceil() as u64 };
 
-        if graph.len() <= self.config.coarsen_until {
+        if graph.len() <= COARSEN_UNTIL {
             let mut side = self.grow_initial(graph, target_right);
             refine_bisection(
                 graph,
                 &mut side,
                 max_side(total - target_right.min(total)).max(max_side(target_right)),
-                self.config.refinement_passes,
+                REFINEMENT_PASSES,
             );
             return side;
         }
 
         // Coarsen one level by heavy-edge matching, recurse, project back, refine.
-        let (coarse, map) = coarsen(graph, self.config.seed);
+        let (coarse, map) = coarsen(graph, SEED);
         let coarse_side = self.multilevel_bisect(&coarse, left_fraction);
         let mut side: Vec<bool> = (0..graph.len()).map(|v| coarse_side[map[v] as usize]).collect();
         refine_bisection(
             graph,
             &mut side,
             max_side(total - target_right.min(total)).max(max_side(target_right)),
-            self.config.refinement_passes,
+            REFINEMENT_PASSES,
         );
         side
     }

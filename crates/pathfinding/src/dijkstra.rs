@@ -1,8 +1,9 @@
 //! Dijkstra searches in the flavours needed across the workspace.
 //!
-//! All variants use the no-decrease-key [`MinHeap`] and a bit-array settled container
-//! (the paper's recommended combination), and all assume strictly positive edge weights
-//! (enforced by [`rnknn_graph::GraphBuilder`]).
+//! All variants use the no-decrease-key [`MinHeap`] (the paper's recommendation) and
+//! are label-setting, so they are exact on non-negative weights:
+//! [`rnknn_graph::GraphBuilder`] produces strictly positive ones, zeros can arrive
+//! through `Graph::from_csr` or a loaded artifact (docs/CORRECTNESS.md).
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 
@@ -146,110 +147,64 @@ pub fn sssp_tree(graph: &Graph, source: NodeId) -> (Vec<Weight>, Vec<NodeId>) {
     (dist, parent)
 }
 
-/// Distances from `source` to each vertex in `targets`, terminating early once all
-/// targets are settled. Returns distances in the same order as `targets`.
-pub fn single_source_to_targets(graph: &Graph, source: NodeId, targets: &[NodeId]) -> Vec<Weight> {
-    let n = graph.num_vertices();
-    let mut remaining = targets.len();
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        if !is_target[t as usize] {
-            is_target[t as usize] = true;
-        } else {
-            remaining -= 1; // duplicate target
-        }
-    }
-    let mut dist = vec![INFINITY; n];
-    let mut settled = BitSettled::new(n);
-    let mut heap: MinHeap<NodeId> = MinHeap::new();
-    dist[source as usize] = 0;
-    heap.push(0, source);
-    while let Some((d, v)) = heap.pop() {
-        if !settled.settle(v) {
-            continue;
-        }
-        if is_target[v as usize] {
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        for (t, w) in graph.neighbors(v) {
-            let nd = d + w;
-            if nd < dist[t as usize] {
-                dist[t as usize] = nd;
-                heap.push(nd, t);
-            }
-        }
-    }
-    targets.iter().map(|&t| dist[t as usize]).collect()
+/// A compact adjacency (CSR) over the local vertex ids `0..n` of a reduced graph — a
+/// partition leaf's induced subgraph, or the border graph of an internal partition
+/// node — built once per distance matrix while constructing G-tree and ROAD and
+/// shared read-only by all its row searches.
+#[derive(Debug, Clone)]
+pub struct LocalGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    weights: Vec<Weight>,
 }
 
-/// Single-source distances restricted to a vertex subset: only vertices for which
-/// `allowed` returns true may be traversed (the source is always allowed). Distances to
-/// disallowed vertices are [`INFINITY`]. Used to compute subgraph-restricted distance
-/// matrices / shortcuts while building G-tree and ROAD.
-pub fn single_source_restricted(
-    graph: &Graph,
-    source: NodeId,
-    allowed: impl Fn(NodeId) -> bool,
-) -> Vec<Weight> {
-    let n = graph.num_vertices();
-    let mut dist = vec![INFINITY; n];
-    let mut settled = BitSettled::new(n);
-    let mut heap: MinHeap<NodeId> = MinHeap::new();
-    dist[source as usize] = 0;
-    heap.push(0, source);
-    while let Some((d, v)) = heap.pop() {
-        if !settled.settle(v) {
-            continue;
+impl LocalGraph {
+    /// Builds the CSR over `n` vertices from an edge list in which every `(a, b, w)` is
+    /// one directed edge (callers list both directions of an undirected one).
+    pub fn from_edges(n: usize, edges: &[(u32, u32, Weight)]) -> LocalGraph {
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, _, _) in edges {
+            offsets[a as usize + 1] += 1;
         }
-        for (t, w) in graph.neighbors(v) {
-            if !allowed(t) {
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; edges.len()];
+        let mut weights = vec![0 as Weight; edges.len()];
+        for &(a, b, w) in edges {
+            let slot = cursor[a as usize] as usize;
+            targets[slot] = b;
+            weights[slot] = w;
+            cursor[a as usize] += 1;
+        }
+        LocalGraph { offsets, targets, weights }
+    }
+
+    /// Single-source distances from `source` to every local vertex.
+    pub fn sssp(&self, source: u32) -> Vec<Weight> {
+        let n = self.offsets.len() - 1;
+        let mut dist = vec![INFINITY; n];
+        let mut heap: MinHeap<u32> = MinHeap::new();
+        dist[source as usize] = 0;
+        heap.push(0, source);
+        while let Some((d, v)) = heap.pop() {
+            if d > dist[v as usize] {
                 continue;
             }
-            let nd = d + w;
-            if nd < dist[t as usize] {
-                dist[t as usize] = nd;
-                heap.push(nd, t);
+            let lo = self.offsets[v as usize] as usize;
+            let hi = self.offsets[v as usize + 1] as usize;
+            for e in lo..hi {
+                let t = self.targets[e];
+                let nd = d + self.weights[e];
+                if nd < dist[t as usize] {
+                    dist[t as usize] = nd;
+                    heap.push(nd, t);
+                }
             }
         }
+        dist
     }
-    dist
-}
-
-/// Dijkstra over an implicit graph given by an adjacency closure.
-///
-/// `num_vertices` bounds the vertex ids; `adjacency(v, out)` must append `(neighbor,
-/// weight)` pairs for vertex `v` into `out`. This is used for the reduced border graphs
-/// built while constructing G-tree distance matrices and ROAD shortcuts, where
-/// materialising an explicit [`Graph`] per level would be wasteful.
-pub fn dijkstra_adjacency(
-    num_vertices: usize,
-    source: NodeId,
-    mut adjacency: impl FnMut(NodeId, &mut Vec<(NodeId, Weight)>),
-) -> Vec<Weight> {
-    let mut dist = vec![INFINITY; num_vertices];
-    let mut settled = BitSettled::new(num_vertices);
-    let mut heap: MinHeap<NodeId> = MinHeap::new();
-    let mut scratch: Vec<(NodeId, Weight)> = Vec::new();
-    dist[source as usize] = 0;
-    heap.push(0, source);
-    while let Some((d, v)) = heap.pop() {
-        if !settled.settle(v) {
-            continue;
-        }
-        scratch.clear();
-        adjacency(v, &mut scratch);
-        for &(t, w) in &scratch {
-            let nd = d + w;
-            if nd < dist[t as usize] {
-                dist[t as usize] = nd;
-                heap.push(nd, t);
-            }
-        }
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -367,27 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn targets_variant_matches_full_sssp() {
-        let g = small_graph();
-        let targets = vec![4, 3, 3, 0];
-        let d = single_source_to_targets(&g, 1, &targets);
-        let full = single_source(&g, 1);
-        assert_eq!(d, targets.iter().map(|&t| full[t as usize]).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn restricted_search_cannot_leave_subset() {
-        let g = small_graph();
-        // Only allow vertices {0,1,2}: distance to 4 must be INFINITY and to 3 only via
-        // the direct weight-10 edge... but 3 is disallowed too.
-        let allowed = |v: NodeId| v <= 2;
-        let d = single_source_restricted(&g, 0, allowed);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[3], INFINITY);
-        assert_eq!(d[4], INFINITY);
-    }
-
-    #[test]
     fn exhausted_budget_truncates_and_latches_while_generous_budget_is_bit_identical() {
         let g = small_graph();
         let mut scratch = SearchScratch::new();
@@ -409,12 +343,17 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_closure_variant_matches_graph_variant() {
+    fn local_graph_matches_graph_variant() {
         let g = small_graph();
-        let d1 = single_source(&g, 2);
-        let d2 = dijkstra_adjacency(g.num_vertices(), 2, |v, out| {
-            out.extend(g.neighbors(v));
-        });
-        assert_eq!(d1, d2);
+        let edges: Vec<(u32, u32, Weight)> =
+            g.vertices().flat_map(|v| g.neighbors(v).map(move |(t, w)| (v, t, w))).collect();
+        let local = LocalGraph::from_edges(g.num_vertices(), &edges);
+        for s in g.vertices() {
+            assert_eq!(local.sssp(s), single_source(&g, s));
+        }
+        // A vertex without edges, and zero-weight edges, are both fine.
+        let sparse = LocalGraph::from_edges(4, &[(0, 2, 0), (2, 0, 0), (2, 3, 4), (3, 2, 4)]);
+        assert_eq!(sparse.sssp(0), vec![0, INFINITY, 0, 4]);
+        assert_eq!(sparse.sssp(1), vec![INFINITY, 0, INFINITY, INFINITY]);
     }
 }

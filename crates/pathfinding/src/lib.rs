@@ -10,9 +10,9 @@
 //!   decrease-key binary heap used only by the "first cut" INE ablation of Figure 7.
 //! * [`settled`] — settled-vertex containers: a bit-array (the paper's recommendation)
 //!   and a hash-set variant for the same ablation.
-//! * [`dijkstra`] — single-source, point-to-point, many-target and restricted-subgraph
-//!   Dijkstra searches, plus shortest-path trees and a closure-based variant for the
-//!   reduced graphs used while building G-tree and ROAD.
+//! * [`dijkstra`] — point-to-point and single-source Dijkstra searches, shortest-path
+//!   trees, and [`LocalGraph`]: the CSR + SSSP over the reduced graphs G-tree and ROAD
+//!   compose their border distances on.
 //! * [`astar`] — A* point-to-point search with a Euclidean lower-bound heuristic.
 //! * [`bidirectional`] — bidirectional Dijkstra point-to-point search.
 //! * [`scratch`] — reusable per-search state: [`Stamped`], the workspace's one
@@ -36,10 +36,7 @@ pub mod settled;
 pub use astar::astar_distance;
 pub use bidirectional::bidirectional_distance;
 pub use budget::{QueryBudget, UNLIMITED};
-pub use dijkstra::{
-    dijkstra_adjacency, distance, single_source, single_source_restricted,
-    single_source_to_targets, sssp_tree, SearchStats,
-};
+pub use dijkstra::{distance, single_source, sssp_tree, LocalGraph, SearchStats};
 pub use heap::{IndexedMinHeap, MinHeap};
 pub use scratch::{SearchScratch, Stamped, VisitedScratch};
 pub use settled::{BitSettled, HashSettled, SettledContainer};

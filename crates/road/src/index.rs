@@ -1,10 +1,8 @@
 //! The Rnet hierarchy and Route Overlay.
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
-use rnknn_partition::Partitioner;
-use rnknn_pathfinding::dijkstra;
-
-use std::collections::HashMap;
+use rnknn_partition::hierarchy::{sparsify, Hierarchy};
+use rnknn_pathfinding::dijkstra::LocalGraph;
 
 /// Index of an Rnet within the hierarchy.
 pub type RnetIndex = u32;
@@ -130,24 +128,28 @@ impl RoadIndex {
 
     /// Builds the index with an explicit configuration.
     pub fn build_with_config(graph: &Graph, config: RoadConfig) -> RoadIndex {
-        assert!(config.fanout >= 2, "fanout must be at least 2");
         assert!(config.levels >= 1, "at least one level of partitioning is required");
-        let mut builder = Builder {
-            graph,
-            config: config.clone(),
-            partitioner: Partitioner::new(),
-            rnets: Vec::new(),
-            leaf_of_vertex: vec![0; graph.num_vertices()],
-            next_leaf: 0,
-        };
-        let all: Vec<NodeId> = graph.vertices().collect();
-        let root = builder.build_rnet(None, all, 0);
-        builder.compute_borders();
-        let kept = builder.compute_shortcuts();
-        let (overlay, rows_of_vertex) = builder.pack_overlay(&kept);
+        let hierarchy = Hierarchy::build(graph, config.fanout, |level, len| {
+            level as usize >= config.levels || len <= config.min_rnet_vertices
+        });
+        let kept = compute_shortcuts(graph, &hierarchy);
+        let (overlay, rows_of_vertex) = pack_overlay(graph, &hierarchy, &kept);
+        let rnets: Vec<Rnet> = hierarchy
+            .parts
+            .into_iter()
+            .map(|part| Rnet {
+                parent: part.parent,
+                children: part.children,
+                level: part.level,
+                num_vertices: part.num_vertices,
+                borders: part.borders,
+                leaf_range: part.leaf_range,
+            })
+            .collect();
+        let root: RnetIndex = 0;
         // CSR-pack every Rnet's containment chain (top-down, root omitted) so the
         // kNN search reads it as a slice instead of rebuilding a Vec per vertex.
-        let num_rnets = builder.rnets.len();
+        let num_rnets = rnets.len();
         let mut chain_offsets = vec![0u32; num_rnets + 1];
         let mut chain_entries: Vec<RnetIndex> = Vec::new();
         for i in 0..num_rnets {
@@ -155,7 +157,7 @@ impl RoadIndex {
             let mut cur = i as RnetIndex;
             loop {
                 chain_entries.push(cur);
-                match builder.rnets[cur as usize].parent {
+                match rnets[cur as usize].parent {
                     Some(p) if p != root => cur = p,
                     _ => break,
                 }
@@ -164,12 +166,12 @@ impl RoadIndex {
             chain_offsets[i + 1] = chain_entries.len() as u32;
         }
         let interior_vertices =
-            builder.rnets.iter().map(|r| r.num_vertices - r.borders.len() as u32).collect();
+            rnets.iter().map(|r| r.num_vertices - r.borders.len() as u32).collect();
         RoadIndex {
             interior_vertices,
-            rnets: builder.rnets,
+            rnets,
             root,
-            leaf_of_vertex: builder.leaf_of_vertex,
+            leaf_of_vertex: hierarchy.leaf_of_vertex,
             overlay,
             rows_of_vertex,
             chain_entries,
@@ -297,262 +299,86 @@ impl RoadIndex {
     }
 }
 
-struct Builder<'a> {
-    graph: &'a Graph,
-    config: RoadConfig,
-    partitioner: Partitioner,
-    rnets: Vec<Rnet>,
-    leaf_of_vertex: Vec<RnetIndex>,
-    next_leaf: u32,
-}
+/// The kept shortcuts of one Rnet as [`sparsify`] yields them: `(a, b, distance)` over
+/// positions in the Rnet's border list, row by row.
+type KeptShortcuts = Vec<(u32, u32, Weight)>;
 
-impl<'a> Builder<'a> {
-    fn build_rnet(
-        &mut self,
-        parent: Option<RnetIndex>,
-        vertices: Vec<NodeId>,
-        level: u32,
-    ) -> RnetIndex {
-        let index = self.rnets.len() as RnetIndex;
-        self.rnets.push(Rnet {
-            parent,
-            children: Vec::new(),
-            level,
-            num_vertices: vertices.len() as u32,
-            borders: Vec::new(),
-            leaf_range: (0, 0),
-        });
-        let is_leaf =
-            level as usize >= self.config.levels || vertices.len() <= self.config.min_rnet_vertices;
-        if is_leaf {
-            let leaf = self.next_leaf;
-            self.next_leaf += 1;
-            for &v in &vertices {
-                self.leaf_of_vertex[v as usize] = index;
-            }
-            self.rnets[index as usize].leaf_range = (leaf, leaf + 1);
-            // Leaf Rnets keep their vertex list only transiently (during shortcut
-            // computation) via `leaf_of_vertex`; nothing else to store.
-            return index;
-        }
-        let assignment = self.partitioner.partition(self.graph, &vertices, self.config.fanout);
-        let mut parts: Vec<Vec<NodeId>> = vec![Vec::new(); self.config.fanout];
-        for (i, &v) in vertices.iter().enumerate() {
-            parts[assignment[i] as usize].push(v);
-        }
-        let non_empty = parts.iter().filter(|p| !p.is_empty()).count();
-        if non_empty <= 1 {
-            parts.iter_mut().for_each(|p| p.clear());
-            for (i, &v) in vertices.iter().enumerate() {
-                parts[i % self.config.fanout].push(v);
-            }
-        }
-        let lo = self.next_leaf;
-        let mut children = Vec::new();
-        for part in parts.into_iter().filter(|p| !p.is_empty()) {
-            children.push(self.build_rnet(Some(index), part, level + 1));
-        }
-        let hi = self.next_leaf;
-        self.rnets[index as usize].children = children;
-        self.rnets[index as usize].leaf_range = (lo, hi);
-        index
-    }
+/// Bottom-up shortcut computation over the Rnets-to-be (docs/ARCHITECTURE.md,
+/// "Partition hierarchy"): every Rnet's kept shortcuts. An Rnet's dense border matrix
+/// lives only until it is sparsified; its parent composes from the kept shortcuts,
+/// which carry the same distances.
+fn compute_shortcuts(graph: &Graph, h: &Hierarchy) -> Vec<KeptShortcuts> {
+    let mut order: Vec<usize> = (0..h.parts.len()).collect();
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(h.parts[i].level));
 
-    /// True when vertex `t` lies outside the Rnet covering the leaf range `range`.
-    fn outside(&self, range: (u32, u32), t: NodeId) -> bool {
-        let leaf = self.rnets[self.leaf_of_vertex[t as usize] as usize].leaf_range.0;
-        leaf < range.0 || leaf >= range.1
-    }
-
-    fn compute_borders(&mut self) {
-        let mut borders: Vec<Vec<NodeId>> = vec![Vec::new(); self.rnets.len()];
-        for v in self.graph.vertices() {
-            let mut r = self.leaf_of_vertex[v as usize];
-            loop {
-                let range = self.rnets[r as usize].leaf_range;
-                let is_border = self.graph.neighbor_ids(v).iter().any(|&t| self.outside(range, t));
-                if !is_border {
-                    break;
-                }
-                borders[r as usize].push(v);
-                match self.rnets[r as usize].parent {
-                    Some(p) => r = p,
-                    None => break,
-                }
-            }
-        }
-        for (i, mut b) in borders.into_iter().enumerate() {
-            b.sort_unstable();
-            b.dedup();
-            self.rnets[i].borders = b;
-        }
-    }
-
-    /// Bottom-up shortcut computation: every Rnet's kept shortcut rows, one per border in
-    /// border-list order. An Rnet's dense border matrix lives only until it is
-    /// sparsified; its parent composes from the kept rows, which carry the same distances.
-    fn compute_shortcuts(&self) -> Vec<Rows> {
-        let n_rnets = self.rnets.len();
-        let mut order: Vec<usize> = (0..n_rnets).collect();
-        order.sort_unstable_by_key(|&i| std::cmp::Reverse(self.rnets[i].level));
-
-        // Vertex lists per leaf Rnet (for restricted Dijkstra).
-        let mut leaf_vertices: Vec<Vec<NodeId>> = vec![Vec::new(); n_rnets];
-        for v in self.graph.vertices() {
-            leaf_vertices[self.leaf_of_vertex[v as usize] as usize].push(v);
-        }
-
-        let mut kept = vec![Rows::default(); n_rnets];
-        for &i in &order {
-            let borders = &self.rnets[i].borders;
-            if borders.is_empty() {
-                continue;
-            }
-            let matrix = if self.rnets[i].children.is_empty() {
-                self.leaf_shortcut_matrix(&leaf_vertices[i], borders)
-            } else {
-                self.internal_shortcut_matrix(i, borders, &kept)
-            };
-            kept[i] = sparsify(borders, &matrix);
-        }
-        kept
-    }
-
-    /// Re-packs the kept rows vertex-major, top level first, each row closed by its
-    /// vertex's graph edges that leave the Rnet: the overlay and its `rows_of_vertex`
-    /// as documented on [`RoadIndex`].
-    fn pack_overlay(&self, kept: &[Rows]) -> (Rows, Vec<u32>) {
-        let mut overlay = Rows::default();
-        let mut rows_of_vertex = Vec::with_capacity(self.graph.num_vertices() + 1);
-        let mut bordered: Vec<(usize, usize)> = Vec::new();
-        for v in self.graph.vertices() {
-            rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
-            // Leaf upwards: the Rnets `v` borders and its position in their border lists.
-            bordered.clear();
-            let mut r = self.leaf_of_vertex[v as usize] as usize;
-            while let Ok(pos) = self.rnets[r].borders.binary_search(&v) {
-                bordered.push((r, pos));
-                r = self.rnets[r].parent.expect("the root has no borders") as usize;
-            }
-            for &(r, pos) in bordered.iter().rev() {
-                let range = self.rnets[r].leaf_range;
-                let leaving = self.graph.neighbors(v).filter(|&(t, _)| self.outside(range, t));
-                overlay.push_row(kept[r].row(pos).chain(leaving));
-            }
-        }
-        rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
-        (overlay, rows_of_vertex)
-    }
-
-    /// Border-to-border distances within a leaf Rnet (Dijkstra on the induced subgraph).
-    fn leaf_shortcut_matrix(&self, vertices: &[NodeId], borders: &[NodeId]) -> Vec<Weight> {
-        let nb = borders.len();
-        let mut local_of: HashMap<NodeId, u32> = HashMap::with_capacity(vertices.len());
-        for (pos, &v) in vertices.iter().enumerate() {
-            local_of.insert(v, pos as u32);
-        }
-        let mut adjacency: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); vertices.len()];
-        for (pos, &v) in vertices.iter().enumerate() {
-            for (t, w) in self.graph.neighbors(v) {
-                if let Some(&lt) = local_of.get(&t) {
-                    adjacency[pos].push((lt, w));
-                }
-            }
-        }
-        let mut matrix = vec![INFINITY; nb * nb];
-        for (row, &b) in borders.iter().enumerate() {
-            let dist = dijkstra::dijkstra_adjacency(vertices.len(), local_of[&b], |v, out| {
-                out.extend_from_slice(&adjacency[v as usize]);
-            });
-            for (col, &b2) in borders.iter().enumerate() {
-                matrix[row * nb + col] = dist[local_of[&b2] as usize];
-            }
-        }
-        matrix
-    }
-
-    /// Border-to-border distances within an internal Rnet, computed on the reduced graph
-    /// of child borders (children's kept shortcuts + cross edges inside this Rnet).
-    fn internal_shortcut_matrix(&self, i: usize, borders: &[NodeId], kept: &[Rows]) -> Vec<Weight> {
-        let rnet = &self.rnets[i];
-        let mut child_borders: Vec<NodeId> = Vec::new();
-        for &c in &rnet.children {
-            child_borders.extend_from_slice(&self.rnets[c as usize].borders);
-        }
-        child_borders.sort_unstable();
-        child_borders.dedup();
-        let mut local_of: HashMap<NodeId, u32> = HashMap::with_capacity(child_borders.len());
-        for (pos, &v) in child_borders.iter().enumerate() {
-            local_of.insert(v, pos as u32);
-        }
-        let n_local = child_borders.len();
-        let mut adjacency: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); n_local];
-        // Child shortcuts (kept symmetrically, so each row adds its own direction).
-        for &c in &rnet.children {
-            for (row, &b) in self.rnets[c as usize].borders.iter().enumerate() {
-                let out = &mut adjacency[local_of[&b] as usize];
-                out.extend(kept[c as usize].row(row).map(|(t, d)| (local_of[&t], d)));
-            }
-        }
-        // Cross edges between different children, inside this Rnet.
-        for (pos, &v) in child_borders.iter().enumerate() {
-            for (t, w) in self.graph.neighbors(v) {
-                if self.outside(rnet.leaf_range, t) {
-                    continue;
-                }
-                if let Some(&lt) = local_of.get(&t) {
-                    adjacency[pos].push((lt, w));
-                }
-            }
-        }
-        let nb = borders.len();
-        let mut matrix = vec![INFINITY; nb * nb];
-        for (row, &b) in borders.iter().enumerate() {
-            let dist = dijkstra::dijkstra_adjacency(n_local, local_of[&b], |v, out| {
-                out.extend_from_slice(&adjacency[v as usize]);
-            });
-            for (col, &b2) in borders.iter().enumerate() {
-                matrix[row * nb + col] = dist[local_of[&b2] as usize];
-            }
-        }
-        matrix
-    }
-}
-
-/// Thins the dense border × border matrix `m` of one Rnet with the triangle rule that
-/// G-tree composition applies to child cliques: shortcut `(a, b)` is dropped when a
-/// third border `t` has `m[a][t] + m[t][b] == m[a][b]` with both legs positive. Both
-/// legs are then strictly shorter than the shortcut, so by induction on distance every
-/// border pair stays connected at exactly `m[a][b]` through kept shortcuts; a
-/// zero-length leg never justifies a drop, so equal-distance borders cannot drop each
-/// other in a cycle. Unreachable pairs are not stored. `m` is symmetric (the network
-/// is undirected), hence so is the kept set.
-fn sparsify(borders: &[NodeId], m: &[Weight]) -> Rows {
-    let nb = borders.len();
-    let mut kept = Rows::default();
-    // Witnesses are probed nearest-first: one exists only among borders strictly
-    // closer to `a` than `b` is, and is almost always among the closest few.
-    let mut nearest: Vec<usize> = (0..nb).collect();
-    for a in 0..nb {
-        let row_a = &m[a * nb..(a + 1) * nb];
-        nearest.sort_unstable_by_key(|&t| row_a[t]);
-        let keeps = |b: usize| {
-            let (d, row_b) = (row_a[b], &m[b * nb..(b + 1) * nb]);
-            let mut legs =
-                nearest.iter().map(|&t| (row_a[t], row_b[t])).take_while(|&(at, _)| at < d);
-            b != a && d < INFINITY && !legs.any(|(at, tb)| at > 0 && at + tb == d)
-        };
-        kept.push_row((0..nb).filter(|&b| keeps(b)).map(|b| (borders[b], row_a[b])));
+    let mut kept = vec![KeptShortcuts::new(); h.parts.len()];
+    for i in order.into_iter().filter(|&i| !h.parts[i].borders.is_empty()) {
+        let matrix = border_matrix(graph, h, i as u32, &kept);
+        kept[i] = sparsify(&matrix, h.parts[i].borders.len(), INFINITY);
     }
     kept
+}
+
+/// Re-packs the kept shortcuts vertex-major, top level first, each row closed by its
+/// vertex's graph edges that leave the Rnet: the overlay and its `rows_of_vertex`
+/// as documented on [`RoadIndex`].
+fn pack_overlay(graph: &Graph, h: &Hierarchy, kept: &[KeptShortcuts]) -> (Rows, Vec<u32>) {
+    let mut overlay = Rows::default();
+    let mut rows_of_vertex = Vec::with_capacity(graph.num_vertices() + 1);
+    let mut bordered: Vec<(usize, u32)> = Vec::new();
+    for v in graph.vertices() {
+        rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
+        // Leaf upwards: the Rnets `v` borders and its position in their border lists.
+        bordered.clear();
+        let mut r = h.leaf_of_vertex[v as usize] as usize;
+        while let Ok(pos) = h.parts[r].borders.binary_search(&v) {
+            bordered.push((r, pos as u32));
+            r = h.parts[r].parent.expect("the root has no borders") as usize;
+        }
+        for &(r, pos) in bordered.iter().rev() {
+            let rnet = &h.parts[r];
+            let row = &kept[r][kept[r].partition_point(|&(a, _, _)| a < pos)..];
+            let shortcuts = row.iter().take_while(|&&(a, _, _)| a == pos);
+            let leaving = graph.neighbors(v).filter(|&(t, _)| h.outside(rnet.leaf_range, t));
+            overlay
+                .push_row(shortcuts.map(|&(_, b, d)| (rnet.borders[b as usize], d)).chain(leaving));
+        }
+    }
+    rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
+    (overlay, rows_of_vertex)
+}
+
+/// The dense border × border distances within Rnet `i`: Dijkstra on the induced
+/// subgraph of a leaf Rnet, and for an internal one on the reduced graph of its
+/// children's borders (their kept shortcuts + the cross edges inside this Rnet).
+fn border_matrix(graph: &Graph, h: &Hierarchy, i: u32, kept: &[KeptShortcuts]) -> Vec<Weight> {
+    let rnet = &h.parts[i as usize];
+    let local = if rnet.children.is_empty() {
+        LocalGraph::from_edges(rnet.vertices.len(), &h.leaf_edges(graph, i))
+    } else {
+        let (child_borders, offsets) = h.child_borders(i);
+        let mut edges = h.cross_edges(graph, i);
+        for (&c, &base) in rnet.children.iter().zip(&offsets) {
+            edges.extend(kept[c as usize].iter().map(|&(a, b, d)| (base + a, base + b, d)));
+        }
+        LocalGraph::from_edges(child_borders.len(), &edges)
+    };
+    let positions = h.border_positions(i);
+    let mut matrix = Vec::with_capacity(positions.len() * positions.len());
+    for &from in &positions {
+        let dist = local.sssp(from);
+        matrix.extend(positions.iter().map(|&to| dist[to as usize]));
+    }
+    matrix
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
+    use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::EdgeWeightKind;
+    use rnknn_pathfinding::dijkstra;
 
     fn build(n: usize, seed: u64, levels: usize) -> (Graph, RoadIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
@@ -644,6 +470,7 @@ mod tests {
     }
 
     /// Border-to-border distances of Rnet `r` over `edges(v)`, `INFINITY` when apart.
+    /// `edges` is asked only about vertices it leads to from a border.
     fn border_distances(
         g: &Graph,
         idx: &RoadIndex,
@@ -651,9 +478,23 @@ mod tests {
         mut edges: impl FnMut(NodeId, &mut Vec<(NodeId, Weight)>),
     ) -> Vec<Weight> {
         let borders = &idx.rnet(r).borders;
+        let mut reached = vec![false; g.num_vertices()];
+        borders.iter().for_each(|&b| reached[b as usize] = true);
+        let (mut pending, mut out, mut list) = (borders.clone(), Vec::new(), Vec::new());
+        while let Some(v) = pending.pop() {
+            out.clear();
+            edges(v, &mut out);
+            for &(t, w) in &out {
+                list.push((v, t, w));
+                if !std::mem::replace(&mut reached[t as usize], true) {
+                    pending.push(t);
+                }
+            }
+        }
+        let local = LocalGraph::from_edges(g.num_vertices(), &list);
         let mut all = Vec::with_capacity(borders.len() * borders.len());
         for &a in borders {
-            let dist = dijkstra::dijkstra_adjacency(g.num_vertices(), a, &mut edges);
+            let dist = local.sssp(a);
             all.extend(borders.iter().map(|&b| dist[b as usize]));
         }
         all

@@ -177,8 +177,8 @@ impl<'a> RoadKnn<'a> {
 mod tests {
     use super::*;
     use crate::index::RoadConfig;
-    use crate::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
+    use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
 

@@ -20,8 +20,6 @@
 mod association;
 mod index;
 mod knn;
-#[cfg(test)]
-mod testgraphs;
 
 pub use association::AssociationDirectory;
 pub use index::{RnetIndex, RoadConfig, RoadIndex};

@@ -9,8 +9,10 @@
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::EngineError;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-use rnknn_graph::{GraphBuilder, NodeId, Point};
+use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
+use rnknn_graph::{GraphBuilder, NodeId, Point, Weight, INFINITY};
 use rnknn_objects::{uniform, ObjectSet};
+use rnknn_pathfinding::dijkstra;
 
 fn full_engine(n: usize, seed: u64) -> Engine {
     let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
@@ -110,14 +112,8 @@ fn disconnected_components_drop_unreachable_objects_consistently() {
     }
     let graph = b.build();
     let n = graph.num_vertices();
-    // SILC requires total reachability; skip it here (its absence is exactly the
-    // `supports` mechanism under test). Everything else must cope.
-    let config = EngineConfig {
-        build_silc: false,
-        build_tnr: true,
-        gtree_leaf_capacity: Some(16),
-        ..Default::default()
-    };
+    let config =
+        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(16), ..Default::default() };
     let mut engine = Engine::build(graph, &config);
     // Three objects on the query's side, two on the far component.
     let objects = ObjectSet::new(
@@ -137,5 +133,42 @@ fn disconnected_components_drop_unreachable_objects_consistently() {
             "{} must return exactly the reachable objects in distance order",
             method.name()
         );
+    }
+}
+
+/// The input shapes the generator never produces but the loaders accept — zero-weight
+/// edges (reachable through `Graph::from_csr` or a loaded artifact), unit weights
+/// (ties everywhere), several components — against Dijkstra, `k` above what some
+/// components hold. The two SILC methods sit out the zero-weight grid: they are not
+/// exact there (docs/CORRECTNESS.md, "The weight contract").
+#[test]
+fn every_method_is_dijkstra_exact_on_zero_weights_ties_and_components() {
+    // (network, whether SILC is exact on it)
+    let shapes =
+        [(zero_weight_grid(24), false), (unit_grids(24, 1), true), (unit_grids(9, 5), true)];
+    for (shape, (graph, silc_exact)) in shapes.into_iter().enumerate() {
+        let n = graph.num_vertices() as NodeId;
+        let config =
+            EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(16), ..Default::default() };
+        let mut engine = Engine::build(graph, &config);
+        let objects: Vec<NodeId> = (0..n).filter(|v| v % 29 == 7).collect();
+        engine.set_objects(ObjectSet::new("every-29th", n as usize, objects.clone()));
+        let silc = [Method::DisBrw, Method::DisBrwObjectHierarchy];
+        let methods: Vec<Method> =
+            supported(&engine).into_iter().filter(|m| silc_exact || !silc.contains(m)).collect();
+        assert_eq!(methods.len(), if silc_exact { 11 } else { 9 });
+        for q in (0..n).step_by(3) {
+            let truth = dijkstra::single_source(engine.graph(), q);
+            let mut want: Vec<Weight> =
+                objects.iter().map(|&o| truth[o as usize]).filter(|&d| d < INFINITY).collect();
+            want.sort_unstable();
+            want.truncate(5);
+            for &method in &methods {
+                let output = engine.query(method, q, 5).expect("supported");
+                let got: Vec<Weight> = output.result.iter().map(|&(_, d)| d).collect();
+                assert_eq!(got, want, "shape {shape}: {} from {q}", method.name());
+                assert!(output.result.iter().all(|&(o, d)| truth[o as usize] == d));
+            }
+        }
     }
 }
