@@ -17,6 +17,7 @@
 //! shared engine.
 
 use std::cell::RefCell;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 use rnknn_graph::{ChainIndex, Graph, NodeId};
@@ -207,10 +208,27 @@ impl EngineConfig {
             ..Default::default()
         }
     }
+
+    /// The G-tree configuration [`Engine::build`] uses for a graph of this size —
+    /// the load path must expect exactly the same fingerprint.
+    pub(crate) fn resolved_gtree_config(&self, num_vertices: usize) -> GtreeConfig {
+        GtreeConfig {
+            leaf_capacity: self
+                .gtree_leaf_capacity
+                .unwrap_or_else(|| GtreeConfig::paper_leaf_capacity(num_vertices)),
+            ..self.gtree_config.clone()
+        }
+    }
 }
 
 /// Construction times of the road-network indexes, in microseconds (Figure 8(b) /
 /// Figure 26(a)).
+///
+/// Each `*_micros` is the wall clock of that one builder, taken inside its own
+/// task of the build schedule (`Engine::assemble`): when the contraction
+/// hierarchy's chain runs beside the partition family's, the two clocks overlap
+/// and each reads contended time, so the parts may sum to more than
+/// `total_micros`. For one builder alone, build an engine with only that index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimes {
     /// G-tree construction time.
@@ -225,6 +243,29 @@ pub struct BuildTimes {
     pub phl_micros: u128,
     /// Transit-node-routing construction time (excluding the CH it reuses).
     pub tnr_micros: u128,
+    /// Wall clock of the whole schedule, first builder's start to last builder's end.
+    pub total_micros: u128,
+}
+
+/// Runs one builder and returns what it built with its wall clock in microseconds.
+fn timed<T>(build: impl FnOnce() -> T) -> (T, u128) {
+    let start = Instant::now();
+    let built = build();
+    (built, start.elapsed().as_micros())
+}
+
+/// Runs `beside` on a scoped thread of its own while `here` runs on the caller's.
+/// A panic on either side reaches the caller with its own payload, once both
+/// sides have stopped.
+fn run_beside<A: Send, B>(beside: impl FnOnce() -> A + Send, here: impl FnOnce() -> B) -> (A, B) {
+    std::thread::scope(|scope| {
+        let beside = scope.spawn(beside);
+        // If `here` panics, the scope joins the thread and resumes that payload.
+        let here = here();
+        // Joined by hand: left to the scope, a panic in `beside` would surface as
+        // "a scoped thread panicked" instead of what the builder said.
+        (beside.join().unwrap_or_else(|payload| resume_unwind(payload)), here)
+    })
 }
 
 /// The engine: road network + road-network indexes + the current object set and its
@@ -254,6 +295,15 @@ impl Engine {
     /// as-is (its build time stays zero), everything else the config requests
     /// is built here — so a loaded engine can still grow the non-persisted
     /// indexes (ROAD, SILC, PHL, TNR) on top of disk-backed CH and G-tree.
+    ///
+    /// The builders form two chains that read nothing of each other's: the
+    /// partition family then SILC (G-tree → ROAD → SILC), and the contraction
+    /// hierarchy with its two dependants (CH → PHL → TNR). When a CH has to be
+    /// contracted, the first chain has something to build too and the build
+    /// thread count allows it, the CH chain runs on its own scoped thread beside
+    /// the first; otherwise both run on the caller's, one after the other.
+    /// Either way each index comes from the same deterministic call on the same
+    /// graph (docs/ARCHITECTURE.md, "Build schedule").
     pub(crate) fn assemble(
         graph: Graph,
         config: &EngineConfig,
@@ -261,80 +311,98 @@ impl Engine {
         preloaded_ch: Option<rnknn_ch::ContractionHierarchy>,
     ) -> Engine {
         let chains = ChainIndex::build(&graph);
-        let mut build_times = BuildTimes::default();
+        let g = &graph;
+        let wants_ch = config.build_ch || config.build_tnr;
+        let overlap = wants_ch
+            && preloaded_ch.is_none()
+            && (config.build_gtree && preloaded_gtree.is_none()
+                || config.build_road
+                || config.build_silc)
+            && config.gtree_config.resolved_threads() >= 2;
 
-        let gtree = if config.build_gtree {
-            preloaded_gtree.or_else(|| {
-                let start = Instant::now();
-                let gconfig = GtreeConfig {
-                    leaf_capacity: config
-                        .gtree_leaf_capacity
-                        .unwrap_or_else(|| GtreeConfig::paper_leaf_capacity(graph.num_vertices())),
-                    ..config.gtree_config.clone()
-                };
-                // A graph whose distances do not fit the G-tree's 32-bit cells is
-                // refused, not approximated: the engine then holds no G-tree and its
-                // methods answer `MissingIndex` (as with SILC above its size cap).
-                let t = Gtree::try_build_with_config(&graph, gconfig).ok();
-                build_times.gtree_micros = start.elapsed().as_micros();
-                t
-            })
-        } else {
-            None
-        };
-        let road = config.build_road.then(|| {
-            let start = Instant::now();
-            let mut rconfig = RoadConfig::for_network(graph.num_vertices());
-            if let Some(levels) = config.road_levels {
-                rconfig.levels = levels;
-            }
-            let r = RoadIndex::build_with_config(&graph, rconfig);
-            build_times.road_micros = start.elapsed().as_micros();
-            r
-        });
-        let silc = if config.build_silc {
-            let start = Instant::now();
-            let silc = SilcIndex::try_build(
-                &graph,
-                &SilcConfig { max_vertices: config.silc_max_vertices, ..Default::default() },
-            );
-            build_times.silc_micros = start.elapsed().as_micros();
-            silc
-        } else {
-            None
-        };
-        let ch = (config.build_ch || config.build_tnr).then(|| {
-            preloaded_ch.unwrap_or_else(|| {
-                let start = Instant::now();
-                let ch =
-                    rnknn_ch::ContractionHierarchy::build_with_config(&graph, &config.ch_config);
-                build_times.ch_micros = start.elapsed().as_micros();
-                ch
-            })
-        });
-        let phl = if config.build_phl {
-            let start = Instant::now();
-            let phl = match &ch {
-                Some(ch) => rnknn_phl::HubLabels::build_with_ch(&graph, ch),
-                None => rnknn_phl::HubLabels::build(&graph),
+        let partition_chain = move || {
+            let mut times = BuildTimes::default();
+            let gtree = if config.build_gtree {
+                preloaded_gtree.or_else(|| {
+                    // A graph whose distances do not fit the G-tree's 32-bit cells is
+                    // refused, not approximated: the engine then holds no G-tree and its
+                    // methods answer `MissingIndex` (as with a graph SILC refuses).
+                    let gconfig = config.resolved_gtree_config(g.num_vertices());
+                    let (gtree, micros) = timed(|| Gtree::try_build_with_config(g, gconfig).ok());
+                    times.gtree_micros = micros;
+                    gtree
+                })
+            } else {
+                None
             };
-            build_times.phl_micros = start.elapsed().as_micros();
-            phl
-        } else {
-            None
+            let road = config.build_road.then(|| {
+                let mut rconfig = RoadConfig::for_network(g.num_vertices());
+                if let Some(levels) = config.road_levels {
+                    rconfig.levels = levels;
+                }
+                let (road, micros) = timed(|| RoadIndex::build_with_config(g, rconfig));
+                times.road_micros = micros;
+                road
+            });
+            let silc = if config.build_silc {
+                let sconfig =
+                    SilcConfig { max_vertices: config.silc_max_vertices, ..Default::default() };
+                let (silc, micros) = timed(|| SilcIndex::try_build(g, &sconfig));
+                times.silc_micros = micros;
+                silc
+            } else {
+                None
+            };
+            (gtree, road, silc, times)
         };
-        let tnr = if config.build_tnr {
-            let start = Instant::now();
-            let ch_clone = ch.clone().expect("TNR requires a CH build");
-            let tnr = rnknn_tnr::TransitNodeRouting::build_from_ch(
-                &graph,
-                ch_clone,
-                rnknn_tnr::TnrConfig::default(),
-            );
-            build_times.tnr_micros = start.elapsed().as_micros();
-            Some(tnr)
+        let ch_chain = move || {
+            let mut times = BuildTimes::default();
+            let ch = wants_ch.then(|| {
+                preloaded_ch.unwrap_or_else(|| {
+                    let (ch, micros) = timed(|| {
+                        rnknn_ch::ContractionHierarchy::build_with_config(g, &config.ch_config)
+                    });
+                    times.ch_micros = micros;
+                    ch
+                })
+            });
+            let phl = if config.build_phl {
+                let (phl, micros) = timed(|| match &ch {
+                    Some(ch) => rnknn_phl::HubLabels::build_with_ch(g, ch),
+                    None => rnknn_phl::HubLabels::build(g),
+                });
+                times.phl_micros = micros;
+                phl
+            } else {
+                None
+            };
+            let tnr = config.build_tnr.then(|| {
+                let (tnr, micros) = timed(|| {
+                    rnknn_tnr::TransitNodeRouting::build_from_ch(
+                        g,
+                        ch.clone().expect("TNR requires a CH build"),
+                        rnknn_tnr::TnrConfig::default(),
+                    )
+                });
+                times.tnr_micros = micros;
+                tnr
+            });
+            (ch, phl, tnr, times)
+        };
+
+        let start = Instant::now();
+        let ((ch, phl, tnr, ch_times), (gtree, road, silc, partition_times)) = if overlap {
+            run_beside(ch_chain, partition_chain)
         } else {
-            None
+            let partition = partition_chain();
+            (ch_chain(), partition)
+        };
+        let build_times = BuildTimes {
+            ch_micros: ch_times.ch_micros,
+            phl_micros: ch_times.phl_micros,
+            tnr_micros: ch_times.tnr_micros,
+            total_micros: start.elapsed().as_micros(),
+            ..partition_times
         };
 
         Engine { graph, chains, gtree, road, silc, ch, phl, tnr, build_times, live: None }
@@ -728,8 +796,9 @@ const _: () = {
 mod tests {
     use super::*;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-    use rnknn_graph::EdgeWeightKind;
+    use rnknn_graph::{EdgeWeightKind, Weight};
     use rnknn_objects::uniform;
+    use rnknn_persist::Artifact;
 
     #[test]
     fn engine_answers_identically_across_all_supported_methods() {
@@ -758,6 +827,125 @@ mod tests {
             }
         }
         assert!(engine.build_times().gtree_micros > 0);
+    }
+
+    /// What a build schedule may not move.
+    #[derive(PartialEq)]
+    struct BuiltState {
+        /// The artifact, section by section. `GT.META` echoes the configured
+        /// `build_threads` in its fourth word — an input, not something built — so
+        /// that one word is blanked.
+        sections: Vec<(String, Vec<u8>)>,
+        /// ROAD's `(num_rnets, memory_bytes)`.
+        road: Option<(usize, usize)>,
+        /// Every supported method's answers from 50 vertices.
+        answers: Vec<(Method, Vec<(NodeId, Weight)>)>,
+    }
+
+    fn built_state(engine: &mut Engine) -> BuiltState {
+        engine.set_objects(uniform(engine.graph(), 0.02, 5));
+        let n = engine.graph().num_vertices() as NodeId;
+        let mut answers = Vec::new();
+        for method in Method::all().into_iter().filter(|&m| engine.supports(m)) {
+            for i in 0..50 {
+                answers.push((method, engine.query(method, (i * 41) % n, 5).unwrap().result));
+            }
+        }
+        let road = engine.road().map(|r| (r.num_rnets(), r.memory_bytes()));
+        let artifact = Artifact::from_vec(engine.save_indexes_to_vec().unwrap()).unwrap();
+        let sections = artifact
+            .tags()
+            .map(|tag| {
+                let mut bytes = artifact.section_bytes(tag).unwrap().to_vec();
+                if tag == rnknn_gtree::persist::TAG_META {
+                    bytes[24..32].fill(0);
+                }
+                (tag.to_string(), bytes)
+            })
+            .collect();
+        BuiltState { sections, road, answers }
+    }
+
+    fn with_build_threads(config: &EngineConfig, build_threads: usize) -> EngineConfig {
+        let gtree_config = GtreeConfig { build_threads, ..config.gtree_config.clone() };
+        EngineConfig { gtree_config, ..config.clone() }
+    }
+
+    /// The schedule changes when an index is built, never what is built: one thread
+    /// (the straight line), the default count and two threads (the CH chain beside
+    /// the partition family on any host) agree byte for byte — with the benchmark's
+    /// three indexes, and with all six, where PHL and TNR wait for the CH on its
+    /// thread and SILC ends the caller's chain.
+    #[test]
+    fn build_schedule_changes_when_indexes_are_built_never_what() {
+        let three = EngineConfig { build_silc: false, build_phl: false, ..Default::default() };
+        let six = EngineConfig { build_tnr: true, ..Default::default() };
+        // SILC's all-pairs build sets the size of the second pass.
+        for (config, vertices, methods) in [(three, 2_000, 7), (six, 1_000, 11)] {
+            let graph = RoadNetwork::generate(&GeneratorConfig::new(vertices, 31))
+                .graph(EdgeWeightKind::Distance);
+            let build = |threads| {
+                built_state(&mut Engine::build(
+                    graph.clone(),
+                    &with_build_threads(&config, threads),
+                ))
+            };
+            let sequential = build(1);
+            assert_eq!(sequential.answers.len(), methods * 50);
+            for threads in [0, 2] {
+                let overlapped = build(threads);
+                assert!(overlapped.sections == sequential.sections, "{threads}: artifact differs");
+                assert_eq!(overlapped.road, sequential.road, "{threads}: ROAD differs");
+                assert!(overlapped.answers == sequential.answers, "{threads}: answers differ");
+            }
+        }
+    }
+
+    /// Nothing to overlap, nothing run: with CH and G-tree adopted from the artifact
+    /// and no other index requested, no builder's clock starts.
+    #[test]
+    fn loading_every_requested_index_runs_no_builder() {
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(2_000, 31)).graph(EdgeWeightKind::Distance);
+        let config = EngineConfig {
+            build_road: false,
+            build_silc: false,
+            build_phl: false,
+            ..Default::default()
+        };
+        let mut built = Engine::build(graph, &config);
+        let expected = built_state(&mut built);
+        let bytes = built.save_indexes_to_vec().unwrap();
+        let mut loaded = Engine::load_indexes_from_vec(bytes, &config).unwrap();
+        let t = loaded.build_times();
+        assert_eq!(
+            (t.gtree_micros, t.road_micros, t.silc_micros, t.ch_micros, t.phl_micros, t.tnr_micros),
+            (0, 0, 0, 0, 0, 0)
+        );
+        assert!(built_state(&mut loaded) == expected);
+    }
+
+    /// A partition-chain assert raised while the CH chain runs on its thread: the
+    /// schedule joins that thread and the caller still sees ROAD's own message.
+    #[test]
+    #[should_panic(expected = "at least one level of partitioning is required")]
+    fn builder_panic_beside_the_ch_thread_keeps_its_payload() {
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(300, 4)).graph(EdgeWeightKind::Distance);
+        let config = EngineConfig {
+            road_levels: Some(0),
+            build_silc: false,
+            build_phl: false,
+            ..Default::default()
+        };
+        Engine::build(graph, &with_build_threads(&config, 2));
+    }
+
+    /// The same for the spawned side, which no `EngineConfig` can make panic.
+    #[test]
+    #[should_panic(expected = "said by the spawned side")]
+    fn run_beside_re_raises_the_spawned_sides_payload() {
+        run_beside(|| panic!("said by the spawned side"), || ());
     }
 
     #[test]

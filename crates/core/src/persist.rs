@@ -19,7 +19,7 @@
 //!
 //! Every load fully validates the artifact — magic, format version, per-
 //! section checksums and structural invariants — before any query runs, and
-//! rejects indexes built under a different [`rnknn_ch::ChConfig`]/[`GtreeConfig`]
+//! rejects indexes built under a different [`rnknn_ch::ChConfig`]/[`rnknn_gtree::GtreeConfig`]
 //! fingerprint than the one the caller's `EngineConfig` asks for. See
 //! `docs/PERSISTENCE.md` for the format.
 
@@ -27,21 +27,9 @@ use std::fs::File;
 use std::io::{BufWriter, Cursor};
 use std::path::Path;
 
-use rnknn_gtree::GtreeConfig;
 use rnknn_persist::{Artifact, ArtifactWriter, PersistError};
 
 use crate::engine::{Engine, EngineConfig};
-
-/// The G-tree configuration `Engine::build` would use for this graph size —
-/// the load path must expect exactly the same fingerprint.
-fn resolved_gtree_config(config: &EngineConfig, num_vertices: usize) -> GtreeConfig {
-    GtreeConfig {
-        leaf_capacity: config
-            .gtree_leaf_capacity
-            .unwrap_or_else(|| GtreeConfig::paper_leaf_capacity(num_vertices)),
-        ..config.gtree_config.clone()
-    }
-}
 
 impl Engine {
     /// Saves the road network and the built CH/G-tree indexes to `path`
@@ -151,7 +139,7 @@ impl Engine {
                     section: "G-tree index (artifact was saved without build_gtree)".to_string(),
                 });
             }
-            let expected = resolved_gtree_config(config, num_vertices);
+            let expected = config.resolved_gtree_config(num_vertices);
             Some(rnknn_gtree::persist::load_gtree(artifact, num_vertices, Some(&expected))?)
         } else {
             None

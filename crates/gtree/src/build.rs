@@ -67,7 +67,7 @@ impl GtreeConfig {
     }
 
     /// Worker-thread count after resolving `0` to the available parallelism.
-    fn resolved_threads(&self) -> usize {
+    pub fn resolved_threads(&self) -> usize {
         if self.build_threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {

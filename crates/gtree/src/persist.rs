@@ -73,8 +73,9 @@ impl GtreeConfig {
     ///
     /// `build_threads` is deliberately **excluded**: construction is
     /// deterministic regardless of the worker count (a documented invariant,
-    /// tested by `build_determinism`), so an artifact built with 8 threads is
-    /// byte-identical to one built with 1 and must load under either setting.
+    /// tested by `build_determinism`), so a tree built with 8 threads is
+    /// byte-identical to one built with 1 and must load under either setting
+    /// (the artifacts differ in one word: `GT.META` echoes the configured value).
     /// Everything else — fanout, leaf capacity, refinement — changes the tree
     /// and therefore the fingerprint.
     pub fn fingerprint(&self) -> u64 {

@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone)]
 pub struct SilcConfig {
     /// Refuse to build the index for graphs with more vertices than this (the paper's
-    /// memory-capacity limit, Section 7.2). `try_build` returns `None` beyond it.
+    /// memory-capacity limit, Section 7.2). `try_build` returns `None` beyond it (and
+    /// for a graph with a zero-weight edge, whatever its size).
     pub max_vertices: usize,
     /// Number of worker threads used for construction (1 = sequential).
     pub threads: usize,
@@ -121,10 +122,13 @@ impl SilcIndex {
             .expect("graph exceeds the SILC size limit; raise SilcConfig::max_vertices")
     }
 
-    /// Builds the index unless the graph exceeds `config.max_vertices`.
+    /// Builds the index unless the graph exceeds `config.max_vertices` or has a
+    /// zero-weight edge: first-hop colouring is not exact under zero-length ties
+    /// (docs/CORRECTNESS.md, "The weight contract"), so such a graph is refused
+    /// rather than indexed wrongly.
     pub fn try_build(graph: &Graph, config: &SilcConfig) -> Option<SilcIndex> {
         let n = graph.num_vertices();
-        if n > config.max_vertices {
+        if n > config.max_vertices || graph.edges().any(|(_, _, w)| w == 0) {
             return None;
         }
         let normalizer = CoordinateNormalizer::new(graph.bounding_rect());
@@ -462,7 +466,7 @@ fn build_source(graph: &Graph, cells: &[(u32, u32)], s: NodeId) -> Vec<SilcBlock
 mod tests {
     use super::*;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-    use rnknn_graph::EdgeWeightKind;
+    use rnknn_graph::{testgraphs, EdgeWeightKind};
     use rnknn_pathfinding::dijkstra;
 
     fn setup(n: usize, seed: u64) -> (Graph, SilcIndex) {
@@ -572,6 +576,13 @@ mod tests {
         assert_eq!(silc.num_vertices(), g.num_vertices());
         assert!(silc.num_blocks() > g.num_vertices() / 2);
         assert!(silc.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn zero_weight_edge_is_refused() {
+        let config = SilcConfig { max_vertices: 10_000, threads: 1 };
+        assert!(SilcIndex::try_build(&testgraphs::unit_grids(6, 1), &config).is_some());
+        assert!(SilcIndex::try_build(&testgraphs::zero_weight_grid(6), &config).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! method-specific interpretation of "no answer".
 
 use rnknn::engine::{Engine, EngineConfig, Method};
-use rnknn::EngineError;
+use rnknn::{EngineError, IndexKind};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
 use rnknn_graph::{GraphBuilder, NodeId, Point, Weight, INFINITY};
@@ -139,24 +139,31 @@ fn disconnected_components_drop_unreachable_objects_consistently() {
 /// The input shapes the generator never produces but the loaders accept — zero-weight
 /// edges (reachable through `Graph::from_csr` or a loaded artifact), unit weights
 /// (ties everywhere), several components — against Dijkstra, `k` above what some
-/// components hold. The two SILC methods sit out the zero-weight grid: they are not
-/// exact there (docs/CORRECTNESS.md, "The weight contract").
+/// components hold. SILC refuses the zero-weight grid, so there the two Distance
+/// Browsing methods answer `MissingIndex` (docs/CORRECTNESS.md, "The weight contract").
 #[test]
 fn every_method_is_dijkstra_exact_on_zero_weights_ties_and_components() {
-    // (network, whether SILC is exact on it)
+    // (network, whether SILC indexes it)
     let shapes =
         [(zero_weight_grid(24), false), (unit_grids(24, 1), true), (unit_grids(9, 5), true)];
-    for (shape, (graph, silc_exact)) in shapes.into_iter().enumerate() {
+    for (shape, (graph, silc_builds)) in shapes.into_iter().enumerate() {
         let n = graph.num_vertices() as NodeId;
         let config =
             EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(16), ..Default::default() };
         let mut engine = Engine::build(graph, &config);
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 29 == 7).collect();
         engine.set_objects(ObjectSet::new("every-29th", n as usize, objects.clone()));
-        let silc = [Method::DisBrw, Method::DisBrwObjectHierarchy];
-        let methods: Vec<Method> =
-            supported(&engine).into_iter().filter(|m| silc_exact || !silc.contains(m)).collect();
-        assert_eq!(methods.len(), if silc_exact { 11 } else { 9 });
+        assert_eq!(engine.silc().is_some(), silc_builds, "shape {shape}");
+        let methods = supported(&engine);
+        assert_eq!(methods.len(), if silc_builds { 11 } else { 9 });
+        if !silc_builds {
+            for method in [Method::DisBrw, Method::DisBrwObjectHierarchy] {
+                assert_eq!(
+                    engine.query(method, 0, 5).unwrap_err(),
+                    EngineError::MissingIndex { method, index: IndexKind::Silc },
+                );
+            }
+        }
         for q in (0..n).step_by(3) {
             let truth = dijkstra::single_source(engine.graph(), q);
             let mut want: Vec<Weight> =
