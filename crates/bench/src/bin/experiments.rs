@@ -437,11 +437,7 @@ fn assemble(
     cell: &impl Fn(NodeIndex, usize, usize) -> Cell,
 ) -> Weight {
     let (source_leaf, target_leaf) = (gtree.leaf_of(s), gtree.leaf_of(t));
-    let base_in = |parent: NodeIndex, child: NodeIndex| {
-        let pnode = gtree.node(parent);
-        let ci = pnode.children.iter().position(|&c| c == child).expect("child of its parent");
-        pnode.child_border_offsets[ci] as usize
-    };
+    let hierarchy = gtree.hierarchy();
     // One min-plus step through `via`'s matrix: `dist` holds the distances to the
     // borders at matrix rows `rows`, the result those to the borders at `cols`.
     let step = |via: NodeIndex, dist: &[Weight], rows: &[usize], cols: &[usize]| -> Vec<Weight> {
@@ -452,25 +448,27 @@ fn assemble(
             })
             .collect()
     };
-    let span = |base: usize, node: NodeIndex| -> Vec<usize> {
-        (base..base + gtree.node(node).borders.len()).collect()
+    // The borders of `node` as rows or columns of its parent's matrix, and of its own.
+    let span = |node: NodeIndex| -> Vec<usize> {
+        let base = hierarchy.base_in_parent(node);
+        (base..base + hierarchy.borders(node).len()).collect()
     };
     let own = |node: NodeIndex| -> Vec<usize> {
-        gtree.node(node).own_border_positions.iter().map(|&p| p as usize).collect()
+        gtree.border_positions(node).iter().map(|&p| p as usize).collect()
     };
 
     let spos = gtree.position_in_leaf(s) as usize;
     let mut at = source_leaf;
     let mut dist: Vec<Weight> =
-        (0..gtree.node(at).borders.len()).map(|b| widen(cell(at, b, spos))).collect();
+        (0..hierarchy.borders(at).len()).map(|b| widen(cell(at, b, spos))).collect();
     if source_leaf != target_leaf {
         // Climb to the child of the lowest common ancestor, cross it, descend.
         loop {
-            let parent = gtree.node(at).parent.expect("distinct leaves share an ancestor");
-            let rows = span(base_in(parent, at), at);
+            let parent = hierarchy.parent(at).expect("distinct leaves share an ancestor");
+            let rows = span(at);
             if gtree.is_ancestor_of(parent, target_leaf) {
                 at = gtree.child_towards(parent, target_leaf);
-                dist = step(parent, &dist, &rows, &span(base_in(parent, at), at));
+                dist = step(parent, &dist, &rows, &span(at));
                 break;
             }
             dist = step(parent, &dist, &rows, &own(parent));
@@ -478,7 +476,7 @@ fn assemble(
         }
         while at != target_leaf {
             let child = gtree.child_towards(at, target_leaf);
-            dist = step(at, &dist, &own(at), &span(base_in(at, child), child));
+            dist = step(at, &dist, &own(at), &span(child));
             at = child;
         }
     }
@@ -497,9 +495,7 @@ fn distance_matrix_study(ctx: &mut Ctx) {
     let gtree = Gtree::build(&graph);
     let layouts: Vec<(MatrixKind, Vec<ProbeMatrix>)> = MatrixKind::all()
         .iter()
-        .map(|&kind| {
-            (kind, gtree.nodes().iter().map(|n| ProbeMatrix::fill(kind, &n.matrix)).collect())
-        })
+        .map(|&kind| (kind, gtree.matrices().iter().map(|m| ProbeMatrix::fill(kind, m)).collect()))
         .collect();
 
     // Each query with its k nearest objects (the real search's answer, which the
@@ -512,7 +508,7 @@ fn distance_matrix_study(ctx: &mut Ctx) {
                 let knn =
                     GtreeSearch::new(&gtree, &graph, q).knn(k, &occ, LeafSearchMode::Improved);
                 for &(o, d) in knn.iter().filter(|&&(o, _)| gtree.leaf_of(o) != gtree.leaf_of(q)) {
-                    let cell = |n: NodeIndex, r: usize, c: usize| gtree.node(n).matrix.get(r, c);
+                    let cell = |n: NodeIndex, r: usize, c: usize| gtree.matrix(n).get(r, c);
                     assert_eq!(assemble(&gtree, q, o, &cell), d, "assembly {q}->{o}");
                 }
                 (q, knn.into_iter().map(|(o, _)| o).collect())

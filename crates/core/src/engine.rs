@@ -798,7 +798,6 @@ mod tests {
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::{EdgeWeightKind, Weight};
     use rnknn_objects::uniform;
-    use rnknn_persist::Artifact;
 
     #[test]
     fn engine_answers_identically_across_all_supported_methods() {
@@ -832,10 +831,8 @@ mod tests {
     /// What a build schedule may not move.
     #[derive(PartialEq)]
     struct BuiltState {
-        /// The artifact, section by section. `GT.META` echoes the configured
-        /// `build_threads` in its fourth word — an input, not something built — so
-        /// that one word is blanked.
-        sections: Vec<(String, Vec<u8>)>,
+        /// The artifact, whole.
+        artifact: Vec<u8>,
         /// ROAD's `(num_rnets, memory_bytes)`.
         road: Option<(usize, usize)>,
         /// Every supported method's answers from 50 vertices.
@@ -852,18 +849,7 @@ mod tests {
             }
         }
         let road = engine.road().map(|r| (r.num_rnets(), r.memory_bytes()));
-        let artifact = Artifact::from_vec(engine.save_indexes_to_vec().unwrap()).unwrap();
-        let sections = artifact
-            .tags()
-            .map(|tag| {
-                let mut bytes = artifact.section_bytes(tag).unwrap().to_vec();
-                if tag == rnknn_gtree::persist::TAG_META {
-                    bytes[24..32].fill(0);
-                }
-                (tag.to_string(), bytes)
-            })
-            .collect();
-        BuiltState { sections, road, answers }
+        BuiltState { artifact: engine.save_indexes_to_vec().unwrap(), road, answers }
     }
 
     fn with_build_threads(config: &EngineConfig, build_threads: usize) -> EngineConfig {
@@ -894,7 +880,7 @@ mod tests {
             assert_eq!(sequential.answers.len(), methods * 50);
             for threads in [0, 2] {
                 let overlapped = build(threads);
-                assert!(overlapped.sections == sequential.sections, "{threads}: artifact differs");
+                assert!(overlapped.artifact == sequential.artifact, "{threads}: artifact differs");
                 assert_eq!(overlapped.road, sequential.road, "{threads}: ROAD differs");
                 assert!(overlapped.answers == sequential.answers, "{threads}: answers differ");
             }

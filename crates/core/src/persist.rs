@@ -140,7 +140,7 @@ impl Engine {
                 });
             }
             let expected = config.resolved_gtree_config(num_vertices);
-            Some(rnknn_gtree::persist::load_gtree(artifact, num_vertices, Some(&expected))?)
+            Some(rnknn_gtree::persist::load_gtree(artifact, &graph, Some(&expected))?)
         } else {
             None
         };
@@ -188,6 +188,22 @@ mod tests {
                     method.name()
                 );
             }
+        }
+    }
+
+    /// docs/PERSISTENCE.md's "What is persisted" table names every section an
+    /// engine writes, so a new or renamed tag cannot land without its row.
+    #[test]
+    fn every_saved_tag_is_named_in_the_persistence_doc() {
+        let doc = include_str!("../../../docs/PERSISTENCE.md");
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(200, 2)).graph(EdgeWeightKind::Distance);
+        let bytes = Engine::build(graph, &small_config()).save_indexes_to_vec().unwrap();
+        let artifact = Artifact::from_vec(bytes).unwrap();
+        let tags: Vec<String> = artifact.tags().map(|tag| tag.to_string()).collect();
+        assert!(tags.iter().any(|t| t.starts_with("CH.")) && tags.iter().any(|t| t == "GT.ARNA"));
+        for tag in tags {
+            assert!(doc.contains(&format!("`{tag}`")), "docs/PERSISTENCE.md never names `{tag}`");
         }
     }
 

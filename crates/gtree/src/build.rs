@@ -24,7 +24,7 @@ use rnknn_pathfinding::heap::MinHeap;
 
 use crate::distmatrix::{narrow, Cell, DistanceMatrix, CELL_INFINITY};
 use crate::kernel::min_plus_into;
-use crate::tree::{Gtree, GtreeNode};
+use crate::tree::Gtree;
 
 /// Configuration of G-tree construction.
 #[derive(Debug, Clone)]
@@ -190,42 +190,17 @@ impl Gtree {
     ) -> Result<Gtree, GtreeBuildError> {
         assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
         check_distance_range(graph)?;
-        let hierarchy =
+        let (hierarchy, leaves) =
             Hierarchy::build(graph, config.fanout, |_, len| len <= config.leaf_capacity);
-        let nodes = (0..hierarchy.parts.len() as u32).map(|i| tree_node(&hierarchy, i)).collect();
-        let mut builder = Builder { graph, config: config.clone(), hierarchy, nodes };
+        let border_positions = hierarchy.border_positions(&leaves);
+        let matrices = vec![DistanceMatrix::new(0, 0, CELL_INFINITY); hierarchy.num_parts()];
+        let mut tree = Gtree { hierarchy, leaves, matrices, border_positions, config };
+        let mut builder = Builder { graph, tree: &mut tree };
         builder.compute_matrices()?;
-        if config.exact_refinement {
+        if builder.tree.config.exact_refinement {
             builder.refine_matrices();
         }
-        Ok(Gtree {
-            nodes: builder.nodes,
-            root: 0,
-            leaf_of_vertex: builder.hierarchy.leaf_of_vertex,
-            vertex_position: builder.hierarchy.position_in_leaf,
-            config,
-        })
-    }
-}
-
-/// Tree node `i` as the hierarchy describes it (docs/ARCHITECTURE.md, "Partition
-/// hierarchy"), its matrix still empty.
-fn tree_node(hierarchy: &Hierarchy, i: u32) -> GtreeNode {
-    let part = &hierarchy.parts[i as usize];
-    // A leaf has no grouped child borders, not even the leading offset.
-    let (child_borders, child_border_offsets) =
-        if part.children.is_empty() { Default::default() } else { hierarchy.child_borders(i) };
-    GtreeNode {
-        parent: part.parent,
-        children: part.children.clone(),
-        leaf_vertices: part.vertices.clone(),
-        borders: part.borders.clone(),
-        child_borders,
-        child_border_offsets,
-        own_border_positions: hierarchy.border_positions(i),
-        matrix: DistanceMatrix::new(0, 0, CELL_INFINITY),
-        leaf_range: part.leaf_range,
-        depth: part.level,
+        Ok(tree)
     }
 }
 
@@ -271,20 +246,18 @@ where
     })
 }
 
+/// Fills the matrices of a tree whose topology is in place.
 struct Builder<'a> {
     graph: &'a Graph,
-    config: GtreeConfig,
-    hierarchy: Hierarchy,
-    nodes: Vec<GtreeNode>,
+    tree: &'a mut Gtree,
 }
 
 impl<'a> Builder<'a> {
     /// Node indexes grouped by depth (index 0 = root level).
-    fn levels(&self) -> Vec<Vec<usize>> {
-        let height = self.nodes.iter().map(|n| n.depth as usize).max().unwrap_or(0) + 1;
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); height];
-        for (i, node) in self.nodes.iter().enumerate() {
-            levels[node.depth as usize].push(i);
+    fn levels(&self) -> Vec<Vec<u32>> {
+        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); self.tree.height()];
+        for i in 0..self.tree.num_nodes() as u32 {
+            levels[self.tree.hierarchy.level(i) as usize].push(i);
         }
         levels
     }
@@ -295,19 +268,17 @@ impl<'a> Builder<'a> {
     /// fanned across worker threads). Every cell is range-checked as it is narrowed
     /// from the searches' `Weight`s; the first one that does not fit ends the build.
     fn compute_matrices(&mut self) -> Result<(), GtreeBuildError> {
-        let threads = self.config.resolved_threads();
+        let threads = self.tree.config.resolved_threads();
         for level in self.levels().iter().rev() {
-            let leaves: Vec<usize> =
-                level.iter().copied().filter(|&i| self.nodes[i].is_leaf()).collect();
+            let (leaves, internals): (Vec<u32>, Vec<u32>) =
+                level.iter().partition(|&&i| self.tree.hierarchy.is_leaf(i));
             let this = &*self;
             let matrices = parallel_map(&leaves, threads, |i| this.leaf_matrix(i));
             for (&i, m) in leaves.iter().zip(matrices) {
-                self.nodes[i].matrix = m?;
+                self.tree.matrices[i as usize] = m?;
             }
-            let internals: Vec<usize> =
-                level.iter().copied().filter(|&i| !self.nodes[i].is_leaf()).collect();
             for i in internals {
-                self.nodes[i].matrix = self.internal_matrix(i)?;
+                self.tree.matrices[i as usize] = self.internal_matrix(i)?;
             }
         }
         Ok(())
@@ -327,47 +298,37 @@ impl<'a> Builder<'a> {
     /// One min-plus sweep therefore yields exactness:
     /// `refined[x][y] = min(M[x][y], min_{a,d} M[x][a] + ext[a][d] + M[d][y])`.
     fn refine_matrices(&mut self) {
-        for level in self.levels().iter() {
-            let pending: Vec<usize> =
-                level.iter().copied().filter(|&i| self.nodes[i].parent.is_some()).collect();
-            for i in pending {
-                let node = &self.nodes[i];
+        // The root is level 0; every other node has a parent.
+        for level in self.levels().iter().skip(1) {
+            for &i in level {
                 let ext = self.external_matrix(i);
-                let refined = if node.is_leaf() {
+                let (matrix, pos) = (self.tree.matrix(i), self.tree.border_positions(i));
+                let refined = if self.tree.hierarchy.is_leaf(i) {
                     // Border `a`'s matrix column is its leaf position; border `d`'s
                     // matrix row is its border index. Leaf matrices are rectangular
                     // (borders × vertices), so the full sweep applies.
-                    let rows: Vec<u32> = (0..node.borders.len() as u32).collect();
-                    self.apply_external(
-                        &node.matrix,
-                        &node.own_border_positions,
-                        &rows,
-                        &ext,
-                        false,
-                    )
+                    let rows: Vec<u32> = (0..pos.len() as u32).collect();
+                    self.apply_external(matrix, pos, &rows, &ext, false)
                 } else {
                     // Internal matrices are symmetric (undirected network), so the
                     // sweep only computes the upper triangle and mirrors.
-                    let pos = &node.own_border_positions;
-                    self.apply_external(&node.matrix, pos, pos, &ext, true)
+                    self.apply_external(matrix, pos, pos, &ext, true)
                 };
-                self.nodes[i].matrix = refined;
+                self.tree.matrices[i as usize] = refined;
             }
         }
     }
 
     /// Exact distances between every ordered pair of node `i`'s own borders, read from
     /// the parent's (already refined) matrix as a flat `nb × nb` row-major array.
-    fn external_matrix(&self, i: usize) -> Vec<Cell> {
-        let parent = self.nodes[i].parent.expect("non-root") as usize;
-        let pnode = &self.nodes[parent];
-        let child_pos =
-            pnode.children.iter().position(|&c| c as usize == i).expect("child of parent");
-        let base = pnode.child_border_offsets[child_pos] as usize;
-        let nb = self.nodes[i].borders.len();
+    fn external_matrix(&self, i: u32) -> Vec<Cell> {
+        let hierarchy = &self.tree.hierarchy;
+        let parent_matrix = self.tree.matrix(hierarchy.parent(i).expect("non-root"));
+        let base = hierarchy.base_in_parent(i);
+        let nb = hierarchy.borders(i).len();
         let mut ext = Vec::with_capacity(nb * nb);
         for a in 0..nb {
-            ext.extend_from_slice(&pnode.matrix.row(base + a)[base..base + nb]);
+            ext.extend_from_slice(&parent_matrix.row(base + a)[base..base + nb]);
         }
         ext
     }
@@ -420,7 +381,7 @@ impl<'a> Builder<'a> {
         let block_starts: Vec<usize> = (0..rows).step_by(SWEEP_ROW_BLOCK).collect();
         let border_row_flat = &border_row_flat;
         let threads = if rows * cols * nb.max(1) >= MIN_PARALLEL_WORK {
-            self.config.resolved_threads()
+            self.tree.config.resolved_threads()
         } else {
             1
         };
@@ -505,12 +466,11 @@ impl<'a> Builder<'a> {
 
     /// Computes a leaf's (subgraph-restricted) border-to-vertex matrix: one
     /// multi-target Dijkstra per border, confined to the leaf's induced subgraph.
-    fn leaf_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
-        let node = &self.nodes[i];
-        let n_local = node.leaf_vertices.len();
-        let edges = self.hierarchy.leaf_edges(self.graph, i as u32);
+    fn leaf_matrix(&self, i: u32) -> Result<DistanceMatrix, GtreeBuildError> {
+        let n_local = self.tree.leaf_vertices(i).len();
+        let edges = self.tree.hierarchy.leaf_edges(self.graph, &self.tree.leaves, i);
         let local = LocalGraph::from_edges(n_local, &edges);
-        matrix_from_rows(node.own_border_positions.iter().map(|&pos| local.sssp(pos)), n_local)
+        matrix_from_rows(self.tree.border_positions(i).iter().map(|&pos| local.sssp(pos)), n_local)
     }
 
     /// Composes an internal node's (subgraph-restricted) child-border-to-child-border
@@ -519,20 +479,21 @@ impl<'a> Builder<'a> {
     /// the hierarchy's triangle rule ([`sparsify`]), which is what keeps the
     /// upper-level compositions from dominating the build. Row Dijkstras are fanned
     /// across worker threads.
-    fn internal_matrix(&self, i: usize) -> Result<DistanceMatrix, GtreeBuildError> {
-        let node = &self.nodes[i];
-        let n_local = node.child_borders.len();
-        let mut edges = self.hierarchy.cross_edges(self.graph, i as u32);
-        for (&c, &base) in node.children.iter().zip(&node.child_border_offsets) {
-            let child = &self.nodes[c as usize];
-            let nb = child.borders.len();
+    fn internal_matrix(&self, i: u32) -> Result<DistanceMatrix, GtreeBuildError> {
+        let hierarchy = &self.tree.hierarchy;
+        let n_local = hierarchy.child_borders(i).len();
+        let mut edges = hierarchy.cross_edges(self.graph, i);
+        for &c in hierarchy.children(i) {
+            let (base, positions) =
+                (hierarchy.base_in_parent(c) as u32, self.tree.border_positions(c));
+            let nb = positions.len();
             // Flat border-to-border submatrix of the child (symmetric: the network is
             // undirected).
             let mut sub: Vec<Cell> = Vec::with_capacity(nb * nb);
             for a in 0..nb {
-                let row = if child.is_leaf() { a } else { child.own_border_positions[a] as usize };
-                let row = child.matrix.row(row);
-                sub.extend(child.own_border_positions.iter().map(|&b| row[b as usize]));
+                let row = if hierarchy.is_leaf(c) { a } else { positions[a] as usize };
+                let row = self.tree.matrix(c).row(row);
+                sub.extend(positions.iter().map(|&b| row[b as usize]));
             }
             let kept = sparsify(&sub, nb, CELL_INFINITY);
             edges.extend(kept.iter().map(|&(a, b, d)| (base + a, base + b, d as Weight)));
@@ -541,7 +502,7 @@ impl<'a> Builder<'a> {
         let local = LocalGraph::from_edges(n_local, &edges);
         let rows: Vec<u32> = (0..n_local as u32).collect();
         let threads = if n_local * edges.len().max(n_local) >= MIN_PARALLEL_WORK {
-            self.config.resolved_threads()
+            self.tree.config.resolved_threads()
         } else {
             1
         };
@@ -570,54 +531,49 @@ mod tests {
     #[test]
     fn structure_invariants_hold() {
         let (g, tree) = build_test_tree(800, 42, 32);
+        let h = tree.hierarchy();
         // Every vertex belongs to exactly one leaf, at the recorded position.
         for v in g.vertices() {
             let leaf = tree.leaf_of(v);
-            let node = tree.node(leaf);
-            assert!(node.is_leaf());
-            assert!(node.leaf_vertices.len() <= 32);
-            assert_eq!(node.leaf_vertices[tree.position_in_leaf(v) as usize], v);
+            assert!(h.is_leaf(leaf));
+            assert!(tree.leaf_vertices(leaf).len() <= 32);
+            assert_eq!(tree.leaf_vertices(leaf)[tree.position_in_leaf(v) as usize], v);
         }
         // Leaf ranges of children tile the parent's range; borders of a node are borders
         // of one of its children.
-        for (i, node) in tree.nodes().iter().enumerate() {
-            if node.is_leaf() {
-                continue;
-            }
+        for i in (0..tree.num_nodes() as NodeIndex).filter(|&i| !h.is_leaf(i)) {
+            let range = h.leaf_range(i);
             let mut covered = 0;
-            for &c in &node.children {
-                let r = tree.node(c).leaf_range;
+            for &c in h.children(i) {
+                let r = h.leaf_range(c);
                 covered += r.1 - r.0;
-                assert!(node.leaf_range.0 <= r.0 && r.1 <= node.leaf_range.1);
-                assert_eq!(tree.node(c).parent, Some(i as NodeIndex));
+                assert!(range.0 <= r.0 && r.1 <= range.1);
+                assert_eq!(h.parent(c), Some(i));
             }
-            assert_eq!(covered, node.leaf_range.1 - node.leaf_range.0);
-            for &b in &node.borders {
+            assert_eq!(covered, range.1 - range.0);
+            for b in h.borders(i) {
                 assert!(
-                    node.children.iter().any(|&c| tree.node(c).borders.contains(&b)),
+                    h.child_borders(i).contains(b),
                     "border {b} of node {i} is not a border of any child"
                 );
             }
         }
         // The root has no borders (no edges leave the whole graph).
-        assert!(tree.node(tree.root()).borders.is_empty());
+        assert!(h.borders(tree.root()).is_empty());
         assert!(tree.height() >= 2);
-        assert!(tree.num_leaves() >= 2);
         assert!(tree.memory_bytes() > 0);
-        assert!(tree.average_borders() > 0.0);
     }
 
     #[test]
     fn borders_have_outside_neighbors() {
         let (g, tree) = build_test_tree(600, 7, 50);
-        for node in tree.nodes() {
-            if node.parent.is_none() {
-                continue;
-            }
-            for &b in &node.borders {
+        let h = tree.hierarchy();
+        for node in 1..tree.num_nodes() as NodeIndex {
+            let range = h.leaf_range(node);
+            for &b in h.borders(node) {
                 let outside = g.neighbor_ids(b).iter().any(|&t| {
-                    let tl = tree.node(tree.leaf_of(t)).leaf_range.0;
-                    tl < node.leaf_range.0 || tl >= node.leaf_range.1
+                    let tl = h.leaf_range(tree.leaf_of(t)).0;
+                    tl < range.0 || tl >= range.1
                 });
                 assert!(outside, "border {b} has no neighbor outside its node");
             }
@@ -629,11 +585,12 @@ mod tests {
         let (g, tree) = build_test_tree(500, 3, 40);
         // For a sample of leaves, border-to-vertex matrix entries must equal Dijkstra
         // distances on the full graph (thanks to the refinement pass).
-        for node in tree.nodes().iter().filter(|n| n.is_leaf()).take(5) {
-            for (row, &b) in node.borders.iter().enumerate().take(3) {
-                for (col, &v) in node.leaf_vertices.iter().enumerate().step_by(7) {
+        let h = tree.hierarchy();
+        for leaf in (0..tree.num_nodes() as NodeIndex).filter(|&i| h.is_leaf(i)).take(5) {
+            for (row, &b) in h.borders(leaf).iter().enumerate().take(3) {
+                for (col, &v) in tree.leaf_vertices(leaf).iter().enumerate().step_by(7) {
                     assert_eq!(
-                        widen(node.matrix.get(row, col)),
+                        widen(tree.matrix(leaf).get(row, col)),
                         dijkstra::distance(&g, b, v),
                         "leaf matrix {b}->{v}"
                     );
@@ -645,12 +602,13 @@ mod tests {
     #[test]
     fn internal_matrix_distances_are_exact_global() {
         let (g, tree) = build_test_tree(700, 9, 40);
-        for node in tree.nodes().iter().filter(|n| !n.is_leaf()).take(4) {
-            let cb = &node.child_borders;
+        let h = tree.hierarchy();
+        for node in (0..tree.num_nodes() as NodeIndex).filter(|&i| !h.is_leaf(i)).take(4) {
+            let cb = h.child_borders(node);
             for i in (0..cb.len()).step_by(5) {
                 for j in (0..cb.len()).step_by(7) {
                     assert_eq!(
-                        widen(node.matrix.get(i, j)),
+                        widen(tree.matrix(node).get(i, j)),
                         dijkstra::distance(&g, cb[i], cb[j]),
                         "matrix {}->{}",
                         cb[i],
@@ -665,10 +623,9 @@ mod tests {
     fn single_leaf_graph_is_supported() {
         let (g, tree) = build_test_tree(60, 5, 128);
         assert_eq!(tree.num_nodes(), 1);
-        let root = tree.node(tree.root());
-        assert!(root.is_leaf());
-        assert!(root.borders.is_empty());
-        assert_eq!(root.leaf_vertices.len(), g.num_vertices());
+        assert!(tree.hierarchy().is_leaf(tree.root()));
+        assert!(tree.hierarchy().borders(tree.root()).is_empty());
+        assert_eq!(tree.leaf_vertices(tree.root()).len(), g.num_vertices());
     }
 
     #[test]
@@ -696,12 +653,11 @@ mod tests {
         ];
         for config in variants {
             let tree = Gtree::build_with_config(&g, config.clone());
-            assert_eq!(tree.num_nodes(), reference.num_nodes());
-            for (a, b) in tree.nodes().iter().zip(reference.nodes()) {
-                assert_eq!(a.borders, b.borders);
-                assert_eq!(a.matrix.rows(), b.matrix.rows());
-                assert_eq!(a.matrix.cols(), b.matrix.cols());
-                assert_eq!(a.matrix.cells(), b.matrix.cells(), "cells under {config:?}");
+            assert_eq!(tree.hierarchy(), reference.hierarchy());
+            for (a, b) in tree.matrices().iter().zip(reference.matrices()) {
+                assert_eq!(a.rows(), b.rows());
+                assert_eq!(a.cols(), b.cols());
+                assert_eq!(a.cells(), b.cells(), "cells under {config:?}");
             }
         }
     }
@@ -714,20 +670,22 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Time);
         let tree =
             Gtree::build_with_config(&g, GtreeConfig { leaf_capacity: 32, ..Default::default() });
-        for node in tree.nodes() {
-            if node.is_leaf() {
-                for (row, &b) in node.borders.iter().enumerate() {
-                    let truth = dijkstra::single_source(&g, b);
-                    for (col, &v) in node.leaf_vertices.iter().enumerate() {
-                        assert_eq!(widen(node.matrix.get(row, col)), truth[v as usize], "{b}->{v}");
-                    }
-                }
+        let h = tree.hierarchy();
+        for node in 0..tree.num_nodes() as NodeIndex {
+            // Leaf: borders × vertices; internal: child borders × child borders.
+            let (from, to) = if h.is_leaf(node) {
+                (h.borders(node), tree.leaf_vertices(node))
             } else {
-                for (row, &a) in node.child_borders.iter().enumerate() {
-                    let truth = dijkstra::single_source(&g, a);
-                    for (col, &b) in node.child_borders.iter().enumerate() {
-                        assert_eq!(widen(node.matrix.get(row, col)), truth[b as usize], "{a}->{b}");
-                    }
+                (h.child_borders(node), h.child_borders(node))
+            };
+            for (row, &a) in from.iter().enumerate() {
+                let truth = dijkstra::single_source(&g, a);
+                for (col, &b) in to.iter().enumerate() {
+                    assert_eq!(
+                        widen(tree.matrix(node).get(row, col)),
+                        truth[b as usize],
+                        "{a}->{b}"
+                    );
                 }
             }
         }

@@ -40,4 +40,4 @@ pub use build::{GtreeBuildError, GtreeConfig};
 pub use distmatrix::{narrow, widen, Cell, DistanceMatrix, CELL_INFINITY};
 pub use occurrence::OccurrenceList;
 pub use search::{GtreeDistanceOracle, GtreeSearch, GtreeSearchStats, LeafSearchMode};
-pub use tree::{Gtree, GtreeNode, NodeIndex};
+pub use tree::{Gtree, NodeIndex};

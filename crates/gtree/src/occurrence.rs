@@ -42,7 +42,7 @@ impl OccurrenceList {
                     break;
                 }
                 has_object[node as usize] = true;
-                match gtree.node(node).parent {
+                match gtree.hierarchy().parent(node) {
                     Some(p) => node = p,
                     None => break,
                 }
@@ -50,8 +50,7 @@ impl OccurrenceList {
         }
         let mut children_with_objects: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
         for (i, with_objects) in children_with_objects.iter_mut().enumerate() {
-            let node = gtree.node(i as NodeIndex);
-            for (ci, &c) in node.children.iter().enumerate() {
+            for (ci, &c) in gtree.hierarchy().children(i as NodeIndex).iter().enumerate() {
                 if has_object[c as usize] {
                     with_objects.push(ci as u32);
                 }
@@ -106,10 +105,10 @@ impl OccurrenceList {
     /// Walks from newly-occupied `node` towards the root, recording it (and then
     /// each newly-occupied ancestor) in its parent's `children_with_objects`.
     fn propagate_presence(&mut self, gtree: &Gtree, mut node: NodeIndex) {
-        while let Some(parent) = gtree.node(node).parent {
+        while let Some(parent) = gtree.hierarchy().parent(node) {
             let position = gtree
-                .node(parent)
-                .children
+                .hierarchy()
+                .children(parent)
                 .iter()
                 .position(|&c| c == node)
                 .expect("child missing from its parent") as u32;
@@ -131,10 +130,10 @@ impl OccurrenceList {
     /// parent's `children_with_objects`; stops at the first ancestor that still
     /// has objects through another child.
     fn withdraw_presence(&mut self, gtree: &Gtree, mut node: NodeIndex) {
-        while let Some(parent) = gtree.node(node).parent {
+        while let Some(parent) = gtree.hierarchy().parent(node) {
             let position = gtree
-                .node(parent)
-                .children
+                .hierarchy()
+                .children(parent)
                 .iter()
                 .position(|&c| c == node)
                 .expect("child missing from its parent") as u32;
@@ -153,7 +152,7 @@ impl OccurrenceList {
 
     /// True when the subtree rooted at `node` contains at least one object.
     pub fn has_objects(&self, gtree: &Gtree, node: NodeIndex) -> bool {
-        if gtree.node(node).is_leaf() {
+        if gtree.hierarchy().is_leaf(node) {
             !self.leaf_objects[node as usize].is_empty()
         } else {
             !self.children_with_objects[node as usize].is_empty()
@@ -217,7 +216,7 @@ mod tests {
             let mut node = leaf;
             loop {
                 assert!(occ.has_objects(&tree, node));
-                match tree.node(node).parent {
+                match tree.hierarchy().parent(node) {
                     Some(p) => node = p,
                     None => break,
                 }
@@ -233,9 +232,9 @@ mod tests {
         let (g, tree) = tree();
         let objects: Vec<NodeId> = g.vertices().filter(|v| v % 29 == 3).collect();
         let occ = OccurrenceList::build(&tree, &objects);
-        for (i, node) in tree.nodes().iter().enumerate() {
-            for &ci in occ.children_with_objects(i as NodeIndex) {
-                let child = node.children[ci as usize];
+        for i in 0..tree.num_nodes() as NodeIndex {
+            for &ci in occ.children_with_objects(i) {
+                let child = tree.hierarchy().children(i)[ci as usize];
                 assert!(occ.has_objects(&tree, child));
             }
         }

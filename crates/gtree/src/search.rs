@@ -294,7 +294,7 @@ impl<'a> GtreeSearch<'a> {
         let bound = narrow_bound(bound);
         self.ensure_border_distances(leaf, bound);
         let gtree = self.gtree;
-        let node = gtree.node(leaf);
+        let matrix = gtree.matrix(leaf);
         let col = gtree.position_in_leaf(target) as usize;
         let dists = &self.store.rows[leaf as usize];
         let mut best = INFINITY;
@@ -303,7 +303,7 @@ impl<'a> GtreeSearch<'a> {
             if d == CELL_INFINITY || d > bound {
                 continue;
             }
-            let m = node.matrix.get(bi, col);
+            let m = matrix.get(bi, col);
             combinations += 1;
             if m != CELL_INFINITY {
                 best = best.min(d as Weight + m as Weight);
@@ -321,8 +321,8 @@ impl<'a> GtreeSearch<'a> {
             let graph = self.graph;
             let source = self.source;
             let source_leaf = self.source_leaf;
-            let node = gtree.node(source_leaf);
-            let nv = node.leaf_vertices.len();
+            let vertices = gtree.leaf_vertices(source_leaf);
+            let nv = vertices.len();
             let store = &mut self.store;
             store.same_leaf.clear();
             LEAF_SCRATCH.with(|scratch| {
@@ -336,7 +336,7 @@ impl<'a> GtreeSearch<'a> {
                     if !visited.settle(p) {
                         continue;
                     }
-                    let v = node.leaf_vertices[p as usize];
+                    let v = vertices[p as usize];
                     for (t, w) in graph.neighbors(v) {
                         if gtree.leaf_of(t) != source_leaf {
                             continue;
@@ -417,6 +417,7 @@ impl<'a> GtreeSearch<'a> {
         #[cfg(test)]
         materialize_panic_tick();
         let gtree = self.gtree;
+        let hierarchy = gtree.hierarchy();
         // Charge the budget for the cells *this* frame touches: recursive
         // assembly calls charge their own deltas, so the mark is re-taken
         // after each nested call returns.
@@ -425,12 +426,12 @@ impl<'a> GtreeSearch<'a> {
         if t == self.source_leaf {
             // Column of the source vertex in its own leaf matrix: one strided
             // gather per border, always exact (it is the root of every assembly).
-            let node = gtree.node(t);
+            let matrix = gtree.matrix(t);
             let col = gtree.position_in_leaf(self.source) as usize;
-            let nb = node.borders.len();
+            let nb = hierarchy.borders(t).len();
             let out = &mut self.store.rows[ti];
             out.clear();
-            out.extend((0..nb).map(|row| node.matrix.get(row, col)));
+            out.extend((0..nb).map(|row| matrix.get(row, col)));
             self.stats.matrix_cells += nb as u64;
             row_bound = CELL_INFINITY;
         } else if gtree.is_ancestor_of(t, self.source_leaf) {
@@ -439,10 +440,9 @@ impl<'a> GtreeSearch<'a> {
             let c = gtree.child_towards(t, self.source_leaf);
             self.ensure_border_distances(c, bound);
             cells_mark = self.stats.matrix_cells;
-            let node = gtree.node(t);
-            let child_pos = node.children.iter().position(|&x| x == c).expect("child of t");
-            let base = node.child_border_offsets[child_pos] as usize;
-            let nb = node.borders.len();
+            let matrix = gtree.matrix(t);
+            let base = hierarchy.base_in_parent(c);
+            let nb = hierarchy.borders(t).len();
             let stats = &mut self.stats;
             let wide = &mut self.store.wide;
             let [out, src] = self
@@ -456,7 +456,7 @@ impl<'a> GtreeSearch<'a> {
             // SIMD kernel and gather the border positions once at the end —
             // more cells touched than strictly needed, but contiguous, which
             // wins for any realistic border density.
-            let width = node.matrix.cols();
+            let width = matrix.cols();
             wide.clear();
             wide.resize(width, CELL_INFINITY);
             let mut active = 0u64;
@@ -465,21 +465,20 @@ impl<'a> GtreeSearch<'a> {
                     continue;
                 }
                 active += 1;
-                kernel::min_plus_into(wide, d, node.matrix.row(base + bi));
+                kernel::min_plus_into(wide, d, matrix.row(base + bi));
             }
             out.clear();
-            out.extend(node.own_border_positions.iter().map(|&px| wide[px as usize]));
+            out.extend(gtree.border_positions(t).iter().map(|&px| wide[px as usize]));
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * width as u64;
             clamp_above(out, bound);
         } else {
             // Descend: this node hangs off the path; go through its parent's matrix.
-            let node = gtree.node(t);
-            let p = node.parent.expect("non-root because the root is an ancestor of every leaf");
-            let pnode = gtree.node(p);
-            let t_child_pos =
-                pnode.children.iter().position(|&x| x == t).expect("t is a child of p");
-            let t_base = pnode.child_border_offsets[t_child_pos] as usize;
+            let p = hierarchy
+                .parent(t)
+                .expect("non-root because the root is an ancestor of every leaf");
+            let parent_matrix = gtree.matrix(p);
+            let t_base = hierarchy.base_in_parent(t);
             // Source side within the parent: either the sibling subtree containing the
             // source (when the parent is an ancestor of the source leaf) or the parent's
             // own borders. `s_base` maps source index `si` to its parent-matrix
@@ -488,15 +487,13 @@ impl<'a> GtreeSearch<'a> {
             let (src_node, s_base) = if gtree.is_ancestor_of(p, self.source_leaf) {
                 let s = gtree.child_towards(p, self.source_leaf);
                 self.ensure_border_distances(s, bound);
-                let s_child_pos =
-                    pnode.children.iter().position(|&x| x == s).expect("s is a child of p");
-                (s, Some(pnode.child_border_offsets[s_child_pos] as usize))
+                (s, Some(hierarchy.base_in_parent(s)))
             } else {
                 self.ensure_border_distances(p, bound);
                 (p, None)
             };
             cells_mark = self.stats.matrix_cells;
-            let nb = node.borders.len();
+            let nb = hierarchy.borders(t).len();
             let stats = &mut self.stats;
             let [out, src] = self
                 .store
@@ -516,9 +513,9 @@ impl<'a> GtreeSearch<'a> {
                 active += 1;
                 let pos = match s_base {
                     Some(sb) => sb + si,
-                    None => pnode.own_border_positions[si] as usize,
+                    None => gtree.border_positions(p)[si] as usize,
                 };
-                kernel::min_plus_into(out, d, &pnode.matrix.row(pos)[t_base..t_base + nb]);
+                kernel::min_plus_into(out, d, &parent_matrix.row(pos)[t_base..t_base + nb]);
             }
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * nb as u64;
@@ -606,8 +603,7 @@ impl<'a> GtreeSearch<'a> {
                     result.push((v, d));
                 }
                 Element::Node(x) => {
-                    let xnode = gtree.node(x);
-                    if xnode.is_leaf() {
+                    if gtree.hierarchy().is_leaf(x) {
                         let b = self.knn_bound(k);
                         self.ensure_border_distances(x, narrow_bound(b));
                         for &o in occurrence.leaf_objects(x) {
@@ -622,7 +618,7 @@ impl<'a> GtreeSearch<'a> {
                         }
                     } else {
                         for &ci in occurrence.children_with_objects(x) {
-                            let c = xnode.children[ci as usize];
+                            let c = gtree.hierarchy().children(x)[ci as usize];
                             let b = self.knn_bound(k);
                             let dist = self.min_border_distance_bounded(c, b);
                             if dist == INFINITY || dist > b {
@@ -647,13 +643,13 @@ impl<'a> GtreeSearch<'a> {
     ) -> (NodeIndex, Weight) {
         let gtree = self.gtree;
         let root = gtree.root();
-        let parent = match gtree.node(tn).parent {
+        let parent = match gtree.hierarchy().parent(tn) {
             Some(p) => p,
             None => return (tn, INFINITY),
         };
-        let pnode = gtree.node(parent);
+        let children = gtree.hierarchy().children(parent);
         for &ci in occurrence.children_with_objects(parent) {
-            let c = pnode.children[ci as usize];
+            let c = children[ci as usize];
             if c == tn {
                 continue;
             }
@@ -686,14 +682,15 @@ impl<'a> GtreeSearch<'a> {
     ) {
         let gtree = self.gtree;
         let leaf = self.source_leaf;
-        let node = gtree.node(leaf);
-        let nv = node.leaf_vertices.len();
+        let (vertices, matrix) = (gtree.leaf_vertices(leaf), gtree.matrix(leaf));
+        let border_positions = gtree.border_positions(leaf);
+        let nv = vertices.len();
         LEAF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(nv);
             let LeafScratch { search: SearchScratch { heap, visited }, border_row } = scratch;
             // border_row[pos] = row of the border located at leaf position `pos`.
-            for (row, &pos) in node.own_border_positions.iter().enumerate() {
+            for (row, &pos) in border_positions.iter().enumerate() {
                 border_row.set(pos as usize, row as u32);
             }
             let qpos = gtree.position_in_leaf(self.source);
@@ -712,7 +709,7 @@ impl<'a> GtreeSearch<'a> {
                 if !self.budget.charge(1) {
                     break;
                 }
-                let v = node.leaf_vertices[p as usize];
+                let v = vertices[p as usize];
                 if occurrence.is_object_in_leaf(leaf, v) {
                     targets_found += 1;
                     if !border_found {
@@ -741,11 +738,11 @@ impl<'a> GtreeSearch<'a> {
                 // Relax border-to-border shortcuts when standing on a border.
                 if let Some(row) = border_row.get(p as usize) {
                     border_found = true;
-                    for (orow, &opos) in node.own_border_positions.iter().enumerate() {
+                    for (orow, &opos) in border_positions.iter().enumerate() {
                         if orow as u32 == row || visited.is_settled(opos) {
                             continue;
                         }
-                        let w = node.matrix.get(row as usize, opos as usize);
+                        let w = matrix.get(row as usize, opos as usize);
                         self.stats.border_computations += 1;
                         self.stats.matrix_cells += 1;
                         if w == CELL_INFINITY {
@@ -768,9 +765,9 @@ impl<'a> GtreeSearch<'a> {
     fn original_leaf_search(&mut self, k: usize, occurrence: &OccurrenceList) {
         let gtree = self.gtree;
         let leaf = self.source_leaf;
-        let node = gtree.node(leaf);
+        let vertices = gtree.leaf_vertices(leaf);
         let objects = occurrence.leaf_objects(leaf).to_vec();
-        let nv = node.leaf_vertices.len();
+        let nv = vertices.len();
         let inside_dists: Vec<Weight> = LEAF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.begin(nv);
@@ -790,7 +787,7 @@ impl<'a> GtreeSearch<'a> {
                 if !self.budget.charge(1) {
                     break;
                 }
-                let v = node.leaf_vertices[p as usize];
+                let v = vertices[p as usize];
                 if occurrence.is_object_in_leaf(leaf, v) {
                     remaining -= 1;
                 }

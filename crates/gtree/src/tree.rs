@@ -1,63 +1,33 @@
-//! The G-tree data structure: nodes, borders, distance matrices and basic accessors.
+//! The G-tree data structure: the partition hierarchy it holds, one distance matrix
+//! per node, and basic accessors.
 
 use rnknn_graph::NodeId;
+use rnknn_partition::hierarchy::{Hierarchy, LeafLayout};
 
 use crate::build::GtreeConfig;
 use crate::distmatrix::DistanceMatrix;
 
-/// Index of a G-tree node within [`Gtree::nodes`].
+/// Index of a G-tree node: its part in [`Gtree::hierarchy`].
 pub type NodeIndex = u32;
-
-/// One node of the G-tree. Leaf nodes own a set of road-network vertices; internal nodes
-/// own their children and the distance matrix over the children's borders.
-#[derive(Debug, Clone)]
-pub struct GtreeNode {
-    /// Parent node, or `None` for the root.
-    pub parent: Option<NodeIndex>,
-    /// Child nodes (empty for leaves).
-    pub children: Vec<NodeIndex>,
-    /// Road-network vertices contained in this node (populated for leaves only; internal
-    /// nodes cover the union of their descendants).
-    pub leaf_vertices: Vec<NodeId>,
-    /// Borders of this node's subgraph: vertices with at least one edge leaving it.
-    pub borders: Vec<NodeId>,
-    /// Internal nodes: concatenation of the children's border lists, grouped child by
-    /// child (the layout that makes assembly scans sequential, Figure 5).
-    pub child_borders: Vec<NodeId>,
-    /// Internal nodes: start offset of each child's borders within `child_borders`
-    /// (length = `children.len() + 1`).
-    pub child_border_offsets: Vec<u32>,
-    /// Positions of this node's own borders within `child_borders` (internal nodes) or
-    /// within `leaf_vertices` (leaves) — the paper's "offset array".
-    pub own_border_positions: Vec<u32>,
-    /// Distance matrix.
-    ///
-    /// * leaf: `borders.len() × leaf_vertices.len()`, border-to-vertex distances;
-    /// * internal: `child_borders.len() × child_borders.len()`, border-to-border
-    ///   distances.
-    pub matrix: DistanceMatrix,
-    /// Range of leaf DFS indexes covered by this node (used for `O(1)` ancestor tests).
-    pub leaf_range: (u32, u32),
-    /// Depth in the tree (root = 0).
-    pub depth: u32,
-}
-
-impl GtreeNode {
-    /// True when this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
-}
 
 /// The G-tree index over a road network.
 #[derive(Debug, Clone)]
 pub struct Gtree {
-    pub(crate) nodes: Vec<GtreeNode>,
-    pub(crate) root: NodeIndex,
-    /// Leaf node of every road-network vertex.
-    pub(crate) leaf_of_vertex: Vec<NodeIndex>,
-    /// Position of every vertex inside its leaf's `leaf_vertices` array.
-    pub(crate) vertex_position: Vec<u32>,
+    /// Nodes, children, borders (a node's child borders grouped child by child: the
+    /// layout that makes assembly scans sequential, Figure 5) and the leaf of every
+    /// vertex.
+    pub(crate) hierarchy: Hierarchy,
+    /// Every leaf's vertices, in the order of its matrix columns.
+    pub(crate) leaves: LeafLayout,
+    /// One matrix per node:
+    ///
+    /// * leaf: borders × leaf vertices, border-to-vertex distances;
+    /// * internal: child borders × child borders, border-to-border distances.
+    pub(crate) matrices: Vec<DistanceMatrix>,
+    /// Parallel to the hierarchy's border list: each border's position among its
+    /// node's child borders (internal nodes) or leaf vertices (leaves) — the paper's
+    /// "offset array".
+    pub(crate) border_positions: Vec<u32>,
     pub(crate) config: GtreeConfig,
 }
 
@@ -69,47 +39,68 @@ impl Gtree {
 
     /// Index of the root node.
     pub fn root(&self) -> NodeIndex {
-        self.root
+        0
     }
 
-    /// All nodes.
-    pub fn nodes(&self) -> &[GtreeNode] {
-        &self.nodes
-    }
-
-    /// A node by index.
-    pub fn node(&self, i: NodeIndex) -> &GtreeNode {
-        &self.nodes[i as usize]
+    /// The tree's topology: parents, children, borders, leaf ranges.
+    #[inline]
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
     }
 
     /// Number of nodes (leaves and internal).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.matrices.len()
+    }
+
+    /// The distance matrix of node `i`.
+    #[inline]
+    pub fn matrix(&self, i: NodeIndex) -> &DistanceMatrix {
+        &self.matrices[i as usize]
+    }
+
+    /// Every node's distance matrix, by node index.
+    pub fn matrices(&self) -> &[DistanceMatrix] {
+        &self.matrices
+    }
+
+    /// The matrix positions of node `i`'s own borders, in border order.
+    #[inline]
+    pub fn border_positions(&self, i: NodeIndex) -> &[u32] {
+        &self.border_positions[self.hierarchy.border_range(i)]
+    }
+
+    /// The road-network vertices of leaf `i`, in matrix-column order.
+    #[inline]
+    pub fn leaf_vertices(&self, i: NodeIndex) -> &[NodeId] {
+        self.leaves.vertices(i)
     }
 
     /// The leaf node containing road-network vertex `v`.
+    #[inline]
     pub fn leaf_of(&self, v: NodeId) -> NodeIndex {
-        self.leaf_of_vertex[v as usize]
+        self.hierarchy.leaf_of(v)
     }
 
-    /// Position of `v` inside its leaf's `leaf_vertices` array (its matrix column).
+    /// Position of `v` among its leaf's vertices (its matrix column).
+    #[inline]
     pub fn position_in_leaf(&self, v: NodeId) -> u32 {
-        self.vertex_position[v as usize]
+        self.leaves.position(v)
     }
 
     /// True when `ancestor` is `node` itself or one of its ancestors.
     pub fn is_ancestor_of(&self, ancestor: NodeIndex, node: NodeIndex) -> bool {
-        let a = &self.nodes[ancestor as usize];
-        let n = &self.nodes[node as usize];
-        a.leaf_range.0 <= n.leaf_range.0 && n.leaf_range.1 <= a.leaf_range.1
+        let a = self.hierarchy.leaf_range(ancestor);
+        let n = self.hierarchy.leaf_range(node);
+        a.0 <= n.0 && n.1 <= a.1
     }
 
     /// The child of `ancestor` whose subtree contains `node` (which must be a strict
     /// descendant of `ancestor`).
     pub fn child_towards(&self, ancestor: NodeIndex, node: NodeIndex) -> NodeIndex {
-        let target = self.nodes[node as usize].leaf_range.0;
-        for &c in &self.nodes[ancestor as usize].children {
-            let r = self.nodes[c as usize].leaf_range;
+        let target = self.hierarchy.leaf_range(node).0;
+        for &c in self.hierarchy.children(ancestor) {
+            let r = self.hierarchy.leaf_range(c);
             if r.0 <= target && target < r.1 {
                 return c;
             }
@@ -119,34 +110,17 @@ impl Gtree {
 
     /// Height of the tree (number of levels).
     pub fn height(&self) -> usize {
-        self.nodes.iter().map(|n| n.depth as usize).max().unwrap_or(0) + 1
-    }
-
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
-    /// Average number of borders per node (grows with network size, which is the
-    /// mechanism behind G-tree's Figure 9(b) path-cost trend).
-    pub fn average_borders(&self) -> f64 {
-        let total: usize = self.nodes.iter().map(|n| n.borders.len()).sum();
-        total as f64 / self.nodes.len().max(1) as f64
+        let levels = (0..self.num_nodes() as NodeIndex).map(|i| self.hierarchy.level(i));
+        levels.max().map_or(0, |deepest| deepest as usize) + 1
     }
 
     /// Approximate resident size of the index in bytes (Figure 8(a)).
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.leaf_of_vertex.len() * 4 + self.vertex_position.len() * 4;
-        for n in &self.nodes {
-            bytes += std::mem::size_of::<GtreeNode>()
-                + n.children.len() * 4
-                + n.leaf_vertices.len() * 4
-                + n.borders.len() * 4
-                + n.child_borders.len() * 4
-                + n.child_border_offsets.len() * 4
-                + n.own_border_positions.len() * 4
-                + n.matrix.memory_bytes();
-        }
-        bytes
+        let matrices = self.matrices.iter().map(DistanceMatrix::memory_bytes).sum::<usize>();
+        self.hierarchy.memory_bytes()
+            + self.leaves.memory_bytes()
+            + self.border_positions.len() * 4
+            + self.matrices.len() * std::mem::size_of::<DistanceMatrix>()
+            + matrices
     }
 }

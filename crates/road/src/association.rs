@@ -56,7 +56,7 @@ impl AssociationDirectory {
                     break;
                 }
                 rnet_has_object[word] |= mask;
-                match road.rnet(r).parent {
+                match road.hierarchy().parent(r) {
                     Some(p) => r = p,
                     None => break,
                 }
@@ -90,7 +90,7 @@ impl AssociationDirectory {
                 break;
             }
             self.rnet_has_object[word] |= mask;
-            match road.rnet(r).parent {
+            match road.hierarchy().parent(r) {
                 Some(p) => r = p,
                 None => break,
             }
@@ -145,7 +145,7 @@ impl AssociationDirectory {
                     break;
                 }
                 self.rnet_has_object[word] |= mask;
-                match road.rnet(r).parent {
+                match road.hierarchy().parent(r) {
                     Some(p) => r = p,
                     None => break,
                 }
@@ -196,20 +196,17 @@ mod tests {
             let mut r = road.leaf_of(o);
             loop {
                 assert!(dir.rnet_has_object(r));
-                match road.rnet(r).parent {
+                match road.hierarchy().parent(r) {
                     Some(p) => r = p,
                     None => break,
                 }
             }
         }
         // An Rnet whose subtree holds no objects must not be flagged.
-        for (ri, _) in road.rnets().iter().enumerate() {
-            let flagged = dir.rnet_has_object(ri as RnetIndex);
-            let contains = objects.iter().any(|&o| {
-                let range = road.rnet(ri as RnetIndex).leaf_range;
-                let l = road.rnet(road.leaf_of(o)).leaf_range.0;
-                range.0 <= l && l < range.1
-            });
+        let h = road.hierarchy();
+        for ri in 0..road.num_rnets() as RnetIndex {
+            let flagged = dir.rnet_has_object(ri);
+            let contains = objects.iter().any(|&o| !h.outside(h.leaf_range(ri), o));
             assert_eq!(flagged, contains, "rnet {ri}");
         }
     }
@@ -352,7 +349,7 @@ mod tests {
                 let mut r = road.leaf_of(v);
                 loop {
                     assert!(dir.rnet_has_object(r), "round {round}: path bit lost at rnet {r}");
-                    match road.rnet(r).parent {
+                    match road.hierarchy().parent(r) {
                         Some(p) => r = p,
                         None => break,
                     }

@@ -1,7 +1,7 @@
 //! The Rnet hierarchy and Route Overlay.
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
-use rnknn_partition::hierarchy::{sparsify, Hierarchy};
+use rnknn_partition::hierarchy::{sparsify, Hierarchy, LeafLayout};
 use rnknn_pathfinding::dijkstra::LocalGraph;
 
 /// Index of an Rnet within the hierarchy.
@@ -39,23 +39,6 @@ impl RoadConfig {
         }
         RoadConfig { fanout, levels, min_rnet_vertices: 32 }
     }
-}
-
-/// One Rnet in the hierarchy.
-#[derive(Debug, Clone)]
-pub struct Rnet {
-    /// Parent Rnet (`None` for the root, which is the whole network).
-    pub parent: Option<RnetIndex>,
-    /// Child Rnets (empty for leaf Rnets).
-    pub children: Vec<RnetIndex>,
-    /// Hierarchy level (root = 0).
-    pub level: u32,
-    /// Number of road-network vertices contained in this Rnet.
-    pub num_vertices: u32,
-    /// Border vertices of this Rnet, sorted by vertex id.
-    pub borders: Vec<NodeId>,
-    /// Range of leaf-Rnet DFS indexes covered (for `O(1)` containment tests).
-    pub leaf_range: (u32, u32),
 }
 
 /// CSR rows of `(target, weight)` entries, split into parallel arrays like the
@@ -97,10 +80,9 @@ impl Rows {
 /// The ROAD road-network index: Rnet hierarchy plus Route Overlay.
 #[derive(Debug, Clone)]
 pub struct RoadIndex {
-    rnets: Vec<Rnet>,
-    root: RnetIndex,
-    /// Leaf Rnet of every vertex.
-    leaf_of_vertex: Vec<RnetIndex>,
+    /// The Rnets: one part each, with its parent, borders and leaf range, and the
+    /// leaf Rnet of every vertex. The leaves' vertex lists are build-time only.
+    hierarchy: Hierarchy,
     /// The Route Overlay, one flat vertex-major CSR (Section 6.2: a single array with
     /// offsets). A row is the kept shortcuts of one (Rnet, border) followed by the
     /// border's graph edges that leave the Rnet: its complete out-list while that Rnet
@@ -110,8 +92,6 @@ pub struct RoadIndex {
     /// per Rnet it borders, top level first: a border of an Rnet is a border of every
     /// deeper Rnet containing it, so they are the last Rnets of [`RoadIndex::chain_of`].
     rows_of_vertex: Vec<u32>,
-    /// Per Rnet, the vertices that are not its borders (what a bypass skips).
-    interior_vertices: Vec<u32>,
     /// Per-Rnet containment chains (root's child down to the Rnet itself),
     /// CSR-packed so [`RoadIndex::chain_of`] is an allocation-free slice lookup on
     /// the query hot path.
@@ -129,55 +109,27 @@ impl RoadIndex {
     /// Builds the index with an explicit configuration.
     pub fn build_with_config(graph: &Graph, config: RoadConfig) -> RoadIndex {
         assert!(config.levels >= 1, "at least one level of partitioning is required");
-        let hierarchy = Hierarchy::build(graph, config.fanout, |level, len| {
+        let (hierarchy, leaves) = Hierarchy::build(graph, config.fanout, |level, len| {
             level as usize >= config.levels || len <= config.min_rnet_vertices
         });
-        let kept = compute_shortcuts(graph, &hierarchy);
+        let kept = compute_shortcuts(graph, &hierarchy, &leaves);
         let (overlay, rows_of_vertex) = pack_overlay(graph, &hierarchy, &kept);
-        let rnets: Vec<Rnet> = hierarchy
-            .parts
-            .into_iter()
-            .map(|part| Rnet {
-                parent: part.parent,
-                children: part.children,
-                level: part.level,
-                num_vertices: part.num_vertices,
-                borders: part.borders,
-                leaf_range: part.leaf_range,
-            })
-            .collect();
-        let root: RnetIndex = 0;
         // CSR-pack every Rnet's containment chain (top-down, root omitted) so the
-        // kNN search reads it as a slice instead of rebuilding a Vec per vertex.
-        let num_rnets = rnets.len();
-        let mut chain_offsets = vec![0u32; num_rnets + 1];
+        // kNN search reads it as a slice instead of rebuilding a Vec per vertex: an
+        // Rnet's chain is its parent's — packed already, parts being in preorder —
+        // and then itself.
+        let mut chain_offsets = vec![0u32];
         let mut chain_entries: Vec<RnetIndex> = Vec::new();
-        for i in 0..num_rnets {
-            let start = chain_entries.len();
-            let mut cur = i as RnetIndex;
-            loop {
-                chain_entries.push(cur);
-                match rnets[cur as usize].parent {
-                    Some(p) if p != root => cur = p,
-                    _ => break,
-                }
+        for i in 0..hierarchy.num_parts() as RnetIndex {
+            if let Some(p) = hierarchy.parent(i).filter(|&p| p != 0) {
+                let above =
+                    chain_offsets[p as usize] as usize..chain_offsets[p as usize + 1] as usize;
+                chain_entries.extend_from_within(above);
             }
-            chain_entries[start..].reverse();
-            chain_offsets[i + 1] = chain_entries.len() as u32;
+            chain_entries.push(i);
+            chain_offsets.push(chain_entries.len() as u32);
         }
-        let interior_vertices =
-            rnets.iter().map(|r| r.num_vertices - r.borders.len() as u32).collect();
-        RoadIndex {
-            interior_vertices,
-            rnets,
-            root,
-            leaf_of_vertex: hierarchy.leaf_of_vertex,
-            overlay,
-            rows_of_vertex,
-            chain_entries,
-            chain_offsets,
-            config,
-        }
+        RoadIndex { hierarchy, overlay, rows_of_vertex, chain_entries, chain_offsets, config }
     }
 
     /// The configuration used to build the index.
@@ -185,36 +137,32 @@ impl RoadIndex {
         &self.config
     }
 
-    /// All Rnets.
-    pub fn rnets(&self) -> &[Rnet] {
-        &self.rnets
-    }
-
-    /// A single Rnet.
-    pub fn rnet(&self, i: RnetIndex) -> &Rnet {
-        &self.rnets[i as usize]
+    /// The Rnet hierarchy: every Rnet's parent, children, level, borders (sorted by
+    /// vertex id) and leaf range.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
     }
 
     /// Index of the root Rnet (the whole network).
     pub fn root(&self) -> RnetIndex {
-        self.root
+        0
     }
 
     /// Number of Rnets in the hierarchy.
     pub fn num_rnets(&self) -> usize {
-        self.rnets.len()
+        self.hierarchy.num_parts()
     }
 
     /// The leaf Rnet containing vertex `v`.
     pub fn leaf_of(&self, v: NodeId) -> RnetIndex {
-        self.leaf_of_vertex[v as usize]
+        self.hierarchy.leaf_of(v)
     }
 
     /// The chain of Rnets containing `v`, from the root's children down to its leaf
     /// Rnet (the root itself is omitted since it can never be bypassed). Served from
     /// the precomputed CSR chains — no allocation on the query hot path.
     pub fn chain_of(&self, v: NodeId) -> &[RnetIndex] {
-        let leaf = self.leaf_of_vertex[v as usize] as usize;
+        let leaf = self.leaf_of(v) as usize;
         let lo = self.chain_offsets[leaf] as usize;
         let hi = self.chain_offsets[leaf + 1] as usize;
         &self.chain_entries[lo..hi]
@@ -222,14 +170,12 @@ impl RoadIndex {
 
     /// True when `v` lies inside Rnet `r`.
     fn contains(&self, r: RnetIndex, v: NodeId) -> bool {
-        let range = self.rnets[r as usize].leaf_range;
-        let leaf = self.rnets[self.leaf_of_vertex[v as usize] as usize].leaf_range.0;
-        range.0 <= leaf && leaf < range.1
+        !self.hierarchy.outside(self.hierarchy.leaf_range(r), v)
     }
 
     /// True when `v` is a border of Rnet `r`.
     pub fn is_border_of(&self, r: RnetIndex, v: NodeId) -> bool {
-        self.rnets[r as usize].borders.binary_search(&v).is_ok()
+        self.hierarchy.borders(r).binary_search(&v).is_ok()
     }
 
     /// The Rnets of which `v` is a border, top level first, and the overlay row of the
@@ -258,7 +204,7 @@ impl RoadIndex {
     /// Vertices of Rnet `r` that are not its borders.
     #[inline]
     pub(crate) fn interior_vertices(&self, r: RnetIndex) -> usize {
-        self.interior_vertices[r as usize] as usize
+        self.hierarchy.num_vertices(r) as usize - self.hierarchy.borders(r).len()
     }
 
     /// The kept shortcuts from border `v` of Rnet `r`: pairs of (other border,
@@ -286,16 +232,8 @@ impl RoadIndex {
     /// overlay dominates; with triangle-sparsified rows it is smaller than the
     /// G-tree's matrices even though border lists repeat across levels.
     pub fn memory_bytes(&self) -> usize {
-        let words = self.leaf_of_vertex.len()
-            + self.rows_of_vertex.len()
-            + self.interior_vertices.len()
-            + self.chain_entries.len()
-            + self.chain_offsets.len();
-        let mut bytes = words * 4 + self.overlay.memory_bytes();
-        for r in &self.rnets {
-            bytes += std::mem::size_of::<Rnet>() + r.children.len() * 4 + r.borders.len() * 4;
-        }
-        bytes
+        let words = self.rows_of_vertex.len() + self.chain_entries.len() + self.chain_offsets.len();
+        words * 4 + self.overlay.memory_bytes() + self.hierarchy.memory_bytes()
     }
 }
 
@@ -307,14 +245,21 @@ type KeptShortcuts = Vec<(u32, u32, Weight)>;
 /// "Partition hierarchy"): every Rnet's kept shortcuts. An Rnet's dense border matrix
 /// lives only until it is sparsified; its parent composes from the kept shortcuts,
 /// which carry the same distances.
-fn compute_shortcuts(graph: &Graph, h: &Hierarchy) -> Vec<KeptShortcuts> {
-    let mut order: Vec<usize> = (0..h.parts.len()).collect();
-    order.sort_unstable_by_key(|&i| std::cmp::Reverse(h.parts[i].level));
+fn compute_shortcuts(graph: &Graph, h: &Hierarchy, leaves: &LeafLayout) -> Vec<KeptShortcuts> {
+    let mut order: Vec<u32> = (0..h.num_parts() as u32).collect();
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(h.level(i)));
 
-    let mut kept = vec![KeptShortcuts::new(); h.parts.len()];
-    for i in order.into_iter().filter(|&i| !h.parts[i].borders.is_empty()) {
-        let matrix = border_matrix(graph, h, i as u32, &kept);
-        kept[i] = sparsify(&matrix, h.parts[i].borders.len(), INFINITY);
+    let positions = h.border_positions(leaves);
+    let mut kept = vec![KeptShortcuts::new(); h.num_parts()];
+    for i in order.into_iter().filter(|&i| !h.borders(i).is_empty()) {
+        let local = reduced_graph(graph, h, leaves, i, &kept);
+        let positions = &positions[h.border_range(i)];
+        let mut matrix = Vec::with_capacity(positions.len() * positions.len());
+        for &from in positions {
+            let dist = local.sssp(from);
+            matrix.extend(positions.iter().map(|&to| dist[to as usize]));
+        }
+        kept[i as usize] = sparsify(&matrix, positions.len(), INFINITY);
     }
     kept
 }
@@ -325,51 +270,47 @@ fn compute_shortcuts(graph: &Graph, h: &Hierarchy) -> Vec<KeptShortcuts> {
 fn pack_overlay(graph: &Graph, h: &Hierarchy, kept: &[KeptShortcuts]) -> (Rows, Vec<u32>) {
     let mut overlay = Rows::default();
     let mut rows_of_vertex = Vec::with_capacity(graph.num_vertices() + 1);
-    let mut bordered: Vec<(usize, u32)> = Vec::new();
+    let mut bordered: Vec<(RnetIndex, u32)> = Vec::new();
     for v in graph.vertices() {
         rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
         // Leaf upwards: the Rnets `v` borders and its position in their border lists.
         bordered.clear();
-        let mut r = h.leaf_of_vertex[v as usize] as usize;
-        while let Ok(pos) = h.parts[r].borders.binary_search(&v) {
+        let mut r = h.leaf_of(v);
+        while let Ok(pos) = h.borders(r).binary_search(&v) {
             bordered.push((r, pos as u32));
-            r = h.parts[r].parent.expect("the root has no borders") as usize;
+            r = h.parent(r).expect("the root has no borders");
         }
         for &(r, pos) in bordered.iter().rev() {
-            let rnet = &h.parts[r];
-            let row = &kept[r][kept[r].partition_point(|&(a, _, _)| a < pos)..];
+            let (borders, kept) = (h.borders(r), &kept[r as usize]);
+            let row = &kept[kept.partition_point(|&(a, _, _)| a < pos)..];
             let shortcuts = row.iter().take_while(|&&(a, _, _)| a == pos);
-            let leaving = graph.neighbors(v).filter(|&(t, _)| h.outside(rnet.leaf_range, t));
-            overlay
-                .push_row(shortcuts.map(|&(_, b, d)| (rnet.borders[b as usize], d)).chain(leaving));
+            let leaving = graph.neighbors(v).filter(|&(t, _)| h.outside(h.leaf_range(r), t));
+            overlay.push_row(shortcuts.map(|&(_, b, d)| (borders[b as usize], d)).chain(leaving));
         }
     }
     rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
     (overlay, rows_of_vertex)
 }
 
-/// The dense border × border distances within Rnet `i`: Dijkstra on the induced
-/// subgraph of a leaf Rnet, and for an internal one on the reduced graph of its
+/// What the border × border distances within Rnet `i` are searched on: the induced
+/// subgraph of a leaf Rnet, and for an internal one the reduced graph of its
 /// children's borders (their kept shortcuts + the cross edges inside this Rnet).
-fn border_matrix(graph: &Graph, h: &Hierarchy, i: u32, kept: &[KeptShortcuts]) -> Vec<Weight> {
-    let rnet = &h.parts[i as usize];
-    let local = if rnet.children.is_empty() {
-        LocalGraph::from_edges(rnet.vertices.len(), &h.leaf_edges(graph, i))
-    } else {
-        let (child_borders, offsets) = h.child_borders(i);
-        let mut edges = h.cross_edges(graph, i);
-        for (&c, &base) in rnet.children.iter().zip(&offsets) {
-            edges.extend(kept[c as usize].iter().map(|&(a, b, d)| (base + a, base + b, d)));
-        }
-        LocalGraph::from_edges(child_borders.len(), &edges)
-    };
-    let positions = h.border_positions(i);
-    let mut matrix = Vec::with_capacity(positions.len() * positions.len());
-    for &from in &positions {
-        let dist = local.sssp(from);
-        matrix.extend(positions.iter().map(|&to| dist[to as usize]));
+fn reduced_graph(
+    graph: &Graph,
+    h: &Hierarchy,
+    leaves: &LeafLayout,
+    i: RnetIndex,
+    kept: &[KeptShortcuts],
+) -> LocalGraph {
+    if h.is_leaf(i) {
+        return LocalGraph::from_edges(leaves.vertices(i).len(), &h.leaf_edges(graph, leaves, i));
     }
-    matrix
+    let mut edges = h.cross_edges(graph, i);
+    for &c in h.children(i) {
+        let base = h.base_in_parent(c) as u32;
+        edges.extend(kept[c as usize].iter().map(|&(a, b, d)| (base + a, base + b, d)));
+    }
+    LocalGraph::from_edges(h.child_borders(i).len(), &edges)
 }
 
 #[cfg(test)]
@@ -394,9 +335,9 @@ mod tests {
     fn hierarchy_structure_is_consistent() {
         let (g, idx) = build(800, 5, 3);
         assert!(idx.num_rnets() > 4);
-        let root = idx.rnet(idx.root());
-        assert_eq!(root.num_vertices as usize, g.num_vertices());
-        assert!(root.borders.is_empty());
+        let h = idx.hierarchy();
+        assert_eq!(h.num_vertices(idx.root()) as usize, g.num_vertices());
+        assert!(h.borders(idx.root()).is_empty());
         for v in g.vertices() {
             let chain = idx.chain_of(v);
             assert!(!chain.is_empty());
@@ -404,7 +345,7 @@ mod tests {
             // the next.
             assert_eq!(*chain.last().unwrap(), idx.leaf_of(v));
             for w in chain.windows(2) {
-                assert_eq!(idx.rnet(w[1]).parent, Some(w[0]));
+                assert_eq!(h.parent(w[1]), Some(w[0]));
             }
         }
     }
@@ -412,14 +353,11 @@ mod tests {
     #[test]
     fn borders_have_edges_leaving_their_rnet() {
         let (g, idx) = build(600, 9, 3);
-        for (ri, rnet) in idx.rnets().iter().enumerate() {
-            if rnet.parent.is_none() {
-                continue;
-            }
-            for &b in &rnet.borders {
-                let outside = g.neighbor_ids(b).iter().any(|&t| !idx.contains(ri as RnetIndex, t));
+        for ri in 1..idx.num_rnets() as RnetIndex {
+            for &b in idx.hierarchy().borders(ri) {
+                let outside = g.neighbor_ids(b).iter().any(|&t| !idx.contains(ri, t));
                 assert!(outside, "border {b} of rnet {ri} has no outside edge");
-                assert!(idx.is_border_of(ri as RnetIndex, b));
+                assert!(idx.is_border_of(ri, b));
             }
         }
     }
@@ -429,12 +367,9 @@ mod tests {
         let (g, idx) = build(500, 3, 3);
         // Restricted shortcuts are >= the true network distance, and for leaf Rnets on a
         // connected subgraph they equal a realizable path length.
-        for (ri, rnet) in idx.rnets().iter().enumerate() {
-            if rnet.parent.is_none() || rnet.borders.is_empty() {
-                continue;
-            }
-            for &b in rnet.borders.iter().take(3) {
-                for (other, d) in idx.shortcuts_from(ri as RnetIndex, b).unwrap() {
+        for ri in 1..idx.num_rnets() as RnetIndex {
+            for &b in idx.hierarchy().borders(ri).iter().take(3) {
+                for (other, d) in idx.shortcuts_from(ri, b).unwrap() {
                     let truth = dijkstra::distance(&g, b, other);
                     assert!(d >= truth, "shortcut {b}->{other} = {d} < true {truth}");
                 }
@@ -477,10 +412,10 @@ mod tests {
         r: RnetIndex,
         mut edges: impl FnMut(NodeId, &mut Vec<(NodeId, Weight)>),
     ) -> Vec<Weight> {
-        let borders = &idx.rnet(r).borders;
+        let borders = idx.hierarchy().borders(r);
         let mut reached = vec![false; g.num_vertices()];
         borders.iter().for_each(|&b| reached[b as usize] = true);
-        let (mut pending, mut out, mut list) = (borders.clone(), Vec::new(), Vec::new());
+        let (mut pending, mut out, mut list) = (borders.to_vec(), Vec::new(), Vec::new());
         while let Some(v) = pending.pop() {
             out.clear();
             edges(v, &mut out);
@@ -521,7 +456,7 @@ mod tests {
         let idx = RoadIndex::build_with_config(g, config);
         let mut pairs = BorderPairs::default();
         for r in (0..idx.num_rnets() as RnetIndex).filter(|&r| r != idx.root()) {
-            let borders = &idx.rnet(r).borders;
+            let borders = idx.hierarchy().borders(r);
             let restricted = border_distances(g, &idx, r, |v, out| {
                 out.extend(g.neighbors(v).filter(|&(t, _)| idx.contains(r, t)));
             });

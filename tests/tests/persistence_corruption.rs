@@ -108,6 +108,19 @@ fn seeded_truncations_are_typed_errors() {
     }
 }
 
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Recomputes the table and header checksums over whatever the bytes now say.
+fn forge_table_and_header_checksums(bytes: &mut [u8]) {
+    let table_offset = u64_at(bytes, 16) as usize;
+    let table_ck = checksum(&bytes[table_offset..]);
+    bytes[32..40].copy_from_slice(&table_ck.to_le_bytes());
+    let header_ck = checksum(&bytes[0..40]);
+    bytes[40..48].copy_from_slice(&header_ck.to_le_bytes());
+}
+
 #[test]
 fn section_length_lies_are_typed_errors() {
     let bytes = saved_engine_bytes();
@@ -133,15 +146,78 @@ fn section_length_lies_are_typed_errors() {
         let mut forged = bytes.clone();
         let len_at = table_offset + entry * 32 + 16;
         forged[len_at..len_at + 8].copy_from_slice(&lie.to_le_bytes());
-        let table_ck = checksum(&forged[table_offset..]);
-        forged[32..40].copy_from_slice(&table_ck.to_le_bytes());
-        let header_ck = checksum(&forged[0..40]);
-        forged[40..48].copy_from_slice(&header_ck.to_le_bytes());
+        forge_table_and_header_checksums(&mut forged);
         assert_typed_rejection(
             Engine::load_indexes_from_vec(forged, &config),
             &format!("round {round}: section {entry} length forged to {lie}"),
         );
     }
+}
+
+/// The distances a method answers from every 7th vertex.
+fn answers(engine: &Engine, method: Method) -> Vec<Vec<u64>> {
+    let n = engine.graph().num_vertices() as u32;
+    let distances = |q| engine.query(method, q, 6).unwrap().result.iter().map(|r| r.1).collect();
+    (0..n).step_by(7).map(distances).collect()
+}
+
+/// A lie the checksums vouch for: one `u32` of one topology section overwritten,
+/// then that section's checksum, the table's and the header's recomputed, so that
+/// only structural validation can object. It must — with a typed error — unless the
+/// engine that loads answers G-tree and IER-Gt queries exactly as INE does. A forged
+/// tree shape used to load and then panic (or overflow the stack) in the first query.
+#[test]
+fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
+    let bytes = saved_engine_bytes();
+    let config = battery_config();
+    let mut pristine = Engine::load_indexes_from_vec(bytes.clone(), &config).expect("load");
+    let objects = uniform(pristine.graph(), 0.05, 2);
+    pristine.set_objects(objects.clone());
+    let truth = answers(&pristine, Method::Ine);
+    assert_eq!(answers(&pristine, Method::Gtree), truth);
+
+    let table_offset = u64_at(&bytes, 16);
+    let entries: Vec<usize> = (table_offset as usize..bytes.len()).step_by(32).collect();
+    let mut rng = Rng(0x51DE_CA11_F04E_57EE);
+    let (mut refused, mut rounds) = (0, 0);
+    for tag in [b"HI.PRNT\0", b"HI.LFSZ\0", b"HI.VERT\0", b"GT.MXOF\0"] {
+        let entry = *entries.iter().find(|&&e| &bytes[e..e + 8] == tag).expect("section");
+        let (offset, len) = (u64_at(&bytes, entry + 8) as usize, u64_at(&bytes, entry + 16));
+        for round in 0..24 {
+            let at = offset + 4 * rng.below(len as usize / 4);
+            let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let small = 1 + rng.below(3) as u32;
+            let lie = match round % 4 {
+                0 => 0,
+                1 => u32::MAX,
+                2 => old.wrapping_add(small),
+                _ => old.wrapping_sub(small),
+            };
+            if lie == old {
+                continue;
+            }
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            let padded_end = offset + (len as usize).next_multiple_of(8);
+            let section_ck = checksum(&forged[offset..padded_end]);
+            forged[entry + 24..entry + 32].copy_from_slice(&section_ck.to_le_bytes());
+            forge_table_and_header_checksums(&mut forged);
+            let what = format!("{}: word at {at} forged from {old} to {lie}", tag.escape_ascii());
+            rounds += 1;
+            match Engine::load_indexes_from_vec(forged, &config) {
+                Ok(mut engine) => {
+                    engine.set_objects(objects.clone());
+                    assert_eq!(answers(&engine, Method::Gtree), truth, "{what}: G-tree");
+                    assert_eq!(answers(&engine, Method::IerGtree), truth, "{what}: IER-Gt");
+                }
+                rejected => {
+                    assert_typed_rejection(rejected, &what);
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(rounds > 80 && refused * 2 > rounds, "{refused} of {rounds} lies refused");
 }
 
 /// The 48-byte header of the artifact `saved_engine_bytes()` produced under format
@@ -153,24 +229,43 @@ const V2_HEADER: [u8; 48] = [
     0, 0, 0, 0, 0, 47, 183, 207, 129, 245, 230, 191, 100, 208, 70, 226, 32, 249, 209, 1, 146,
 ];
 
-/// A version-2 artifact holds 8-byte cells and a five-word `GT.META` config; the
-/// version gate must refuse it by name before any section (or even the header's
-/// own length fields) is interpreted — alone, and in front of a current body.
-#[test]
-fn a_real_version_2_header_fails_the_version_gate() {
+/// The same artifact's header under format version 3 (the last commit that wrote the
+/// per-node `GT.*` topology sections): 28 sections, table at 128 856 of 129 752 bytes.
+const V3_HEADER: [u8; 48] = [
+    82, 78, 75, 78, 73, 68, 88, 0, 3, 0, 0, 0, 28, 0, 0, 0, 88, 247, 1, 0, 0, 0, 0, 0, 216, 250, 1,
+    0, 0, 0, 0, 0, 200, 98, 208, 171, 225, 189, 190, 93, 200, 100, 79, 136, 87, 202, 91, 14,
+];
+
+/// The version gate must refuse a real older header by name before any section (or
+/// even the header's own length fields) is interpreted — alone, and in front of a
+/// current body.
+fn assert_refused_by_the_version_gate(header: [u8; 48], version: u32) {
     let supported = rnknn::persist_format::FORMAT_VERSION;
-    assert_eq!(supported, 3, "a format bump re-derives this fixture's expectations");
-    let mut grafted = V2_HEADER.to_vec();
-    grafted.extend_from_slice(&saved_engine_bytes()[V2_HEADER.len()..]);
-    for (what, bytes) in [("bare header", V2_HEADER.to_vec()), ("grafted body", grafted)] {
+    assert_eq!(supported, 4, "a format bump re-derives these fixtures' expectations");
+    let mut grafted = header.to_vec();
+    grafted.extend_from_slice(&saved_engine_bytes()[header.len()..]);
+    for (what, bytes) in [("bare header", header.to_vec()), ("grafted body", grafted)] {
         match Engine::load_indexes_from_vec(bytes, &battery_config()) {
-            Err(PersistError::UnsupportedVersion { found: 2, supported: named }) => {
-                assert_eq!(named, supported, "{what}")
+            Err(PersistError::UnsupportedVersion { found, supported: named }) => {
+                assert_eq!((found, named), (version, supported), "{what}")
             }
             Err(other) => panic!("{what}: expected UnsupportedVersion, got {other}"),
-            Ok(_) => panic!("{what}: a version-2 artifact loaded"),
+            Ok(_) => panic!("{what}: a version-{version} artifact loaded"),
         }
     }
+}
+
+/// A version-2 artifact holds 8-byte cells and a five-word `GT.META` config.
+#[test]
+fn a_real_version_2_header_fails_the_version_gate() {
+    assert_refused_by_the_version_gate(V2_HEADER, 2);
+}
+
+/// A version-3 artifact holds the tree as fifteen per-node `GT.*` sections and no
+/// `HI.*` family.
+#[test]
+fn a_real_version_3_header_fails_the_version_gate() {
+    assert_refused_by_the_version_gate(V3_HEADER, 3);
 }
 
 /// The "never a wrong answer" half of the contract: after the corruption

@@ -140,18 +140,18 @@ fn loaded_matrices_are_views_into_an_arena_of_four_byte_cells() {
     let loaded = Engine::load_indexes_from_vec(bytes.clone(), &config).expect("load");
 
     let (built, loaded) = (built.gtree().unwrap(), loaded.gtree().unwrap());
-    let cells: usize = loaded.nodes().iter().map(|n| n.matrix.rows() * n.matrix.cols()).sum();
+    let cells: usize = loaded.matrices().iter().map(|m| m.rows() * m.cols()).sum();
     assert!(cells > 10_000, "a tree with real internal matrices");
-    for (fresh, view) in built.nodes().iter().zip(loaded.nodes()) {
-        assert!(!fresh.matrix.is_view(), "a built matrix owns its cells");
-        assert!(view.matrix.is_view(), "a loaded matrix was copied out of the artifact");
-        assert_eq!(view.matrix.cells(), fresh.matrix.cells());
+    for (fresh, view) in built.matrices().iter().zip(loaded.matrices()) {
+        assert!(!fresh.is_view(), "a built matrix owns its cells");
+        assert!(view.is_view(), "a loaded matrix was copied out of the artifact");
+        assert_eq!(view.cells(), fresh.cells());
     }
     // The arena is the cells and nothing else, and the index reports what is resident.
     let artifact = rnknn::persist_format::Artifact::from_vec(bytes).expect("artifact");
     let arena = artifact.section_bytes(rnknn_gtree::persist::TAG_ARENA).expect("arena section");
     assert_eq!(arena.len(), 4 * cells);
-    let matrix_bytes: usize = loaded.nodes().iter().map(|n| n.matrix.memory_bytes()).sum();
+    let matrix_bytes: usize = loaded.matrices().iter().map(|m| m.memory_bytes()).sum();
     assert_eq!(matrix_bytes, 4 * cells);
     assert_eq!(loaded.memory_bytes(), built.memory_bytes());
 }
