@@ -19,7 +19,7 @@ use rnknn::ier::{ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle,
 use rnknn::ine::{IneSearch, IneVariant};
 use rnknn::tnr::TnrSourceState;
 use rnknn_bench::{cli, defaults, Table, Testbed, TestbedOptions, DEFAULT_QUERIES, DEFAULT_SCALE};
-use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ChTargetDirectory};
+use rnknn_ch::{ChForwardSearch, ChTargetDirectory};
 use rnknn_graph::generator::DatasetPreset;
 use rnknn_graph::{EdgeWeightKind, Graph, NodeId, Weight, INFINITY};
 use rnknn_gtree::{
@@ -248,7 +248,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     }
     let measure = |objects: &ObjectSet, rtree: &ObjectRTree, k: usize| -> Vec<f64> {
         let targets = ChTargetDirectory::build(&ch, objects.vertices());
-        let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+        let mut search = ChForwardSearch::new();
         vec![
             time(
                 &graph,
@@ -263,13 +263,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
                 None => f64::NAN,
             },
             time(&graph, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &queries, rtree, k),
-            time(
-                &graph,
-                ChOracle::new(&ch, &targets, &mut space, &mut projection),
-                &queries,
-                rtree,
-                k,
-            ),
+            time(&graph, ChOracle::new(&ch, &targets, &mut search), &queries, rtree, k),
         ]
     };
 
@@ -957,9 +951,9 @@ fn object_index_study(ctx: &mut Ctx) {
         let targets = ChTargetDirectory::build(&ch, objects.vertices());
         let targets_micros = start.elapsed().as_micros();
         let targets_empty = targets.memory_bytes();
-        let (mut space, mut counters) = (ChSearchSpace::new(), Default::default());
+        let (mut label, mut counters) = (Vec::new(), Default::default());
         for &o in objects.vertices() {
-            targets.label(&ch, o, &mut space, &rnknn::UNLIMITED, &mut counters);
+            targets.label(&ch, o, &mut label, &rnknn::UNLIMITED, &mut counters);
         }
         size.push(
             format!("{d}"),

@@ -11,9 +11,11 @@
 //! a contract-rest-by-rank fallback guards against pathological dense cores (all
 //! tunable via [`ChConfig`]). Queries run on a reusable epoch-tagged scratch with
 //! frontier pruning; see [`ContractionHierarchy::distance_with_counters`]. The
-//! IER-CH hot path searches once per query and *reads* per candidate: a
-//! [`ChTargetDirectory`] keeps each object's upward space as a lazily filled label,
-//! scanned against the query's forward projection ([`ChSpaceProjection::meet_within`]).
+//! IER-CH hot path searches upward from the query only as far as its candidates
+//! need: a [`ChTargetDirectory`] keeps each object's upward space as a lazily filled
+//! label in distance order, and one resumable [`ChForwardSearch`] per query meets
+//! each candidate's label, extended only when the label's prefix below the running
+//! bound reaches past what it has settled.
 //!
 //! Besides serving as the IER-CH oracle, the hierarchy's contraction order is reused by
 //! the [`rnknn-tnr`](../rnknn_tnr/index.html) crate to select transit nodes and by
@@ -27,5 +29,5 @@ mod query;
 mod targets;
 
 pub use build::{ChConfig, ContractionHierarchy};
-pub use query::{ChSearchCounters, ChSearchSpace, ChSpaceProjection};
+pub use query::{ChForwardSearch, ChSearchCounters, ChSearchSpace};
 pub use targets::ChTargetDirectory;

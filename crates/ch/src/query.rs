@@ -1,13 +1,16 @@
-//! CH queries: pruned bidirectional upward search, reusable upward search spaces.
+//! CH queries: pruned bidirectional upward search, upward search spaces, target
+//! labels and IER-CH's resumable forward search.
 //!
-//! All searches run on a thread-local, stamped scratch (label tables + heaps
-//! reused across queries), so a query allocates nothing beyond its result and never
-//! touches a `HashMap`. [`ContractionHierarchy::distance`] is a bidirectional upward
-//! Dijkstra that stops each direction as soon as its frontier minimum reaches the best
-//! meet found so far — on road networks that prunes most of the full upward search
-//! space. Materialised [`ChSearchSpace`]s remain available for consumers that reuse a
-//! space across many queries (IER-CH's forward space and per-object target labels —
-//! see [`crate::ChTargetDirectory`] — and TNR's access-node searches).
+//! Every search runs on a stamped scratch (label tables + heaps reused across
+//! queries), so a query allocates nothing beyond its result and never touches a
+//! `HashMap`. [`ContractionHierarchy::distance`] is a bidirectional upward Dijkstra
+//! that stops each direction as soon as its frontier minimum reaches the best meet
+//! found so far — on road networks that prunes most of the full upward search
+//! space. Every other upward search runs one settle step, `UpwardSearch::settle_next`:
+//! run to exhaustion it materialises a [`ChSearchSpace`] (sorted by vertex, for TNR's
+//! access-node merge-joins) or fills an object's target label (settle order, see
+//! [`crate::ChTargetDirectory`]); paused and resumed per candidate it is IER-CH's
+//! query side, [`ChForwardSearch`].
 
 use std::cell::RefCell;
 
@@ -17,6 +20,7 @@ use rnknn_pathfinding::heap::MinHeap;
 use rnknn_pathfinding::scratch::Stamped;
 
 use crate::build::ContractionHierarchy;
+use crate::targets::ChTargetDirectory;
 
 /// Effort counters of one CH search (feeds the engine's unified `QueryStats`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,6 +33,9 @@ pub struct ChSearchCounters {
     /// was dominated via a higher-ranked neighbour, so no shortest up-down path runs
     /// through them at that distance).
     pub stalled: u64,
+    /// Target-label entries read by [`ChForwardSearch::distance_within`]: scanned,
+    /// plus projected when the forward search had to be extended.
+    pub label_entries: u64,
 }
 
 impl ChSearchCounters {
@@ -37,45 +44,98 @@ impl ChSearchCounters {
         self.settled += other.settled;
         self.heap_pushes += other.heap_pushes;
         self.stalled += other.stalled;
+        self.label_entries += other.label_entries;
     }
 }
 
-/// Reusable per-thread search state: one [`Stamped`] label table and one heap per
-/// direction, so "clearing" between queries is a stamp bump instead of an O(n)
-/// wipe.
-struct QueryScratch {
-    /// Tentative distances per direction (0 = forward, 1 = backward); absent
-    /// means "unvisited this query".
-    label: [Stamped<Weight>; 2],
-    heap: [MinHeap<NodeId>; 2],
+/// One upward Dijkstra: a [`Stamped`] label table, so "clearing" between searches is
+/// a stamp bump instead of an O(n) wipe, and a heap.
+#[derive(Debug, Default)]
+struct UpwardSearch {
+    /// Tentative distances; absent means "unvisited this search".
+    labels: Stamped<Weight>,
+    heap: MinHeap<NodeId>,
 }
 
-impl QueryScratch {
-    fn new() -> Self {
-        QueryScratch {
-            label: [Stamped::default(), Stamped::default()],
-            heap: [MinHeap::new(), MinHeap::new()],
+impl UpwardSearch {
+    /// Starts a search from `v` over a hierarchy of `n` vertices.
+    fn start(&mut self, n: usize, v: NodeId, counters: &mut ChSearchCounters) {
+        self.labels.begin(n);
+        self.heap.clear();
+        self.labels.set(v as usize, 0);
+        self.heap.push(0, v);
+        counters.heap_pushes += 1;
+    }
+
+    /// Tentative distance of `v` ([`INFINITY`] when unvisited this search).
+    #[inline]
+    fn label(&self, v: NodeId) -> Weight {
+        label(&self.labels, v)
+    }
+
+    /// The one settle step of every upward search but the bidirectional one: pops
+    /// the next current entry whose key is below `limit` and relaxes the settled
+    /// vertex's upward edges — unless `stop` holds for it, or `stall` is set and it
+    /// is stalled on demand (a stopped or stalled vertex is still settled: its label
+    /// is a valid upper bound). Returns the vertex with its distance, in
+    /// non-decreasing distance order over the search.
+    ///
+    /// `None` when no entry below `limit` is left or `budget` refuses the step (one
+    /// step per settle); the popped entry is then pushed back, so a search paused
+    /// either way can be resumed.
+    #[inline]
+    fn settle_next(
+        &mut self,
+        ch: &ContractionHierarchy,
+        limit: Weight,
+        stall: bool,
+        stop: impl Fn(NodeId) -> bool,
+        budget: &QueryBudget,
+        counters: &mut ChSearchCounters,
+    ) -> Option<(NodeId, Weight)> {
+        loop {
+            if self.heap.peek_key()? >= limit {
+                return None;
+            }
+            let (d, x) = self.heap.pop()?;
+            if d > self.label(x) {
+                continue;
+            }
+            if !budget.charge(1) {
+                self.heap.push(d, x);
+                return None;
+            }
+            counters.settled += 1;
+            if stop(x) {
+                // Settled, never expanded.
+            } else if stall && ch.is_stalled(&self.labels, x, d) {
+                counters.stalled += 1;
+            } else {
+                for (y, w) in ch.upward_edges(x) {
+                    let nd = d + w;
+                    if nd < self.label(y) {
+                        self.labels.set(y as usize, nd);
+                        self.heap.push(nd, y);
+                        counters.heap_pushes += 1;
+                    }
+                }
+            }
+            return Some((x, d));
         }
     }
-
-    /// Starts a new query over a hierarchy of `n` vertices.
-    fn begin(&mut self, n: usize) {
-        for side in 0..2 {
-            self.label[side].begin(n);
-            self.heap[side].clear();
-        }
-    }
 }
 
-/// Tentative distance of `v` in one direction's table ([`INFINITY`] when unvisited
-/// this query).
+/// Tentative distance of `v` in one search's table ([`INFINITY`] when unvisited
+/// this search).
 #[inline]
 fn label(labels: &Stamped<Weight>, v: NodeId) -> Weight {
     labels.get(v as usize).unwrap_or(INFINITY)
 }
 
 thread_local! {
-    static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
+    /// One search per direction (0 = forward, 1 = backward); run-to-exhaustion
+    /// searches use the forward one.
+    static SCRATCH: RefCell<[UpwardSearch; 2]> = RefCell::default();
 }
 
 const FORWARD: usize = 0;
@@ -114,20 +174,15 @@ impl ContractionHierarchy {
             return (0, counters);
         }
         let best = SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(self.num_vertices());
-            let QueryScratch { label: [forward, backward], heap } = scratch;
-            forward.set(s as usize, 0);
-            heap[FORWARD].push(0, s);
-            backward.set(t as usize, 0);
-            heap[BACKWARD].push(0, t);
-            counters.heap_pushes += 2;
+            let [forward, backward] = &mut *scratch.borrow_mut();
+            forward.start(self.num_vertices(), s, &mut counters);
+            backward.start(self.num_vertices(), t, &mut counters);
 
             let mut best = INFINITY;
             loop {
                 // Advance the direction with the smaller frontier, pruning any
                 // direction whose frontier minimum can no longer improve the meet.
-                let side = match (heap[FORWARD].peek_key(), heap[BACKWARD].peek_key()) {
+                let side = match (forward.heap.peek_key(), backward.heap.peek_key()) {
                     (Some(f), Some(b)) => {
                         if f.min(b) >= best {
                             break;
@@ -157,19 +212,19 @@ impl ContractionHierarchy {
                 } else {
                     (&mut *backward, &*forward)
                 };
-                let Some((d, x)) = heap[side].pop() else { break };
-                if d > label(mine, x) {
+                let Some((d, x)) = mine.heap.pop() else { break };
+                if d > mine.label(x) {
                     continue;
                 }
                 counters.settled += 1;
-                let other = label(theirs, x);
+                let other = theirs.label(x);
                 if other != INFINITY {
                     best = best.min(d + other);
                 }
                 // Stall-on-demand: a dominated label cannot start a shortest
                 // up-segment, so its edges are never relaxed (the meet update above
                 // is still safe — the label is a valid upper bound).
-                if self.is_stalled(mine, x, d) {
+                if self.is_stalled(&mine.labels, x, d) {
                     counters.stalled += 1;
                     continue;
                 }
@@ -177,9 +232,9 @@ impl ContractionHierarchy {
                     let nd = d + w;
                     // A label at distance >= best can never improve the meet (both
                     // directions only ascend), so don't even push it.
-                    if nd < best && nd < label(mine, y) {
-                        mine.set(y as usize, nd);
-                        heap[side].push(nd, y);
+                    if nd < best && nd < mine.label(y) {
+                        mine.labels.set(y as usize, nd);
+                        mine.heap.push(nd, y);
                         counters.heap_pushes += 1;
                     }
                 }
@@ -192,37 +247,33 @@ impl ContractionHierarchy {
     /// Computes the complete upward search space from `v`: the set of vertices reachable
     /// by only ascending in rank, with their (upper-bound) distances.
     ///
-    /// Search spaces can be cached and intersected with [`ChSearchSpace::meet`]; IER-CH
-    /// reuses the query vertex's forward space across all candidate objects, which is
-    /// the CH analogue of G-tree's "materialization".
+    /// Search spaces can be cached and intersected with [`ChSearchSpace::meet`].
     pub fn upward_search_space(&self, v: NodeId) -> ChSearchSpace {
         self.search_space_impl(v, |_| false).0
     }
 
-    /// [`ContractionHierarchy::upward_search_space`] with stall-on-demand, writing
-    /// into a caller-owned space and reusing its entry buffer. This is the one
-    /// routine behind both sides of an IER-CH meet: the oracle materialises the
-    /// query's forward space once per kNN query into the engine's pooled
-    /// [`ChSearchSpace`], and [`crate::ChTargetDirectory`] fills an object's
-    /// target label from the same buffer — so repeated queries allocate nothing
-    /// once the buffer has grown to the workload's largest space.
+    /// The target label of `v`: its upward search space with stall-on-demand, written
+    /// into a caller-owned buffer in **settle order** — non-decreasing distance, so a
+    /// scan against a forward search can stop at its bound — and never sorted. This
+    /// is how [`crate::ChTargetDirectory`] fills a label; the buffer is reused
+    /// across fills, so they allocate nothing once it has grown to the largest label.
     ///
     /// Dominated labels are still *recorded* (they are valid upper bounds) but not
-    /// *expanded*, which shrinks the materialised space the same way stalling
-    /// shrinks the bidirectional search (−27% settled at 69k). Safe for meets
-    /// against any upward search from the other side, stalled or not, for the
-    /// usual stalling reason: a path through a pruned label is matched by one
-    /// through the dominating neighbour, which both sides do explore.
+    /// *expanded*, which shrinks the label the same way stalling shrinks the
+    /// bidirectional search (−27% settled at 69k). Safe for meets against any
+    /// upward search from the other side, stalled or not, for the usual stalling
+    /// reason: a path through a pruned label is matched by one through the
+    /// dominating neighbour, which both sides do explore.
     ///
     /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
-    /// leaves a truncated — still sorted — space behind).
-    pub fn upward_search_space_stalled_into(
+    /// leaves a truncated label behind).
+    pub(crate) fn target_label_into(
         &self,
         v: NodeId,
-        space: &mut ChSearchSpace,
+        label: &mut Vec<(NodeId, Weight)>,
         budget: &QueryBudget,
     ) -> ChSearchCounters {
-        self.search_space_into_impl(v, |_| false, self.stall_on_demand, space, budget)
+        self.upward_into(v, |_| false, self.stall_on_demand, label, budget)
     }
 
     /// [`ContractionHierarchy::upward_search_space_stopping_at`] writing into a
@@ -234,7 +285,7 @@ impl ContractionHierarchy {
         stop: impl Fn(NodeId) -> bool,
         space: &mut ChSearchSpace,
     ) -> ChSearchCounters {
-        self.search_space_into_impl(v, |x| x != v && stop(x), false, space, &UNLIMITED)
+        self.search_space_into(v, |x| x != v && stop(x), space)
     }
 
     /// Upward search space from `v` that does not expand any vertex for which `stop`
@@ -268,55 +319,44 @@ impl ContractionHierarchy {
         stop: impl Fn(NodeId) -> bool,
     ) -> (ChSearchSpace, ChSearchCounters) {
         let mut space = ChSearchSpace::new();
-        let counters = self.search_space_into_impl(v, stop, false, &mut space, &UNLIMITED);
+        let counters = self.search_space_into(v, stop, &mut space);
         (space, counters)
     }
 
-    fn search_space_into_impl(
+    /// An unstalled, unbudgeted upward space, sorted by vertex for merge-joins.
+    fn search_space_into(
+        &self,
+        v: NodeId,
+        stop: impl Fn(NodeId) -> bool,
+        space: &mut ChSearchSpace,
+    ) -> ChSearchCounters {
+        let counters = self.upward_into(v, stop, false, &mut space.entries, &UNLIMITED);
+        space.entries.sort_unstable_by_key(|&(x, _)| x);
+        counters
+    }
+
+    /// Runs an upward search from `v` to exhaustion (or to a budget cut) on the
+    /// thread-local scratch, writing every settled vertex into `entries` in settle
+    /// order.
+    fn upward_into(
         &self,
         v: NodeId,
         stop: impl Fn(NodeId) -> bool,
         stall: bool,
-        space: &mut ChSearchSpace,
+        entries: &mut Vec<(NodeId, Weight)>,
         budget: &QueryBudget,
     ) -> ChSearchCounters {
         let mut counters = ChSearchCounters::default();
-        let entries = &mut space.entries;
         entries.clear();
         SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(self.num_vertices());
-            let QueryScratch { label: [labels, _], heap: [heap, _] } = scratch;
-            labels.set(v as usize, 0);
-            heap.push(0, v);
-            counters.heap_pushes += 1;
-            while let Some((d, x)) = heap.pop() {
-                if d > label(labels, x) {
-                    continue;
-                }
-                entries.push((x, d));
-                if !budget.charge(1) {
-                    break;
-                }
-                if stop(x) {
-                    continue;
-                }
-                if stall && self.is_stalled(labels, x, d) {
-                    counters.stalled += 1;
-                    continue;
-                }
-                for (y, w) in self.upward_edges(x) {
-                    let nd = d + w;
-                    if nd < label(labels, y) {
-                        labels.set(y as usize, nd);
-                        heap.push(nd, y);
-                        counters.heap_pushes += 1;
-                    }
-                }
+            let search = &mut scratch.borrow_mut()[FORWARD];
+            search.start(self.num_vertices(), v, &mut counters);
+            while let Some(entry) =
+                search.settle_next(self, INFINITY, stall, &stop, budget, &mut counters)
+            {
+                entries.push(entry);
             }
         });
-        counters.settled = entries.len() as u64;
-        entries.sort_unstable_by_key(|&(x, _)| x);
         counters
     }
 }
@@ -330,7 +370,7 @@ pub struct ChSearchSpace {
 
 impl ChSearchSpace {
     /// Creates an empty space, ready to be filled by
-    /// [`ContractionHierarchy::upward_search_space_stalled_into`] (no
+    /// [`ContractionHierarchy::upward_search_space_stopping_at_into`] (no
     /// allocation until then; the entry buffer is reused across refills).
     pub fn new() -> Self {
         Self::default()
@@ -380,46 +420,114 @@ impl ChSearchSpace {
     }
 }
 
-/// A dense, stamped projection of one [`ChSearchSpace`] over the vertex set:
-/// `get(v)` is one array load instead of a binary search over the sorted entries.
-/// Re-pointing the projection at a new space ([`ChSpaceProjection::set_from`]) costs
-/// `O(|space|)` — one stamp bump plus one write per entry — so a pooled projection
-/// makes the IER-CH candidate loop's meet tests O(1) without ever wiping the
-/// n-sized table.
+/// IER-CH's query side: one stall-pruned upward search from the query vertex,
+/// settled only as far as the candidates met so far have needed and resumed for the
+/// next one, plus the buffers a candidate's target label is filled into and
+/// projected onto.
+///
+/// [`ChForwardSearch::begin`] seeds the search and settles nothing. A candidate `t`
+/// with bound `B` then costs ([`ChForwardSearch::distance_within`]):
+///
+/// 1. **Scan.** `t`'s label (settle order, so non-decreasing `d_t`) is walked up to
+///    the first entry with `d_t(h) >= best`, `best` starting at `B`; each entry
+///    gives `best = min(best, fwd(h) + d_t(h))`. A tentative forward label is the
+///    length of a real path, so it is a valid upper bound.
+/// 2. **Extend**, only if the forward heap's minimum key is still `< best`: the
+///    label prefix with `d_t(h) < best` is projected into a second stamped table and
+///    the forward search resumes — the same settle step a label fill runs to
+///    exhaustion — until its minimum key is `>= best`, each settled vertex found in
+///    the projection lowering `best`.
+///
+/// Exact below `B`: the full stall-pruned forward space and `t`'s label share a
+/// vertex `h` with `f(h) + d_t(h) = d(s, t)`, `f(h)` being the distance `h` is
+/// settled at. If the scan leaves `best` above `d(s, t)`, `h` is not settled yet, so
+/// the heap's minimum key is at most `f(h) < best` (settles come in non-decreasing
+/// key order): the extension runs, `h` is in the projection, and settling `h` brings
+/// `best` down to `d(s, t)` unless another meet did first. Every value `best` takes
+/// is a path length, so a target at or beyond `B` answers `>= B`.
+///
+/// The engine pools one per thread. It cannot share this module's thread-local
+/// scratch: a candidate's label is filled there between two extensions of the same
+/// forward search.
 #[derive(Debug, Default)]
-pub struct ChSpaceProjection {
-    label: Stamped<Weight>,
+pub struct ChForwardSearch {
+    /// The paused forward search from the query vertex.
+    forward: UpwardSearch,
+    /// The current candidate's label prefix below `best`, by vertex (one stamp per
+    /// extension).
+    target: Stamped<Weight>,
+    /// Where a label not yet in the directory is filled.
+    fill: Vec<(NodeId, Weight)>,
 }
 
-impl ChSpaceProjection {
-    /// Creates an empty projection (no allocation until the first `set_from`).
+impl ChForwardSearch {
+    /// Creates an empty search (no allocation until the first query).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Points the projection at `space` over a graph of `n` vertices, invalidating
-    /// the previous space's entries.
-    pub fn set_from(&mut self, n: usize, space: &ChSearchSpace) {
-        self.label.begin(n);
-        for &(v, d) in space.entries() {
-            self.label.set(v as usize, d);
+    /// Starts the forward search from `source` over `ch`: one push, no settle.
+    pub fn begin(
+        &mut self,
+        ch: &ContractionHierarchy,
+        source: NodeId,
+        counters: &mut ChSearchCounters,
+    ) {
+        self.forward.start(ch.num_vertices(), source, counters);
+    }
+
+    /// Network distance from the source to `target`: exact when it is `< bound`,
+    /// some value `>= bound` otherwise (the IER oracle contract). `target`'s label
+    /// is read from `targets` — filled first, into this search's own buffer, when
+    /// it is not yet (and published when `target` has a slot).
+    ///
+    /// Effort goes into `counters` and `budget`: one step per settled vertex, one
+    /// per label entry read. A budget cut during the label fill or the extension
+    /// answers `bound`; the forward search stays resumable.
+    pub fn distance_within(
+        &mut self,
+        ch: &ContractionHierarchy,
+        targets: &ChTargetDirectory,
+        target: NodeId,
+        bound: Weight,
+        budget: &QueryBudget,
+        counters: &mut ChSearchCounters,
+    ) -> Weight {
+        let Some(label) = targets.label(ch, target, &mut self.fill, budget, counters) else {
+            return bound;
+        };
+        let forward = &mut self.forward;
+        let mut best = bound;
+        let mut read = 0;
+        for &(h, d_t) in label {
+            if d_t >= best {
+                break;
+            }
+            // An unvisited vertex reads `INFINITY` (= `Weight::MAX / 4`), so the sum
+            // cannot wrap and simply loses the `min`.
+            best = best.min(forward.label(h) + d_t);
+            read += 1;
         }
-    }
-
-    /// The projected distance of `v` ([`INFINITY`] when `v` is not in the space).
-    #[inline]
-    pub fn get(&self, v: NodeId) -> Weight {
-        self.label.get(v as usize).unwrap_or(INFINITY)
-    }
-
-    /// Bounded meet of the projected (forward) space with a target's upward space
-    /// `label`: `min(bound, min_v get(v) + d_v)` in one linear pass — the exact
-    /// network distance when that is `< bound`, `bound` otherwise. This is the
-    /// IER-CH candidate step: one array load per label entry, no heap, no search.
-    pub fn meet_within(&self, label: &[(NodeId, Weight)], bound: Weight) -> Weight {
-        // An absent vertex reads `INFINITY` (= `Weight::MAX / 4`), so the sum
-        // cannot wrap and simply loses the `min`.
-        label.iter().fold(bound, |best, &(v, d)| best.min(self.get(v) + d))
+        if forward.heap.peek_key().is_some_and(|key| key < best) {
+            self.target.begin(ch.num_vertices());
+            for &(h, d_t) in label.iter().take_while(|&&(_, d_t)| d_t < best) {
+                self.target.set(h as usize, d_t);
+                read += 1;
+            }
+            while let Some((x, d)) =
+                forward.settle_next(ch, best, ch.stall_on_demand, |_| false, budget, counters)
+            {
+                if let Some(d_t) = self.target.get(x as usize) {
+                    best = best.min(d + d_t);
+                }
+            }
+            if budget.is_exhausted() {
+                return bound;
+            }
+        }
+        counters.label_entries += read;
+        budget.charge(read);
+        best
     }
 }
 
@@ -428,8 +536,29 @@ mod tests {
     use super::*;
     use crate::build::ContractionHierarchy;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-    use rnknn_graph::EdgeWeightKind;
+    use rnknn_graph::{testgraphs, EdgeWeightKind, Graph};
     use rnknn_pathfinding::dijkstra;
+
+    /// `items` in a seeded Fisher–Yates order (xorshift64).
+    fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+        let mut state = seed | 1;
+        for i in (1..items.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            items.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        items
+    }
+
+    /// Distance `s -> t` through a fresh forward search and `t`'s label, filled
+    /// into the search's buffer (no slot).
+    fn forward_distance(ch: &ContractionHierarchy, s: NodeId, t: NodeId, bound: Weight) -> Weight {
+        let targets = ChTargetDirectory::build(ch, &[]);
+        let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
+        search.begin(ch, s, &mut counters);
+        search.distance_within(ch, &targets, t, bound, &UNLIMITED, &mut counters)
+    }
 
     #[test]
     fn cached_search_space_reuse_matches_fresh_queries() {
@@ -470,68 +599,161 @@ mod tests {
     }
 
     #[test]
-    fn projection_distance_matches_meet() {
+    fn forward_search_distance_matches_full_space_meets() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(700, 12));
         let g = net.graph(EdgeWeightKind::Time);
         let ch = ContractionHierarchy::build(&g);
         let s: NodeId = 41;
         let forward = ch.upward_search_space(s);
-        let mut projection = ChSpaceProjection::new();
-        projection.set_from(g.num_vertices(), &forward);
         for t in (0..g.num_vertices() as NodeId).step_by(53) {
             let backward = ch.upward_search_space(t);
-            let got = projection.meet_within(backward.entries(), INFINITY);
-            assert_eq!(got, forward.meet(&backward), "{s}->{t}");
+            assert_eq!(forward_distance(&ch, s, t, INFINITY), forward.meet(&backward), "{s}->{t}");
+        }
+    }
+
+    /// Every `(target, bound)` pair of a handful of sources, in shuffled order, on
+    /// one forward search per source: Dijkstra's answer when it is below the bound,
+    /// `>= bound` otherwise. Half the targets carry a slot, so stored labels and
+    /// buffer fills are both met mid-search.
+    fn check_one_forward_search_per_source(g: &Graph, stall: bool, what: &str) {
+        let mut ch = ContractionHierarchy::build(g);
+        ch.set_stall_on_demand(stall);
+        let n = g.num_vertices() as NodeId;
+        let probed: Vec<NodeId> = (0..n).step_by(7).collect();
+        let with_slot: Vec<NodeId> = probed.iter().copied().step_by(2).collect();
+        let targets = ChTargetDirectory::build(&ch, &with_slot);
+        let mut search = ChForwardSearch::new();
+        for s in [0, n / 3, n - 5] {
+            let truth = dijkstra::single_source(g, s);
+            let mut counters = ChSearchCounters::default();
+            search.begin(&ch, s, &mut counters);
+            let pairs: Vec<(NodeId, Weight)> = probed
+                .iter()
+                .flat_map(|&t| {
+                    let exact = truth[t as usize];
+                    [0, exact / 2, exact, exact + 1, INFINITY].map(|bound| (t, bound))
+                })
+                .collect();
+            for (t, bound) in shuffled(pairs, u64::from(s) + 1) {
+                let exact = truth[t as usize];
+                let got =
+                    search.distance_within(&ch, &targets, t, bound, &UNLIMITED, &mut counters);
+                if exact < bound {
+                    assert_eq!(got, exact, "{what} stall={stall} {s}->{t} bound={bound}");
+                } else {
+                    assert!(got >= bound, "{what} stall={stall} {s}->{t} bound={bound} got={got}");
+                }
+            }
+        }
+        assert_eq!(targets.filled_labels(), with_slot.len());
+    }
+
+    #[test]
+    fn one_forward_search_per_source_answers_shuffled_bounded_targets_exactly() {
+        for stall in [true, false] {
+            for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+                let net = RoadNetwork::generate(&GeneratorConfig::new(600, 52));
+                check_one_forward_search_per_source(&net.graph(kind), stall, &format!("{kind:?}"));
+            }
+            check_one_forward_search_per_source(&testgraphs::zero_weight_grid(14), stall, "zero");
+            check_one_forward_search_per_source(&testgraphs::unit_grids(8, 1), stall, "ties");
+            check_one_forward_search_per_source(&testgraphs::unit_grids(5, 5), stall, "5 parts");
         }
     }
 
     #[test]
-    fn stalled_space_meets_and_projection_queries_stay_exact() {
-        // The stall-pruned spaces (dominated labels recorded, not expanded) must
-        // still meet at the exact distance when *both* sides are stalled — the
-        // forward space projected, the target's scanned against it, which is the
-        // IER-CH label path — and stalling must not enlarge a space.
-        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
-            let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
-            let g = net.graph(kind);
-            let ch = ContractionHierarchy::build(&g);
-            let n = g.num_vertices() as NodeId;
-            let (mut space, mut target) = (ChSearchSpace::new(), ChSearchSpace::new());
-            let mut projection = ChSpaceProjection::new();
-            for s in [2u32, n / 3, n - 7] {
-                let stalled = ch.upward_search_space_stalled_into(s, &mut space, &UNLIMITED);
-                let full = ch.upward_search_space(s);
-                assert!(space.len() <= full.len(), "stalling enlarged the space from {s}");
-                assert!(stalled.settled <= full.len() as u64);
-                projection.set_from(g.num_vertices(), &space);
-                for t in (0..n).step_by(29) {
-                    let exact = dijkstra::distance(&g, s, t);
-                    ch.upward_search_space_stalled_into(t, &mut target, &UNLIMITED);
-                    let got = projection.meet_within(target.entries(), INFINITY);
-                    assert_eq!(got, exact, "{s}->{t} {kind:?}");
-                }
+    fn a_candidate_inside_the_reached_radius_settles_nothing() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let ch = ContractionHierarchy::build(&g);
+        let n = g.num_vertices() as NodeId;
+        let s = n / 2;
+        let truth = dijkstra::single_source(&g, s);
+        let probed: Vec<NodeId> = (0..n).step_by(11).filter(|&t| t != s).collect();
+        let targets = ChTargetDirectory::build(&ch, &probed);
+        let mut fill = Vec::new();
+        for &t in &probed {
+            let mut counters = ChSearchCounters::default();
+            targets.label(&ch, t, &mut fill, &UNLIMITED, &mut counters).unwrap();
+        }
+        // The median probe: about half the probes lie inside its radius.
+        let mut by_distance = probed.clone();
+        by_distance.sort_by_key(|&t| truth[t as usize]);
+        let far = by_distance[by_distance.len() / 2];
+
+        let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
+        search.begin(&ch, s, &mut counters);
+        let got = search.distance_within(&ch, &targets, far, INFINITY, &UNLIMITED, &mut counters);
+        assert_eq!(got, truth[far as usize]);
+        let reached = counters.settled;
+        assert!(reached > 0, "the first candidate must extend the search");
+        let full = ch.target_label_into(s, &mut fill, &UNLIMITED).settled;
+        assert!(reached < full, "the median probe needed the whole forward space");
+
+        let inside: Vec<NodeId> = by_distance
+            .iter()
+            .copied()
+            .filter(|&t| truth[t as usize] <= truth[far as usize])
+            .collect();
+        assert!(inside.len() > 10);
+        for t in shuffled(inside, 3) {
+            let got = search.distance_within(&ch, &targets, t, INFINITY, &UNLIMITED, &mut counters);
+            assert_eq!(got, truth[t as usize], "{s}->{t}");
+            assert_eq!(counters.settled, reached, "{s}->{t} lies inside the reached radius");
+        }
+    }
+
+    #[test]
+    fn a_budget_cut_extension_answers_the_bound_and_the_search_resumes() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(600, 5));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let ch = ContractionHierarchy::build(&g);
+        let n = g.num_vertices() as NodeId;
+        let s = 3;
+        let truth = dijkstra::single_source(&g, s);
+        let probed: Vec<NodeId> = (0..n).step_by(17).collect();
+        let targets = ChTargetDirectory::build(&ch, &probed);
+        let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
+        for &t in &probed {
+            targets.label(&ch, t, &mut Vec::new(), &UNLIMITED, &mut counters).unwrap();
+        }
+        let far = *probed.iter().max_by_key(|&&t| truth[t as usize]).unwrap();
+        for limit in 2..40 {
+            search.begin(&ch, s, &mut counters);
+            let before = counters.settled;
+            // `limit - 1` settles are charged, the next one is refused.
+            let starved = QueryBudget::new(None, limit, 1);
+            let got = search.distance_within(&ch, &targets, far, INFINITY, &starved, &mut counters);
+            assert_eq!((got, counters.settled - before), (INFINITY, limit - 1));
+            assert!(starved.is_exhausted());
+            // The refused entry went back on the heap: the same search, resumed
+            // under a fresh budget, is exact.
+            for &t in &probed {
+                let got =
+                    search.distance_within(&ch, &targets, t, INFINITY, &UNLIMITED, &mut counters);
+                assert_eq!(got, truth[t as usize], "{s}->{t} after a cut at {limit}");
             }
         }
     }
 
     #[test]
-    fn bounded_projection_distance_is_exact_below_the_bound() {
-        let net = RoadNetwork::generate(&GeneratorConfig::new(600, 52));
-        let g = net.graph(EdgeWeightKind::Distance);
-        let ch = ContractionHierarchy::build(&g);
-        let s: NodeId = 11;
-        let mut projection = ChSpaceProjection::new();
-        projection.set_from(g.num_vertices(), &ch.upward_search_space(s));
-        let mut target = ChSearchSpace::new();
-        for t in (0..g.num_vertices() as NodeId).step_by(41) {
-            let exact = dijkstra::distance(&g, s, t);
-            ch.upward_search_space_stalled_into(t, &mut target, &UNLIMITED);
-            for bound in [0, exact / 2, exact, exact.saturating_add(1), INFINITY] {
-                let got = projection.meet_within(target.entries(), bound);
-                if exact < bound {
-                    assert_eq!(got, exact, "{s}->{t} bound={bound}");
-                } else {
-                    assert!(got >= bound, "{s}->{t} bound={bound} got={got}");
+    fn stalled_labels_shrink_and_forward_searches_stay_exact() {
+        // Stalling must not enlarge a label, and stalled labels must still meet a
+        // stalled forward search at the exact distance.
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
+            let g = net.graph(kind);
+            let ch = ContractionHierarchy::build(&g);
+            let n = g.num_vertices() as NodeId;
+            let mut label = Vec::new();
+            for s in [2u32, n / 3, n - 7] {
+                let stalled = ch.target_label_into(s, &mut label, &UNLIMITED);
+                let full = ch.upward_search_space(s);
+                assert!(label.len() <= full.len(), "stalling enlarged the label of {s}");
+                assert_eq!(stalled.settled, label.len() as u64);
+                for t in (0..n).step_by(29) {
+                    let exact = dijkstra::distance(&g, s, t);
+                    assert_eq!(forward_distance(&ch, s, t, INFINITY), exact, "{s}->{t} {kind:?}");
                 }
             }
         }
@@ -541,17 +763,17 @@ mod tests {
     fn space_into_reuses_the_buffer_and_matches_fresh_spaces() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 21));
         let g = net.graph(EdgeWeightKind::Distance);
-        // With stall-on-demand off, the stalled `_into` variant materialises the
-        // full space, so it must equal the allocating one entry for entry.
+        // With stall-on-demand off, a target label is the full space in settle
+        // order, so sorted by vertex it must equal the allocating one entry for entry.
         let config = crate::ChConfig { stall_on_demand: false, ..Default::default() };
         let ch = ContractionHierarchy::build_with_config(&g, &config);
-        let mut space = ChSearchSpace::new();
-        assert!(space.is_empty());
+        let mut label = Vec::new();
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
-            let counters = ch.upward_search_space_stalled_into(v, &mut space, &UNLIMITED);
+            let counters = ch.target_label_into(v, &mut label, &UNLIMITED);
             let fresh = ch.upward_search_space(v);
-            assert_eq!(space.entries(), fresh.entries(), "space from {v}");
             assert_eq!(counters.settled, fresh.len() as u64);
+            label.sort_unstable_by_key(|&(x, _)| x);
+            assert_eq!(label, fresh.entries(), "space from {v}");
             // The stopping variant agrees with its allocating counterpart too.
             let threshold = (g.num_vertices() as u32 * 9) / 10;
             let mut stopped = ChSearchSpace::new();

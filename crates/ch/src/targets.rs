@@ -1,14 +1,15 @@
 //! The CH object index: one lazily filled target label per object vertex.
 //!
 //! IER-CH answers a candidate object `t` by meeting the query's forward upward
-//! space with `t`'s backward one. The backward space depends on the hierarchy and
+//! search with `t`'s backward one. The backward space depends on the hierarchy and
 //! `t` only — never on the query — so searching it once per candidate per query
 //! recomputes the same `(vertex, distance)` set over and over. A
 //! [`ChTargetDirectory`] keeps that set beside the object instead: one slot per
-//! object vertex whose **label** is the vertex's stall-pruned upward space exactly
-//! as [`ContractionHierarchy::upward_search_space_stalled_into`] materialises it,
-//! and a candidate costs one linear pass of the label against the dense forward
-//! projection ([`ChSpaceProjection::meet_within`]).
+//! object vertex whose **label** is the vertex's stall-pruned upward space in settle
+//! order — non-decreasing distance — so a candidate costs a scan of the label's
+//! prefix below the running bound against the query's forward search, which is
+//! extended only when that prefix reaches past it
+//! ([`crate::ChForwardSearch::distance_within`]).
 //!
 //! The write path only creates and drops slots (`O(1)` per update event, no CH
 //! search); a label is filled **on the read side**, by the first query that meets
@@ -23,9 +24,10 @@ use rnknn_graph::{NodeId, Weight};
 use rnknn_pathfinding::budget::QueryBudget;
 
 use crate::build::ContractionHierarchy;
-use crate::query::{ChSearchCounters, ChSearchSpace};
+use crate::query::ChSearchCounters;
 
-/// A filled label: the settled `(vertex, distance)` pairs, sorted by vertex id.
+/// A filled label: the settled `(vertex, distance)` pairs in settle order
+/// (non-decreasing distance).
 type Label = Box<[(NodeId, Weight)]>;
 
 /// Per-object CH target labels (see the module docs).
@@ -91,18 +93,18 @@ impl ChTargetDirectory {
         self.slots.len() * std::mem::size_of::<(NodeId, OnceLock<Label>)>() + labels
     }
 
-    /// The label of target `t`: read from its slot when filled; otherwise
-    /// materialised into `buffer` (search effort added to `counters`, one budget
-    /// step per settle) and, when `t` has a slot, published into it. A target
-    /// without a slot is answered from `buffer` alone.
+    /// The label of target `t`: read from its slot when filled; otherwise filled
+    /// into `buffer` (search effort added to `counters`, one budget step per
+    /// settle) and, when `t` has a slot, published into it. A target without a
+    /// slot is answered from `buffer` alone.
     ///
-    /// Returns `None` when `budget` ran out: the space left in `buffer` is then
+    /// Returns `None` when `budget` ran out: the label left in `buffer` is then
     /// truncated, so it is neither stored nor handed out.
     pub fn label<'a>(
         &'a self,
         ch: &ContractionHierarchy,
         t: NodeId,
-        buffer: &'a mut ChSearchSpace,
+        buffer: &'a mut Vec<(NodeId, Weight)>,
         budget: &QueryBudget,
         counters: &mut ChSearchCounters,
     ) -> Option<&'a [(NodeId, Weight)]> {
@@ -115,14 +117,14 @@ impl ChTargetDirectory {
         if let Some(label) = slot.and_then(OnceLock::get) {
             return Some(label);
         }
-        counters.accumulate(ch.upward_search_space_stalled_into(t, buffer, budget));
+        counters.accumulate(ch.target_label_into(t, buffer, budget));
         if budget.is_exhausted() {
             return None;
         }
         match slot {
-            // A racing reader may have published first; both hold the same space.
-            Some(slot) => Some(slot.get_or_init(|| buffer.entries().into())),
-            None => Some(buffer.entries()),
+            // A racing reader may have published first; both hold the same label.
+            Some(slot) => Some(slot.get_or_init(|| buffer.as_slice().into())),
+            None => Some(buffer),
         }
     }
 }
@@ -130,25 +132,11 @@ impl ChTargetDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ChSpaceProjection;
+    use crate::query::ChForwardSearch;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::{EdgeWeightKind, INFINITY};
     use rnknn_pathfinding::budget::UNLIMITED;
     use rnknn_pathfinding::dijkstra;
-
-    /// Distance `s -> t` through the label path: `s`'s stalled forward space
-    /// projected densely, `t`'s label scanned against it.
-    fn label_distance(
-        ch: &ContractionHierarchy,
-        targets: &ChTargetDirectory,
-        projection: &ChSpaceProjection,
-        t: NodeId,
-        bound: Weight,
-    ) -> Weight {
-        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
-        let label = targets.label(ch, t, &mut buffer, &UNLIMITED, &mut counters).unwrap();
-        projection.meet_within(label, bound)
-    }
 
     #[test]
     fn stalled_label_meets_equal_dijkstra_with_and_without_a_slot() {
@@ -160,17 +148,48 @@ mod tests {
             // Every other probed target has a slot; the rest take the buffer path.
             let with_slot: Vec<NodeId> = (0..n).step_by(58).collect();
             let targets = ChTargetDirectory::build(&ch, &with_slot);
-            let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+            let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
             for s in [2u32, n / 3, n - 7] {
-                ch.upward_search_space_stalled_into(s, &mut space, &UNLIMITED);
-                projection.set_from(g.num_vertices(), &space);
+                search.begin(&ch, s, &mut counters);
                 for t in (0..n).step_by(29) {
                     let exact = dijkstra::distance(&g, s, t);
-                    let got = label_distance(&ch, &targets, &projection, t, INFINITY);
+                    let got = search.distance_within(
+                        &ch,
+                        &targets,
+                        t,
+                        INFINITY,
+                        &UNLIMITED,
+                        &mut counters,
+                    );
                     assert_eq!(got, exact, "{s}->{t} {kind:?}");
                 }
             }
             assert_eq!(targets.filled_labels(), with_slot.len());
+        }
+    }
+
+    #[test]
+    fn a_filled_label_is_the_stalled_space_in_non_decreasing_distance_order() {
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(600, 8));
+            let g = net.graph(kind);
+            let ch = ContractionHierarchy::build(&g);
+            let n = g.num_vertices() as NodeId;
+            let objects: Vec<NodeId> = (0..n).step_by(13).collect();
+            let targets = ChTargetDirectory::build(&ch, &objects);
+            let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
+            for &t in &objects {
+                let label = targets.label(&ch, t, &mut buffer, &UNLIMITED, &mut counters).unwrap();
+                assert_eq!(label[0], (t, 0), "a label starts at its own vertex");
+                assert!(label.windows(2).all(|w| w[0].1 <= w[1].1), "label of {t} out of order");
+                // Each entry is a real upward path, so never shorter than the truth.
+                let truth = dijkstra::single_source(&g, t);
+                assert!(label.iter().all(|&(h, d)| d >= truth[h as usize]));
+                let mut vertices: Vec<NodeId> = label.iter().map(|&(h, _)| h).collect();
+                vertices.sort_unstable();
+                vertices.dedup();
+                assert_eq!(vertices.len(), label.len(), "label of {t} repeats a vertex");
+            }
         }
     }
 
@@ -186,7 +205,7 @@ mod tests {
         assert!(!targets.remove(5), "never inserted");
 
         let empty = targets.memory_bytes();
-        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
         let label = targets.label(&ch, 40, &mut buffer, &UNLIMITED, &mut counters).unwrap();
         let (filled, label_bytes) = (label.len(), std::mem::size_of_val(label));
         assert_eq!(counters.settled, filled as u64);
@@ -212,7 +231,7 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Distance);
         let ch = ContractionHierarchy::build(&g);
         let targets = ChTargetDirectory::build(&ch, &[17]);
-        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
         for t in [17, 18] {
             let starved = QueryBudget::new(None, 4, 1);
             assert!(targets.label(&ch, t, &mut buffer, &starved, &mut counters).is_none());
@@ -231,7 +250,7 @@ mod tests {
         let ch_small = ContractionHierarchy::build(&small.graph(EdgeWeightKind::Distance));
         let ch_big = ContractionHierarchy::build(&big.graph(EdgeWeightKind::Distance));
         let targets = ChTargetDirectory::build(&ch_small, &[1]);
-        let (mut buffer, mut counters) = (ChSearchSpace::new(), ChSearchCounters::default());
+        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
         let _ = targets.label(&ch_big, 1, &mut buffer, &UNLIMITED, &mut counters);
     }
 }

@@ -19,7 +19,7 @@ use crate::KnnResult;
 /// A point-to-point network-distance oracle usable by IER.
 ///
 /// `begin_query` is called once per kNN query with the query vertex, letting oracles
-/// with per-source state (MGtree materialization, cached CH search spaces) reset or
+/// with per-source state (MGtree materialization, the CH forward search) reset or
 /// pre-compute; `distance_within` is then called once per candidate object.
 pub trait DistanceOracle {
     /// Human-readable name used in experiment output ("Dijk", "PHL", "MGtree", ...).
@@ -50,7 +50,7 @@ pub struct OracleSearchStats {
     /// Priority-queue operations performed by oracle-internal searches.
     pub heap_operations: u64,
     /// Cells of a precomputed table swept: distance-matrix cells read by G-tree
-    /// assembly (MGtree), target-label entries scanned (CH).
+    /// assembly (MGtree), target-label entries read (CH).
     pub matrix_cells: u64,
 }
 
@@ -294,55 +294,47 @@ impl<'a> DistanceOracle for AStarOracle<'a> {
     }
 }
 
-/// Contraction Hierarchies oracle: one upward search per kNN query, one label scan
-/// per candidate. The forward (query-side) upward space is computed once per query
-/// (stall-pruned) and projected densely; a candidate's backward space depends on the
+/// Contraction Hierarchies oracle: one resumable upward search per kNN query, met
+/// against each candidate's label. A candidate's backward space depends on the
 /// hierarchy and the candidate only, so it is *read* from the object's label in the
 /// [`rnknn_ch::ChTargetDirectory`] — filled by the first query that meets the
-/// object — and scanned against the projection
-/// ([`rnknn_ch::ChSpaceProjection::meet_within`]). The space buffer and the
-/// projection are borrowed (the engine lends its pooled ones): the forward space is
-/// materialised into the buffer, projected, and the buffer is then free for label
-/// fills, so a query whose candidates all carry labels allocates nothing.
+/// object, in distance order — and the query's forward search settles only as far
+/// as that label's prefix below IER's running k-th distance needs
+/// ([`rnknn_ch::ChForwardSearch::distance_within`]). The forward search is borrowed
+/// (the engine lends its pooled one), so a query whose candidates all carry labels
+/// allocates nothing.
 #[derive(Debug)]
 pub struct ChOracle<'a> {
     ch: &'a rnknn_ch::ContractionHierarchy,
     targets: &'a rnknn_ch::ChTargetDirectory,
     source: Option<NodeId>,
-    space: &'a mut rnknn_ch::ChSearchSpace,
-    projection: &'a mut rnknn_ch::ChSpaceProjection,
+    search: &'a mut rnknn_ch::ChForwardSearch,
     budget: &'a QueryBudget,
     counters: rnknn_ch::ChSearchCounters,
-    /// Label entries swept against the projection.
-    scanned: u64,
 }
 
 impl<'a> ChOracle<'a> {
-    /// Creates the oracle over the object set's target directory, an upward-space
-    /// buffer and a dense projection. A target without a slot in `targets` is
-    /// still answered exactly — its space is materialised into the buffer on every
-    /// call instead of being kept.
+    /// Creates the oracle over the object set's target directory and a forward
+    /// search. A target without a slot in `targets` is still answered exactly —
+    /// its label is filled on every call instead of being kept.
     pub fn new(
         ch: &'a rnknn_ch::ContractionHierarchy,
         targets: &'a rnknn_ch::ChTargetDirectory,
-        space: &'a mut rnknn_ch::ChSearchSpace,
-        projection: &'a mut rnknn_ch::ChSpaceProjection,
+        search: &'a mut rnknn_ch::ChForwardSearch,
     ) -> Self {
         ChOracle {
             ch,
             targets,
             source: None,
-            space,
-            projection,
+            search,
             budget: &UNLIMITED,
             counters: rnknn_ch::ChSearchCounters::default(),
-            scanned: 0,
         }
     }
 
     /// Attaches a [`QueryBudget`] charged per settled vertex inside the forward
-    /// upward search and the label fills, and once per candidate with the number
-    /// of label entries scanned.
+    /// search and the label fills, and once per candidate with the number of label
+    /// entries read.
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
@@ -353,12 +345,7 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         "CH"
     }
     fn begin_query(&mut self, source: NodeId) {
-        // Stall-pruned forward space: dominated labels are recorded but not
-        // expanded, shrinking the space (and the projection fill) while meets
-        // stay exact.
-        let counters = self.ch.upward_search_space_stalled_into(source, self.space, self.budget);
-        self.counters.accumulate(counters);
-        self.projection.set_from(self.ch.num_vertices(), self.space);
+        self.search.begin(self.ch, source, &mut self.counters);
         self.source = Some(source);
     }
     fn distance_within(&mut self, source: NodeId, target: NodeId, bound: Weight) -> Weight {
@@ -368,22 +355,22 @@ impl<'a> DistanceOracle for ChOracle<'a> {
         if self.source != Some(source) {
             self.begin_query(source);
         }
-        // A budget-cut fill leaves no label: answer "not below the bound" and let
-        // the dispatch tail raise `DeadlineExceeded` from the latched budget.
-        let Some(label) =
-            self.targets.label(self.ch, target, self.space, self.budget, &mut self.counters)
-        else {
-            return bound;
-        };
-        self.scanned += label.len() as u64;
-        self.budget.charge(label.len() as u64);
-        self.projection.meet_within(label, bound)
+        // A budget cut answers "not below the bound" and the dispatch tail raises
+        // `DeadlineExceeded` from the latched budget.
+        self.search.distance_within(
+            self.ch,
+            self.targets,
+            target,
+            bound,
+            self.budget,
+            &mut self.counters,
+        )
     }
     fn search_stats(&self) -> OracleSearchStats {
         OracleSearchStats {
             nodes_expanded: self.counters.settled,
             heap_operations: self.counters.heap_pushes,
-            matrix_cells: self.scanned,
+            matrix_cells: self.counters.label_entries,
         }
     }
 }
@@ -494,7 +481,7 @@ impl DistanceOracle for rnknn_gtree::GtreeDistanceOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnknn_ch::{ChSearchSpace, ChSpaceProjection, ChTargetDirectory, ContractionHierarchy};
+    use rnknn_ch::{ChForwardSearch, ChTargetDirectory, ContractionHierarchy};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_gtree::{Gtree, GtreeConfig, GtreeDistanceOracle};
@@ -548,9 +535,12 @@ mod tests {
         check_oracle(&g, AStarOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
         let ch = ContractionHierarchy::build(&g);
         let targets = ChTargetDirectory::build(&ch, objects.vertices());
-        let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
-        let oracle = ChOracle::new(&ch, &targets, &mut space, &mut projection);
-        check_oracle(&g, oracle, &objects, &rtree);
+        check_oracle(
+            &g,
+            ChOracle::new(&ch, &targets, &mut ChForwardSearch::new()),
+            &objects,
+            &rtree,
+        );
         assert!(targets.filled_labels() > 0, "IER-CH answered without filling a label");
         let labels = HubLabels::build(&g).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
@@ -576,7 +566,7 @@ mod tests {
             let labels = HubLabels::build(&g).expect("within budget");
             let tnr = TransitNodeRouting::build(&g);
             let gtree = Gtree::build_with_config(&g, small_leaves());
-            let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+            let mut search = ChForwardSearch::new();
             let check = |oracle: &mut dyn DistanceOracle| {
                 for s in [3, n / 2] {
                     let truth = dijkstra::single_source(&g, s);
@@ -596,7 +586,7 @@ mod tests {
             };
             check(&mut DijkstraOracle::new(&g, &mut SearchScratch::new()));
             check(&mut AStarOracle::new(&g, &mut SearchScratch::new()));
-            check(&mut ChOracle::new(&ch, &targets, &mut space, &mut projection));
+            check(&mut ChOracle::new(&ch, &targets, &mut search));
             check(&mut PhlOracle::new(&labels));
             check(&mut TnrOracle::new(&tnr, &mut TnrSourceState::new()));
             check(&mut GtreeDistanceOracle::new(&gtree, &g, 0));

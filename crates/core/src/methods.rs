@@ -205,8 +205,7 @@ impl KnnAlgorithm for IerCh {
     ) -> Result<(), EngineError> {
         let ch = ctx.require_ch(self.method())?;
         let targets = ctx.require_ch_targets(self.method())?;
-        let mut oracle =
-            ChOracle::new(ch, targets, &mut scratch.ch_space, &mut scratch.ch_projection);
+        let mut oracle = ChOracle::new(ch, targets, &mut scratch.ch_search);
         oracle.set_budget(ctx.budget);
         ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())

@@ -1,7 +1,7 @@
 //! The engine's per-thread query scratch pool.
 //!
 //! Every kNN method needs per-query working state — heaps, distance/settled arrays,
-//! candidate buffers, oracle search spaces. Allocating it per query dominates the
+//! candidate buffers, oracle search state. Allocating it per query dominates the
 //! cost of short queries on large graphs, so [`EngineScratch`] keeps one instance of
 //! everything alive per thread: `Engine::execute` (on `&self`) borrows the calling
 //! thread's scratch from a `thread_local` pool and hands it to the dispatched
@@ -53,13 +53,11 @@ pub struct EngineScratch {
     pub(crate) expansion: SearchScratch,
     /// R-tree browse heap, shared by every IER variant and DB-ENN.
     pub(crate) browser: BrowserScratch,
-    /// IER-CH upward-space buffer: each query materialises its forward space into
-    /// it, projects it, and then reuses the same entries for any target label it
-    /// has to fill.
-    pub(crate) ch_space: rnknn_ch::ChSearchSpace,
-    /// Dense stamped projection of the query's forward space (one array load per
-    /// label entry in the candidate scan — affordable only because it is pooled).
-    pub(crate) ch_projection: rnknn_ch::ChSpaceProjection,
+    /// IER-CH's query side: the resumable forward search (stamped labels + heap,
+    /// paused between candidates), the stamped target table a candidate's label
+    /// prefix is projected into when the search has to be extended, and the buffer
+    /// a label not yet in the directory is filled into.
+    pub(crate) ch_search: rnknn_ch::ChForwardSearch,
     /// IER-TNR per-source state (stopped forward space, folded table row, backward
     /// space buffer).
     pub(crate) tnr: rnknn_tnr::TnrSourceState,

@@ -8,7 +8,7 @@
 //! "clearing" between searches is a single integer increment, and the table grows
 //! to the largest `n` seen and is then reused forever. It backs the visited set
 //! below (INE, ROAD, the Dijkstra/A* IER oracles and the G-tree leaf searches), the
-//! CH query labels and forward-space projection, and the G-tree materialization
+//! CH query labels and IER-CH's target table, and the G-tree materialization
 //! tags — one grow, one wrap branch, one place to test them. [`SearchScratch`]
 //! pairs the visited set with a heap (one pooled instance per thread, via the
 //! engine's scratch pool) and owns the label-setting step on the pair,

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use rnknn::ch::{ChSearchSpace, ChSpaceProjection, ChTargetDirectory};
+use rnknn::ch::{ChForwardSearch, ChTargetDirectory};
 use rnknn::gtree::GtreeDistanceOracle;
 use rnknn::ier::{
     AStarOracle, ChOracle, DijkstraOracle, DistanceOracle, IerSearch, PhlOracle, TnrOracle,
@@ -76,18 +76,12 @@ fn main() {
     // bounded by IER's running k-th candidate distance.
     let mut scratch = SearchScratch::new();
     let targets = ChTargetDirectory::build(&ch, objects.vertices());
-    let (mut space, mut projection) = (ChSearchSpace::new(), ChSpaceProjection::new());
+    let mut search = ChForwardSearch::new();
     let mut state = TnrSourceState::new();
     let rows = vec![
         time_oracle(&graph, DijkstraOracle::new(&graph, &mut scratch), &rtree, &queries, k),
         time_oracle(&graph, AStarOracle::new(&graph, &mut scratch), &rtree, &queries, k),
-        time_oracle(
-            &graph,
-            ChOracle::new(&ch, &targets, &mut space, &mut projection),
-            &rtree,
-            &queries,
-            k,
-        ),
+        time_oracle(&graph, ChOracle::new(&ch, &targets, &mut search), &rtree, &queries, k),
         time_oracle(&graph, TnrOracle::new(&tnr, &mut state), &rtree, &queries, k),
         time_oracle(&graph, GtreeDistanceOracle::new(&gtree, &graph, 0), &rtree, &queries, k),
         time_oracle(&graph, PhlOracle::new(&phl), &rtree, &queries, k),

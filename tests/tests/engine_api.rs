@@ -221,8 +221,8 @@ fn ch_targets(engine: &Engine) -> &rnknn::ch::ChTargetDirectory {
 }
 
 /// A label is published only by a fill that ran to completion: a starved pass over
-/// fresh indexes cuts every IER-CH query inside its forward space or a fill, leaves
-/// the directory empty, and the unbudgeted pass right after it is exact (and fills).
+/// fresh indexes cuts every IER-CH query inside a fill, leaves the directory empty,
+/// and the unbudgeted pass right after it is exact (and fills).
 #[test]
 fn a_budget_cut_fill_is_never_stored() {
     let mut engine = full_engine(900, 19);
@@ -244,6 +244,46 @@ fn a_budget_cut_fill_is_never_stored() {
         assert_eq!(engine.query(Method::IerCh, q, 6).unwrap().distances(), truth, "q={q}");
     }
     assert!(ch_targets(&engine).filled_labels() > 0);
+}
+
+/// A budget that runs out while IER-CH extends its forward search — every label the
+/// queries meet already filled, so no fill can be the step that is cut — gives
+/// `DeadlineExceeded`, never a wrong answer, and the unbudgeted query right after it
+/// is Dijkstra-exact. Step quotas are swept, so cuts land on every kind of charge; a
+/// cut at quota `L` refused a settle exactly when quota `L + 1` settles one more.
+#[test]
+fn a_budget_cut_forward_extension_is_deadline_exceeded_never_a_wrong_answer() {
+    let mut engine = full_engine(900, 19);
+    let objects = uniform(engine.graph(), 0.02, 6);
+    engine.set_objects(objects.clone());
+    let n = engine.graph().num_vertices() as NodeId;
+    let queries: Vec<NodeId> = (0..8u32).map(|i| (i * 389 + 2) % n).collect();
+    for &q in &queries {
+        engine.query(Method::IerCh, q, 6).unwrap();
+    }
+    let filled = ch_targets(&engine).filled_labels();
+    let mut out = QueryOutput::default();
+    let mut cuts_in_an_extension = 0;
+    for &q in &queries {
+        let truth: Vec<_> =
+            ground_truth(engine.graph(), q, 6, &objects).iter().map(|&(_, d)| d).collect();
+        let mut settled_at_cut = Vec::new();
+        for limit in 2..48u64 {
+            let starved = QueryBudget::new(None, limit, 1);
+            let request = QueryRequest::new(Method::IerCh, q, 6).with_budget(&starved);
+            match engine.execute(&request, &mut out) {
+                Ok(()) => assert_eq!(out.distances(), truth, "q={q} limit={limit}"),
+                Err(EngineError::DeadlineExceeded { partial }) => {
+                    settled_at_cut.push(partial.nodes_expanded)
+                }
+                Err(other) => panic!("q={q} limit={limit}: {other:?}"),
+            }
+            assert_eq!(engine.query(Method::IerCh, q, 6).unwrap().distances(), truth, "q={q}");
+        }
+        cuts_in_an_extension += settled_at_cut.windows(2).filter(|w| w[1] == w[0] + 1).count();
+    }
+    assert_eq!(ch_targets(&engine).filled_labels(), filled, "a starved query ran a fill");
+    assert!(cuts_in_an_extension > 0, "no quota cut a forward extension");
 }
 
 /// The write path never runs a CH search: building the indexes and applying 10 000
