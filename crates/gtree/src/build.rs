@@ -21,10 +21,11 @@ use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_partition::hierarchy::{sparsify, Hierarchy};
 use rnknn_pathfinding::dijkstra::LocalGraph;
 use rnknn_pathfinding::heap::MinHeap;
+use rnknn_persist::PVec;
 
 use crate::distmatrix::{narrow, Cell, DistanceMatrix, CELL_INFINITY};
 use crate::kernel::min_plus_into;
-use crate::tree::Gtree;
+use crate::tree::{child_min_offsets, child_min_rows, Gtree, NodeIndex};
 
 /// Configuration of G-tree construction.
 #[derive(Debug, Clone)]
@@ -194,13 +195,45 @@ impl Gtree {
             Hierarchy::build(graph, config.fanout, |_, len| len <= config.leaf_capacity);
         let border_positions = hierarchy.border_positions(&leaves);
         let matrices = vec![DistanceMatrix::new(0, 0, CELL_INFINITY); hierarchy.num_parts()];
-        let mut tree = Gtree { hierarchy, leaves, matrices, border_positions, config };
+        let child_min_offsets = child_min_offsets(&hierarchy);
+        let mut tree = Gtree {
+            hierarchy,
+            leaves,
+            matrices,
+            border_positions,
+            child_min: PVec::new(),
+            child_min_offsets,
+            config,
+        };
         let mut builder = Builder { graph, tree: &mut tree };
         builder.compute_matrices()?;
         if builder.tree.config.exact_refinement {
             builder.refine_matrices();
         }
+        tree.child_min = tree.compute_child_minima().into();
         Ok(tree)
+    }
+
+    /// The child-minimum table of the final matrices, node by node and child by
+    /// child (see [`child_min_rows`] for which matrix rows each node keeps).
+    fn compute_child_minima(&self) -> Vec<Cell> {
+        let hierarchy = &self.hierarchy;
+        let mut cells = Vec::with_capacity(*self.child_min_offsets.last().expect("n + 1 offsets"));
+        for i in 0..self.num_nodes() as NodeIndex {
+            let matrix = self.matrix(i);
+            let row = |r: usize| match hierarchy.parent(i) {
+                None => matrix.row(r),
+                Some(_) => matrix.row(self.border_positions(i)[r] as usize),
+            };
+            for &c in hierarchy.children(i) {
+                let base = hierarchy.base_in_parent(c);
+                let block = base..base + hierarchy.borders(c).len();
+                let least = |r| row(r)[block.clone()].iter().copied().min();
+                let column = (0..child_min_rows(hierarchy, i)).map(least);
+                cells.extend(column.map(|m| m.unwrap_or(CELL_INFINITY)));
+            }
+        }
+        cells
     }
 }
 

@@ -18,11 +18,14 @@
 //! the cells its matrix shape (borders × vertices, or child borders squared) needs.
 //! Nothing the search code uses as an index is taken from the file unchecked.
 //! Matrix *cells* are distances, used only arithmetically, and are covered by the
-//! arena checksum.
+//! arena checksum. So are the child-minimum table's cells (`GT.CMIN`), whose
+//! section length must equal the shape the hierarchy derives; they are not
+//! re-derived from the matrices on load, which would re-read every row they
+//! summarise.
 
 use crate::build::GtreeConfig;
 use crate::distmatrix::DistanceMatrix;
-use crate::tree::Gtree;
+use crate::tree::{child_min_offsets, Gtree};
 use rnknn_graph::Graph;
 use rnknn_partition::hierarchy::{Columns, Hierarchy, LeafLayout};
 use rnknn_persist::{Artifact, ArtifactWriter, Fingerprint, MetaWriter, PVec, PersistError, Tag};
@@ -35,6 +38,10 @@ pub const TAG_META: Tag = Tag::new(b"GT.META\0");
 pub const TAG_MATRIX_OFF: Tag = Tag::new(b"GT.MXOF\0");
 /// The single contiguous matrix arena (`u32` cells, row-major per node).
 pub const TAG_ARENA: Tag = Tag::new(b"GT.ARNA\0");
+/// The child-minimum table (`u32` cells, node by node; its shape follows from the
+/// hierarchy): per internal node and source border, the least cell of each child's
+/// column block.
+pub const TAG_CHILD_MIN: Tag = Tag::new(b"GT.CMIN\0");
 /// Hierarchy: the parent of every part, in preorder (`u32`, `u32::MAX` for the root).
 pub const TAG_PARENT: Tag = Tag::new(b"HI.PRNT\0");
 /// Hierarchy: the vertex count of every leaf, in preorder (`u32`).
@@ -124,6 +131,9 @@ pub fn save_gtree<W: Write + Seek>(
     for m in gtree.matrices() {
         writer.write_u32s(m.cells())?;
     }
+    writer.end_section()?;
+    writer.begin_section(TAG_CHILD_MIN)?;
+    writer.write_u32s(&gtree.child_min)?;
     writer.end_section()
 }
 
@@ -223,8 +233,27 @@ pub fn load_gtree(
         return Err(PersistError::corrupt("GT.MXOF", detail));
     }
 
+    // The child-minimum table: its shape follows from the hierarchy, its cells are
+    // distances like the arena's (derived from the matrices at build, not rescanned).
+    let child_min_offsets = child_min_offsets(&hierarchy);
+    let child_min = artifact.u32s(TAG_CHILD_MIN)?;
+    let want = child_min_offsets[num_nodes];
+    if child_min.len() != want {
+        let found = child_min.len();
+        let detail = format!("the tree's child-minimum table has {want} cells, found {found}");
+        return Err(PersistError::corrupt("GT.CMIN", detail));
+    }
+
     let border_positions = hierarchy.border_positions(&leaves);
-    Ok(Gtree { hierarchy, leaves, matrices, border_positions, config })
+    Ok(Gtree {
+        hierarchy,
+        leaves,
+        matrices,
+        border_positions,
+        child_min: PVec::from_view(child_min),
+        child_min_offsets,
+        config,
+    })
 }
 
 #[cfg(test)]
@@ -265,6 +294,10 @@ mod tests {
             assert_eq!(a.cells(), b.cells());
             assert!(a.is_view() && !b.is_view());
         }
+        // The child-minimum table, cell for cell, and a view as well.
+        assert_eq!(loaded.child_min_offsets, gtree.child_min_offsets);
+        assert_eq!(loaded.child_min.as_slice(), gtree.child_min.as_slice());
+        assert!(loaded.child_min.is_view() && !gtree.child_min.is_view());
         // `build_threads` shapes nothing and is not stored: the caller's comes back.
         assert_eq!(loaded.config().build_threads, config.build_threads);
         let threads = GtreeConfig { build_threads: 3, ..config };

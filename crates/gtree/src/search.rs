@@ -31,6 +31,17 @@
 //!   always `> B`), so results are unchanged; rows remember the bound they were
 //!   materialized under and are recomputed when a later caller needs them exact
 //!   (`row_bound` in [`SearchStore`]).
+//! * **Materialize on pop** — the kNN search assembles an off-path node's border
+//!   row only when it pops the node. The queue key of a popped node's child is
+//!   `min_i (d_i + T[i][c])` over the node's source borders `i`, read from the
+//!   tree's child-minimum table `T` (per source border, the least matrix cell of
+//!   each child's column block): one cell per border instead of a sweep of the
+//!   child's whole block, exact whenever it is `<= B` like every other value.
+//! * **Climb fill** — climbing from the on-path child to a node's own borders
+//!   sweeps the on-path child's full matrix rows into one buffer, and every other
+//!   child's border row is a block of that buffer: the climb copies each one out,
+//!   so a sibling's row (and key) costs no matrix read of its own. The kNN search
+//!   climbs before it enqueues siblings, and the IER-Gt oracle shares the path.
 //!
 //! Rows are mutated strictly in place (disjoint borrows via `get_disjoint_mut`
 //! instead of take-and-restore), so a panic mid-materialization can never leave a
@@ -99,6 +110,10 @@ struct SearchStore {
     /// kNN query, sorted ascending. Full at `k` entries, its maximum is the
     /// pruning bound `B` (see the module docs).
     knn_cand: Vec<Weight>,
+    /// Off-path nodes assembled by descending during the current kNN query, for
+    /// the materialize-on-pop assertion.
+    #[cfg(test)]
+    descended: Vec<NodeIndex>,
 }
 
 impl SearchStore {
@@ -123,23 +138,32 @@ thread_local! {
     static STORE_POOL: cell::Cell<Option<SearchStore>> = const { cell::Cell::new(None) };
 }
 
+/// Where the test-only fault injector can fire.
 #[cfg(test)]
-thread_local! {
-    /// Test-only fault injection: `Some(n)` makes the `n+1`-th materialization on
-    /// this thread panic mid-assembly (see the panic-safety regression test).
-    static FAIL_MATERIALIZE_AFTER: cell::Cell<Option<u32>> = const { cell::Cell::new(None) };
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// Entering the assembly of a row from matrix cells.
+    Assembly,
+    /// Entering a sibling's row fill inside a climb.
+    Fill,
 }
 
 #[cfg(test)]
-fn materialize_panic_tick() {
-    FAIL_MATERIALIZE_AFTER.with(|c| {
-        if let Some(n) = c.get() {
-            if n == 0 {
-                c.set(None);
-                panic!("injected materialization panic");
-            }
-            c.set(Some(n - 1));
+thread_local! {
+    /// Test-only fault injection: `Some((site, n))` makes the `n+1`-th pass through
+    /// `site` on this thread panic (see the panic-safety regression test).
+    static FAIL_AFTER: cell::Cell<Option<(Fault, u32)>> = const { cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+fn fault_tick(site: Fault) {
+    FAIL_AFTER.with(|c| match c.get() {
+        Some((armed, 0)) if armed == site => {
+            c.set(None);
+            panic!("injected {site:?} panic");
         }
+        Some((armed, n)) if armed == site => c.set(Some((armed, n - 1))),
+        _ => {}
     });
 }
 
@@ -148,16 +172,19 @@ fn materialize_panic_tick() {
 /// vectors were computed (and therefore reused by later traversals).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GtreeSearchStats {
-    /// Border-to-border matrix-cell combinations evaluated during assembly.
+    /// Border-to-border matrix-cell combinations evaluated during assembly, and
+    /// border-to-child combinations read from the child-minimum table for keys.
     pub border_computations: u64,
-    /// G-tree nodes whose border distances were materialized.
+    /// G-tree nodes whose border distances were assembled from matrix cells (a
+    /// sibling row a climb fills from its own sweep is not counted).
     pub materialized_nodes: u64,
     /// Priority-queue pushes performed by the kNN search.
     pub heap_pushes: u64,
     /// Vertices settled by leaf searches.
     pub leaf_vertices_settled: u64,
-    /// Distance-matrix cells read, counted in per-row batches (a contiguous row
-    /// sweep counts every cell it touches, a per-cell gather the cells it reads).
+    /// Distance-matrix and child-minimum-table cells read, counted in per-row
+    /// batches (a contiguous row sweep counts every cell it touches, a per-cell
+    /// gather the cells it reads).
     pub matrix_cells: u64,
 }
 
@@ -405,17 +432,14 @@ impl<'a> GtreeSearch<'a> {
     /// Under a finite `bound`, source borders beyond the bound are skipped and
     /// entries that come out above it are clamped to [`CELL_INFINITY`]; the bound is
     /// recorded in `row_bound` so a later request needing looser (or exact) values
-    /// rematerializes the row.
+    /// rematerializes the row (one materialized under a tighter bound is recomputed).
     fn ensure_border_distances(&mut self, t: NodeIndex, bound: Cell) {
         let ti = t as usize;
-        if let Some(rb) = self.store.row_bound.get(ti) {
-            if rb == CELL_INFINITY || bound <= rb {
-                return;
-            }
-            // Materialized under a tighter bound than requested: recompute below.
+        if row_serves(&self.store.row_bound, ti, bound) {
+            return;
         }
         #[cfg(test)]
-        materialize_panic_tick();
+        fault_tick(Fault::Assembly);
         let gtree = self.gtree;
         let hierarchy = gtree.hierarchy();
         // Charge the budget for the cells *this* frame touches: recursive
@@ -444,10 +468,8 @@ impl<'a> GtreeSearch<'a> {
             let base = hierarchy.base_in_parent(c);
             let nb = hierarchy.borders(t).len();
             let stats = &mut self.stats;
-            let wide = &mut self.store.wide;
-            let [out, src] = self
-                .store
-                .rows
+            let SearchStore { rows, row_bound: bounds, wide, .. } = &mut self.store;
+            let [out, src] = rows
                 .get_disjoint_mut([ti, c as usize])
                 .expect("a node is distinct from its on-path child");
             // The node's own borders sit at scattered matrix columns, so a
@@ -472,6 +494,21 @@ impl<'a> GtreeSearch<'a> {
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * width as u64;
             clamp_above(out, bound);
+            // Every other child's border row is its column block of `wide`, swept
+            // from the same source borders a descend into it would read: fill it.
+            for &s in hierarchy.children(t) {
+                if s == c || row_serves(bounds, s as usize, bound) {
+                    continue;
+                }
+                #[cfg(test)]
+                fault_tick(Fault::Fill);
+                let sb = hierarchy.base_in_parent(s);
+                let row = &mut rows[s as usize];
+                row.clear();
+                row.extend_from_slice(&wide[sb..sb + hierarchy.borders(s).len()]);
+                clamp_above(row, bound);
+                bounds.set(s as usize, bound);
+            }
         } else {
             // Descend: this node hangs off the path; go through its parent's matrix.
             let p = hierarchy
@@ -520,6 +557,8 @@ impl<'a> GtreeSearch<'a> {
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * nb as u64;
             clamp_above(out, bound);
+            #[cfg(test)]
+            self.store.descended.push(t);
         }
         self.budget.charge(self.stats.matrix_cells - cells_mark);
         self.stats.materialized_nodes += 1;
@@ -547,7 +586,9 @@ impl<'a> GtreeSearch<'a> {
     /// yields fewer than `k` results once the queue drains. Once `k` candidate
     /// distances are known, their maximum prunes both materialization (see
     /// `ensure_border_distances`) and enqueueing: objects and whole subtrees
-    /// provably beyond the k-th candidate are dropped without heap work.
+    /// provably beyond the k-th candidate are dropped without heap work. An
+    /// off-path node's row is assembled only when the node is popped (see the
+    /// module docs), so no node beyond the k-th answer is ever assembled.
     pub fn knn_into(
         &mut self,
         k: usize,
@@ -563,6 +604,8 @@ impl<'a> GtreeSearch<'a> {
         let root = gtree.root();
         self.store.queue.clear();
         self.store.knn_cand.clear();
+        #[cfg(test)]
+        self.store.descended.clear();
 
         if !occurrence.leaf_objects(self.source_leaf).is_empty() {
             match mode {
@@ -603,9 +646,9 @@ impl<'a> GtreeSearch<'a> {
                     result.push((v, d));
                 }
                 Element::Node(x) => {
+                    let b = self.knn_bound(k);
+                    self.ensure_border_distances(x, narrow_bound(b));
                     if gtree.hierarchy().is_leaf(x) {
-                        let b = self.knn_bound(k);
-                        self.ensure_border_distances(x, narrow_bound(b));
                         for &o in occurrence.leaf_objects(x) {
                             let b = self.knn_bound(k);
                             let dist = self.via_border_distance(x, o, b);
@@ -617,24 +660,78 @@ impl<'a> GtreeSearch<'a> {
                             self.note_candidate(dist, k);
                         }
                     } else {
-                        for &ci in occurrence.children_with_objects(x) {
-                            let c = gtree.hierarchy().children(x)[ci as usize];
-                            let b = self.knn_bound(k);
-                            let dist = self.min_border_distance_bounded(c, b);
-                            if dist == INFINITY || dist > b {
-                                continue; // unreachable or beyond the k-th candidate
-                            }
-                            self.store.queue.push(dist, Element::Node(c));
-                            self.stats.heap_pushes += 1;
-                        }
+                        self.push_children_by_table(x, x, b, occurrence);
                     }
                 }
             }
         }
+        #[cfg(test)]
+        self.assert_only_popped_nodes_descended(k, result);
+    }
+
+    /// Enqueues the object-bearing children of `p` (except `src`) under keys from
+    /// `p`'s child-minimum table, read against the border row of `src`: `p` itself,
+    /// or at the root the on-path child. A key is exact whenever it is `<= bound`:
+    /// the border the true minimum leaves through lies within the bound, so its row
+    /// entry is exact, and every other term is a real path length or the sentinel.
+    /// The pushes are therefore those a sweep of each child's block would make.
+    /// Pushing nodes leaves the kNN bound alone, so one `bound` serves every child.
+    fn push_children_by_table(
+        &mut self,
+        p: NodeIndex,
+        src: NodeIndex,
+        bound: Weight,
+        occurrence: &OccurrenceList,
+    ) {
+        let gtree = self.gtree;
+        let hierarchy = gtree.hierarchy();
+        let first_row = if src == p { 0 } else { hierarchy.base_in_parent(src) };
+        let dists = &self.store.rows[src as usize];
+        let mut cells = 0u64;
+        for &ci in occurrence.children_with_objects(p) {
+            let c = hierarchy.children(p)[ci as usize];
+            if c == src {
+                continue;
+            }
+            let minima =
+                &gtree.child_min_column(p, ci as usize)[first_row..first_row + dists.len()];
+            // Every term is at most `2 · CELL_INFINITY < 2^32`; the min never exceeds
+            // the sentinel it starts from.
+            let key = dists.iter().zip(minima).map(|(&d, &m)| d + m).fold(CELL_INFINITY, Cell::min);
+            cells += dists.len() as u64;
+            let dist = widen(key);
+            if dist == INFINITY || dist > bound {
+                continue; // unreachable or beyond the k-th candidate
+            }
+            self.store.queue.push(dist, Element::Node(c));
+            self.stats.heap_pushes += 1;
+        }
+        self.stats.border_computations += cells;
+        self.stats.matrix_cells += cells;
+        self.budget.charge(cells);
+    }
+
+    /// The waste materialize-on-pop removes, checked: when the query found `k`
+    /// answers unbudgeted, every off-path node it assembled by descending has a
+    /// least border distance (exact, since its row was built under a bound at least
+    /// the final k-th answer) no greater than the k-th answer.
+    #[cfg(test)]
+    fn assert_only_popped_nodes_descended(&self, k: usize, result: &[(NodeId, Weight)]) {
+        if result.len() < k || self.budget.is_exhausted() {
+            return;
+        }
+        let kth = result[k - 1].1;
+        for &x in &self.store.descended {
+            let least = self.store.rows[x as usize].iter().copied().min().map_or(INFINITY, widen);
+            assert!(least <= kth, "node {x} assembled at distance {least} > k-th answer {kth}");
+        }
     }
 
     /// Moves the traversal frontier one level up: enqueues the object-bearing siblings
-    /// of `tn` under its parent and returns the new `(Tn, Tmin)`.
+    /// of `tn` under its parent and returns the new `(Tn, Tmin)`. Below the root the
+    /// climb to the parent's borders comes first, because it fills every sibling's
+    /// row; the root has no borders to climb to, so its children are keyed from its
+    /// child-minimum table against `tn`'s borders.
     fn expand_tn(
         &mut self,
         tn: NodeIndex,
@@ -642,18 +739,22 @@ impl<'a> GtreeSearch<'a> {
         occurrence: &OccurrenceList,
     ) -> (NodeIndex, Weight) {
         let gtree = self.gtree;
-        let root = gtree.root();
         let parent = match gtree.hierarchy().parent(tn) {
             Some(p) => p,
             None => return (tn, INFINITY),
         };
+        let b = self.knn_bound(k);
+        if parent == gtree.root() {
+            self.push_children_by_table(parent, tn, b, occurrence);
+            return (parent, INFINITY);
+        }
+        let tmin = self.min_border_distance_bounded(parent, b);
         let children = gtree.hierarchy().children(parent);
         for &ci in occurrence.children_with_objects(parent) {
             let c = children[ci as usize];
             if c == tn {
                 continue;
             }
-            let b = self.knn_bound(k);
             let dist = self.min_border_distance_bounded(c, b);
             if dist == INFINITY || dist > b {
                 continue; // unreachable or beyond the k-th candidate
@@ -661,12 +762,6 @@ impl<'a> GtreeSearch<'a> {
             self.store.queue.push(dist, Element::Node(c));
             self.stats.heap_pushes += 1;
         }
-        let tmin = if parent == root {
-            INFINITY
-        } else {
-            let b = self.knn_bound(k);
-            self.min_border_distance_bounded(parent, b)
-        };
         (parent, tmin)
     }
 
@@ -822,6 +917,12 @@ impl<'a> GtreeSearch<'a> {
     }
 }
 
+/// Whether row `i` was materialized this search under a bound no tighter than
+/// `bound` (a narrowed bound, so [`CELL_INFINITY`] — "exact" — serves every caller).
+fn row_serves(row_bound: &Stamped<Cell>, i: usize, bound: Cell) -> bool {
+    row_bound.get(i).is_some_and(|rb| bound <= rb)
+}
+
 /// Clamps every entry above a finite pruning `bound` to "unreachable" (such an
 /// entry may be inflated — its best source border was skipped — and must never
 /// be read as a distance).
@@ -975,15 +1076,11 @@ mod tests {
     /// The input shapes the generator never produces but the loaders accept:
     /// zero-weight edges (distinct borders at distance zero, which must not drop each
     /// other's clique edges during composition), heavy ties, several components.
+    /// The kNN runs under both leaf searches, and under a `k` small enough that the
+    /// child-minimum keys prune and one large enough to reach every component.
     #[test]
     fn exact_on_zero_weights_ties_and_components() {
-        let cases = [
-            (zero_weight_grid(24), 16),
-            (zero_weight_grid(24), 32),
-            (unit_grids(24, 1), 16),
-            (unit_grids(9, 5), 16),
-        ];
-        for (case, (g, tau)) in cases.into_iter().enumerate() {
+        for (case, (g, tau)) in odd_shapes().into_iter().enumerate() {
             let config = GtreeConfig { leaf_capacity: tau, ..Default::default() };
             let tree = Gtree::build_with_config(&g, config);
             let n = g.num_vertices() as NodeId;
@@ -995,10 +1092,98 @@ mod tests {
                 for t in (0..n).step_by(3) {
                     assert_eq!(oracle.distance(t), truth[t as usize], "case {case}: {q}->{t}");
                 }
-                let mut search = GtreeSearch::new(&tree, &g, q);
-                let got: Vec<Weight> =
-                    search.knn(5, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
-                assert_eq!(got, brute_knn(&g, q, 5, &objects), "case {case}: kNN of {q}");
+                for (k, mode) in [(5, LeafSearchMode::Improved), (5, LeafSearchMode::Original)]
+                    .into_iter()
+                    .chain([(objects.len(), LeafSearchMode::Improved)])
+                {
+                    let mut search = GtreeSearch::new(&tree, &g, q);
+                    let got: Vec<Weight> =
+                        search.knn(k, &occ, mode).iter().map(|&(_, d)| d).collect();
+                    let want: Vec<Weight> = brute_knn(&g, q, k, &objects)
+                        .into_iter()
+                        .filter(|&d| d < INFINITY)
+                        .collect();
+                    assert_eq!(got, want, "case {case}: {k}-NN of {q} {mode:?}");
+                }
+            }
+        }
+    }
+
+    /// `(graph, leaf capacity)`: zero-weight edges, unit-weight ties, five components.
+    fn odd_shapes() -> [(Graph, usize); 4] {
+        [
+            (zero_weight_grid(24), 16),
+            (zero_weight_grid(24), 32),
+            (unit_grids(24, 1), 16),
+            (unit_grids(9, 5), 16),
+        ]
+    }
+
+    /// The least cell of row `r` of node `i`'s matrix over child `c`'s column block,
+    /// computed straight from the matrix.
+    fn block_minimum(tree: &Gtree, i: NodeIndex, r: usize, c: NodeIndex) -> Cell {
+        let h = tree.hierarchy();
+        let base = h.base_in_parent(c);
+        let block = &tree.matrix(i).row(r)[base..base + h.borders(c).len()];
+        block.iter().copied().min().unwrap_or(CELL_INFINITY)
+    }
+
+    /// Every child-minimum entry is its block's minimum: at the root for every
+    /// matrix row, elsewhere for the rows of the node's own borders.
+    fn assert_child_minima_match_matrices(tree: &Gtree) {
+        let h = tree.hierarchy();
+        for i in (0..tree.num_nodes() as NodeIndex).filter(|&i| !h.is_leaf(i)) {
+            let rows: Vec<usize> = if i == tree.root() {
+                (0..h.child_borders(i).len()).collect()
+            } else {
+                tree.border_positions(i).iter().map(|&p| p as usize).collect()
+            };
+            for (ci, &c) in h.children(i).iter().enumerate() {
+                let column = tree.child_min_column(i, ci);
+                assert_eq!(column.len(), rows.len(), "node {i} child {c}");
+                for (&entry, &r) in column.iter().zip(&rows) {
+                    assert_eq!(entry, block_minimum(tree, i, r, c), "node {i} row {r} child {c}");
+                }
+            }
+        }
+    }
+
+    /// On the built tree and on the tree loaded back from its artifact, whose table
+    /// is a view of the file.
+    #[test]
+    fn child_minima_are_block_minima_on_every_shape() {
+        use crate::persist::{load_gtree, save_gtree};
+        use rnknn_persist::{Artifact, ArtifactWriter};
+        let generated = setup(900, 8, 32);
+        for (g, tau) in odd_shapes().into_iter().chain([(generated.0, 32)]) {
+            let config = GtreeConfig { leaf_capacity: tau, ..Default::default() };
+            let built = Gtree::build_with_config(&g, config);
+            assert_child_minima_match_matrices(&built);
+            let mut writer = ArtifactWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+            save_gtree(&built, &mut writer).unwrap();
+            let artifact = Artifact::from_vec(writer.finish().unwrap().into_inner()).unwrap();
+            let loaded = load_gtree(&artifact, &g, None).unwrap();
+            assert!(loaded.child_min.is_view(), "the loaded table was copied");
+            assert_child_minima_match_matrices(&loaded);
+        }
+    }
+
+    /// Materialize-on-pop: over many sources, object densities and `k`, no kNN
+    /// query assembles an off-path node beyond its k-th answer (the assertion at
+    /// the end of `knn_into`, which every kNN test in this module also runs).
+    #[test]
+    fn knn_assembles_no_node_beyond_the_kth_answer() {
+        let (g, tree) = setup(1500, 44, 32);
+        let n = g.num_vertices() as NodeId;
+        for (modulus, k) in [(3u32, 10usize), (29, 10), (97, 3), (97, 20)] {
+            let objects: Vec<NodeId> = (0..n).filter(|v| v % modulus == 1).collect();
+            let occ = OccurrenceList::build(&tree, &objects);
+            for q in (0..n).step_by(37) {
+                for mode in [LeafSearchMode::Improved, LeafSearchMode::Original] {
+                    let got = GtreeSearch::new(&tree, &g, q).knn(k, &occ, mode);
+                    let got: Vec<Weight> = got.iter().map(|&(_, d)| d).collect();
+                    assert_eq!(got, brute_knn(&g, q, k, &objects), "q={q} k={k} {mode:?}");
+                }
             }
         }
     }
@@ -1235,34 +1420,37 @@ mod tests {
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 8 == 5).collect();
         let occ = OccurrenceList::build(&tree, &objects);
         let truth = dijkstra::single_source(&g, 11);
-
-        let mut search = GtreeSearch::new(&tree, &g, 11);
-        // Arm the injector so the third materialization of the next query panics
-        // mid-assembly, with ancestors' rows cleared but not yet tagged valid.
-        FAIL_MATERIALIZE_AFTER.with(|c| c.set(Some(2)));
         let far = (0..n).max_by_key(|&t| truth[t as usize].min(INFINITY - 1)).unwrap();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected backtrace
-        let outcome = catch_unwind(AssertUnwindSafe(|| search.distance_to(far)));
-        std::panic::set_hook(hook);
-        FAIL_MATERIALIZE_AFTER.with(|c| c.set(None));
-        assert!(outcome.is_err(), "the injected panic must fire (query too shallow?)");
 
-        // 1. The same search must keep answering exactly — the interrupted
-        //    materialization may not have left a half-built row marked valid.
-        for t in (0..n).step_by(43) {
-            assert_eq!(search.distance_to(t), truth[t as usize], "same-search 11->{t}");
+        // The third assembly of the next query panics with its ancestors' rows
+        // built but its own not yet tagged valid; the second sibling fill panics
+        // with one sibling filled and the climbing node itself not yet tagged.
+        for fault in [(Fault::Assembly, 2), (Fault::Fill, 1)] {
+            let mut search = GtreeSearch::new(&tree, &g, 11);
+            FAIL_AFTER.with(|c| c.set(Some(fault)));
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {})); // silence the expected backtrace
+            let outcome = catch_unwind(AssertUnwindSafe(|| search.distance_to(far)));
+            std::panic::set_hook(hook);
+            FAIL_AFTER.with(|c| c.set(None));
+            assert!(outcome.is_err(), "{fault:?}: the injected panic must fire (too shallow?)");
+
+            // 1. The same search must keep answering exactly — the interrupted
+            //    materialization may not have left a half-built row marked valid.
+            for t in (0..n).step_by(43) {
+                assert_eq!(search.distance_to(t), truth[t as usize], "{fault:?}: 11->{t}");
+            }
+            let got: Vec<Weight> =
+                search.knn(6, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
+            assert_eq!(got, brute_knn(&g, 11, 6, &objects), "{fault:?}: same-search kNN");
+
+            // 2. After dropping it, the pooled store a new search inherits must be
+            //    clean as well (this used to poison the thread-local pool).
+            drop(search);
+            let mut next = GtreeSearch::new(&tree, &g, 200 % n);
+            let got: Vec<Weight> =
+                next.knn(6, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
+            assert_eq!(got, brute_knn(&g, 200 % n, 6, &objects), "{fault:?}: post-drop kNN");
         }
-        let got: Vec<Weight> =
-            search.knn(6, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
-        assert_eq!(got, brute_knn(&g, 11, 6, &objects), "same-search kNN");
-
-        // 2. After dropping it, the pooled store a new search inherits must be
-        //    clean as well (this used to poison the thread-local pool).
-        drop(search);
-        let mut next = GtreeSearch::new(&tree, &g, 200 % n);
-        let got: Vec<Weight> =
-            next.knn(6, &occ, LeafSearchMode::Improved).iter().map(|&(_, d)| d).collect();
-        assert_eq!(got, brute_knn(&g, 200 % n, 6, &objects), "post-drop kNN");
     }
 }

@@ -3,9 +3,10 @@
 
 use rnknn_graph::NodeId;
 use rnknn_partition::hierarchy::{Hierarchy, LeafLayout};
+use rnknn_persist::PVec;
 
 use crate::build::GtreeConfig;
-use crate::distmatrix::DistanceMatrix;
+use crate::distmatrix::{Cell, DistanceMatrix};
 
 /// Index of a G-tree node: its part in [`Gtree::hierarchy`].
 pub type NodeIndex = u32;
@@ -28,7 +29,41 @@ pub struct Gtree {
     /// node's child borders (internal nodes) or leaf vertices (leaves) — the paper's
     /// "offset array".
     pub(crate) border_positions: Vec<u32>,
+    /// The child-minimum table, every internal node's block at
+    /// `child_min_offsets[i]..child_min_offsets[i + 1]`: per child, one column over
+    /// the source borders the kNN search reads the node from ([`child_min_rows`]),
+    /// holding the minimum of that border's matrix row over the child's column
+    /// block. A child's queue key is then one cell per source border instead of a
+    /// sweep of its whole block.
+    pub(crate) child_min: PVec<Cell>,
+    pub(crate) child_min_offsets: Vec<usize>,
     pub(crate) config: GtreeConfig,
+}
+
+/// The matrix rows node `i`'s child-minimum table covers: the root is read from
+/// the borders of whichever child holds the query (every child border, i.e. every
+/// matrix row), any other internal node from its own borders; a leaf has no table.
+/// Rows are in that order, so a source border's index is its table row (offset by
+/// the on-path child's [`Hierarchy::base_in_parent`] at the root).
+pub(crate) fn child_min_rows(hierarchy: &Hierarchy, i: NodeIndex) -> usize {
+    if hierarchy.is_leaf(i) {
+        0
+    } else if hierarchy.parent(i).is_none() {
+        hierarchy.child_borders(i).len()
+    } else {
+        hierarchy.borders(i).len()
+    }
+}
+
+/// Where every node's block of the child-minimum table starts (`num_nodes + 1`
+/// offsets, in cells): derived from the hierarchy, never stored.
+pub(crate) fn child_min_offsets(hierarchy: &Hierarchy) -> Vec<usize> {
+    let mut offsets = vec![0];
+    for i in 0..hierarchy.num_parts() as NodeIndex {
+        let cells = child_min_rows(hierarchy, i) * hierarchy.children(i).len();
+        offsets.push(offsets[i as usize] + cells);
+    }
+    offsets
 }
 
 impl Gtree {
@@ -68,6 +103,16 @@ impl Gtree {
     #[inline]
     pub fn border_positions(&self, i: NodeIndex) -> &[u32] {
         &self.border_positions[self.hierarchy.border_range(i)]
+    }
+
+    /// Column `ci` of internal node `i`'s child-minimum table: per table row (as
+    /// [`child_min_rows`] orders them), the least cell of that matrix row over the
+    /// column block of the node's `ci`-th child. A node's columns are stored one
+    /// after another, so a key scan reads one contiguous run.
+    #[inline]
+    pub(crate) fn child_min_column(&self, i: NodeIndex, ci: usize) -> &[Cell] {
+        let rows = child_min_rows(&self.hierarchy, i);
+        &self.child_min[self.child_min_offsets[i as usize] + ci * rows..][..rows]
     }
 
     /// The road-network vertices of leaf `i`, in matrix-column order.
@@ -122,5 +167,7 @@ impl Gtree {
             + self.border_positions.len() * 4
             + self.matrices.len() * std::mem::size_of::<DistanceMatrix>()
             + matrices
+            + self.child_min.len() * std::mem::size_of::<Cell>()
+            + self.child_min_offsets.len() * std::mem::size_of::<usize>()
     }
 }

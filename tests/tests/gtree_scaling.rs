@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId, Weight};
 use rnknn_gtree::{Gtree, GtreeConfig, LeafSearchMode, OccurrenceList};
+use rnknn_objects::uniform;
 use rnknn_pathfinding::dijkstra;
 
 /// Builds a G-tree with the paper's size-based configuration and checks kNN results
@@ -53,6 +54,35 @@ fn gtree_knn_matches_dijkstra_at_5k_on_both_weight_kinds() {
             assert!(elapsed < Duration::from_secs(3), "5k {kind:?} build took {elapsed:?}");
         }
     }
+}
+
+/// A work guard no box's speed can flip: the mean distance-matrix (and child-minimum
+/// table) cells one kNN query reads, on the benchmark's 23k network at density 0.01,
+/// k = 10, over a fixed query set. Queries that assemble a node's border row only
+/// when they pop it read 96 442; assembling every enqueued child's row to key it,
+/// and sweeping each sibling's row apart from the climb that already streams it,
+/// read 194 304. The ceiling sits between the two.
+#[test]
+fn gtree_knn_reads_at_most_150k_cells_per_query_at_23k() {
+    let g =
+        RoadNetwork::generate(&GeneratorConfig::new(20_000, 42)).graph(EdgeWeightKind::Distance);
+    let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
+    let objects = uniform(&g, 0.01, 42);
+    let occ = OccurrenceList::build(&tree, objects.vertices());
+    let n = g.num_vertices() as u64;
+    let queries: Vec<NodeId> = (0..200u64).map(|i| (i * 2_654_435_769 % n) as NodeId).collect();
+    let mut cells = 0;
+    for &q in &queries {
+        let mut search = rnknn_gtree::GtreeSearch::new(&tree, &g, q);
+        assert_eq!(search.knn(10, &occ, LeafSearchMode::Improved).len(), 10);
+        cells += search.stats.matrix_cells;
+    }
+    let mean = cells / queries.len() as u64;
+    println!("G-tree kNN at {n} vertices, d 0.01, k 10: {mean} matrix cells per query");
+    assert!(
+        mean < 150_000,
+        "{mean} matrix cells per query: is every enqueued child assembled again?"
+    );
 }
 
 // The 20k build is release-only: the point is the wall-clock regression guard, and in

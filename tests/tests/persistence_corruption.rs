@@ -236,12 +236,19 @@ const V3_HEADER: [u8; 48] = [
     0, 0, 0, 0, 0, 200, 98, 208, 171, 225, 189, 190, 93, 200, 100, 79, 136, 87, 202, 91, 14,
 ];
 
+/// The same artifact's header under format version 4 (the last commit without the
+/// `GT.CMIN` child-minimum table): 16 sections, table at 121 056 of 121 568 bytes.
+const V4_HEADER: [u8; 48] = [
+    82, 78, 75, 78, 73, 68, 88, 0, 4, 0, 0, 0, 16, 0, 0, 0, 224, 216, 1, 0, 0, 0, 0, 0, 224, 218,
+    1, 0, 0, 0, 0, 0, 51, 104, 174, 219, 233, 40, 101, 59, 212, 239, 146, 192, 176, 144, 20, 57,
+];
+
 /// The version gate must refuse a real older header by name before any section (or
 /// even the header's own length fields) is interpreted — alone, and in front of a
 /// current body.
 fn assert_refused_by_the_version_gate(header: [u8; 48], version: u32) {
     let supported = rnknn::persist_format::FORMAT_VERSION;
-    assert_eq!(supported, 4, "a format bump re-derives these fixtures' expectations");
+    assert_eq!(supported, 5, "a format bump re-derives these fixtures' expectations");
     let mut grafted = header.to_vec();
     grafted.extend_from_slice(&saved_engine_bytes()[header.len()..]);
     for (what, bytes) in [("bare header", header.to_vec()), ("grafted body", grafted)] {
@@ -266,6 +273,53 @@ fn a_real_version_2_header_fails_the_version_gate() {
 #[test]
 fn a_real_version_3_header_fails_the_version_gate() {
     assert_refused_by_the_version_gate(V3_HEADER, 3);
+}
+
+/// A version-4 artifact has no child-minimum table.
+#[test]
+fn a_real_version_4_header_fails_the_version_gate() {
+    assert_refused_by_the_version_gate(V4_HEADER, 4);
+}
+
+/// The artifact re-written section by section, `GT.CMIN` replaced by `table`:
+/// every checksum is the writer's own, so only the loader's shape check can object.
+fn with_child_min_table(bytes: &[u8], table: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    use rnknn::persist_format::{Artifact, ArtifactWriter};
+    let artifact = Artifact::from_vec(bytes.to_vec()).expect("pristine artifact");
+    let mut writer = ArtifactWriter::new(std::io::Cursor::new(Vec::new())).expect("writer");
+    for tag in artifact.tags() {
+        let data = artifact.section_bytes(tag).expect("listed section");
+        writer.begin_section(tag).expect("begin");
+        if tag == rnknn_gtree::persist::TAG_CHILD_MIN {
+            writer.write_bytes(&table(data)).expect("write");
+        } else {
+            writer.write_bytes(data).expect("write");
+        }
+        writer.end_section().expect("end");
+    }
+    writer.finish().expect("finish").into_inner()
+}
+
+/// A child-minimum table one cell short, one cell long, or emptied is refused by
+/// name, however well its checksums vouch for it.
+#[test]
+fn a_resized_child_minimum_table_is_refused_typed() {
+    let bytes = saved_engine_bytes();
+    let config = battery_config();
+    // Re-writing unchanged sections reproduces the artifact exactly.
+    assert_eq!(with_child_min_table(&bytes, |t| t.to_vec()), bytes);
+    for what in ["truncated", "extended", "emptied"] {
+        let resized = with_child_min_table(&bytes, |t| match what {
+            "truncated" => t[..t.len() - 4].to_vec(),
+            "extended" => [t, &[0; 4]].concat(),
+            _ => Vec::new(),
+        });
+        match Engine::load_indexes_from_vec(resized, &config) {
+            Err(PersistError::Corrupt { section, .. }) => assert_eq!(section, "GT.CMIN", "{what}"),
+            Err(other) => panic!("{what}: expected Corrupt GT.CMIN, got {other}"),
+            Ok(_) => panic!("{what}: a resized child-minimum table loaded"),
+        }
+    }
 }
 
 /// The "never a wrong answer" half of the contract: after the corruption

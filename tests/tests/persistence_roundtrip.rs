@@ -68,6 +68,13 @@ fn check_conformance(engine: &Engine, objects: &ObjectSet, queries: &[NodeId], k
     }
 }
 
+/// The bytes of an artifact's `GT.CMIN` (child-minimum table) section.
+fn child_min_section(bytes: &[u8]) -> Vec<u8> {
+    let artifact = rnknn::persist_format::Artifact::from_vec(bytes.to_vec()).expect("artifact");
+    let section = artifact.section_bytes(rnknn_gtree::persist::TAG_CHILD_MIN);
+    section.expect("GT.CMIN section").to_vec()
+}
+
 #[test]
 fn round_trip_is_byte_identical_and_conformant_across_sizes_and_weight_kinds() {
     for &size in &[300usize, 700, 1200] {
@@ -82,6 +89,11 @@ fn round_trip_is_byte_identical_and_conformant_across_sizes_and_weight_kinds() {
             // Field-for-field, cell-for-cell: re-serializing the loaded engine
             // must reproduce the artifact bit-for-bit.
             let again = loaded.save_indexes_to_vec().expect("re-save loaded engine");
+            // The child-minimum table first, so a lost or permuted table cell is
+            // named as such; then the whole file.
+            let table = child_min_section(&bytes);
+            assert!(!table.is_empty(), "no child-minimum table at size={size}");
+            assert_eq!(table, child_min_section(&again), "GT.CMIN differs at size={size}");
             assert_eq!(bytes, again, "re-serialized artifact differs at size={size} kind={kind:?}");
 
             // The loaded engine passes the same conformance gate a built one does.
@@ -154,6 +166,18 @@ fn loaded_matrices_are_views_into_an_arena_of_four_byte_cells() {
     let matrix_bytes: usize = loaded.matrices().iter().map(|m| m.memory_bytes()).sum();
     assert_eq!(matrix_bytes, 4 * cells);
     assert_eq!(loaded.memory_bytes(), built.memory_bytes());
+    // The child-minimum table: one 4-byte cell per (source border, child) of every
+    // internal node — every child border at the root, its own borders elsewhere.
+    let h = loaded.hierarchy();
+    let table_cells: usize = (0..loaded.num_nodes() as u32)
+        .filter(|&i| !h.is_leaf(i))
+        .map(|i| {
+            let rows = if i == loaded.root() { h.child_borders(i) } else { h.borders(i) };
+            rows.len() * h.children(i).len()
+        })
+        .sum();
+    let table = artifact.section_bytes(rnknn_gtree::persist::TAG_CHILD_MIN).expect("table section");
+    assert!(table_cells > 0 && table.len() == 4 * table_cells, "{} table bytes", table.len());
 }
 
 #[test]
