@@ -1059,44 +1059,55 @@ fn chain_optimisation(ctx: &mut Ctx) {
     ctx.emit(table);
 }
 
-/// Figure 22: improved vs original G-tree leaf search.
+/// Figure 22: improved vs original G-tree leaf search — per mode and `k`, the time
+/// per query beside the work behind it: source-leaf vertices settled and matrix cells
+/// read (the tree's and the leaf matrix's).
 fn leaf_search_study(ctx: &mut Ctx) {
     for preset in [DatasetPreset::NW, DatasetPreset::US] {
         let queries = ctx.testbed(preset, EdgeWeightKind::Distance).queries.clone();
         let graph = ctx.testbed(preset, EdgeWeightKind::Distance).graph().clone();
         let gtree = Gtree::build(&graph);
-        let mut table = Table::new(
-            &format!(
-                "Figure 22: G-tree leaf search improvement, varying density ({})",
-                preset.name()
-            ),
-            "density",
-            vec![
-                "k=1 before".into(),
-                "k=1 after".into(),
-                "k=10 before".into(),
-                "k=10 after".into(),
-            ],
-            "µs/query",
-        );
+        let series: Vec<String> = [1, 10]
+            .iter()
+            .flat_map(|k| ["before", "after"].map(|m| format!("k={k} {m}")))
+            .collect();
+        let mut tables =
+            ["µs/query", "leaf vertices settled/query", "matrix cells/query"].map(|unit| {
+                let name = preset.name();
+                let title = format!(
+                    "Figure 22: G-tree leaf search improvement, varying density ({name}): {unit}"
+                );
+                Table::new(&title, "density", series.clone(), unit)
+            });
         for &d in &defaults::DENSITY_SWEEP {
             let objects = uniform(&graph, d, 13);
             let occ = OccurrenceList::build(&gtree, objects.vertices());
-            let mut values = Vec::new();
+            let mut values: [Vec<f64>; 3] = Default::default();
             for k in [1usize, 10] {
                 for mode in [LeafSearchMode::Original, LeafSearchMode::Improved] {
+                    let (mut settled, mut cells) = (0, 0);
                     let start = Instant::now();
                     for &q in &queries {
-                        std::hint::black_box(
-                            GtreeSearch::new(&gtree, &graph, q).knn(k, &occ, mode),
-                        );
+                        let mut search = GtreeSearch::new(&gtree, &graph, q);
+                        std::hint::black_box(search.knn(k, &occ, mode));
+                        settled += search.stats.leaf_vertices_settled;
+                        cells += search.stats.matrix_cells;
                     }
-                    values.push(start.elapsed().as_micros() as f64 / queries.len() as f64);
+                    let micros = start.elapsed().as_micros() as f64;
+                    for (column, total) in
+                        values.iter_mut().zip([micros, settled as f64, cells as f64])
+                    {
+                        column.push(total / queries.len() as f64);
+                    }
                 }
             }
-            table.push(format!("{d}"), values);
+            for (table, row) in tables.iter_mut().zip(values) {
+                table.push(format!("{d}"), row);
+            }
         }
-        ctx.emit(table);
+        for table in tables {
+            ctx.emit(table);
+        }
     }
 }
 

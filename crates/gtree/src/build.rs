@@ -12,10 +12,10 @@
 //!   full graph; the per-row Dijkstras over the reduced border graph run on scoped
 //!   worker threads because upper levels hold few nodes but many rows.
 //!
-//! The top-down refinement pass (on by default) upgrades every matrix from
-//! subgraph-restricted to exact global distances using the parent's already-exact
-//! matrix as external shortcut edges (docs/ARCHITECTURE.md, "G-tree
-//! construction").
+//! The top-down refinement pass then upgrades every matrix from subgraph-restricted
+//! to exact global distances using the parent's already-exact matrix as external
+//! shortcut edges (docs/ARCHITECTURE.md, "G-tree construction"). It always runs:
+//! every query reads matrix cells as global distances.
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_partition::hierarchy::{sparsify, Hierarchy};
@@ -35,10 +35,6 @@ pub struct GtreeConfig {
     /// Leaf capacity `τ ≥ 1`: maximum number of vertices per leaf. The paper uses
     /// 64–512 depending on network size.
     pub leaf_capacity: usize,
-    /// When true (default) a top-down refinement pass upgrades every distance-matrix
-    /// entry from subgraph-restricted to exact global network distance
-    /// (docs/ARCHITECTURE.md, "G-tree construction").
-    pub exact_refinement: bool,
     /// Worker threads for matrix assembly (`0` = one per available core). Construction
     /// is deterministic regardless of the thread count.
     pub build_threads: usize,
@@ -46,7 +42,7 @@ pub struct GtreeConfig {
 
 impl Default for GtreeConfig {
     fn default() -> Self {
-        GtreeConfig { fanout: 4, leaf_capacity: 128, exact_refinement: true, build_threads: 0 }
+        GtreeConfig { fanout: 4, leaf_capacity: 128, build_threads: 0 }
     }
 }
 
@@ -207,9 +203,7 @@ impl Gtree {
         };
         let mut builder = Builder { graph, tree: &mut tree };
         builder.compute_matrices()?;
-        if builder.tree.config.exact_refinement {
-            builder.refine_matrices();
-        }
+        builder.refine_matrices();
         tree.child_min = tree.compute_child_minima().into();
         Ok(tree)
     }

@@ -13,11 +13,14 @@
 //! * [`OccurrenceList`] — the decoupled object index (Section 3.5).
 //! * [`GtreeSearch`] — materialized distance assembly, the kNN algorithm with the
 //!   improved leaf search of Appendix A.2.1 (the original leaf search is kept for the
-//!   Figure 22 ablation), and the `MGtree` point-to-point oracle used by IER-Gt.
+//!   Figure 22 ablation), and the `MGtree` point-to-point oracle used by IER-Gt. One
+//!   source-leaf search serves both: it seeds the leaf's borders at their distances
+//!   from the source instead of relaxing the paper's border-to-border shortcuts.
 //!
 //! Distance matrices are made globally exact by a top-down refinement pass after the
-//! usual bottom-up computation (see docs/ARCHITECTURE.md, "G-tree construction"), so
-//! every distance returned by this crate equals the Dijkstra distance.
+//! usual bottom-up computation (see docs/ARCHITECTURE.md, "G-tree construction"). It
+//! always runs — the queries and the leaf search's seeds read cells as global
+//! distances — so every distance returned by this crate equals the Dijkstra distance.
 
 // The only crate in the workspace allowed to contain `unsafe` (the SIMD
 // min-plus kernels in `kernel.rs`, shared by the build-side refinement sweep

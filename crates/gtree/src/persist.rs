@@ -56,17 +56,22 @@ impl GtreeConfig {
     /// deterministic regardless of the worker count (a documented invariant,
     /// tested by `build_determinism`), so a tree built with 8 threads is
     /// byte-identical to one built with 1 and must load under either setting.
-    /// Everything else — fanout, leaf capacity, refinement — changes the tree
-    /// and therefore the fingerprint.
+    /// Everything else — fanout, leaf capacity — changes the tree and therefore
+    /// the fingerprint. The last input is the refinement flag every tree carries
+    /// (always `true`), which keeps the fingerprints of saved artifacts valid.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.push_str("GtreeConfig")
             .push_usize(self.fanout)
             .push_usize(self.leaf_capacity)
-            .push_bool(self.exact_refinement);
+            .push_bool(REFINED);
         fp.finish()
     }
 }
+
+/// The `GT.META` word saying the matrices hold exact global distances. Every build
+/// refines; a tree recording `false` would answer wrong, so a load refuses it.
+const REFINED: bool = true;
 
 /// Writes a hierarchy's `HI.*` sections into an open artifact.
 pub fn save_hierarchy<W: Write + Seek>(
@@ -108,7 +113,7 @@ pub fn save_gtree<W: Write + Seek>(
     let mut meta = MetaWriter::new();
     meta.usize(config.fanout)
         .usize(config.leaf_capacity)
-        .bool(config.exact_refinement)
+        .bool(REFINED)
         .u64(config.fingerprint())
         .usize(gtree.num_nodes())
         .usize(gtree.hierarchy.num_vertices(gtree.root()) as usize);
@@ -157,9 +162,12 @@ pub fn load_gtree(
     let config = GtreeConfig {
         fanout: meta.usize()?,
         leaf_capacity: meta.usize()?,
-        exact_refinement: meta.bool()?,
         build_threads: expected_config.map_or(0, |c| c.build_threads),
     };
+    if meta.bool()? != REFINED {
+        let detail = "the tree's matrices were never refined to global distances; rebuild it";
+        return Err(PersistError::corrupt("GT.META", detail));
+    }
     let stored_fingerprint = meta.u64()?;
     let num_nodes = meta.usize()?;
     let num_vertices = meta.usize()?;
@@ -331,7 +339,6 @@ mod tests {
         let variants: Vec<GtreeConfig> = vec![
             GtreeConfig { fanout: 5, ..GtreeConfig::default() },
             GtreeConfig { leaf_capacity: 129, ..GtreeConfig::default() },
-            GtreeConfig { exact_refinement: false, ..GtreeConfig::default() },
         ];
         let mut seen = vec![base];
         for v in &variants {

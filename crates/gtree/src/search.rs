@@ -1,12 +1,11 @@
 //! G-tree queries: materialized distance assembly, the kNN algorithm (with both leaf
 //! searches) and the MGtree point-to-point oracle.
 //!
-//! All per-query state is pooled. Leaf-confined Dijkstras run on a thread-local
-//! [`SearchScratch`] — the same stamped distance/settled tables and heap every
-//! other expansion search uses, so "clearing" between queries is one stamp bump
-//! instead of an O(τ) wipe. The materialization
-//! store itself (per-node border-distance rows, the within-leaf distance cache and
-//! the kNN traversal queue) lives in a thread-local [`SearchStore`] pool:
+//! All per-query state is pooled in a thread-local [`SearchStore`]: per-node
+//! border-distance rows, the kNN traversal queue and the source-leaf search, which
+//! runs on a [`SearchScratch`] — the same stamped distance/settled tables and heap
+//! every other expansion search uses, so "clearing" between queries is one stamp
+//! bump instead of an O(τ) wipe.
 //! [`GtreeSearch::new`] takes the store from the pool and `Drop` returns it, so the
 //! steady-state kNN query performs **zero heap allocations** — materializing a node
 //! reuses that node's row buffer from earlier queries, keyed by a query stamp
@@ -14,8 +13,7 @@
 //! search for a new source (one stamp bump), which is how the IER-Gt oracle hops
 //! between sources without touching the allocator.
 //!
-//! Two query-side optimisations ride on the materialization sweep (see
-//! `docs/METHODS.md` "Query performance"):
+//! The query-side optimisations (see `docs/METHODS.md` "Query performance"):
 //!
 //! * **SIMD min-plus assembly** — the row-major sweep `dist[b] = min(dist[b],
 //!   src[a] + M[a][b])` over the contiguous matrix arena dispatches to the shared
@@ -42,13 +40,23 @@
 //!   child's border row is a block of that buffer: the climb copies each one out,
 //!   so a sibling's row (and key) costs no matrix read of its own. The kNN search
 //!   climbs before it enqueues siblings, and the IER-Gt oracle shares the path.
+//! * **Seeded leaf search** — one Dijkstra over the source leaf serves the kNN
+//!   query and the oracle's same-leaf distances. It starts at the source (0) and at
+//!   every border `b` of the leaf at `d(q, b)`, the source's column of the leaf
+//!   matrix (the leaf's own border row), and relaxes only edges inside the leaf.
+//!   The refined leaf matrix holds global distances, and a shortest path to a leaf
+//!   vertex enters the leaf for the last time at a border, so every vertex settles
+//!   at its global distance: `nb` seeds stand in for the `nb²` border-to-border
+//!   shortcuts of the paper's Algorithm 4. The kNN query stops it at the leaf's
+//!   last wanted object; the oracle resumes it only until its target settles or
+//!   the frontier passes its bound.
 //!
 //! Rows are mutated strictly in place (disjoint borrows via `get_disjoint_mut`
 //! instead of take-and-restore), so a panic mid-materialization can never leave a
 //! row emptied-but-marked-valid: the interrupted node's stamp is simply never
 //! set, and the next query rematerializes it.
 
-use std::cell::{self, RefCell};
+use std::cell;
 
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_pathfinding::budget::{QueryBudget, UNLIMITED};
@@ -59,28 +67,6 @@ use crate::distmatrix::{narrow_bound, widen, Cell, CELL_INFINITY};
 use crate::kernel;
 use crate::occurrence::OccurrenceList;
 use crate::tree::{Gtree, NodeIndex};
-
-/// Reusable per-thread state for leaf-confined Dijkstras, indexed by leaf position:
-/// the tables grow to the largest leaf seen by this thread and are then reused by
-/// every query on it.
-#[derive(Default)]
-struct LeafScratch {
-    search: SearchScratch,
-    /// Border row of each leaf position (improved leaf search only).
-    border_row: Stamped<u32>,
-}
-
-impl LeafScratch {
-    /// Starts a new search over a leaf of `n` vertices.
-    fn begin(&mut self, n: usize) {
-        self.search.begin(n);
-        self.border_row.begin(n);
-    }
-}
-
-thread_local! {
-    static LEAF_SCRATCH: RefCell<LeafScratch> = RefCell::new(LeafScratch::default());
-}
 
 /// Reusable per-search materialization state, pooled per thread. Border-distance
 /// rows are validated by a stamp: a row with no `row_bound` entry this search is
@@ -96,10 +82,13 @@ struct SearchStore {
     /// caller that needs the row under a looser bound must rematerialize it; see
     /// [`GtreeSearch::ensure_border_distances`].
     row_bound: Stamped<Cell>,
-    /// Within-leaf distances from the source to every vertex of its own leaf.
-    same_leaf: Vec<Weight>,
-    /// True once `same_leaf` was filled this search.
-    same_leaf_valid: bool,
+    /// The source-leaf search, over leaf positions (see the module docs).
+    leaf: SearchScratch,
+    /// True while `leaf` holds a seeded search with every label exact or
+    /// tentative, which a same-leaf distance may resume. Cleared when a search
+    /// begins and while one advances, so neither an unseeded (`Original`) search
+    /// nor one a panic interrupted is ever resumed.
+    leaf_resumable: bool,
     /// The kNN traversal queue.
     queue: MinHeap<Element>,
     /// Full-matrix-width scratch for the climb-case SIMD sweep (the node's own
@@ -125,7 +114,7 @@ impl SearchStore {
             self.rows.resize_with(n, Vec::new);
         }
         self.row_bound.begin(n);
-        self.same_leaf_valid = false;
+        self.leaf_resumable = false;
         self.queue.clear();
         self.knn_cand.clear();
     }
@@ -146,6 +135,8 @@ enum Fault {
     Assembly,
     /// Entering a sibling's row fill inside a climb.
     Fill,
+    /// Between settling a source-leaf vertex and relaxing its edges.
+    Leaf,
 }
 
 #[cfg(test)]
@@ -192,8 +183,10 @@ pub struct GtreeSearchStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafSearchMode {
     /// The improved leaf search of Appendix A.2.1 (default): a single Dijkstra over the
-    /// leaf subgraph augmented with exact border-to-border shortcuts, stopping after `k`
-    /// objects.
+    /// leaf subgraph that reaches every leaf vertex at its global distance, stopping at
+    /// the leaf's `min(k, objects)`-th object. Where the paper relaxes exact
+    /// border-to-border shortcuts, this search starts every border at its distance from
+    /// the source (see the module docs).
     Improved,
     /// The original G-tree leaf search: settle every leaf object with a restricted
     /// Dijkstra, then additionally evaluate the path through the borders for each.
@@ -307,11 +300,36 @@ impl<'a> GtreeSearch<'a> {
         }
         let target_leaf = self.gtree.leaf_of(target);
         if target_leaf == self.source_leaf {
-            let inside = self.same_leaf_distance(target);
-            let via = self.via_border_distance(target_leaf, target, bound);
-            return inside.min(via);
+            return self.same_leaf_distance(target, bound);
         }
         self.via_border_distance(target_leaf, target, bound)
+    }
+
+    /// The distance to a vertex of the source's own leaf under the
+    /// [`GtreeSearch::distance_to_within`] contract: the seeded leaf search, resumed
+    /// until `target` settles or the frontier passes `bound`. In the second case the
+    /// target's tentative label is a real path length, so it is never below the true
+    /// distance, and the true distance is at least the frontier, above `bound`.
+    fn same_leaf_distance(&mut self, target: NodeId, bound: Weight) -> Weight {
+        if !self.store.leaf_resumable {
+            self.begin_leaf_search(true);
+        }
+        self.store.leaf_resumable = false;
+        let pos = self.gtree.position_in_leaf(target);
+        loop {
+            let leaf = &self.store.leaf;
+            if leaf.visited.is_settled(pos) || leaf.heap.peek_key().is_none_or(|d| d > bound) {
+                break;
+            }
+            if self.settle_leaf_vertex().is_none() {
+                break;
+            }
+        }
+        if self.budget.is_exhausted() {
+            return INFINITY;
+        }
+        self.store.leaf_resumable = true;
+        self.store.leaf.visited.dist(pos)
     }
 
     /// `min_b dist(source, b) + matrix(b, target)` over the borders of `leaf`.
@@ -339,49 +357,6 @@ impl<'a> GtreeSearch<'a> {
         self.stats.border_computations += combinations;
         self.stats.matrix_cells += combinations;
         best
-    }
-
-    /// Distance from the source to `target` using only vertices of the source's leaf.
-    fn same_leaf_distance(&mut self, target: NodeId) -> Weight {
-        if !self.store.same_leaf_valid {
-            let gtree = self.gtree;
-            let graph = self.graph;
-            let source = self.source;
-            let source_leaf = self.source_leaf;
-            let vertices = gtree.leaf_vertices(source_leaf);
-            let nv = vertices.len();
-            let store = &mut self.store;
-            store.same_leaf.clear();
-            LEAF_SCRATCH.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                scratch.begin(nv);
-                let SearchScratch { heap, visited } = &mut scratch.search;
-                let qpos = gtree.position_in_leaf(source);
-                visited.set_dist(qpos, 0);
-                heap.push(0, qpos);
-                while let Some((d, p)) = heap.pop() {
-                    if !visited.settle(p) {
-                        continue;
-                    }
-                    let v = vertices[p as usize];
-                    for (t, w) in graph.neighbors(v) {
-                        if gtree.leaf_of(t) != source_leaf {
-                            continue;
-                        }
-                        let tp = gtree.position_in_leaf(t);
-                        let nd = d + w;
-                        if nd < visited.dist(tp) {
-                            visited.set_dist(tp, nd);
-                            heap.push(nd, tp);
-                        }
-                    }
-                }
-                store.same_leaf.extend((0..nv as u32).map(|p| visited.dist(p)));
-            });
-            store.same_leaf_valid = true;
-        }
-        let pos = self.gtree.position_in_leaf(target) as usize;
-        self.store.same_leaf[pos]
     }
 
     /// Minimum distance from the source to any border of `node` (the priority-queue
@@ -765,148 +740,112 @@ impl<'a> GtreeSearch<'a> {
         (parent, tmin)
     }
 
-    /// Improved leaf search (Appendix A.2.1, Algorithm 4): a Dijkstra over the source
-    /// leaf's subgraph augmented with exact border-to-border shortcuts. Objects settled
-    /// before any border are global kNNs and go straight into `result`; later objects
-    /// are enqueued with their exact distances.
+    /// Starts the source-leaf search at the source (0) and, when `seeded`, at every
+    /// border of the leaf at its distance from the source: the leaf's own border
+    /// row, exact and gathered from the leaf matrix. Returns the least border seed
+    /// ([`INFINITY`] without seeds): a leaf object settled below it is closer than
+    /// anything outside the leaf.
+    fn begin_leaf_search(&mut self, seeded: bool) -> Weight {
+        let gtree = self.gtree;
+        let leaf = self.source_leaf;
+        if seeded {
+            self.ensure_border_distances(leaf, CELL_INFINITY);
+        }
+        let SearchStore { rows, leaf: search, leaf_resumable, .. } = &mut self.store;
+        *leaf_resumable = false;
+        search.begin(gtree.leaf_vertices(leaf).len());
+        search.relax(gtree.position_in_leaf(self.source), 0);
+        let mut least_seed = INFINITY;
+        if seeded {
+            for (&d, &pos) in rows[leaf as usize].iter().zip(gtree.border_positions(leaf)) {
+                if d != CELL_INFINITY {
+                    search.relax(pos, widen(d));
+                    least_seed = least_seed.min(widen(d));
+                }
+            }
+        }
+        least_seed
+    }
+
+    /// Settles the next vertex of the source-leaf search and relaxes its edges
+    /// inside the leaf: `(vertex, distance)`, or `None` once the search is drained
+    /// or the budget (one step per settle) runs out, leaving the vertex queued.
+    fn settle_leaf_vertex(&mut self) -> Option<(NodeId, Weight)> {
+        let gtree = self.gtree;
+        let leaf = self.source_leaf;
+        let search = &mut self.store.leaf;
+        loop {
+            let (d, p) = search.heap.pop()?;
+            if search.visited.is_settled(p) {
+                continue;
+            }
+            if !self.budget.charge(1) {
+                search.heap.push(d, p);
+                return None;
+            }
+            search.visited.settle(p);
+            self.stats.leaf_vertices_settled += 1;
+            #[cfg(test)]
+            fault_tick(Fault::Leaf);
+            let v = gtree.leaf_vertices(leaf)[p as usize];
+            for (t, w) in self.graph.neighbors(v) {
+                if gtree.leaf_of(t) == leaf {
+                    search.relax(gtree.position_in_leaf(t), d + w);
+                }
+            }
+            return Some((v, d));
+        }
+    }
+
+    /// Improved leaf search (Appendix A.2.1, Algorithm 4, with border seeds for its
+    /// border shortcuts): the seeded leaf search, run until the leaf's
+    /// `min(k, objects)`-th object settles. An object below the least seed is a
+    /// global nearest neighbor and goes straight into `result`; a later one is
+    /// enqueued with its (exact) distance.
     fn improved_leaf_search(
         &mut self,
         k: usize,
         occurrence: &OccurrenceList,
         result: &mut Vec<(NodeId, Weight)>,
     ) {
-        let gtree = self.gtree;
         let leaf = self.source_leaf;
-        let (vertices, matrix) = (gtree.leaf_vertices(leaf), gtree.matrix(leaf));
-        let border_positions = gtree.border_positions(leaf);
-        let nv = vertices.len();
-        LEAF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(nv);
-            let LeafScratch { search: SearchScratch { heap, visited }, border_row } = scratch;
-            // border_row[pos] = row of the border located at leaf position `pos`.
-            for (row, &pos) in border_positions.iter().enumerate() {
-                border_row.set(pos as usize, row as u32);
+        let least_seed = self.begin_leaf_search(true);
+        let mut wanted = k.min(occurrence.leaf_objects(leaf).len());
+        while wanted > 0 {
+            let Some((v, d)) = self.settle_leaf_vertex() else { break };
+            if occurrence.is_object_in_leaf(leaf, v) {
+                wanted -= 1;
+                if d < least_seed {
+                    result.push((v, d));
+                } else {
+                    self.store.queue.push(d, Element::Object(v));
+                    self.stats.heap_pushes += 1;
+                }
+                self.note_candidate(d, k);
             }
-            let qpos = gtree.position_in_leaf(self.source);
-            visited.set_dist(qpos, 0);
-            heap.push(0, qpos);
-            let mut targets_found = 0usize;
-            let mut border_found = false;
-            while let Some((d, p)) = heap.pop() {
-                if result.len() >= k || targets_found >= k {
-                    break;
-                }
-                if !visited.settle(p) {
-                    continue;
-                }
-                self.stats.leaf_vertices_settled += 1;
-                if !self.budget.charge(1) {
-                    break;
-                }
-                let v = vertices[p as usize];
-                if occurrence.is_object_in_leaf(leaf, v) {
-                    targets_found += 1;
-                    if !border_found {
-                        result.push((v, d));
-                    } else {
-                        self.store.queue.push(d, Element::Object(v));
-                        self.stats.heap_pushes += 1;
-                    }
-                    self.note_candidate(d, k);
-                }
-                // Relax ordinary leaf edges.
-                for (t, w) in self.graph.neighbors(v) {
-                    if gtree.leaf_of(t) != leaf {
-                        continue;
-                    }
-                    let tp = gtree.position_in_leaf(t);
-                    if visited.is_settled(tp) {
-                        continue;
-                    }
-                    let nd = d + w;
-                    if nd < visited.dist(tp) {
-                        visited.set_dist(tp, nd);
-                        heap.push(nd, tp);
-                    }
-                }
-                // Relax border-to-border shortcuts when standing on a border.
-                if let Some(row) = border_row.get(p as usize) {
-                    border_found = true;
-                    for (orow, &opos) in border_positions.iter().enumerate() {
-                        if orow as u32 == row || visited.is_settled(opos) {
-                            continue;
-                        }
-                        let w = matrix.get(row as usize, opos as usize);
-                        self.stats.border_computations += 1;
-                        self.stats.matrix_cells += 1;
-                        if w == CELL_INFINITY {
-                            continue;
-                        }
-                        let nd = d + w as Weight;
-                        if nd < visited.dist(opos) {
-                            visited.set_dist(opos, nd);
-                            heap.push(nd, opos);
-                        }
-                    }
-                }
-            }
-        });
+        }
+        self.store.leaf_resumable = true;
     }
 
-    /// The original G-tree leaf search: settle every leaf object with a Dijkstra
-    /// restricted to the leaf, additionally evaluate the path through the borders for
-    /// each object, and enqueue everything (nothing goes straight to the result).
+    /// The original G-tree leaf search: settle every leaf object with the leaf
+    /// search unseeded (restricted to the leaf), additionally evaluate the path
+    /// through the borders for each object, and enqueue everything (nothing goes
+    /// straight to the result).
     fn original_leaf_search(&mut self, k: usize, occurrence: &OccurrenceList) {
-        let gtree = self.gtree;
         let leaf = self.source_leaf;
-        let vertices = gtree.leaf_vertices(leaf);
-        let objects = occurrence.leaf_objects(leaf).to_vec();
-        let nv = vertices.len();
-        let inside_dists: Vec<Weight> = LEAF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.begin(nv);
-            let SearchScratch { heap, visited } = &mut scratch.search;
-            let qpos = gtree.position_in_leaf(self.source);
-            visited.set_dist(qpos, 0);
-            heap.push(0, qpos);
-            let mut remaining = objects.len();
-            while let Some((d, p)) = heap.pop() {
-                if remaining == 0 {
-                    break;
-                }
-                if !visited.settle(p) {
-                    continue;
-                }
-                self.stats.leaf_vertices_settled += 1;
-                if !self.budget.charge(1) {
-                    break;
-                }
-                let v = vertices[p as usize];
-                if occurrence.is_object_in_leaf(leaf, v) {
-                    remaining -= 1;
-                }
-                for (t, w) in self.graph.neighbors(v) {
-                    if gtree.leaf_of(t) != leaf {
-                        continue;
-                    }
-                    let tp = gtree.position_in_leaf(t);
-                    if visited.is_settled(tp) {
-                        continue;
-                    }
-                    let nd = d + w;
-                    if nd < visited.dist(tp) {
-                        visited.set_dist(tp, nd);
-                        heap.push(nd, tp);
-                    }
-                }
+        let objects = occurrence.leaf_objects(leaf);
+        self.begin_leaf_search(false);
+        let mut remaining = objects.len();
+        while remaining > 0 {
+            let Some((v, _)) = self.settle_leaf_vertex() else { break };
+            if occurrence.is_object_in_leaf(leaf, v) {
+                remaining -= 1;
             }
-            objects.iter().map(|&o| visited.dist(gtree.position_in_leaf(o))).collect()
-        });
-        for (&o, &inside) in objects.iter().zip(&inside_dists) {
+        }
+        for &o in objects {
+            let inside = self.store.leaf.visited.dist(self.gtree.position_in_leaf(o));
             let b = self.knn_bound(k);
-            let via = self.via_border_distance(leaf, o, b);
-            let dist = inside.min(via);
+            let dist = inside.min(self.via_border_distance(leaf, o, b));
             if dist == INFINITY || dist > b {
                 continue; // unreachable or beyond the k-th candidate
             }
@@ -1104,6 +1043,62 @@ mod tests {
                         .filter(|&d| d < INFINITY)
                         .collect();
                     assert_eq!(got, want, "case {case}: {k}-NN of {q} {mode:?}");
+                }
+            }
+        }
+    }
+
+    /// The oracle's same-leaf distances come from the one resumable leaf search: every
+    /// vertex of the source's leaf, asked in shuffled order under bounds 0, mid and
+    /// `INFINITY` interleaved with exact calls, on every odd shape, from a source that
+    /// is a border and one that is not — after no kNN query, after an `Original` one
+    /// (whose unseeded search must not be resumed) and after an `Improved` one.
+    #[test]
+    fn same_leaf_distances_honor_the_oracle_contract_in_any_order() {
+        let generated = setup(900, 8, 32);
+        for (case, (g, tau)) in odd_shapes().into_iter().chain([(generated.0, 32)]).enumerate() {
+            let config = GtreeConfig { leaf_capacity: tau, ..Default::default() };
+            let tree = Gtree::build_with_config(&g, config);
+            let n = g.num_vertices() as NodeId;
+            let is_border = |v| tree.hierarchy().borders(tree.leaf_of(v)).contains(&v);
+            let border = (0..n).find(|&v| is_border(v)).expect("a border");
+            let interior = (0..n).find(|&v| !is_border(v)).expect("an interior vertex");
+            let objects: Vec<NodeId> = (0..n).filter(|v| v % 5 == 2).collect();
+            let occ = OccurrenceList::build(&tree, &objects);
+            for source in [border, interior] {
+                let truth = dijkstra::single_source(&g, source);
+                let mut targets = tree.leaf_vertices(tree.leaf_of(source)).to_vec();
+                let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ source as u64;
+                for i in (1..targets.len()).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    targets.swap(i, (state % (i as u64 + 1)) as usize);
+                }
+                let mut finite: Vec<Weight> =
+                    targets.iter().map(|&t| truth[t as usize]).filter(|&d| d < INFINITY).collect();
+                finite.sort_unstable();
+                let mid = finite[finite.len() / 2];
+                for prelude in
+                    [None, Some(LeafSearchMode::Original), Some(LeafSearchMode::Improved)]
+                {
+                    let mut search = GtreeSearch::new(&tree, &g, source);
+                    if let Some(mode) = prelude {
+                        search.knn(3, &occ, mode);
+                    }
+                    for (i, &t) in targets.iter().enumerate() {
+                        let (want, bound) = (truth[t as usize], [0, mid, INFINITY][i % 3]);
+                        let what =
+                            format!("case {case}: {source}->{t} bound {bound} after {prelude:?}");
+                        let got = search.distance_to_within(t, bound);
+                        assert!(got >= want, "{what}: {got} < true {want}");
+                        if want <= bound {
+                            assert_eq!(got, want, "{what}");
+                        }
+                        if i % 2 == 1 {
+                            assert_eq!(search.distance_to(t), want, "{what}: exact");
+                        }
+                    }
                 }
             }
         }
@@ -1422,22 +1417,37 @@ mod tests {
         let truth = dijkstra::single_source(&g, 11);
         let far = (0..n).max_by_key(|&t| truth[t as usize].min(INFINITY - 1)).unwrap();
 
+        // The leaf-mates of the source the leaf search settles first and last.
+        let leaf_mates = tree.leaf_vertices(tree.leaf_of(11));
+        let by_distance = |&&t: &&NodeId| truth[t as usize].min(INFINITY - 1);
+        let first = *leaf_mates.iter().filter(|&&t| t != 11).min_by_key(by_distance).unwrap();
+        let near = *leaf_mates.iter().max_by_key(by_distance).unwrap();
+        let checked: Vec<NodeId> = (0..n).step_by(43).chain(leaf_mates.iter().copied()).collect();
+
         // The third assembly of the next query panics with its ancestors' rows
         // built but its own not yet tagged valid; the second sibling fill panics
-        // with one sibling filled and the climbing node itself not yet tagged.
-        for fault in [(Fault::Assembly, 2), (Fault::Fill, 1)] {
+        // with one sibling filled and the climbing node itself not yet tagged; the
+        // second, fourth or seventh leaf settle panics with that vertex settled but its
+        // edges unrelaxed (in a search an earlier same-leaf distance left resumable).
+        let leaf_faults = [1, 3, 6].map(|n| ((Fault::Leaf, n), near));
+        for (fault, target) in
+            [((Fault::Assembly, 2), far), ((Fault::Fill, 1), far)].into_iter().chain(leaf_faults)
+        {
             let mut search = GtreeSearch::new(&tree, &g, 11);
+            // A resumable leaf search is what a panic must not leave resumable.
+            assert_eq!(search.distance_to(first), truth[first as usize]);
             FAIL_AFTER.with(|c| c.set(Some(fault)));
             let hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {})); // silence the expected backtrace
-            let outcome = catch_unwind(AssertUnwindSafe(|| search.distance_to(far)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| search.distance_to(target)));
             std::panic::set_hook(hook);
             FAIL_AFTER.with(|c| c.set(None));
             assert!(outcome.is_err(), "{fault:?}: the injected panic must fire (too shallow?)");
 
             // 1. The same search must keep answering exactly — the interrupted
-            //    materialization may not have left a half-built row marked valid.
-            for t in (0..n).step_by(43) {
+            //    materialization may not have left a half-built row marked valid,
+            //    nor the interrupted leaf search a half-relaxed one resumable.
+            for &t in &checked {
                 assert_eq!(search.distance_to(t), truth[t as usize], "{fault:?}: 11->{t}");
             }
             let got: Vec<Weight> =

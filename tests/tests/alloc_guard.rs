@@ -89,7 +89,6 @@ fn pooled_engine() -> (Engine, Vec<NodeId>) {
 #[test]
 fn steady_state_queries_allocate_nothing_for_pooled_methods() {
     let (engine, queries) = pooled_engine();
-    let k = 8;
     // Methods whose pooled path must be allocation-free. G-tree, INE and IER-CH are
     // the acceptance set; the IER oracle variants share the same pooled machinery.
     let methods = [
@@ -102,29 +101,33 @@ fn steady_state_queries_allocate_nothing_for_pooled_methods() {
         Method::IerGtree,
         Method::Road,
     ];
+    assert_steady_state_allocates_nothing(&engine, &methods, &queries, "a built engine");
+}
+
+/// Warms every pooled buffer with two full passes over `queries` (heaps, distance
+/// arrays, border rows, candidate lists grow to the workload's high-water mark),
+/// then asserts that the exact same queries do not touch the allocator.
+fn assert_steady_state_allocates_nothing(
+    engine: &Engine,
+    methods: &[Method],
+    queries: &[NodeId],
+    what: &str,
+) {
+    let k = 8;
     let mut out = QueryOutput::default();
-    for &method in &methods {
-        // Warm-up: two full passes over the query set grow every pooled buffer
-        // (heaps, distance arrays, border rows, candidate lists) to this workload's
-        // high-water mark.
+    for &method in methods {
         for _ in 0..2 {
-            for &q in &queries {
+            for &q in queries {
                 engine.query_into(method, q, k, &mut out).expect("warm-up query");
             }
         }
-        // Steady state: the exact same queries must not touch the allocator.
-        for &q in &queries {
+        for &q in queries {
             let before = allocations();
             engine.query_into(method, q, k, &mut out).expect("steady-state query");
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "{} allocated {} time(s) on a warm scratch pool at q={q}",
-                method.name(),
-                after - before
-            );
-            assert!(!out.result.is_empty(), "{} returned nothing at q={q}", method.name());
+            let allocated = allocations() - before;
+            let name = method.name();
+            assert_eq!(allocated, 0, "{name} allocated {allocated} time(s) on {what} at q={q}");
+            assert!(!out.result.is_empty(), "{name} returned nothing on {what} at q={q}");
         }
     }
 }
@@ -136,9 +139,15 @@ fn steady_state_queries_allocate_nothing_for_pooled_methods() {
 #[test]
 fn steady_state_stays_allocation_free_on_a_loaded_engine() {
     let (engine, queries) = pooled_engine();
-    let k = 8;
+    let mut loaded = load_gtree_and_ch(&engine);
+    loaded.set_objects(uniform(loaded.graph(), 0.02, 9));
+    let methods = [Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree];
+    assert_steady_state_allocates_nothing(&loaded, &methods, &queries, "a loaded engine");
+}
+
+/// The engine's saved artifact (CH + G-tree) loaded back with the matching subset.
+fn load_gtree_and_ch(engine: &Engine) -> Engine {
     let bytes = engine.save_indexes_to_vec().expect("save engine");
-    // The saved artifact carries CH + G-tree; load the matching subset.
     let config = EngineConfig {
         build_gtree: true,
         build_road: false,
@@ -148,30 +157,20 @@ fn steady_state_stays_allocation_free_on_a_loaded_engine() {
         build_tnr: false,
         ..Default::default()
     };
-    let mut loaded =
-        rnknn::engine::Engine::load_indexes_from_vec(bytes, &config).expect("load engine");
-    loaded.set_objects(uniform(loaded.graph(), 0.02, 9));
+    Engine::load_indexes_from_vec(bytes, &config).expect("load engine")
+}
 
-    let mut out = QueryOutput::default();
-    for &method in &[Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree] {
-        for _ in 0..2 {
-            for &q in &queries {
-                loaded.query_into(method, q, k, &mut out).expect("warm-up query");
-            }
-        }
-        for &q in &queries {
-            let before = allocations();
-            loaded.query_into(method, q, k, &mut out).expect("steady-state query");
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "{} allocated {} time(s) on a warm pool of a loaded engine at q={q}",
-                method.name(),
-                after - before
-            );
-            assert!(!out.result.is_empty(), "{} returned nothing at q={q}", method.name());
-        }
+/// At density 0.1 nearly every source's leaf holds objects, so G-tree's kNN and
+/// IER-Gt's same-leaf distances run the pooled source-leaf search on every query:
+/// it allocates nothing either, built or loaded.
+#[test]
+fn the_source_leaf_search_allocates_nothing_at_density_0_1() {
+    let (mut built, queries) = pooled_engine();
+    let mut loaded = load_gtree_and_ch(&built);
+    let methods = [Method::Gtree, Method::IerGtree];
+    for (engine, what) in [(&mut built, "a built engine"), (&mut loaded, "a loaded engine")] {
+        engine.set_objects(uniform(engine.graph(), 0.1, 9));
+        assert_steady_state_allocates_nothing(engine, &methods, &queries, what);
     }
 }
 

@@ -17,6 +17,7 @@ use rnknn::verify::{ground_truth, matches_ground_truth};
 use rnknn::{EngineError, IndexKind, QueryBudget, QueryOutput, QueryRequest};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, Graph, GraphBuilder, NodeId, Point, Weight};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::{churn_stream, uniform, ChurnConfig, ObjectSet, UpdateEvent};
 
 /// xorshift64* — deterministic, dependency-free stream for seeds and query picks.
@@ -354,6 +355,39 @@ fn assert_exact(engine: &Engine, objects: &ObjectSet, methods: &[Method], querie
                 "{} disagrees with Dijkstra at q={q}",
                 method.name()
             );
+        }
+    }
+}
+
+/// Every `GtreeConfig` the API accepts builds a Dijkstra-exact G-tree: fanout 2 to 5
+/// against small leaf capacities, at a sparse and a dense object set. Refinement to
+/// global distances is not among them: it was an option once, and switched off it
+/// made G-tree and IER-Gt answer wrong with no error.
+#[test]
+fn every_accepted_gtree_config_is_dijkstra_exact() {
+    let graph =
+        RoadNetwork::generate(&GeneratorConfig::new(600, 31)).graph(EdgeWeightKind::Distance);
+    let n = graph.num_vertices() as NodeId;
+    let queries: Vec<NodeId> = (0..12u32).map(|i| (i * 97 + 5) % n).collect();
+    for fanout in 2..=5 {
+        for leaf_capacity in [4, 16, 48] {
+            let config = EngineConfig {
+                build_ch: false,
+                build_road: false,
+                build_silc: false,
+                build_phl: false,
+                build_tnr: false,
+                gtree_leaf_capacity: Some(leaf_capacity),
+                gtree_config: GtreeConfig { fanout, ..Default::default() },
+                ..Default::default()
+            };
+            let mut engine = Engine::build(graph.clone(), &config);
+            assert_eq!(engine.gtree().unwrap().config().fanout, fanout);
+            for density in [0.01, 0.1] {
+                let objects = uniform(engine.graph(), density, 5);
+                engine.set_objects(objects.clone());
+                assert_exact(&engine, &objects, &[Method::Gtree, Method::IerGtree], &queries);
+            }
         }
     }
 }

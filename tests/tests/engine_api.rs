@@ -289,9 +289,10 @@ fn a_budget_cut_forward_extension_is_deadline_exceeded_never_a_wrong_answer() {
 /// G-tree and IER-Gt under every step quota from 1 to the query's whole cost: the
 /// quota runs out at every charge the query makes — each row assembly, each key
 /// scan of a child-minimum table (charged once a popped node's children are keyed)
-/// and each climb with the sibling rows it fills. Every cut is `DeadlineExceeded`,
-/// never a wrong answer, and the unbudgeted query right after it (on the pooled
-/// state the cut one left behind) is Dijkstra-exact.
+/// and each climb with the sibling rows it fills — and, at density 0.1, where most
+/// sources' leaves hold objects, each settle of the source-leaf search. Every cut is
+/// `DeadlineExceeded`, never a wrong answer, and the unbudgeted query right after it
+/// (on the pooled state the cut one left behind) is Dijkstra-exact.
 #[test]
 fn a_budget_cut_key_scan_or_climb_fill_is_deadline_exceeded_never_a_wrong_answer() {
     let graph =
@@ -307,30 +308,34 @@ fn a_budget_cut_key_scan_or_climb_fill_is_deadline_exceeded_never_a_wrong_answer
     };
     let mut engine = Engine::build(graph, &config);
     assert!(engine.gtree().unwrap().height() >= 4, "a tree with internal nodes below the root");
-    let objects = uniform(engine.graph(), 0.03, 8);
-    engine.set_objects(objects.clone());
     let n = engine.graph().num_vertices() as NodeId;
     let mut out = QueryOutput::default();
-    for method in [Method::Gtree, Method::IerGtree] {
-        for q in [3 % n, n / 2, n - 5] {
-            let truth: Vec<_> =
-                ground_truth(engine.graph(), q, 4, &objects).iter().map(|&(_, d)| d).collect();
-            let whole = QueryBudget::unlimited();
-            engine.execute(&QueryRequest::new(method, q, 4).with_budget(&whole), &mut out).unwrap();
-            assert_eq!(out.distances(), truth, "{} q={q}", method.name());
-            let mut cuts = 0;
-            for limit in 1..=whole.steps() {
-                let starved = QueryBudget::new(None, limit, 1);
-                let request = QueryRequest::new(method, q, 4).with_budget(&starved);
-                match engine.execute(&request, &mut out) {
-                    Ok(()) => assert_eq!(out.distances(), truth, "q={q} limit={limit}"),
-                    Err(EngineError::DeadlineExceeded { .. }) => cuts += 1,
-                    Err(other) => panic!("{} q={q} limit={limit}: {other:?}", method.name()),
+    for density in [0.03, 0.1] {
+        let objects = uniform(engine.graph(), density, 8);
+        engine.set_objects(objects.clone());
+        for method in [Method::Gtree, Method::IerGtree] {
+            for q in [3 % n, n / 2, n - 5] {
+                let truth: Vec<_> =
+                    ground_truth(engine.graph(), q, 4, &objects).iter().map(|&(_, d)| d).collect();
+                let whole = QueryBudget::unlimited();
+                let request = QueryRequest::new(method, q, 4).with_budget(&whole);
+                engine.execute(&request, &mut out).unwrap();
+                assert_eq!(out.distances(), truth, "{} q={q}", method.name());
+                let mut cuts = 0;
+                for limit in 1..=whole.steps() {
+                    let starved = QueryBudget::new(None, limit, 1);
+                    let request = QueryRequest::new(method, q, 4).with_budget(&starved);
+                    let what = format!("{} d {density} q={q} limit={limit}", method.name());
+                    match engine.execute(&request, &mut out) {
+                        Ok(()) => assert_eq!(out.distances(), truth, "{what}"),
+                        Err(EngineError::DeadlineExceeded { .. }) => cuts += 1,
+                        Err(other) => panic!("{what}: {other:?}"),
+                    }
+                    let after = engine.query(method, q, 4).unwrap();
+                    assert_eq!(after.distances(), truth, "{what}: the query after");
                 }
-                let after = engine.query(method, q, 4).unwrap();
-                assert_eq!(after.distances(), truth, "{} q={q} after limit={limit}", method.name());
+                assert!(cuts > 0, "{} d {density} q={q}: no quota cut the query", method.name());
             }
-            assert!(cuts > 0, "{} q={q}: no quota cut the query", method.name());
         }
     }
 }

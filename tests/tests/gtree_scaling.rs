@@ -10,6 +10,7 @@
 //! trips, the superlinear assembly is back. The composed-vs-naive matrix equality
 //! lives in `rnknn-gtree`'s unit tests (`composition_matches_naive_per_pair_build`).
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
@@ -56,33 +57,54 @@ fn gtree_knn_matches_dijkstra_at_5k_on_both_weight_kinds() {
     }
 }
 
+/// The fixed 23k instance the work guards below count on: the benchmark's network,
+/// density 0.01, k = 10, 200 seeded queries. Returns the per-query mean of
+/// `(matrix cells, leaf vertices settled)`, measured once for both guards.
+fn work_per_query_at_23k() -> (u64, u64) {
+    static MEANS: OnceLock<(u64, u64)> = OnceLock::new();
+    *MEANS.get_or_init(|| {
+        let g = RoadNetwork::generate(&GeneratorConfig::new(20_000, 42))
+            .graph(EdgeWeightKind::Distance);
+        let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
+        let objects = uniform(&g, 0.01, 42);
+        let occ = OccurrenceList::build(&tree, objects.vertices());
+        let n = g.num_vertices() as u64;
+        let queries: Vec<NodeId> = (0..200u64).map(|i| (i * 2_654_435_769 % n) as NodeId).collect();
+        let (mut cells, mut settled) = (0, 0);
+        for &q in &queries {
+            let mut search = rnknn_gtree::GtreeSearch::new(&tree, &g, q);
+            assert_eq!(search.knn(10, &occ, LeafSearchMode::Improved).len(), 10);
+            cells += search.stats.matrix_cells;
+            settled += search.stats.leaf_vertices_settled;
+        }
+        let means = (cells / queries.len() as u64, settled / queries.len() as u64);
+        println!("G-tree kNN at {n} vertices, d 0.01, k 10: {means:?} (cells, leaf settles)");
+        means
+    })
+}
+
 /// A work guard no box's speed can flip: the mean distance-matrix (and child-minimum
-/// table) cells one kNN query reads, on the benchmark's 23k network at density 0.01,
-/// k = 10, over a fixed query set. Queries that assemble a node's border row only
-/// when they pop it read 96 442; assembling every enqueued child's row to key it,
-/// and sweeping each sibling's row apart from the climb that already streams it,
-/// read 194 304. The ceiling sits between the two.
+/// table) cells one kNN query reads on the fixed 23k instance. Queries that assemble
+/// a node's border row only when they pop it read 96 192; assembling every enqueued
+/// child's row to key it, and sweeping each sibling's row apart from the climb that
+/// already streams it, read 194 304. The ceiling sits between the two.
 #[test]
 fn gtree_knn_reads_at_most_150k_cells_per_query_at_23k() {
-    let g =
-        RoadNetwork::generate(&GeneratorConfig::new(20_000, 42)).graph(EdgeWeightKind::Distance);
-    let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
-    let objects = uniform(&g, 0.01, 42);
-    let occ = OccurrenceList::build(&tree, objects.vertices());
-    let n = g.num_vertices() as u64;
-    let queries: Vec<NodeId> = (0..200u64).map(|i| (i * 2_654_435_769 % n) as NodeId).collect();
-    let mut cells = 0;
-    for &q in &queries {
-        let mut search = rnknn_gtree::GtreeSearch::new(&tree, &g, q);
-        assert_eq!(search.knn(10, &occ, LeafSearchMode::Improved).len(), 10);
-        cells += search.stats.matrix_cells;
-    }
-    let mean = cells / queries.len() as u64;
-    println!("G-tree kNN at {n} vertices, d 0.01, k 10: {mean} matrix cells per query");
+    let (mean, _) = work_per_query_at_23k();
     assert!(
         mean < 150_000,
         "{mean} matrix cells per query: is every enqueued child assembled again?"
     );
+}
+
+/// The same guard for the source-leaf search: the mean vertices it settles per
+/// query. Seeded at the leaf's borders and stopped at the leaf's last wanted object
+/// it settles 32; relaxing the border clique and settling the whole leaf whenever it
+/// holds fewer than k objects settled 54. The ceiling sits between the two.
+#[test]
+fn gtree_knn_settles_at_most_43_leaf_vertices_per_query_at_23k() {
+    let (_, mean) = work_per_query_at_23k();
+    assert!(mean < 43, "{mean} leaf vertices settled per query: is the whole leaf searched?");
 }
 
 // The 20k build is release-only: the point is the wall-clock regression guard, and in

@@ -14,10 +14,11 @@
 //! (in `persistence_roundtrip.rs`) pins down separately.
 
 use rnknn::engine::{Engine, EngineConfig, Method};
-use rnknn::persist_format::checksum;
+use rnknn::persist_format::{checksum, Tag};
 use rnknn::PersistError;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::EdgeWeightKind;
+use rnknn_gtree::persist::{TAG_CHILD_MIN, TAG_META};
 use rnknn_objects::uniform;
 
 struct Rng(u64);
@@ -281,17 +282,18 @@ fn a_real_version_4_header_fails_the_version_gate() {
     assert_refused_by_the_version_gate(V4_HEADER, 4);
 }
 
-/// The artifact re-written section by section, `GT.CMIN` replaced by `table`:
-/// every checksum is the writer's own, so only the loader's shape check can object.
-fn with_child_min_table(bytes: &[u8], table: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+/// The artifact re-written section by section, section `target` replaced by
+/// `rewrite` of it: every checksum is the writer's own, so only the loader's
+/// validation can object.
+fn with_section(bytes: &[u8], target: Tag, rewrite: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
     use rnknn::persist_format::{Artifact, ArtifactWriter};
     let artifact = Artifact::from_vec(bytes.to_vec()).expect("pristine artifact");
     let mut writer = ArtifactWriter::new(std::io::Cursor::new(Vec::new())).expect("writer");
     for tag in artifact.tags() {
         let data = artifact.section_bytes(tag).expect("listed section");
         writer.begin_section(tag).expect("begin");
-        if tag == rnknn_gtree::persist::TAG_CHILD_MIN {
-            writer.write_bytes(&table(data)).expect("write");
+        if tag == target {
+            writer.write_bytes(&rewrite(data)).expect("write");
         } else {
             writer.write_bytes(data).expect("write");
         }
@@ -307,9 +309,9 @@ fn a_resized_child_minimum_table_is_refused_typed() {
     let bytes = saved_engine_bytes();
     let config = battery_config();
     // Re-writing unchanged sections reproduces the artifact exactly.
-    assert_eq!(with_child_min_table(&bytes, |t| t.to_vec()), bytes);
+    assert_eq!(with_section(&bytes, TAG_CHILD_MIN, |t| t.to_vec()), bytes);
     for what in ["truncated", "extended", "emptied"] {
-        let resized = with_child_min_table(&bytes, |t| match what {
+        let resized = with_section(&bytes, TAG_CHILD_MIN, |t| match what {
             "truncated" => t[..t.len() - 4].to_vec(),
             "extended" => [t, &[0; 4]].concat(),
             _ => Vec::new(),
@@ -319,6 +321,27 @@ fn a_resized_child_minimum_table_is_refused_typed() {
             Err(other) => panic!("{what}: expected Corrupt GT.CMIN, got {other}"),
             Ok(_) => panic!("{what}: a resized child-minimum table loaded"),
         }
+    }
+}
+
+/// A G-tree whose `GT.META` records unrefined matrices (which a build could once
+/// ask for, and whose answers were wrong) is refused by name, before its
+/// fingerprint is compared.
+#[test]
+fn an_unrefined_gtree_is_refused_typed() {
+    let bytes = saved_engine_bytes();
+    // `GT.META` words: fanout, leaf capacity, refined (1), fingerprint, nodes, vertices.
+    let unrefined = with_section(&bytes, TAG_META, |meta| {
+        assert_eq!(u64_at(meta, 16), 1, "the refinement word of a built tree");
+        [&meta[..16], &0u64.to_le_bytes(), &meta[24..]].concat()
+    });
+    match Engine::load_indexes_from_vec(unrefined, &battery_config()) {
+        Err(PersistError::Corrupt { section, detail }) => {
+            assert_eq!(section, "GT.META");
+            assert!(detail.contains("refined"), "{detail}");
+        }
+        Err(other) => panic!("expected Corrupt GT.META, got {other}"),
+        Ok(_) => panic!("an unrefined G-tree loaded"),
     }
 }
 
