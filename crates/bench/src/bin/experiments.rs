@@ -23,8 +23,8 @@ use rnknn_ch::{ChForwardSearch, ChTargetDirectory};
 use rnknn_graph::generator::DatasetPreset;
 use rnknn_graph::{EdgeWeightKind, Graph, NodeId, Weight, INFINITY};
 use rnknn_gtree::{
-    widen, Cell, DistanceMatrix, Gtree, GtreeDistanceOracle, GtreeSearch, LeafSearchMode,
-    NodeIndex, OccurrenceList,
+    widen, Cell, DistanceMatrix, Gtree, GtreeDistanceOracle, GtreeSearch, GtreeSearchStats,
+    LeafSearchMode, NodeIndex, OccurrenceList,
 };
 use rnknn_objects::{
     build_association_directory, build_occurrence_list, build_rtree, clustered,
@@ -721,10 +721,19 @@ fn network_size_study(ctx: &mut Ctx) {
         vec![
             "Gtree border comps".into(),
             "IER-Gt border comps".into(),
+            "Gtree cells".into(),
+            "IER-Gt cells".into(),
+            "Gtree skip %".into(),
+            "IER-Gt skip %".into(),
             "ROAD vert. bypassed".into(),
         ],
-        "count/query",
+        "count/query; skip % = share of source rows dominated by an entry border",
     );
+    // Per method: border computations, matrix cells, entry rows, dominated rows.
+    let add = |sum: &mut [u64; 4], s: GtreeSearchStats| {
+        let counts = [s.border_computations, s.matrix_cells, s.entry_rows, s.dominated_rows];
+        sum.iter_mut().zip(counts).for_each(|(total, c)| *total += c);
+    };
     for preset in presets {
         let queries = ctx.testbed(preset, EdgeWeightKind::Distance).queries.clone();
         let graph = ctx.testbed(preset, EdgeWeightKind::Distance).graph().clone();
@@ -739,25 +748,35 @@ fn network_size_study(ctx: &mut Ctx) {
         );
         let rtree = ObjectRTree::build(&graph, &objects);
 
-        let mut gtree_comps = 0u64;
-        let mut ier_comps = 0u64;
+        let (mut gtree_sum, mut ier_sum) = ([0u64; 4], [0u64; 4]);
         let mut bypassed = 0usize;
         for &q in &queries {
             let mut search = GtreeSearch::new(&gtree, &graph, q);
             search.knn(defaults::K, &occ, LeafSearchMode::Improved);
-            gtree_comps += search.stats.border_computations;
+            add(&mut gtree_sum, search.stats);
 
             let mut ier = IerSearch::new(&graph, GtreeDistanceOracle::new(&gtree, &graph, q));
             ier.knn(q, defaults::K, &rtree);
-            ier_comps += ier.oracle().stats().border_computations;
+            add(&mut ier_sum, ier.oracle().stats());
 
             let (_, stats) = RoadKnn::new(&graph, &road).knn_with_stats(q, defaults::K, &directory);
             bypassed += stats.vertices_bypassed;
         }
         let qn = queries.len() as f64;
+        let skipped = |[_, _, entry, dominated]: [u64; 4]| {
+            100.0 * dominated as f64 / (entry + dominated).max(1) as f64
+        };
         stats_table.push(
             format!("{} ({})", preset.name(), graph.num_vertices()),
-            vec![gtree_comps as f64 / qn, ier_comps as f64 / qn, bypassed as f64 / qn],
+            vec![
+                gtree_sum[0] as f64 / qn,
+                ier_sum[0] as f64 / qn,
+                gtree_sum[1] as f64 / qn,
+                ier_sum[1] as f64 / qn,
+                skipped(gtree_sum),
+                skipped(ier_sum),
+                bypassed as f64 / qn,
+            ],
         );
     }
     ctx.emit(stats_table);

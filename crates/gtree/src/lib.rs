@@ -16,6 +16,9 @@
 //!   Figure 22 ablation), and the `MGtree` point-to-point oracle used by IER-Gt. One
 //!   source-leaf search serves both: it seeds the leaf's borders at their distances
 //!   from the source instead of relaxing the paper's border-to-border shortcuts.
+//!   Both assemble rows through the same sweeps, which read only a source row's
+//!   entry borders: a border reached through another border of its own node at no
+//!   greater distance cannot give a minimum and is skipped.
 //!
 //! Distance matrices are made globally exact by a top-down refinement pass after the
 //! usual bottom-up computation (see docs/ARCHITECTURE.md, "G-tree construction"). It

@@ -40,6 +40,19 @@
 //!   child's border row is a block of that buffer: the climb copies each one out,
 //!   so a sibling's row (and key) costs no matrix read of its own. The kNN search
 //!   climbs before it enqueues siblings, and the IER-Gt oracle shares the path.
+//! * **Entry borders** — every sweep (climb, descend, child keys) reads only the
+//!   *entry borders* of its source row. Walking the row's entries `d_j` up to the
+//!   sweep's bound in `(distance, index)` order, border `j` is skipped when a
+//!   border `k` of the same node kept before it has `d_k + D(k, j) <= d_j`, with
+//!   `D` the node's diagonal block in its parent's matrix. Refined matrices hold
+//!   global distances, so for every column `m`, `d_k + M[k][m] <= d_k + D(k, j) +
+//!   M[j][m] <= d_j + M[j][m]`: the minimum over the kept rows is the minimum over
+//!   all rows, column by column, and child-minimum keys are unchanged for the same
+//!   reason. A skipped border's dominator was kept earlier, so ties and
+//!   zero-weight edges never drop both ends of a pair. The test is one SIMD
+//!   min-plus of each kept border's block row into a pooled buffer; the list is
+//!   built the first time its row is a sweep source and serves every later sweep
+//!   under a bound no looser than its own (see `GtreeSearch::ensure_entries`).
 //! * **Seeded leaf search** — one Dijkstra over the source leaf serves the kNN
 //!   query and the oracle's same-leaf distances. It starts at the source (0) and at
 //!   every border `b` of the leaf at `d(q, b)`, the source's column of the leaf
@@ -82,6 +95,18 @@ struct SearchStore {
     /// caller that needs the row under a looser bound must rematerialize it; see
     /// [`GtreeSearch::ensure_border_distances`].
     row_bound: Stamped<Cell>,
+    /// Per G-tree node: the entry borders of its row (see the module docs), as row
+    /// indices in `(distance, index)` order. Built the first time the row is a
+    /// sweep source.
+    entries: Vec<Vec<u32>>,
+    /// Per entry list built this search: the sweep bound it was built under (see
+    /// [`GtreeSearch::ensure_entries`]); `None` while it is being rebuilt.
+    entry_bound: Stamped<Option<Cell>>,
+    /// The row entries an entry list is built from (finite and within its bound),
+    /// packed as `distance << 32 | index` so one integer sort orders them.
+    entry_order: Vec<u64>,
+    /// The least `d_k + D(k, j)` over the borders `k` kept so far, per border `j`.
+    dominated: Vec<Cell>,
     /// The source-leaf search, over leaf positions (see the module docs).
     leaf: SearchScratch,
     /// True while `leaf` holds a seeded search with every label exact or
@@ -112,8 +137,10 @@ impl SearchStore {
     fn begin(&mut self, n: usize) {
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
+            self.entries.resize_with(n, Vec::new);
         }
         self.row_bound.begin(n);
+        self.entry_bound.begin(n);
         self.leaf_resumable = false;
         self.queue.clear();
         self.knn_cand.clear();
@@ -135,6 +162,8 @@ enum Fault {
     Assembly,
     /// Entering a sibling's row fill inside a climb.
     Fill,
+    /// Keeping a border in an entry list, before its dominance row is swept.
+    Entry,
     /// Between settling a source-leaf vertex and relaxing its edges.
     Leaf,
 }
@@ -177,6 +206,12 @@ pub struct GtreeSearchStats {
     /// batches (a contiguous row sweep counts every cell it touches, a per-cell
     /// gather the cells it reads).
     pub matrix_cells: u64,
+    /// Source-row entries an entry-list build kept as entry borders (every finite
+    /// entry within the bound it was built under is either kept or dominated).
+    pub entry_rows: u64,
+    /// Source-row entries an entry-list build skipped as dominated by an entry
+    /// border of the same node (see the module docs): rows no sweep reads.
+    pub dominated_rows: u64,
 }
 
 /// Which leaf-search algorithm the kNN query uses within the query vertex's leaf.
@@ -438,12 +473,13 @@ impl<'a> GtreeSearch<'a> {
             // matrix to reach this node's own borders.
             let c = gtree.child_towards(t, self.source_leaf);
             self.ensure_border_distances(c, bound);
+            self.ensure_entries(c, bound);
             cells_mark = self.stats.matrix_cells;
             let matrix = gtree.matrix(t);
             let base = hierarchy.base_in_parent(c);
             let nb = hierarchy.borders(t).len();
             let stats = &mut self.stats;
-            let SearchStore { rows, row_bound: bounds, wide, .. } = &mut self.store;
+            let SearchStore { rows, row_bound: bounds, entries, wide, .. } = &mut self.store;
             let [out, src] = rows
                 .get_disjoint_mut([ti, c as usize])
                 .expect("a node is distinct from its on-path child");
@@ -457,13 +493,22 @@ impl<'a> GtreeSearch<'a> {
             wide.clear();
             wide.resize(width, CELL_INFINITY);
             let mut active = 0u64;
-            for (bi, &d) in src.iter().enumerate() {
-                if d == CELL_INFINITY || d > bound {
-                    continue;
+            for &bi in &entries[c as usize] {
+                let d = src[bi as usize];
+                if d > bound {
+                    break; // entry borders ascend by distance
                 }
                 active += 1;
-                kernel::min_plus_into(wide, d, matrix.row(base + bi));
+                kernel::min_plus_into(wide, d, matrix.row(base + bi as usize));
             }
+            #[cfg(test)]
+            assert_eq!(
+                sweep_every_row(src, bound, width, |out, bi, d| {
+                    kernel::min_plus_into(out, d, matrix.row(base + bi))
+                }),
+                *wide,
+                "a climb over the entry borders of node {c} differs from one over every row"
+            );
             out.clear();
             out.extend(gtree.border_positions(t).iter().map(|&px| wide[px as usize]));
             stats.border_computations += active * nb as u64;
@@ -504,31 +549,43 @@ impl<'a> GtreeSearch<'a> {
                 self.ensure_border_distances(p, bound);
                 (p, None)
             };
+            self.ensure_entries(src_node, bound);
             cells_mark = self.stats.matrix_cells;
             let nb = hierarchy.borders(t).len();
             let stats = &mut self.stats;
-            let [out, src] = self
-                .store
-                .rows
+            let SearchStore { rows, entries, .. } = &mut self.store;
+            let [out, src] = rows
                 .get_disjoint_mut([ti, src_node as usize])
                 .expect("the materialization source is a sibling or the parent, never t");
             out.clear();
             out.resize(nb, CELL_INFINITY);
             // The target's borders occupy the contiguous parent-matrix columns
-            // `t_base..t_base+nb`, so each surviving source border contributes
+            // `t_base..t_base+nb`, so each entry border of the source contributes
             // one contiguous row segment — a pure SIMD min-plus row sweep.
-            let mut active = 0u64;
-            for (si, &d) in src.iter().enumerate() {
-                if d == CELL_INFINITY || d > bound {
-                    continue;
-                }
-                active += 1;
+            let segment = |si: usize| {
                 let pos = match s_base {
                     Some(sb) => sb + si,
                     None => gtree.border_positions(p)[si] as usize,
                 };
-                kernel::min_plus_into(out, d, &parent_matrix.row(pos)[t_base..t_base + nb]);
+                &parent_matrix.row(pos)[t_base..t_base + nb]
+            };
+            let mut active = 0u64;
+            for &si in &entries[src_node as usize] {
+                let d = src[si as usize];
+                if d > bound {
+                    break; // entry borders ascend by distance
+                }
+                active += 1;
+                kernel::min_plus_into(out, d, segment(si as usize));
             }
+            #[cfg(test)]
+            assert_eq!(
+                sweep_every_row(src, bound, nb, |out, si, d| {
+                    kernel::min_plus_into(out, d, segment(si))
+                }),
+                *out,
+                "a descend over the entry borders of node {src_node} differs from one over every row"
+            );
             stats.border_computations += active * nb as u64;
             stats.matrix_cells += active * nb as u64;
             clamp_above(out, bound);
@@ -538,6 +595,70 @@ impl<'a> GtreeSearch<'a> {
         self.budget.charge(self.stats.matrix_cells - cells_mark);
         self.stats.materialized_nodes += 1;
         self.store.row_bound.set(ti, row_bound);
+    }
+
+    /// Builds the entry list of `x`'s materialized row for sweeps under `bound`,
+    /// unless the current one was built under a bound at least as loose: the
+    /// row's entries up to `bound` in `(distance, index)` order, less every border
+    /// `j` that a border `k` kept before it reaches at no greater distance, `d_k +
+    /// D(k, j) <= d_j`, where `D` is `x`'s diagonal block in its parent's matrix
+    /// (see the module docs). Keeping `k` min-pluses its block row into
+    /// `dominated`, so each later test is one lookup; the last entry needs no row.
+    ///
+    /// A dominator is never farther than the border it dominates, so the list
+    /// under a tighter bound is a prefix of the list under a looser one, and
+    /// entries up to `bound` are exact in the row however often it is
+    /// rematerialized under looser bounds: the list stays valid for every sweep
+    /// whose bound is at most its own.
+    fn ensure_entries(&mut self, x: NodeIndex, bound: Cell) {
+        let xi = x as usize;
+        if self.store.entry_bound.get(xi).flatten().is_some_and(|built| bound <= built) {
+            return;
+        }
+        let gtree = self.gtree;
+        let hierarchy = gtree.hierarchy();
+        let p = hierarchy.parent(x).expect("a sweep source has borders, so it is not the root");
+        let matrix = gtree.matrix(p);
+        let base = hierarchy.base_in_parent(x);
+        let SearchStore { rows, entries, entry_bound, entry_order, dominated, .. } =
+            &mut self.store;
+        // Untagged while it is rebuilt, so a panic leaves no half-built list valid.
+        entry_bound.set(xi, None);
+        let row = &rows[xi];
+        let nb = row.len();
+        entry_order.clear();
+        entry_order.extend(
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &d)| d <= bound && d != CELL_INFINITY)
+                .map(|(j, &d)| (d as u64) << 32 | j as u64),
+        );
+        entry_order.sort_unstable();
+        dominated.clear();
+        dominated.resize(nb, CELL_INFINITY);
+        let list = &mut entries[xi];
+        list.clear();
+        let mut swept = 0u64;
+        for (n, &e) in entry_order.iter().enumerate() {
+            let (d, j) = ((e >> 32) as Cell, e as u32 as usize);
+            if dominated[j] <= d {
+                continue;
+            }
+            list.push(j as u32);
+            #[cfg(test)]
+            fault_tick(Fault::Entry);
+            if n + 1 < entry_order.len() {
+                kernel::min_plus_into(dominated, d, &matrix.row(base + j)[base..base + nb]);
+                swept += 1;
+            }
+        }
+        let (kept, cells) = (list.len() as u64, swept * nb as u64);
+        self.stats.border_computations += cells;
+        self.stats.matrix_cells += cells;
+        self.stats.entry_rows += kept;
+        self.stats.dominated_rows += entry_order.len() as u64 - kept;
+        self.budget.charge(cells);
+        entry_bound.set(xi, Some(bound));
     }
 
     /// k-nearest-neighbor query: the `k` objects of `occurrence` closest to the source
@@ -658,10 +779,13 @@ impl<'a> GtreeSearch<'a> {
         bound: Weight,
         occurrence: &OccurrenceList,
     ) {
+        let cell_bound = narrow_bound(bound);
+        self.ensure_entries(src, cell_bound);
         let gtree = self.gtree;
         let hierarchy = gtree.hierarchy();
         let first_row = if src == p { 0 } else { hierarchy.base_in_parent(src) };
         let dists = &self.store.rows[src as usize];
+        let entries = &self.store.entries[src as usize];
         let mut cells = 0u64;
         for &ci in occurrence.children_with_objects(p) {
             let c = hierarchy.children(p)[ci as usize];
@@ -671,9 +795,23 @@ impl<'a> GtreeSearch<'a> {
             let minima =
                 &gtree.child_min_column(p, ci as usize)[first_row..first_row + dists.len()];
             // Every term is at most `2 · CELL_INFINITY < 2^32`; the min never exceeds
-            // the sentinel it starts from.
-            let key = dists.iter().zip(minima).map(|(&d, &m)| d + m).fold(CELL_INFINITY, Cell::min);
-            cells += dists.len() as u64;
+            // the sentinel it starts from. The list may stop at `bound`: then a key
+            // above it is too large, but it is pruned either way.
+            let key = entries
+                .iter()
+                .map(|&i| dists[i as usize] + minima[i as usize])
+                .fold(CELL_INFINITY, Cell::min);
+            cells += entries.len() as u64;
+            #[cfg(test)]
+            {
+                let full = sweep_every_row(dists, CELL_INFINITY, 1, |out, i, d| {
+                    out[0] = out[0].min(d + minima[i])
+                })[0];
+                assert!(
+                    key == full || full > cell_bound,
+                    "node {src}: key {key}, over rows {full}"
+                );
+            }
             let dist = widen(key);
             if dist == INFINITY || dist > bound {
                 continue; // unreachable or beyond the k-th candidate
@@ -860,6 +998,26 @@ impl<'a> GtreeSearch<'a> {
 /// `bound` (a narrowed bound, so [`CELL_INFINITY`] — "exact" — serves every caller).
 fn row_serves(row_bound: &Stamped<Cell>, i: usize, bound: Cell) -> bool {
     row_bound.get(i).is_some_and(|rb| bound <= rb)
+}
+
+/// The entry-list cross-check's reference: `sweep` (`out`, source index,
+/// distance) into `len` fresh cells over every source row that is finite and
+/// within `bound`, dominated or not. A sweep that read only the row's entry
+/// borders must come out equal.
+#[cfg(test)]
+fn sweep_every_row(
+    row: &[Cell],
+    bound: Cell,
+    len: usize,
+    mut sweep: impl FnMut(&mut [Cell], usize, Cell),
+) -> Vec<Cell> {
+    let mut full = vec![CELL_INFINITY; len];
+    for (i, &d) in row.iter().enumerate() {
+        if d != CELL_INFINITY && d <= bound {
+            sweep(&mut full, i, d);
+        }
+    }
+    full
 }
 
 /// Clamps every entry above a finite pruning `bound` to "unreachable" (such an
@@ -1427,12 +1585,14 @@ mod tests {
         // The third assembly of the next query panics with its ancestors' rows
         // built but its own not yet tagged valid; the second sibling fill panics
         // with one sibling filled and the climbing node itself not yet tagged; the
-        // second, fourth or seventh leaf settle panics with that vertex settled but its
-        // edges unrelaxed (in a search an earlier same-leaf distance left resumable).
+        // second kept entry border panics with an entry list half built and not
+        // tagged current; the second, fourth or seventh leaf settle panics with that
+        // vertex settled but its edges unrelaxed (in a search an earlier same-leaf
+        // distance left resumable).
         let leaf_faults = [1, 3, 6].map(|n| ((Fault::Leaf, n), near));
-        for (fault, target) in
-            [((Fault::Assembly, 2), far), ((Fault::Fill, 1), far)].into_iter().chain(leaf_faults)
-        {
+        let far_faults =
+            [(Fault::Assembly, 2), (Fault::Fill, 1), (Fault::Entry, 1)].map(|f| (f, far));
+        for (fault, target) in far_faults.into_iter().chain(leaf_faults) {
             let mut search = GtreeSearch::new(&tree, &g, 11);
             // A resumable leaf search is what a panic must not leave resumable.
             assert_eq!(search.distance_to(first), truth[first as usize]);

@@ -165,11 +165,24 @@ fn load_gtree_and_ch(engine: &Engine) -> Engine {
 /// it allocates nothing either, built or loaded.
 #[test]
 fn the_source_leaf_search_allocates_nothing_at_density_0_1() {
+    assert_gtree_methods_allocate_nothing_at(0.1);
+}
+
+/// At density 0.002 the objects are far, so G-tree's kNN and IER-Gt's oracle
+/// sweep many source rows, each through its pooled entry-border list: building
+/// and reading those lists allocates nothing either, built or loaded.
+#[test]
+fn entry_border_sweeps_allocate_nothing_at_density_0_002() {
+    assert_gtree_methods_allocate_nothing_at(0.002);
+}
+
+/// G-tree and IER-Gt at `density`, on a built and on a loaded engine.
+fn assert_gtree_methods_allocate_nothing_at(density: f64) {
     let (mut built, queries) = pooled_engine();
     let mut loaded = load_gtree_and_ch(&built);
     let methods = [Method::Gtree, Method::IerGtree];
     for (engine, what) in [(&mut built, "a built engine"), (&mut loaded, "a loaded engine")] {
-        engine.set_objects(uniform(engine.graph(), 0.1, 9));
+        engine.set_objects(uniform(engine.graph(), density, 9));
         assert_steady_state_allocates_nothing(engine, &methods, &queries, what);
     }
 }

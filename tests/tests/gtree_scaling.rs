@@ -13,10 +13,11 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use rnknn::ier::IerSearch;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId, Weight};
-use rnknn_gtree::{Gtree, GtreeConfig, LeafSearchMode, OccurrenceList};
-use rnknn_objects::uniform;
+use rnknn_gtree::{Gtree, GtreeConfig, GtreeDistanceOracle, LeafSearchMode, OccurrenceList};
+use rnknn_objects::{uniform, ObjectRTree};
 use rnknn_pathfinding::dijkstra;
 
 /// Builds a G-tree with the paper's size-based configuration and checks kNN results
@@ -57,44 +58,72 @@ fn gtree_knn_matches_dijkstra_at_5k_on_both_weight_kinds() {
     }
 }
 
-/// The fixed 23k instance the work guards below count on: the benchmark's network,
-/// density 0.01, k = 10, 200 seeded queries. Returns the per-query mean of
-/// `(matrix cells, leaf vertices settled)`, measured once for both guards.
-fn work_per_query_at_23k() -> (u64, u64) {
-    static MEANS: OnceLock<(u64, u64)> = OnceLock::new();
-    *MEANS.get_or_init(|| {
+/// Mean work per query on the fixed 23k instance the guards below count on: the
+/// benchmark's network, density 0.01, k = 10, 200 seeded queries.
+struct WorkAt23k {
+    /// Matrix and child-minimum table cells a G-tree kNN query reads.
+    gtree_cells: u64,
+    /// Vertices its source-leaf search settles.
+    leaf_settles: u64,
+    /// Cells the IER-Gt oracle reads for one IER kNN query.
+    ier_gt_cells: u64,
+}
+
+/// [`WorkAt23k`], measured once for every guard.
+fn work_per_query_at_23k() -> &'static WorkAt23k {
+    static MEANS: OnceLock<WorkAt23k> = OnceLock::new();
+    MEANS.get_or_init(|| {
         let g = RoadNetwork::generate(&GeneratorConfig::new(20_000, 42))
             .graph(EdgeWeightKind::Distance);
         let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
         let objects = uniform(&g, 0.01, 42);
         let occ = OccurrenceList::build(&tree, objects.vertices());
+        let rtree = ObjectRTree::build(&g, &objects);
         let n = g.num_vertices() as u64;
         let queries: Vec<NodeId> = (0..200u64).map(|i| (i * 2_654_435_769 % n) as NodeId).collect();
-        let (mut cells, mut settled) = (0, 0);
+        let (mut gtree_cells, mut leaf_settles, mut ier_gt_cells) = (0, 0, 0);
         for &q in &queries {
             let mut search = rnknn_gtree::GtreeSearch::new(&tree, &g, q);
             assert_eq!(search.knn(10, &occ, LeafSearchMode::Improved).len(), 10);
-            cells += search.stats.matrix_cells;
-            settled += search.stats.leaf_vertices_settled;
+            gtree_cells += search.stats.matrix_cells;
+            leaf_settles += search.stats.leaf_vertices_settled;
+            let mut ier = IerSearch::new(&g, GtreeDistanceOracle::new(&tree, &g, q));
+            assert_eq!(ier.knn(q, 10, &rtree).len(), 10);
+            ier_gt_cells += ier.oracle().stats().matrix_cells;
         }
-        let means = (cells / queries.len() as u64, settled / queries.len() as u64);
-        println!("G-tree kNN at {n} vertices, d 0.01, k 10: {means:?} (cells, leaf settles)");
-        means
+        let per_query = |total: u64| total / queries.len() as u64;
+        let work = WorkAt23k {
+            gtree_cells: per_query(gtree_cells),
+            leaf_settles: per_query(leaf_settles),
+            ier_gt_cells: per_query(ier_gt_cells),
+        };
+        println!(
+            "at {n} vertices, d 0.01, k 10: G-tree {} cells, {} leaf settles; IER-Gt {} cells",
+            work.gtree_cells, work.leaf_settles, work.ier_gt_cells
+        );
+        work
     })
 }
 
 /// A work guard no box's speed can flip: the mean distance-matrix (and child-minimum
-/// table) cells one kNN query reads on the fixed 23k instance. Queries that assemble
-/// a node's border row only when they pop it read 96 192; assembling every enqueued
-/// child's row to key it, and sweeping each sibling's row apart from the climb that
-/// already streams it, read 194 304. The ceiling sits between the two.
+/// table) cells one kNN query reads on the fixed 23k instance. Sweeps that read only
+/// each source row's entry borders read 43 508; sweeping every finite source row
+/// read 96 192; assembling every enqueued child's row to key it, and sweeping each
+/// sibling's row apart from the climb that already streams it, read 194 304. The
+/// ceiling sits between the first two.
 #[test]
-fn gtree_knn_reads_at_most_150k_cells_per_query_at_23k() {
-    let (mean, _) = work_per_query_at_23k();
-    assert!(
-        mean < 150_000,
-        "{mean} matrix cells per query: is every enqueued child assembled again?"
-    );
+fn gtree_knn_reads_at_most_70k_cells_per_query_at_23k() {
+    let mean = work_per_query_at_23k().gtree_cells;
+    assert!(mean < 70_000, "{mean} matrix cells per query: are dominated source rows swept?");
+}
+
+/// The same guard for the IER-Gt oracle (IER over `GtreeDistanceOracle`) on the
+/// same queries: 37 914 cells per query with entry borders, 84 234 without. The
+/// ceiling sits between the two.
+#[test]
+fn ier_gt_reads_at_most_60k_cells_per_query_at_23k() {
+    let mean = work_per_query_at_23k().ier_gt_cells;
+    assert!(mean < 60_000, "{mean} matrix cells per query: are dominated source rows swept?");
 }
 
 /// The same guard for the source-leaf search: the mean vertices it settles per
@@ -103,7 +132,7 @@ fn gtree_knn_reads_at_most_150k_cells_per_query_at_23k() {
 /// holds fewer than k objects settled 54. The ceiling sits between the two.
 #[test]
 fn gtree_knn_settles_at_most_43_leaf_vertices_per_query_at_23k() {
-    let (_, mean) = work_per_query_at_23k();
+    let mean = work_per_query_at_23k().leaf_settles;
     assert!(mean < 43, "{mean} leaf vertices settled per query: is the whole leaf searched?");
 }
 
