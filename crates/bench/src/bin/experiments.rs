@@ -644,9 +644,18 @@ fn index_costs(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
         "MB",
     );
     let mut time = Table::new(
-        &format!("{figure}(b): road-network index construction time vs |V| ({kind:?})"),
+        &format!(
+            "{figure}(b): road-network index construction time vs |V| ({kind:?}; \
+             ROAD is derived from the built G-tree)"
+        ),
         "network",
-        vec!["Gtree".into(), "ROAD".into(), "PHL".into(), "DisBrw(SILC)".into(), "CH".into()],
+        vec![
+            "Gtree".into(),
+            "ROAD (derive)".into(),
+            "PHL".into(),
+            "DisBrw(SILC)".into(),
+            "CH".into(),
+        ],
         "ms",
     );
     let mb = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
@@ -659,7 +668,7 @@ fn index_costs(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
         let gtree = Gtree::build(&graph);
         let gtree_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let road = RoadIndex::build(&graph);
+        let road = RoadIndex::from_gtree(&graph, &gtree);
         let road_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
         let ch = rnknn::ch::ContractionHierarchy::build(&graph);
@@ -738,7 +747,7 @@ fn network_size_study(ctx: &mut Ctx) {
         let queries = ctx.testbed(preset, EdgeWeightKind::Distance).queries.clone();
         let graph = ctx.testbed(preset, EdgeWeightKind::Distance).graph().clone();
         let gtree = Gtree::build(&graph);
-        let road = RoadIndex::build(&graph);
+        let road = RoadIndex::from_gtree(&graph, &gtree);
         let objects = uniform(&graph, defaults::DENSITY, 7);
         let occ = OccurrenceList::build(&gtree, objects.vertices());
         let directory = rnknn_road::AssociationDirectory::build(
@@ -934,7 +943,7 @@ fn original_settings(ctx: &mut Ctx) {
 fn object_index_study(ctx: &mut Ctx) {
     let graph = ctx.testbed(DatasetPreset::US, EdgeWeightKind::Distance).graph().clone();
     let gtree = Gtree::build(&graph);
-    let road = RoadIndex::build(&graph);
+    let road = RoadIndex::from_gtree(&graph, &gtree);
     let ch = rnknn::ch::ContractionHierarchy::build(&graph);
     let mut size = Table::new(
         "Figure 18(a): object index size vs density (US)",

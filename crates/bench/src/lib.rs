@@ -456,15 +456,11 @@ pub mod knn_query {
 
     /// The methods the trajectory tracks: the acceptance trio (G-tree, INE, IER-CH),
     /// IER-Gt, which shares the G-tree materialization pool, and ROAD — the other
-    /// expansion search — at the tiers up to `ROAD_MAX_SIZE`. The heavier index
-    /// builds (SILC, PHL, TNR, and ROAD above that size) are excluded so the 580k
-    /// tier stays buildable in minutes.
+    /// expansion search, derived from the G-tree at every tier. The heavier index
+    /// builds (SILC, PHL, TNR) are excluded so the 580k tier stays buildable in
+    /// minutes.
     pub const METHODS: [Method; 5] =
         [Method::Ine, Method::Gtree, Method::IerGtree, Method::IerCh, Method::Road];
-
-    /// Largest generator target size whose engine also builds the ROAD index:
-    /// the two tiers `--smoke` runs (23 190 and 115 766 vertices).
-    const ROAD_MAX_SIZE: usize = 100_000;
 
     /// Measures every tracked method at every requested size. Each method is
     /// first verified against the Dijkstra ground truth on 3 query vertices,
@@ -479,8 +475,7 @@ pub mod knn_query {
         let mut records = Vec::new();
         for &size in sizes {
             let build_start = Instant::now();
-            let config =
-                EngineConfig { build_road: size <= ROAD_MAX_SIZE, ..engine_config(true, true) };
+            let config = EngineConfig { build_road: true, ..engine_config(true, true) };
             let mut engine = tier_engine("knn", size, &config, io);
             let objects = uniform(engine.graph(), density, 1);
             engine.set_objects(objects.clone());

@@ -24,7 +24,7 @@ use rnknn_graph::{ChainIndex, Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig};
 use rnknn_objects::{ObjectSet, UpdateEvent};
 use rnknn_pathfinding::{QueryBudget, UNLIMITED};
-use rnknn_road::{RoadConfig, RoadIndex};
+use rnknn_road::RoadIndex;
 use rnknn_silc::{SilcConfig, SilcIndex};
 
 use crate::error::EngineError;
@@ -148,7 +148,8 @@ pub struct EngineConfig {
     /// Build the G-tree (needed by `Gtree` and `IerGtree`). A graph whose distances
     /// do not fit its 32-bit matrix cells gets none ([`rnknn_gtree::GtreeBuildError`]).
     pub build_gtree: bool,
-    /// Build the ROAD index.
+    /// Build the ROAD index (implies a G-tree build: ROAD is derived from it, and a
+    /// graph the G-tree refuses gets no ROAD either).
     pub build_road: bool,
     /// Build the SILC index (needed by both Distance Browsing variants). Skipped
     /// automatically when the graph exceeds the SILC size limit, as in the paper.
@@ -166,8 +167,6 @@ pub struct EngineConfig {
     /// is ignored — it is controlled by `gtree_leaf_capacity` above, falling back to
     /// the paper's size-based rule.
     pub gtree_config: GtreeConfig,
-    /// Override the ROAD level count (defaults to the paper's size-based rule).
-    pub road_levels: Option<usize>,
     /// SILC size limit (vertices).
     pub silc_max_vertices: usize,
     /// CH preprocessing knobs (witness settle/hop limits, dense-core endgame,
@@ -187,7 +186,6 @@ impl Default for EngineConfig {
             build_tnr: false,
             gtree_leaf_capacity: None,
             gtree_config: GtreeConfig::default(),
-            road_levels: None,
             silc_max_vertices: SilcConfig::default().max_vertices,
             ch_config: rnknn_ch::ChConfig::default(),
         }
@@ -233,7 +231,7 @@ impl EngineConfig {
 pub struct BuildTimes {
     /// G-tree construction time.
     pub gtree_micros: u128,
-    /// ROAD construction time.
+    /// ROAD construction time: its derivation from the G-tree.
     pub road_micros: u128,
     /// SILC construction time.
     pub silc_micros: u128,
@@ -297,7 +295,8 @@ impl Engine {
     /// indexes (ROAD, SILC, PHL, TNR) on top of disk-backed CH and G-tree.
     ///
     /// The builders form two chains that read nothing of each other's: the
-    /// partition family then SILC (G-tree → ROAD → SILC), and the contraction
+    /// partition family then SILC (G-tree → ROAD → SILC, ROAD derived from the
+    /// G-tree whether that was built or loaded), and the contraction
     /// hierarchy with its two dependants (CH → PHL → TNR). When a CH has to be
     /// contracted, the first chain has something to build too and the build
     /// thread count allows it, the CH chain runs on its own scoped thread beside
@@ -313,16 +312,15 @@ impl Engine {
         let chains = ChainIndex::build(&graph);
         let g = &graph;
         let wants_ch = config.build_ch || config.build_tnr;
+        let wants_gtree = config.build_gtree || config.build_road;
         let overlap = wants_ch
             && preloaded_ch.is_none()
-            && (config.build_gtree && preloaded_gtree.is_none()
-                || config.build_road
-                || config.build_silc)
+            && (wants_gtree && preloaded_gtree.is_none() || config.build_road || config.build_silc)
             && config.gtree_config.resolved_threads() >= 2;
 
         let partition_chain = move || {
             let mut times = BuildTimes::default();
-            let gtree = if config.build_gtree {
+            let gtree = if wants_gtree {
                 preloaded_gtree.or_else(|| {
                     // A graph whose distances do not fit the G-tree's 32-bit cells is
                     // refused, not approximated: the engine then holds no G-tree and its
@@ -335,12 +333,8 @@ impl Engine {
             } else {
                 None
             };
-            let road = config.build_road.then(|| {
-                let mut rconfig = RoadConfig::for_network(g.num_vertices());
-                if let Some(levels) = config.road_levels {
-                    rconfig.levels = levels;
-                }
-                let (road, micros) = timed(|| RoadIndex::build_with_config(g, rconfig));
+            let road = gtree.as_ref().filter(|_| config.build_road).map(|gtree| {
+                let (road, micros) = timed(|| RoadIndex::from_gtree(g, gtree));
                 times.road_micros = micros;
                 road
             });
@@ -912,14 +906,14 @@ mod tests {
     }
 
     /// A partition-chain assert raised while the CH chain runs on its thread: the
-    /// schedule joins that thread and the caller still sees ROAD's own message.
+    /// schedule joins that thread and the caller still sees the G-tree's own message.
     #[test]
-    #[should_panic(expected = "at least one level of partitioning is required")]
+    #[should_panic(expected = "leaf capacity must be at least 1")]
     fn builder_panic_beside_the_ch_thread_keeps_its_payload() {
         let graph =
             RoadNetwork::generate(&GeneratorConfig::new(300, 4)).graph(EdgeWeightKind::Distance);
         let config = EngineConfig {
-            road_levels: Some(0),
+            gtree_leaf_capacity: Some(0),
             build_silc: false,
             build_phl: false,
             ..Default::default()
@@ -1023,7 +1017,8 @@ mod tests {
         for &removed in &kinds {
             let config = EngineConfig {
                 build_gtree: removed != IndexKind::Gtree,
-                build_road: removed != IndexKind::Road,
+                // `build_road` implies a G-tree, so removing the G-tree removes ROAD too.
+                build_road: removed != IndexKind::Road && removed != IndexKind::Gtree,
                 build_silc: removed != IndexKind::Silc,
                 // `build_tnr` implies a CH build, so removing CH removes TNR too.
                 build_ch: removed != IndexKind::Ch,

@@ -13,9 +13,10 @@
 //! milliseconds and rebuilt on load), object sets and object indexes (cheap
 //! and swapped per workload, per the paper's decoupled-indexing design), and
 //! the ROAD/SILC/PHL/TNR indexes. Their `EngineConfig` build flags still
-//! work on the load path — the engine builds them over the loaded graph —
-//! so a loaded engine supports exactly the methods a built one with the same
-//! config does; only the CH and G-tree construction time is skipped.
+//! work on the load path — the engine derives ROAD from the loaded G-tree and
+//! builds the others over the loaded graph — so a loaded engine supports
+//! exactly the methods a built one with the same config does; only the CH and
+//! G-tree construction time is skipped.
 //!
 //! Every load fully validates the artifact — magic, format version, per-
 //! section checksums and structural invariants — before any query runs, and
@@ -89,12 +90,13 @@ impl Engine {
     /// [`PersistError`], never a panic or a wrong answer later.
     ///
     /// `config` plays the same role as in [`Engine::build`]: `build_ch` /
-    /// `build_gtree` say which indexes the caller needs (absent-from-artifact
-    /// is [`PersistError::MissingSection`]), and `ch_config` / `gtree_config`
+    /// `build_gtree` (or `build_tnr` / `build_road`, which imply them) say which
+    /// indexes the caller needs (absent-from-artifact is
+    /// [`PersistError::MissingSection`]), and `ch_config` / `gtree_config`
     /// must fingerprint-match what the artifact was built with
     /// ([`PersistError::ConfigMismatch`] otherwise). Build flags for the
-    /// non-persisted indexes (ROAD, SILC, PHL, TNR) are honoured by building
-    /// them over the loaded graph.
+    /// non-persisted indexes are honoured: ROAD is derived from the loaded
+    /// G-tree, SILC, PHL and TNR are built over the loaded graph.
     pub fn load_indexes(
         path: impl AsRef<Path>,
         config: &EngineConfig,
@@ -133,7 +135,8 @@ impl Engine {
         } else {
             None
         };
-        let gtree = if config.build_gtree {
+        // ROAD implies a G-tree (assemble derives it from one), matching Engine::build.
+        let gtree = if config.build_gtree || config.build_road {
             if !rnknn_gtree::persist::has_gtree(artifact) {
                 return Err(PersistError::MissingSection {
                     section: "G-tree index (artifact was saved without build_gtree)".to_string(),

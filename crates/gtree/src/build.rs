@@ -187,8 +187,7 @@ impl Gtree {
     ) -> Result<Gtree, GtreeBuildError> {
         assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
         check_distance_range(graph)?;
-        let (hierarchy, leaves) =
-            Hierarchy::build(graph, config.fanout, |_, len| len <= config.leaf_capacity);
+        let (hierarchy, leaves) = Hierarchy::build(graph, config.fanout, config.leaf_capacity);
         let border_positions = hierarchy.border_positions(&leaves);
         let matrices = vec![DistanceMatrix::new(0, 0, CELL_INFINITY); hierarchy.num_parts()];
         let child_min_offsets = child_min_offsets(&hierarchy);

@@ -59,7 +59,6 @@ mod tests {
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_gtree::GtreeConfig;
-    use rnknn_road::RoadConfig;
 
     #[test]
     fn all_three_object_indexes_build_and_report_costs() {
@@ -67,10 +66,7 @@ mod tests {
             RoadNetwork::generate(&GeneratorConfig::new(600, 3)).graph(EdgeWeightKind::Distance);
         let gtree =
             Gtree::build_with_config(&g, GtreeConfig { leaf_capacity: 64, ..Default::default() });
-        let road = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 },
-        );
+        let road = RoadIndex::from_gtree(&g, &gtree);
         let objects = uniform(&g, 0.05, 7);
 
         let (rtree, rc) = build_rtree(&g, &objects);

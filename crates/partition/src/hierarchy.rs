@@ -1,9 +1,10 @@
-//! The partition hierarchy G-tree and ROAD are both built on, and both hold
-//! (Sections 3.4 / 3.5): the network split recursively into `fanout` parts, every
-//! part's borders, and the edge lists of the two reduced graphs that border-to-border
-//! distances are composed on, bottom-up — a leaf's induced subgraph, and an internal
-//! part's child borders joined by the graph's own edges (each builder adds its
-//! children's border distances, thinned by [`sparsify`]).
+//! The partition hierarchy G-tree is built on and both G-tree and ROAD hold
+//! (Sections 3.4 / 3.5; ROAD's Rnets are the G-tree's nodes): the network split
+//! recursively into `fanout` parts of at most a leaf capacity, every part's borders,
+//! and the edge lists of the two reduced graphs that border-to-border distances are
+//! composed on, bottom-up — a leaf's induced subgraph, and an internal part's child
+//! borders joined by the graph's own edges (the builder adds its children's border
+//! distances, thinned by [`sparsify`], the rule ROAD's shortcuts are thinned by too).
 //!
 //! The layout is flat (Section 6.2: arrays with offsets): one column per part
 //! attribute and one concatenated list each for children, borders and leaf vertices.
@@ -46,9 +47,8 @@ pub struct Hierarchy {
     leaf_of_vertex: Vec<u32>,
 }
 
-/// The vertices of every leaf in partition order: a leaf's local ids. Both builders
-/// need it; of the indexes only G-tree, whose leaf matrices have a column per vertex,
-/// keeps it.
+/// The vertices of every leaf in partition order: a leaf's local ids, and G-tree's
+/// leaf matrix columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafLayout {
     /// `vertices[offsets[p]..offsets[p + 1]]`: the vertices of part `p` if it is a
@@ -84,16 +84,13 @@ pub struct Malformed {
 pub type LocalEdge = (u32, u32, Weight);
 
 impl Hierarchy {
-    /// Splits `graph` into `fanout` parts recursively; a part of `len` vertices at
-    /// `level` becomes a leaf when `stop(level, len)` says so.
-    pub fn build(
-        graph: &Graph,
-        fanout: usize,
-        stop: impl Fn(u32, usize) -> bool,
-    ) -> (Hierarchy, LeafLayout) {
+    /// Splits `graph` into `fanout` parts recursively; a part of at most
+    /// `leaf_capacity` vertices becomes a leaf.
+    pub fn build(graph: &Graph, fanout: usize, leaf_capacity: usize) -> (Hierarchy, LeafLayout) {
         assert!(fanout >= 2, "fanout must be at least 2");
         let mut columns = Columns::default();
-        split(graph, fanout, &stop, NO_PARENT, 0, graph.vertices().collect(), &mut columns);
+        let vertices = graph.vertices().collect();
+        split(graph, fanout, leaf_capacity, NO_PARENT, vertices, &mut columns);
         Self::from_columns(graph, columns).expect("the recursion numbers parts in preorder")
     }
 
@@ -420,20 +417,19 @@ impl LeafLayout {
     }
 }
 
-/// Appends the part holding `vertices`, at `level` below `parent`, and, recursively,
-/// its descendants.
+/// Appends the part holding `vertices` below `parent` and, recursively, its
+/// descendants.
 fn split(
     graph: &Graph,
     fanout: usize,
-    stop: &impl Fn(u32, usize) -> bool,
+    leaf_capacity: usize,
     parent: u32,
-    level: u32,
     vertices: Vec<NodeId>,
     columns: &mut Columns,
 ) {
     let index = columns.parent.len() as u32;
     columns.parent.push(parent);
-    if stop(level, vertices.len()) {
+    if vertices.len() <= leaf_capacity {
         columns.leaf_sizes.push(vertices.len() as u32);
         columns.vertices.extend(vertices);
         return;
@@ -452,7 +448,7 @@ fn split(
         }
     }
     for piece in pieces.into_iter().filter(|p| !p.is_empty()) {
-        split(graph, fanout, stop, index, level + 1, piece, columns);
+        split(graph, fanout, leaf_capacity, index, piece, columns);
     }
 }
 
@@ -507,12 +503,11 @@ mod tests {
         let graphs = [unit_grids(SIDE, 1), zero_weight_grid(SIDE), unit_grids(SIDE / 2, 3)];
         let mut all = Vec::new();
         for g in graphs {
-            // The G-tree stop rule and the ROAD one.
-            let (by_size, size_leaves) = Hierarchy::build(&g, 4, |_, len| len <= 16);
-            let (by_level, level_leaves) =
-                Hierarchy::build(&g, 3, |level, len| level >= 2 || len <= 4);
-            all.push((g.clone(), by_size, size_leaves));
-            all.push((g, by_level, level_leaves));
+            // Many small leaves, and a shallow tree whose leaves sit two levels down.
+            let (deep, deep_leaves) = Hierarchy::build(&g, 4, 16);
+            let (shallow, shallow_leaves) = Hierarchy::build(&g, 3, g.num_vertices() / 6);
+            all.push((g.clone(), deep, deep_leaves));
+            all.push((g, shallow, shallow_leaves));
         }
         all
     }
@@ -559,12 +554,13 @@ mod tests {
     #[test]
     fn the_stop_rule_decides_the_leaves() {
         let g = unit_grids(SIDE, 1);
-        let (by_size, _) = Hierarchy::build(&g, 4, |_, len| len <= 16);
+        let (by_size, _) = Hierarchy::build(&g, 4, 16);
         assert!(parts(&by_size).all(|p| by_size.is_leaf(p) == (by_size.num_vertices(p) <= 16)));
-        let (by_level, _) = Hierarchy::build(&g, 2, |level, _| level >= 3);
-        assert!(parts(&by_level).all(|p| by_level.is_leaf(p) == (by_level.level(p) == 3)));
-        assert_eq!(by_level.num_parts(), 15);
-        let (whole, leaves) = Hierarchy::build(&g, 4, |_, _| true);
+        // Halves of halves: a sixth of the network fits at level 3 and not above.
+        let (halved, _) = Hierarchy::build(&g, 2, g.num_vertices() / 6);
+        assert!(parts(&halved).all(|p| halved.is_leaf(p) == (halved.level(p) == 3)));
+        assert_eq!(halved.num_parts(), 15);
+        let (whole, leaves) = Hierarchy::build(&g, 4, g.num_vertices());
         assert_eq!(whole.num_parts(), 1);
         assert_eq!(leaves.vertices(0), g.vertices().collect::<Vec<_>>());
     }
@@ -640,7 +636,7 @@ mod tests {
     #[test]
     fn columns_that_break_a_rule_are_refused_with_the_rule() {
         let g = unit_grids(SIDE, 1);
-        let (h, leaves) = Hierarchy::build(&g, 3, |level, len| level >= 2 || len <= 4);
+        let (h, leaves) = Hierarchy::build(&g, 3, g.num_vertices() / 6);
         let good = h.columns(&leaves);
         let last_part = good.parent.len() - 1;
         assert!(h.level(last_part as u32) == 2 && h.is_leaf(1 + 1), "the shape the cases assume");

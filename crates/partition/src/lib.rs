@@ -1,7 +1,7 @@
 //! Multilevel graph partitioning.
 //!
-//! Both G-tree and ROAD recursively partition the road network into `f ≥ 2` balanced
-//! parts with small edge cut (Section 3.4 / 3.5). The paper uses the multilevel scheme
+//! G-tree recursively partitions the road network into `f ≥ 2` balanced parts with
+//! small edge cut (Section 3.4), and ROAD's Rnets are its parts (Section 3.5). The paper uses the multilevel scheme
 //! of Karypis & Kumar (the paper's reference \[18\]) via the G-tree authors' code;
 //! since the road-network
 //! partitioning problem is NP-complete, any balanced small-cut heuristic preserves the
@@ -13,11 +13,11 @@
 //! 3. **Uncoarsening + refinement** — project the partition back up, applying
 //!    boundary Fiduccia–Mattheyses-style moves at every level.
 //!
-//! `k`-way partitions are produced by recursive bisection, which is how both G-tree
-//! (fanout `f`) and ROAD (`f` child Rnets) consume it — through [`hierarchy`], the one
-//! build-time module that recurses, finds every part's borders, lists the edges of the
-//! reduced graphs their border distances are composed on, and holds the triangle rule
-//! ([`hierarchy::sparsify`]) that thins those distances.
+//! `k`-way partitions are produced by recursive bisection, which is how G-tree
+//! (fanout `f`) consumes it — through [`hierarchy`], the one build-time module that
+//! recurses, finds every part's borders, lists the edges of the reduced graphs their
+//! border distances are composed on, and holds the triangle rule
+//! ([`hierarchy::sparsify`]) that thins those distances, and ROAD's shortcuts.
 
 #![forbid(unsafe_code)]
 

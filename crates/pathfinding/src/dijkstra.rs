@@ -149,7 +149,7 @@ pub fn sssp_tree(graph: &Graph, source: NodeId) -> (Vec<Weight>, Vec<NodeId>) {
 
 /// A compact adjacency (CSR) over the local vertex ids `0..n` of a reduced graph — a
 /// partition leaf's induced subgraph, or the border graph of an internal partition
-/// node — built once per distance matrix while constructing G-tree and ROAD and
+/// node — built once per distance matrix while constructing G-tree and
 /// shared read-only by all its row searches.
 #[derive(Debug, Clone)]
 pub struct LocalGraph {

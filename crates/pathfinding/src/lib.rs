@@ -11,8 +11,8 @@
 //! * [`settled`] — settled-vertex containers: a bit-array (the paper's recommendation)
 //!   and a hash-set variant for the same ablation.
 //! * [`dijkstra`] — point-to-point and single-source Dijkstra searches, shortest-path
-//!   trees, and [`LocalGraph`]: the CSR + SSSP over the reduced graphs G-tree and ROAD
-//!   compose their border distances on.
+//!   trees, and [`LocalGraph`]: the CSR + SSSP over the reduced graphs G-tree
+//!   composes its border distances on.
 //! * [`astar`] — A* point-to-point search with a Euclidean lower-bound heuristic.
 //! * [`bidirectional`] — bidirectional Dijkstra point-to-point search.
 //! * [`scratch`] — reusable per-search state: [`Stamped`], the workspace's one

@@ -176,7 +176,7 @@ impl AssociationDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{RoadConfig, RoadIndex};
+    use crate::index::derive_for_tests;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
 
@@ -184,10 +184,7 @@ mod tests {
     fn directory_flags_match_object_locations() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 4));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 },
-        );
+        let road = derive_for_tests(&g, 16);
         let objects: Vec<NodeId> = g.vertices().filter(|v| v % 23 == 1).collect();
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
         assert_eq!(dir.num_objects(), objects.len());
@@ -218,10 +215,7 @@ mod tests {
     fn incremental_updates_stay_conservative_and_repair_restores_exactness() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 6));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 },
-        );
+        let road = derive_for_tests(&g, 16);
         let mut members: Vec<NodeId> = g.vertices().filter(|v| v % 19 == 4).collect();
         let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &members);
         let mut state = 0xACE1u64;
@@ -298,10 +292,7 @@ mod tests {
     fn repeated_remove_insert_remove_cycles_interleaved_with_repair() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 11));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 },
-        );
+        let road = derive_for_tests(&g, 16);
         let mut members: Vec<NodeId> = g.vertices().filter(|v| v % 17 == 2).collect();
         let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &members);
         let cyclers: Vec<NodeId> = members.iter().copied().step_by(3).collect();
@@ -383,7 +374,7 @@ mod tests {
     fn duplicates_and_empty_sets() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(300, 8));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = RoadIndex::build(&g);
+        let road = derive_for_tests(&g, 64);
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &[9, 9, 9]);
         assert_eq!(dir.num_objects(), 1);
         let empty = AssociationDirectory::build(&road, g.num_vertices(), &[]);

@@ -1,45 +1,11 @@
-//! The Rnet hierarchy and Route Overlay.
+//! The Rnet hierarchy and Route Overlay, derived from a built G-tree.
 
-use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
-use rnknn_partition::hierarchy::{sparsify, Hierarchy, LeafLayout};
-use rnknn_pathfinding::dijkstra::LocalGraph;
+use rnknn_graph::{Graph, NodeId, Weight};
+use rnknn_gtree::{widen, Cell, Gtree, CELL_INFINITY};
+use rnknn_partition::hierarchy::{sparsify, Hierarchy};
 
-/// Index of an Rnet within the hierarchy.
+/// Index of an Rnet within the hierarchy: the G-tree node it is.
 pub type RnetIndex = u32;
-
-/// Configuration of the ROAD index.
-#[derive(Debug, Clone)]
-pub struct RoadConfig {
-    /// Fanout `f ≥ 2` of the Rnet hierarchy (the paper uses 4).
-    pub fanout: usize,
-    /// Number of hierarchy levels `l > 1` below the root (the paper uses 7–11 depending
-    /// on network size). Partitioning stops early for Rnets that become too small.
-    pub levels: usize,
-    /// Rnets with at most this many vertices are not partitioned further even if the
-    /// level budget is not exhausted.
-    pub min_rnet_vertices: usize,
-}
-
-impl Default for RoadConfig {
-    fn default() -> Self {
-        RoadConfig { fanout: 4, levels: 6, min_rnet_vertices: 32 }
-    }
-}
-
-impl RoadConfig {
-    /// A configuration mirroring the paper's rule of increasing `l` with network size
-    /// until leaf Rnets become too small.
-    pub fn for_network(num_vertices: usize) -> Self {
-        let fanout = 4usize;
-        let mut levels = 2usize;
-        let mut leaf = num_vertices as f64;
-        while leaf / fanout as f64 >= 48.0 && levels < 12 {
-            leaf /= fanout as f64;
-            levels += 1;
-        }
-        RoadConfig { fanout, levels, min_rnet_vertices: 32 }
-    }
-}
 
 /// CSR rows of `(target, weight)` entries, split into parallel arrays like the
 /// adjacency lists of [`Graph`] so that an entry costs 12 bytes.
@@ -80,8 +46,8 @@ impl Rows {
 /// The ROAD road-network index: Rnet hierarchy plus Route Overlay.
 #[derive(Debug, Clone)]
 pub struct RoadIndex {
-    /// The Rnets: one part each, with its parent, borders and leaf range, and the
-    /// leaf Rnet of every vertex. The leaves' vertex lists are build-time only.
+    /// The Rnets: a copy of the G-tree's hierarchy, one Rnet per G-tree node, with
+    /// its parent, borders and leaf range, and the leaf Rnet of every vertex.
     hierarchy: Hierarchy,
     /// The Route Overlay, one flat vertex-major CSR (Section 6.2: a single array with
     /// offsets). A row is the kept shortcuts of one (Rnet, border) followed by the
@@ -97,22 +63,16 @@ pub struct RoadIndex {
     /// the query hot path.
     chain_entries: Vec<RnetIndex>,
     chain_offsets: Vec<u32>,
-    config: RoadConfig,
 }
 
 impl RoadIndex {
-    /// Builds the index with a size-appropriate configuration.
-    pub fn build(graph: &Graph) -> RoadIndex {
-        Self::build_with_config(graph, RoadConfig::for_network(graph.num_vertices()))
-    }
-
-    /// Builds the index with an explicit configuration.
-    pub fn build_with_config(graph: &Graph, config: RoadConfig) -> RoadIndex {
-        assert!(config.levels >= 1, "at least one level of partitioning is required");
-        let (hierarchy, leaves) = Hierarchy::build(graph, config.fanout, |level, len| {
-            level as usize >= config.levels || len <= config.min_rnet_vertices
-        });
-        let kept = compute_shortcuts(graph, &hierarchy, &leaves);
+    /// Derives the index from `gtree`, built over `graph`: the Rnets are the G-tree's
+    /// nodes, and an Rnet's shortcuts are its border × border block of the node's
+    /// matrix — global network distances, thinned by [`sparsify`].
+    pub fn from_gtree(graph: &Graph, gtree: &Gtree) -> RoadIndex {
+        let hierarchy = gtree.hierarchy().clone();
+        let kept: Vec<KeptShortcuts> =
+            (0..hierarchy.num_parts() as RnetIndex).map(|i| border_shortcuts(gtree, i)).collect();
         let (overlay, rows_of_vertex) = pack_overlay(graph, &hierarchy, &kept);
         // CSR-pack every Rnet's containment chain (top-down, root omitted) so the
         // kNN search reads it as a slice instead of rebuilding a Vec per vertex: an
@@ -129,12 +89,7 @@ impl RoadIndex {
             chain_entries.push(i);
             chain_offsets.push(chain_entries.len() as u32);
         }
-        RoadIndex { hierarchy, overlay, rows_of_vertex, chain_entries, chain_offsets, config }
-    }
-
-    /// The configuration used to build the index.
-    pub fn config(&self) -> &RoadConfig {
-        &self.config
+        RoadIndex { hierarchy, overlay, rows_of_vertex, chain_entries, chain_offsets }
     }
 
     /// The Rnet hierarchy: every Rnet's parent, children, level, borders (sorted by
@@ -208,9 +163,9 @@ impl RoadIndex {
     }
 
     /// The kept shortcuts from border `v` of Rnet `r`: pairs of (other border,
-    /// restricted network distance). A shortcut is stored only when no third border
+    /// network distance). A shortcut is stored only when no third border of `r`
     /// splits it into two shorter ones, so every border of `r` is still reached at its
-    /// restricted distance, possibly over several shortcuts.
+    /// network distance, possibly over several shortcuts.
     /// Returns `None` when `v` is not a border of `r`.
     pub fn shortcuts_from(
         &self,
@@ -228,40 +183,34 @@ impl RoadIndex {
         self.overlay.targets.len()
     }
 
-    /// Resident size in bytes of everything the index holds (Figure 8(a)). The
-    /// overlay dominates; with triangle-sparsified rows it is smaller than the
-    /// G-tree's matrices even though border lists repeat across levels.
+    /// Resident size in bytes of everything the index holds (Figure 8(a)), its copy
+    /// of the G-tree's hierarchy included. The overlay dominates; with
+    /// triangle-sparsified rows it is smaller than the G-tree's matrices even though
+    /// border lists repeat across levels.
     pub fn memory_bytes(&self) -> usize {
         let words = self.rows_of_vertex.len() + self.chain_entries.len() + self.chain_offsets.len();
         words * 4 + self.overlay.memory_bytes() + self.hierarchy.memory_bytes()
     }
 }
 
-/// The kept shortcuts of one Rnet as [`sparsify`] yields them: `(a, b, distance)` over
+/// The kept shortcuts of one Rnet as [`sparsify`] yields them: `(a, b, cell)` over
 /// positions in the Rnet's border list, row by row.
-type KeptShortcuts = Vec<(u32, u32, Weight)>;
+type KeptShortcuts = Vec<(u32, u32, Cell)>;
 
-/// Bottom-up shortcut computation over the Rnets-to-be (docs/ARCHITECTURE.md,
-/// "Partition hierarchy"): every Rnet's kept shortcuts. An Rnet's dense border matrix
-/// lives only until it is sparsified; its parent composes from the kept shortcuts,
-/// which carry the same distances.
-fn compute_shortcuts(graph: &Graph, h: &Hierarchy, leaves: &LeafLayout) -> Vec<KeptShortcuts> {
-    let mut order: Vec<u32> = (0..h.num_parts() as u32).collect();
-    order.sort_unstable_by_key(|&i| std::cmp::Reverse(h.level(i)));
-
-    let positions = h.border_positions(leaves);
-    let mut kept = vec![KeptShortcuts::new(); h.num_parts()];
-    for i in order.into_iter().filter(|&i| !h.borders(i).is_empty()) {
-        let local = reduced_graph(graph, h, leaves, i, &kept);
-        let positions = &positions[h.border_range(i)];
-        let mut matrix = Vec::with_capacity(positions.len() * positions.len());
-        for &from in positions {
-            let dist = local.sssp(from);
-            matrix.extend(positions.iter().map(|&to| dist[to as usize]));
-        }
-        kept[i as usize] = sparsify(&matrix, positions.len(), INFINITY);
+/// The kept shortcuts of Rnet `i`: the border × border block of G-tree node `i`'s
+/// matrix (borders × vertices at a leaf, child borders × child borders otherwise;
+/// `border_positions` places the node's own borders among them). Refined G-tree
+/// cells are global distances, so the block is symmetric and [`sparsify`] applies
+/// as is.
+fn border_shortcuts(gtree: &Gtree, i: RnetIndex) -> KeptShortcuts {
+    let (matrix, positions) = (gtree.matrix(i), gtree.border_positions(i));
+    let leaf = gtree.hierarchy().is_leaf(i);
+    let mut block = Vec::with_capacity(positions.len() * positions.len());
+    for (a, &from) in positions.iter().enumerate() {
+        let row = matrix.row(if leaf { a } else { from as usize });
+        block.extend(positions.iter().map(|&to| row[to as usize]));
     }
-    kept
+    sparsify(&block, positions.len(), CELL_INFINITY)
 }
 
 /// Re-packs the kept shortcuts vertex-major, top level first, each row closed by its
@@ -284,33 +233,21 @@ fn pack_overlay(graph: &Graph, h: &Hierarchy, kept: &[KeptShortcuts]) -> (Rows, 
             let (borders, kept) = (h.borders(r), &kept[r as usize]);
             let row = &kept[kept.partition_point(|&(a, _, _)| a < pos)..];
             let shortcuts = row.iter().take_while(|&&(a, _, _)| a == pos);
+            let shortcuts = shortcuts.map(|&(_, b, d)| (borders[b as usize], widen(d)));
             let leaving = graph.neighbors(v).filter(|&(t, _)| h.outside(h.leaf_range(r), t));
-            overlay.push_row(shortcuts.map(|&(_, b, d)| (borders[b as usize], d)).chain(leaving));
+            overlay.push_row(shortcuts.chain(leaving));
         }
     }
     rows_of_vertex.push(overlay.offsets.len() as u32 - 1);
     (overlay, rows_of_vertex)
 }
 
-/// What the border × border distances within Rnet `i` are searched on: the induced
-/// subgraph of a leaf Rnet, and for an internal one the reduced graph of its
-/// children's borders (their kept shortcuts + the cross edges inside this Rnet).
-fn reduced_graph(
-    graph: &Graph,
-    h: &Hierarchy,
-    leaves: &LeafLayout,
-    i: RnetIndex,
-    kept: &[KeptShortcuts],
-) -> LocalGraph {
-    if h.is_leaf(i) {
-        return LocalGraph::from_edges(leaves.vertices(i).len(), &h.leaf_edges(graph, leaves, i));
-    }
-    let mut edges = h.cross_edges(graph, i);
-    for &c in h.children(i) {
-        let base = h.base_in_parent(c) as u32;
-        edges.extend(kept[c as usize].iter().map(|&(a, b, d)| (base + a, base + b, d)));
-    }
-    LocalGraph::from_edges(h.child_borders(i).len(), &edges)
+/// A ROAD index derived from a G-tree with leaves of at most `leaf_capacity`
+/// vertices: the small-network shape the crate's tests search on.
+#[cfg(test)]
+pub(crate) fn derive_for_tests(graph: &Graph, leaf_capacity: usize) -> RoadIndex {
+    let config = rnknn_gtree::GtreeConfig { leaf_capacity, ..Default::default() };
+    RoadIndex::from_gtree(graph, &Gtree::build_with_config(graph, config))
 }
 
 #[cfg(test)]
@@ -318,22 +255,19 @@ mod tests {
     use super::*;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
-    use rnknn_graph::EdgeWeightKind;
-    use rnknn_pathfinding::dijkstra;
+    use rnknn_graph::{EdgeWeightKind, INFINITY};
+    use rnknn_pathfinding::dijkstra::{self, LocalGraph};
 
-    fn build(n: usize, seed: u64, levels: usize) -> (Graph, RoadIndex) {
+    fn build(n: usize, seed: u64) -> (Graph, RoadIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
         let g = net.graph(EdgeWeightKind::Distance);
-        let idx = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels, min_rnet_vertices: 16 },
-        );
+        let idx = derive_for_tests(&g, 16);
         (g, idx)
     }
 
     #[test]
     fn hierarchy_structure_is_consistent() {
-        let (g, idx) = build(800, 5, 3);
+        let (g, idx) = build(800, 5);
         assert!(idx.num_rnets() > 4);
         let h = idx.hierarchy();
         assert_eq!(h.num_vertices(idx.root()) as usize, g.num_vertices());
@@ -352,7 +286,7 @@ mod tests {
 
     #[test]
     fn borders_have_edges_leaving_their_rnet() {
-        let (g, idx) = build(600, 9, 3);
+        let (g, idx) = build(600, 9);
         for ri in 1..idx.num_rnets() as RnetIndex {
             for &b in idx.hierarchy().borders(ri) {
                 let outside = g.neighbor_ids(b).iter().any(|&t| !idx.contains(ri, t));
@@ -364,14 +298,11 @@ mod tests {
 
     #[test]
     fn shortcuts_never_underestimate_and_are_achievable() {
-        let (g, idx) = build(500, 3, 3);
-        // Restricted shortcuts are >= the true network distance, and for leaf Rnets on a
-        // connected subgraph they equal a realizable path length.
+        let (g, idx) = build(500, 3);
         for ri in 1..idx.num_rnets() as RnetIndex {
             for &b in idx.hierarchy().borders(ri).iter().take(3) {
                 for (other, d) in idx.shortcuts_from(ri, b).unwrap() {
-                    let truth = dijkstra::distance(&g, b, other);
-                    assert!(d >= truth, "shortcut {b}->{other} = {d} < true {truth}");
+                    assert_eq!(d, dijkstra::distance(&g, b, other), "shortcut {b}->{other}");
                 }
             }
         }
@@ -379,7 +310,7 @@ mod tests {
 
     #[test]
     fn overlay_rows_are_consistent_with_border_lists() {
-        let (g, idx) = build(400, 7, 3);
+        let (g, idx) = build(400, 7);
         for v in g.vertices() {
             // The Rnets v borders are exactly the tail of its chain that has rows.
             let chain = idx.chain_of(v);
@@ -440,39 +371,36 @@ mod tests {
     struct BorderPairs {
         /// Pairs joined by a stored shortcut.
         kept: usize,
-        /// Pairs connected inside their Rnet (what the dense cliques stored).
+        /// Pairs connected in the network (what a dense clique would store).
         connected: usize,
         /// Connected pairs at distance zero.
         at_zero: usize,
-        /// Pairs with no path inside their Rnet.
+        /// Pairs with no path between them.
         apart: usize,
     }
 
     /// The triangle rule may drop a shortcut only if the kept ones still carry its
     /// distance: per Rnet, Dijkstra over the kept rows (borders only) must equal
-    /// Dijkstra over the Rnet's induced subgraph.
+    /// Dijkstra over the whole network.
     fn check_kept_shortcuts(g: &Graph) -> BorderPairs {
-        let config = RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 };
-        let idx = RoadIndex::build_with_config(g, config);
+        let idx = derive_for_tests(g, 16);
         let mut pairs = BorderPairs::default();
         for r in (0..idx.num_rnets() as RnetIndex).filter(|&r| r != idx.root()) {
             let borders = idx.hierarchy().borders(r);
-            let restricted = border_distances(g, &idx, r, |v, out| {
-                out.extend(g.neighbors(v).filter(|&(t, _)| idx.contains(r, t)));
-            });
+            let global = border_distances(g, &idx, r, |v, out| out.extend(g.neighbors(v)));
             let over_kept = border_distances(g, &idx, r, |v, out| {
                 out.extend(idx.shortcuts_from(r, v).expect("shortcuts lead to borders of r"));
             });
-            if let Some(i) = (0..restricted.len()).find(|&i| over_kept[i] != restricted[i]) {
+            if let Some(i) = (0..global.len()).find(|&i| over_kept[i] != global[i]) {
                 let (a, b) = (borders[i / borders.len()], borders[i % borders.len()]);
-                let (kept, inside) = (over_kept[i], restricted[i]);
-                panic!("rnet {r}: {a} -> {b} is {kept} over kept rows, {inside} inside the Rnet");
+                let (kept, network) = (over_kept[i], global[i]);
+                panic!("rnet {r}: {a} -> {b} is {kept} over kept rows, {network} in the network");
             }
             pairs.kept +=
                 borders.iter().map(|&b| idx.shortcuts_from(r, b).unwrap().count()).sum::<usize>();
-            pairs.apart += restricted.iter().filter(|&&d| d == INFINITY).count();
-            pairs.at_zero += restricted.iter().filter(|&&d| d == 0).count() - borders.len();
-            pairs.connected += restricted.iter().filter(|&&d| d < INFINITY).count() - borders.len();
+            pairs.apart += global.iter().filter(|&&d| d == INFINITY).count();
+            pairs.at_zero += global.iter().filter(|&&d| d == 0).count() - borders.len();
+            pairs.connected += global.iter().filter(|&&d| d < INFINITY).count() - borders.len();
         }
         pairs
     }
@@ -494,12 +422,19 @@ mod tests {
         assert!(split.apart > 0 && split.kept < split.connected, "{split:?}");
     }
 
+    /// The Rnets are the G-tree's nodes, on the G-tree's own hierarchy.
     #[test]
-    fn config_scales_levels_with_network_size() {
-        assert!(RoadConfig::for_network(1_000).levels < RoadConfig::for_network(200_000).levels);
-        let (_, idx) = build(300, 1, 2);
-        assert!(idx.memory_bytes() > 0);
+    fn rnets_are_the_gtree_nodes() {
+        let g =
+            RoadNetwork::generate(&GeneratorConfig::new(300, 1)).graph(EdgeWeightKind::Distance);
+        let gtree = Gtree::build_with_config(
+            &g,
+            rnknn_gtree::GtreeConfig { leaf_capacity: 32, ..Default::default() },
+        );
+        let idx = RoadIndex::from_gtree(&g, &gtree);
+        assert_eq!(idx.num_rnets(), gtree.num_nodes());
+        assert_eq!(idx.hierarchy(), gtree.hierarchy());
         assert!(idx.num_shortcut_entries() > 0);
-        assert_eq!(idx.config().fanout, 4);
+        assert!(idx.memory_bytes() > gtree.hierarchy().memory_bytes());
     }
 }

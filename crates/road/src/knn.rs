@@ -8,26 +8,33 @@
 //!
 //! It is a label-setting search like every other expansion in the workspace: shortcut
 //! and edge relaxations alike go through [`SearchScratch::relax`], which queues a label
-//! only when it strictly improves the vertex's tentative distance. Shortcuts are exact
-//! within-Rnet distances, so labels are sums of real path lengths and the first pop of
-//! a vertex carries its network distance. That is where exactness comes from, and it
-//! subsumes the paper's Appendix A.3 repair (never re-insert a settled border): a
-//! settled vertex holds its final label, which nothing improves. It also bounds the
-//! queue — a border that many already-settled borders of one Rnet can reach is queued
-//! once per improvement, not once per shortcut row that names it.
+//! only when it strictly improves the vertex's tentative distance. A shortcut is the
+//! network distance between two borders of one Rnet, read from the G-tree's refined
+//! matrices: the length of a real path, which may leave the Rnet, and never more than
+//! the within-Rnet distance the paper's shortcut holds. So labels are sums of real path
+//! lengths and the first pop of a vertex carries its network distance. That is where
+//! exactness comes from, and it subsumes the paper's Appendix A.3 repair (never
+//! re-insert a settled border): a settled vertex holds its final label, which nothing
+//! improves. It also bounds the queue — a border that many already-settled borders of
+//! one Rnet can reach is queued once per improvement, not once per shortcut row that
+//! names it.
 //!
 //! The rows are triangle-sparsified (`sparsify` in `index.rs`), so a border of the
-//! bypassed Rnet may be reached over several kept shortcuts instead of one. Nothing is
-//! lost. What a vertex relaxes depends on the vertex and the directory only, so the
-//! search is Dijkstra on a fixed graph, and that graph preserves the distance from
-//! every vertex `x` to every object `o`, by induction on that distance (among equals,
-//! on the edges of a fewest-edges shortest path). If `x` bypasses an Rnet — object-free,
-//! so `o` is outside — the path leaves it at a border `c` after a within-Rnet shortest
-//! walk; the kept shortcuts join `x` to `c` at that length, over positive legs or as
-//! one zero-length shortcut, so the first of them ends strictly nearer to `o` (or at
-//! `c`, further along the path), where the induction applies whichever Rnet that
-//! vertex bypasses in turn. Only a clear bit on an Rnet that holds an object could
-//! break this; the stale-true bits a removal leaves just mean fewer bypasses.
+//! bypassed Rnet may be reached over several kept shortcuts instead of one, and the
+//! kept shortcuts of an Rnet join every pair of its borders at their network distance.
+//! Nothing is lost. What a vertex relaxes depends on the vertex and the directory only,
+//! so the search is Dijkstra on a fixed graph, and that graph preserves the distance
+//! from every vertex `x` to every object `o`, by induction on that distance (among
+//! equals, on the edges of a fewest-edges shortest path `P`). If `x` does not bypass,
+//! it relaxes its edges, the first of `P` included. If it bypasses an Rnet `R` —
+//! object-free, so `o` is outside — let `c` be the last vertex of `P` in `R`: a border
+//! of `R`, since `P`'s next edge leaves it, with `d(x, o) = d(x, c) + d(c, o)`. If
+//! `c = x`, that edge ends the row. Otherwise the kept shortcuts join `x` to `c` at
+//! `d(x, c)`, over positive legs or as one zero-length shortcut, so the first of them
+//! ends at a border strictly nearer to `o`, or at `c` with the shorter suffix of `P`
+//! still to go, where the induction applies whichever Rnet that vertex bypasses in
+//! turn. Only a clear bit on an Rnet that holds an object could break this; the
+//! stale-true bits a removal leaves just mean fewer bypasses.
 
 use rnknn_graph::{Graph, NodeId, Weight};
 use rnknn_pathfinding::scratch::SearchScratch;
@@ -176,19 +183,16 @@ impl<'a> RoadKnn<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::RoadConfig;
+    use crate::index::derive_for_tests;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
 
-    fn setup(n: usize, seed: u64, levels: usize) -> (Graph, RoadIndex) {
+    fn setup(n: usize, seed: u64) -> (Graph, RoadIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = RoadIndex::build_with_config(
-            &g,
-            RoadConfig { fanout: 4, levels, min_rnet_vertices: 16 },
-        );
+        let road = derive_for_tests(&g, 16);
         (g, road)
     }
 
@@ -202,7 +206,7 @@ mod tests {
 
     #[test]
     fn knn_matches_brute_force_across_densities() {
-        let (g, road) = setup(900, 21, 4);
+        let (g, road) = setup(900, 21);
         let n = g.num_vertices() as NodeId;
         for modulo in [3u32, 29, 113] {
             let objects: Vec<NodeId> = (0..n).filter(|v| v % modulo == 1).collect();
@@ -218,7 +222,7 @@ mod tests {
 
     #[test]
     fn sparse_objects_trigger_bypasses() {
-        let (g, road) = setup(1200, 2, 4);
+        let (g, road) = setup(1200, 2);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = vec![n - 1, n - 2, n - 3];
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
@@ -234,7 +238,7 @@ mod tests {
 
     #[test]
     fn sparse_searches_queue_improving_labels_only() {
-        let (g, road) = setup(2500, 17, 4);
+        let (g, road) = setup(2500, 17);
         let n = g.num_vertices() as NodeId;
         assert!(n >= 2000);
         // <= 0.5 % objects: most Rnets are object-free, so most pops are bypasses.
@@ -261,7 +265,7 @@ mod tests {
         assert!(
             relaxed <= 10 * settled,
             "{relaxed} overlay entries relaxed for {settled} settled vertices: a bypass must \
-             read one triangle-sparsified row (here 5.8 per settled vertex, leaving edges \
+             read one triangle-sparsified row (here 6.2 per settled vertex, leaving edges \
              included; a dense border x border row read 19.2 without them — 7.4 against 26.3 \
              at the benchmark's 23k tier, density 0.002)"
         );
@@ -271,7 +275,7 @@ mod tests {
     /// bypasses fewer Rnets than it could, and must stay exact.
     #[test]
     fn knn_is_exact_on_a_dirty_directory() {
-        let (g, road) = setup(1500, 31, 4);
+        let (g, road) = setup(1500, 31);
         let n = g.num_vertices() as NodeId;
         let mut objects: Vec<NodeId> = (0..n).filter(|v| v % 40 == 3).collect();
         let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
@@ -299,8 +303,7 @@ mod tests {
     #[test]
     fn knn_is_exact_on_ties_zero_weights_and_split_networks() {
         for g in [unit_grids(24, 1), zero_weight_grid(24), unit_grids(12, 4)] {
-            let config = RoadConfig { fanout: 4, levels: 3, min_rnet_vertices: 16 };
-            let road = RoadIndex::build_with_config(&g, config);
+            let road = derive_for_tests(&g, 16);
             let n = g.num_vertices() as NodeId;
             let objects: Vec<NodeId> = (0..n).filter(|v| v % 37 == 5).collect();
             let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
@@ -318,7 +321,7 @@ mod tests {
 
     #[test]
     fn query_on_an_object_and_k_exceeding_object_count() {
-        let (g, road) = setup(400, 6, 3);
+        let (g, road) = setup(400, 6);
         let objects: Vec<NodeId> = vec![10, 20, 30];
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
         let knn = RoadKnn::new(&g, &road);
@@ -330,7 +333,7 @@ mod tests {
 
     #[test]
     fn results_are_sorted_and_distinct() {
-        let (g, road) = setup(700, 13, 4);
+        let (g, road) = setup(700, 13);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 11 == 4).collect();
         let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);

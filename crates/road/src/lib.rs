@@ -6,6 +6,10 @@
 //! search, when the expansion reaches a border of an object-free Rnet it relaxes the
 //! Rnet's shortcuts instead of exploring its interior.
 //!
+//! The partition and the distances are the G-tree's: an Rnet is a G-tree node, and its
+//! shortcuts are read from the node's refined matrix, so ROAD is derived from a built
+//! [`rnknn_gtree::Gtree`] instead of partitioning and searching the network again.
+//!
 //! The crate provides:
 //!
 //! * [`RoadIndex`] — the Rnet hierarchy plus Route Overlay (triangle-sparsified border
@@ -22,5 +26,5 @@ mod index;
 mod knn;
 
 pub use association::AssociationDirectory;
-pub use index::{RnetIndex, RoadConfig, RoadIndex};
+pub use index::{RnetIndex, RoadIndex};
 pub use knn::{RoadKnn, RoadSearchStats};

@@ -359,10 +359,11 @@ fn assert_exact(engine: &Engine, objects: &ObjectSet, methods: &[Method], querie
     }
 }
 
-/// Every `GtreeConfig` the API accepts builds a Dijkstra-exact G-tree: fanout 2 to 5
-/// against small leaf capacities, at a sparse and a dense object set. Refinement to
-/// global distances is not among them: it was an option once, and switched off it
-/// made G-tree and IER-Gt answer wrong with no error.
+/// Every `GtreeConfig` the API accepts builds a Dijkstra-exact G-tree, and a
+/// Dijkstra-exact ROAD derived from it (its Rnets are the G-tree's nodes): fanout 2
+/// to 5 against small leaf capacities, at a sparse and a dense object set.
+/// Refinement to global distances is not among them: it was an option once, and
+/// switched off it made G-tree and IER-Gt answer wrong with no error.
 #[test]
 fn every_accepted_gtree_config_is_dijkstra_exact() {
     let graph =
@@ -373,7 +374,6 @@ fn every_accepted_gtree_config_is_dijkstra_exact() {
         for leaf_capacity in [4, 16, 48] {
             let config = EngineConfig {
                 build_ch: false,
-                build_road: false,
                 build_silc: false,
                 build_phl: false,
                 build_tnr: false,
@@ -386,7 +386,8 @@ fn every_accepted_gtree_config_is_dijkstra_exact() {
             for density in [0.01, 0.1] {
                 let objects = uniform(engine.graph(), density, 5);
                 engine.set_objects(objects.clone());
-                assert_exact(&engine, &objects, &[Method::Gtree, Method::IerGtree], &queries);
+                let methods = [Method::Gtree, Method::IerGtree, Method::Road];
+                assert_exact(&engine, &objects, &methods, &queries);
             }
         }
     }
@@ -415,15 +416,21 @@ fn a_graph_beyond_the_cell_range_gets_no_gtree_and_every_other_method_stays_exac
     for length in [LONGEST_PATH_THAT_FITS + 1, 3 << 30, (1 << 32) + 5] {
         let (engine, objects, queries) = path_engine(length);
         assert!(engine.gtree().is_none(), "length {length}: a G-tree was built");
-        for method in [Method::Gtree, Method::IerGtree] {
+        // ROAD is derived from the G-tree, so it is missing with it.
+        let missing = [
+            (Method::Gtree, IndexKind::Gtree),
+            (Method::IerGtree, IndexKind::Gtree),
+            (Method::Road, IndexKind::Road),
+        ];
+        for (method, index) in missing {
             assert!(!engine.supports(method), "length {length}: {} supported", method.name());
             assert_eq!(
                 engine.query(method, 0, 5).unwrap_err(),
-                EngineError::MissingIndex { method, index: IndexKind::Gtree },
+                EngineError::MissingIndex { method, index },
                 "length {length}"
             );
         }
-        assert_exact(&engine, &objects, &[Method::Ine, Method::IerCh, Method::Road], &queries);
+        assert_exact(&engine, &objects, &[Method::Ine, Method::IerCh], &queries);
     }
 }
 

@@ -9,10 +9,13 @@
 //! is ~7s on one core, so the release budgets below have comfortable slack — if one
 //! trips, the superlinear assembly is back. The composed-vs-naive matrix equality
 //! lives in `rnknn-gtree`'s unit tests (`composition_matches_naive_per_pair_build`).
+//! The ROAD index derived from the 23k G-tree is counted here too: it must hold
+//! the G-tree's partition, not one of its own.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use rnknn::engine::{Engine, EngineConfig};
 use rnknn::ier::IerSearch;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId, Weight};
@@ -69,25 +72,41 @@ struct WorkAt23k {
     ier_gt_cells: u64,
 }
 
+/// The benchmark's 23k network with the engine's G-tree (the paper's leaf capacity)
+/// and the ROAD index derived from it, built once for every guard.
+fn engine_at_23k() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let g = RoadNetwork::generate(&GeneratorConfig::new(20_000, 42))
+            .graph(EdgeWeightKind::Distance);
+        let config = EngineConfig {
+            build_ch: false,
+            build_silc: false,
+            build_phl: false,
+            ..EngineConfig::minimal()
+        };
+        Engine::build(g, &config)
+    })
+}
+
 /// [`WorkAt23k`], measured once for every guard.
 fn work_per_query_at_23k() -> &'static WorkAt23k {
     static MEANS: OnceLock<WorkAt23k> = OnceLock::new();
     MEANS.get_or_init(|| {
-        let g = RoadNetwork::generate(&GeneratorConfig::new(20_000, 42))
-            .graph(EdgeWeightKind::Distance);
-        let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
-        let objects = uniform(&g, 0.01, 42);
-        let occ = OccurrenceList::build(&tree, objects.vertices());
-        let rtree = ObjectRTree::build(&g, &objects);
+        let engine = engine_at_23k();
+        let (g, tree) = (engine.graph(), engine.gtree().expect("G-tree built"));
+        let objects = uniform(g, 0.01, 42);
+        let occ = OccurrenceList::build(tree, objects.vertices());
+        let rtree = ObjectRTree::build(g, &objects);
         let n = g.num_vertices() as u64;
         let queries: Vec<NodeId> = (0..200u64).map(|i| (i * 2_654_435_769 % n) as NodeId).collect();
         let (mut gtree_cells, mut leaf_settles, mut ier_gt_cells) = (0, 0, 0);
         for &q in &queries {
-            let mut search = rnknn_gtree::GtreeSearch::new(&tree, &g, q);
+            let mut search = rnknn_gtree::GtreeSearch::new(tree, g, q);
             assert_eq!(search.knn(10, &occ, LeafSearchMode::Improved).len(), 10);
             gtree_cells += search.stats.matrix_cells;
             leaf_settles += search.stats.leaf_vertices_settled;
-            let mut ier = IerSearch::new(&g, GtreeDistanceOracle::new(&tree, &g, q));
+            let mut ier = IerSearch::new(g, GtreeDistanceOracle::new(tree, g, q));
             assert_eq!(ier.knn(q, 10, &rtree).len(), 10);
             ier_gt_cells += ier.oracle().stats().matrix_cells;
         }
@@ -134,6 +153,22 @@ fn ier_gt_reads_at_most_60k_cells_per_query_at_23k() {
 fn gtree_knn_settles_at_most_43_leaf_vertices_per_query_at_23k() {
     let mean = work_per_query_at_23k().leaf_settles;
     assert!(mean < 43, "{mean} leaf vertices settled per query: is the whole leaf searched?");
+}
+
+/// ROAD is derived from that G-tree: its Rnets are the G-tree's nodes (341), and its
+/// overlay is each node's border × border block of global distances, sparsified,
+/// plus the leaving edges — 160 360 entries. ROAD's own partition (fanout 4, leaf
+/// Rnets of ≈ 23 vertices, restricted distances) held 227 956 entries over 1 365
+/// Rnets. The ceiling sits between the two, so a second partition fails here on any
+/// box.
+#[test]
+fn road_is_the_gtree_partition_with_at_most_180k_overlay_entries_at_23k() {
+    let engine = engine_at_23k();
+    let (gtree, road) = (engine.gtree().expect("G-tree built"), engine.road().expect("ROAD"));
+    assert_eq!(road.num_rnets(), gtree.num_nodes(), "ROAD partitioned the network again");
+    assert_eq!(road.hierarchy(), gtree.hierarchy());
+    let entries = road.num_shortcut_entries();
+    assert!(entries <= 180_000, "{entries} overlay entries: is ROAD on a partition of its own?");
 }
 
 // The 20k build is release-only: the point is the wall-clock regression guard, and in

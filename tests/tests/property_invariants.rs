@@ -14,7 +14,7 @@ use rnknn_graph::{ChainIndex, EdgeWeightKind, Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet};
 use rnknn_pathfinding::{dijkstra, SearchScratch};
-use rnknn_road::{AssociationDirectory, RoadConfig, RoadIndex, RoadKnn};
+use rnknn_road::{AssociationDirectory, RoadIndex, RoadKnn};
 use rnknn_silc::{SilcConfig, SilcIndex};
 
 /// A tiny deterministic generator for sweep parameters (SplitMix64).
@@ -132,7 +132,8 @@ fn gtree_matches_ground_truth() {
     }
 }
 
-/// ROAD equals ground truth for arbitrary hierarchy depths.
+/// ROAD equals ground truth for arbitrary hierarchy shapes: it is derived from a
+/// G-tree of any fanout and leaf capacity.
 #[test]
 fn road_matches_ground_truth() {
     let mut sweep = Sweep::new(4);
@@ -141,19 +142,18 @@ fn road_matches_ground_truth() {
         let size = sweep.range(150, 350);
         let stride = sweep.range(3, 30);
         let k = sweep.range(1, 10);
-        let levels = sweep.range(2, 5);
+        let fanout = sweep.range(2, 5);
+        let tau = sweep.range(8, 64);
         let (graph, objects) = make_world(size, seed, EdgeWeightKind::Distance, stride);
         let q = (sweep.next() as NodeId) % graph.num_vertices() as NodeId;
-        let road = RoadIndex::build_with_config(
-            &graph,
-            RoadConfig { fanout: 4, levels, min_rnet_vertices: 8 },
-        );
+        let config = GtreeConfig { fanout, leaf_capacity: tau, ..Default::default() };
+        let road = RoadIndex::from_gtree(&graph, &Gtree::build_with_config(&graph, config));
         let directory =
             AssociationDirectory::build(&road, graph.num_vertices(), objects.vertices());
         let answer = RoadKnn::new(&graph, &road).knn(q, k, &directory);
         assert!(
             matches_ground_truth(&graph, q, k, &objects, &answer),
-            "seed={seed} size={size} stride={stride} k={k} q={q} levels={levels}"
+            "seed={seed} size={size} stride={stride} k={k} q={q} fanout={fanout} tau={tau}"
         );
     }
 }
