@@ -210,9 +210,9 @@ fn table2(ctx: &mut Ctx) {
 /// Every `X::new(..)` below is the oracle the engine ships, on fresh buffers: all
 /// candidate searches are bounded by IER's running k-th candidate, so the columns
 /// are not comparable with runs from before PR 12 (unbounded Dijk/TNR/CH modes).
-/// Each cell runs its query set once untimed, then timed: the CH target labels a
-/// cell's queries touch are filled by then, as they are on a serving engine (their
-/// size is an object-index cost, Figure 18).
+/// Each cell runs its query set once untimed, then timed. The CH target labels are
+/// filled when the cell's target directory is built, before either run: their size
+/// and build time are object-index costs (Figure 18).
 fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let queries = {
         let bed = ctx.testbed(DatasetPreset::NW, kind);
@@ -938,8 +938,7 @@ fn original_settings(ctx: &mut Ctx) {
 }
 
 /// Figure 18: object-index size and construction time vs density. The CH target
-/// directory is built empty (slots only) and filled by queries, so its size is
-/// given at both ends: as built, and with every object's label filled.
+/// directory's build fills every object's label.
 fn object_index_study(ctx: &mut Ctx) {
     let graph = ctx.testbed(DatasetPreset::US, EdgeWeightKind::Distance).graph().clone();
     let gtree = Gtree::build(&graph);
@@ -953,8 +952,7 @@ fn object_index_study(ctx: &mut Ctx) {
             "G-tree OccList".into(),
             "ROAD AssocDir".into(),
             "IER/DB R-tree".into(),
-            "CH tgts empty".into(),
-            "CH tgts full".into(),
+            "CH tgt labels".into(),
         ],
         "KB",
     );
@@ -965,7 +963,7 @@ fn object_index_study(ctx: &mut Ctx) {
             "G-tree OccList".into(),
             "ROAD AssocDir".into(),
             "IER/DB R-tree".into(),
-            "CH tgt slots".into(),
+            "CH tgt labels".into(),
         ],
         "µs",
     );
@@ -978,11 +976,6 @@ fn object_index_study(ctx: &mut Ctx) {
         let start = Instant::now();
         let targets = ChTargetDirectory::build(&ch, objects.vertices());
         let targets_micros = start.elapsed().as_micros();
-        let targets_empty = targets.memory_bytes();
-        let (mut label, mut counters) = (Vec::new(), Default::default());
-        for &o in objects.vertices() {
-            targets.label(&ch, o, &mut label, &rnknn::UNLIMITED, &mut counters);
-        }
         size.push(
             format!("{d}"),
             vec![
@@ -990,7 +983,6 @@ fn object_index_study(ctx: &mut Ctx) {
                 kb(occ_cost.bytes),
                 kb(ad_cost.bytes),
                 kb(rtree_cost.bytes),
-                kb(targets_empty),
                 kb(targets.memory_bytes()),
             ],
         );

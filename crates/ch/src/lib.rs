@@ -12,8 +12,9 @@
 //! tunable via [`ChConfig`]). Queries run on a reusable epoch-tagged scratch with
 //! frontier pruning; see [`ContractionHierarchy::distance_with_counters`]. The
 //! IER-CH hot path searches upward from the query only as far as its candidates
-//! need: a [`ChTargetDirectory`] keeps each object's upward space as a lazily filled
-//! label in distance order, and one resumable [`ChForwardSearch`] per query meets
+//! need: a [`ChTargetDirectory`] keeps each object's upward space as a label in
+//! distance order, filled when the object is inserted, and one resumable
+//! [`ChForwardSearch`] per query meets
 //! each candidate's label, extended only when the label's prefix below the running
 //! bound reaches past what it has settled.
 //!

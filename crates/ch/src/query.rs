@@ -255,8 +255,7 @@ impl ContractionHierarchy {
     /// The target label of `v`: its upward search space with stall-on-demand, written
     /// into a caller-owned buffer in **settle order** — non-decreasing distance, so a
     /// scan against a forward search can stop at its bound — and never sorted. This
-    /// is how [`crate::ChTargetDirectory`] fills a label; the buffer is reused
-    /// across fills, so they allocate nothing once it has grown to the largest label.
+    /// is how [`crate::ChTargetDirectory`] fills a label.
     ///
     /// Dominated labels are still *recorded* (they are valid upper bounds) but not
     /// *expanded*, which shrinks the label the same way stalling shrinks the
@@ -264,16 +263,12 @@ impl ContractionHierarchy {
     /// upward search from the other side, stalled or not, for the usual stalling
     /// reason: a path through a pruned label is matched by one through the
     /// dominating neighbour, which both sides do explore.
-    ///
-    /// Honors a [`QueryBudget`] (one step per settled vertex; an exhausted budget
-    /// leaves a truncated label behind).
-    pub(crate) fn target_label_into(
+    pub fn target_label_into(
         &self,
         v: NodeId,
         label: &mut Vec<(NodeId, Weight)>,
-        budget: &QueryBudget,
     ) -> ChSearchCounters {
-        self.upward_into(v, |_| false, self.stall_on_demand, label, budget)
+        self.upward_into(v, |_| false, self.stall_on_demand, label)
     }
 
     /// [`ContractionHierarchy::upward_search_space_stopping_at`] writing into a
@@ -330,21 +325,19 @@ impl ContractionHierarchy {
         stop: impl Fn(NodeId) -> bool,
         space: &mut ChSearchSpace,
     ) -> ChSearchCounters {
-        let counters = self.upward_into(v, stop, false, &mut space.entries, &UNLIMITED);
+        let counters = self.upward_into(v, stop, false, &mut space.entries);
         space.entries.sort_unstable_by_key(|&(x, _)| x);
         counters
     }
 
-    /// Runs an upward search from `v` to exhaustion (or to a budget cut) on the
-    /// thread-local scratch, writing every settled vertex into `entries` in settle
-    /// order.
+    /// Runs an upward search from `v` to exhaustion on the thread-local scratch,
+    /// writing every settled vertex into `entries` in settle order.
     fn upward_into(
         &self,
         v: NodeId,
         stop: impl Fn(NodeId) -> bool,
         stall: bool,
         entries: &mut Vec<(NodeId, Weight)>,
-        budget: &QueryBudget,
     ) -> ChSearchCounters {
         let mut counters = ChSearchCounters::default();
         entries.clear();
@@ -352,7 +345,7 @@ impl ContractionHierarchy {
             let search = &mut scratch.borrow_mut()[FORWARD];
             search.start(self.num_vertices(), v, &mut counters);
             while let Some(entry) =
-                search.settle_next(self, INFINITY, stall, &stop, budget, &mut counters)
+                search.settle_next(self, INFINITY, stall, &stop, &UNLIMITED, &mut counters)
             {
                 entries.push(entry);
             }
@@ -422,8 +415,7 @@ impl ChSearchSpace {
 
 /// IER-CH's query side: one stall-pruned upward search from the query vertex,
 /// settled only as far as the candidates met so far have needed and resumed for the
-/// next one, plus the buffers a candidate's target label is filled into and
-/// projected onto.
+/// next one, plus the table a candidate's target label is projected onto.
 ///
 /// [`ChForwardSearch::begin`] seeds the search and settles nothing. A candidate `t`
 /// with bound `B` then costs ([`ChForwardSearch::distance_within`]):
@@ -446,9 +438,7 @@ impl ChSearchSpace {
 /// `best` down to `d(s, t)` unless another meet did first. Every value `best` takes
 /// is a path length, so a target at or beyond `B` answers `>= B`.
 ///
-/// The engine pools one per thread. It cannot share this module's thread-local
-/// scratch: a candidate's label is filled there between two extensions of the same
-/// forward search.
+/// The engine pools one per thread.
 #[derive(Debug, Default)]
 pub struct ChForwardSearch {
     /// The paused forward search from the query vertex.
@@ -456,8 +446,6 @@ pub struct ChForwardSearch {
     /// The current candidate's label prefix below `best`, by vertex (one stamp per
     /// extension).
     target: Stamped<Weight>,
-    /// Where a label not yet in the directory is filled.
-    fill: Vec<(NodeId, Weight)>,
 }
 
 impl ChForwardSearch {
@@ -478,12 +466,16 @@ impl ChForwardSearch {
 
     /// Network distance from the source to `target`: exact when it is `< bound`,
     /// some value `>= bound` otherwise (the IER oracle contract). `target`'s label
-    /// is read from `targets` — filled first, into this search's own buffer, when
-    /// it is not yet (and published when `target` has a slot).
+    /// is read from `targets`.
     ///
     /// Effort goes into `counters` and `budget`: one step per settled vertex, one
-    /// per label entry read. A budget cut during the label fill or the extension
-    /// answers `bound`; the forward search stays resumable.
+    /// per label entry read. A budget cut during the extension answers `bound`; the
+    /// forward search stays resumable.
+    ///
+    /// # Panics
+    ///
+    /// When `target` has no label in `targets`: a candidate comes from the object
+    /// set the directory was built and updated with, so that is a broken invariant.
     pub fn distance_within(
         &mut self,
         ch: &ContractionHierarchy,
@@ -493,9 +485,10 @@ impl ChForwardSearch {
         budget: &QueryBudget,
         counters: &mut ChSearchCounters,
     ) -> Weight {
-        let Some(label) = targets.label(ch, target, &mut self.fill, budget, counters) else {
-            return bound;
-        };
+        targets.check_hierarchy(ch);
+        let label = targets
+            .label(target)
+            .expect("IER-CH candidate without a target label: the directory is out of sync");
         let forward = &mut self.forward;
         let mut best = bound;
         let mut read = 0;
@@ -551,10 +544,9 @@ mod tests {
         items
     }
 
-    /// Distance `s -> t` through a fresh forward search and `t`'s label, filled
-    /// into the search's buffer (no slot).
+    /// Distance `s -> t` through a fresh forward search and a directory over `t`.
     fn forward_distance(ch: &ContractionHierarchy, s: NodeId, t: NodeId, bound: Weight) -> Weight {
-        let targets = ChTargetDirectory::build(ch, &[]);
+        let targets = ChTargetDirectory::build(ch, &[t]);
         let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
         search.begin(ch, s, &mut counters);
         search.distance_within(ch, &targets, t, bound, &UNLIMITED, &mut counters)
@@ -613,15 +605,13 @@ mod tests {
 
     /// Every `(target, bound)` pair of a handful of sources, in shuffled order, on
     /// one forward search per source: Dijkstra's answer when it is below the bound,
-    /// `>= bound` otherwise. Half the targets carry a slot, so stored labels and
-    /// buffer fills are both met mid-search.
+    /// `>= bound` otherwise.
     fn check_one_forward_search_per_source(g: &Graph, stall: bool, what: &str) {
         let mut ch = ContractionHierarchy::build(g);
         ch.set_stall_on_demand(stall);
         let n = g.num_vertices() as NodeId;
         let probed: Vec<NodeId> = (0..n).step_by(7).collect();
-        let with_slot: Vec<NodeId> = probed.iter().copied().step_by(2).collect();
-        let targets = ChTargetDirectory::build(&ch, &with_slot);
+        let targets = ChTargetDirectory::build(&ch, &probed);
         let mut search = ChForwardSearch::new();
         for s in [0, n / 3, n - 5] {
             let truth = dijkstra::single_source(g, s);
@@ -645,7 +635,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(targets.filled_labels(), with_slot.len());
+        assert_eq!(targets.len(), probed.len());
     }
 
     #[test]
@@ -671,11 +661,6 @@ mod tests {
         let truth = dijkstra::single_source(&g, s);
         let probed: Vec<NodeId> = (0..n).step_by(11).filter(|&t| t != s).collect();
         let targets = ChTargetDirectory::build(&ch, &probed);
-        let mut fill = Vec::new();
-        for &t in &probed {
-            let mut counters = ChSearchCounters::default();
-            targets.label(&ch, t, &mut fill, &UNLIMITED, &mut counters).unwrap();
-        }
         // The median probe: about half the probes lie inside its radius.
         let mut by_distance = probed.clone();
         by_distance.sort_by_key(|&t| truth[t as usize]);
@@ -687,7 +672,7 @@ mod tests {
         assert_eq!(got, truth[far as usize]);
         let reached = counters.settled;
         assert!(reached > 0, "the first candidate must extend the search");
-        let full = ch.target_label_into(s, &mut fill, &UNLIMITED).settled;
+        let full = ch.target_label_into(s, &mut Vec::new()).settled;
         assert!(reached < full, "the median probe needed the whole forward space");
 
         let inside: Vec<NodeId> = by_distance
@@ -714,9 +699,6 @@ mod tests {
         let probed: Vec<NodeId> = (0..n).step_by(17).collect();
         let targets = ChTargetDirectory::build(&ch, &probed);
         let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
-        for &t in &probed {
-            targets.label(&ch, t, &mut Vec::new(), &UNLIMITED, &mut counters).unwrap();
-        }
         let far = *probed.iter().max_by_key(|&&t| truth[t as usize]).unwrap();
         for limit in 2..40 {
             search.begin(&ch, s, &mut counters);
@@ -747,7 +729,7 @@ mod tests {
             let n = g.num_vertices() as NodeId;
             let mut label = Vec::new();
             for s in [2u32, n / 3, n - 7] {
-                let stalled = ch.target_label_into(s, &mut label, &UNLIMITED);
+                let stalled = ch.target_label_into(s, &mut label);
                 let full = ch.upward_search_space(s);
                 assert!(label.len() <= full.len(), "stalling enlarged the label of {s}");
                 assert_eq!(stalled.settled, label.len() as u64);
@@ -769,7 +751,7 @@ mod tests {
         let ch = ContractionHierarchy::build_with_config(&g, &config);
         let mut label = Vec::new();
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
-            let counters = ch.target_label_into(v, &mut label, &UNLIMITED);
+            let counters = ch.target_label_into(v, &mut label);
             let fresh = ch.upward_search_space(v);
             assert_eq!(counters.settled, fresh.len() as u64);
             label.sort_unstable_by_key(|&(x, _)| x);

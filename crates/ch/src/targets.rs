@@ -1,34 +1,32 @@
-//! The CH object index: one lazily filled target label per object vertex.
+//! The CH object index: one target label per object vertex, filled when the object
+//! enters the directory.
 //!
 //! IER-CH answers a candidate object `t` by meeting the query's forward upward
 //! search with `t`'s backward one. The backward space depends on the hierarchy and
 //! `t` only — never on the query — so searching it once per candidate per query
 //! recomputes the same `(vertex, distance)` set over and over. A
-//! [`ChTargetDirectory`] keeps that set beside the object instead: one slot per
-//! object vertex whose **label** is the vertex's stall-pruned upward space in settle
-//! order — non-decreasing distance — so a candidate costs a scan of the label's
-//! prefix below the running bound against the query's forward search, which is
-//! extended only when that prefix reaches past it
-//! ([`crate::ChForwardSearch::distance_within`]).
+//! [`ChTargetDirectory`] keeps that set beside the object instead: one **label** per
+//! object vertex, the vertex's stall-pruned upward space in settle order —
+//! non-decreasing distance — so a candidate costs a scan of the label's prefix
+//! below the running bound against the query's forward search, which is extended
+//! only when that prefix reaches past it ([`crate::ChForwardSearch::distance_within`]).
 //!
-//! The write path only creates and drops slots (`O(1)` per update event, no CH
-//! search); a label is filled **on the read side**, by the first query that meets
-//! its object, through a write-once cell — so it is shared by every thread that
-//! reads the directory, lives exactly as long as its object, and there is no
-//! capacity, eviction or per-thread copy to tune.
+//! Labels are written on the **write side** only: [`ChTargetDirectory::build`]
+//! fills every object's label and [`ChTargetDirectory::insert`] fills the new one,
+//! each with one unbudgeted upward search on the calling thread. A reader only looks
+//! labels up. Labels are reference-counted, so a cloned directory shares them with
+//! its original instead of copying them.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use rnknn_graph::{NodeId, Weight};
-use rnknn_pathfinding::budget::QueryBudget;
 
 use crate::build::ContractionHierarchy;
-use crate::query::ChSearchCounters;
 
-/// A filled label: the settled `(vertex, distance)` pairs in settle order
-/// (non-decreasing distance).
-type Label = Box<[(NodeId, Weight)]>;
+/// A label: the settled `(vertex, distance)` pairs in settle order (non-decreasing
+/// distance).
+type Label = Arc<[(NodeId, Weight)]>;
 
 /// Per-object CH target labels (see the module docs).
 #[derive(Debug, Clone)]
@@ -36,108 +34,95 @@ pub struct ChTargetDirectory {
     /// Identity of the hierarchy the labels are spaces of.
     num_vertices: usize,
     config_fingerprint: u64,
-    slots: HashMap<NodeId, OnceLock<Label>>,
+    labels: HashMap<NodeId, Label>,
 }
 
 impl ChTargetDirectory {
-    /// A directory beside `ch` with one empty slot per vertex of `objects`. Runs no
-    /// search: every label is filled by the first query that needs it.
+    /// A directory beside `ch` holding the label of every vertex of `objects`
+    /// (duplicates are ignored): one upward search per object.
     pub fn build(ch: &ContractionHierarchy, objects: &[NodeId]) -> Self {
-        ChTargetDirectory {
+        let mut directory = ChTargetDirectory {
             num_vertices: ch.num_vertices(),
             config_fingerprint: ch.config_fingerprint(),
-            slots: objects.iter().map(|&v| (v, OnceLock::new())).collect(),
+            labels: HashMap::with_capacity(objects.len()),
+        };
+        for &v in objects {
+            directory.insert(ch, v);
         }
+        directory
     }
 
-    /// Creates the (empty) slot of a new object at `v`; false when `v` has one.
-    pub fn insert(&mut self, v: NodeId) -> bool {
-        match self.slots.entry(v) {
+    /// Fills the label of a new object at `v` (one upward search); false, and no
+    /// search, when `v` has one.
+    pub fn insert(&mut self, ch: &ContractionHierarchy, v: NodeId) -> bool {
+        self.check_hierarchy(ch);
+        match self.labels.entry(v) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
-                slot.insert(OnceLock::new());
+                let mut label = Vec::new();
+                ch.target_label_into(v, &mut label);
+                slot.insert(label.into());
                 true
             }
         }
     }
 
-    /// Drops the slot of the object at `v` together with its label; false when `v`
-    /// has none.
+    /// Drops the label of the object at `v`; false when `v` has none.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        self.slots.remove(&v).is_some()
+        self.labels.remove(&v).is_some()
     }
 
-    /// Number of slots (= object vertices).
+    /// Number of labels (= object vertices).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.labels.len()
     }
 
-    /// True when no object has a slot.
+    /// True when no object has a label.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.labels.is_empty()
     }
 
-    /// How many slots carry a filled label.
-    pub fn filled_labels(&self) -> usize {
-        self.slots.values().filter(|slot| slot.get().is_some()).count()
-    }
-
-    /// Resident size in bytes: one slot per object plus every filled label. Grows as
-    /// queries touch objects and falls when a filled object is removed. Slots are
-    /// counted, not the table's capacity, which moves with tombstones and rehashes —
-    /// that is, with the process's hash seed.
+    /// Resident size in bytes: one entry per object plus its label, counted in full
+    /// even when a clone shares it. Entries are counted, not the table's capacity,
+    /// which moves with tombstones and rehashes — that is, with the process's hash
+    /// seed.
     pub fn memory_bytes(&self) -> usize {
-        let labels: usize =
-            self.slots.values().filter_map(OnceLock::get).map(|l| l.len()).sum::<usize>()
-                * std::mem::size_of::<(NodeId, Weight)>();
-        self.slots.len() * std::mem::size_of::<(NodeId, OnceLock<Label>)>() + labels
+        // An `Arc` allocation carries its strong and weak counts before the data.
+        let header = 2 * std::mem::size_of::<usize>();
+        let entries: usize =
+            self.labels.values().map(|l| header + std::mem::size_of_val(&**l)).sum();
+        self.labels.len() * std::mem::size_of::<(NodeId, Label)>() + entries
     }
 
-    /// The label of target `t`: read from its slot when filled; otherwise filled
-    /// into `buffer` (search effort added to `counters`, one budget step per
-    /// settle) and, when `t` has a slot, published into it. A target without a
-    /// slot is answered from `buffer` alone.
-    ///
-    /// Returns `None` when `budget` ran out: the label left in `buffer` is then
-    /// truncated, so it is neither stored nor handed out.
-    pub fn label<'a>(
-        &'a self,
-        ch: &ContractionHierarchy,
-        t: NodeId,
-        buffer: &'a mut Vec<(NodeId, Weight)>,
-        budget: &QueryBudget,
-        counters: &mut ChSearchCounters,
-    ) -> Option<&'a [(NodeId, Weight)]> {
+    /// The label of target `t`, or `None` when `t` is not an object of this
+    /// directory.
+    #[inline]
+    pub fn label(&self, t: NodeId) -> Option<&[(NodeId, Weight)]> {
+        self.labels.get(&t).map(|label| &**label)
+    }
+
+    /// Debug-asserts that `ch` is the hierarchy this directory was built beside.
+    #[inline]
+    pub(crate) fn check_hierarchy(&self, ch: &ContractionHierarchy) {
         debug_assert!(
             self.num_vertices == ch.num_vertices()
                 && self.config_fingerprint == ch.config_fingerprint(),
-            "CH target directory queried with a hierarchy it was not built beside"
+            "CH target directory used with a hierarchy it was not built beside"
         );
-        let slot = self.slots.get(&t);
-        if let Some(label) = slot.and_then(OnceLock::get) {
-            return Some(label);
-        }
-        counters.accumulate(ch.target_label_into(t, buffer, budget));
-        if budget.is_exhausted() {
-            return None;
-        }
-        match slot {
-            // A racing reader may have published first; both hold the same label.
-            Some(slot) => Some(slot.get_or_init(|| buffer.as_slice().into())),
-            None => Some(buffer),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ChForwardSearch;
+    use crate::query::{ChForwardSearch, ChSearchCounters};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::{EdgeWeightKind, INFINITY};
     use rnknn_pathfinding::budget::UNLIMITED;
     use rnknn_pathfinding::dijkstra;
 
+    /// Targets whose label was filled at build and targets without a slot there,
+    /// given one by `insert`, meet the forward search at Dijkstra's distance.
     #[test]
     fn stalled_label_meets_equal_dijkstra_with_and_without_a_slot() {
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
@@ -145,13 +130,16 @@ mod tests {
             let g = net.graph(kind);
             let ch = ContractionHierarchy::build(&g);
             let n = g.num_vertices() as NodeId;
-            // Every other probed target has a slot; the rest take the buffer path.
-            let with_slot: Vec<NodeId> = (0..n).step_by(58).collect();
-            let targets = ChTargetDirectory::build(&ch, &with_slot);
+            let probed: Vec<NodeId> = (0..n).step_by(29).collect();
+            let with_slot: Vec<NodeId> = probed.iter().copied().step_by(2).collect();
+            let mut targets = ChTargetDirectory::build(&ch, &with_slot);
+            for &t in &probed {
+                assert_eq!(targets.insert(&ch, t), !with_slot.contains(&t), "{t}");
+            }
             let (mut search, mut counters) = (ChForwardSearch::new(), ChSearchCounters::default());
             for s in [2u32, n / 3, n - 7] {
                 search.begin(&ch, s, &mut counters);
-                for t in (0..n).step_by(29) {
+                for &t in &probed {
                     let exact = dijkstra::distance(&g, s, t);
                     let got = search.distance_within(
                         &ch,
@@ -164,7 +152,7 @@ mod tests {
                     assert_eq!(got, exact, "{s}->{t} {kind:?}");
                 }
             }
-            assert_eq!(targets.filled_labels(), with_slot.len());
+            assert_eq!(targets.len(), probed.len());
         }
     }
 
@@ -177,9 +165,11 @@ mod tests {
             let n = g.num_vertices() as NodeId;
             let objects: Vec<NodeId> = (0..n).step_by(13).collect();
             let targets = ChTargetDirectory::build(&ch, &objects);
-            let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
+            let mut fresh = Vec::new();
             for &t in &objects {
-                let label = targets.label(&ch, t, &mut buffer, &UNLIMITED, &mut counters).unwrap();
+                let label = targets.label(t).expect("every object has a label");
+                ch.target_label_into(t, &mut fresh);
+                assert_eq!(label, fresh.as_slice(), "label of {t} is not its upward space");
                 assert_eq!(label[0], (t, 0), "a label starts at its own vertex");
                 assert!(label.windows(2).all(|w| w[0].1 <= w[1].1), "label of {t} out of order");
                 // Each entry is a real upward path, so never shorter than the truth.
@@ -198,47 +188,31 @@ mod tests {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 9));
         let g = net.graph(EdgeWeightKind::Distance);
         let ch = ContractionHierarchy::build(&g);
-        let mut targets = ChTargetDirectory::build(&ch, &[3, 40]);
-        assert_eq!((targets.len(), targets.filled_labels()), (2, 0));
-        assert!(!targets.insert(3), "duplicate insert");
-        assert!(targets.insert(77));
+        let mut targets = ChTargetDirectory::build(&ch, &[3, 40, 40]);
+        assert_eq!(targets.len(), 2);
+        assert!(targets.label(3).is_some() && targets.label(5).is_none());
+        let two = targets.memory_bytes();
+        assert!(!targets.insert(&ch, 3), "duplicate insert");
+        assert_eq!(targets.memory_bytes(), two, "a duplicate insert stored a label");
         assert!(!targets.remove(5), "never inserted");
 
-        let empty = targets.memory_bytes();
-        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
-        let label = targets.label(&ch, 40, &mut buffer, &UNLIMITED, &mut counters).unwrap();
-        let (filled, label_bytes) = (label.len(), std::mem::size_of_val(label));
-        assert_eq!(counters.settled, filled as u64);
-        assert_eq!(targets.filled_labels(), 1);
-        assert_eq!(targets.memory_bytes(), empty + label_bytes);
-        // A second read is served from the slot: no search, the same entries.
-        let again = targets.label(&ch, 40, &mut buffer, &UNLIMITED, &mut counters).unwrap().len();
-        assert_eq!((again, counters.settled), (filled, filled as u64));
+        let mut label = Vec::new();
+        ch.target_label_into(77, &mut label);
+        assert!(targets.insert(&ch, 77));
+        assert_eq!(targets.label(77), Some(label.as_slice()));
+        let three = targets.memory_bytes();
+        assert!(three > two + std::mem::size_of_val(label.as_slice()));
 
-        // A clone carries the filled label; removing the object drops it, and a
-        // re-inserted object starts empty again.
-        assert_eq!(targets.clone().filled_labels(), 1);
-        assert!(targets.remove(40));
-        assert_eq!((targets.len(), targets.filled_labels()), (2, 0));
-        assert!(targets.memory_bytes() < empty);
-        assert!(targets.insert(40));
-        assert_eq!((targets.filled_labels(), targets.memory_bytes()), (0, empty));
-    }
-
-    #[test]
-    fn a_budget_cut_fill_is_neither_stored_nor_returned() {
-        let net = RoadNetwork::generate(&GeneratorConfig::new(500, 21));
-        let g = net.graph(EdgeWeightKind::Distance);
-        let ch = ContractionHierarchy::build(&g);
-        let targets = ChTargetDirectory::build(&ch, &[17]);
-        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
-        for t in [17, 18] {
-            let starved = QueryBudget::new(None, 4, 1);
-            assert!(targets.label(&ch, t, &mut buffer, &starved, &mut counters).is_none());
-        }
-        assert_eq!(targets.filled_labels(), 0);
-        assert!(targets.label(&ch, 17, &mut buffer, &UNLIMITED, &mut counters).is_some());
-        assert_eq!(targets.filled_labels(), 1);
+        // A clone shares every label with its original.
+        let clone = targets.clone();
+        assert!(std::ptr::eq(clone.label(77).unwrap(), targets.label(77).unwrap()));
+        assert_eq!(clone.memory_bytes(), three);
+        // Removing the object drops its label; re-inserting it fills it again.
+        assert!(targets.remove(77));
+        assert_eq!((targets.len(), targets.label(77), targets.memory_bytes()), (2, None, two));
+        assert_eq!(clone.label(77), Some(label.as_slice()), "the clone lost a shared label");
+        assert!(targets.insert(&ch, 77));
+        assert_eq!((targets.label(77), targets.memory_bytes()), (Some(label.as_slice()), three));
     }
 
     #[test]
@@ -249,8 +223,7 @@ mod tests {
         let big = RoadNetwork::generate(&GeneratorConfig::new(400, 3));
         let ch_small = ContractionHierarchy::build(&small.graph(EdgeWeightKind::Distance));
         let ch_big = ContractionHierarchy::build(&big.graph(EdgeWeightKind::Distance));
-        let targets = ChTargetDirectory::build(&ch_small, &[1]);
-        let (mut buffer, mut counters) = (Vec::new(), ChSearchCounters::default());
-        let _ = targets.label(&ch_big, 1, &mut buffer, &UNLIMITED, &mut counters);
+        let mut targets = ChTargetDirectory::build(&ch_small, &[1]);
+        targets.insert(&ch_big, 2);
     }
 }

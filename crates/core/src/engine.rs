@@ -542,7 +542,7 @@ impl Engine {
     /// engine (via [`Engine::build_object_indexes`] or cloned from another such
     /// bundle).
     pub fn apply_object_update(&self, live: &mut ObjectIndexes, event: UpdateEvent) -> bool {
-        live.apply(&self.graph, self.gtree.as_ref(), self.road.as_ref(), event)
+        live.apply(&self.graph, self.gtree.as_ref(), self.road.as_ref(), self.ch.as_ref(), event)
     }
 
     /// Applies one update event to the engine's installed object indexes in place.

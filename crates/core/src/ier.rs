@@ -297,12 +297,12 @@ impl<'a> DistanceOracle for AStarOracle<'a> {
 /// Contraction Hierarchies oracle: one resumable upward search per kNN query, met
 /// against each candidate's label. A candidate's backward space depends on the
 /// hierarchy and the candidate only, so it is *read* from the object's label in the
-/// [`rnknn_ch::ChTargetDirectory`] — filled by the first query that meets the
-/// object, in distance order — and the query's forward search settles only as far
-/// as that label's prefix below IER's running k-th distance needs
-/// ([`rnknn_ch::ChForwardSearch::distance_within`]). The forward search is borrowed
-/// (the engine lends its pooled one), so a query whose candidates all carry labels
-/// allocates nothing.
+/// [`rnknn_ch::ChTargetDirectory`] — filled when the object was inserted, in
+/// distance order — and the query's forward search settles only as far as that
+/// label's prefix below IER's running k-th distance needs
+/// ([`rnknn_ch::ChForwardSearch::distance_within`]). The query writes nothing into
+/// the directory, and the forward search is borrowed (the engine lends its pooled
+/// one), so a warm query allocates nothing.
 #[derive(Debug)]
 pub struct ChOracle<'a> {
     ch: &'a rnknn_ch::ContractionHierarchy,
@@ -315,8 +315,7 @@ pub struct ChOracle<'a> {
 
 impl<'a> ChOracle<'a> {
     /// Creates the oracle over the object set's target directory and a forward
-    /// search. A target without a slot in `targets` is still answered exactly —
-    /// its label is filled on every call instead of being kept.
+    /// search. Every target asked for must be an object of `targets`.
     pub fn new(
         ch: &'a rnknn_ch::ContractionHierarchy,
         targets: &'a rnknn_ch::ChTargetDirectory,
@@ -333,8 +332,7 @@ impl<'a> ChOracle<'a> {
     }
 
     /// Attaches a [`QueryBudget`] charged per settled vertex inside the forward
-    /// search and the label fills, and once per candidate with the number of label
-    /// entries read.
+    /// search, and once per candidate with the number of label entries read.
     pub fn set_budget(&mut self, budget: &'a QueryBudget) {
         self.budget = budget;
     }
@@ -541,7 +539,7 @@ mod tests {
             &objects,
             &rtree,
         );
-        assert!(targets.filled_labels() > 0, "IER-CH answered without filling a label");
+        assert_eq!(targets.len(), objects.len(), "every object has a label");
         let labels = HubLabels::build(&g).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
         let tnr = TransitNodeRouting::build(&g);
@@ -559,10 +557,8 @@ mod tests {
             let g = net.graph(kind);
             let n = g.num_vertices() as NodeId;
             let ch = ContractionHierarchy::build(&g);
-            // Slots for a third of the probed targets: the contract must hold on
-            // the stored-label path and on the no-slot buffer path alike.
-            let with_slot: Vec<NodeId> = (0..n).step_by(37 * 3).collect();
-            let targets = ChTargetDirectory::build(&ch, &with_slot);
+            let probed: Vec<NodeId> = (0..n).step_by(37).collect();
+            let targets = ChTargetDirectory::build(&ch, &probed);
             let labels = HubLabels::build(&g).expect("within budget");
             let tnr = TransitNodeRouting::build(&g);
             let gtree = Gtree::build_with_config(&g, small_leaves());

@@ -12,13 +12,12 @@
 //! | object set (INE bitmap + sorted list) | exact in-place insert/remove |
 //! | R-tree (IER, DB-ENN) | incremental insert / delete with rect refits |
 //! | G-tree occurrence list | leaf-path presence propagation, both directions |
-//! | ROAD association directory | eager insert, dirty-marked remove + lazy repair |
-//! | CH target directory (IER-CH) | O(1) slot create/drop, lazy read-side fill |
+//! | ROAD association directory | per-Rnet object counts along the leaf-to-root path, both directions |
+//! | CH target directory (IER-CH) | label filled on insert (one upward search), dropped on remove |
 //!
-//! The CH target directory is the one index whose contents are written on the
-//! **read** side: an update only creates or drops an object's slot, and the first
-//! query that meets the object fills the slot's label (its CH upward space) through
-//! a write-once cell, for every later query on any thread to scan.
+//! Every index is exact after every event, and only [`ObjectIndexes::build`] and
+//! [`ObjectIndexes::apply`] change one: a query reads the bundle and writes
+//! nothing into it.
 //!
 //! Every successful update advances a process-wide **object generation** counter
 //! (also bumped by full rebuilds). The engine stamps the generation a thread's
@@ -48,9 +47,7 @@ fn next_object_generation() -> u64 {
 ///
 /// Obtain one from `Engine::build_object_indexes` (full rebuild — the Section 7.4
 /// decoupled step) and evolve it with [`ObjectIndexes::apply`] (incremental, the
-/// serving path). The indexes inside always describe exactly `objects()`; the
-/// ROAD association directory may additionally carry conservative stale-true Rnet
-/// bits between lazy repairs (pruning-only, never correctness).
+/// serving path). The indexes inside always describe exactly `objects()`.
 #[derive(Debug, Clone)]
 pub struct ObjectIndexes {
     objects: ObjectSet,
@@ -63,8 +60,8 @@ pub struct ObjectIndexes {
 
 impl ObjectIndexes {
     /// Builds all object indexes from scratch for `objects` (the full-rebuild
-    /// baseline the incremental path is measured against). The CH target directory
-    /// gets its slots only — no label is filled until a query needs it.
+    /// baseline the incremental path is measured against), the CH target label of
+    /// every object included.
     pub fn build(
         graph: &Graph,
         gtree: Option<&Gtree>,
@@ -120,23 +117,24 @@ impl ObjectIndexes {
 
     /// Applies one update event to the set and every index **in place**, without
     /// any rebuild: `O(log |O|)` for the set, `O(log |O| + split)` R-tree
-    /// surgery, `O(tree depth)` occurrence propagation, `O(1)` association
-    /// edits (amortised by the lazy repair) and one CH target slot created or
-    /// dropped — never a CH search. Returns whether the event changed
-    /// anything — the semantics match [`UpdateEvent::apply_to`] exactly: inserts
-    /// of members, removals of non-members and invalid moves are no-ops.
+    /// surgery, `O(tree depth)` occurrence and association-count propagation, and
+    /// one CH target label filled (an unbudgeted upward search, on the calling
+    /// thread) or dropped. Returns whether the event changed anything — the
+    /// semantics match [`UpdateEvent::apply_to`] exactly: inserts of members,
+    /// removals of non-members and invalid moves are no-ops.
     ///
-    /// `graph`, `gtree` and `road` must be the same structures these indexes were
-    /// built against.
+    /// `graph`, `gtree`, `road` and `ch` must be the same structures these indexes
+    /// were built against.
     pub fn apply(
         &mut self,
         graph: &Graph,
         gtree: Option<&Gtree>,
         road: Option<&RoadIndex>,
+        ch: Option<&ContractionHierarchy>,
         event: UpdateEvent,
     ) -> bool {
         let applied = match event {
-            UpdateEvent::Insert(v) => self.insert(graph, gtree, road, v),
+            UpdateEvent::Insert(v) => self.insert(graph, gtree, road, ch, v),
             UpdateEvent::Remove(v) => self.remove(graph, gtree, road, v),
             UpdateEvent::Move { from, to } => {
                 if from == to || !self.objects.contains(from) || self.objects.contains(to) {
@@ -144,7 +142,7 @@ impl ObjectIndexes {
                 } else {
                     let removed = self.remove(graph, gtree, road, from);
                     debug_assert!(removed);
-                    let inserted = self.insert(graph, gtree, road, to);
+                    let inserted = self.insert(graph, gtree, road, ch, to);
                     debug_assert!(inserted);
                     true
                 }
@@ -161,6 +159,7 @@ impl ObjectIndexes {
         graph: &Graph,
         gtree: Option<&Gtree>,
         road: Option<&RoadIndex>,
+        ch: Option<&ContractionHierarchy>,
         v: NodeId,
     ) -> bool {
         if !self.objects.insert(v) {
@@ -175,8 +174,8 @@ impl ObjectIndexes {
             let inserted = assoc.insert(r, v);
             debug_assert!(inserted, "association directory out of sync with object set");
         }
-        if let Some(targets) = self.ch_targets.as_mut() {
-            let inserted = targets.insert(v);
+        if let (Some(c), Some(targets)) = (ch, self.ch_targets.as_mut()) {
+            let inserted = targets.insert(c, v);
             debug_assert!(inserted, "CH target directory out of sync with object set");
         }
         true
@@ -199,11 +198,8 @@ impl ObjectIndexes {
             debug_assert!(removed, "occurrence list out of sync with object set");
         }
         if let (Some(r), Some(assoc)) = (road, self.association.as_mut()) {
-            let removed = assoc.remove(v);
+            let removed = assoc.remove(r, v);
             debug_assert!(removed, "association directory out of sync with object set");
-            if assoc.needs_repair() {
-                assoc.repair(r, self.objects.vertices());
-            }
         }
         if let Some(targets) = self.ch_targets.as_mut() {
             let removed = targets.remove(v);

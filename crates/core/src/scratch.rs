@@ -54,9 +54,8 @@ pub struct EngineScratch {
     /// R-tree browse heap, shared by every IER variant and DB-ENN.
     pub(crate) browser: BrowserScratch,
     /// IER-CH's query side: the resumable forward search (stamped labels + heap,
-    /// paused between candidates), the stamped target table a candidate's label
-    /// prefix is projected into when the search has to be extended, and the buffer
-    /// a label not yet in the directory is filled into.
+    /// paused between candidates) and the stamped target table a candidate's label
+    /// prefix is projected into when the search has to be extended.
     pub(crate) ch_search: rnknn_ch::ChForwardSearch,
     /// IER-TNR per-source state (stopped forward space, folded table row, backward
     /// space buffer).

@@ -82,8 +82,8 @@ mod tests {
             // field is populated without panicking.
             let _ = cost.build_micros;
         }
-        // The association directory (two bit-arrays) is the smallest index, as in the
-        // paper's Figure 18(a).
+        // The association directory (a count per Rnet, a bit per vertex) is the
+        // smallest index, as in the paper's Figure 18(a).
         assert!(ac.bytes <= rc.bytes);
     }
 }

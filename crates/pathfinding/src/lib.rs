@@ -14,7 +14,6 @@
 //!   trees, and [`LocalGraph`]: the CSR + SSSP over the reduced graphs G-tree
 //!   composes its border distances on.
 //! * [`astar`] — A* point-to-point search with a Euclidean lower-bound heuristic.
-//! * [`bidirectional`] — bidirectional Dijkstra point-to-point search.
 //! * [`scratch`] — reusable per-search state: [`Stamped`], the workspace's one
 //!   epoch-stamped table, and the [`SearchScratch`] built on it — visited set, heap
 //!   and the one relaxation step ([`SearchScratch::relax`]) of every pooled
@@ -26,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod astar;
-pub mod bidirectional;
 pub mod budget;
 pub mod dijkstra;
 pub mod heap;
@@ -34,7 +32,6 @@ pub mod scratch;
 pub mod settled;
 
 pub use astar::astar_distance;
-pub use bidirectional::bidirectional_distance;
 pub use budget::{QueryBudget, UNLIMITED};
 pub use dijkstra::{distance, single_source, sssp_tree, LocalGraph, SearchStats};
 pub use heap::{IndexedMinHeap, MinHeap};

@@ -33,8 +33,8 @@
 //! `d(x, c)`, over positive legs or as one zero-length shortcut, so the first of them
 //! ends at a border strictly nearer to `o`, or at `c` with the shorter suffix of `P`
 //! still to go, where the induction applies whichever Rnet that vertex bypasses in
-//! turn. Only a clear bit on an Rnet that holds an object could break this; the
-//! stale-true bits a removal leaves just mean fewer bypasses.
+//! turn. Only an Rnet read as object-free while it holds an object could break this,
+//! and the directory's per-Rnet counts are exact after every update.
 
 use rnknn_graph::{Graph, NodeId, Weight};
 use rnknn_pathfinding::scratch::SearchScratch;
@@ -271,29 +271,52 @@ mod tests {
         );
     }
 
-    /// Removals leave Rnet bits stale-true until the next `repair`: the search then
-    /// bypasses fewer Rnets than it could, and must stay exact.
+    /// Removing every object of an Rnet makes it object-free at once: a search from
+    /// one of its borders bypasses it, and every search counts the same bypasses as
+    /// on a freshly built directory.
     #[test]
-    fn knn_is_exact_on_a_dirty_directory() {
+    fn an_rnet_emptied_by_removals_is_bypassed() {
         let (g, road) = setup(1500, 31);
         let n = g.num_vertices() as NodeId;
         let mut objects: Vec<NodeId> = (0..n).filter(|v| v % 40 == 3).collect();
         let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
-        for _ in 0..16 {
-            let v = objects.swap_remove(objects.len() / 3);
-            assert!(dir.remove(v));
+        let h = road.hierarchy();
+        // A leaf with objects and interior vertices whose parent keeps objects once
+        // the leaf's own are gone.
+        let emptied = objects
+            .iter()
+            .map(|&o| road.leaf_of(o))
+            .find(|&leaf| {
+                let parent = h.parent(leaf).expect("a leaf below the root");
+                road.interior_vertices(leaf) > 0
+                    && objects
+                        .iter()
+                        .any(|&o| road.leaf_of(o) != leaf && !h.outside(h.leaf_range(parent), o))
+            })
+            .expect("a leaf to empty");
+        for v in objects.iter().copied().filter(|&o| road.leaf_of(o) == emptied) {
+            assert!(dir.remove(&road, v));
         }
-        assert!(dir.dirty_removals() == 16 && !dir.needs_repair());
-        let exact = AssociationDirectory::build(&road, g.num_vertices(), &objects);
-        let stale = (0..road.num_rnets() as u32)
-            .filter(|&r| dir.rnet_has_object(r) && !exact.rnet_has_object(r))
-            .count();
-        assert!(stale > 0, "no Rnet lost its last object: nothing stale to test");
+        objects.retain(|&o| road.leaf_of(o) != emptied);
+        assert!(!dir.rnet_has_object(emptied));
+        let fresh = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        assert!(dir == fresh, "the directory differs from a fresh build");
+
         let knn = RoadKnn::new(&g, &road);
-        for i in 0..40 {
-            let q = (i * 7919 + 11) % n;
-            let got: Vec<Weight> = knn.knn(q, 6, &dir).iter().map(|&(_, d)| d).collect();
+        let border = h.borders(emptied)[0];
+        let (rnets, _) = road.border_rows(border);
+        let first_free = rnets.iter().copied().find(|&r| !dir.rnet_has_object(r));
+        assert_eq!(first_free, Some(emptied), "its border does not bypass the emptied leaf");
+        let queries = (0..40).map(|i| (i * 7919 + 11) % n).chain(h.borders(emptied).to_vec());
+        for q in queries {
+            let (got, stats) = knn.knn_with_stats(q, 6, &dir);
+            let (_, want_stats) = knn.knn_with_stats(q, 6, &fresh);
+            let got: Vec<Weight> = got.iter().map(|&(_, d)| d).collect();
             assert_eq!(got, brute_knn(&g, q, 6, &objects), "q={q}");
+            assert_eq!(stats.bypasses, want_stats.bypasses, "q={q}");
+            if q == border {
+                assert!(stats.vertices_bypassed >= road.interior_vertices(emptied), "q={q}");
+            }
         }
     }
 

@@ -14,8 +14,9 @@
 //!
 //! * [`RoadIndex`] — the Rnet hierarchy plus Route Overlay (triangle-sparsified border
 //!   shortcut rows stored vertex-major in one flat array, as Section 6.2 recommends);
-//! * [`AssociationDirectory`] — the decoupled object index: one bit per Rnet plus the
-//!   object bitmap (Section 7.4 measures exactly this structure);
+//! * [`AssociationDirectory`] — the decoupled object index: an exact object count per
+//!   Rnet plus the object bitmap (Section 7.4 measures this structure with a bit per
+//!   Rnet in place of the count);
 //! * [`RoadKnn`] — the kNN search of Appendix A.3, including the fix that skips
 //!   re-inserting already-visited borders.
 

@@ -438,8 +438,8 @@ fn a_graph_beyond_the_cell_range_gets_no_gtree_and_every_other_method_stays_exac
 /// through `ObjectIndexes::apply` — each batch ending in a remove-then-reinsert of
 /// one vertex and a move onto a vertex vacated one event earlier — with IER-CH
 /// checked against Dijkstra after every batch. After every single event the target
-/// directory holds exactly one slot per object, a removed object takes its filled
-/// label (and its bytes) with it, and a new or re-inserted object starts unfilled.
+/// directory holds exactly one label per object, a removed object takes its label
+/// (and its bytes) with it, and a new or re-inserted object has its label at once.
 #[test]
 fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
     let net = RoadNetwork::generate(&GeneratorConfig::new(700, 2718));
@@ -453,8 +453,6 @@ fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
     let n = engine.graph().num_vertices();
     let mut reference = uniform(engine.graph(), 0.03, 77);
     let mut live = engine.build_object_indexes(reference.clone());
-    // Object vertices whose label some query has filled.
-    let mut filled = std::collections::HashSet::<NodeId>::new();
     let mut rng = Rng(0xC0FF_EE00_1234_5678);
     for round in 0..10u64 {
         let mut batch = churn_stream(
@@ -480,24 +478,23 @@ fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
             let bytes_before = targets.memory_bytes();
             assert!(event.apply_to(&mut reference), "round {round}: {event:?} was a no-op");
             assert!(engine.apply_object_update(&mut live, event), "round {round}: {event:?}");
-            let dropped = match event {
-                UpdateEvent::Insert(_) => false,
-                UpdateEvent::Remove(v) | UpdateEvent::Move { from: v, .. } => filled.remove(&v),
-            };
             let targets = live.ch_targets().unwrap();
             assert_eq!(targets.len(), live.objects().len(), "round {round}: {event:?}");
-            assert_eq!(targets.filled_labels(), filled.len(), "round {round}: {event:?}");
-            if dropped {
+            let labelled = live.objects().vertices().iter().all(|&v| targets.label(v).is_some());
+            assert!(labelled, "round {round}: {event:?} left an object without a label");
+            if let UpdateEvent::Remove(v) | UpdateEvent::Move { from: v, .. } = event {
+                assert!(targets.label(v).is_none(), "round {round}: {event:?} kept the label");
+            }
+            if let UpdateEvent::Remove(_) = event {
                 assert!(
                     targets.memory_bytes() < bytes_before,
-                    "round {round}: {event:?} removed a filled object but kept its bytes"
+                    "round {round}: {event:?} removed an object but kept its bytes"
                 );
             }
         }
         assert_eq!(live.objects().vertices(), reference.vertices(), "round {round}");
 
-        // k beyond |O| makes every object a candidate, so two distinct query
-        // vertices between them fill every label.
+        // k beyond |O| makes every object a candidate.
         let k = reference.len() + 1;
         let q0 = rng.below(n as u64) as NodeId;
         for q in [q0, (q0 + 1) % n as NodeId, rng.below(n as u64) as NodeId] {
@@ -506,7 +503,5 @@ fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
             let got = engine.query_snapshot(Method::IerCh, q, k, &live).unwrap();
             assert_eq!(got.distances(), truth, "round {round}: IER-CH inexact at q={q}");
         }
-        filled = reference.vertices().iter().copied().collect();
-        assert_eq!(live.ch_targets().unwrap().filled_labels(), filled.len(), "round {round}");
     }
 }

@@ -220,34 +220,7 @@ fn ch_targets(engine: &Engine) -> &rnknn::ch::ChTargetDirectory {
     engine.object_indexes().and_then(|live| live.ch_targets()).expect("engine built a CH")
 }
 
-/// A label is published only by a fill that ran to completion: a starved pass over
-/// fresh indexes cuts every IER-CH query inside a fill, leaves the directory empty,
-/// and the unbudgeted pass right after it is exact (and fills).
-#[test]
-fn a_budget_cut_fill_is_never_stored() {
-    let mut engine = full_engine(900, 19);
-    let objects = uniform(engine.graph(), 0.02, 6);
-    engine.set_objects(objects.clone());
-    let n = engine.graph().num_vertices() as NodeId;
-    let queries: Vec<NodeId> = (0..24u32).map(|i| (i * 389 + 2) % n).collect();
-    let mut out = QueryOutput::default();
-    for &q in &queries {
-        let starved = QueryBudget::new(None, 4, 1);
-        let err =
-            engine.execute(&QueryRequest::new(Method::IerCh, q, 6).with_budget(&starved), &mut out);
-        assert!(matches!(err, Err(EngineError::DeadlineExceeded { .. })), "q={q}: {err:?}");
-    }
-    assert_eq!(ch_targets(&engine).filled_labels(), 0, "a truncated space was published");
-    for &q in &queries {
-        let truth: Vec<_> =
-            ground_truth(engine.graph(), q, 6, &objects).iter().map(|&(_, d)| d).collect();
-        assert_eq!(engine.query(Method::IerCh, q, 6).unwrap().distances(), truth, "q={q}");
-    }
-    assert!(ch_targets(&engine).filled_labels() > 0);
-}
-
-/// A budget that runs out while IER-CH extends its forward search — every label the
-/// queries meet already filled, so no fill can be the step that is cut — gives
+/// A budget that runs out while IER-CH extends its forward search gives
 /// `DeadlineExceeded`, never a wrong answer, and the unbudgeted query right after it
 /// is Dijkstra-exact. Step quotas are swept, so cuts land on every kind of charge; a
 /// cut at quota `L` refused a settle exactly when quota `L + 1` settles one more.
@@ -258,10 +231,6 @@ fn a_budget_cut_forward_extension_is_deadline_exceeded_never_a_wrong_answer() {
     engine.set_objects(objects.clone());
     let n = engine.graph().num_vertices() as NodeId;
     let queries: Vec<NodeId> = (0..8u32).map(|i| (i * 389 + 2) % n).collect();
-    for &q in &queries {
-        engine.query(Method::IerCh, q, 6).unwrap();
-    }
-    let filled = ch_targets(&engine).filled_labels();
     let mut out = QueryOutput::default();
     let mut cuts_in_an_extension = 0;
     for &q in &queries {
@@ -282,7 +251,6 @@ fn a_budget_cut_forward_extension_is_deadline_exceeded_never_a_wrong_answer() {
         }
         cuts_in_an_extension += settled_at_cut.windows(2).filter(|w| w[1] == w[0] + 1).count();
     }
-    assert_eq!(ch_targets(&engine).filled_labels(), filled, "a starved query ran a fill");
     assert!(cuts_in_an_extension > 0, "no quota cut a forward extension");
 }
 
@@ -340,10 +308,11 @@ fn a_budget_cut_key_scan_or_climb_fill_is_deadline_exceeded_never_a_wrong_answer
     }
 }
 
-/// The write path never runs a CH search: building the indexes and applying 10 000
-/// update events creates and drops slots only. Labels appear with the first query.
+/// The write path fills every CH target label and the read path none: after
+/// 10 000 update events every object's label equals a fresh upward search from it,
+/// and 1 000 IER-CH queries leave the directory's bytes unchanged.
 #[test]
-fn object_updates_fill_no_ch_label() {
+fn object_updates_fill_every_ch_label() {
     let mut engine = full_engine(700, 23);
     let initial = uniform(engine.graph(), 0.05, 4);
     let events = churn_stream(
@@ -356,9 +325,19 @@ fn object_updates_fill_no_ch_label() {
     for event in events {
         assert!(engine.update_objects(event).unwrap());
     }
-    let targets = ch_targets(&engine);
+    let (ch, targets) = (engine.ch().unwrap(), ch_targets(&engine));
     assert_eq!(targets.len(), engine.objects().unwrap().len());
-    assert_eq!(targets.filled_labels(), 0, "an update event ran a CH search");
-    engine.query(Method::IerCh, 1, 3).unwrap();
-    assert!(ch_targets(&engine).filled_labels() >= 3);
+    let mut fresh = Vec::new();
+    for &v in engine.objects().unwrap().vertices() {
+        ch.target_label_into(v, &mut fresh);
+        assert_eq!(targets.label(v), Some(fresh.as_slice()), "object {v}");
+    }
+
+    let bytes = targets.memory_bytes();
+    let n = engine.graph().num_vertices() as NodeId;
+    let mut out = QueryOutput::default();
+    for i in 0..1_000u32 {
+        engine.query_into(Method::IerCh, (i * 389 + 2) % n, 6, &mut out).unwrap();
+    }
+    assert_eq!(ch_targets(&engine).memory_bytes(), bytes, "a query wrote into the directory");
 }

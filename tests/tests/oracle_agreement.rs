@@ -5,7 +5,7 @@ use rnknn_ch::ContractionHierarchy;
 use rnknn_graph::generator::{DatasetPreset, GeneratorConfig, RoadNetwork};
 use rnknn_graph::{ChainIndex, EdgeWeightKind, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch};
-use rnknn_pathfinding::{astar_distance, bidirectional_distance, dijkstra};
+use rnknn_pathfinding::{astar_distance, dijkstra};
 use rnknn_phl::HubLabels;
 use rnknn_silc::SilcIndex;
 use rnknn_tnr::{TnrConfig, TransitNodeRouting};
@@ -41,7 +41,6 @@ fn every_oracle_agrees_with_dijkstra_on_both_weight_kinds() {
             let s = (i * 883) % n;
             let t = (i * 2_741 + 97) % n;
             let truth = dijkstra::distance(&graph, s, t);
-            assert_eq!(bidirectional_distance(&graph, s, t), truth, "bidi {s}->{t}");
             assert_eq!(astar_distance(&graph, &bound, s, t), truth, "astar {s}->{t}");
             assert_eq!(ch.distance(s, t), truth, "ch {s}->{t}");
             assert_eq!(phl.distance(s, t), truth, "phl {s}->{t}");
