@@ -220,12 +220,9 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     };
     let graph = ctx.testbed(DatasetPreset::NW, kind).graph().clone();
     let ch = rnknn::ch::ContractionHierarchy::build(&graph);
-    let phl = rnknn::phl::HubLabels::build_with_ch(&graph, &ch);
-    let tnr = rnknn::tnr::TransitNodeRouting::build_from_ch(
-        &graph,
-        ch.clone(),
-        rnknn::tnr::TnrConfig::default(),
-    );
+    let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch);
+    let tnr =
+        rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch, rnknn::tnr::TnrConfig::default());
     let gtree = Gtree::build(&graph);
 
     let series = vec!["Dijk".into(), "MGtree".into(), "PHL".into(), "TNR".into(), "CH".into()];
@@ -262,7 +259,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
                 Some(phl) => time(&graph, PhlOracle::new(phl), &queries, rtree, k),
                 None => f64::NAN,
             },
-            time(&graph, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &queries, rtree, k),
+            time(&graph, TnrOracle::new(&ch, &tnr, &mut TnrSourceState::new()), &queries, rtree, k),
             time(&graph, ChOracle::new(&ch, &targets, &mut search), &queries, rtree, k),
         ]
     };
@@ -674,7 +671,7 @@ fn index_costs(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
         let ch = rnknn::ch::ContractionHierarchy::build(&graph);
         let ch_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let phl = rnknn::phl::HubLabels::build_with_ch(&graph, &ch);
+        let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch);
         let phl_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
         let silc =
@@ -1049,7 +1046,6 @@ fn chain_optimisation(ctx: &mut Ctx) {
             return;
         }
     };
-    let chains = rnknn_graph::ChainIndex::build(&graph);
     let objects = uniform(&graph, defaults::DENSITY, 3);
     let rtree = ObjectRTree::build(&graph, &objects);
     let mut table = Table::new(
@@ -1065,14 +1061,16 @@ fn chain_optimisation(ctx: &mut Ctx) {
             std::hint::black_box(plain.knn(q, k, &rtree, &objects));
         }
         let plain_micros = start.elapsed().as_micros() as f64 / queries.len() as f64;
-        silc.stats.reset();
-        let opt = rnknn::disbrw::DisBrwSearch::new(&graph, &silc, Some(&chains));
+        let opt = rnknn::disbrw::DisBrwSearch::new(&graph, &silc, Some(silc.chains()));
+        let (mut lookups, mut skips) = (0, 0);
         let start = Instant::now();
         for &q in &queries {
-            std::hint::black_box(opt.knn(q, k, &rtree, &objects));
+            let (result, stats) = opt.knn_with_stats(q, k, &rtree, &objects);
+            std::hint::black_box(result);
+            lookups += stats.quadtree_lookups;
+            skips += stats.chain_skips;
         }
         let opt_micros = start.elapsed().as_micros() as f64 / queries.len() as f64;
-        let (lookups, skips) = silc.stats.snapshot();
         let saved = 100.0 * skips as f64 / (lookups + skips).max(1) as f64;
         table.push(k.to_string(), vec![plain_micros, opt_micros, saved]);
     }

@@ -18,9 +18,11 @@
 //! each candidate's label, extended only when the label's prefix below the running
 //! bound reaches past what it has settled.
 //!
-//! Besides serving as the IER-CH oracle, the hierarchy's contraction order is reused by
-//! the [`rnknn-tnr`](../rnknn_tnr/index.html) crate to select transit nodes and by
-//! [`rnknn-phl`](../rnknn_phl/index.html) as a label ordering.
+//! Besides serving as the IER-CH oracle, the hierarchy is what the other two CH-based
+//! indexes are derived from: [`rnknn-tnr`](../rnknn_tnr/index.html) selects its
+//! transit nodes by rank and searches this hierarchy at query time, and
+//! [`rnknn-phl`](../rnknn_phl/index.html) labels vertices in rank order. Neither
+//! keeps a hierarchy of its own.
 
 #![forbid(unsafe_code)]
 

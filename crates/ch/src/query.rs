@@ -7,8 +7,8 @@
 //! that stops each direction as soon as its frontier minimum reaches the best meet
 //! found so far — on road networks that prunes most of the full upward search
 //! space. Every other upward search runs one settle step, `UpwardSearch::settle_next`:
-//! run to exhaustion it materialises a [`ChSearchSpace`] (sorted by vertex, for TNR's
-//! access-node merge-joins) or fills an object's target label (settle order, see
+//! run to exhaustion it fills a caller's [`ChSearchSpace`] (sorted by vertex, for
+//! TNR's access-node merge-joins) or fills an object's target label (settle order, see
 //! [`crate::ChTargetDirectory`]); paused and resumed per candidate it is IER-CH's
 //! query side, [`ChForwardSearch`].
 
@@ -244,14 +244,6 @@ impl ContractionHierarchy {
         (best, counters)
     }
 
-    /// Computes the complete upward search space from `v`: the set of vertices reachable
-    /// by only ascending in rank, with their (upper-bound) distances.
-    ///
-    /// Search spaces can be cached and intersected with [`ChSearchSpace::meet`].
-    pub fn upward_search_space(&self, v: NodeId) -> ChSearchSpace {
-        self.search_space_impl(v, |_| false).0
-    }
-
     /// The target label of `v`: its upward search space with stall-on-demand, written
     /// into a caller-owned buffer in **settle order** — non-decreasing distance, so a
     /// scan against a forward search can stop at its bound — and never sorted. This
@@ -271,61 +263,22 @@ impl ContractionHierarchy {
         self.upward_into(v, |_| false, self.stall_on_demand, label)
     }
 
-    /// [`ContractionHierarchy::upward_search_space_stopping_at`] writing into a
-    /// caller-owned space (the TNR per-candidate backward search reuses one buffer
-    /// across the whole candidate loop). `stop` must not issue CH queries of its own.
+    /// Upward search space from `v` that does not expand any vertex for which `stop`
+    /// returns true (the vertex itself is still settled), written into a caller-owned
+    /// space sorted by vertex. Transit Node Routing's "local" searches stop at transit
+    /// nodes and reuse one buffer across a whole build or candidate loop; `|_| false`
+    /// gives the complete upward space.
+    ///
+    /// `stop` must not issue CH queries of its own (the thread-local search scratch is
+    /// held while it runs).
     pub fn upward_search_space_stopping_at_into(
         &self,
         v: NodeId,
         stop: impl Fn(NodeId) -> bool,
         space: &mut ChSearchSpace,
     ) -> ChSearchCounters {
-        self.search_space_into(v, |x| x != v && stop(x), space)
-    }
-
-    /// Upward search space from `v` that does not expand any vertex for which `stop`
-    /// returns true (the vertex itself is still settled). Used by Transit Node Routing,
-    /// whose "local" searches stop at transit nodes.
-    ///
-    /// `stop` must not issue CH queries of its own (the thread-local search scratch is
-    /// held while it runs).
-    pub fn upward_search_space_stopping_at(
-        &self,
-        v: NodeId,
-        stop: impl Fn(NodeId) -> bool,
-    ) -> ChSearchSpace {
-        self.search_space_impl(v, |x| x != v && stop(x)).0
-    }
-
-    /// [`ContractionHierarchy::upward_search_space_stopping_at`] plus search-effort
-    /// counters, so TNR's per-query local searches feed the engine's unified
-    /// `QueryStats` like every other CH consumer.
-    pub fn upward_search_space_stopping_at_with_counters(
-        &self,
-        v: NodeId,
-        stop: impl Fn(NodeId) -> bool,
-    ) -> (ChSearchSpace, ChSearchCounters) {
-        self.search_space_impl(v, |x| x != v && stop(x))
-    }
-
-    fn search_space_impl(
-        &self,
-        v: NodeId,
-        stop: impl Fn(NodeId) -> bool,
-    ) -> (ChSearchSpace, ChSearchCounters) {
-        let mut space = ChSearchSpace::new();
-        let counters = self.search_space_into(v, stop, &mut space);
-        (space, counters)
-    }
-
-    /// An unstalled, unbudgeted upward space, sorted by vertex for merge-joins.
-    fn search_space_into(
-        &self,
-        v: NodeId,
-        stop: impl Fn(NodeId) -> bool,
-        space: &mut ChSearchSpace,
-    ) -> ChSearchCounters {
-        let counters = self.upward_into(v, stop, false, &mut space.entries);
+        // Unstalled and unbudgeted, sorted by vertex for merge-joins.
+        let counters = self.upward_into(v, |x| x != v && stop(x), false, &mut space.entries);
         space.entries.sort_unstable_by_key(|&(x, _)| x);
         counters
     }
@@ -544,6 +497,22 @@ mod tests {
         items
     }
 
+    /// The complete upward space of `v`, in a fresh buffer.
+    fn full_space(ch: &ContractionHierarchy, v: NodeId) -> ChSearchSpace {
+        stopped_space(ch, v, |_| false)
+    }
+
+    /// The upward space of `v` stopping at `stop`, in a fresh buffer.
+    fn stopped_space(
+        ch: &ContractionHierarchy,
+        v: NodeId,
+        stop: impl Fn(NodeId) -> bool,
+    ) -> ChSearchSpace {
+        let mut space = ChSearchSpace::new();
+        ch.upward_search_space_stopping_at_into(v, stop, &mut space);
+        space
+    }
+
     /// Distance `s -> t` through a fresh forward search and a directory over `t`.
     fn forward_distance(ch: &ContractionHierarchy, s: NodeId, t: NodeId, bound: Weight) -> Weight {
         let targets = ChTargetDirectory::build(ch, &[t]);
@@ -558,11 +527,11 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Distance);
         let ch = ContractionHierarchy::build(&g);
         let s: NodeId = 17;
-        let space = ch.upward_search_space(s);
+        let space = full_space(&ch, s);
         assert!(!space.is_empty());
         assert_eq!(space.distance_to(s), Some(0));
         for t in (0..g.num_vertices() as NodeId).step_by(37) {
-            let other = ch.upward_search_space(t);
+            let other = full_space(&ch, t);
             assert_eq!(space.meet(&other), dijkstra::distance(&g, s, t), "{s}->{t}");
         }
     }
@@ -579,7 +548,7 @@ mod tests {
             for i in 0..80u32 {
                 let s = (i * 379) % n;
                 let t = (i * 523 + 7) % n;
-                let full = ch.upward_search_space(s).meet(&ch.upward_search_space(t));
+                let full = full_space(&ch, s).meet(&full_space(&ch, t));
                 let (pruned, counters) = ch.distance_with_counters(s, t);
                 assert_eq!(pruned, full, "{s}->{t} {kind:?}");
                 if s != t {
@@ -596,9 +565,9 @@ mod tests {
         let g = net.graph(EdgeWeightKind::Time);
         let ch = ContractionHierarchy::build(&g);
         let s: NodeId = 41;
-        let forward = ch.upward_search_space(s);
+        let forward = full_space(&ch, s);
         for t in (0..g.num_vertices() as NodeId).step_by(53) {
-            let backward = ch.upward_search_space(t);
+            let backward = full_space(&ch, t);
             assert_eq!(forward_distance(&ch, s, t, INFINITY), forward.meet(&backward), "{s}->{t}");
         }
     }
@@ -730,7 +699,7 @@ mod tests {
             let mut label = Vec::new();
             for s in [2u32, n / 3, n - 7] {
                 let stalled = ch.target_label_into(s, &mut label);
-                let full = ch.upward_search_space(s);
+                let full = full_space(&ch, s);
                 assert!(label.len() <= full.len(), "stalling enlarged the label of {s}");
                 assert_eq!(stalled.settled, label.len() as u64);
                 for t in (0..n).step_by(29) {
@@ -750,17 +719,19 @@ mod tests {
         let config = crate::ChConfig { stall_on_demand: false, ..Default::default() };
         let ch = ContractionHierarchy::build_with_config(&g, &config);
         let mut label = Vec::new();
+        let (mut reused, mut stopped) = (ChSearchSpace::new(), ChSearchSpace::new());
+        let threshold = (g.num_vertices() as u32 * 9) / 10;
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
             let counters = ch.target_label_into(v, &mut label);
-            let fresh = ch.upward_search_space(v);
+            let fresh = full_space(&ch, v);
             assert_eq!(counters.settled, fresh.len() as u64);
             label.sort_unstable_by_key(|&(x, _)| x);
             assert_eq!(label, fresh.entries(), "space from {v}");
-            // The stopping variant agrees with its allocating counterpart too.
-            let threshold = (g.num_vertices() as u32 * 9) / 10;
-            let mut stopped = ChSearchSpace::new();
+            // Refilling one buffer, full or stopped, matches a fresh one.
+            let counters = ch.upward_search_space_stopping_at_into(v, |_| false, &mut reused);
+            assert_eq!((reused.entries(), counters.settled), (fresh.entries(), label.len() as u64));
             ch.upward_search_space_stopping_at_into(v, |x| ch.rank(x) >= threshold, &mut stopped);
-            let stopped_fresh = ch.upward_search_space_stopping_at(v, |x| ch.rank(x) >= threshold);
+            let stopped_fresh = stopped_space(&ch, v, |x| ch.rank(x) >= threshold);
             assert_eq!(stopped.entries(), stopped_fresh.entries());
         }
     }
@@ -770,9 +741,9 @@ mod tests {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 4));
         let g = net.graph(EdgeWeightKind::Distance);
         let ch = ContractionHierarchy::build(&g);
-        let full = ch.upward_search_space(5);
+        let full = full_space(&ch, 5);
         let threshold = (g.num_vertices() as u32 * 9) / 10;
-        let stopped = ch.upward_search_space_stopping_at(5, |v| ch.rank(v) >= threshold);
+        let stopped = stopped_space(&ch, 5, |v| ch.rank(v) >= threshold);
         assert!(stopped.len() <= full.len());
         // Every stopped entry's distance is >= the full space's distance for that vertex.
         for &(v, d) in stopped.entries() {

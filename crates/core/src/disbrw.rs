@@ -11,7 +11,7 @@
 //!   quadtree object hierarchy whose nodes are visited in lower-bound order.
 //!
 //! Both use the degree-2 chain optimisation (Appendix A.1.2) when a [`ChainIndex`] is
-//! supplied.
+//! supplied (the engine passes SILC's own, [`SilcIndex::chains`]).
 
 use rnknn_graph::{ChainIndex, Graph, NodeId, Point, Rect, Weight, INFINITY};
 use rnknn_objects::{BrowserScratch, ObjectRTree, ObjectSet};
@@ -68,6 +68,18 @@ pub struct DisBrwStats {
     pub candidates: usize,
     /// Object-hierarchy nodes expanded (zero for DB-ENN).
     pub hierarchy_nodes: usize,
+    /// SILC quadtree lookups, by refinements and the final path walks.
+    pub quadtree_lookups: u64,
+    /// Path steps the chain optimisation took instead of a quadtree lookup.
+    pub chain_skips: u64,
+}
+
+impl DisBrwStats {
+    /// Adds the lookups and chain skips of one pair's refinement or walk.
+    fn count(&mut self, walk: &IntervalRefiner) {
+        self.quadtree_lookups += walk.quadtree_lookups;
+        self.chain_skips += walk.chain_skips;
+    }
 }
 
 /// Distance Browsing query processor.
@@ -251,7 +263,8 @@ impl<'a> DisBrwSearch<'a> {
             }
         }
 
-        self.finalize_into(query, &best, result);
+        pool.iter().for_each(|candidate| stats.count(&candidate.refiner));
+        self.finalize_into(query, &best, result, &mut stats);
         stats
     }
 
@@ -332,7 +345,8 @@ impl<'a> DisBrwSearch<'a> {
                 }
             }
         }
-        self.finalize_into(query, &best, result);
+        pool.iter().for_each(|candidate| stats.count(&candidate.refiner));
+        self.finalize_into(query, &best, result, &mut stats);
         stats
     }
 
@@ -378,9 +392,17 @@ impl<'a> DisBrwSearch<'a> {
     /// winning candidates are fully refined, which costs at most one path walk each),
     /// writing into the caller's (already cleared) result vector. Objects in another
     /// component are dropped, as every other method does, not reported at `INFINITY`.
-    fn finalize_into(&self, query: NodeId, best: &BestK<'_>, result: &mut KnnResult) {
+    fn finalize_into(
+        &self,
+        query: NodeId,
+        best: &BestK<'_>,
+        result: &mut KnnResult,
+        stats: &mut DisBrwStats,
+    ) {
         result.extend(best.entries().iter().map(|&(object, _)| {
-            (object, self.silc.distance(self.graph, query, object, self.chains))
+            let walk = self.silc.walk(self.graph, query, object, self.chains);
+            stats.count(&walk);
+            (object, walk.dist_to_next)
         }));
         result.retain(|&(_, d)| d < INFINITY);
         result.sort_unstable_by_key(|&(_, d)| d);
@@ -506,12 +528,11 @@ mod tests {
     use rnknn_objects::uniform;
     use rnknn_pathfinding::dijkstra;
 
-    fn setup(n: usize, seed: u64) -> (Graph, SilcIndex, ChainIndex) {
+    fn setup(n: usize, seed: u64) -> (Graph, SilcIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
         let g = net.graph(EdgeWeightKind::Distance);
         let silc = SilcIndex::build(&g);
-        let chains = ChainIndex::build(&g);
-        (g, silc, chains)
+        (g, silc)
     }
 
     fn brute_knn(g: &Graph, q: NodeId, k: usize, objects: &ObjectSet) -> Vec<Weight> {
@@ -524,12 +545,12 @@ mod tests {
 
     #[test]
     fn db_enn_matches_brute_force() {
-        let (g, silc, chains) = setup(500, 41);
+        let (g, silc) = setup(500, 41);
         let objects = uniform(&g, 0.03, 7);
         let rtree = ObjectRTree::build(&g, &objects);
         let n = g.num_vertices() as NodeId;
         for use_chains in [false, true] {
-            let chain_ref = if use_chains { Some(&chains) } else { None };
+            let chain_ref = if use_chains { Some(silc.chains()) } else { None };
             let search = DisBrwSearch::new(&g, &silc, chain_ref);
             for &q in &[0u32, n / 2, n - 5] {
                 let want = brute_knn(&g, q, 6, &objects);
@@ -546,11 +567,15 @@ mod tests {
 
     #[test]
     fn object_hierarchy_variant_matches_brute_force() {
-        let (g, silc, chains) = setup(450, 13);
+        let (g, silc) = setup(450, 13);
         let objects = uniform(&g, 0.05, 3);
         let rtree = ObjectRTree::build(&g, &objects);
-        let search =
-            DisBrwSearch::with_variant(&g, &silc, Some(&chains), DisBrwVariant::ObjectHierarchy);
+        let search = DisBrwSearch::with_variant(
+            &g,
+            &silc,
+            Some(silc.chains()),
+            DisBrwVariant::ObjectHierarchy,
+        );
         assert_eq!(search.variant(), DisBrwVariant::ObjectHierarchy);
         let n = g.num_vertices() as NodeId;
         for &q in &[3u32, n / 4, n - 9] {
@@ -563,7 +588,7 @@ mod tests {
 
     #[test]
     fn sparse_objects_and_k_exceeding_object_count() {
-        let (g, silc, _) = setup(300, 5);
+        let (g, silc) = setup(300, 5);
         let objects = ObjectSet::new("three", g.num_vertices(), vec![4, 90, 200]);
         let rtree = ObjectRTree::build(&g, &objects);
         let search = DisBrwSearch::new(&g, &silc, None);
@@ -579,10 +604,10 @@ mod tests {
 
     #[test]
     fn query_vertex_as_object_is_first() {
-        let (g, silc, chains) = setup(250, 9);
+        let (g, silc) = setup(250, 9);
         let objects = ObjectSet::new("set", g.num_vertices(), vec![12, 55, 130]);
         let rtree = ObjectRTree::build(&g, &objects);
-        let search = DisBrwSearch::new(&g, &silc, Some(&chains));
+        let search = DisBrwSearch::new(&g, &silc, Some(silc.chains()));
         let got = search.knn(12, 2, &rtree, &objects);
         assert_eq!(got[0], (12, 0));
         assert_eq!(got.len(), 2);

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::panic::resume_unwind;
 use std::time::Instant;
 
-use rnknn_graph::{ChainIndex, Graph, NodeId};
+use rnknn_graph::{Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig};
 use rnknn_objects::{ObjectSet, UpdateEvent};
 use rnknn_pathfinding::{QueryBudget, UNLIMITED};
@@ -156,9 +156,11 @@ pub struct EngineConfig {
     pub build_silc: bool,
     /// Build the Contraction Hierarchy (needed by `IerCh` and `IerTnr`).
     pub build_ch: bool,
-    /// Build hub labels (needed by `IerPhl`).
+    /// Build hub labels (needed by `IerPhl`; implies a CH build: the labels are
+    /// derived from it).
     pub build_phl: bool,
-    /// Build Transit Node Routing (needed by `IerTnr`; implies a CH build).
+    /// Build Transit Node Routing (needed by `IerTnr`; implies a CH build: TNR is
+    /// derived from it and its queries read it).
     pub build_tnr: bool,
     /// Override the G-tree leaf capacity (defaults to the paper's size-based rule).
     pub gtree_leaf_capacity: Option<usize>,
@@ -237,9 +239,9 @@ pub struct BuildTimes {
     pub silc_micros: u128,
     /// Contraction-hierarchy preprocessing time.
     pub ch_micros: u128,
-    /// Hub-label construction time.
+    /// Hub-label construction time (excluding the CH it is derived from).
     pub phl_micros: u128,
-    /// Transit-node-routing construction time (excluding the CH it reuses).
+    /// Transit-node-routing construction time (excluding the CH it is derived from).
     pub tnr_micros: u128,
     /// Wall clock of the whole schedule, first builder's start to last builder's end.
     pub total_micros: u128,
@@ -270,7 +272,6 @@ fn run_beside<A: Send, B>(beside: impl FnOnce() -> A + Send, here: impl FnOnce()
 /// object indexes.
 pub struct Engine {
     graph: Graph,
-    chains: ChainIndex,
     gtree: Option<Gtree>,
     road: Option<RoadIndex>,
     silc: Option<SilcIndex>,
@@ -297,7 +298,8 @@ impl Engine {
     /// The builders form two chains that read nothing of each other's: the
     /// partition family then SILC (G-tree → ROAD → SILC, ROAD derived from the
     /// G-tree whether that was built or loaded), and the contraction
-    /// hierarchy with its two dependants (CH → PHL → TNR). When a CH has to be
+    /// hierarchy with its two dependants (CH → PHL → TNR, both derived from the
+    /// CH whether that was built or loaded). When a CH has to be
     /// contracted, the first chain has something to build too and the build
     /// thread count allows it, the CH chain runs on its own scoped thread beside
     /// the first; otherwise both run on the caller's, one after the other.
@@ -309,9 +311,8 @@ impl Engine {
         preloaded_gtree: Option<Gtree>,
         preloaded_ch: Option<rnknn_ch::ContractionHierarchy>,
     ) -> Engine {
-        let chains = ChainIndex::build(&graph);
         let g = &graph;
-        let wants_ch = config.build_ch || config.build_tnr;
+        let wants_ch = config.build_ch || config.build_phl || config.build_tnr;
         let wants_gtree = config.build_gtree || config.build_road;
         let overlap = wants_ch
             && preloaded_ch.is_none()
@@ -360,23 +361,14 @@ impl Engine {
                     ch
                 })
             });
-            let phl = if config.build_phl {
-                let (phl, micros) = timed(|| match &ch {
-                    Some(ch) => rnknn_phl::HubLabels::build_with_ch(g, ch),
-                    None => rnknn_phl::HubLabels::build(g),
-                });
+            let phl = ch.as_ref().filter(|_| config.build_phl).and_then(|ch| {
+                let (phl, micros) = timed(|| rnknn_phl::HubLabels::from_ch(g, ch));
                 times.phl_micros = micros;
                 phl
-            } else {
-                None
-            };
-            let tnr = config.build_tnr.then(|| {
+            });
+            let tnr = ch.as_ref().filter(|_| config.build_tnr).map(|ch| {
                 let (tnr, micros) = timed(|| {
-                    rnknn_tnr::TransitNodeRouting::build_from_ch(
-                        g,
-                        ch.clone().expect("TNR requires a CH build"),
-                        rnknn_tnr::TnrConfig::default(),
-                    )
+                    rnknn_tnr::TransitNodeRouting::from_ch(g, ch, rnknn_tnr::TnrConfig::default())
                 });
                 times.tnr_micros = micros;
                 tnr
@@ -399,7 +391,7 @@ impl Engine {
             ..partition_times
         };
 
-        Engine { graph, chains, gtree, road, silc, ch, phl, tnr, build_times, live: None }
+        Engine { graph, gtree, road, silc, ch, phl, tnr, build_times, live: None }
     }
 
     /// The road network.
@@ -674,7 +666,6 @@ impl Engine {
         }
         let ctx = QueryContext {
             graph: &self.graph,
-            chains: &self.chains,
             gtree: self.gtree.as_ref(),
             road: self.road.as_ref(),
             silc: self.silc.as_ref(),
@@ -820,6 +811,22 @@ mod tests {
             }
         }
         assert!(engine.build_times().gtree_micros > 0);
+    }
+
+    /// PHL is derived from the engine's one CH: asking for labels alone contracts
+    /// the hierarchy, and the labels are exactly the ones derived from it.
+    #[test]
+    fn hub_labels_alone_are_derived_from_the_engines_ch() {
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(600, 12)).graph(EdgeWeightKind::Distance);
+        let config = EngineConfig { build_phl: true, build_ch: false, ..EngineConfig::minimal() };
+        let engine = Engine::build(graph, &config);
+        let ch = engine.ch().expect("build_phl implies a CH");
+        let derived = rnknn_phl::HubLabels::from_ch(engine.graph(), ch).unwrap();
+        let phl = engine.phl().unwrap();
+        assert_eq!(phl.average_label_size(), derived.average_label_size());
+        assert_eq!(phl.memory_bytes(), derived.memory_bytes());
+        assert!(engine.supports(Method::IerPhl) && engine.supports(Method::IerCh));
     }
 
     /// What a build schedule may not move.
@@ -1020,9 +1027,10 @@ mod tests {
                 // `build_road` implies a G-tree, so removing the G-tree removes ROAD too.
                 build_road: removed != IndexKind::Road && removed != IndexKind::Gtree,
                 build_silc: removed != IndexKind::Silc,
-                // `build_tnr` implies a CH build, so removing CH removes TNR too.
+                // `build_phl` and `build_tnr` imply a CH build, so removing CH
+                // removes both.
                 build_ch: removed != IndexKind::Ch,
-                build_phl: removed != IndexKind::Phl,
+                build_phl: removed != IndexKind::Phl && removed != IndexKind::Ch,
                 build_tnr: removed != IndexKind::Tnr && removed != IndexKind::Ch,
                 ..Default::default()
             };

@@ -403,26 +403,28 @@ impl<'a> DistanceOracle for PhlOracle<'a> {
     }
 }
 
-/// Transit Node Routing oracle. Per source, the stopped forward search space and the
-/// source side of the access-node table are computed once
-/// ([`rnknn_tnr::TransitNodeRouting::begin_source`]) and every candidate pays only a
-/// stopped backward search plus an `O(|access(t)|)` table fold — the TNR analogue of
-/// the IER-CH forward-space reuse.
+/// Transit Node Routing oracle over the engine's contraction hierarchy. Per source,
+/// the stopped forward search space and the source side of the access-node table are
+/// computed once ([`rnknn_tnr::TransitNodeRouting::begin_source`]) and every candidate
+/// pays only a stopped backward search plus an `O(|access(t)|)` table fold — the TNR
+/// analogue of the IER-CH forward-space reuse.
 #[derive(Debug)]
 pub struct TnrOracle<'a> {
+    ch: &'a rnknn_ch::ContractionHierarchy,
     tnr: &'a rnknn_tnr::TransitNodeRouting,
     state: &'a mut rnknn_tnr::TnrSourceState,
     counters: rnknn_ch::ChSearchCounters,
 }
 
 impl<'a> TnrOracle<'a> {
-    /// Creates the oracle over a source state (forward stopped space + folded
-    /// table row, computed once per source).
+    /// Creates the oracle over `tnr`, the index derived from `ch`, and a source
+    /// state (forward stopped space + folded table row, computed once per source).
     pub fn new(
+        ch: &'a rnknn_ch::ContractionHierarchy,
         tnr: &'a rnknn_tnr::TransitNodeRouting,
         state: &'a mut rnknn_tnr::TnrSourceState,
     ) -> Self {
-        TnrOracle { tnr, state, counters: rnknn_ch::ChSearchCounters::default() }
+        TnrOracle { ch, tnr, state, counters: rnknn_ch::ChSearchCounters::default() }
     }
 }
 
@@ -431,14 +433,15 @@ impl<'a> DistanceOracle for TnrOracle<'a> {
         "TNR"
     }
     fn begin_query(&mut self, source: NodeId) {
-        let counters = self.tnr.begin_source(source, self.state);
+        let counters = self.tnr.begin_source(self.ch, source, self.state);
         self.counters.accumulate(counters);
     }
     fn distance_within(&mut self, source: NodeId, target: NodeId, _bound: Weight) -> Weight {
         if self.state.source() != Some(source) {
             self.begin_query(source);
         }
-        let (d, counters) = self.tnr.distance_from_source_with_counters(self.state, target);
+        let (d, counters) =
+            self.tnr.distance_from_source_with_counters(self.ch, self.state, target);
         self.counters.accumulate(counters);
         d
     }
@@ -486,7 +489,7 @@ mod tests {
     use rnknn_objects::{uniform, ObjectRTree, ObjectSet};
     use rnknn_pathfinding::dijkstra;
     use rnknn_phl::HubLabels;
-    use rnknn_tnr::{TnrSourceState, TransitNodeRouting};
+    use rnknn_tnr::{TnrConfig, TnrSourceState, TransitNodeRouting};
 
     fn brute_knn(g: &Graph, q: NodeId, k: usize, objects: &ObjectSet) -> Vec<Weight> {
         let all = dijkstra::single_source(g, q);
@@ -540,10 +543,11 @@ mod tests {
             &rtree,
         );
         assert_eq!(targets.len(), objects.len(), "every object has a label");
-        let labels = HubLabels::build(&g).expect("within budget");
+        let labels = HubLabels::from_ch(&g, &ch).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
-        let tnr = TransitNodeRouting::build(&g);
-        check_oracle(&g, TnrOracle::new(&tnr, &mut TnrSourceState::new()), &objects, &rtree);
+        let tnr = TransitNodeRouting::from_ch(&g, &ch, TnrConfig::default());
+        let mut state = TnrSourceState::new();
+        check_oracle(&g, TnrOracle::new(&ch, &tnr, &mut state), &objects, &rtree);
         let gtree = Gtree::build_with_config(&g, small_leaves());
         check_oracle(&g, GtreeDistanceOracle::new(&gtree, &g, 0), &objects, &rtree);
     }
@@ -559,8 +563,8 @@ mod tests {
             let ch = ContractionHierarchy::build(&g);
             let probed: Vec<NodeId> = (0..n).step_by(37).collect();
             let targets = ChTargetDirectory::build(&ch, &probed);
-            let labels = HubLabels::build(&g).expect("within budget");
-            let tnr = TransitNodeRouting::build(&g);
+            let labels = HubLabels::from_ch(&g, &ch).expect("within budget");
+            let tnr = TransitNodeRouting::from_ch(&g, &ch, TnrConfig::default());
             let gtree = Gtree::build_with_config(&g, small_leaves());
             let mut search = ChForwardSearch::new();
             let check = |oracle: &mut dyn DistanceOracle| {
@@ -584,7 +588,7 @@ mod tests {
             check(&mut AStarOracle::new(&g, &mut SearchScratch::new()));
             check(&mut ChOracle::new(&ch, &targets, &mut search));
             check(&mut PhlOracle::new(&labels));
-            check(&mut TnrOracle::new(&tnr, &mut TnrSourceState::new()));
+            check(&mut TnrOracle::new(&ch, &tnr, &mut TnrSourceState::new()));
             check(&mut GtreeDistanceOracle::new(&gtree, &g, 0));
         }
     }
@@ -600,7 +604,8 @@ mod tests {
         check_oracle(&g, DijkstraOracle::new(&g, &mut SearchScratch::new()), &objects, &rtree);
         let gtree = Gtree::build_with_config(&g, small_leaves());
         check_oracle(&g, GtreeDistanceOracle::new(&gtree, &g, 0), &objects, &rtree);
-        let labels = HubLabels::build(&g).expect("within budget");
+        let ch = ContractionHierarchy::build(&g);
+        let labels = HubLabels::from_ch(&g, &ch).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
     }
 

@@ -249,8 +249,10 @@ impl KnnAlgorithm for IerTnr {
     fn name(&self) -> &'static str {
         "IER-TNR"
     }
+    /// TNR first: a missing-index error names the method's own index (a TNR is
+    /// never built without the CH it is derived from).
     fn required_indexes(&self) -> &'static [IndexKind] {
-        &[IndexKind::Tnr]
+        &[IndexKind::Tnr, IndexKind::Ch]
     }
     fn knn_into(
         &self,
@@ -261,7 +263,8 @@ impl KnnAlgorithm for IerTnr {
         out: &mut QueryOutput,
     ) -> Result<(), EngineError> {
         let tnr = ctx.require_tnr(self.method())?;
-        let oracle = TnrOracle::new(tnr, &mut scratch.tnr);
+        let ch = ctx.require_ch(self.method())?;
+        let oracle = TnrOracle::new(ch, tnr, &mut scratch.tnr);
         ier_knn(ctx, oracle, query, k, &mut scratch.browser, out);
         Ok(())
     }
@@ -307,7 +310,7 @@ fn disbrw_knn(
     out: &mut QueryOutput,
 ) -> Result<(), EngineError> {
     let silc = ctx.require_silc(method)?;
-    let mut search = DisBrwSearch::with_variant(ctx.graph, silc, Some(ctx.chains), variant);
+    let mut search = DisBrwSearch::with_variant(ctx.graph, silc, Some(silc.chains()), variant);
     search.set_budget(ctx.budget);
     let stats = search.knn_with_stats_in(
         query,
@@ -491,6 +494,7 @@ mod tests {
         assert!(algorithm(Method::Ine).required_indexes().is_empty());
         assert!(algorithm(Method::IerDijkstra).required_indexes().is_empty());
         assert_eq!(algorithm(Method::IerPhl).required_indexes(), &[IndexKind::Phl]);
+        assert_eq!(algorithm(Method::IerTnr).required_indexes(), &[IndexKind::Tnr, IndexKind::Ch]);
         assert_eq!(algorithm(Method::DisBrw).required_indexes(), &[IndexKind::Silc]);
         assert_eq!(algorithm(Method::Road).required_indexes(), &[IndexKind::Road]);
         assert_eq!(algorithm(Method::Gtree).required_indexes(), &[IndexKind::Gtree]);

@@ -9,14 +9,13 @@
 //! the mapped file**, so a 580k-vertex engine is ready to serve in well under
 //! 200ms from a warm page cache.
 //!
-//! What is *not* persisted: the chain index (derived from the graph in
-//! milliseconds and rebuilt on load), object sets and object indexes (cheap
-//! and swapped per workload, per the paper's decoupled-indexing design), and
-//! the ROAD/SILC/PHL/TNR indexes. Their `EngineConfig` build flags still
-//! work on the load path — the engine derives ROAD from the loaded G-tree and
-//! builds the others over the loaded graph — so a loaded engine supports
-//! exactly the methods a built one with the same config does; only the CH and
-//! G-tree construction time is skipped.
+//! What is *not* persisted: object sets and object indexes (cheap and swapped
+//! per workload, per the paper's decoupled-indexing design), and the
+//! ROAD/SILC/PHL/TNR indexes. Their `EngineConfig` build flags still work on
+//! the load path — the engine derives ROAD from the loaded G-tree and PHL and
+//! TNR from the loaded CH, and builds SILC over the loaded graph — so a loaded
+//! engine supports exactly the methods a built one with the same config does;
+//! only the CH and G-tree construction time is skipped.
 //!
 //! Every load fully validates the artifact — magic, format version, per-
 //! section checksums and structural invariants — before any query runs, and
@@ -90,13 +89,15 @@ impl Engine {
     /// [`PersistError`], never a panic or a wrong answer later.
     ///
     /// `config` plays the same role as in [`Engine::build`]: `build_ch` /
-    /// `build_gtree` (or `build_tnr` / `build_road`, which imply them) say which
+    /// `build_gtree` (or `build_phl` / `build_tnr` / `build_road`, which imply
+    /// them) say which
     /// indexes the caller needs (absent-from-artifact is
     /// [`PersistError::MissingSection`]), and `ch_config` / `gtree_config`
     /// must fingerprint-match what the artifact was built with
     /// ([`PersistError::ConfigMismatch`] otherwise). Build flags for the
     /// non-persisted indexes are honoured: ROAD is derived from the loaded
-    /// G-tree, SILC, PHL and TNR are built over the loaded graph.
+    /// G-tree, PHL and TNR from the loaded CH, and SILC is built over the loaded
+    /// graph.
     pub fn load_indexes(
         path: impl AsRef<Path>,
         config: &EngineConfig,
@@ -124,8 +125,9 @@ impl Engine {
         let graph = rnknn_graph::persist::load_graph(artifact)?;
         let num_vertices = graph.num_vertices();
 
-        // TNR implies a CH (assemble consumes one), matching Engine::build.
-        let ch = if config.build_ch || config.build_tnr {
+        // PHL and TNR imply a CH (assemble derives them from one), matching
+        // Engine::build.
+        let ch = if config.build_ch || config.build_phl || config.build_tnr {
             if !rnknn_ch::persist::has_ch(artifact) {
                 return Err(PersistError::MissingSection {
                     section: "CH index (artifact was saved without build_ch)".to_string(),
@@ -217,13 +219,18 @@ mod tests {
         // Saved without a CH...
         let config = EngineConfig { build_ch: false, ..small_config() };
         let bytes = Engine::build(graph, &config).save_indexes_to_vec().unwrap();
-        // ...loading *with* build_ch must fail loudly, not degrade silently.
-        match Engine::load_indexes_from_vec(bytes.clone(), &small_config()) {
-            Err(PersistError::MissingSection { section }) => {
-                assert!(section.contains("CH"), "unexpected section: {section}")
+        // ...loading *with* build_ch, or with build_phl or build_tnr (derived
+        // from a CH), must fail loudly, not degrade silently.
+        let with_phl = EngineConfig { build_phl: true, ..config.clone() };
+        let with_tnr = EngineConfig { build_tnr: true, ..config.clone() };
+        for wants_ch in [small_config(), with_phl, with_tnr] {
+            match Engine::load_indexes_from_vec(bytes.clone(), &wants_ch) {
+                Err(PersistError::MissingSection { section }) => {
+                    assert!(section.contains("CH"), "unexpected section: {section}")
+                }
+                Err(other) => panic!("expected MissingSection, got {other:?}"),
+                Ok(_) => panic!("expected MissingSection, load succeeded"),
             }
-            Err(other) => panic!("expected MissingSection, got {other:?}"),
-            Ok(_) => panic!("expected MissingSection, load succeeded"),
         }
         assert!(Engine::load_indexes_from_vec(bytes, &config).is_ok());
     }

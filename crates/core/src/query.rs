@@ -9,7 +9,7 @@
 //! vocabulary, and [`QueryContext`] is the read-only view of the engine's
 //! indexes an algorithm runs against.
 
-use rnknn_graph::{ChainIndex, Graph, NodeId};
+use rnknn_graph::{Graph, NodeId};
 use rnknn_gtree::{Gtree, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet};
 use rnknn_pathfinding::QueryBudget;
@@ -122,8 +122,6 @@ impl IndexKind {
 pub struct QueryContext<'a> {
     /// The road network.
     pub graph: &'a Graph,
-    /// Degree-2 chain index (always built; used by DisBrw refinement).
-    pub chains: &'a ChainIndex,
     /// The G-tree, if built.
     pub gtree: Option<&'a Gtree>,
     /// The ROAD index, if built.

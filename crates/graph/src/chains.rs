@@ -94,6 +94,11 @@ impl ChainIndex {
         let low = self.degree.iter().filter(|&&d| d <= 2).count();
         low as f64 / self.degree.len().max(1) as f64
     }
+
+    /// Approximate resident size in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.endpoints.len() * std::mem::size_of::<(NodeId, NodeId)>() + self.degree.len()
+    }
 }
 
 /// Collects the maximal run of degree-≤2 vertices containing `start`, in path order.

@@ -8,11 +8,9 @@
 //! point-to-point oracle with the largest index (docs/ARCHITECTURE.md,
 //! "Substitutions").
 //!
-//! Labels are canonical hub labels, so every query returns an exact network distance.
-//!
-//! The importance order defaults to an approximate-betweenness order obtained from a
-//! sample of shortest-path trees; a Contraction Hierarchies rank can be supplied instead
-//! (and is, in the experiment harness) for smaller labels.
+//! Labels are canonical hub labels, so every query returns an exact network distance
+//! whatever the order. The order is the contraction hierarchy's rank: the labels are
+//! derived from the engine's one [`ContractionHierarchy`] ([`HubLabels::from_ch`]).
 
 #![forbid(unsafe_code)]
 
@@ -20,26 +18,11 @@ use rnknn_ch::ContractionHierarchy;
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 use rnknn_pathfinding::heap::MinHeap;
 use rnknn_pathfinding::settled::{BitSettled, SettledContainer};
-use rnknn_pathfinding::sssp_tree;
 
-/// Configuration for label construction.
-#[derive(Debug, Clone)]
-pub struct PhlConfig {
-    /// Number of sampled shortest-path trees used by the default importance order.
-    pub betweenness_samples: usize,
-    /// Abort construction (returning `None`) when the average label size exceeds this
-    /// bound. Mirrors the paper's observation that PHL cannot be built for the largest
-    /// travel-distance graphs within memory limits.
-    pub max_average_label: usize,
-    /// Seed for the sampling used by the default ordering.
-    pub seed: u64,
-}
-
-impl Default for PhlConfig {
-    fn default() -> Self {
-        PhlConfig { betweenness_samples: 24, max_average_label: 512, seed: 13 }
-    }
-}
+/// Construction gives up (returning `None`) once the average label size exceeds this
+/// many entries. Mirrors the paper's observation that PHL cannot be built for the
+/// largest travel-distance graphs within memory limits.
+const MAX_AVERAGE_LABEL: usize = 512;
 
 /// A hub-label index over a road network.
 #[derive(Debug, Clone)]
@@ -52,44 +35,28 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// Builds hub labels using the default approximate-betweenness ordering.
-    pub fn build(graph: &Graph) -> Option<HubLabels> {
-        Self::build_with_config(graph, &PhlConfig::default())
+    /// Builds hub labels over `graph`, processing vertices in `ch`'s importance
+    /// order (most important first). Returns `None` when the label budget is exceeded.
+    pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy) -> Option<HubLabels> {
+        Self::build_within(graph, ch, MAX_AVERAGE_LABEL)
     }
 
-    /// Builds hub labels using a Contraction Hierarchies importance order.
-    pub fn build_with_ch(graph: &Graph, ch: &ContractionHierarchy) -> Option<HubLabels> {
-        let order = ch.vertices_by_importance();
-        Self::build_with_order(graph, &order, &PhlConfig::default())
-    }
-
-    /// Builds hub labels with the default ordering and explicit configuration.
-    pub fn build_with_config(graph: &Graph, config: &PhlConfig) -> Option<HubLabels> {
-        let order = betweenness_order(graph, config);
-        Self::build_with_order(graph, &order, config)
-    }
-
-    /// Builds hub labels processing vertices in the given importance order (most
-    /// important first). Returns `None` when the label budget is exceeded.
-    pub fn build_with_order(
+    /// [`HubLabels::from_ch`] under an explicit budget of average label entries.
+    fn build_within(
         graph: &Graph,
-        order: &[NodeId],
-        config: &PhlConfig,
+        ch: &ContractionHierarchy,
+        max_average_label: usize,
     ) -> Option<HubLabels> {
+        let order = ch.vertices_by_importance();
         let n = graph.num_vertices();
-        assert_eq!(order.len(), n, "order must cover every vertex");
-        // position in the order; used as the hub identifier so labels sort naturally.
-        let mut position = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            position[v as usize] = i as u32;
-        }
+        assert_eq!(order.len(), n, "the hierarchy must cover every vertex of the graph");
 
         // Per-vertex labels as (hub position, distance), grown during construction.
         let mut labels: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); n];
         let mut heap: MinHeap<NodeId> = MinHeap::new();
         let mut dist = vec![INFINITY; n];
         let mut touched: Vec<NodeId> = Vec::new();
-        let label_budget = config.max_average_label.saturating_mul(n);
+        let label_budget = max_average_label.saturating_mul(n);
         let mut total_label_entries = 0usize;
 
         for (pos, &root) in order.iter().enumerate() {
@@ -230,38 +197,6 @@ fn query_labels(a: &[(u32, Weight)], b: &[(u32, Weight)]) -> Weight {
     best
 }
 
-/// Approximate-betweenness vertex ordering: sample shortest-path trees from random
-/// roots and rank vertices by the total size of the subtrees hanging below them.
-fn betweenness_order(graph: &Graph, config: &PhlConfig) -> Vec<NodeId> {
-    let n = graph.num_vertices();
-    let mut score = vec![0u64; n];
-    let samples = config.betweenness_samples.max(1).min(n.max(1));
-    let mut state = config.seed | 1;
-    for _ in 0..samples {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let root = ((state >> 33) as usize % n) as NodeId;
-        let (dist, parent) = sssp_tree(graph, root);
-        // Subtree sizes: process vertices in decreasing distance order.
-        let mut order: Vec<NodeId> =
-            (0..n as NodeId).filter(|&v| dist[v as usize] < INFINITY).collect();
-        order.sort_unstable_by_key(|&v| std::cmp::Reverse(dist[v as usize]));
-        let mut subtree = vec![1u64; n];
-        for &v in &order {
-            if v != root {
-                let p = parent[v as usize];
-                subtree[p as usize] += subtree[v as usize];
-            }
-        }
-        for v in 0..n {
-            score[v] += subtree[v];
-        }
-    }
-    // Mix degree in as a tie-breaker so hubs at intersections come first.
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse((score[v as usize], graph.degree(v) as u64)));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,32 +204,26 @@ mod tests {
     use rnknn_graph::{EdgeWeightKind, GraphBuilder};
     use rnknn_pathfinding::dijkstra;
 
-    #[test]
-    fn distances_match_dijkstra_default_order() {
-        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
-            let net = RoadNetwork::generate(&GeneratorConfig::new(700, 77));
-            let g = net.graph(kind);
-            let labels = HubLabels::build(&g).expect("within budget");
-            let n = g.num_vertices() as NodeId;
-            for i in 0..60u32 {
-                let s = (i * 89) % n;
-                let t = (i * 341 + 5) % n;
-                assert_eq!(labels.distance(s, t), dijkstra::distance(&g, s, t), "{s}->{t}");
-            }
-        }
+    fn labels(graph: &Graph) -> HubLabels {
+        HubLabels::from_ch(graph, &ContractionHierarchy::build(graph)).expect("within budget")
     }
 
     #[test]
     fn distances_match_dijkstra_with_ch_order() {
-        let net = RoadNetwork::generate(&GeneratorConfig::new(500, 6));
-        let g = net.graph(EdgeWeightKind::Distance);
-        let ch = ContractionHierarchy::build(&g);
-        let labels = HubLabels::build_with_ch(&g, &ch).expect("within budget");
-        let n = g.num_vertices() as NodeId;
-        for i in 0..40u32 {
-            let s = (i * 53) % n;
-            let t = (i * 97 + 13) % n;
-            assert_eq!(labels.distance(s, t), dijkstra::distance(&g, s, t));
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(700, 77));
+            let g = net.graph(kind);
+            let labels = labels(&g);
+            let n = g.num_vertices() as NodeId;
+            for i in 0..60u32 {
+                let s = (i * 89) % n;
+                let t = (i * 341 + 5) % n;
+                assert_eq!(
+                    labels.distance(s, t),
+                    dijkstra::distance(&g, s, t),
+                    "{s}->{t} {kind:?}"
+                );
+            }
         }
     }
 
@@ -304,7 +233,7 @@ mod tests {
         b.add_edge(0, 1, 2);
         b.add_edge(2, 3, 2);
         let g = b.build();
-        let labels = HubLabels::build(&g).unwrap();
+        let labels = labels(&g);
         assert_eq!(labels.distance(0, 3), INFINITY);
         assert_eq!(labels.distance(0, 1), 2);
         assert_eq!(labels.distance(3, 3), 0);
@@ -314,15 +243,15 @@ mod tests {
     fn label_budget_aborts_construction() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(300, 1));
         let g = net.graph(EdgeWeightKind::Distance);
-        let config = PhlConfig { max_average_label: 1, ..Default::default() };
-        assert!(HubLabels::build_with_config(&g, &config).is_none());
+        let ch = ContractionHierarchy::build(&g);
+        assert!(HubLabels::build_within(&g, &ch, 1).is_none());
+        assert!(HubLabels::build_within(&g, &ch, MAX_AVERAGE_LABEL).is_some());
     }
 
     #[test]
     fn label_statistics_are_reported() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 19));
-        let g = net.graph(EdgeWeightKind::Distance);
-        let labels = HubLabels::build(&g).unwrap();
+        let labels = labels(&net.graph(EdgeWeightKind::Distance));
         assert!(labels.average_label_size() >= 1.0);
         assert!(labels.memory_bytes() > 0);
         assert!(labels.label_size(0) >= 1);

@@ -18,8 +18,10 @@
 //! parallelised across source vertices (the paper uses OpenMP; we use crossbeam scoped
 //! threads).
 //!
-//! The degree-2 chain optimisation of Appendix A.1.2 is supported by passing a
-//! [`ChainIndex`] to the path / refinement routines.
+//! The degree-2 chain optimisation of Appendix A.1.2 is supported by passing the
+//! index's own [`ChainIndex`] ([`SilcIndex::chains`]) to the path / refinement
+//! routines. Queries write nothing into the index: each walk counts its own quadtree
+//! lookups and chain skips ([`IntervalRefiner`]).
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +29,6 @@ use rnknn_graph::{ChainIndex, Graph, NodeId, Weight, INFINITY};
 use rnknn_pathfinding::sssp_tree;
 use rnknn_spatial::morton::CoordinateNormalizer;
 use rnknn_spatial::quadtree::RegionQuadtree;
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Construction parameters for SILC.
 #[derive(Debug, Clone)]
@@ -79,29 +79,6 @@ impl DistanceInterval {
     }
 }
 
-/// Query-time counters (the DisBrw ablations count quadtree lookups saved by the
-/// degree-2 chain optimisation).
-#[derive(Debug, Default)]
-pub struct SilcStats {
-    /// Quadtree (Morton-list) binary searches performed.
-    pub quadtree_lookups: AtomicU64,
-    /// First-hop steps answered by the chain optimisation instead of a lookup.
-    pub chain_skips: AtomicU64,
-}
-
-impl SilcStats {
-    /// Snapshot of `(quadtree_lookups, chain_skips)`.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (self.quadtree_lookups.load(Ordering::Relaxed), self.chain_skips.load(Ordering::Relaxed))
-    }
-
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.quadtree_lookups.store(0, Ordering::Relaxed);
-        self.chain_skips.store(0, Ordering::Relaxed);
-    }
-}
-
 /// The SILC index: one coloured quadtree per source vertex.
 #[derive(Debug)]
 pub struct SilcIndex {
@@ -111,8 +88,8 @@ pub struct SilcIndex {
     offsets: Vec<u64>,
     /// Morton code of every vertex (shared by all quadtrees).
     vertex_morton: Vec<u64>,
-    /// Query-time counters.
-    pub stats: SilcStats,
+    /// Degree-2 chains of the graph (Appendix A.1.2).
+    chains: ChainIndex,
 }
 
 impl SilcIndex {
@@ -165,7 +142,8 @@ impl SilcIndex {
             blocks.extend_from_slice(&source_blocks);
             offsets.push(blocks.len() as u64);
         }
-        Some(SilcIndex { blocks, offsets, vertex_morton, stats: SilcStats::default() })
+        let chains = ChainIndex::build(graph);
+        Some(SilcIndex { blocks, offsets, vertex_morton, chains })
     }
 
     /// Number of vertices covered.
@@ -179,11 +157,17 @@ impl SilcIndex {
         self.blocks.len()
     }
 
-    /// Approximate resident size in bytes (Figure 8(a)).
+    /// The degree-2 chains of the indexed graph, for the chain optimisation.
+    pub fn chains(&self) -> &ChainIndex {
+        &self.chains
+    }
+
+    /// Approximate resident size in bytes (Figure 8(a)), chains included.
     pub fn memory_bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<SilcBlock>()
             + self.offsets.len() * 8
             + self.vertex_morton.len() * 8
+            + self.chains.memory_bytes()
     }
 
     fn blocks_of(&self, s: NodeId) -> &[SilcBlock] {
@@ -191,7 +175,6 @@ impl SilcIndex {
     }
 
     fn locate(&self, s: NodeId, t: NodeId) -> Option<&SilcBlock> {
-        self.stats.quadtree_lookups.fetch_add(1, Ordering::Relaxed);
         let code = self.vertex_morton[t as usize];
         let blocks = self.blocks_of(s);
         let idx = blocks.partition_point(|b| b.morton_lo <= code);
@@ -247,40 +230,43 @@ impl SilcIndex {
         t: NodeId,
         chains: Option<&ChainIndex>,
     ) -> Option<Vec<NodeId>> {
-        if s == t {
-            return Some(vec![s]);
-        }
+        let mut walk = IntervalRefiner::at_source(s, t, DistanceInterval::unknown());
         let mut path = vec![s];
-        let mut prev = s;
-        let mut cur = self.first_hop(graph, s, t)?;
-        path.push(cur);
-        let mut guard = 0usize;
-        while cur != t {
-            guard += 1;
-            if guard > graph.num_vertices() {
-                return None; // inconsistent index; avoid infinite loops
+        while walk.next_vertex != t {
+            // A longer path repeats a vertex: an inconsistent index, not a loop.
+            if path.len() > graph.num_vertices() || !self.advance(graph, chains, &mut walk) {
+                return None;
             }
-            let next = if let Some(chains) = chains {
-                match chains.next_on_chain(graph, prev, cur) {
-                    Some(v) => {
-                        self.stats.chain_skips.fetch_add(1, Ordering::Relaxed);
-                        Some(v)
-                    }
-                    None => self.first_hop(graph, cur, t),
-                }
-            } else {
-                self.first_hop(graph, cur, t)
-            };
-            let next = next?;
-            path.push(next);
-            prev = cur;
-            cur = next;
+            path.push(walk.next_vertex);
         }
         Some(path)
     }
 
-    /// Exact network distance obtained by walking the shortest path (the SILC
-    /// distance-oracle mode).
+    /// Walks the shortest path from `s` to `t` to its end (the SILC distance-oracle
+    /// mode): the returned walk's interval is the exact distance (`INFINITY` when `t`
+    /// is unreachable) and its counters are the lookups and chain skips it took.
+    pub fn walk(
+        &self,
+        graph: &Graph,
+        s: NodeId,
+        t: NodeId,
+        chains: Option<&ChainIndex>,
+    ) -> IntervalRefiner {
+        let mut walk = IntervalRefiner::at_source(s, t, DistanceInterval::unknown());
+        let mut steps = 0;
+        while walk.next_vertex != t {
+            steps += 1;
+            if steps > graph.num_vertices() || !self.advance(graph, chains, &mut walk) {
+                walk.dist_to_next = INFINITY;
+                break;
+            }
+        }
+        walk.interval = DistanceInterval { lower: walk.dist_to_next, upper: walk.dist_to_next };
+        walk
+    }
+
+    /// Exact network distance obtained by walking the shortest path
+    /// ([`SilcIndex::walk`]).
     pub fn distance(
         &self,
         graph: &Graph,
@@ -288,31 +274,46 @@ impl SilcIndex {
         t: NodeId,
         chains: Option<&ChainIndex>,
     ) -> Weight {
-        match self.path(graph, s, t, chains) {
+        self.walk(graph, s, t, chains).dist_to_next
+    }
+
+    /// Moves `walk` one vertex along the shortest path to its target (which it must
+    /// not have reached): along the chain when it is inside one and `chains` is given,
+    /// by a quadtree lookup otherwise. False when no next hop exists.
+    fn advance(
+        &self,
+        graph: &Graph,
+        chains: Option<&ChainIndex>,
+        walk: &mut IntervalRefiner,
+    ) -> bool {
+        let cur = walk.next_vertex;
+        let on_chain = chains
+            .filter(|_| cur != walk.source)
+            .and_then(|chains| chains.next_on_chain(graph, walk.prev_vertex, cur));
+        let next = match on_chain {
+            Some(next) => {
+                walk.chain_skips += 1;
+                next
+            }
             None => {
-                if s == t {
-                    0
-                } else {
-                    INFINITY
+                walk.quadtree_lookups += 1;
+                match self.first_hop(graph, cur, walk.target) {
+                    Some(next) => next,
+                    None => return false,
                 }
             }
-            Some(path) => {
-                path.windows(2).map(|w| graph.edge_weight(w[0], w[1]).unwrap_or(INFINITY)).sum()
-            }
-        }
+        };
+        walk.dist_to_next += graph.edge_weight(cur, next).unwrap_or(INFINITY);
+        walk.prev_vertex = cur;
+        walk.next_vertex = next;
+        true
     }
 
     /// Starts lazy interval refinement of `d(s, t)` (used by Distance Browsing).
     pub fn start_refinement(&self, graph: &Graph, s: NodeId, t: NodeId) -> IntervalRefiner {
-        let interval = self.interval(graph, s, t);
-        IntervalRefiner {
-            source: s,
-            target: t,
-            next_vertex: s,
-            prev_vertex: s,
-            dist_to_next: 0,
-            interval,
-        }
+        let mut refiner = IntervalRefiner::at_source(s, t, self.interval(graph, s, t));
+        refiner.quadtree_lookups = u64::from(s != t);
+        refiner
     }
 
     /// Performs one refinement step: advances one vertex along the shortest path and
@@ -326,42 +327,17 @@ impl SilcIndex {
         if refiner.interval.is_exact() {
             return true;
         }
-        let cur = refiner.next_vertex;
-        if cur == refiner.target {
-            refiner.interval =
-                DistanceInterval { lower: refiner.dist_to_next, upper: refiner.dist_to_next };
-            return true;
-        }
-        // Next vertex on the path: chain shortcut when possible, quadtree otherwise.
-        let next = if let Some(chains) = chains {
-            if cur != refiner.source {
-                match chains.next_on_chain(graph, refiner.prev_vertex, cur) {
-                    Some(v) => {
-                        self.stats.chain_skips.fetch_add(1, Ordering::Relaxed);
-                        Some(v)
-                    }
-                    None => self.first_hop(graph, cur, refiner.target),
-                }
-            } else {
-                self.first_hop(graph, cur, refiner.target)
-            }
-        } else {
-            self.first_hop(graph, cur, refiner.target)
-        };
-        let Some(next) = next else {
+        if refiner.next_vertex != refiner.target && !self.advance(graph, chains, refiner) {
             refiner.interval = DistanceInterval { lower: INFINITY, upper: INFINITY };
             return true;
-        };
-        let w = graph.edge_weight(cur, next).unwrap_or(INFINITY);
-        refiner.prev_vertex = cur;
-        refiner.next_vertex = next;
-        refiner.dist_to_next += w;
-        if next == refiner.target {
+        }
+        if refiner.next_vertex == refiner.target {
             refiner.interval =
                 DistanceInterval { lower: refiner.dist_to_next, upper: refiner.dist_to_next };
             return true;
         }
-        let tail = self.interval(graph, next, refiner.target);
+        refiner.quadtree_lookups += 1;
+        let tail = self.interval(graph, refiner.next_vertex, refiner.target);
         refiner.interval = DistanceInterval {
             lower: refiner.dist_to_next.saturating_add(tail.lower).max(refiner.interval.lower),
             upper: (refiner.dist_to_next.saturating_add(tail.upper))
@@ -392,6 +368,26 @@ pub struct IntervalRefiner {
     pub dist_to_next: Weight,
     /// Current bounds on `d(source, target)`.
     pub interval: DistanceInterval,
+    /// Quadtree lookups made for this pair so far.
+    pub quadtree_lookups: u64,
+    /// Path steps taken along a degree-2 chain instead of a quadtree lookup.
+    pub chain_skips: u64,
+}
+
+impl IntervalRefiner {
+    /// A walk from `source` towards `target` that has not moved yet.
+    fn at_source(source: NodeId, target: NodeId, interval: DistanceInterval) -> Self {
+        IntervalRefiner {
+            source,
+            target,
+            next_vertex: source,
+            prev_vertex: source,
+            dist_to_next: 0,
+            interval,
+            quadtree_lookups: 0,
+            chain_skips: 0,
+        }
+    }
 }
 
 /// Builds the coloured quadtree blocks for one source vertex.
@@ -479,14 +475,14 @@ mod tests {
     #[test]
     fn path_walking_distance_matches_dijkstra() {
         let (g, silc) = setup(400, 31);
-        let chains = ChainIndex::build(&g);
+        let chains = silc.chains();
         let n = g.num_vertices() as NodeId;
         for i in 0..40u32 {
             let s = (i * 71) % n;
             let t = (i * 181 + 3) % n;
             let truth = dijkstra::distance(&g, s, t);
             assert_eq!(silc.distance(&g, s, t, None), truth, "{s}->{t} plain");
-            assert_eq!(silc.distance(&g, s, t, Some(&chains)), truth, "{s}->{t} chains");
+            assert_eq!(silc.distance(&g, s, t, Some(chains)), truth, "{s}->{t} chains");
         }
     }
 
@@ -523,14 +519,14 @@ mod tests {
     #[test]
     fn refinement_converges_to_the_exact_distance_and_stays_valid() {
         let (g, silc) = setup(300, 21);
-        let chains = ChainIndex::build(&g);
+        let chains = silc.chains();
         let n = g.num_vertices() as NodeId;
         for (use_chains, i) in [(false, 3u32), (true, 5), (false, 17), (true, 23)] {
             let s = (i * 37) % n;
             let t = (i * 149 + 1) % n;
             let truth = dijkstra::distance(&g, s, t);
             let mut refiner = silc.start_refinement(&g, s, t);
-            let chain_ref = if use_chains { Some(&chains) } else { None };
+            let chain_ref = if use_chains { Some(chains) } else { None };
             let mut steps = 0;
             loop {
                 assert!(refiner.interval.lower <= truth);
@@ -549,20 +545,22 @@ mod tests {
     #[test]
     fn chain_optimisation_saves_quadtree_lookups() {
         let (g, silc) = setup(500, 77);
-        let chains = ChainIndex::build(&g);
         let n = g.num_vertices() as NodeId;
-        silc.stats.reset();
-        for i in 0..20u32 {
-            let _ = silc.distance(&g, (i * 13) % n, (i * 97 + 5) % n, None);
-        }
-        let (lookups_plain, _) = silc.stats.snapshot();
-        silc.stats.reset();
-        for i in 0..20u32 {
-            let _ = silc.distance(&g, (i * 13) % n, (i * 97 + 5) % n, Some(&chains));
-        }
-        let (lookups_chain, skips) = silc.stats.snapshot();
+        let walks = |chains: Option<&ChainIndex>| {
+            (0..20u32).map(|i| silc.walk(&g, (i * 13) % n, (i * 97 + 5) % n, chains)).fold(
+                (0, 0),
+                |(lookups, skips), walk| {
+                    (lookups + walk.quadtree_lookups, skips + walk.chain_skips)
+                },
+            )
+        };
+        let (lookups_plain, skips_plain) = walks(None);
+        let (lookups_chain, skips) = walks(Some(silc.chains()));
+        assert_eq!(skips_plain, 0);
         assert!(skips > 0, "expected some chain skips");
         assert!(lookups_chain < lookups_plain, "{lookups_chain} !< {lookups_plain}");
+        // Every step of a walk is either a lookup or a skip.
+        assert_eq!(lookups_chain + skips, lookups_plain);
     }
 
     #[test]

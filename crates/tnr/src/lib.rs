@@ -1,4 +1,4 @@
-//! Transit Node Routing (Bast et al., WEA 2007), built on Contraction Hierarchies.
+//! Transit Node Routing (Bast et al., WEA 2007), derived from a Contraction Hierarchy.
 //!
 //! TNR is one of the shortest-path oracles the paper plugs into IER (Section 5). This
 //! implementation follows the CH-based construction used by the shortest-path
@@ -15,15 +15,16 @@
 //! The combination (a)/(b) is exact: if the highest-ranked vertex on the contracted
 //! shortest path is a transit node the table estimate is exact, otherwise the whole
 //! path survives in the transit-node-free local search. The grid locality filter of the
-//! original paper is kept as an optional fast path that skips the table scan for nearby
-//! pairs (matching the behaviour the paper observes: "CH is the technique used to answer
-//! local queries in TNR").
+//! original paper picks the nearby pairs that also run the full CH query (matching the
+//! behaviour the paper observes: "CH is the technique used to answer local queries in
+//! TNR").
+//!
+//! The index holds no hierarchy of its own: [`TransitNodeRouting::from_ch`] derives it
+//! from the engine's one [`ContractionHierarchy`], and every query reads that same CH.
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rnknn_ch::{ChConfig, ChSearchSpace, ContractionHierarchy};
+use rnknn_ch::{ChSearchCounters, ChSearchSpace, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 
 /// Configuration for Transit Node Routing.
@@ -35,31 +36,23 @@ pub struct TnrConfig {
     pub transit_fraction: f64,
     /// Side length of the locality-filter grid (`grid_cells × grid_cells`).
     pub grid_cells: usize,
-    /// Pairs whose cells are within this Chebyshev distance are considered "local" and
-    /// skip the access-node table scan.
+    /// Pairs whose cells are within this Chebyshev distance are considered "local"
+    /// and also run the full CH query.
     pub locality_radius: i32,
-    /// Preprocessing knobs for the internally built contraction hierarchy (ignored by
-    /// [`TransitNodeRouting::build_from_ch`], which receives a prebuilt one).
-    pub ch_config: ChConfig,
 }
 
 impl Default for TnrConfig {
     fn default() -> Self {
-        TnrConfig {
-            transit_fraction: 0.01,
-            grid_cells: 64,
-            locality_radius: 3,
-            ch_config: ChConfig::default(),
-        }
+        TnrConfig { transit_fraction: 0.01, grid_cells: 64, locality_radius: 3 }
     }
 }
 
-/// The Transit Node Routing index.
-#[derive(Debug)]
+/// The Transit Node Routing index over a contraction hierarchy it does not own.
+#[derive(Debug, Clone)]
 pub struct TransitNodeRouting {
-    ch: ContractionHierarchy,
-    /// Transit node ids, indexed by their position in the distance table.
-    transit_nodes: Vec<NodeId>,
+    /// The lowest CH rank of a transit node: the transit nodes are the vertices ranked
+    /// at or above it, and a transit node's table index is its rank minus this.
+    first_transit_rank: u32,
     /// For every vertex: `(transit_table_index, upward_distance)` access node pairs.
     access_offsets: Vec<u32>,
     access_nodes: Vec<(u32, Weight)>,
@@ -67,99 +60,72 @@ pub struct TransitNodeRouting {
     table: Vec<Weight>,
     /// Grid cell of every vertex (for the locality filter).
     cell: Vec<(i32, i32)>,
-    config: TnrConfig,
-    /// How many queries were answered by the table vs the local search. Atomic so
-    /// `distance` takes `&self` and the index can be queried from many threads.
-    counters: TnrCounters,
-}
-
-impl Clone for TransitNodeRouting {
-    fn clone(&self) -> Self {
-        TransitNodeRouting {
-            ch: self.ch.clone(),
-            transit_nodes: self.transit_nodes.clone(),
-            access_offsets: self.access_offsets.clone(),
-            access_nodes: self.access_nodes.clone(),
-            table: self.table.clone(),
-            cell: self.cell.clone(),
-            config: self.config.clone(),
-            counters: TnrCounters {
-                local_only: AtomicU64::new(self.counters.local_only.load(Ordering::Relaxed)),
-                table_queries: AtomicU64::new(self.counters.table_queries.load(Ordering::Relaxed)),
-            },
-        }
-    }
-}
-
-/// Query-counter snapshot (useful for reproducing the paper's analysis of when transit
-/// nodes are actually used). Obtain one via [`TransitNodeRouting::stats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TnrStats {
-    /// Queries where the locality filter skipped the table.
-    pub local_only: u64,
-    /// Queries that consulted the access-node table.
-    pub table_queries: u64,
-}
-
-/// Live atomic counters behind [`TnrStats`].
-#[derive(Debug, Default)]
-struct TnrCounters {
-    local_only: AtomicU64,
-    table_queries: AtomicU64,
+    locality_radius: i32,
 }
 
 impl TransitNodeRouting {
-    /// Builds the index with default parameters (building a CH internally).
-    pub fn build(graph: &Graph) -> Self {
-        Self::build_with_config(graph, TnrConfig::default())
-    }
-
-    /// Builds the index with explicit parameters.
-    pub fn build_with_config(graph: &Graph, config: TnrConfig) -> Self {
-        let ch = ContractionHierarchy::build_with_config(graph, &config.ch_config);
-        Self::build_from_ch(graph, ch, config)
-    }
-
-    /// Builds the index reusing an existing contraction hierarchy.
-    pub fn build_from_ch(graph: &Graph, ch: ContractionHierarchy, config: TnrConfig) -> Self {
+    /// Derives the index from `ch`, the contraction hierarchy of `graph`. Queries
+    /// must pass the same hierarchy.
+    pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy, config: TnrConfig) -> Self {
         let n = graph.num_vertices();
+        assert_eq!(ch.num_vertices(), n, "the hierarchy must cover every vertex of the graph");
         let num_transit =
             ((n as f64 * config.transit_fraction).ceil() as usize).clamp(16.min(n), n);
-        // Transit nodes = highest-ranked vertices.
-        let rank_threshold = (n - num_transit) as u32;
-        let mut transit_nodes: Vec<NodeId> =
-            graph.vertices().filter(|&v| ch.rank(v) >= rank_threshold).collect();
-        transit_nodes.sort_unstable();
-        let mut transit_index = vec![u32::MAX; n];
-        for (i, &t) in transit_nodes.iter().enumerate() {
-            transit_index[t as usize] = i as u32;
-        }
-        let is_transit = |v: NodeId| transit_index[v as usize] != u32::MAX;
+        let first_transit_rank = (n - num_transit) as u32;
+        let is_transit = transit_test(ch, first_transit_rank);
+        let index = |v: NodeId| ch.rank(v) - first_transit_rank;
+        let mut space = ChSearchSpace::new();
 
         // Access nodes: upward search stopping at transit nodes.
         let mut access_offsets = vec![0u32; n + 1];
         let mut access_nodes: Vec<(u32, Weight)> = Vec::new();
         for v in 0..n as NodeId {
-            let space = ch.upward_search_space_stopping_at(v, is_transit);
-            for &(x, d) in space.entries() {
-                if is_transit(x) {
-                    access_nodes.push((transit_index[x as usize], d));
-                }
-            }
+            ch.upward_search_space_stopping_at_into(v, is_transit, &mut space);
+            access_nodes.extend(
+                space
+                    .entries()
+                    .iter()
+                    .filter(|&&(x, _)| is_transit(x))
+                    .map(|&(x, d)| (index(x), d)),
+            );
             access_offsets[v as usize + 1] = access_nodes.len() as u32;
         }
 
-        // Transit-to-transit table via full CH queries between transit nodes. Forward
-        // search spaces are reused per row.
-        let t_count = transit_nodes.len();
-        let mut table = vec![INFINITY; t_count * t_count];
-        let spaces: Vec<_> = transit_nodes.iter().map(|&t| ch.upward_search_space(t)).collect();
-        for i in 0..t_count {
-            table[i * t_count + i] = 0;
-            for j in (i + 1)..t_count {
-                let d = spaces[i].meet(&spaces[j]);
-                table[i * t_count + j] = d;
-                table[j * t_count + i] = d;
+        // Transit-to-transit table. An upward search from a transit node settles only
+        // transit nodes (they hold the top ranks), so each node's whole upward space
+        // is a short list of table indexes; a row is scattered once and met against
+        // every later node's list.
+        let mut up_offsets = vec![0usize; num_transit + 1];
+        let mut up: Vec<(u32, Weight)> = Vec::new();
+        let mut by_index = vec![0 as NodeId; num_transit];
+        for v in graph.vertices().filter(|&v| is_transit(v)) {
+            by_index[index(v) as usize] = v;
+        }
+        for (i, &v) in by_index.iter().enumerate() {
+            ch.upward_search_space_stopping_at_into(v, |_| false, &mut space);
+            up.extend(space.entries().iter().map(|&(x, d)| (index(x), d)));
+            up_offsets[i + 1] = up.len();
+        }
+        let mut table = vec![INFINITY; num_transit * num_transit];
+        let mut row = vec![INFINITY; num_transit];
+        for a in 0..num_transit {
+            let up_a = &up[up_offsets[a]..up_offsets[a + 1]];
+            for &(x, d) in up_a {
+                row[x as usize] = d;
+            }
+            table[a * num_transit + a] = 0;
+            for b in (a + 1)..num_transit {
+                let d = up[up_offsets[b]..up_offsets[b + 1]]
+                    .iter()
+                    .filter(|&&(x, _)| row[x as usize] != INFINITY)
+                    .map(|&(x, d)| row[x as usize] + d)
+                    .min()
+                    .unwrap_or(INFINITY);
+                table[a * num_transit + b] = d;
+                table[b * num_transit + a] = d;
+            }
+            for &(x, _) in up_a {
+                row[x as usize] = INFINITY;
             }
         }
 
@@ -179,28 +145,18 @@ impl TransitNodeRouting {
             .collect();
 
         TransitNodeRouting {
-            ch,
-            transit_nodes,
+            first_transit_rank,
             access_offsets,
             access_nodes,
             table,
             cell,
-            config,
-            counters: TnrCounters::default(),
-        }
-    }
-
-    /// Snapshot of the query counters accumulated so far.
-    pub fn stats(&self) -> TnrStats {
-        TnrStats {
-            local_only: self.counters.local_only.load(Ordering::Relaxed),
-            table_queries: self.counters.table_queries.load(Ordering::Relaxed),
+            locality_radius: config.locality_radius,
         }
     }
 
     /// Number of transit nodes.
     pub fn num_transit_nodes(&self) -> usize {
-        self.transit_nodes.len()
+        self.cell.len() - self.first_transit_rank as usize
     }
 
     /// Average number of access nodes per vertex.
@@ -208,19 +164,12 @@ impl TransitNodeRouting {
         self.access_nodes.len() as f64 / (self.access_offsets.len() - 1).max(1) as f64
     }
 
-    /// Approximate resident size in bytes.
+    /// Approximate resident size in bytes (the hierarchy it reads is not counted).
     pub fn memory_bytes(&self) -> usize {
-        self.ch.memory_bytes()
-            + self.transit_nodes.len() * 4
-            + self.access_nodes.len() * (4 + std::mem::size_of::<Weight>())
+        self.access_nodes.len() * (4 + std::mem::size_of::<Weight>())
             + self.access_offsets.len() * 4
             + self.table.len() * std::mem::size_of::<Weight>()
             + self.cell.len() * 8
-    }
-
-    /// The underlying contraction hierarchy.
-    pub fn ch(&self) -> &ContractionHierarchy {
-        &self.ch
     }
 
     fn access(&self, v: NodeId) -> &[(u32, Weight)] {
@@ -229,68 +178,41 @@ impl TransitNodeRouting {
         &self.access_nodes[lo..hi]
     }
 
-    /// True when the locality filter classifies the pair as local (table skipped).
+    /// True when the locality filter classifies the pair as local (the full CH query
+    /// runs beside the table).
     pub fn is_local(&self, s: NodeId, t: NodeId) -> bool {
         let (sx, sy) = self.cell[s as usize];
         let (tx, ty) = self.cell[t as usize];
-        (sx - tx).abs().max((sy - ty).abs()) <= self.config.locality_radius
+        (sx - tx).abs().max((sy - ty).abs()) <= self.locality_radius
     }
 
-    /// Exact network distance between `s` and `t`.
-    pub fn distance(&self, s: NodeId, t: NodeId) -> Weight {
-        self.distance_with_counters(s, t).0
-    }
-
-    /// [`TransitNodeRouting::distance`] plus the CH search-effort counters of the
-    /// underlying local searches (feeds the engine's unified `QueryStats`; the table
-    /// lookups themselves are constant-time per access-node pair).
-    pub fn distance_with_counters(
-        &self,
-        s: NodeId,
-        t: NodeId,
-    ) -> (Weight, rnknn_ch::ChSearchCounters) {
-        let mut effort = rnknn_ch::ChSearchCounters::default();
-        if s == t {
-            return (0, effort);
-        }
-        // Local search: CH query that never expands transit nodes. Exact whenever the
-        // contracted shortest path's peak is not a transit node.
-        let is_transit = |v: NodeId| self.transit_nodes.binary_search(&v).is_ok();
-        let (forward, fc) = self.ch.upward_search_space_stopping_at_with_counters(s, is_transit);
-        let (backward, bc) = self.ch.upward_search_space_stopping_at_with_counters(t, is_transit);
-        effort.accumulate(fc);
-        effort.accumulate(bc);
-        let local = forward.meet(&backward);
-
-        if self.is_local(s, t) {
-            self.counters.local_only.fetch_add(1, Ordering::Relaxed);
-            // For local pairs the full CH query is used directly (the paper's "CH
-            // answers local queries"); since the CH query is a pruned bidirectional
-            // search it settles far fewer vertices than the two stopped spaces above.
-            let (ch_distance, cc) = self.ch.distance_with_counters(s, t);
-            effort.accumulate(cc);
-            return (local.min(self.table_estimate(s, t)).min(ch_distance), effort);
-        }
-        self.counters.table_queries.fetch_add(1, Ordering::Relaxed);
-        (local.min(self.table_estimate(s, t)), effort)
+    /// Exact network distance between `s` and `t` over `ch`, the hierarchy the index
+    /// was derived from: [`TransitNodeRouting::begin_source`] and
+    /// [`TransitNodeRouting::distance_from_source_with_counters`] on a fresh state.
+    pub fn distance(&self, ch: &ContractionHierarchy, s: NodeId, t: NodeId) -> Weight {
+        let mut state = TnrSourceState::new();
+        self.begin_source(ch, s, &mut state);
+        self.distance_from_source_with_counters(ch, &mut state, t).0
     }
 
     /// Prepares `state` for a sequence of distance queries from `s` (the IER-TNR hot
     /// path): materialises the source's stopped forward search space once, and folds
     /// the source side of the access-node table into a per-transit-node vector
     /// `through[b] = min_a (d(s, a) + table[a][b])`, so each candidate pays
-    /// `O(|access(t)|)` for the table part instead of `O(|access(s)| · |access(t)|)`.
-    /// All buffers inside `state` are reused across calls; returns the search-effort
-    /// counters of the forward space materialisation.
+    /// `O(|access(t)|)` for the table part. All buffers inside `state` are reused
+    /// across calls; returns the search-effort counters of the forward space.
     pub fn begin_source(
         &self,
+        ch: &ContractionHierarchy,
         s: NodeId,
         state: &mut TnrSourceState,
-    ) -> rnknn_ch::ChSearchCounters {
-        let is_transit = |v: NodeId| self.transit_nodes.binary_search(&v).is_ok();
-        let counters =
-            self.ch.upward_search_space_stopping_at_into(s, is_transit, &mut state.space);
-        let t_count = self.transit_nodes.len();
+    ) -> ChSearchCounters {
+        let counters = ch.upward_search_space_stopping_at_into(
+            s,
+            transit_test(ch, self.first_transit_rank),
+            &mut state.space,
+        );
+        let t_count = self.num_transit_nodes();
         state.through.clear();
         state.through.resize(t_count, INFINITY);
         for &(a, da) in self.access(s) {
@@ -306,24 +228,23 @@ impl TransitNodeRouting {
     }
 
     /// Exact network distance from the source prepared by
-    /// [`TransitNodeRouting::begin_source`] to `t`, reusing every buffer in `state`.
-    /// Equivalent to [`TransitNodeRouting::distance_with_counters`] from that source
-    /// (the same local-search / table-estimate minimum), but the forward side is paid
-    /// once per source instead of once per candidate.
+    /// [`TransitNodeRouting::begin_source`] to `t`, reusing every buffer in `state`:
+    /// the minimum of the local search (the two stopped spaces' meet), the table
+    /// estimate and, for local pairs, the full CH query.
     pub fn distance_from_source_with_counters(
         &self,
+        ch: &ContractionHierarchy,
         state: &mut TnrSourceState,
         t: NodeId,
-    ) -> (Weight, rnknn_ch::ChSearchCounters) {
+    ) -> (Weight, ChSearchCounters) {
         let s = state.source.expect("begin_source must be called before distance_from_source");
-        let mut effort = rnknn_ch::ChSearchCounters::default();
+        let mut effort = ChSearchCounters::default();
         if s == t {
             return (0, effort);
         }
-        let is_transit = |v: NodeId| self.transit_nodes.binary_search(&v).is_ok();
-        effort.accumulate(self.ch.upward_search_space_stopping_at_into(
+        effort.accumulate(ch.upward_search_space_stopping_at_into(
             t,
-            is_transit,
+            transit_test(ch, self.first_transit_rank),
             &mut state.backward,
         ));
         let local = state.space.meet(&state.backward);
@@ -335,33 +256,20 @@ impl TransitNodeRouting {
             }
         }
         if self.is_local(s, t) {
-            self.counters.local_only.fetch_add(1, Ordering::Relaxed);
-            let (ch_distance, cc) = self.ch.distance_with_counters(s, t);
+            let (ch_distance, cc) = ch.distance_with_counters(s, t);
             effort.accumulate(cc);
             return (local.min(table).min(ch_distance), effort);
         }
-        self.counters.table_queries.fetch_add(1, Ordering::Relaxed);
         (local.min(table), effort)
     }
+}
 
-    /// Distance estimate through the access-node table (exact for non-local pairs whose
-    /// contracted shortest path peaks at a transit node; an upper bound otherwise).
-    pub fn table_estimate(&self, s: NodeId, t: NodeId) -> Weight {
-        let t_count = self.transit_nodes.len();
-        let mut best = INFINITY;
-        for &(a, da) in self.access(s) {
-            for &(b, db) in self.access(t) {
-                let through = self.table[a as usize * t_count + b as usize];
-                if through != INFINITY {
-                    let d = da + through + db;
-                    if d < best {
-                        best = d;
-                    }
-                }
-            }
-        }
-        best
-    }
+/// Whether a vertex is a transit node: ranked at or above `first_transit_rank` in `ch`.
+fn transit_test(
+    ch: &ContractionHierarchy,
+    first_transit_rank: u32,
+) -> impl Fn(NodeId) -> bool + Copy + '_ {
+    move |v| ch.rank(v) >= first_transit_rank
 }
 
 /// Reusable per-source query state for [`TransitNodeRouting::begin_source`] /
@@ -396,21 +304,29 @@ mod tests {
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
 
+    fn derive(graph: &Graph, config: TnrConfig) -> (ContractionHierarchy, TransitNodeRouting) {
+        let ch = ContractionHierarchy::build(graph);
+        let tnr = TransitNodeRouting::from_ch(graph, &ch, config);
+        (ch, tnr)
+    }
+
     #[test]
     fn source_state_reuse_matches_pairwise_distances() {
+        // One state re-begun from several sources answers what a fresh state does,
+        // and both are Dijkstra-exact.
         let net = RoadNetwork::generate(&GeneratorConfig::new(800, 27));
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let g = net.graph(kind);
-            let tnr = TransitNodeRouting::build(&g);
+            let (ch, tnr) = derive(&g, TnrConfig::default());
             let n = g.num_vertices() as NodeId;
             let mut state = TnrSourceState::new();
             for s in [3u32, n / 2, n - 5] {
-                let counters = tnr.begin_source(s, &mut state);
+                let counters = tnr.begin_source(&ch, s, &mut state);
                 assert!(counters.settled > 0);
                 assert_eq!(state.source(), Some(s));
                 for t in (0..n).step_by(43) {
-                    let (got, _) = tnr.distance_from_source_with_counters(&mut state, t);
-                    assert_eq!(got, tnr.distance(s, t), "{s}->{t} {kind:?}");
+                    let (got, _) = tnr.distance_from_source_with_counters(&ch, &mut state, t);
+                    assert_eq!(got, tnr.distance(&ch, s, t), "{s}->{t} {kind:?}");
                     assert_eq!(got, dijkstra::distance(&g, s, t), "{s}->{t} {kind:?}");
                 }
             }
@@ -422,36 +338,53 @@ mod tests {
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let net = RoadNetwork::generate(&GeneratorConfig::new(900, 14));
             let g = net.graph(kind);
-            let tnr = TransitNodeRouting::build_with_config(
-                &g,
-                TnrConfig {
-                    transit_fraction: 0.02,
-                    grid_cells: 16,
-                    locality_radius: 2,
-                    ..TnrConfig::default()
-                },
-            );
+            let config = TnrConfig { transit_fraction: 0.02, grid_cells: 16, locality_radius: 2 };
+            let (ch, tnr) = derive(&g, config);
             let n = g.num_vertices() as NodeId;
+            let (mut local, mut remote) = (0, 0);
             for i in 0..60u32 {
                 let s = (i * 211) % n;
                 let t = (i * 389 + 17) % n;
-                assert_eq!(tnr.distance(s, t), dijkstra::distance(&g, s, t), "{s}->{t} {kind:?}");
+                let truth = dijkstra::distance(&g, s, t);
+                assert_eq!(tnr.distance(&ch, s, t), truth, "{s}->{t} {kind:?}");
+                *if tnr.is_local(s, t) { &mut local } else { &mut remote } += 1;
             }
-            let stats = tnr.stats();
-            assert!(stats.local_only + stats.table_queries > 0);
+            assert!(local > 0 && remote > 0, "{local} local, {remote} remote pairs");
         }
     }
 
     #[test]
     fn table_estimate_never_underestimates() {
+        // Transit-to-transit cells are exact distances, so the estimate through any
+        // two access nodes is an upper bound on the true distance.
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 3));
         let g = net.graph(EdgeWeightKind::Distance);
-        let tnr = TransitNodeRouting::build(&g);
+        let (ch, tnr) = derive(&g, TnrConfig::default());
+        let t_count = tnr.num_transit_nodes();
+        let transit: Vec<NodeId> =
+            g.vertices().filter(|&v| ch.rank(v) >= tnr.first_transit_rank).collect();
+        assert_eq!(transit.len(), t_count);
+        for &a in transit.iter().step_by(5) {
+            let truth = dijkstra::single_source(&g, a);
+            for &b in &transit {
+                let cell = tnr.table[(ch.rank(a) - tnr.first_transit_rank) as usize * t_count
+                    + (ch.rank(b) - tnr.first_transit_rank) as usize];
+                assert_eq!(cell, truth[b as usize], "table {a}->{b}");
+            }
+        }
         let n = g.num_vertices() as NodeId;
         for i in 0..40u32 {
             let s = (i * 61) % n;
             let t = (i * 149 + 29) % n;
-            let estimate = tnr.table_estimate(s, t);
+            let estimate = tnr
+                .access(s)
+                .iter()
+                .flat_map(|&(a, da)| {
+                    let row = &tnr.table[a as usize * t_count..(a as usize + 1) * t_count];
+                    tnr.access(t).iter().map(move |&(b, db)| da + row[b as usize] + db)
+                })
+                .min()
+                .unwrap_or(INFINITY);
             let truth = dijkstra::distance(&g, s, t);
             assert!(estimate >= truth, "estimate {estimate} < true {truth}");
         }
@@ -461,18 +394,18 @@ mod tests {
     fn index_statistics_are_sensible() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 8));
         let g = net.graph(EdgeWeightKind::Distance);
-        let tnr = TransitNodeRouting::build(&g);
+        let (_, tnr) = derive(&g, TnrConfig::default());
         assert!(tnr.num_transit_nodes() >= 16);
         assert!(tnr.num_transit_nodes() < g.num_vertices());
         assert!(tnr.average_access_nodes() >= 1.0);
-        assert!(tnr.memory_bytes() > tnr.ch().memory_bytes());
+        assert!(tnr.memory_bytes() > tnr.table.len() * std::mem::size_of::<Weight>());
     }
 
     #[test]
     fn identical_endpoints_are_zero() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(200, 5));
         let g = net.graph(EdgeWeightKind::Distance);
-        let tnr = TransitNodeRouting::build(&g);
-        assert_eq!(tnr.distance(7, 7), 0);
+        let (ch, tnr) = derive(&g, TnrConfig::default());
+        assert_eq!(tnr.distance(&ch, 7, 7), 0);
     }
 }

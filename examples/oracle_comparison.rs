@@ -59,12 +59,10 @@ fn main() {
         &rnknn::ch::ChConfig { witness_settle_limit: 256, ..Default::default() },
     );
     println!("  CH: {} shortcuts in {:.2}s", ch.num_shortcuts(), ch_start.elapsed().as_secs_f64());
-    let phl = rnknn::phl::HubLabels::build_with_ch(&graph, &ch).expect("label budget");
-    let tnr = rnknn::tnr::TransitNodeRouting::build_from_ch(
-        &graph,
-        ch.clone(),
-        rnknn::tnr::TnrConfig::default(),
-    );
+    // PHL and TNR are derived from that one hierarchy; TNR's queries read it too.
+    let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch).expect("label budget");
+    let tnr =
+        rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch, rnknn::tnr::TnrConfig::default());
     let gtree = rnknn::gtree::Gtree::build(&graph);
 
     let n = graph.num_vertices() as NodeId;
@@ -82,7 +80,7 @@ fn main() {
         time_oracle(&graph, DijkstraOracle::new(&graph, &mut scratch), &rtree, &queries, k),
         time_oracle(&graph, AStarOracle::new(&graph, &mut scratch), &rtree, &queries, k),
         time_oracle(&graph, ChOracle::new(&ch, &targets, &mut search), &rtree, &queries, k),
-        time_oracle(&graph, TnrOracle::new(&tnr, &mut state), &rtree, &queries, k),
+        time_oracle(&graph, TnrOracle::new(&ch, &tnr, &mut state), &rtree, &queries, k),
         time_oracle(&graph, GtreeDistanceOracle::new(&gtree, &graph, 0), &rtree, &queries, k),
         time_oracle(&graph, PhlOracle::new(&phl), &rtree, &queries, k),
     ];

@@ -65,8 +65,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Builds an engine with the indexes the pooled methods need (no SILC/PHL — the
-/// DisBrw OH hierarchy and SILC refinement are documented as not allocation-free).
+/// Builds an engine with the indexes the pooled methods need (no SILC — the DisBrw
+/// OH hierarchy and SILC refinement are documented as not allocation-free).
 fn pooled_engine() -> (Engine, Vec<NodeId>) {
     let net = RoadNetwork::generate(&GeneratorConfig::new(2_000, 77));
     let graph = net.graph(EdgeWeightKind::Distance);
@@ -75,7 +75,7 @@ fn pooled_engine() -> (Engine, Vec<NodeId>) {
         build_road: true,
         build_silc: false,
         build_ch: true,
-        build_phl: false,
+        build_phl: true,
         build_tnr: true,
         ..Default::default()
     };
@@ -97,6 +97,7 @@ fn steady_state_queries_allocate_nothing_for_pooled_methods() {
         Method::IerCh,
         Method::IerDijkstra,
         Method::IerAStar,
+        Method::IerPhl,
         Method::IerTnr,
         Method::IerGtree,
         Method::Road,

@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use rnknn_ch::{ChConfig, ContractionHierarchy};
+use rnknn_ch::{ChConfig, ChSearchSpace, ContractionHierarchy};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_pathfinding::dijkstra;
@@ -82,13 +82,16 @@ fn stall_on_demand_toggle_preserves_exactness_and_prunes() {
         let mut ch = ContractionHierarchy::build_with_config(&g, &ChConfig::default());
         assert!(ch.stall_on_demand(), "stalling should be on by default");
         let n = g.num_vertices() as NodeId;
+        let (mut forward, mut backward) = (ChSearchSpace::new(), ChSearchSpace::new());
         let mut stalled_total = 0u64;
         let mut settled_on = 0u64;
         let mut settled_off = 0u64;
         for i in 0..60u32 {
             let s = (i * 611) % n;
             let t = (i * 7001 + 17) % n;
-            let materialized = ch.upward_search_space(s).meet(&ch.upward_search_space(t));
+            ch.upward_search_space_stopping_at_into(s, |_| false, &mut forward);
+            ch.upward_search_space_stopping_at_into(t, |_| false, &mut backward);
+            let materialized = forward.meet(&backward);
             ch.set_stall_on_demand(true);
             let (with_stall, counters_on) = ch.distance_with_counters(s, t);
             ch.set_stall_on_demand(false);

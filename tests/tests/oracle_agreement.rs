@@ -3,7 +3,7 @@
 
 use rnknn_ch::ContractionHierarchy;
 use rnknn_graph::generator::{DatasetPreset, GeneratorConfig, RoadNetwork};
-use rnknn_graph::{ChainIndex, EdgeWeightKind, NodeId};
+use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch};
 use rnknn_pathfinding::{astar_distance, dijkstra};
 use rnknn_phl::HubLabels;
@@ -18,23 +18,14 @@ fn every_oracle_agrees_with_dijkstra_on_both_weight_kinds() {
         let n = graph.num_vertices() as NodeId;
 
         let ch = ContractionHierarchy::build(&graph);
-        let phl = HubLabels::build_with_ch(&graph, &ch).expect("within budget");
-        let tnr = TransitNodeRouting::build_from_ch(
-            &graph,
-            ch.clone(),
-            TnrConfig {
-                transit_fraction: 0.02,
-                grid_cells: 16,
-                locality_radius: 2,
-                ..TnrConfig::default()
-            },
-        );
+        let phl = HubLabels::from_ch(&graph, &ch).expect("within budget");
+        let tnr_config = TnrConfig { transit_fraction: 0.02, grid_cells: 16, locality_radius: 2 };
+        let tnr = TransitNodeRouting::from_ch(&graph, &ch, tnr_config);
         let gtree = Gtree::build_with_config(
             &graph,
             GtreeConfig { leaf_capacity: 96, ..Default::default() },
         );
         let silc = SilcIndex::build(&graph);
-        let chains = ChainIndex::build(&graph);
         let bound = graph.euclidean_bound();
 
         for i in 0..50u32 {
@@ -44,9 +35,9 @@ fn every_oracle_agrees_with_dijkstra_on_both_weight_kinds() {
             assert_eq!(astar_distance(&graph, &bound, s, t), truth, "astar {s}->{t}");
             assert_eq!(ch.distance(s, t), truth, "ch {s}->{t}");
             assert_eq!(phl.distance(s, t), truth, "phl {s}->{t}");
-            assert_eq!(tnr.distance(s, t), truth, "tnr {s}->{t}");
+            assert_eq!(tnr.distance(&ch, s, t), truth, "tnr {s}->{t}");
             assert_eq!(GtreeSearch::new(&gtree, &graph, s).distance_to(t), truth, "gtree {s}->{t}");
-            assert_eq!(silc.distance(&graph, s, t, Some(&chains)), truth, "silc {s}->{t}");
+            assert_eq!(silc.distance(&graph, s, t, Some(silc.chains())), truth, "silc {s}->{t}");
         }
     }
 }

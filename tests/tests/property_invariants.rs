@@ -10,7 +10,7 @@ use rnknn::ier::{DijkstraOracle, IerSearch};
 use rnknn::ine::{IneSearch, IneVariant};
 use rnknn::verify::{ground_truth, matches_ground_truth};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
-use rnknn_graph::{ChainIndex, EdgeWeightKind, Graph, NodeId};
+use rnknn_graph::{EdgeWeightKind, Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet};
 use rnknn_pathfinding::{dijkstra, SearchScratch};
@@ -178,9 +178,9 @@ fn silc_and_disbrw_match_ground_truth() {
             assert!(interval.lower <= truth[t as usize], "seed={seed} q={q} t={t}");
             assert!(interval.upper >= truth[t as usize], "seed={seed} q={q} t={t}");
         }
-        let chains = ChainIndex::build(&graph);
         let rtree = ObjectRTree::build(&graph, &objects);
-        let answer = DisBrwSearch::new(&graph, &silc, Some(&chains)).knn(q, k, &rtree, &objects);
+        let answer =
+            DisBrwSearch::new(&graph, &silc, Some(silc.chains())).knn(q, k, &rtree, &objects);
         assert!(
             matches_ground_truth(&graph, q, k, &objects, &answer),
             "seed={seed} size={size} stride={stride} k={k} q={q}"
