@@ -22,7 +22,7 @@
 //!   planar bulk, `1/d`-scaled inside the densifying core, where long searches rarely
 //!   find witnesses anyway;
 //! * **min-degree hash-map endgame** — once the average live degree crosses
-//!   [`ChConfig::core_degree_threshold`], the remaining near-clique core is eliminated
+//!   [`Limits::core_degree_threshold`], the remaining near-clique core is eliminated
 //!   in minimum-live-degree order on hash-map adjacency with 1-hop witness checks
 //!   (linear-scan upserts plus futile witness searches previously made the last ~2k
 //!   vertices of a 290k build cost more than the first 288k).
@@ -38,28 +38,31 @@ use rnknn_pathfinding::heap::MinHeap;
 use rnknn_persist::PVec;
 use std::collections::HashMap;
 
-/// Tuning parameters for CH preprocessing.
-#[derive(Debug, Clone)]
-pub struct ChConfig {
+/// Weight of the "deleted neighbours" term in the node priority, which spreads
+/// contraction evenly across the network.
+const DELETED_NEIGHBOUR_WEIGHT: i64 = 2;
+
+/// Weight of the hierarchy-depth ("level") term in the node priority. Keeping the
+/// hierarchy shallow shrinks upward search spaces, which is what query time and
+/// IER-CH candidate cost scale with.
+const LEVEL_WEIGHT: i64 = 2;
+
+/// The witness-search and endgame limits of one build. Every engine build uses
+/// [`Limits::DEFAULT`]; the exactness tests lower them to reach the paths they
+/// check. Every limit can only *miss* witnesses, so no value breaks exactness.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Limits {
     /// Maximum number of vertices settled by each bounded witness Dijkstra. One such
-    /// search now serves *all* unresolved pairs of a source neighbour (multi-target),
-    /// so this budget is shared per source, not per pair — which is why the default is
-    /// larger than a per-pair budget would be. Larger values produce fewer shortcuts
-    /// (usually a net preprocessing speed-up, since shortcuts feed back into degree
-    /// growth); correctness is unaffected (an inconclusive search adds the shortcut).
-    pub witness_settle_limit: usize,
-    /// Weighting of the "deleted neighbours" term in the node priority, which spreads
-    /// contraction evenly across the network.
-    pub deleted_neighbour_weight: i64,
-    /// Weighting of the hierarchy-depth ("level") term in the node priority. Keeping
-    /// the hierarchy shallow shrinks upward search spaces, which is what query time
-    /// and IER-CH candidate cost scale with.
-    pub level_weight: i64,
+    /// search serves *all* unresolved pairs of a source neighbour (multi-target),
+    /// so this budget is shared per source, not per pair. Larger values produce
+    /// fewer shortcuts (usually a net preprocessing speed-up, since shortcuts feed
+    /// back into degree growth).
+    pub(crate) witness_settle_limit: usize,
     /// Maximum number of edges a witness path may use in the final bounded-Dijkstra
     /// pass (`0` = unlimited). Witness searches run as staged passes — direct-edge
     /// (1-hop), bounded neighbour scan (2-hop), then this hop-limited Dijkstra — so
     /// the O(deg²) sweep over the dense core stops dominating preprocessing.
-    pub hop_limit: usize,
+    pub(crate) hop_limit: usize,
     /// Average live degree at which the build switches to the dense-core endgame:
     /// the remaining near-clique core is eliminated in minimum-live-degree order on
     /// hash-map adjacency with 1-hop witness checks only (see
@@ -70,27 +73,13 @@ pub struct ChConfig {
     /// earlier (lower threshold) trades query-time search-space size for build
     /// time. Measured at 69k vertices: threshold 20 ≈ 2× faster build but ≈ 2×
     /// slower queries than threshold 40.
-    pub core_degree_threshold: f64,
-    /// Enable stall-on-demand in the pruned bidirectional query searches: a settled
-    /// vertex whose tentative distance is dominated via an edge from a
-    /// higher-ranked vertex cannot lie on a shortest up-down path, so its edges are
-    /// not relaxed. Shrinks grid search spaces measurably; exactness is unaffected
-    /// (see `ch_scaling.rs`'s stall on/off test). Stored on the built hierarchy and
-    /// togglable afterwards with `ContractionHierarchy::set_stall_on_demand`.
-    pub stall_on_demand: bool,
+    pub(crate) core_degree_threshold: f64,
 }
 
-impl Default for ChConfig {
-    fn default() -> Self {
-        ChConfig {
-            witness_settle_limit: 256,
-            deleted_neighbour_weight: 2,
-            level_weight: 2,
-            hop_limit: 8,
-            core_degree_threshold: 40.0,
-            stall_on_demand: true,
-        }
-    }
+impl Limits {
+    /// The limits of every engine build.
+    pub(crate) const DEFAULT: Limits =
+        Limits { witness_settle_limit: 256, hop_limit: 8, core_degree_threshold: 40.0 };
 }
 
 /// A preprocessed contraction hierarchy over an undirected road network.
@@ -109,25 +98,18 @@ pub struct ContractionHierarchy {
     pub(crate) up_weights: PVec<Weight>,
     /// Total number of shortcuts added during preprocessing (reported by experiments).
     pub(crate) num_shortcuts: usize,
-    /// Whether the pruned query searches apply stall-on-demand (from
-    /// [`ChConfig::stall_on_demand`]; togglable via
-    /// [`ContractionHierarchy::set_stall_on_demand`]).
-    pub(crate) stall_on_demand: bool,
-    /// Fingerprint of the [`ChConfig`] this hierarchy was built under (see
-    /// `ChConfig::fingerprint`); persisted so loads can reject config drift.
-    pub(crate) config_fingerprint: u64,
 }
 
 impl ContractionHierarchy {
-    /// Builds the hierarchy with default parameters.
+    /// Builds the hierarchy.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_with_config(graph, &ChConfig::default())
+        Self::build_with_limits(graph, Limits::DEFAULT)
     }
 
-    /// Builds the hierarchy with explicit parameters.
-    pub fn build_with_config(graph: &Graph, config: &ChConfig) -> Self {
+    /// Builds the hierarchy under explicit witness and endgame limits.
+    pub(crate) fn build_with_limits(graph: &Graph, limits: Limits) -> Self {
         let n = graph.num_vertices();
-        let mut c = Contractor::new(graph, config);
+        let mut c = Contractor::new(graph, limits);
 
         // Initial priorities, computed once; afterwards a priority is only recomputed
         // when a neighbour's contraction marked it dirty.
@@ -165,15 +147,15 @@ impl ContractionHierarchy {
             // maintained incrementally, so this is O(1) per contraction); if so,
             // freeze the current cached priorities as the contraction order and
             // contract the rest without further recomputation.
-            if config.core_degree_threshold > 0.0
-                && c.average_live_degree() > config.core_degree_threshold
+            if limits.core_degree_threshold > 0.0
+                && c.average_live_degree() > limits.core_degree_threshold
             {
                 c.contract_rest_by_degree();
                 break;
             }
         }
 
-        c.into_hierarchy(config.stall_on_demand, config.fingerprint())
+        c.into_hierarchy()
     }
 
     /// Number of vertices in the hierarchy.
@@ -197,23 +179,6 @@ impl ContractionHierarchy {
     /// Number of shortcut edges added during preprocessing.
     pub fn num_shortcuts(&self) -> usize {
         self.num_shortcuts
-    }
-
-    /// Whether the pruned query searches apply stall-on-demand.
-    pub fn stall_on_demand(&self) -> bool {
-        self.stall_on_demand
-    }
-
-    /// Fingerprint of the [`ChConfig`] this hierarchy was built under.
-    pub fn config_fingerprint(&self) -> u64 {
-        self.config_fingerprint
-    }
-
-    /// Toggles stall-on-demand on the pruned query searches (for ablations and the
-    /// stall on/off exactness tests; results are identical either way, only the
-    /// searched space changes).
-    pub fn set_stall_on_demand(&mut self, enabled: bool) {
-        self.stall_on_demand = enabled;
     }
 
     /// Upward edges (towards higher-ranked vertices) of `v`.
@@ -248,8 +213,8 @@ struct PlannedShortcut {
 /// estimate ([`Contractor::compute_priority`]) and the actual contraction
 /// ([`Contractor::contract`]) share the same shortcut plan, so the edge-difference
 /// term counts exactly the edges a contraction would insert.
-struct Contractor<'a> {
-    config: &'a ChConfig,
+struct Contractor {
+    limits: Limits,
     /// Working adjacency among not-yet-contracted vertices. Starts as a copy of the
     /// input graph and gains shortcuts as contraction proceeds. Invariant: the list of
     /// a live vertex only contains live vertices (lists are pruned the moment a
@@ -277,14 +242,14 @@ struct Contractor<'a> {
     plan: Vec<PlannedShortcut>,
 }
 
-impl<'a> Contractor<'a> {
-    fn new(graph: &Graph, config: &'a ChConfig) -> Self {
+impl Contractor {
+    fn new(graph: &Graph, limits: Limits) -> Self {
         let n = graph.num_vertices();
         let adjacency: Vec<Vec<(NodeId, Weight)>> =
             (0..n).map(|v| graph.neighbors(v as NodeId).collect()).collect();
         let live_edge_halves = adjacency.iter().map(|edges| edges.len()).sum();
         Contractor {
-            config,
+            limits,
             adjacency,
             contracted: vec![false; n],
             deleted_neighbours: vec![0i64; n],
@@ -329,7 +294,7 @@ impl<'a> Contractor<'a> {
             &neighbours,
             &self.adjacency,
             &self.contracted,
-            self.config,
+            &self.limits,
             estimate_settle,
             &mut self.scratch,
             &mut self.plan,
@@ -337,8 +302,8 @@ impl<'a> Contractor<'a> {
         let new_edges = self.plan.iter().filter(|s| s.is_new).count();
         let edge_difference = new_edges as i64 - neighbours.len() as i64;
         edge_difference * 4
-            + self.deleted_neighbours[v as usize] * self.config.deleted_neighbour_weight
-            + self.level[v as usize] * self.config.level_weight
+            + self.deleted_neighbours[v as usize] * DELETED_NEIGHBOUR_WEIGHT
+            + self.level[v as usize] * LEVEL_WEIGHT
     }
 
     /// Contracts `v`: assigns its rank, prunes and dirties its surviving neighbours,
@@ -371,17 +336,17 @@ impl<'a> Contractor<'a> {
         // budget is scaled down as the live degree grows — full strength at planar
         // degrees, 1/d-scaled inside the densifying core, where long searches
         // rarely find witnesses anyway (weaker searches only add shortcuts).
-        let settle_limit = if self.config.witness_settle_limit == 0 {
+        let settle_limit = if self.limits.witness_settle_limit == 0 {
             0
         } else {
-            (self.config.witness_settle_limit * 24 / neighbours.len().max(24)).max(16)
+            (self.limits.witness_settle_limit * 24 / neighbours.len().max(24)).max(16)
         };
         plan_contraction(
             v,
             &neighbours,
             &self.adjacency,
             &self.contracted,
-            self.config,
+            &self.limits,
             settle_limit,
             &mut self.scratch,
             &mut self.plan,
@@ -483,11 +448,7 @@ impl<'a> Contractor<'a> {
     /// Assembles the upward graph: for each vertex keep only edges towards
     /// higher-ranked vertices (original edges plus every shortcut accumulated in the
     /// working adjacency).
-    fn into_hierarchy(
-        self,
-        stall_on_demand: bool,
-        config_fingerprint: u64,
-    ) -> ContractionHierarchy {
+    fn into_hierarchy(self) -> ContractionHierarchy {
         let n = self.rank.len();
         let mut up_offsets = vec![0u32; n + 1];
         let mut up_targets = Vec::new();
@@ -514,8 +475,6 @@ impl<'a> Contractor<'a> {
             up_targets: up_targets.into(),
             up_weights: up_weights.into(),
             num_shortcuts: self.num_shortcuts,
-            stall_on_demand,
-            config_fingerprint,
         }
     }
 }
@@ -560,13 +519,13 @@ const ESTIMATE_SETTLE_LIMIT: usize = 32;
 /// 1. **1-hop**: a direct `u`–`t` edge (one scan of `u`'s list, which also records
 ///    whether a parallel edge exists for the `is_new` insertion rule);
 /// 2. **2-hop**: a bounded scan of `u`'s neighbours' lists;
-/// 3. **bounded Dijkstra**: multi-target, hop-limited ([`ChConfig::hop_limit`]) and
+/// 3. **bounded Dijkstra**: multi-target, hop-limited ([`Limits::hop_limit`]) and
 ///    settle-limited, run once per *source* neighbour for all still-unresolved
 ///    targets.
 ///
 /// `dijkstra_settle_limit` is the pass-3 settle budget; `0` skips the Dijkstras
 /// entirely, and priority estimates pass a shallow budget derived from
-/// [`ESTIMATE_SETTLE_LIMIT`]. A [`ChConfig::witness_settle_limit`] of `0` also
+/// [`ESTIMATE_SETTLE_LIMIT`]. A [`Limits::witness_settle_limit`] of `0` also
 /// disables pass 2 (its budget scales with the limit).
 #[allow(clippy::too_many_arguments)]
 fn plan_contraction(
@@ -574,7 +533,7 @@ fn plan_contraction(
     neighbours: &[(NodeId, Weight)],
     adjacency: &[Vec<(NodeId, Weight)>],
     contracted: &[bool],
-    config: &ChConfig,
+    limits: &Limits,
     dijkstra_settle_limit: usize,
     scratch: &mut WitnessScratch,
     plan: &mut Vec<PlannedShortcut>,
@@ -605,8 +564,8 @@ fn plan_contraction(
 
         // Pass 2 (2-hop): scan u's neighbours' lists, bounded so a dense core cannot
         // turn this into a quadratic sweep.
-        if unresolved > 0 && config.witness_settle_limit > 0 {
-            let mut budget = config.witness_settle_limit * 16;
+        if unresolved > 0 && limits.witness_settle_limit > 0 {
+            let mut budget = limits.witness_settle_limit * 16;
             'two_hop: for &(x, wx) in &adjacency[u as usize] {
                 if x == v || contracted[x as usize] {
                     continue;
@@ -637,7 +596,7 @@ fn plan_contraction(
                 unresolved,
                 adjacency,
                 contracted,
-                config,
+                limits,
                 dijkstra_settle_limit,
                 scratch,
             );
@@ -777,7 +736,7 @@ fn witness_search(
     mut unresolved: usize,
     adjacency: &[Vec<(NodeId, Weight)>],
     contracted: &[bool],
-    config: &ChConfig,
+    limits: &Limits,
     settle_limit: usize,
     scratch: &mut WitnessScratch,
 ) {
@@ -807,7 +766,7 @@ fn witness_search(
         if settled > settle_limit {
             break;
         }
-        if config.hop_limit > 0 && scratch.hops[x as usize] >= config.hop_limit as u32 {
+        if limits.hop_limit > 0 && scratch.hops[x as usize] >= limits.hop_limit as u32 {
             continue;
         }
         for &(t, w) in &adjacency[x as usize] {
@@ -896,10 +855,10 @@ mod tests {
         // certify witnesses) must stay exact — it merely inserts more shortcuts.
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 77));
         let g = net.graph(EdgeWeightKind::Time);
-        let tight = ChConfig { hop_limit: 1, ..ChConfig::default() };
-        let ch = ContractionHierarchy::build_with_config(&g, &tight);
-        let unlimited = ChConfig { hop_limit: 0, ..ChConfig::default() };
-        let ch_unlimited = ContractionHierarchy::build_with_config(&g, &unlimited);
+        let tight = Limits { hop_limit: 1, ..Limits::DEFAULT };
+        let ch = ContractionHierarchy::build_with_limits(&g, tight);
+        let unlimited = Limits { hop_limit: 0, ..Limits::DEFAULT };
+        let ch_unlimited = ContractionHierarchy::build_with_limits(&g, unlimited);
         let n = g.num_vertices() as NodeId;
         for i in 0..50u32 {
             let s = (i * 211) % n;
@@ -918,8 +877,8 @@ mod tests {
         // almost immediately; distances must still be exact.
         let net = RoadNetwork::generate(&GeneratorConfig::new(700, 5));
         let g = net.graph(EdgeWeightKind::Distance);
-        let eager = ChConfig { core_degree_threshold: 0.1, ..ChConfig::default() };
-        let ch = ContractionHierarchy::build_with_config(&g, &eager);
+        let eager = Limits { core_degree_threshold: 0.1, ..Limits::DEFAULT };
+        let ch = ContractionHierarchy::build_with_limits(&g, eager);
         let n = g.num_vertices() as NodeId;
         for i in 0..50u32 {
             let s = (i * 97) % n;
@@ -938,9 +897,9 @@ mod tests {
     fn disabled_fallback_and_tiny_settle_limit_stay_exact() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 31));
         let g = net.graph(EdgeWeightKind::Distance);
-        let config =
-            ChConfig { witness_settle_limit: 2, core_degree_threshold: 0.0, ..ChConfig::default() };
-        let ch = ContractionHierarchy::build_with_config(&g, &config);
+        let limits =
+            Limits { witness_settle_limit: 2, core_degree_threshold: 0.0, ..Limits::DEFAULT };
+        let ch = ContractionHierarchy::build_with_limits(&g, limits);
         let n = g.num_vertices() as NodeId;
         for i in 0..40u32 {
             let s = (i * 53) % n;

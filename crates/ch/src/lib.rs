@@ -8,9 +8,11 @@
 //!
 //! Preprocessing scales to continent-style inputs: priorities are cached and
 //! invalidated neighbour-only, witness searches run as staged hop-limited passes, and
-//! a contract-rest-by-rank fallback guards against pathological dense cores (all
-//! tunable via [`ChConfig`]). Queries run on a reusable epoch-tagged scratch with
-//! frontier pruning; see [`ContractionHierarchy::distance_with_counters`]. The
+//! a contract-rest-by-degree endgame guards against pathological dense cores. Every
+//! hierarchy is built under the same constants, and every query search but the
+//! full upward spaces stalls on demand, so [`ContractionHierarchy::build`] takes the
+//! graph alone. Queries run on a reusable epoch-tagged scratch with frontier
+//! pruning; see [`ContractionHierarchy::distance_with_counters`]. The
 //! IER-CH hot path searches upward from the query only as far as its candidates
 //! need: a [`ChTargetDirectory`] keeps each object's upward space as a label in
 //! distance order, filled when the object is inserted, and one resumable
@@ -31,6 +33,6 @@ pub mod persist;
 mod query;
 mod targets;
 
-pub use build::{ChConfig, ContractionHierarchy};
+pub use build::ContractionHierarchy;
 pub use query::{ChForwardSearch, ChSearchCounters, ChSearchSpace};
 pub use targets::ChTargetDirectory;

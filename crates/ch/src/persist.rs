@@ -13,12 +13,12 @@
 //! and target ids. `up_weights` values are used only arithmetically and are
 //! covered by the section checksum.
 
-use crate::build::{ChConfig, ContractionHierarchy};
+use crate::build::ContractionHierarchy;
 use rnknn_graph::NodeId;
-use rnknn_persist::{Artifact, ArtifactWriter, Fingerprint, MetaWriter, PVec, PersistError, Tag};
+use rnknn_persist::{Artifact, ArtifactWriter, MetaWriter, PVec, PersistError, Tag};
 use std::io::{Seek, Write};
 
-/// CH scalar metadata: vertex count, shortcut count, stall flag, config fingerprint.
+/// CH scalar metadata: vertex count, shortcut count.
 pub const TAG_META: Tag = Tag::new(b"CH.META\0");
 /// Contraction ranks (`u32`, one per vertex).
 pub const TAG_RANK: Tag = Tag::new(b"CH.RANK\0");
@@ -29,41 +29,13 @@ pub const TAG_UP_TARGETS: Tag = Tag::new(b"CH.UTGT\0");
 /// Upward-CSR weights (`u64`).
 pub const TAG_UP_WEIGHTS: Tag = Tag::new(b"CH.UWGT\0");
 
-impl ChConfig {
-    /// A stable fingerprint over every field that influences the built
-    /// hierarchy. Artifacts store it; loading under a different config is
-    /// rejected with [`PersistError::ConfigMismatch`] (a hierarchy built with,
-    /// say, a different `hop_limit` is *correct* but not the one the caller
-    /// asked for — silently serving it would invalidate benchmarks).
-    ///
-    /// Every field of [`ChConfig`] participates, including `stall_on_demand`
-    /// (stored on the hierarchy and togglable, but part of the requested
-    /// build). The field order here is locked by a unit test; extending the
-    /// config means extending this list, which deliberately changes the
-    /// fingerprint of existing configs.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.push_str("ChConfig")
-            .push_usize(self.witness_settle_limit)
-            .push_i64(self.deleted_neighbour_weight)
-            .push_i64(self.level_weight)
-            .push_usize(self.hop_limit)
-            .push_f64(self.core_degree_threshold)
-            .push_bool(self.stall_on_demand);
-        fp.finish()
-    }
-}
-
 /// Writes the hierarchy's sections into an open artifact.
 pub fn save_ch<W: Write + Seek>(
     ch: &ContractionHierarchy,
     writer: &mut ArtifactWriter<W>,
 ) -> Result<(), PersistError> {
     let mut meta = MetaWriter::new();
-    meta.usize(ch.num_vertices())
-        .usize(ch.num_shortcuts)
-        .bool(ch.stall_on_demand)
-        .u64(ch.config_fingerprint);
+    meta.usize(ch.num_vertices()).usize(ch.num_shortcuts);
     writer.begin_section(TAG_META)?;
     writer.write_u64s(meta.words())?;
     writer.end_section()?;
@@ -93,31 +65,18 @@ pub fn has_ch(artifact: &Artifact) -> bool {
 
 /// Reads and validates the hierarchy from an artifact as zero-copy views.
 ///
-/// `expected_config`, when given, must fingerprint to the stored value.
 /// `num_graph_vertices` cross-checks the hierarchy against the graph it will
-/// be queried with.
+/// be queried with. Every hierarchy is built under the same constants, so
+/// there is no build config to check.
 pub fn load_ch(
     artifact: &Artifact,
     num_graph_vertices: usize,
-    expected_config: Option<&ChConfig>,
 ) -> Result<ContractionHierarchy, PersistError> {
     let mut meta = artifact.meta(TAG_META)?;
     let num_vertices = meta.usize()?;
     let num_shortcuts = meta.usize()?;
-    let stall_on_demand = meta.bool()?;
-    let config_fingerprint = meta.u64()?;
     meta.finish()?;
 
-    if let Some(config) = expected_config {
-        let expected = config.fingerprint();
-        if expected != config_fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                index: "ch",
-                stored: config_fingerprint,
-                expected,
-            });
-        }
-    }
     if num_vertices != num_graph_vertices {
         return Err(PersistError::corrupt(
             "CH.META",
@@ -189,8 +148,6 @@ pub fn load_ch(
         up_targets: PVec::from_view(up_targets),
         up_weights: PVec::from_view(up_weights),
         num_shortcuts,
-        stall_on_demand,
-        config_fingerprint,
     })
 }
 
@@ -222,14 +179,12 @@ mod tests {
         let (graph, ch) = sample_ch(300, 11);
         let art = Artifact::from_vec(save_to_vec(&ch)).unwrap();
         assert!(has_ch(&art));
-        let loaded = load_ch(&art, graph.num_vertices(), Some(&ChConfig::default())).unwrap();
+        let loaded = load_ch(&art, graph.num_vertices()).unwrap();
         assert_eq!(&*loaded.rank, &*ch.rank);
         assert_eq!(&*loaded.up_offsets, &*ch.up_offsets);
         assert_eq!(&*loaded.up_targets, &*ch.up_targets);
         assert_eq!(&*loaded.up_weights, &*ch.up_weights);
         assert_eq!(loaded.num_shortcuts(), ch.num_shortcuts());
-        assert_eq!(loaded.stall_on_demand(), ch.stall_on_demand());
-        assert_eq!(loaded.config_fingerprint(), ch.config_fingerprint());
         assert!(loaded.rank.is_view(), "loaded arrays must be zero-copy views");
         // Distances must agree on a few pairs.
         for (s, t) in [(0u32, 1u32), (5, 250), (17, 123)] {
@@ -238,50 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn config_mismatch_is_rejected() {
-        let (graph, ch) = sample_ch(120, 5);
-        let art = Artifact::from_vec(save_to_vec(&ch)).unwrap();
-        let mut other = ChConfig::default();
-        other.hop_limit += 1;
-        match load_ch(&art, graph.num_vertices(), Some(&other)) {
-            Err(PersistError::ConfigMismatch { index, .. }) => assert_eq!(index, "ch"),
-            other => panic!("expected ConfigMismatch, got {other:?}"),
-        }
-        // Without a config constraint the same artifact loads fine.
-        assert!(load_ch(&art, graph.num_vertices(), None).is_ok());
-    }
-
-    #[test]
     fn vertex_count_mismatch_is_corrupt() {
         let (graph, ch) = sample_ch(120, 5);
         let art = Artifact::from_vec(save_to_vec(&ch)).unwrap();
         assert!(matches!(
-            load_ch(&art, graph.num_vertices() + 1, None),
+            load_ch(&art, graph.num_vertices() + 1),
             Err(PersistError::Corrupt { .. })
         ));
-    }
-
-    /// Locks the fingerprint inputs: every `ChConfig` field must change the
-    /// fingerprint. If a field is added to the config, this test (and the
-    /// fingerprint) must be extended — that is the point.
-    #[test]
-    fn fingerprint_covers_every_field() {
-        let base = ChConfig::default().fingerprint();
-        let variants: Vec<ChConfig> = vec![
-            ChConfig { witness_settle_limit: 257, ..ChConfig::default() },
-            ChConfig { deleted_neighbour_weight: 3, ..ChConfig::default() },
-            ChConfig { level_weight: 3, ..ChConfig::default() },
-            ChConfig { hop_limit: 9, ..ChConfig::default() },
-            ChConfig { core_degree_threshold: 41.0, ..ChConfig::default() },
-            ChConfig { stall_on_demand: false, ..ChConfig::default() },
-        ];
-        let mut seen = vec![base];
-        for v in &variants {
-            let fp = v.fingerprint();
-            assert!(!seen.contains(&fp), "field change did not change the fingerprint: {v:?}");
-            seen.push(fp);
-        }
-        // And the fingerprint is stable across calls.
-        assert_eq!(base, ChConfig::default().fingerprint());
     }
 }

@@ -150,11 +150,10 @@ impl ContractionHierarchy {
     /// and the `<=` comparison errs on stalling exactly dominated labels.
     #[inline]
     fn is_stalled(&self, labels: &Stamped<Weight>, x: NodeId, d: Weight) -> bool {
-        self.stall_on_demand
-            && self.upward_edges(x).any(|(y, w)| {
-                let dy = label(labels, y);
-                dy != INFINITY && dy + w <= d
-            })
+        self.upward_edges(x).any(|(y, w)| {
+            let dy = label(labels, y);
+            dy != INFINITY && dy + w <= d
+        })
     }
 
     /// Exact network distance between `s` and `t`.
@@ -260,7 +259,7 @@ impl ContractionHierarchy {
         v: NodeId,
         label: &mut Vec<(NodeId, Weight)>,
     ) -> ChSearchCounters {
-        self.upward_into(v, |_| false, self.stall_on_demand, label)
+        self.upward_into(v, |_| false, true, label)
     }
 
     /// Upward search space from `v` that does not expand any vertex for which `stop`
@@ -461,7 +460,7 @@ impl ChForwardSearch {
                 read += 1;
             }
             while let Some((x, d)) =
-                forward.settle_next(ch, best, ch.stall_on_demand, |_| false, budget, counters)
+                forward.settle_next(ch, best, true, |_| false, budget, counters)
             {
                 if let Some(d_t) = self.target.get(x as usize) {
                     best = best.min(d + d_t);
@@ -575,9 +574,8 @@ mod tests {
     /// Every `(target, bound)` pair of a handful of sources, in shuffled order, on
     /// one forward search per source: Dijkstra's answer when it is below the bound,
     /// `>= bound` otherwise.
-    fn check_one_forward_search_per_source(g: &Graph, stall: bool, what: &str) {
-        let mut ch = ContractionHierarchy::build(g);
-        ch.set_stall_on_demand(stall);
+    fn check_one_forward_search_per_source(g: &Graph, what: &str) {
+        let ch = ContractionHierarchy::build(g);
         let n = g.num_vertices() as NodeId;
         let probed: Vec<NodeId> = (0..n).step_by(7).collect();
         let targets = ChTargetDirectory::build(&ch, &probed);
@@ -598,9 +596,9 @@ mod tests {
                 let got =
                     search.distance_within(&ch, &targets, t, bound, &UNLIMITED, &mut counters);
                 if exact < bound {
-                    assert_eq!(got, exact, "{what} stall={stall} {s}->{t} bound={bound}");
+                    assert_eq!(got, exact, "{what} {s}->{t} bound={bound}");
                 } else {
-                    assert!(got >= bound, "{what} stall={stall} {s}->{t} bound={bound} got={got}");
+                    assert!(got >= bound, "{what} {s}->{t} bound={bound} got={got}");
                 }
             }
         }
@@ -609,15 +607,13 @@ mod tests {
 
     #[test]
     fn one_forward_search_per_source_answers_shuffled_bounded_targets_exactly() {
-        for stall in [true, false] {
-            for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
-                let net = RoadNetwork::generate(&GeneratorConfig::new(600, 52));
-                check_one_forward_search_per_source(&net.graph(kind), stall, &format!("{kind:?}"));
-            }
-            check_one_forward_search_per_source(&testgraphs::zero_weight_grid(14), stall, "zero");
-            check_one_forward_search_per_source(&testgraphs::unit_grids(8, 1), stall, "ties");
-            check_one_forward_search_per_source(&testgraphs::unit_grids(5, 5), stall, "5 parts");
+        for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
+            let net = RoadNetwork::generate(&GeneratorConfig::new(600, 52));
+            check_one_forward_search_per_source(&net.graph(kind), &format!("{kind:?}"));
         }
+        check_one_forward_search_per_source(&testgraphs::zero_weight_grid(14), "zero");
+        check_one_forward_search_per_source(&testgraphs::unit_grids(8, 1), "ties");
+        check_one_forward_search_per_source(&testgraphs::unit_grids(5, 5), "5 parts");
     }
 
     #[test]
@@ -714,22 +710,14 @@ mod tests {
     fn space_into_reuses_the_buffer_and_matches_fresh_spaces() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 21));
         let g = net.graph(EdgeWeightKind::Distance);
-        // With stall-on-demand off, a target label is the full space in settle
-        // order, so sorted by vertex it must equal the allocating one entry for entry.
-        let config = crate::ChConfig { stall_on_demand: false, ..Default::default() };
-        let ch = ContractionHierarchy::build_with_config(&g, &config);
-        let mut label = Vec::new();
+        let ch = ContractionHierarchy::build(&g);
         let (mut reused, mut stopped) = (ChSearchSpace::new(), ChSearchSpace::new());
         let threshold = (g.num_vertices() as u32 * 9) / 10;
         for v in (0..g.num_vertices() as NodeId).step_by(31) {
-            let counters = ch.target_label_into(v, &mut label);
             let fresh = full_space(&ch, v);
-            assert_eq!(counters.settled, fresh.len() as u64);
-            label.sort_unstable_by_key(|&(x, _)| x);
-            assert_eq!(label, fresh.entries(), "space from {v}");
             // Refilling one buffer, full or stopped, matches a fresh one.
             let counters = ch.upward_search_space_stopping_at_into(v, |_| false, &mut reused);
-            assert_eq!((reused.entries(), counters.settled), (fresh.entries(), label.len() as u64));
+            assert_eq!((reused.entries(), counters.settled), (fresh.entries(), fresh.len() as u64));
             ch.upward_search_space_stopping_at_into(v, |x| ch.rank(x) >= threshold, &mut stopped);
             let stopped_fresh = stopped_space(&ch, v, |x| ch.rank(x) >= threshold);
             assert_eq!(stopped.entries(), stopped_fresh.entries());

@@ -33,7 +33,7 @@ type Label = Arc<[(NodeId, Weight)]>;
 pub struct ChTargetDirectory {
     /// Identity of the hierarchy the labels are spaces of.
     num_vertices: usize,
-    config_fingerprint: u64,
+    num_shortcuts: usize,
     labels: HashMap<NodeId, Label>,
 }
 
@@ -43,7 +43,7 @@ impl ChTargetDirectory {
     pub fn build(ch: &ContractionHierarchy, objects: &[NodeId]) -> Self {
         let mut directory = ChTargetDirectory {
             num_vertices: ch.num_vertices(),
-            config_fingerprint: ch.config_fingerprint(),
+            num_shortcuts: ch.num_shortcuts(),
             labels: HashMap::with_capacity(objects.len()),
         };
         for &v in objects {
@@ -105,8 +105,7 @@ impl ChTargetDirectory {
     #[inline]
     pub(crate) fn check_hierarchy(&self, ch: &ContractionHierarchy) {
         debug_assert!(
-            self.num_vertices == ch.num_vertices()
-                && self.config_fingerprint == ch.config_fingerprint(),
+            self.num_vertices == ch.num_vertices() && self.num_shortcuts == ch.num_shortcuts(),
             "CH target directory used with a hierarchy it was not built beside"
         );
     }

@@ -162,19 +162,12 @@ pub struct EngineConfig {
     /// Build Transit Node Routing (needed by `IerTnr`; implies a CH build: TNR is
     /// derived from it and its queries read it).
     pub build_tnr: bool,
-    /// Override the G-tree leaf capacity (defaults to the paper's size-based rule).
-    pub gtree_leaf_capacity: Option<usize>,
-    /// G-tree construction knobs (worker threads, fanout, matrix layout; see
-    /// [`rnknn_gtree::GtreeConfig`]). The leaf capacity inside this value
-    /// is ignored — it is controlled by `gtree_leaf_capacity` above, falling back to
-    /// the paper's size-based rule.
+    /// G-tree shape (fanout, leaf capacity — `0`, the default, is the paper's
+    /// size-based rule) and the build's worker threads, which the G-tree, SILC and
+    /// the build schedule share (see [`rnknn_gtree::GtreeConfig`]).
     pub gtree_config: GtreeConfig,
     /// SILC size limit (vertices).
     pub silc_max_vertices: usize,
-    /// CH preprocessing knobs (witness settle/hop limits, dense-core endgame,
-    /// stall-on-demand). The defaults preprocess ~250k-vertex networks in ~13s and
-    /// ~580k in ~43s on one core; see [`rnknn_ch::ChConfig`].
-    pub ch_config: rnknn_ch::ChConfig,
 }
 
 impl Default for EngineConfig {
@@ -186,10 +179,8 @@ impl Default for EngineConfig {
             build_ch: true,
             build_phl: true,
             build_tnr: false,
-            gtree_leaf_capacity: None,
             gtree_config: GtreeConfig::default(),
             silc_max_vertices: SilcConfig::default().max_vertices,
-            ch_config: rnknn_ch::ChConfig::default(),
         }
     }
 }
@@ -206,17 +197,6 @@ impl EngineConfig {
             build_phl: false,
             build_tnr: false,
             ..Default::default()
-        }
-    }
-
-    /// The G-tree configuration [`Engine::build`] uses for a graph of this size —
-    /// the load path must expect exactly the same fingerprint.
-    pub(crate) fn resolved_gtree_config(&self, num_vertices: usize) -> GtreeConfig {
-        GtreeConfig {
-            leaf_capacity: self
-                .gtree_leaf_capacity
-                .unwrap_or_else(|| GtreeConfig::paper_leaf_capacity(num_vertices)),
-            ..self.gtree_config.clone()
         }
     }
 }
@@ -314,10 +294,11 @@ impl Engine {
         let g = &graph;
         let wants_ch = config.build_ch || config.build_phl || config.build_tnr;
         let wants_gtree = config.build_gtree || config.build_road;
+        let threads = config.gtree_config.resolved_threads();
         let overlap = wants_ch
             && preloaded_ch.is_none()
             && (wants_gtree && preloaded_gtree.is_none() || config.build_road || config.build_silc)
-            && config.gtree_config.resolved_threads() >= 2;
+            && threads >= 2;
 
         let partition_chain = move || {
             let mut times = BuildTimes::default();
@@ -326,8 +307,8 @@ impl Engine {
                     // A graph whose distances do not fit the G-tree's 32-bit cells is
                     // refused, not approximated: the engine then holds no G-tree and its
                     // methods answer `MissingIndex` (as with a graph SILC refuses).
-                    let gconfig = config.resolved_gtree_config(g.num_vertices());
-                    let (gtree, micros) = timed(|| Gtree::try_build_with_config(g, gconfig).ok());
+                    let (gtree, micros) =
+                        timed(|| Gtree::try_build_with_config(g, config.gtree_config.clone()).ok());
                     times.gtree_micros = micros;
                     gtree
                 })
@@ -340,8 +321,7 @@ impl Engine {
                 road
             });
             let silc = if config.build_silc {
-                let sconfig =
-                    SilcConfig { max_vertices: config.silc_max_vertices, ..Default::default() };
+                let sconfig = SilcConfig { max_vertices: config.silc_max_vertices, threads };
                 let (silc, micros) = timed(|| SilcIndex::try_build(g, &sconfig));
                 times.silc_micros = micros;
                 silc
@@ -354,9 +334,7 @@ impl Engine {
             let mut times = BuildTimes::default();
             let ch = wants_ch.then(|| {
                 preloaded_ch.unwrap_or_else(|| {
-                    let (ch, micros) = timed(|| {
-                        rnknn_ch::ContractionHierarchy::build_with_config(g, &config.ch_config)
-                    });
+                    let (ch, micros) = timed(|| rnknn_ch::ContractionHierarchy::build(g));
                     times.ch_micros = micros;
                     ch
                 })
@@ -788,8 +766,8 @@ mod tests {
     fn engine_answers_identically_across_all_supported_methods() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(900, 77));
         let graph = net.graph(EdgeWeightKind::Distance);
-        let config =
-            EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(64), ..Default::default() };
+        let gtree_config = GtreeConfig { leaf_capacity: 64, ..GtreeConfig::default() };
+        let config = EngineConfig { build_tnr: true, gtree_config, ..Default::default() };
         let mut engine = Engine::build(graph, &config);
         let objects = uniform(engine.graph(), 0.02, 5);
         engine.set_objects(objects);
@@ -913,14 +891,14 @@ mod tests {
     }
 
     /// A partition-chain assert raised while the CH chain runs on its thread: the
-    /// schedule joins that thread and the caller still sees the G-tree's own message.
+    /// schedule joins that thread and the caller still sees the builder's own message.
     #[test]
-    #[should_panic(expected = "leaf capacity must be at least 1")]
+    #[should_panic(expected = "fanout must be at least 2")]
     fn builder_panic_beside_the_ch_thread_keeps_its_payload() {
         let graph =
             RoadNetwork::generate(&GeneratorConfig::new(300, 4)).graph(EdgeWeightKind::Distance);
         let config = EngineConfig {
-            gtree_leaf_capacity: Some(0),
+            gtree_config: GtreeConfig { fanout: 1, ..GtreeConfig::default() },
             build_silc: false,
             build_phl: false,
             ..Default::default()
@@ -933,6 +911,22 @@ mod tests {
     #[should_panic(expected = "said by the spawned side")]
     fn run_beside_re_raises_the_spawned_sides_payload() {
         run_beside(|| panic!("said by the spawned side"), || ());
+    }
+
+    /// The leaf capacity of `gtree_config` is the one the engine's G-tree is built
+    /// with, reports and keeps.
+    #[test]
+    fn the_gtree_config_leaf_capacity_shapes_the_engines_tree() {
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(2_000, 7)).graph(EdgeWeightKind::Distance);
+        let gtree_config = GtreeConfig { leaf_capacity: 32, ..GtreeConfig::default() };
+        let config = EngineConfig { build_road: false, gtree_config, ..EngineConfig::minimal() };
+        let engine = Engine::build(graph, &config);
+        let gtree = engine.gtree().expect("built");
+        assert_eq!(gtree.config().leaf_capacity, 32);
+        let h = gtree.hierarchy();
+        let mut leaves = (0..h.num_parts() as u32).filter(|&i| h.is_leaf(i));
+        assert!(leaves.all(|i| h.num_vertices(i) <= 32), "a leaf holds more than 32 vertices");
     }
 
     #[test]

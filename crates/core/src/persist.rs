@@ -19,9 +19,10 @@
 //!
 //! Every load fully validates the artifact — magic, format version, per-
 //! section checksums and structural invariants — before any query runs, and
-//! rejects indexes built under a different [`rnknn_ch::ChConfig`]/[`rnknn_gtree::GtreeConfig`]
-//! fingerprint than the one the caller's `EngineConfig` asks for. See
-//! `docs/PERSISTENCE.md` for the format.
+//! rejects a G-tree whose stored fanout or leaf capacity differs from the
+//! caller's [`rnknn_gtree::GtreeConfig`]. Every CH is built under the same
+//! constants, so it has no config to check. See `docs/PERSISTENCE.md` for the
+//! format.
 
 use std::fs::File;
 use std::io::{BufWriter, Cursor};
@@ -92,8 +93,8 @@ impl Engine {
     /// `build_gtree` (or `build_phl` / `build_tnr` / `build_road`, which imply
     /// them) say which
     /// indexes the caller needs (absent-from-artifact is
-    /// [`PersistError::MissingSection`]), and `ch_config` / `gtree_config`
-    /// must fingerprint-match what the artifact was built with
+    /// [`PersistError::MissingSection`]), and `gtree_config`'s fanout and leaf
+    /// capacity must equal what the artifact was built with
     /// ([`PersistError::ConfigMismatch`] otherwise). Build flags for the
     /// non-persisted indexes are honoured: ROAD is derived from the loaded
     /// G-tree, PHL and TNR from the loaded CH, and SILC is built over the loaded
@@ -133,7 +134,7 @@ impl Engine {
                     section: "CH index (artifact was saved without build_ch)".to_string(),
                 });
             }
-            Some(rnknn_ch::persist::load_ch(artifact, num_vertices, Some(&config.ch_config))?)
+            Some(rnknn_ch::persist::load_ch(artifact, num_vertices)?)
         } else {
             None
         };
@@ -144,8 +145,7 @@ impl Engine {
                     section: "G-tree index (artifact was saved without build_gtree)".to_string(),
                 });
             }
-            let expected = config.resolved_gtree_config(num_vertices);
-            Some(rnknn_gtree::persist::load_gtree(artifact, &graph, Some(&expected))?)
+            Some(rnknn_gtree::persist::load_gtree(artifact, &graph, Some(&config.gtree_config))?)
         } else {
             None
         };
@@ -160,11 +160,12 @@ mod tests {
     use crate::engine::Method;
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
+    use rnknn_gtree::GtreeConfig;
     use rnknn_objects::uniform;
 
     fn small_config() -> EngineConfig {
         EngineConfig {
-            gtree_leaf_capacity: Some(32),
+            gtree_config: GtreeConfig { leaf_capacity: 32, ..GtreeConfig::default() },
             build_road: false,
             build_silc: false,
             build_phl: false,

@@ -32,8 +32,10 @@ use crate::tree::{child_min_offsets, child_min_rows, Gtree, NodeIndex};
 pub struct GtreeConfig {
     /// Fanout `f ≥ 2`: number of children per internal node. The paper uses 4.
     pub fanout: usize,
-    /// Leaf capacity `τ ≥ 1`: maximum number of vertices per leaf. The paper uses
-    /// 64–512 depending on network size.
+    /// Leaf capacity `τ`: maximum number of vertices per leaf. `0` (the default)
+    /// is the paper's size rule ([`GtreeConfig::paper_leaf_capacity`], 64–512),
+    /// resolved at build time; a built tree's [`Gtree::config`] reports the
+    /// resolved value.
     pub leaf_capacity: usize,
     /// Worker threads for matrix assembly (`0` = one per available core). Construction
     /// is deterministic regardless of the thread count.
@@ -42,7 +44,7 @@ pub struct GtreeConfig {
 
 impl Default for GtreeConfig {
     fn default() -> Self {
-        GtreeConfig { fanout: 4, leaf_capacity: 128, build_threads: 0 }
+        GtreeConfig { fanout: 4, leaf_capacity: 0, build_threads: 0 }
     }
 }
 
@@ -58,9 +60,13 @@ impl GtreeConfig {
         }
     }
 
-    /// Configuration matching the paper's parameter choices for a given network size.
-    pub fn for_network(num_vertices: usize) -> Self {
-        GtreeConfig { leaf_capacity: Self::paper_leaf_capacity(num_vertices), ..Default::default() }
+    /// Leaf capacity for a network with `num_vertices` vertices after resolving `0`
+    /// to the paper's size rule.
+    pub fn resolved_leaf_capacity(&self, num_vertices: usize) -> usize {
+        match self.leaf_capacity {
+            0 => Self::paper_leaf_capacity(num_vertices),
+            tau => tau,
+        }
     }
 
     /// Worker-thread count after resolving `0` to the available parallelism.
@@ -160,13 +166,14 @@ fn check_distance_range(graph: &Graph) -> Result<(), GtreeBuildError> {
 }
 
 impl Gtree {
-    /// Builds a G-tree over `graph` with the default configuration.
+    /// Builds a G-tree over `graph` with the default configuration (the paper's
+    /// fanout and size-based leaf capacity).
     ///
     /// # Panics
     ///
     /// As [`Gtree::build_with_config`].
     pub fn build(graph: &Graph) -> Gtree {
-        Self::build_with_config(graph, GtreeConfig::for_network(graph.num_vertices()))
+        Self::build_with_config(graph, GtreeConfig::default())
     }
 
     /// Builds a G-tree with an explicit configuration.
@@ -185,7 +192,8 @@ impl Gtree {
         graph: &Graph,
         config: GtreeConfig,
     ) -> Result<Gtree, GtreeBuildError> {
-        assert!(config.leaf_capacity >= 1, "leaf capacity must be at least 1");
+        let leaf_capacity = config.resolved_leaf_capacity(graph.num_vertices());
+        let config = GtreeConfig { leaf_capacity, ..config };
         check_distance_range(graph)?;
         let (hierarchy, leaves) = Hierarchy::build(graph, config.fanout, config.leaf_capacity);
         let border_positions = hierarchy.border_positions(&leaves);
@@ -660,7 +668,9 @@ mod tests {
         assert_eq!(GtreeConfig::paper_leaf_capacity(12_000), 128);
         assert_eq!(GtreeConfig::paper_leaf_capacity(24_000), 256);
         assert_eq!(GtreeConfig::paper_leaf_capacity(200_000), 512);
-        assert_eq!(GtreeConfig::for_network(24_000).leaf_capacity, 256);
+        let config = GtreeConfig::default();
+        assert_eq!(config.resolved_leaf_capacity(24_000), 256);
+        assert_eq!(GtreeConfig { leaf_capacity: 40, ..config }.resolved_leaf_capacity(24_000), 40);
     }
 
     /// Every `build_threads` setting must produce cell-for-cell identical matrices —

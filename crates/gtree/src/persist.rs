@@ -13,9 +13,12 @@
 //! What a successful load has proven, whatever the checksums covered: parts are
 //! numbered in preorder under one root (so levels, child lists and the leaf ranges
 //! every query steers by are derived, not read); the leaf lists hold every vertex
-//! of the graph exactly once; border lists, child-border runs and matrix positions
-//! are computed from the graph's own edges; and every node's arena slot has exactly
-//! the cells its matrix shape (borders × vertices, or child borders squared) needs.
+//! of the graph exactly once; the stored fanout and leaf capacity describe the
+//! tree (no part has more children than the fanout, no leaf more vertices than
+//! the capacity) and equal the caller's when one is given; border lists,
+//! child-border runs and matrix positions are computed from the graph's own edges;
+//! and every node's arena slot has exactly the cells its matrix shape (borders ×
+//! vertices, or child borders squared) needs.
 //! Nothing the search code uses as an index is taken from the file unchecked.
 //! Matrix *cells* are distances, used only arithmetically, and are covered by the
 //! arena checksum. So are the child-minimum table's cells (`GT.CMIN`), whose
@@ -28,10 +31,10 @@ use crate::distmatrix::DistanceMatrix;
 use crate::tree::{child_min_offsets, Gtree};
 use rnknn_graph::Graph;
 use rnknn_partition::hierarchy::{Columns, Hierarchy, LeafLayout};
-use rnknn_persist::{Artifact, ArtifactWriter, Fingerprint, MetaWriter, PVec, PersistError, Tag};
+use rnknn_persist::{Artifact, ArtifactWriter, MetaWriter, PVec, PersistError, Tag};
 use std::io::{Seek, Write};
 
-/// G-tree scalar metadata: the tree-shaping config, its fingerprint, node and
+/// G-tree scalar metadata: fanout, leaf capacity, the refinement word, node and
 /// vertex counts.
 pub const TAG_META: Tag = Tag::new(b"GT.META\0");
 /// Matrix arena offsets (`u64`, `num_nodes + 1`, in cells).
@@ -48,26 +51,6 @@ pub const TAG_PARENT: Tag = Tag::new(b"HI.PRNT\0");
 pub const TAG_LEAF_SIZES: Tag = Tag::new(b"HI.LFSZ\0");
 /// Hierarchy: the leaves' vertex lists, concatenated in preorder (`u32`).
 pub const TAG_VERTICES: Tag = Tag::new(b"HI.VERT\0");
-
-impl GtreeConfig {
-    /// A stable fingerprint over every field that influences the *built tree*.
-    ///
-    /// `build_threads` is deliberately **excluded**: construction is
-    /// deterministic regardless of the worker count (a documented invariant,
-    /// tested by `build_determinism`), so a tree built with 8 threads is
-    /// byte-identical to one built with 1 and must load under either setting.
-    /// Everything else — fanout, leaf capacity — changes the tree and therefore
-    /// the fingerprint. The last input is the refinement flag every tree carries
-    /// (always `true`), which keeps the fingerprints of saved artifacts valid.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.push_str("GtreeConfig")
-            .push_usize(self.fanout)
-            .push_usize(self.leaf_capacity)
-            .push_bool(REFINED);
-        fp.finish()
-    }
-}
 
 /// The `GT.META` word saying the matrices hold exact global distances. Every build
 /// refines; a tree recording `false` would answer wrong, so a load refuses it.
@@ -114,7 +97,6 @@ pub fn save_gtree<W: Write + Seek>(
     meta.usize(config.fanout)
         .usize(config.leaf_capacity)
         .bool(REFINED)
-        .u64(config.fingerprint())
         .usize(gtree.num_nodes())
         .usize(gtree.hierarchy.num_vertices(gtree.root()) as usize);
     writer.begin_section(TAG_META)?;
@@ -151,8 +133,10 @@ pub fn has_gtree(artifact: &Artifact) -> bool {
 /// proves). The topology is rebuilt into owned arrays; each node's matrix is a
 /// zero-copy view into the mapped arena.
 ///
-/// `expected_config`, when given, must fingerprint to the stored value; the loaded
-/// tree carries its `build_threads` (which shapes nothing, and is not stored).
+/// `expected_config`, when given, must have the stored fanout and leaf capacity
+/// (its leaf capacity resolved for `graph`, see
+/// [`GtreeConfig::resolved_leaf_capacity`]); the loaded tree carries its
+/// `build_threads` (which shapes nothing, and is not stored).
 pub fn load_gtree(
     artifact: &Artifact,
     graph: &Graph,
@@ -168,31 +152,10 @@ pub fn load_gtree(
         let detail = "the tree's matrices were never refined to global distances; rebuild it";
         return Err(PersistError::corrupt("GT.META", detail));
     }
-    let stored_fingerprint = meta.u64()?;
     let num_nodes = meta.usize()?;
     let num_vertices = meta.usize()?;
     meta.finish()?;
 
-    if config.fingerprint() != stored_fingerprint {
-        return Err(PersistError::corrupt(
-            "GT.META",
-            format!(
-                "stored config fingerprints to {:#018x} but the artifact records {:#018x}",
-                config.fingerprint(),
-                stored_fingerprint
-            ),
-        ));
-    }
-    if let Some(expected) = expected_config {
-        let want = expected.fingerprint();
-        if want != stored_fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                index: "gtree",
-                stored: stored_fingerprint,
-                expected: want,
-            });
-        }
-    }
     if num_vertices != graph.num_vertices() {
         let found = graph.num_vertices();
         return Err(PersistError::corrupt(
@@ -208,6 +171,17 @@ pub fn load_gtree(
             "GT.META",
             format!("{num_nodes} nodes recorded, the hierarchy has {found}"),
         ));
+    }
+    check_shape(&config, &hierarchy)?;
+    if let Some(expected) = expected_config {
+        let fields = [
+            ("fanout", config.fanout, expected.fanout),
+            ("leaf_capacity", config.leaf_capacity, expected.resolved_leaf_capacity(num_vertices)),
+        ];
+        if let Some(&(field, stored, expected)) = fields.iter().find(|(_, s, e)| s != e) {
+            let (stored, expected) = (stored as u64, expected as u64);
+            return Err(PersistError::ConfigMismatch { index: "gtree", field, stored, expected });
+        }
     }
 
     // Wire each node's matrix to the arena slot its shape calls for.
@@ -264,6 +238,32 @@ pub fn load_gtree(
     })
 }
 
+/// Refuses `GT.META` shape words that do not describe `hierarchy`: a fanout below
+/// 2, a leaf capacity below 1, a part with more children than the fanout or a
+/// leaf with more vertices than the capacity. A built tree never breaks these
+/// (`rnknn_partition::hierarchy::split` makes a part a leaf exactly when it fits
+/// the capacity, and splits any other into at most `fanout` children).
+fn check_shape(config: &GtreeConfig, hierarchy: &Hierarchy) -> Result<(), PersistError> {
+    let GtreeConfig { fanout, leaf_capacity, .. } = *config;
+    let broken = if fanout < 2 || leaf_capacity < 1 {
+        Some("a tree needs a fanout of at least 2 and a leaf capacity of at least 1".to_string())
+    } else {
+        (0..hierarchy.num_parts() as u32).find_map(|i| {
+            let (children, vertices) = (hierarchy.children(i).len(), hierarchy.num_vertices(i));
+            if hierarchy.is_leaf(i) && vertices as usize > leaf_capacity {
+                Some(format!("leaf {i} holds {vertices} vertices, more than the leaf capacity"))
+            } else {
+                (children > fanout)
+                    .then(|| format!("part {i} has {children} children, more than the fanout"))
+            }
+        })
+    };
+    broken.map_or(Ok(()), |detail| {
+        let detail = format!("fanout {fanout}, leaf capacity {leaf_capacity}: {detail}");
+        Err(PersistError::corrupt("GT.META", detail))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,9 +271,12 @@ mod tests {
     use std::io::Cursor;
 
     fn sample(size: usize, seed: u64) -> (rnknn_graph::Graph, Gtree) {
+        sample_with(size, seed, GtreeConfig { leaf_capacity: 32, ..GtreeConfig::default() })
+    }
+
+    fn sample_with(size: usize, seed: u64, config: GtreeConfig) -> (rnknn_graph::Graph, Gtree) {
         let graph = RoadNetwork::generate(&GeneratorConfig::new(size, seed))
             .graph(EdgeWeightKind::Distance);
-        let config = GtreeConfig { leaf_capacity: 32, ..GtreeConfig::default() };
         let gtree = Gtree::build_with_config(&graph, config);
         (graph, gtree)
     }
@@ -325,28 +328,33 @@ mod tests {
         assert!(load_gtree(&art, &graph, None).is_ok());
     }
 
-    /// Locks the fingerprint inputs. `build_threads` must NOT change the
-    /// fingerprint (construction is deterministic across thread counts);
-    /// every other field must.
+    /// A fanout or leaf-capacity mismatch is refused by field; `build_threads`
+    /// shapes nothing and never is, and neither is a default (`0`) leaf capacity
+    /// that resolves to the stored one.
     #[test]
-    fn fingerprint_covers_tree_shaping_fields_only() {
-        let base = GtreeConfig::default().fingerprint();
-        assert_eq!(
-            GtreeConfig { build_threads: 7, ..GtreeConfig::default() }.fingerprint(),
-            base,
-            "build_threads must not affect the fingerprint"
-        );
-        let variants: Vec<GtreeConfig> = vec![
-            GtreeConfig { fanout: 5, ..GtreeConfig::default() },
-            GtreeConfig { leaf_capacity: 129, ..GtreeConfig::default() },
-        ];
-        let mut seen = vec![base];
-        for v in &variants {
-            let fp = v.fingerprint();
-            assert!(!seen.contains(&fp), "field change did not change the fingerprint: {v:?}");
-            seen.push(fp);
+    fn shape_mismatch_is_refused_and_build_threads_is_not() {
+        let (graph, gtree) = sample(150, 3);
+        let art = Artifact::from_vec(save_to_vec(&gtree)).unwrap();
+        let stored = GtreeConfig { leaf_capacity: 32, ..GtreeConfig::default() };
+        for (other, want) in [
+            (GtreeConfig { fanout: 5, ..stored.clone() }, ("fanout", 4, 5)),
+            (GtreeConfig { leaf_capacity: 31, ..stored.clone() }, ("leaf_capacity", 32, 31)),
+            // `0` resolves to the paper's 64 for this graph.
+            (GtreeConfig { leaf_capacity: 0, ..stored.clone() }, ("leaf_capacity", 32, 64)),
+        ] {
+            match load_gtree(&art, &graph, Some(&other)) {
+                Err(PersistError::ConfigMismatch { index, field, stored, expected }) => {
+                    assert_eq!((index, (field, stored, expected)), ("gtree", want))
+                }
+                other => panic!("{want:?}: expected ConfigMismatch, got {other:?}"),
+            }
         }
-        assert_eq!(base, GtreeConfig::default().fingerprint());
+        let threads = GtreeConfig { build_threads: 7, ..stored };
+        assert!(load_gtree(&art, &graph, Some(&threads)).is_ok());
+        let (graph, gtree) = sample_with(150, 3, GtreeConfig::default());
+        let art = Artifact::from_vec(save_to_vec(&gtree)).unwrap();
+        assert_eq!(gtree.config().leaf_capacity, 64, "the paper's rule, resolved at build");
+        assert!(load_gtree(&art, &graph, Some(&GtreeConfig::default())).is_ok());
     }
 
     #[test]

@@ -63,11 +63,13 @@ pub enum PersistError {
     /// The artifact was built under a different index configuration than the
     /// caller requested.
     ConfigMismatch {
-        /// Which index ("ch", "gtree").
+        /// Which index (`"gtree"`).
         index: &'static str,
-        /// Fingerprint stored in the artifact.
+        /// Which build parameter differs (e.g. `"leaf_capacity"`).
+        field: &'static str,
+        /// The parameter's value in the artifact.
         stored: u64,
-        /// Fingerprint of the requested configuration.
+        /// The parameter's value the caller requested.
         expected: u64,
     },
 }
@@ -109,11 +111,10 @@ impl fmt::Display for PersistError {
                 "structural validation failed in `{section}`: {detail} — refusing to serve \
                  queries from this artifact; regenerate it with --save"
             ),
-            PersistError::ConfigMismatch { index, stored, expected } => write!(
+            PersistError::ConfigMismatch { index, field, stored, expected } => write!(
                 f,
-                "artifact's {index} index was built under config fingerprint {stored:#018x}, \
-                 but the requested config fingerprints to {expected:#018x}; rebuild the \
-                 artifact under the new config or load it without a config constraint"
+                "{index} `{field}`: artifact {stored}, requested {expected} — rebuild the \
+                 artifact under the requested config or request the artifact's"
             ),
         }
     }
@@ -148,8 +149,13 @@ mod tests {
             PersistError::ChecksumMismatch { section: "CH.RANK".into(), stored: 1, computed: 2 };
         assert!(e.to_string().contains("CH.RANK"));
         assert!(e.to_string().contains("corrupt"));
-        let e = PersistError::ConfigMismatch { index: "gtree", stored: 3, expected: 4 };
-        assert!(e.to_string().contains("gtree"));
+        let e = PersistError::ConfigMismatch {
+            index: "gtree",
+            field: "leaf_capacity",
+            stored: 32,
+            expected: 64,
+        };
+        assert!(e.to_string().contains("gtree `leaf_capacity`: artifact 32, requested 64"));
         let io = PersistError::Io {
             context: "reading artifact",
             source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),

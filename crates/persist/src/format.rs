@@ -22,9 +22,9 @@
 //!
 //! Versioning policy: `FORMAT_VERSION` is a hard gate — there is no
 //! cross-version migration; a version bump means "regenerate your artifacts"
-//! (they are derived data, rebuilt from the graph in under a minute). Config
-//! compatibility is layered above via fingerprints (see
-//! [`crate::hash::Fingerprint`]).
+//! (they are derived data, rebuilt from the graph in under a minute). Build
+//! parameters are checked above this layer, by value, by the index crate
+//! that stores them ([`crate::PersistError::ConfigMismatch`]).
 
 use crate::buffer::Bytes;
 use crate::error::PersistError;
@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// First 8 bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"RNKNIDX\0";
 /// The single format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 48;
 /// Section-table entry size in bytes.

@@ -1,4 +1,4 @@
-//! Checksums and config fingerprints.
+//! Section checksums.
 //!
 //! [`Checksummer`] is the section checksum: an 8-lane striped xor-multiply
 //! hash. Eight independent 64-bit lanes each absorb every eighth word of the
@@ -9,12 +9,6 @@
 //! word (xor is a bijection, multiplication by an odd constant is a bijection
 //! mod 2^64), so **any single-word change in the input always changes the
 //! checksum** — the property the corruption-fuzz battery leans on.
-//!
-//! [`Fingerprint`] is the build-config gate: a tagged field hasher. Each field
-//! is absorbed with a one-byte type tag plus its little-endian bytes, so
-//! reordering or re-typing fields changes the fingerprint even when the raw
-//! bytes collide. Index artifacts store the fingerprint of the config they
-//! were built under; loads can require it to match.
 
 /// Per-lane multiplier (odd ⇒ multiplication is a bijection mod 2^64).
 const LANE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -132,98 +126,6 @@ pub fn checksum(data: &[u8]) -> u64 {
     c.finish()
 }
 
-/// Tagged field hasher for build-config fingerprints.
-///
-/// Every `push_*` call absorbs a type tag byte before the value, so two
-/// configs whose raw field bytes happen to coincide under different field
-/// types or orders still fingerprint differently. FNV-1a style: tiny inputs,
-/// no throughput concerns.
-#[derive(Clone)]
-pub struct Fingerprint {
-    state: u64,
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fingerprint {
-    /// A fresh fingerprint hasher (FNV-1a offset basis).
-    pub fn new() -> Fingerprint {
-        Fingerprint { state: 0xCBF2_9CE4_8422_2325 }
-    }
-
-    #[inline]
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Absorbs a `u64` field.
-    pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.mix(&[1]);
-        self.mix(&v.to_le_bytes());
-        self
-    }
-
-    /// Absorbs a `u32` field.
-    pub fn push_u32(&mut self, v: u32) -> &mut Self {
-        self.mix(&[2]);
-        self.mix(&v.to_le_bytes());
-        self
-    }
-
-    /// Absorbs a `usize` field (hashed as `u64`, portable across word sizes).
-    pub fn push_usize(&mut self, v: usize) -> &mut Self {
-        self.mix(&[3]);
-        self.mix(&(v as u64).to_le_bytes());
-        self
-    }
-
-    /// Absorbs an `i64` field.
-    pub fn push_i64(&mut self, v: i64) -> &mut Self {
-        self.mix(&[4]);
-        self.mix(&v.to_le_bytes());
-        self
-    }
-
-    /// Absorbs an `f64` field via its bit pattern.
-    pub fn push_f64(&mut self, v: f64) -> &mut Self {
-        self.mix(&[5]);
-        self.mix(&v.to_bits().to_le_bytes());
-        self
-    }
-
-    /// Absorbs a `bool` field.
-    pub fn push_bool(&mut self, v: bool) -> &mut Self {
-        self.mix(&[6, u8::from(v)]);
-        self
-    }
-
-    /// Absorbs a string field (length-prefixed, so concatenations can't collide).
-    pub fn push_str(&mut self, v: &str) -> &mut Self {
-        self.mix(&[7]);
-        self.mix(&(v.len() as u64).to_le_bytes());
-        self.mix(v.as_bytes());
-        self
-    }
-
-    /// The final fingerprint value.
-    pub fn finish(&self) -> u64 {
-        // Avalanche so short inputs still spread over all 64 bits.
-        let mut h = self.state;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        h ^ (h >> 33)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,26 +172,5 @@ mod tests {
         let mut b = vec![0u8; 128];
         b[64] = 1;
         assert_ne!(checksum(&a), checksum(&b));
-    }
-
-    #[test]
-    fn fingerprint_is_order_and_type_sensitive() {
-        let mut a = Fingerprint::new();
-        a.push_u32(1).push_u32(2);
-        let mut b = Fingerprint::new();
-        b.push_u32(2).push_u32(1);
-        assert_ne!(a.finish(), b.finish());
-
-        let mut c = Fingerprint::new();
-        c.push_u64(1);
-        let mut d = Fingerprint::new();
-        d.push_i64(1);
-        assert_ne!(c.finish(), d.finish());
-
-        let mut e = Fingerprint::new();
-        e.push_bool(true);
-        let mut f = Fingerprint::new();
-        f.push_bool(false);
-        assert_ne!(e.finish(), f.finish());
     }
 }

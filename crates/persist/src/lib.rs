@@ -24,8 +24,7 @@
 //!   typed window into an `Arc<Bytes>` (loaded index). Index structs store
 //!   `PVec`s and deref to slices, so the query hot paths are identical for
 //!   built and mapped indexes.
-//! * [`hash::Checksummer`] / [`hash::Fingerprint`] — the 8-lane section
-//!   checksum and the tagged config-fingerprint hasher (build-config gate).
+//! * [`hash::Checksummer`] — the 8-lane section checksum.
 //!
 //! This crate is one of the two permitted `unsafe` sites in the workspace
 //! (`cargo xtask lint`); every site carries a `// SAFETY:` contract. See
@@ -49,5 +48,5 @@ pub mod view;
 pub use buffer::Bytes;
 pub use error::PersistError;
 pub use format::{Artifact, ArtifactWriter, MetaReader, MetaWriter, Tag, FORMAT_VERSION, MAGIC};
-pub use hash::{checksum, Checksummer, Fingerprint};
+pub use hash::{checksum, Checksummer};
 pub use view::{pod_bytes, PVec, Pod, SharedSlice};

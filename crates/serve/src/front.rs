@@ -815,6 +815,7 @@ fn updater_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnknn::gtree::GtreeConfig;
     use rnknn::{Engine, EngineConfig};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
@@ -839,7 +840,7 @@ mod tests {
     fn warm_start_from_artifact_answers_like_the_built_engine() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 13));
         let econfig = EngineConfig {
-            gtree_leaf_capacity: Some(32),
+            gtree_config: GtreeConfig { leaf_capacity: 32, ..Default::default() },
             build_road: false,
             build_silc: false,
             build_phl: false,

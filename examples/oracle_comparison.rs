@@ -53,11 +53,7 @@ fn main() {
 
     println!("building oracles...");
     let ch_start = Instant::now();
-    let ch = rnknn::ch::ContractionHierarchy::build_with_config(
-        &graph,
-        // The defaults already scale; spelled out here to showcase the knobs.
-        &rnknn::ch::ChConfig { witness_settle_limit: 256, ..Default::default() },
-    );
+    let ch = rnknn::ch::ContractionHierarchy::build(&graph);
     println!("  CH: {} shortcuts in {:.2}s", ch.num_shortcuts(), ch_start.elapsed().as_secs_f64());
     // PHL and TNR are derived from that one hierarchy; TNR's queries read it too.
     let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch).expect("label budget");

@@ -170,7 +170,7 @@ fn seeded_config_matrix_agrees_across_all_supported_methods() {
                 let graph = net.graph(kind);
                 let engine_config = EngineConfig {
                     build_tnr: true,
-                    gtree_leaf_capacity: Some(leaf_capacity),
+                    gtree_config: GtreeConfig { leaf_capacity, ..Default::default() },
                     ..Default::default()
                 };
                 let mut engine = Engine::build(graph, &engine_config);
@@ -219,8 +219,11 @@ fn tie_heavy_workloads_agree_on_ranked_distances() {
     let mut rng = Rng(0xB01D_FACE_0000_0001);
     let net = RoadNetwork::generate(&GeneratorConfig::new(600, 77));
     let graph = net.graph(EdgeWeightKind::Distance);
-    let engine_config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(48), ..Default::default() };
+    let engine_config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 48, ..Default::default() },
+        ..Default::default()
+    };
     let mut engine = Engine::build(graph, &engine_config);
     let n = engine.graph().num_vertices() as NodeId;
     // Every vertex is an object: distance ties are guaranteed dense, and the k-th
@@ -255,8 +258,11 @@ fn tie_heavy_workloads_agree_on_ranked_distances() {
 #[test]
 fn exhausted_budgets_fail_cleanly_with_partial_stats() {
     let net = RoadNetwork::generate(&GeneratorConfig::new(900, 4242));
-    let engine_config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(48), ..Default::default() };
+    let engine_config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 48, ..Default::default() },
+        ..Default::default()
+    };
     let mut engine = Engine::build(net.graph(EdgeWeightKind::Distance), &engine_config);
     let objects = uniform(engine.graph(), 0.01, 5);
     engine.set_objects(objects.clone());
@@ -334,7 +340,7 @@ fn path_engine(length: Weight) -> (Engine, ObjectSet, [NodeId; 3]) {
         build_silc: false,
         build_phl: false,
         build_tnr: false,
-        gtree_leaf_capacity: Some(16),
+        gtree_config: GtreeConfig { leaf_capacity: 16, ..Default::default() },
         ..Default::default()
     };
     let mut engine = Engine::build(path_graph(N, length), &config);
@@ -377,8 +383,7 @@ fn every_accepted_gtree_config_is_dijkstra_exact() {
                 build_silc: false,
                 build_phl: false,
                 build_tnr: false,
-                gtree_leaf_capacity: Some(leaf_capacity),
-                gtree_config: GtreeConfig { fanout, ..Default::default() },
+                gtree_config: GtreeConfig { fanout, leaf_capacity, ..Default::default() },
                 ..Default::default()
             };
             let mut engine = Engine::build(graph.clone(), &config);
@@ -446,7 +451,7 @@ fn ier_ch_and_its_target_directory_track_a_seeded_update_stream() {
     let config = EngineConfig {
         build_silc: false,
         build_phl: false,
-        gtree_leaf_capacity: Some(32),
+        gtree_config: GtreeConfig { leaf_capacity: 32, ..Default::default() },
         ..Default::default()
     };
     let engine = Engine::build(net.graph(EdgeWeightKind::Distance), &config);

@@ -6,13 +6,17 @@ use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::matches_ground_truth;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::{clustered, min_object_distance, uniform, PoiSets};
 
 fn engine_for(kind: EdgeWeightKind, n: usize, seed: u64) -> Engine {
     let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
     let graph = net.graph(kind);
-    let config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(64), ..Default::default() };
+    let config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 64, ..Default::default() },
+        ..Default::default()
+    };
     Engine::build(graph, &config)
 }
 

@@ -10,13 +10,17 @@ use rnknn::{
 };
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::{churn_stream, uniform, ChurnConfig};
 
 fn full_engine(n: usize, seed: u64) -> Engine {
     let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
     let graph = net.graph(EdgeWeightKind::Distance);
-    let config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(64), ..Default::default() };
+    let config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 64, ..Default::default() },
+        ..Default::default()
+    };
     Engine::build(graph, &config)
 }
 
@@ -271,7 +275,7 @@ fn a_budget_cut_key_scan_or_climb_fill_is_deadline_exceeded_never_a_wrong_answer
         build_silc: false,
         build_phl: false,
         build_tnr: false,
-        gtree_leaf_capacity: Some(16),
+        gtree_config: GtreeConfig { leaf_capacity: 16, ..Default::default() },
         ..Default::default()
     };
     let mut engine = Engine::build(graph, &config);

@@ -19,7 +19,7 @@ use rnknn::engine::{Engine, EngineConfig};
 use rnknn::ier::IerSearch;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId, Weight};
-use rnknn_gtree::{Gtree, GtreeConfig, GtreeDistanceOracle, LeafSearchMode, OccurrenceList};
+use rnknn_gtree::{Gtree, GtreeDistanceOracle, LeafSearchMode, OccurrenceList};
 use rnknn_objects::{uniform, ObjectRTree};
 use rnknn_pathfinding::dijkstra;
 
@@ -29,7 +29,7 @@ fn build_and_verify(size: usize, kind: EdgeWeightKind, queries: u32) -> Duration
     let net = RoadNetwork::generate(&GeneratorConfig::new(size, 42));
     let g = net.graph(kind);
     let start = Instant::now();
-    let tree = Gtree::build_with_config(&g, GtreeConfig::for_network(g.num_vertices()));
+    let tree = Gtree::build(&g);
     let elapsed = start.elapsed();
 
     let n = g.num_vertices() as NodeId;

@@ -11,13 +11,17 @@ use rnknn::{EngineError, IndexKind};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
 use rnknn_graph::{GraphBuilder, NodeId, Point, Weight, INFINITY};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::{uniform, ObjectSet};
 use rnknn_pathfinding::dijkstra;
 
 fn full_engine(n: usize, seed: u64) -> Engine {
     let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
-    let config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(64), ..Default::default() };
+    let config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 64, ..Default::default() },
+        ..Default::default()
+    };
     Engine::build(net.graph(rnknn_graph::EdgeWeightKind::Distance), &config)
 }
 
@@ -112,8 +116,11 @@ fn disconnected_components_drop_unreachable_objects_consistently() {
     }
     let graph = b.build();
     let n = graph.num_vertices();
-    let config =
-        EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(16), ..Default::default() };
+    let config = EngineConfig {
+        build_tnr: true,
+        gtree_config: GtreeConfig { leaf_capacity: 16, ..Default::default() },
+        ..Default::default()
+    };
     let mut engine = Engine::build(graph, &config);
     // Three objects on the query's side, two on the far component.
     let objects = ObjectSet::new(
@@ -148,8 +155,11 @@ fn every_method_is_dijkstra_exact_on_zero_weights_ties_and_components() {
         [(zero_weight_grid(24), false), (unit_grids(24, 1), true), (unit_grids(9, 5), true)];
     for (shape, (graph, silc_builds)) in shapes.into_iter().enumerate() {
         let n = graph.num_vertices() as NodeId;
-        let config =
-            EngineConfig { build_tnr: true, gtree_leaf_capacity: Some(16), ..Default::default() };
+        let config = EngineConfig {
+            build_tnr: true,
+            gtree_config: GtreeConfig { leaf_capacity: 16, ..Default::default() },
+            ..Default::default()
+        };
         let mut engine = Engine::build(graph, &config);
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 29 == 7).collect();
         engine.set_objects(ObjectSet::new("every-29th", n as usize, objects.clone()));

@@ -19,6 +19,7 @@ use rnknn::PersistError;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::EdgeWeightKind;
 use rnknn_gtree::persist::{TAG_CHILD_MIN, TAG_META};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::uniform;
 
 struct Rng(u64);
@@ -40,7 +41,7 @@ impl Rng {
 
 fn battery_config() -> EngineConfig {
     EngineConfig {
-        gtree_leaf_capacity: Some(32),
+        gtree_config: GtreeConfig { leaf_capacity: 32, ..Default::default() },
         build_road: false,
         build_silc: false,
         build_phl: false,
@@ -244,12 +245,20 @@ const V4_HEADER: [u8; 48] = [
     1, 0, 0, 0, 0, 0, 51, 104, 174, 219, 233, 40, 101, 59, 212, 239, 146, 192, 176, 144, 20, 57,
 ];
 
+/// The same artifact's header under format version 5 (the last commit whose
+/// `CH.META` and `GT.META` carried config fingerprints): 17 sections, table at
+/// 123 808 of 124 352 bytes.
+const V5_HEADER: [u8; 48] = [
+    82, 78, 75, 78, 73, 68, 88, 0, 5, 0, 0, 0, 17, 0, 0, 0, 160, 227, 1, 0, 0, 0, 0, 0, 192, 229,
+    1, 0, 0, 0, 0, 0, 80, 11, 219, 170, 80, 83, 90, 27, 33, 207, 122, 47, 155, 243, 99, 143,
+];
+
 /// The version gate must refuse a real older header by name before any section (or
 /// even the header's own length fields) is interpreted — alone, and in front of a
 /// current body.
 fn assert_refused_by_the_version_gate(header: [u8; 48], version: u32) {
     let supported = rnknn::persist_format::FORMAT_VERSION;
-    assert_eq!(supported, 5, "a format bump re-derives these fixtures' expectations");
+    assert_eq!(supported, 6, "a format bump re-derives these fixtures' expectations");
     let mut grafted = header.to_vec();
     grafted.extend_from_slice(&saved_engine_bytes()[header.len()..]);
     for (what, bytes) in [("bare header", header.to_vec()), ("grafted body", grafted)] {
@@ -280,6 +289,12 @@ fn a_real_version_3_header_fails_the_version_gate() {
 #[test]
 fn a_real_version_4_header_fails_the_version_gate() {
     assert_refused_by_the_version_gate(V4_HEADER, 4);
+}
+
+/// A version-5 artifact stores config fingerprints in `CH.META` and `GT.META`.
+#[test]
+fn a_real_version_5_header_fails_the_version_gate() {
+    assert_refused_by_the_version_gate(V5_HEADER, 5);
 }
 
 /// The artifact re-written section by section, section `target` replaced by
@@ -325,12 +340,12 @@ fn a_resized_child_minimum_table_is_refused_typed() {
 }
 
 /// A G-tree whose `GT.META` records unrefined matrices (which a build could once
-/// ask for, and whose answers were wrong) is refused by name, before its
-/// fingerprint is compared.
+/// ask for, and whose answers were wrong) is refused by name, before its shape is
+/// checked.
 #[test]
 fn an_unrefined_gtree_is_refused_typed() {
     let bytes = saved_engine_bytes();
-    // `GT.META` words: fanout, leaf capacity, refined (1), fingerprint, nodes, vertices.
+    // `GT.META` words: fanout, leaf capacity, refined (1), nodes, vertices.
     let unrefined = with_section(&bytes, TAG_META, |meta| {
         assert_eq!(u64_at(meta, 16), 1, "the refinement word of a built tree");
         [&meta[..16], &0u64.to_le_bytes(), &meta[24..]].concat()
@@ -342,6 +357,40 @@ fn an_unrefined_gtree_is_refused_typed() {
         }
         Err(other) => panic!("expected Corrupt GT.META, got {other}"),
         Ok(_) => panic!("an unrefined G-tree loaded"),
+    }
+}
+
+/// `GT.META`'s fanout and leaf-capacity words must describe the tree the `HI.*`
+/// sections hold: either word forged below its floor or below what the tree needs
+/// is refused by name, however well its checksums vouch for it.
+#[test]
+fn forged_shape_words_are_refused_typed() {
+    let bytes = saved_engine_bytes();
+    let config = battery_config();
+    let engine = Engine::load_indexes_from_vec(bytes.clone(), &config).expect("load");
+    let h = engine.gtree().expect("a G-tree").hierarchy();
+    let parts = 0..h.num_parts() as u32;
+    let widest = parts.clone().map(|i| h.children(i).len() as u64).max().unwrap();
+    let largest = parts.filter(|&i| h.is_leaf(i)).map(|i| u64::from(h.num_vertices(i))).max();
+    // `GT.META` words: fanout, leaf capacity, refined, nodes, vertices.
+    let (fanout, leaf_capacity) = (0, 1);
+    for (word, lie) in [
+        (fanout, 0),
+        (fanout, 1),
+        (fanout, widest - 1),
+        (leaf_capacity, 0),
+        (leaf_capacity, largest.unwrap() - 1),
+    ] {
+        let forged = with_section(&bytes, TAG_META, |meta| {
+            [&meta[..8 * word], &lie.to_le_bytes(), &meta[8 * word + 8..]].concat()
+        });
+        match Engine::load_indexes_from_vec(forged, &config) {
+            Err(PersistError::Corrupt { section, .. }) => {
+                assert_eq!(section, "GT.META", "word {word} forged to {lie}")
+            }
+            Err(other) => panic!("word {word} forged to {lie}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("word {word} forged to {lie}: the lie loaded"),
+        }
     }
 }
 

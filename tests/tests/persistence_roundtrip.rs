@@ -11,8 +11,8 @@
 //! INE baseline and the Dijkstra ground truth.
 //!
 //! The sweep covers three sizes × both edge-weight kinds, plus the
-//! mmap-backed file path, plus the config-fingerprint and format-version
-//! gates with their actionable error messages.
+//! mmap-backed file path, plus the G-tree config check and the format-version
+//! gate with their actionable error messages.
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::persist_format::checksum;
@@ -20,6 +20,7 @@ use rnknn::verify::{ground_truth, matches_ground_truth};
 use rnknn::PersistError;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
+use rnknn_gtree::GtreeConfig;
 use rnknn_objects::{uniform, ObjectSet};
 
 /// The persisted-index configuration of the battery: G-tree + CH (the two
@@ -27,7 +28,7 @@ use rnknn_objects::{uniform, ObjectSet};
 /// internal-node structure.
 fn battery_config() -> EngineConfig {
     EngineConfig {
-        gtree_leaf_capacity: Some(32),
+        gtree_config: GtreeConfig { leaf_capacity: 32, ..Default::default() },
         build_road: false,
         build_silc: false,
         build_phl: false,
@@ -184,38 +185,22 @@ fn loaded_matrices_are_views_into_an_arena_of_four_byte_cells() {
 fn gtree_config_mismatch_is_actionable() {
     let graph =
         RoadNetwork::generate(&GeneratorConfig::new(250, 5)).graph(EdgeWeightKind::Distance);
-    let config = battery_config();
-    let bytes = Engine::build(graph, &config).save_indexes_to_vec().unwrap();
+    let bytes = Engine::build(graph, &battery_config()).save_indexes_to_vec().unwrap();
 
-    // Saved with leaf capacity 32, loaded expecting 64: the fingerprint gate
-    // must name the index so the caller knows which config to fix.
-    let other = EngineConfig { gtree_leaf_capacity: Some(64), ..battery_config() };
-    match Engine::load_indexes_from_vec(bytes, &other) {
-        Err(PersistError::ConfigMismatch { index, .. }) => {
-            assert_eq!(index, "gtree", "mismatch must name the index")
-        }
-        Err(other) => panic!("expected ConfigMismatch, got {other}"),
-        Ok(_) => panic!("expected ConfigMismatch, load succeeded"),
-    }
-}
-
-#[test]
-fn ch_config_mismatch_is_actionable() {
-    let graph =
-        RoadNetwork::generate(&GeneratorConfig::new(250, 6)).graph(EdgeWeightKind::Distance);
-    let config = battery_config();
-    let bytes = Engine::build(graph, &config).save_indexes_to_vec().unwrap();
-
-    let other = EngineConfig {
-        ch_config: rnknn::ch::ChConfig { hop_limit: 99, ..Default::default() },
-        ..battery_config()
-    };
-    match Engine::load_indexes_from_vec(bytes, &other) {
-        Err(PersistError::ConfigMismatch { index, .. }) => {
-            assert_eq!(index, "ch", "mismatch must name the index")
-        }
-        Err(other) => panic!("expected ConfigMismatch, got {other}"),
-        Ok(_) => panic!("expected ConfigMismatch, load succeeded"),
+    // Saved with fanout 4 and leaf capacity 32: a load asking for another shape
+    // names the index, the field and both values, so the caller knows what to fix.
+    for (gtree_config, field, stored, expected) in [
+        (GtreeConfig { fanout: 2, leaf_capacity: 32, ..Default::default() }, "fanout", 4, 2),
+        (GtreeConfig { leaf_capacity: 64, ..Default::default() }, "leaf_capacity", 32, 64),
+    ] {
+        let other = EngineConfig { gtree_config, ..battery_config() };
+        let Err(error) = Engine::load_indexes_from_vec(bytes.clone(), &other) else {
+            panic!("expected ConfigMismatch on {field}, load succeeded");
+        };
+        let want = PersistError::ConfigMismatch { index: "gtree", field, stored, expected };
+        assert_eq!(error.to_string(), want.to_string());
+        let named = format!("gtree `{field}`: artifact {stored}, requested {expected}");
+        assert!(error.to_string().contains(&named), "{error}");
     }
 }
 
