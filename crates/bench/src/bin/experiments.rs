@@ -221,8 +221,7 @@ fn ier_variants(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
     let graph = ctx.testbed(DatasetPreset::NW, kind).graph().clone();
     let ch = rnknn::ch::ContractionHierarchy::build(&graph);
     let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch);
-    let tnr =
-        rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch, rnknn::tnr::TnrConfig::default());
+    let tnr = rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch);
     let gtree = Gtree::build(&graph);
 
     let series = vec!["Dijk".into(), "MGtree".into(), "PHL".into(), "TNR".into(), "CH".into()];

@@ -9,8 +9,8 @@
 //! Every query runs through one body, [`Engine::execute_with_scratch`]: a
 //! [`QueryRequest`] names the method, vertex and `k` plus the two optional inputs
 //! (a [`QueryBudget`] and an external object view), and the body validates, picks
-//! the object view and dispatches through the [`crate::methods`] registry of
-//! [`crate::KnnAlgorithm`] implementors. [`Engine::execute`] supplies the calling
+//! the object view and runs the method's arm of the one dispatch `match`
+//! ([`crate::methods`]). [`Engine::execute`] supplies the calling
 //! thread's pooled scratch; [`Engine::query`], [`Engine::query_into`] and
 //! [`Engine::query_snapshot`] are one-line forwards. The engine is [`Sync`]:
 //! [`Engine::knn_batch`] fans a query workload across scoped threads over one
@@ -29,8 +29,7 @@ use rnknn_silc::{SilcConfig, SilcIndex};
 
 use crate::error::EngineError;
 use crate::live::ObjectIndexes;
-use crate::methods;
-use crate::query::{IndexKind, KnnAlgorithm, QueryContext, QueryOutput};
+use crate::query::{IndexKind, QueryOutput};
 use crate::scratch::EngineScratch;
 
 thread_local! {
@@ -71,24 +70,57 @@ pub enum Method {
 }
 
 impl Method {
-    /// Display name matching the paper's figure legends (from the registry).
+    /// Every method, in the order the paper introduces them.
+    pub const ALL: [Method; 11] = [
+        Method::Ine,
+        Method::IerDijkstra,
+        Method::IerAStar,
+        Method::IerCh,
+        Method::IerPhl,
+        Method::IerTnr,
+        Method::IerGtree,
+        Method::DisBrw,
+        Method::DisBrwObjectHierarchy,
+        Method::Road,
+        Method::Gtree,
+    ];
+
+    /// Display name matching the paper's figure legends.
     pub fn name(self) -> &'static str {
-        methods::algorithm(self).name()
+        match self {
+            Method::Ine => "INE",
+            Method::IerDijkstra => "IER-Dijk",
+            Method::IerAStar => "IER-A*",
+            Method::IerCh => "IER-CH",
+            Method::IerPhl => "IER-PHL",
+            Method::IerTnr => "IER-TNR",
+            Method::IerGtree => "IER-Gt",
+            Method::DisBrw => "DisBrw",
+            Method::DisBrwObjectHierarchy => "DisBrw-OH",
+            Method::Road => "ROAD",
+            Method::Gtree => "Gtree",
+        }
     }
 
-    /// The road-network indexes this method needs (from the registry).
+    /// The road-network indexes this method needs (drives [`Engine::supports`] and
+    /// the `MissingIndex` error, which names the first one absent).
     pub fn required_indexes(self) -> &'static [IndexKind] {
-        methods::algorithm(self).required_indexes()
+        match self {
+            Method::Ine | Method::IerDijkstra | Method::IerAStar => &[],
+            Method::IerCh => &[IndexKind::Ch],
+            Method::IerPhl => &[IndexKind::Phl],
+            // TNR first: the error names the method's own index (a TNR is never
+            // built without the CH it is derived from).
+            Method::IerTnr => &[IndexKind::Tnr, IndexKind::Ch],
+            Method::IerGtree | Method::Gtree => &[IndexKind::Gtree],
+            Method::DisBrw | Method::DisBrwObjectHierarchy => &[IndexKind::Silc],
+            Method::Road => &[IndexKind::Road],
+        }
     }
 
-    /// Every registered method, in the order the paper introduces them.
+    /// [`Method::ALL`] as a vector.
     pub fn all() -> Vec<Method> {
-        methods::registry().iter().map(|a| a.method()).collect()
-    }
-
-    /// The methods compared in the paper's main experiments (Section 7.3).
-    pub fn main_lineup() -> [Method; 6] {
-        [Method::Ine, Method::Road, Method::Gtree, Method::IerGtree, Method::IerPhl, Method::DisBrw]
+        Method::ALL.to_vec()
     }
 }
 
@@ -199,6 +231,18 @@ impl EngineConfig {
             ..Default::default()
         }
     }
+
+    /// Whether a contraction hierarchy is needed: asked for, or implied by PHL or
+    /// TNR, which are derived from it. The build and the load path both read this.
+    pub(crate) fn wants_ch(&self) -> bool {
+        self.build_ch || self.build_phl || self.build_tnr
+    }
+
+    /// Whether a G-tree is needed: asked for, or implied by ROAD, which is derived
+    /// from it. The build and the load path both read this.
+    pub(crate) fn wants_gtree(&self) -> bool {
+        self.build_gtree || self.build_road
+    }
 }
 
 /// Construction times of the road-network indexes, in microseconds (Figure 8(b) /
@@ -292,8 +336,8 @@ impl Engine {
         preloaded_ch: Option<rnknn_ch::ContractionHierarchy>,
     ) -> Engine {
         let g = &graph;
-        let wants_ch = config.build_ch || config.build_phl || config.build_tnr;
-        let wants_gtree = config.build_gtree || config.build_road;
+        let wants_ch = config.wants_ch();
+        let wants_gtree = config.wants_gtree();
         let threads = config.gtree_config.resolved_threads();
         let overlap = wants_ch
             && preloaded_ch.is_none()
@@ -345,9 +389,7 @@ impl Engine {
                 phl
             });
             let tnr = ch.as_ref().filter(|_| config.build_tnr).map(|ch| {
-                let (tnr, micros) = timed(|| {
-                    rnknn_tnr::TransitNodeRouting::from_ch(g, ch, rnknn_tnr::TnrConfig::default())
-                });
+                let (tnr, micros) = timed(|| rnknn_tnr::TransitNodeRouting::from_ch(g, ch));
                 times.tnr_micros = micros;
                 tnr
             });
@@ -408,6 +450,11 @@ impl Engine {
         self.phl.as_ref()
     }
 
+    /// The transit node routing index, if built.
+    pub(crate) fn tnr(&self) -> Option<&rnknn_tnr::TransitNodeRouting> {
+        self.tnr.as_ref()
+    }
+
     /// The current object set, if any.
     pub fn objects(&self) -> Option<&ObjectSet> {
         self.live.as_ref().map(|l| l.objects())
@@ -418,10 +465,10 @@ impl Engine {
         self.live.as_ref()
     }
 
-    /// True when `method` can be answered with the indexes that were built
-    /// (derived from the registry's [`IndexKind`] requirements).
+    /// True when `method` can be answered with the indexes that were built (its
+    /// [`Method::required_indexes`]).
     pub fn supports(&self, method: Method) -> bool {
-        methods::algorithm(method).required_indexes().iter().all(|&kind| self.has_index(kind))
+        method.required_indexes().iter().all(|&kind| self.has_index(kind))
     }
 
     /// True when the road-network index `kind` was built.
@@ -445,18 +492,16 @@ impl Engine {
         method: Method,
         k: usize,
         objects: Option<&'a ObjectIndexes>,
-    ) -> Result<(&'static dyn KnnAlgorithm, &'a ObjectIndexes), EngineError> {
+    ) -> Result<&'a ObjectIndexes, EngineError> {
         if k == 0 {
             return Err(EngineError::InvalidK { k });
         }
-        let algorithm = methods::algorithm(method);
-        for &kind in algorithm.required_indexes() {
+        for &kind in method.required_indexes() {
             if !self.has_index(kind) {
                 return Err(EngineError::MissingIndex { method, index: kind });
             }
         }
-        let live = objects.or(self.live.as_ref()).ok_or(EngineError::NoObjects)?;
-        Ok((algorithm, live))
+        objects.or(self.live.as_ref()).ok_or(EngineError::NoObjects)
     }
 
     /// Injects an object set, rebuilding the per-method object indexes (the cheap,
@@ -614,8 +659,8 @@ impl Engine {
     }
 
     /// The one query body: validate, pick the object view, range-check the query
-    /// vertex, sync the scratch's object generation, build the context and run the
-    /// algorithm. [`Engine::execute`] calls it with the thread's pooled scratch; a
+    /// vertex, sync the scratch's object generation and run the method's arm of the
+    /// dispatch `match`. [`Engine::execute`] calls it with the thread's pooled scratch; a
     /// serving worker calls it directly with its thread-private one.
     ///
     /// On error, `out` is left cleared. When the request's budget exhausts, the
@@ -631,7 +676,7 @@ impl Engine {
         let &QueryRequest { method, query, k, budget, objects } = request;
         out.result.clear();
         out.stats = Default::default();
-        let (algorithm, live) = self.validate(method, k, objects)?;
+        let live = self.validate(method, k, objects)?;
         let num_vertices = self.graph.num_vertices();
         if query as usize >= num_vertices {
             return Err(EngineError::InvalidVertex { vertex: query, num_vertices });
@@ -642,23 +687,8 @@ impl Engine {
         if !cfg!(feature = "mutant-skip-generation-stamp") {
             scratch.sync_object_generation(live.generation());
         }
-        let ctx = QueryContext {
-            graph: &self.graph,
-            gtree: self.gtree.as_ref(),
-            road: self.road.as_ref(),
-            silc: self.silc.as_ref(),
-            ch: self.ch.as_ref(),
-            phl: self.phl.as_ref(),
-            tnr: self.tnr.as_ref(),
-            objects: live.objects(),
-            rtree: live.rtree(),
-            occurrence: live.occurrence(),
-            association: live.association(),
-            ch_targets: live.ch_targets(),
-            budget,
-        };
         let start = Instant::now();
-        algorithm.knn_into(&ctx, query, k, scratch, out)?;
+        self.dispatch(request, live, scratch, out)?;
         out.stats.elapsed_micros = start.elapsed().as_micros() as u64;
         if budget.is_exhausted() {
             // The search unwound cooperatively with a truncated result; a partial
@@ -953,8 +983,9 @@ mod tests {
     fn method_names_and_lineup() {
         assert_eq!(Method::IerPhl.name(), "IER-PHL");
         assert_eq!(Method::Gtree.name(), "Gtree");
-        assert_eq!(Method::main_lineup().len(), 6);
         assert_eq!(Method::all().len(), 11);
+        let distinct: std::collections::HashSet<Method> = Method::ALL.into_iter().collect();
+        assert_eq!(distinct.len(), 11, "Method::ALL lists a method twice");
         assert_eq!(Method::IerPhl.required_indexes(), &[crate::IndexKind::Phl]);
     }
 
@@ -996,8 +1027,8 @@ mod tests {
         assert!(engine.query(Method::Ine, 0, 3).is_ok());
     }
 
-    /// The drift guard for `Engine::supports` vs what `KnnAlgorithm::knn_into`
-    /// implementations actually dereference: for every registry entry and every
+    /// The drift guard for `Engine::supports` vs what the dispatch arms actually
+    /// dereference: for every method and every
     /// index kind, an engine built without that index must (a) report
     /// `supports == false` exactly when the method requires it, and (b) surface a
     /// structured `MissingIndex` naming the method and the first missing index —
@@ -1031,9 +1062,8 @@ mod tests {
             let net = RoadNetwork::generate(&GeneratorConfig::new(300, 5));
             let mut engine = Engine::build(net.graph(EdgeWeightKind::Distance), &config);
             engine.set_objects(uniform(engine.graph(), 0.05, 7));
-            for algorithm in methods::registry() {
-                let method = algorithm.method();
-                let missing: Vec<IndexKind> = algorithm
+            for method in Method::ALL {
+                let missing: Vec<IndexKind> = method
                     .required_indexes()
                     .iter()
                     .copied()
@@ -1058,6 +1088,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An object view built on an engine without G-tree, ROAD or CH lacks the object
+    /// indexes those methods read. Served by an engine that has the road-network
+    /// indexes, each such method answers `MissingIndex` naming its index, never a
+    /// panic; the methods that need no object index of their own still answer.
+    #[test]
+    fn object_view_from_a_bare_engine_is_missing_index_not_panic() {
+        let graph =
+            RoadNetwork::generate(&GeneratorConfig::new(400, 9)).graph(EdgeWeightKind::Distance);
+        let none =
+            EngineConfig { build_gtree: false, build_road: false, ..EngineConfig::minimal() };
+        let bare = Engine::build(graph.clone(), &none);
+        let view = bare.build_object_indexes(uniform(bare.graph(), 0.05, 3));
+        assert!(view.occurrence().is_none() && view.association().is_none());
+        assert!(view.ch_targets().is_none());
+
+        let config = EngineConfig { build_silc: false, build_phl: false, ..Default::default() };
+        let engine = Engine::build(graph, &config);
+        for (method, index) in [
+            (Method::Gtree, IndexKind::Gtree),
+            (Method::Road, IndexKind::Road),
+            (Method::IerCh, IndexKind::Ch),
+        ] {
+            assert!(engine.supports(method), "{}", method.name());
+            assert_eq!(
+                engine.query_snapshot(method, 5, 3, &view).unwrap_err(),
+                EngineError::MissingIndex { method, index }
+            );
+        }
+        let reference = engine.query_snapshot(Method::Ine, 5, 3, &view).unwrap().distances();
+        let ier_gtree = engine.query_snapshot(Method::IerGtree, 5, 3, &view).unwrap();
+        assert_eq!(ier_gtree.distances(), reference);
     }
 
     /// Incremental object updates through `update_objects` must answer exactly like

@@ -21,11 +21,11 @@ pub enum EngineError {
     /// Both fields are the typed values (not display strings), so callers can match
     /// on them, rebuild the engine with the right [`crate::EngineConfig`] flag, or
     /// map them to their own error vocabulary. [`Engine::supports`] and this error
-    /// derive from the same registry declaration ([`required_indexes`]), so the two
-    /// can never drift apart.
+    /// derive from the same declaration ([`required_indexes`]), so the two can
+    /// never drift apart.
     ///
     /// [`Engine::supports`]: crate::Engine::supports
-    /// [`required_indexes`]: crate::KnnAlgorithm::required_indexes
+    /// [`required_indexes`]: crate::Method::required_indexes
     MissingIndex {
         /// The requested method.
         method: Method,

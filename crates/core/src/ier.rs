@@ -489,7 +489,7 @@ mod tests {
     use rnknn_objects::{uniform, ObjectRTree, ObjectSet};
     use rnknn_pathfinding::dijkstra;
     use rnknn_phl::HubLabels;
-    use rnknn_tnr::{TnrConfig, TnrSourceState, TransitNodeRouting};
+    use rnknn_tnr::{TnrSourceState, TransitNodeRouting};
 
     fn brute_knn(g: &Graph, q: NodeId, k: usize, objects: &ObjectSet) -> Vec<Weight> {
         let all = dijkstra::single_source(g, q);
@@ -545,7 +545,7 @@ mod tests {
         assert_eq!(targets.len(), objects.len(), "every object has a label");
         let labels = HubLabels::from_ch(&g, &ch).expect("within budget");
         check_oracle(&g, PhlOracle::new(&labels), &objects, &rtree);
-        let tnr = TransitNodeRouting::from_ch(&g, &ch, TnrConfig::default());
+        let tnr = TransitNodeRouting::from_ch(&g, &ch);
         let mut state = TnrSourceState::new();
         check_oracle(&g, TnrOracle::new(&ch, &tnr, &mut state), &objects, &rtree);
         let gtree = Gtree::build_with_config(&g, small_leaves());
@@ -564,7 +564,7 @@ mod tests {
             let probed: Vec<NodeId> = (0..n).step_by(37).collect();
             let targets = ChTargetDirectory::build(&ch, &probed);
             let labels = HubLabels::from_ch(&g, &ch).expect("within budget");
-            let tnr = TransitNodeRouting::from_ch(&g, &ch, TnrConfig::default());
+            let tnr = TransitNodeRouting::from_ch(&g, &ch);
             let gtree = Gtree::build_with_config(&g, small_leaves());
             let mut search = ChForwardSearch::new();
             let check = |oracle: &mut dyn DistanceOracle| {

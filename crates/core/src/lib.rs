@@ -15,8 +15,8 @@
 //!
 //! [`engine::Engine`] bundles everything behind a single facade: build the indexes
 //! once, swap object sets freely (decoupled indexing), and answer kNN queries with any
-//! method through the fallible [`Engine::query`] API. Every method is a
-//! [`KnnAlgorithm`] registered in [`methods`]; a query returns a [`QueryOutput`]
+//! method through the fallible [`Engine::query`] API. A query dispatches by one
+//! `match` on its [`Method`] ([`methods`]) and returns a [`QueryOutput`]
 //! carrying the result list plus unified per-query [`QueryStats`] (the counters behind
 //! the paper's figures). The engine is [`Sync`], and [`Engine::knn_batch`] fans a
 //! query workload across threads.
@@ -77,7 +77,7 @@ pub mod verify;
 pub use engine::{BuildTimes, Engine, EngineConfig, Method, QueryRequest};
 pub use error::EngineError;
 pub use live::ObjectIndexes;
-pub use query::{IndexKind, KnnAlgorithm, QueryContext, QueryOutput, QueryStats};
+pub use query::{IndexKind, QueryOutput, QueryStats};
 pub use rnknn_pathfinding::{QueryBudget, UNLIMITED};
 pub use rnknn_persist::PersistError;
 pub use scratch::EngineScratch;

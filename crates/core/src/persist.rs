@@ -126,9 +126,7 @@ impl Engine {
         let graph = rnknn_graph::persist::load_graph(artifact)?;
         let num_vertices = graph.num_vertices();
 
-        // PHL and TNR imply a CH (assemble derives them from one), matching
-        // Engine::build.
-        let ch = if config.build_ch || config.build_phl || config.build_tnr {
+        let ch = if config.wants_ch() {
             if !rnknn_ch::persist::has_ch(artifact) {
                 return Err(PersistError::MissingSection {
                     section: "CH index (artifact was saved without build_ch)".to_string(),
@@ -138,8 +136,7 @@ impl Engine {
         } else {
             None
         };
-        // ROAD implies a G-tree (assemble derives it from one), matching Engine::build.
-        let gtree = if config.build_gtree || config.build_road {
+        let gtree = if config.wants_gtree() {
             if !rnknn_gtree::persist::has_gtree(artifact) {
                 return Err(PersistError::MissingSection {
                     section: "G-tree index (artifact was saved without build_gtree)".to_string(),

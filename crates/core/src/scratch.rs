@@ -4,9 +4,9 @@
 //! candidate buffers, oracle search state. Allocating it per query dominates the
 //! cost of short queries on large graphs, so [`EngineScratch`] keeps one instance of
 //! everything alive per thread: `Engine::execute` (on `&self`) borrows the calling
-//! thread's scratch from a `thread_local` pool and hands it to the dispatched
-//! [`crate::KnnAlgorithm`], which **borrows** whichever fields it needs for the
-//! duration of the query — an IER oracle is constructed over `&mut` references to
+//! thread's scratch from a `thread_local` pool and hands it to the method's arm of
+//! the dispatch `match` ([`crate::methods`]), which **borrows** whichever fields it
+//! needs for the duration of the query — an IER oracle is constructed over `&mut` references to
 //! its pooled state (`DijkstraOracle::new(graph, &mut scratch.expansion)`, disjoint
 //! from the `&mut scratch.browser` IER itself holds), so nothing is moved out of the
 //! pool and there is nothing to hand back. Stale state is invalidated by the stamps

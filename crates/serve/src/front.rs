@@ -146,9 +146,6 @@ pub struct ServeConfig {
     /// Deadline adopted at admission by requests that carry none. `None` (the
     /// default) leaves such requests unbudgeted.
     pub default_deadline: Option<Duration>,
-    /// Cadence (in charged search steps) of the wall-clock check inside a
-    /// budgeted query — [`rnknn::QueryBudget`]'s `check_every`.
-    pub check_every: u64,
     /// How far past its earliest TTL deadline the store may lag before a worker
     /// forces a publish at a batch boundary (the updater publishes expirations
     /// on its own cadence when updates are flowing; this bounds staleness when
@@ -166,17 +163,10 @@ impl Default for ServeConfig {
             max_batch: 32,
             publish_every: NonZeroU64::new(64).unwrap(),
             default_deadline: None,
-            check_every: rnknn_pathfinding_check_every(),
             ttl_slack: Duration::from_millis(100),
             fault_plan: None,
         }
     }
-}
-
-/// The default budget check cadence, re-exported here so `ServeConfig`'s
-/// default stays in lockstep with the pathfinding crate's.
-fn rnknn_pathfinding_check_every() -> u64 {
-    rnknn::pathfinding::budget::DEFAULT_CHECK_EVERY
 }
 
 /// Why a request could not be accepted.
@@ -276,7 +266,6 @@ struct WorkerSeed {
     alive: Sender<std::convert::Infallible>,
     counters: Arc<FrontCounters>,
     max_batch: usize,
-    check_every: u64,
     ttl_slack: Duration,
     fault_plan: Option<FaultPlan>,
 }
@@ -291,7 +280,6 @@ impl WorkerSeed {
             alive: self.alive.clone(),
             counters: Arc::clone(&self.counters),
             max_batch: self.max_batch,
-            check_every: self.check_every,
             ttl_slack: self.ttl_slack,
             fault_plan: self.fault_plan,
         }
@@ -345,7 +333,6 @@ impl ServeFront {
                 alive: alive_tx.clone(),
                 counters: Arc::clone(&counters),
                 max_batch: config.max_batch.max(1),
-                check_every: config.check_every,
                 ttl_slack: config.ttl_slack,
                 fault_plan: config.fault_plan,
             };
@@ -731,7 +718,7 @@ fn run_one(
         }
     }
     let budget = match request.deadline {
-        Some(deadline) => QueryBudget::new(Some(deadline), u64::MAX, seed.check_every),
+        Some(deadline) => QueryBudget::with_deadline(deadline),
         None => QueryBudget::unlimited(),
     };
     let query = QueryRequest::new(request.method, request.query, request.k)

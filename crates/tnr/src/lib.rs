@@ -27,24 +27,25 @@
 use rnknn_ch::{ChSearchCounters, ChSearchSpace, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId, Weight, INFINITY};
 
-/// Configuration for Transit Node Routing.
-#[derive(Debug, Clone)]
-pub struct TnrConfig {
+/// The shape of one derivation. Every engine build uses [`Shape::DEFAULT`]; a test
+/// widens the transit set and coarsens the grid to reach more local pairs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
     /// Number of transit nodes, expressed as a fraction of `|V|` (clamped to at least
     /// 16 vertices). The paper uses a 128×128 grid for selection; with CH-based
     /// selection the table size is controlled directly by this fraction.
-    pub transit_fraction: f64,
+    pub(crate) transit_fraction: f64,
     /// Side length of the locality-filter grid (`grid_cells × grid_cells`).
-    pub grid_cells: usize,
+    pub(crate) grid_cells: usize,
     /// Pairs whose cells are within this Chebyshev distance are considered "local"
     /// and also run the full CH query.
-    pub locality_radius: i32,
+    pub(crate) locality_radius: i32,
 }
 
-impl Default for TnrConfig {
-    fn default() -> Self {
-        TnrConfig { transit_fraction: 0.01, grid_cells: 64, locality_radius: 3 }
-    }
+impl Shape {
+    /// The shape of every engine build.
+    pub(crate) const DEFAULT: Shape =
+        Shape { transit_fraction: 0.01, grid_cells: 64, locality_radius: 3 };
 }
 
 /// The Transit Node Routing index over a contraction hierarchy it does not own.
@@ -66,11 +67,19 @@ pub struct TransitNodeRouting {
 impl TransitNodeRouting {
     /// Derives the index from `ch`, the contraction hierarchy of `graph`. Queries
     /// must pass the same hierarchy.
-    pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy, config: TnrConfig) -> Self {
+    pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy) -> Self {
+        Self::from_ch_with_shape(graph, ch, Shape::DEFAULT)
+    }
+
+    /// [`TransitNodeRouting::from_ch`] under an explicit shape.
+    pub(crate) fn from_ch_with_shape(
+        graph: &Graph,
+        ch: &ContractionHierarchy,
+        shape: Shape,
+    ) -> Self {
         let n = graph.num_vertices();
         assert_eq!(ch.num_vertices(), n, "the hierarchy must cover every vertex of the graph");
-        let num_transit =
-            ((n as f64 * config.transit_fraction).ceil() as usize).clamp(16.min(n), n);
+        let num_transit = ((n as f64 * shape.transit_fraction).ceil() as usize).clamp(16.min(n), n);
         let first_transit_rank = (n - num_transit) as u32;
         let is_transit = transit_test(ch, first_transit_rank);
         let index = |v: NodeId| ch.rank(v) - first_transit_rank;
@@ -131,7 +140,7 @@ impl TransitNodeRouting {
 
         // Locality grid.
         let rect = graph.bounding_rect();
-        let cells = config.grid_cells.max(1) as f64;
+        let cells = shape.grid_cells.max(1) as f64;
         let width = rect.width().max(1e-9);
         let height = rect.height().max(1e-9);
         let cell: Vec<(i32, i32)> = graph
@@ -150,7 +159,7 @@ impl TransitNodeRouting {
             access_nodes,
             table,
             cell,
-            locality_radius: config.locality_radius,
+            locality_radius: shape.locality_radius,
         }
     }
 
@@ -304,9 +313,9 @@ mod tests {
     use rnknn_graph::EdgeWeightKind;
     use rnknn_pathfinding::dijkstra;
 
-    fn derive(graph: &Graph, config: TnrConfig) -> (ContractionHierarchy, TransitNodeRouting) {
+    fn derive(graph: &Graph, shape: Shape) -> (ContractionHierarchy, TransitNodeRouting) {
         let ch = ContractionHierarchy::build(graph);
-        let tnr = TransitNodeRouting::from_ch(graph, &ch, config);
+        let tnr = TransitNodeRouting::from_ch_with_shape(graph, &ch, shape);
         (ch, tnr)
     }
 
@@ -317,7 +326,7 @@ mod tests {
         let net = RoadNetwork::generate(&GeneratorConfig::new(800, 27));
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let g = net.graph(kind);
-            let (ch, tnr) = derive(&g, TnrConfig::default());
+            let (ch, tnr) = derive(&g, Shape::DEFAULT);
             let n = g.num_vertices() as NodeId;
             let mut state = TnrSourceState::new();
             for s in [3u32, n / 2, n - 5] {
@@ -338,8 +347,8 @@ mod tests {
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let net = RoadNetwork::generate(&GeneratorConfig::new(900, 14));
             let g = net.graph(kind);
-            let config = TnrConfig { transit_fraction: 0.02, grid_cells: 16, locality_radius: 2 };
-            let (ch, tnr) = derive(&g, config);
+            let shape = Shape { transit_fraction: 0.02, grid_cells: 16, locality_radius: 2 };
+            let (ch, tnr) = derive(&g, shape);
             let n = g.num_vertices() as NodeId;
             let (mut local, mut remote) = (0, 0);
             for i in 0..60u32 {
@@ -359,7 +368,7 @@ mod tests {
         // two access nodes is an upper bound on the true distance.
         let net = RoadNetwork::generate(&GeneratorConfig::new(600, 3));
         let g = net.graph(EdgeWeightKind::Distance);
-        let (ch, tnr) = derive(&g, TnrConfig::default());
+        let (ch, tnr) = derive(&g, Shape::DEFAULT);
         let t_count = tnr.num_transit_nodes();
         let transit: Vec<NodeId> =
             g.vertices().filter(|&v| ch.rank(v) >= tnr.first_transit_rank).collect();
@@ -394,7 +403,7 @@ mod tests {
     fn index_statistics_are_sensible() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(500, 8));
         let g = net.graph(EdgeWeightKind::Distance);
-        let (_, tnr) = derive(&g, TnrConfig::default());
+        let (_, tnr) = derive(&g, Shape::DEFAULT);
         assert!(tnr.num_transit_nodes() >= 16);
         assert!(tnr.num_transit_nodes() < g.num_vertices());
         assert!(tnr.average_access_nodes() >= 1.0);
@@ -405,7 +414,7 @@ mod tests {
     fn identical_endpoints_are_zero() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(200, 5));
         let g = net.graph(EdgeWeightKind::Distance);
-        let (ch, tnr) = derive(&g, TnrConfig::default());
+        let (ch, tnr) = derive(&g, Shape::DEFAULT);
         assert_eq!(tnr.distance(&ch, 7, 7), 0);
     }
 }

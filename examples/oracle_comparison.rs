@@ -57,8 +57,7 @@ fn main() {
     println!("  CH: {} shortcuts in {:.2}s", ch.num_shortcuts(), ch_start.elapsed().as_secs_f64());
     // PHL and TNR are derived from that one hierarchy; TNR's queries read it too.
     let phl = rnknn::phl::HubLabels::from_ch(&graph, &ch).expect("label budget");
-    let tnr =
-        rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch, rnknn::tnr::TnrConfig::default());
+    let tnr = rnknn::tnr::TransitNodeRouting::from_ch(&graph, &ch);
     let gtree = rnknn::gtree::Gtree::build(&graph);
 
     let n = graph.num_vertices() as NodeId;

@@ -203,7 +203,7 @@ fn seeded_config_matrix_agrees_across_all_supported_methods() {
         }
     }
     // The satellite contract: at least 20 seeded configurations in debug CI, every
-    // one exercising every supported registry method.
+    // one exercising every supported method.
     assert!(configurations >= 20, "only {configurations} configurations ran");
     assert!(
         checks >= configurations * Method::all().len() / 2,

@@ -53,7 +53,7 @@ fn minimal_config_reports_missing_index_not_panic() {
         engine.knn_batch(Method::IerPhl, &[], 3).unwrap_err(),
         EngineError::MissingIndex { method: Method::IerPhl, index: IndexKind::Phl }
     );
-    // The registry keeps supports() and query() in agreement.
+    // Method::required_indexes keeps supports() and query() in agreement.
     for method in Method::all() {
         assert_eq!(
             engine.supports(method),

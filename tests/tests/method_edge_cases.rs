@@ -1,4 +1,4 @@
-//! Degenerate-query coverage for every registry method.
+//! Degenerate-query coverage for every method.
 //!
 //! These are the inputs a server in front of the engine will eventually receive:
 //! `k = 0`, `k` beyond the object count, an empty object set, a query standing on an

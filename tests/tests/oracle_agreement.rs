@@ -8,7 +8,7 @@ use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch};
 use rnknn_pathfinding::{astar_distance, dijkstra};
 use rnknn_phl::HubLabels;
 use rnknn_silc::SilcIndex;
-use rnknn_tnr::{TnrConfig, TransitNodeRouting};
+use rnknn_tnr::TransitNodeRouting;
 
 #[test]
 fn every_oracle_agrees_with_dijkstra_on_both_weight_kinds() {
@@ -19,8 +19,7 @@ fn every_oracle_agrees_with_dijkstra_on_both_weight_kinds() {
 
         let ch = ContractionHierarchy::build(&graph);
         let phl = HubLabels::from_ch(&graph, &ch).expect("within budget");
-        let tnr_config = TnrConfig { transit_fraction: 0.02, grid_cells: 16, locality_radius: 2 };
-        let tnr = TransitNodeRouting::from_ch(&graph, &ch, tnr_config);
+        let tnr = TransitNodeRouting::from_ch(&graph, &ch);
         let gtree = Gtree::build_with_config(
             &graph,
             GtreeConfig { leaf_capacity: 96, ..Default::default() },
