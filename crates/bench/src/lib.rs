@@ -976,12 +976,15 @@ pub mod serving {
 /// Cold-start trajectory (`BENCH_cold_start.json`): how fast a saved engine
 /// becomes query-ready from disk, versus the minutes the CH + G-tree builds
 /// take. For each tier the harness builds the query-engine configuration once,
-/// saves the artifact, then times repeated loads from a warm page cache plus
-/// the full "ready" path — load, inject objects, answer one verified kNN query.
+/// saves the artifact, then times repeated loads from a warm page cache — the
+/// whole load, and its `Artifact::open` (map and checksums) alone as
+/// `verify_ms` — plus the "ready" path: load and answer one verified kNN
+/// query (the object indexes are built between the two, off the clock).
 pub mod cold_start {
     use std::time::Instant;
 
     use rnknn::engine::{Engine, Method};
+    use rnknn::persist_format::Artifact;
     use rnknn::verify::matches_ground_truth;
     use rnknn_graph::NodeId;
     use rnknn_objects::uniform;
@@ -990,9 +993,9 @@ pub mod cold_start {
     use crate::defaults::K;
     use crate::track::{self, Record};
 
-    /// Measures every requested size: build once, save, then 5 timed loads
-    /// (median reported) and one timed load-to-first-answer run whose result
-    /// is Dijkstra-verified *after* the clock stops.
+    /// Measures every requested size: build once, save, then 5 timed opens and
+    /// 5 timed loads (medians reported) and one timed load-to-first-answer run
+    /// whose result is Dijkstra-verified *after* the clock stops.
     pub fn measure(sizes: &[usize]) -> Vec<Record> {
         let config = engine_config(true, true);
         let dir = std::env::temp_dir().join("rnknn-cold-start");
@@ -1011,35 +1014,48 @@ pub mod cold_start {
             let save_seconds = save_start.elapsed().as_secs_f64();
             drop(engine);
 
-            // One unmeasured load warms the page cache; then the median of
-            // five full load-and-validate passes.
+            // One unmeasured load warms the page cache; then the medians of
+            // five alternated passes of each: `Artifact::open` alone (map and
+            // every section checksum), and the full load-and-validate.
             drop(Engine::load_indexes(&path, &config).expect("warm-up load"));
-            let mut load_ms = Vec::new();
+            let (mut verify_ms, mut load_ms) = (Vec::new(), Vec::new());
             for _ in 0..5 {
+                let start = Instant::now();
+                let artifact = Artifact::open(&path).expect("timed open");
+                verify_ms.push(start.elapsed().as_secs_f64() * 1e3);
+                drop(artifact);
                 let start = Instant::now();
                 let loaded = Engine::load_indexes(&path, &config).expect("timed load");
                 load_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 drop(loaded);
             }
-            load_ms.sort_by(|a, b| a.total_cmp(b));
-            let load_warm_ms = load_ms[load_ms.len() / 2];
+            let median = |mut ms: Vec<f64>| {
+                ms.sort_by(|a, b| a.total_cmp(b));
+                ms[ms.len() / 2]
+            };
+            let (verify_ms, load_warm_ms) = (median(verify_ms), median(load_ms));
 
-            // Ready = load + objects + first answer; verification happens
-            // after the clock stops so it never inflates the number.
+            // Ready = load + first answer. The object indexes are per-workload
+            // state, not a restart's fixed cost (filling the IER-CH labels alone
+            // takes ≈ 0.5 s at 116k), so they are built off the clock, as the
+            // repo benchmark's cold start does; verification happens after the
+            // clock stops so it never inflates the number.
             let q = (vertices / 2) as NodeId;
-            let ready_start = Instant::now();
-            let mut loaded = Engine::load_indexes(&path, &config).expect("ready load");
+            let load_start = Instant::now();
+            let loaded = Engine::load_indexes(&path, &config).expect("ready load");
+            let load = load_start.elapsed();
             let objects = uniform(loaded.graph(), 0.01, 1);
-            loaded.set_objects(objects.clone());
-            let answer = loaded.query(Method::Gtree, q, K).expect("first query");
-            let ready_ms = ready_start.elapsed().as_secs_f64() * 1e3;
+            let live = loaded.build_object_indexes(objects.clone());
+            let query_start = Instant::now();
+            let answer = loaded.query_snapshot(Method::Gtree, q, K, &live).expect("first query");
+            let ready_ms = (load + query_start.elapsed()).as_secs_f64() * 1e3;
             assert!(
                 matches_ground_truth(loaded.graph(), q, K, &objects, &answer.result),
                 "loaded engine answered wrong at q={q} size={size}"
             );
 
             println!(
-                "cold start n={size:>7} vertices={vertices:>7} artifact={:.1}MiB build={build_seconds:.1}s save={:.0}ms load(warm p50)={load_warm_ms:.0}ms ready={ready_ms:.0}ms",
+                "cold start n={size:>7} vertices={vertices:>7} artifact={:.1}MiB build={build_seconds:.1}s save={:.0}ms verify(p50)={verify_ms:.2}ms load(warm p50)={load_warm_ms:.2}ms ready={ready_ms:.2}ms",
                 artifact_bytes as f64 / (1024.0 * 1024.0),
                 save_seconds * 1e3,
             );
@@ -1051,6 +1067,7 @@ pub mod cold_start {
                     ("artifact_bytes", artifact_bytes as f64, "bytes"),
                     ("build_seconds", build_seconds, "s"),
                     ("save_seconds", save_seconds, "s"),
+                    ("verify_ms", verify_ms, "ms"),
                     ("load_warm_ms", load_warm_ms, "ms"),
                     ("ready_ms", ready_ms, "ms"),
                 ],

@@ -6,15 +6,31 @@
 //! [`rnknn_persist::PVec`] views into the mapped file and the query path
 //! runs on them unchanged.
 //!
-//! Structural validation on load covers everything the query code uses as an
-//! index: the rank permutation (every value in range — queries only compare
-//! ranks, so a permutation check stronger than range is unnecessary, but range
-//! is required for `vertices_by_importance`), CSR offset monotonicity/bounds,
-//! and target ids. `up_weights` values are used only arithmetically and are
-//! covered by the section checksum.
+//! A loaded hierarchy is read by more than its own queries: the engine derives
+//! TNR and PHL from it at load. So structural validation on load refuses, as
+//! `Corrupt { CH.* }`, everything that could make a query or a derivation index
+//! out of bounds or wrap — in one pass over the ranks and one over the upward
+//! edges (≈ 0.2 ms of a ≈ 3 ms engine load at 23k, ≈ 1.5 ms of ≈ 20 ms at
+//! 116k):
+//! - `CH.RANK` must be a permutation of `0..n`. `vertices_by_importance` (PHL's
+//!   hub order) must list every vertex once, and TNR takes the top ranks as its
+//!   transit set and `rank − first_transit_rank` as a table index.
+//! - `CH.UOFF` must be monotonic CSR offsets from 0 to the edge count.
+//! - Every `CH.UTGT` target must be a vertex that **outranks its source**. TNR's
+//!   upward search from a transit node must settle only transit nodes, whose
+//!   table indexes it writes; a forged edge that falls in rank made that index
+//!   out of bounds.
+//! - Every `CH.UWGT` weight must be below `INFINITY`, so that `label + w` on a
+//!   settled label cannot wrap.
+//!
+//! What no structural check can catch is a forged upward edge that still rises
+//! in rank (a forged target, or a forged row boundary that hands an edge to a
+//! neighbouring source) or a forged weight below `INFINITY`: each is a
+//! different but valid hierarchy, whose distances are wrong. That class rests
+//! on the section checksums (docs/PERSISTENCE.md counts it).
 
 use crate::build::ContractionHierarchy;
-use rnknn_graph::NodeId;
+use rnknn_graph::INFINITY;
 use rnknn_persist::{Artifact, ArtifactWriter, MetaWriter, PVec, PersistError, Tag};
 use std::io::{Seek, Write};
 
@@ -98,11 +114,23 @@ pub fn load_ch(
             format!("expected {num_vertices} ranks, found {}", rank.len()),
         ));
     }
-    if let Some(&bad) = rank.iter().find(|&&r| r as usize >= num_vertices) {
-        return Err(PersistError::corrupt(
-            "CH.RANK",
-            format!("rank {bad} out of range for {num_vertices} vertices"),
-        ));
+    let mut seen = vec![false; num_vertices];
+    for (v, &r) in rank.iter().enumerate() {
+        match seen.get_mut(r as usize) {
+            Some(slot) if !*slot => *slot = true,
+            Some(_) => {
+                return Err(PersistError::corrupt(
+                    "CH.RANK",
+                    format!("rank {r} repeats at vertex {v}: the ranks are not a permutation"),
+                ))
+            }
+            None => {
+                return Err(PersistError::corrupt(
+                    "CH.RANK",
+                    format!("rank {r} of vertex {v} out of range for {num_vertices} vertices"),
+                ))
+            }
+        }
     }
     if up_offsets.len() != num_vertices + 1 {
         return Err(PersistError::corrupt(
@@ -135,11 +163,38 @@ pub fn load_ch(
             ),
         ));
     }
-    if let Some(&bad) = up_targets.iter().find(|&&t| t as usize >= num_vertices) {
-        return Err(PersistError::corrupt(
-            "CH.UTGT",
-            format!("upward target {bad} out of range for {num_vertices} vertices"),
-        ));
+    // One pass over the upward edges: each must rise in rank and weigh less than
+    // INFINITY. Rows are a few edges long, and a loop per row mispredicts its
+    // exit, so the pass runs over the edges alone: `row_ends[e]` counts the rows
+    // that end at edge `e`, and its running sum is the source of edge `e`.
+    let mut row_ends = vec![0u32; num_up_edges + 1];
+    for &end in &up_offsets[1..] {
+        row_ends[end as usize] += 1;
+    }
+    let mut v = 0;
+    for ((&t, &w), &ends) in up_targets.iter().zip(up_weights.iter()).zip(&row_ends) {
+        v += ends as usize;
+        match rank.get(t as usize) {
+            Some(&r) if r > rank[v] => {}
+            Some(_) => {
+                return Err(PersistError::corrupt(
+                    "CH.UTGT",
+                    format!("upward edge {v} -> {t} does not rise in rank"),
+                ))
+            }
+            None => {
+                return Err(PersistError::corrupt(
+                    "CH.UTGT",
+                    format!("upward target {t} out of range for {num_vertices} vertices"),
+                ))
+            }
+        }
+        if w >= INFINITY {
+            return Err(PersistError::corrupt(
+                "CH.UWGT",
+                format!("upward edge {v} -> {t} weighs {w}, not below INFINITY"),
+            ));
+        }
     }
 
     Ok(ContractionHierarchy {
@@ -150,10 +205,6 @@ pub fn load_ch(
         num_shortcuts,
     })
 }
-
-// NodeId is the element type of `up_targets`; keep the import honest even
-// though it is the same type as u32 today.
-const _: fn(NodeId) -> u32 = |v| v;
 
 #[cfg(test)]
 mod tests {
@@ -190,6 +241,37 @@ mod tests {
         for (s, t) in [(0u32, 1u32), (5, 250), (17, 123)] {
             assert_eq!(loaded.distance(s, t), ch.distance(s, t));
         }
+    }
+
+    /// Saves `ch` with one array rewritten by `forge` and returns the section the
+    /// load names in its `Corrupt` error.
+    fn refused_section(
+        ch: &ContractionHierarchy,
+        forge: impl Fn(&mut ContractionHierarchy),
+    ) -> String {
+        let mut forged = ch.clone();
+        forge(&mut forged);
+        let art = Artifact::from_vec(save_to_vec(&forged)).unwrap();
+        match load_ch(&art, ch.num_vertices()) {
+            Err(PersistError::Corrupt { section, .. }) => section,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn structural_lies_are_refused_by_section() {
+        let (_, ch) = sample_ch(300, 11);
+        let n = ch.num_vertices() as u32;
+        // A repeated rank, and a rank out of range.
+        assert_eq!(refused_section(&ch, |c| c.rank.to_mut()[0] = c.rank[1]), "CH.RANK");
+        assert_eq!(refused_section(&ch, |c| c.rank.to_mut()[5] = n), "CH.RANK");
+        // An upward edge that falls in rank: point it back at its own source.
+        let v = (0..n).find(|&v| ch.upward_edges(v).next().is_some()).unwrap();
+        let first = ch.up_offsets[v as usize] as usize;
+        assert_eq!(refused_section(&ch, |c| c.up_targets.to_mut()[first] = v), "CH.UTGT");
+        assert_eq!(refused_section(&ch, |c| c.up_targets.to_mut()[first] = n), "CH.UTGT");
+        // A weight that could wrap a label sum.
+        assert_eq!(refused_section(&ch, |c| c.up_weights.to_mut()[first] = INFINITY), "CH.UWGT");
     }
 
     #[test]

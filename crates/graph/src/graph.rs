@@ -2,6 +2,7 @@
 
 use crate::point::{Point, Rect};
 use crate::{NodeId, Weight};
+use rnknn_persist::PVec;
 
 /// Which physical quantity the edge weights of a [`Graph`] represent.
 ///
@@ -23,12 +24,13 @@ pub enum EdgeWeightKind {
 /// The adjacency lists of all vertices are concatenated into single `targets` /
 /// `weights` arrays, with `offsets[v]..offsets[v+1]` delimiting vertex `v`'s list.
 /// This is the cache-friendly layout the paper's Section 6.2 ("Graph Representation")
-/// recommends over per-vertex allocations.
+/// recommends over per-vertex allocations. The three CSR arrays are owned when
+/// the graph is built and zero-copy views into the artifact when it is loaded.
 #[derive(Debug)]
 pub struct Graph {
-    offsets: Vec<u32>,
-    targets: Vec<NodeId>,
-    weights: Vec<Weight>,
+    pub(crate) offsets: PVec<u32>,
+    pub(crate) targets: PVec<NodeId>,
+    pub(crate) weights: PVec<Weight>,
     coords: Vec<Point>,
     kind: EdgeWeightKind,
     /// Lazily computed [`EuclideanBound`] (an `O(edges)` scan — recomputing it per
@@ -51,14 +53,16 @@ impl Clone for Graph {
 }
 
 impl Graph {
-    /// Assembles a graph directly from CSR arrays. `offsets` must have length
-    /// `coords.len() + 1` and reference every entry of `targets` / `weights` exactly once.
+    /// Assembles a graph directly from CSR arrays (owned `Vec`s or loaded views).
+    /// `offsets` must have length `coords.len() + 1` and reference every entry of
+    /// `targets` / `weights` exactly once.
     pub fn from_csr(
-        offsets: Vec<u32>,
-        targets: Vec<NodeId>,
-        weights: Vec<Weight>,
+        offsets: impl Into<PVec<u32>>,
+        targets: impl Into<PVec<NodeId>>,
+        weights: impl Into<PVec<Weight>>,
         coords: Vec<Point>,
     ) -> Self {
+        let (offsets, targets, weights) = (offsets.into(), targets.into(), weights.into());
         debug_assert_eq!(offsets.len(), coords.len() + 1);
         debug_assert_eq!(targets.len(), weights.len());
         debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, targets.len());
@@ -216,11 +220,6 @@ impl Graph {
                 EuclideanBound { scale }
             }
         }
-    }
-
-    /// CSR internals, for the persistence layer.
-    pub(crate) fn csr_parts(&self) -> (&[u32], &[NodeId], &[Weight]) {
-        (&self.offsets, &self.targets, &self.weights)
     }
 
     /// Checks whether the graph is connected (all vertices reachable from vertex 0).

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// First 8 bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"RNKNIDX\0";
 /// The single format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 48;
 /// Section-table entry size in bytes.

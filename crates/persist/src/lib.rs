@@ -24,7 +24,8 @@
 //!   typed window into an `Arc<Bytes>` (loaded index). Index structs store
 //!   `PVec`s and deref to slices, so the query hot paths are identical for
 //!   built and mapped indexes.
-//! * [`hash::Checksummer`] — the 8-lane section checksum.
+//! * [`hash::Checksummer`] — the 64-lane section checksum, compiled per CPU
+//!   tier.
 //!
 //! This crate is one of the two permitted `unsafe` sites in the workspace
 //! (`cargo xtask lint`); every site carries a `// SAFETY:` contract. See

@@ -10,16 +10,15 @@
 //!   for every bit pattern, so *no* byte corruption can make the cast itself
 //!   unsound — corrupt values are wrong numbers, caught by checksums and
 //!   structural validation, never UB.
-//! * [`SharedSlice<T>`] — `Arc<Bytes>` + offset + length, checked for bounds
-//!   and alignment at construction. Deref's to `&[T]`; cloning and sub-slicing
-//!   are O(1) and share the buffer.
+//! * [`SharedSlice<T>`] — `Arc<Bytes>` + element pointer + length, checked
+//!   for bounds and alignment at construction. Deref's to `&[T]` as cheaply as
+//!   a `Vec`; cloning and sub-slicing are O(1) and share the buffer.
 //! * [`PVec<T>`] — "persistent vec": either an owned `Vec<T>` (built index)
 //!   or a [`SharedSlice<T>`] view (loaded index). Derefs to `[T]` either way,
 //!   so query code is identical; mutation promotes to owned (copy-on-write),
 //!   which keeps incremental-update paths working on loaded indexes.
 
 use crate::buffer::Bytes;
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -51,13 +50,20 @@ pub fn pod_bytes<T: Pod>(s: &[T]) -> &[u8] {
 
 /// A typed, shared, immutable window into an artifact buffer.
 pub struct SharedSlice<T: Pod> {
+    /// Keeps the bytes `ptr` points into alive and immutable.
     buf: Arc<Bytes>,
-    /// Byte offset of the first element in `buf`.
-    offset: usize,
+    /// The first element: inside `buf`, aligned for `T`, with `len` elements in
+    /// bounds. Held directly so that a read costs no more than a `Vec`'s.
+    ptr: *const T,
     /// Length in elements.
     len: usize,
-    _elem: PhantomData<T>,
 }
+
+// SAFETY: `ptr` points into the bytes `buf` owns and keeps alive; nothing is
+// ever written through it, `Bytes` is `Send + Sync`, and so is every `Pod`.
+unsafe impl<T: Pod> Send for SharedSlice<T> {}
+// SAFETY: as above — the view hands out only shared `&[T]`.
+unsafe impl<T: Pod> Sync for SharedSlice<T> {}
 
 impl<T: Pod> SharedSlice<T> {
     /// Creates a view of `len` elements starting `offset` bytes into `buf`.
@@ -65,24 +71,20 @@ impl<T: Pod> SharedSlice<T> {
     pub fn new(buf: Arc<Bytes>, offset: usize, len: usize) -> Option<SharedSlice<T>> {
         let byte_len = len.checked_mul(std::mem::size_of::<T>())?;
         let end = offset.checked_add(byte_len)?;
-        if end > buf.len() {
+        let ptr = buf.as_slice().get(offset..end)?.as_ptr().cast::<T>();
+        if !ptr.is_aligned() {
             return None;
         }
-        let base = buf.as_slice().as_ptr() as usize;
-        if !(base + offset).is_multiple_of(std::mem::align_of::<T>()) {
-            return None;
-        }
-        Some(SharedSlice { buf, offset, len, _elem: PhantomData })
+        Some(SharedSlice { buf, ptr, len })
     }
 
     /// The elements. Zero-copy: the returned slice borrows the shared buffer.
     pub fn as_slice(&self) -> &[T] {
-        let bytes = self.buf.as_slice();
-        // SAFETY: construction checked that `offset .. offset + len*size_of::<T>()`
-        // is in bounds of `bytes` and that the base pointer is aligned for `T`;
-        // `Pod` guarantees every bit pattern is a valid `T`; the buffer is
-        // immutable and kept alive by the `Arc` for the borrow's duration.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(self.offset).cast::<T>(), self.len) }
+        // SAFETY: construction (and `slice`) checked that the `len` elements at
+        // `ptr` lie inside `buf` and that `ptr` is aligned for `T`; `Pod`
+        // guarantees every bit pattern is a valid `T`; the buffer is immutable
+        // and kept alive by the `Arc` for the borrow's duration.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     /// Length in elements.
@@ -99,26 +101,14 @@ impl<T: Pod> SharedSlice<T> {
     /// Returns `None` if the range exceeds this view.
     pub fn slice(&self, start: usize, len: usize) -> Option<SharedSlice<T>> {
         let end = start.checked_add(len)?;
-        if end > self.len {
-            return None;
-        }
-        Some(SharedSlice {
-            buf: Arc::clone(&self.buf),
-            offset: self.offset + start * std::mem::size_of::<T>(),
-            len,
-            _elem: PhantomData,
-        })
+        let ptr = self.as_slice().get(start..end)?.as_ptr();
+        Some(SharedSlice { buf: Arc::clone(&self.buf), ptr, len })
     }
 }
 
 impl<T: Pod> Clone for SharedSlice<T> {
     fn clone(&self) -> Self {
-        SharedSlice {
-            buf: Arc::clone(&self.buf),
-            offset: self.offset,
-            len: self.len,
-            _elem: PhantomData,
-        }
+        SharedSlice { buf: Arc::clone(&self.buf), ptr: self.ptr, len: self.len }
     }
 }
 
@@ -131,7 +121,8 @@ impl<T: Pod> Deref for SharedSlice<T> {
 
 impl<T: Pod> std::fmt::Debug for SharedSlice<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedSlice").field("offset", &self.offset).field("len", &self.len).finish()
+        let offset = self.ptr as usize - self.buf.as_slice().as_ptr() as usize;
+        f.debug_struct("SharedSlice").field("offset", &offset).field("len", &self.len).finish()
     }
 }
 

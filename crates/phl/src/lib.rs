@@ -37,6 +37,12 @@ pub struct HubLabels {
 impl HubLabels {
     /// Builds hub labels over `graph`, processing vertices in `ch`'s importance
     /// order (most important first). Returns `None` when the label budget is exceeded.
+    ///
+    /// Only `ch`'s rank order is read, and it must list every vertex once: a
+    /// loaded hierarchy's ranks are checked to be a permutation
+    /// (`rnknn_ch::persist::load_ch`). The labels are pruned Dijkstra searches
+    /// over `graph`, exact under any such order, so no other part of `ch` can
+    /// make them wrong.
     pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy) -> Option<HubLabels> {
         Self::build_within(graph, ch, MAX_AVERAGE_LABEL)
     }

@@ -67,6 +67,13 @@ pub struct TransitNodeRouting {
 impl TransitNodeRouting {
     /// Derives the index from `ch`, the contraction hierarchy of `graph`. Queries
     /// must pass the same hierarchy.
+    ///
+    /// The derivation indexes by two invariants of `ch`, which a loaded hierarchy
+    /// is checked for (`rnknn_ch::persist::load_ch`): its ranks are a permutation
+    /// of `0..n`, so the transit nodes are exactly the top ranks and
+    /// `rank − first_transit_rank` is a table index; and every upward edge rises in
+    /// rank, so an upward search from a transit node settles only transit nodes.
+    /// Its distances are exact only if `ch`'s are.
     pub fn from_ch(graph: &Graph, ch: &ContractionHierarchy) -> Self {
         Self::from_ch_with_shape(graph, ch, Shape::DEFAULT)
     }

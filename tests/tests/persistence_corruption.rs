@@ -163,11 +163,41 @@ fn answers(engine: &Engine, method: Method) -> Vec<Vec<u64>> {
     (0..n).step_by(7).map(distances).collect()
 }
 
-/// A lie the checksums vouch for: one `u32` of one topology section overwritten,
-/// then that section's checksum, the table's and the header's recomputed, so that
-/// only structural validation can object. It must — with a typed error — unless the
-/// engine that loads answers G-tree and IER-Gt queries exactly as INE does. A forged
-/// tree shape used to load and then panic (or overflow the stack) in the first query.
+/// Section `tag`'s table entry: `(entry position, data offset, data length)`.
+fn section_entry(bytes: &[u8], tag: &[u8; 8]) -> (usize, usize, usize) {
+    let table_offset = u64_at(bytes, 16) as usize;
+    let entry = (table_offset..bytes.len())
+        .step_by(32)
+        .find(|&e| &bytes[e..e + 8] == tag)
+        .expect("section");
+    (entry, u64_at(bytes, entry + 8) as usize, u64_at(bytes, entry + 16) as usize)
+}
+
+/// `bytes` with the `u32` at `at`, inside the section `entry` describes, set to
+/// `lie`, and that section's checksum, the table's and the header's recomputed, so
+/// that only structural validation can object.
+fn forge_word(
+    bytes: &[u8],
+    (entry, offset, len): (usize, usize, usize),
+    at: usize,
+    lie: u32,
+) -> Vec<u8> {
+    let mut forged = bytes.to_vec();
+    forged[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+    let section_ck = checksum(&forged[offset..offset + len.next_multiple_of(8)]);
+    forged[entry + 24..entry + 32].copy_from_slice(&section_ck.to_le_bytes());
+    forge_table_and_header_checksums(&mut forged);
+    forged
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// A lie the checksums vouch for: one `u32` of one topology section overwritten
+/// by [`forge_word`]. It must be refused with a typed error, unless the engine
+/// that loads answers G-tree and IER-Gt queries exactly as INE does. A forged tree
+/// shape used to load and then panic (or overflow the stack) in the first query.
 #[test]
 fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
     let bytes = saved_engine_bytes();
@@ -178,16 +208,13 @@ fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
     let truth = answers(&pristine, Method::Ine);
     assert_eq!(answers(&pristine, Method::Gtree), truth);
 
-    let table_offset = u64_at(&bytes, 16);
-    let entries: Vec<usize> = (table_offset as usize..bytes.len()).step_by(32).collect();
     let mut rng = Rng(0x51DE_CA11_F04E_57EE);
     let (mut refused, mut rounds) = (0, 0);
     for tag in [b"HI.PRNT\0", b"HI.LFSZ\0", b"HI.VERT\0", b"GT.MXOF\0"] {
-        let entry = *entries.iter().find(|&&e| &bytes[e..e + 8] == tag).expect("section");
-        let (offset, len) = (u64_at(&bytes, entry + 8) as usize, u64_at(&bytes, entry + 16));
+        let entry = section_entry(&bytes, tag);
         for round in 0..24 {
-            let at = offset + 4 * rng.below(len as usize / 4);
-            let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let at = entry.1 + 4 * rng.below(entry.2 / 4);
+            let old = u32_at(&bytes, at);
             let small = 1 + rng.below(3) as u32;
             let lie = match round % 4 {
                 0 => 0,
@@ -198,15 +225,9 @@ fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
             if lie == old {
                 continue;
             }
-            let mut forged = bytes.clone();
-            forged[at..at + 4].copy_from_slice(&lie.to_le_bytes());
-            let padded_end = offset + (len as usize).next_multiple_of(8);
-            let section_ck = checksum(&forged[offset..padded_end]);
-            forged[entry + 24..entry + 32].copy_from_slice(&section_ck.to_le_bytes());
-            forge_table_and_header_checksums(&mut forged);
             let what = format!("{}: word at {at} forged from {old} to {lie}", tag.escape_ascii());
             rounds += 1;
-            match Engine::load_indexes_from_vec(forged, &config) {
+            match Engine::load_indexes_from_vec(forge_word(&bytes, entry, at, lie), &config) {
                 Ok(mut engine) => {
                     engine.set_objects(objects.clone());
                     assert_eq!(answers(&engine, Method::Gtree), truth, "{what}: G-tree");
@@ -220,6 +241,101 @@ fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
         }
     }
     assert!(rounds > 80 && refused * 2 > rounds, "{refused} of {rounds} lies refused");
+}
+
+/// The CH battery's engine: a CH with PHL and TNR derived from it at load, no G-tree.
+fn ch_battery_config() -> EngineConfig {
+    EngineConfig {
+        build_gtree: false,
+        build_road: false,
+        build_silc: false,
+        build_ch: true,
+        build_phl: true,
+        build_tnr: true,
+        ..EngineConfig::default()
+    }
+}
+
+/// A checksum-valid lie in the CH's structure — one `u32` of `CH.RANK`, `CH.UOFF`
+/// or `CH.UTGT` set to 0, old ± 1 or `u32::MAX` by [`forge_word`] — must never
+/// panic, at load (where TNR and PHL are derived from the CH) or in a query. It is
+/// refused as `Corrupt`, or the engine that loads answers IER-CH, IER-PHL and
+/// IER-TNR queries; a wrong answer is allowed only in the class no structural check
+/// can catch (docs/PERSISTENCE.md): an upward edge forged to another vertex that
+/// still outranks its source — a target forged in `CH.UTGT`, or a row boundary in
+/// `CH.UOFF` moved so that an edge changes source. Each is a valid hierarchy with
+/// other distances. A forged rank always breaks the permutation and is refused.
+#[test]
+fn checksum_valid_ch_lies_are_typed_errors_or_in_the_named_class() {
+    let graph =
+        RoadNetwork::generate(&GeneratorConfig::new(300, 11)).graph(EdgeWeightKind::Distance);
+    let config = ch_battery_config();
+    let bytes = Engine::build(graph, &config).save_indexes_to_vec().expect("save");
+    let mut pristine = Engine::load_indexes_from_vec(bytes.clone(), &config).expect("load");
+    let objects = uniform(pristine.graph(), 0.05, 2);
+    pristine.set_objects(objects.clone());
+    let truth = answers(&pristine, Method::Ine);
+    let methods = [Method::IerCh, Method::IerPhl, Method::IerTnr];
+    for method in methods {
+        assert_eq!(answers(&pristine, method), truth, "{method:?} on the pristine artifact");
+    }
+
+    let mut rng = Rng(0xC4F0_26ED_0017_A11E);
+    let (mut rounds, mut refused, mut exact, mut panics) = (0, 0, 0, Vec::new());
+    let mut wrong = [0usize; 3]; // lies answered wrongly, per section
+    let mut wrong_by_method = [0usize; 3];
+    let sections = [b"CH.RANK\0", b"CH.UOFF\0", b"CH.UTGT\0"];
+    for (section, tag) in sections.into_iter().enumerate() {
+        let entry = section_entry(&bytes, tag);
+        for round in 0..40 {
+            let at = entry.1 + 4 * rng.below(entry.2 / 4);
+            let old = u32_at(&bytes, at);
+            let lie = match round % 4 {
+                0 => 0,
+                1 => u32::MAX,
+                2 => old.wrapping_add(1),
+                _ => old.wrapping_sub(1),
+            };
+            if lie == old {
+                continue;
+            }
+            let what = format!("{}: word at {at} forged from {old} to {lie}", tag.escape_ascii());
+            rounds += 1;
+            let forged = forge_word(&bytes, entry, at, lie);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Engine::load_indexes_from_vec(forged, &config).map(|mut engine| {
+                    engine.set_objects(objects.clone());
+                    methods.map(|method| answers(&engine, method) == truth)
+                })
+            }));
+            match outcome {
+                Err(_) => panics.push(what),
+                Ok(Err(PersistError::Corrupt { .. })) => refused += 1,
+                Ok(Err(other)) => panic!("{what}: expected Corrupt, got {other}"),
+                Ok(Ok(correct)) if correct.iter().all(|&c| c) => exact += 1,
+                Ok(Ok(correct)) => {
+                    wrong[section] += 1;
+                    for (count, ok) in wrong_by_method.iter_mut().zip(correct) {
+                        *count += usize::from(!ok);
+                    }
+                }
+            }
+        }
+    }
+    println!(
+        "{rounds} CH lies: {refused} refused, {exact} answered exactly, {} answered wrong in \
+         the named class (CH.UOFF {}, CH.UTGT {}; IER-CH {}, IER-PHL {}, IER-TNR {})",
+        wrong[1] + wrong[2],
+        wrong[1],
+        wrong[2],
+        wrong_by_method[0],
+        wrong_by_method[1],
+        wrong_by_method[2],
+    );
+    assert!(panics.is_empty(), "{} lies panicked: {panics:#?}", panics.len());
+    assert!(rounds >= 100, "only {rounds} lies");
+    assert_eq!(wrong[0], 0, "a forged rank loaded and answered wrong");
+    assert_eq!(wrong_by_method[1], 0, "PHL reads only the rank order, which a load proves");
 }
 
 /// The 48-byte header of the artifact `saved_engine_bytes()` produced under format
@@ -253,12 +369,20 @@ const V5_HEADER: [u8; 48] = [
     1, 0, 0, 0, 0, 0, 80, 11, 219, 170, 80, 83, 90, 27, 33, 207, 122, 47, 155, 243, 99, 143,
 ];
 
+/// The same artifact's header under format version 6 (the last commit whose section
+/// checksum was the 8-lane, 64-byte-block hash): 17 sections, table at 123 784 of
+/// 124 328 bytes.
+const V6_HEADER: [u8; 48] = [
+    82, 78, 75, 78, 73, 68, 88, 0, 6, 0, 0, 0, 17, 0, 0, 0, 136, 227, 1, 0, 0, 0, 0, 0, 168, 229,
+    1, 0, 0, 0, 0, 0, 11, 106, 61, 105, 86, 205, 245, 13, 33, 136, 193, 89, 134, 8, 181, 133,
+];
+
 /// The version gate must refuse a real older header by name before any section (or
 /// even the header's own length fields) is interpreted — alone, and in front of a
 /// current body.
 fn assert_refused_by_the_version_gate(header: [u8; 48], version: u32) {
     let supported = rnknn::persist_format::FORMAT_VERSION;
-    assert_eq!(supported, 6, "a format bump re-derives these fixtures' expectations");
+    assert_eq!(supported, 7, "a format bump re-derives these fixtures' expectations");
     let mut grafted = header.to_vec();
     grafted.extend_from_slice(&saved_engine_bytes()[header.len()..]);
     for (what, bytes) in [("bare header", header.to_vec()), ("grafted body", grafted)] {
@@ -295,6 +419,12 @@ fn a_real_version_4_header_fails_the_version_gate() {
 #[test]
 fn a_real_version_5_header_fails_the_version_gate() {
     assert_refused_by_the_version_gate(V5_HEADER, 5);
+}
+
+/// A version-6 artifact's checksums are the 8-lane hash over 64-byte blocks.
+#[test]
+fn a_real_version_6_header_fails_the_version_gate() {
+    assert_refused_by_the_version_gate(V6_HEADER, 6);
 }
 
 /// The artifact re-written section by section, section `target` replaced by
