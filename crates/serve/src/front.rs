@@ -3,14 +3,17 @@
 //! [`ServeFront`] owns a pool of long-lived worker threads, each with its own
 //! bounded request queue and its own [`EngineScratch`] (so the zero-allocation
 //! steady-state query path applies per worker). Requests are sharded across the
-//! workers round-robin; each worker admits requests in **batches**: it pins the
-//! current [`EpochSnapshot`](crate::EpochSnapshot) once per batch, answers every query in the batch
-//! against that one consistent object view, then releases the snapshot and
-//! re-pins — which is what lets the update thread publish new epochs *between*
-//! batches without ever blocking a query or being blocked by one.
+//! workers round-robin; each worker admits requests in **batches**, taking a
+//! whole batch off its queue under one lock ([`Receiver::recv_batch`]): it pins
+//! the current [`EpochSnapshot`](crate::EpochSnapshot) once per batch, answers
+//! every query in the batch against that one consistent object view, then
+//! releases the snapshot and re-pins — which is what lets the update thread
+//! publish new epochs *between* batches without ever blocking a query or being
+//! blocked by one.
 //!
 //! Updates go through [`ServeFront::submit_update`] onto a dedicated updater
-//! thread that applies each event incrementally to the [`ObjectStore`] and
+//! thread. It drains its queue in batches, stages each batch incrementally into
+//! the [`ObjectStore`] under one writer lock ([`ObjectStore::stage_batch`]), and
 //! publishes an epoch every [`ServeConfig::publish_every`] applied events (or
 //! when its queue momentarily drains, so a trickle of updates still becomes
 //! visible promptly). Workers additionally nudge the store at batch boundaries
@@ -594,19 +597,10 @@ fn worker_loop(seed: &WorkerSeed, initial: Vec<KnnRequest>) -> Lifecycle {
     let mut batch: Vec<KnnRequest> = initial;
     batch.reserve(seed.max_batch.saturating_sub(batch.len()));
     loop {
-        if batch.is_empty() {
-            // Block for the first request; then drain without blocking to fill
-            // the batch.
-            match seed.requests.recv() {
-                Ok(first) => batch.push(first),
-                Err(_) => return Lifecycle::Exited, // closed + drained
-            }
-            while batch.len() < seed.max_batch {
-                match seed.requests.try_recv() {
-                    Ok(r) => batch.push(r),
-                    Err(_) => break,
-                }
-            }
+        // Block for the first request, then take what is queued behind it up
+        // to `max_batch`, all under one lock.
+        if batch.is_empty() && seed.requests.recv_batch(&mut batch, seed.max_batch).is_err() {
+            return Lifecycle::Exited; // closed + drained
         }
         // One epoch pin per batch: every request below sees this exact object view.
         let snapshot = seed.store.snapshot();
@@ -753,7 +747,7 @@ fn run_one(
     Ok(())
 }
 
-/// The updater: apply events incrementally as they arrive, publish every
+/// The updater: stage events in batches as they arrive, publish every
 /// `publish_every` applied events and whenever the queue momentarily drains.
 fn updater_loop(
     store: Arc<ObjectStore>,
@@ -761,48 +755,40 @@ fn updater_loop(
     counters: Arc<FrontCounters>,
     publish_every: u64,
 ) {
+    let mut batch = Vec::new();
     let mut since_publish = 0u64;
     loop {
-        match updates.recv() {
-            Ok(event) => {
-                if store.stage(event) {
-                    counters.updates_applied.fetch_add(1, Ordering::Relaxed);
-                    since_publish += 1;
-                }
-                // Opportunistically drain the queue before deciding to publish.
-                while since_publish < publish_every {
-                    match updates.try_recv() {
-                        Ok(event) => {
-                            if store.stage(event) {
-                                counters.updates_applied.fetch_add(1, Ordering::Relaxed);
-                                since_publish += 1;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if since_publish > 0 {
-                    store.publish();
-                    counters.epochs_published.fetch_add(1, Ordering::Relaxed);
-                    since_publish = 0;
-                }
-            }
-            Err(_) => {
-                // Channel closed: flush anything staged (incl. TTL expirations).
-                if store.pending_updates() > 0 {
-                    store.publish();
-                    counters.epochs_published.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
+        let room = usize::try_from(publish_every - since_publish).unwrap_or(usize::MAX);
+        batch.clear();
+        // Block for the next event only while nothing staged is unpublished.
+        let received = if since_publish == 0 {
+            updates.recv_batch(&mut batch, room)
+        } else {
+            updates.try_recv_batch(&mut batch, room)
+        };
+        if received.is_err() {
+            break;
         }
+        let applied = store.stage_batch(&batch);
+        counters.updates_applied.fetch_add(applied, Ordering::Relaxed);
+        since_publish += applied;
+        // A batch shorter than its room left the queue empty.
+        if since_publish > 0 && (since_publish >= publish_every || batch.len() < room) {
+            store.publish();
+            counters.epochs_published.fetch_add(1, Ordering::Relaxed);
+            since_publish = 0;
+        }
+    }
+    // Channel closed: flush anything staged (incl. TTL expirations).
+    if store.pending_updates() > 0 {
+        store.publish();
+        counters.epochs_published.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnknn::gtree::GtreeConfig;
     use rnknn::{Engine, EngineConfig};
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::EdgeWeightKind;
@@ -827,7 +813,7 @@ mod tests {
     fn warm_start_from_artifact_answers_like_the_built_engine() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 13));
         let econfig = EngineConfig {
-            gtree_config: GtreeConfig { leaf_capacity: 32, ..Default::default() },
+            gtree_config: rnknn::gtree::GtreeConfig { leaf_capacity: 32, ..Default::default() },
             build_road: false,
             build_silc: false,
             build_phl: false,

@@ -204,6 +204,14 @@ impl ObjectStore {
         Self::stage_locked(&self.engine, &mut w, event)
     }
 
+    /// Stages `events` in order under one writer lock — the same effect as
+    /// [`ObjectStore::stage`] on each in turn. Returns how many changed the
+    /// working set (no-ops excluded).
+    pub fn stage_batch(&self, events: &[UpdateEvent]) -> u64 {
+        let mut w = self.writer.lock().expect("object store poisoned");
+        events.iter().map(|&event| u64::from(Self::stage_locked(&self.engine, &mut w, event))).sum()
+    }
+
     fn stage_locked(engine: &Engine, w: &mut WriterState, event: UpdateEvent) -> bool {
         if !engine.apply_object_update(w.working_mut(), event) {
             return false;
@@ -388,6 +396,51 @@ mod tests {
         // And queries against the new epoch see the new object.
         let out = engine.query_snapshot(Method::Ine, v, 1, published.indexes()).unwrap();
         assert_eq!(out.result[0], (v, 0));
+    }
+
+    /// Staging a batch under one lock is staging its events one at a time: the
+    /// same count of changes, the same published objects and answers, and the
+    /// same pending log (which the next publish replays onto the reclaimed
+    /// buffer, so the second epoch checks it).
+    #[test]
+    fn stage_batch_matches_staging_one_at_a_time() {
+        let engine = engine();
+        let initial = uniform(engine.graph(), 0.03, 17);
+        let batched = ObjectStore::new(Arc::clone(&engine), initial.clone());
+        let single = ObjectStore::new(Arc::clone(&engine), initial.clone());
+        let present = initial.vertices().to_vec();
+        let mut free = engine.graph().vertices().filter(|&v| !initial.contains(v));
+        let (a, b, c) = (free.next().unwrap(), free.next().unwrap(), free.next().unwrap());
+        let events = [
+            UpdateEvent::Insert(a),
+            UpdateEvent::Insert(a), // no-op: already present
+            UpdateEvent::Move { from: present[0], to: b },
+            UpdateEvent::Remove(c), // no-op: absent
+            UpdateEvent::Remove(present[1]),
+            UpdateEvent::Move { from: present[1], to: c }, // no-op: source gone
+            UpdateEvent::Insert(present[1]),
+        ];
+        assert_eq!(batched.stage_batch(&events), 4, "no-ops must not count");
+        let one_by_one = events.iter().filter(|&&e| single.stage(e)).count();
+        assert_eq!(one_by_one, 4);
+        assert_eq!(batched.pending_updates(), single.pending_updates());
+        assert_eq!(batched.stage_batch(&[]), 0);
+
+        let same = |x: &EpochSnapshot, y: &EpochSnapshot| {
+            assert_eq!(x.objects().vertices(), y.objects().vertices());
+            for q in engine.graph().vertices().step_by(37) {
+                let via_x = engine.query_snapshot(Method::Ine, q, 4, x.indexes()).unwrap();
+                let via_y = engine.query_snapshot(Method::Ine, q, 4, y.indexes()).unwrap();
+                assert_eq!(via_x.result, via_y.result, "query at {q}");
+            }
+        };
+        same(&batched.publish(), &single.publish());
+        // The second epoch is built on the reclaimed buffer, caught up by
+        // replaying the first epoch's pending log.
+        assert_eq!(batched.stage_batch(&[UpdateEvent::Remove(a)]), 1);
+        assert!(single.remove(a));
+        same(&batched.publish(), &single.publish());
+        assert_eq!(batched.clone_fallbacks(), 0);
     }
 
     #[test]

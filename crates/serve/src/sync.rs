@@ -6,8 +6,9 @@
 //! thread comes from the `loom` schedule explorer instead, which serializes
 //! the threads of a `loom::model(...)` body and exhaustively explores the
 //! interleavings of their synchronization operations. That is what lets
-//! `tests/loom_store.rs` and `tests/loom_front.rs` model-check the epoch
-//! publish/reclaim protocol and the front-end shutdown handshake:
+//! `tests/loom_store.rs`, `tests/loom_front.rs` and `tests/loom_channel.rs`
+//! model-check the epoch publish/reclaim protocol, the front-end shutdown
+//! handshake and the channels' park/wake protocol:
 //!
 //! ```text
 //! cargo test -p rnknn-serve --features loom-model
@@ -20,11 +21,11 @@
 //! `docs/CORRECTNESS.md` lists this and the other fidelity limits.
 
 #[cfg(feature = "loom-model")]
-pub use loom::sync::{Arc, Condvar, Mutex, RwLock};
+pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 #[cfg(feature = "loom-model")]
 pub use loom::thread;
 
 #[cfg(not(feature = "loom-model"))]
-pub use std::sync::{Arc, Condvar, Mutex, RwLock};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 #[cfg(not(feature = "loom-model"))]
 pub use std::thread;

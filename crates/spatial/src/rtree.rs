@@ -36,6 +36,9 @@ pub struct RTree {
     node_capacity: usize,
     /// Entry slots freed by `remove`, reused by `insert`.
     free: Vec<u32>,
+    /// Node slots freed by `remove` (emptied nodes, collapsed roots), reused
+    /// by splits and root growth.
+    free_nodes: Vec<u32>,
     /// Number of live entries (`points.len()` minus free slots).
     active: usize,
 }
@@ -63,6 +66,7 @@ impl RTree {
                 payloads,
                 node_capacity,
                 free: Vec::new(),
+                free_nodes: Vec::new(),
                 active: 0,
             };
         }
@@ -124,7 +128,16 @@ impl RTree {
         }
         let root = level[0];
         let active = points.len();
-        RTree { nodes, root, points, payloads, node_capacity, free: Vec::new(), active }
+        RTree {
+            nodes,
+            root,
+            points,
+            payloads,
+            node_capacity,
+            free: Vec::new(),
+            free_nodes: Vec::new(),
+            active,
+        }
     }
 
     /// Number of indexed entries.
@@ -159,15 +172,16 @@ impl RTree {
             // The root split: grow the tree by one level.
             let mut rect = self.nodes[self.root as usize].rect;
             rect.expand_rect(&self.nodes[sibling as usize].rect);
-            self.nodes.push(Node { rect, children: vec![self.root, sibling], entries: Vec::new() });
-            self.root = self.nodes.len() as u32 - 1;
+            let children = vec![self.root, sibling];
+            self.root = self.alloc_node(Node { rect, children, entries: Vec::new() });
         }
     }
 
     /// Removes the entry `(point, payload)` incrementally, returning whether it was
     /// present. Bounding rectangles along the path are recomputed exactly; freed
-    /// entry slots are reused by later inserts, and once more slots are dead than
-    /// alive the tree compacts itself with a fresh bulk load.
+    /// entry slots and emptied nodes are reused by later inserts, and once more
+    /// entry slots are dead than alive the tree compacts itself with a fresh bulk
+    /// load.
     pub fn remove(&mut self, point: Point, payload: u32) -> bool {
         if self.active == 0 {
             return false;
@@ -178,15 +192,16 @@ impl RTree {
         self.active -= 1;
         // Collapse a root that shrank to a single internal child.
         loop {
-            let r = &self.nodes[self.root as usize];
+            let r = &mut self.nodes[self.root as usize];
             if r.entries.is_empty() && r.children.len() == 1 {
-                self.root = r.children[0];
+                let old = std::mem::replace(&mut self.root, r.children[0]);
+                r.children = Vec::new();
+                self.free_nodes.push(old);
             } else {
                 break;
             }
         }
-        // Compact when the dead slots (and the orphaned nodes deletions leave
-        // behind) outnumber the live entries.
+        // Compact when the dead entry slots outnumber the live entries.
         if self.free.len() > 64 && self.free.len() > self.active {
             let mut dead = vec![false; self.points.len()];
             for &f in &self.free {
@@ -266,8 +281,7 @@ impl RTree {
         let n = &mut self.nodes[node as usize];
         n.entries = entries;
         n.rect = left_rect;
-        self.nodes.push(Node { rect: right_rect, children: Vec::new(), entries: right });
-        self.nodes.len() as u32 - 1
+        self.alloc_node(Node { rect: right_rect, children: Vec::new(), entries: right })
     }
 
     /// Splits an overflowing internal node along the longer rect axis.
@@ -293,8 +307,21 @@ impl RTree {
         let n = &mut self.nodes[node as usize];
         n.children = children;
         n.rect = left_rect;
-        self.nodes.push(Node { rect: right_rect, children: right, entries: Vec::new() });
-        self.nodes.len() as u32 - 1
+        self.alloc_node(Node { rect: right_rect, children: right, entries: Vec::new() })
+    }
+
+    /// Stores `node` in a freed node slot if there is one, else appends it.
+    fn alloc_node(&mut self, node: Node) -> u32 {
+        match self.free_nodes.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+        }
     }
 
     fn refit_internal_rect(&mut self, node: u32) {
@@ -331,9 +358,9 @@ impl RTree {
             if self.remove_rec(c, point, payload) {
                 let child = &self.nodes[c as usize];
                 if child.entries.is_empty() && child.children.is_empty() {
-                    // Drop the emptied child (the node itself is orphaned until the
-                    // next compaction).
+                    // Unlink the emptied child and free its slot for reuse.
                     self.nodes[node as usize].children.swap_remove(i);
+                    self.free_nodes.push(c);
                 }
                 self.refit_internal_rect(node);
                 return true;
@@ -352,7 +379,7 @@ impl RTree {
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.points.len() * std::mem::size_of::<Point>()
             + self.payloads.len() * std::mem::size_of::<u32>()
-            + self.free.len() * std::mem::size_of::<u32>();
+            + (self.free.len() + self.free_nodes.len()) * std::mem::size_of::<u32>();
         for n in &self.nodes {
             bytes += std::mem::size_of::<Node>()
                 + n.children.len() * std::mem::size_of::<u32>()
@@ -759,6 +786,54 @@ mod tests {
         assert!(!tree.remove(q, 0));
         tree.insert(q, 7);
         assert_eq!(tree.knn(q, 1), vec![(0.0, 7)]);
+    }
+
+    /// A stable population under steady churn must not grow the tree: every
+    /// node a removal empties (or a root collapse drops) is reused by a later
+    /// split or root growth, so after the first round the footprint plateaus.
+    /// Compaction counts dead entry slots only and never fires here, so the
+    /// node free list alone bounds the footprint.
+    #[test]
+    fn steady_churn_reuses_emptied_nodes() {
+        const ROUNDS: usize = if cfg!(miri) { 4 } else { 10 };
+        const MOVES: usize = if cfg!(miri) { 500 } else { 20_000 };
+        let pool = scattered_points(160);
+        let mut tree = RTree::bulk_load_with_capacity(&pool[..40], 4);
+        let mut live: Vec<(Point, u32)> = pool[..40].to_vec();
+        let mut idle: Vec<(Point, u32)> = pool[40..].to_vec();
+        let mut state = 0xA076_1D64_78BD_642Fu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut after_first = 0;
+        for round in 0..ROUNDS {
+            for _ in 0..MOVES {
+                // One move: a live entry leaves, an idle one arrives.
+                let (p, id) = live.swap_remove(rng() % live.len());
+                assert!(tree.remove(p, id));
+                idle.push((p, id));
+                let (p, id) = idle.swap_remove(rng() % idle.len());
+                tree.insert(p, id);
+                live.push((p, id));
+            }
+            assert_eq!(tree.len(), live.len());
+            if round == 0 {
+                after_first = tree.memory_bytes();
+            }
+        }
+        let last = tree.memory_bytes();
+        assert!(
+            last * 4 <= after_first * 5,
+            "{last} bytes after {ROUNDS} rounds against {after_first} after the first"
+        );
+        let mut seen: Vec<u32> = tree.browse(Point::new(0.0, 0.0)).map(|(_, id)| id).collect();
+        seen.sort_unstable();
+        let mut expect: Vec<u32> = live.iter().map(|&(_, id)| id).collect();
+        expect.sort_unstable();
+        assert_eq!(seen, expect, "browse lost or duplicated entries");
     }
 
     /// Randomized free-list stress against a reference model: across heavy

@@ -194,52 +194,124 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
-/// A lie the checksums vouch for: one `u32` of one topology section overwritten
-/// by [`forge_word`]. It must be refused with a typed error, unless the engine
-/// that loads answers G-tree and IER-Gt queries exactly as INE does. A forged tree
-/// shape used to load and then panic (or overflow the stack) in the first query.
+/// The `(position, lie)` pairs a battery forges in the section `entry`
+/// describes, each lie one of {0, old + 1, old − 1, `u32::MAX`}. Release builds
+/// forge every `u32` word of the section with every lie; debug builds, which run
+/// the tier-1 suite, forge a seeded sample of `sampled` words, one lie each in
+/// turn.
+fn forgeries(
+    bytes: &[u8],
+    (_, offset, len): (usize, usize, usize),
+    rng: &mut Rng,
+    sampled: usize,
+) -> Vec<(usize, u32)> {
+    let lies = |at: usize| {
+        let old = u32_at(bytes, at);
+        [0, old.wrapping_add(1), old.wrapping_sub(1), u32::MAX]
+    };
+    if cfg!(debug_assertions) {
+        (0..sampled)
+            .map(|round| {
+                let at = offset + 4 * rng.below(len / 4);
+                (at, lies(at)[round % 4])
+            })
+            .collect()
+    } else {
+        (offset..offset + len).step_by(4).flat_map(|at| lies(at).map(|lie| (at, lie))).collect()
+    }
+}
+
+/// `bytes` with the `u32` at `at` inside section `entry`'s table entry (its
+/// length is the two words at `entry + 16`) set to `lie`, and the section's
+/// checksum (over its new extent, where that fits in the file), the table's and
+/// the header's recomputed.
+fn forge_length_word(bytes: &[u8], entry: usize, at: usize, lie: u32) -> Vec<u8> {
+    let mut forged = bytes.to_vec();
+    forged[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+    let (offset, len) = (u64_at(&forged, entry + 8) as usize, u64_at(&forged, entry + 16));
+    let end = usize::try_from(len.next_multiple_of(8)).ok().and_then(|l| offset.checked_add(l));
+    if let Some(end) = end.filter(|&end| end <= forged.len()) {
+        let section_ck = checksum(&forged[offset..end]);
+        forged[entry + 24..entry + 32].copy_from_slice(&section_ck.to_le_bytes());
+    }
+    forge_table_and_header_checksums(&mut forged);
+    forged
+}
+
+/// The G-tree battery's load: the battery engine with ROAD derived from the
+/// loaded G-tree.
+fn gtree_battery_load_config() -> EngineConfig {
+    EngineConfig { build_road: true, ..battery_config() }
+}
+
+/// A lie the checksums vouch for: one `u32` of one G-tree topology section —
+/// `HI.PRNT`, `HI.LFSZ`, `HI.VERT`, `GT.META`, `GT.MXOF`, or the length words of
+/// `GT.CMIN`'s table entry (its shape) — overwritten by [`forge_word`] (or
+/// [`forge_length_word`]). It must be refused with a typed error, unless the
+/// engine that loads answers G-tree, IER-Gt and ROAD (derived from the G-tree at
+/// load) queries exactly as INE does; it must never panic. A forged tree shape
+/// used to load and then panic (or overflow the stack) in the first query.
+/// Every word, every lie in release builds; a seeded sample in debug builds.
 #[test]
 fn checksum_valid_structural_lies_are_typed_errors_or_harmless() {
     let bytes = saved_engine_bytes();
-    let config = battery_config();
+    let config = gtree_battery_load_config();
     let mut pristine = Engine::load_indexes_from_vec(bytes.clone(), &config).expect("load");
     let objects = uniform(pristine.graph(), 0.05, 2);
     pristine.set_objects(objects.clone());
     let truth = answers(&pristine, Method::Ine);
-    assert_eq!(answers(&pristine, Method::Gtree), truth);
+    let methods = [Method::Gtree, Method::IerGtree, Method::Road];
+    for method in methods {
+        assert_eq!(answers(&pristine, method), truth, "{method:?} on the pristine artifact");
+    }
 
-    let mut rng = Rng(0x51DE_CA11_F04E_57EE);
-    let (mut refused, mut rounds) = (0, 0);
-    for tag in [b"HI.PRNT\0", b"HI.LFSZ\0", b"HI.VERT\0", b"GT.MXOF\0"] {
-        let entry = section_entry(&bytes, tag);
-        for round in 0..24 {
-            let at = entry.1 + 4 * rng.below(entry.2 / 4);
-            let old = u32_at(&bytes, at);
-            let small = 1 + rng.below(3) as u32;
-            let lie = match round % 4 {
-                0 => 0,
-                1 => u32::MAX,
-                2 => old.wrapping_add(small),
-                _ => old.wrapping_sub(small),
-            };
-            if lie == old {
-                continue;
+    let (mut refused, mut rounds, mut panics) = (0, 0, Vec::new());
+    let mut check = |what: String, forged: Vec<u8>| {
+        rounds += 1;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Engine::load_indexes_from_vec(forged, &config).map(|mut engine| {
+                engine.set_objects(objects.clone());
+                methods.map(|method| answers(&engine, method) == truth)
+            })
+        }));
+        match outcome {
+            Err(_) => panics.push(what),
+            Ok(Ok(correct)) => {
+                for (method, ok) in methods.iter().zip(correct) {
+                    assert!(ok, "{what}: {method:?} answered wrong");
+                }
             }
-            let what = format!("{}: word at {at} forged from {old} to {lie}", tag.escape_ascii());
-            rounds += 1;
-            match Engine::load_indexes_from_vec(forge_word(&bytes, entry, at, lie), &config) {
-                Ok(mut engine) => {
-                    engine.set_objects(objects.clone());
-                    assert_eq!(answers(&engine, Method::Gtree), truth, "{what}: G-tree");
-                    assert_eq!(answers(&engine, Method::IerGtree), truth, "{what}: IER-Gt");
-                }
-                rejected => {
-                    assert_typed_rejection(rejected, &what);
-                    refused += 1;
-                }
+            Ok(Err(error)) => {
+                assert_typed_rejection(Err(error), &what);
+                refused += 1;
+            }
+        }
+    };
+    let mut rng = Rng(0x51DE_CA11_F04E_57EE);
+    for tag in [b"HI.PRNT\0", b"HI.LFSZ\0", b"HI.VERT\0", b"GT.META\0", b"GT.MXOF\0"] {
+        let entry = section_entry(&bytes, tag);
+        for (at, lie) in forgeries(&bytes, entry, &mut rng, 24) {
+            let old = u32_at(&bytes, at);
+            if lie != old {
+                let what =
+                    format!("{}: word at {at} forged from {old} to {lie}", tag.escape_ascii());
+                check(what, forge_word(&bytes, entry, at, lie));
             }
         }
     }
+    let (cmin, ..) = section_entry(&bytes, b"GT.CMIN\0");
+    for at in [cmin + 16, cmin + 20] {
+        let old = u32_at(&bytes, at);
+        for lie in [0, old.wrapping_add(1), old.wrapping_sub(1), u32::MAX] {
+            if lie != old {
+                let what = format!("GT.CMIN length word at {at} forged from {old} to {lie}");
+                check(what, forge_length_word(&bytes, cmin, at, lie));
+            }
+        }
+    }
+    let exact = rounds - refused - panics.len();
+    println!("{rounds} G-tree structural lies: {refused} refused, {exact} answered exactly");
+    assert!(panics.is_empty(), "{} lies panicked: {panics:#?}", panics.len());
     assert!(rounds > 80 && refused * 2 > rounds, "{refused} of {rounds} lies refused");
 }
 
@@ -256,15 +328,18 @@ fn ch_battery_config() -> EngineConfig {
     }
 }
 
-/// A checksum-valid lie in the CH's structure — one `u32` of `CH.RANK`, `CH.UOFF`
-/// or `CH.UTGT` set to 0, old ± 1 or `u32::MAX` by [`forge_word`] — must never
-/// panic, at load (where TNR and PHL are derived from the CH) or in a query. It is
-/// refused as `Corrupt`, or the engine that loads answers IER-CH, IER-PHL and
-/// IER-TNR queries; a wrong answer is allowed only in the class no structural check
-/// can catch (docs/PERSISTENCE.md): an upward edge forged to another vertex that
-/// still outranks its source — a target forged in `CH.UTGT`, or a row boundary in
-/// `CH.UOFF` moved so that an edge changes source. Each is a valid hierarchy with
-/// other distances. A forged rank always breaks the permutation and is refused.
+/// A checksum-valid lie in the CH's structure — one `u32` of `CH.META`,
+/// `CH.RANK`, `CH.UOFF` or `CH.UTGT` set to 0, old ± 1 or `u32::MAX` by
+/// [`forge_word`] — must never panic, at load (where TNR and PHL are derived from
+/// the CH) or in a query. It is refused as `Corrupt`, or the engine that loads
+/// answers IER-CH, IER-PHL and IER-TNR queries; a wrong answer is allowed only in
+/// the class no structural check can catch (docs/PERSISTENCE.md): an upward edge
+/// forged to another vertex that still outranks its source — a target forged in
+/// `CH.UTGT`, or a row boundary in `CH.UOFF` moved so that an edge changes source.
+/// Each is a valid hierarchy with other distances. A forged rank always breaks the
+/// permutation and is refused, and so is a forged count in `CH.META`. Every word,
+/// every lie in release builds (where the class is counted); a seeded sample in
+/// debug builds.
 #[test]
 fn checksum_valid_ch_lies_are_typed_errors_or_in_the_named_class() {
     let graph =
@@ -282,20 +357,13 @@ fn checksum_valid_ch_lies_are_typed_errors_or_in_the_named_class() {
 
     let mut rng = Rng(0xC4F0_26ED_0017_A11E);
     let (mut rounds, mut refused, mut exact, mut panics) = (0, 0, 0, Vec::new());
-    let mut wrong = [0usize; 3]; // lies answered wrongly, per section
+    let mut wrong = [0usize; 4]; // lies answered wrongly, per section
     let mut wrong_by_method = [0usize; 3];
-    let sections = [b"CH.RANK\0", b"CH.UOFF\0", b"CH.UTGT\0"];
+    let sections = [b"CH.META\0", b"CH.RANK\0", b"CH.UOFF\0", b"CH.UTGT\0"];
     for (section, tag) in sections.into_iter().enumerate() {
         let entry = section_entry(&bytes, tag);
-        for round in 0..40 {
-            let at = entry.1 + 4 * rng.below(entry.2 / 4);
+        for (at, lie) in forgeries(&bytes, entry, &mut rng, 40) {
             let old = u32_at(&bytes, at);
-            let lie = match round % 4 {
-                0 => 0,
-                1 => u32::MAX,
-                2 => old.wrapping_add(1),
-                _ => old.wrapping_sub(1),
-            };
             if lie == old {
                 continue;
             }
@@ -325,16 +393,16 @@ fn checksum_valid_ch_lies_are_typed_errors_or_in_the_named_class() {
     println!(
         "{rounds} CH lies: {refused} refused, {exact} answered exactly, {} answered wrong in \
          the named class (CH.UOFF {}, CH.UTGT {}; IER-CH {}, IER-PHL {}, IER-TNR {})",
-        wrong[1] + wrong[2],
-        wrong[1],
+        wrong[2] + wrong[3],
         wrong[2],
+        wrong[3],
         wrong_by_method[0],
         wrong_by_method[1],
         wrong_by_method[2],
     );
     assert!(panics.is_empty(), "{} lies panicked: {panics:#?}", panics.len());
     assert!(rounds >= 100, "only {rounds} lies");
-    assert_eq!(wrong[0], 0, "a forged rank loaded and answered wrong");
+    assert_eq!(wrong[..2], [0, 0], "a forged count or rank loaded and answered wrong");
     assert_eq!(wrong_by_method[1], 0, "PHL reads only the rank order, which a load proves");
 }
 
