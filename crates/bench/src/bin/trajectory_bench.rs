@@ -9,17 +9,21 @@
 //! IER-CH p50s against the file's previous contents, and `gtree`, `knn` /
 //! `cold-start` fail when the G-tree's or ROAD's `memory_bytes` / the artifact's
 //! `artifact_bytes` grew (deterministic counts); re-baselining an intentional
-//! change is committing the written file.
+//! change is committing the written file. `work` writes the identity digests
+//! (artifact checksums and summed query counters); the crate's tests compare
+//! them exactly.
 
 #![forbid(unsafe_code)]
 
 use std::time::Duration;
 
 use rnknn_bench::artifacts::ArtifactIo;
-use rnknn_bench::{ch_build, cli, cold_start, gtree_build, knn_query, serving, track, BENCHES};
+use rnknn_bench::{
+    ch_build, cli, cold_start, gtree_build, knn_query, serving, track, work, BENCHES,
+};
 
 const USAGE: &str = "\
-usage: trajectory_bench <ch|gtree|knn|serving|cold-start>... [flags]
+usage: trajectory_bench <ch|gtree|knn|serving|cold-start|work>... [flags]
   --smoke            the CI tier: smaller sizes (serving: 0.5 s cells instead of 3 s)
   --sizes N,N,..     generator target sizes instead of the tier's (every bench)
   --queries N        measured queries per method and size, default 400 (knn)
@@ -80,6 +84,10 @@ fn run(args: &cli::Args) -> Result<(), String> {
             "cold_start" => {
                 (cold_start::measure(&tier(&BUILD[..2], &[20_000, 100_000, 500_000])), true)
             }
+            "work" => (
+                tier(&work::SIZES, &work::SIZES).into_iter().flat_map(work::measure).collect(),
+                true,
+            ),
             other => unreachable!("BENCHES names no {other}"),
         };
         if !tracked {

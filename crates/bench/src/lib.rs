@@ -224,16 +224,86 @@ pub mod defaults {
     pub const DENSITY_SWEEP: [f64; 5] = [0.0001, 0.001, 0.01, 0.1, 1.0];
 }
 
-/// The five committed trajectories: `trajectory_bench` subcommand and the
+/// The six committed trajectories: `trajectory_bench` subcommand and the
 /// `<bench>` of its `BENCH_<bench>.json` (also the first segment of every
 /// record name in that file).
-pub const BENCHES: [(&str, &str); 5] = [
+pub const BENCHES: [(&str, &str); 6] = [
     ("ch", "ch_build"),
     ("gtree", "gtree_build"),
     ("knn", "knn_query"),
     ("serving", "serving"),
     ("cold-start", "cold_start"),
+    ("work", "work"),
 ];
+
+/// Identity digests (`BENCH_work.json`): what a tier's indexes are and how much
+/// work each benchmarked method does on them, all exact counts. Per tier it holds
+/// the saved artifact's size and checksum, and per method of
+/// [`knn_query::METHODS`] the sum of every `QueryStats` counter over a fixed
+/// seeded query set. A change that leaves the indexes and the searches alone
+/// leaves the file as it is; one that changes them shows the change as a diff of
+/// this file. The tests recompute the 2k tier in every build and the 23k tier
+/// in release builds, and compare exactly.
+pub mod work {
+    use rnknn::engine::{Engine, EngineConfig};
+    use rnknn::QueryStats;
+    use rnknn_graph::NodeId;
+    use rnknn_objects::uniform;
+
+    use crate::artifacts::{engine_config, tier_graph};
+    use crate::defaults::K;
+    use crate::knn_query::METHODS;
+    use crate::track::{self, Record};
+
+    /// The generator sizes of the two tiers (2 216 and 23 190 vertices).
+    pub const SIZES: [usize; 2] = [2_000, 20_000];
+    /// Queries per method: vertex `i · 2654435769 mod |V|` for `i < QUERIES`.
+    const QUERIES: u64 = 200;
+    /// Uniform object density (seed 1).
+    const DENSITY: f64 = 0.01;
+
+    /// The digest records of the tier generated at `size`, named
+    /// `work/<vertices>/...`.
+    pub fn measure(size: usize) -> Vec<Record> {
+        let config = EngineConfig { build_road: true, ..engine_config(true, true) };
+        let mut engine = Engine::build(tier_graph(size), &config);
+        let artifact = engine.save_indexes_to_vec().expect("save the tier's indexes");
+        let checksum = rnknn_persist::checksum(&artifact);
+        engine.set_objects(uniform(engine.graph(), DENSITY, 1));
+        let n = engine.graph().num_vertices() as u64;
+        let tier = format!("work/{n}");
+        // A JSON number holds a 32-bit half exactly, not the whole 64-bit checksum.
+        let mut records = track::records(
+            &tier,
+            &[
+                ("artifact_bytes", artifact.len() as f64, "bytes"),
+                ("artifact_checksum_hi", (checksum >> 32) as f64, "u32"),
+                ("artifact_checksum_lo", (checksum & u64::from(u32::MAX)) as f64, "u32"),
+                ("objects", engine.objects().map_or(0, |o| o.len()) as f64, "count"),
+                ("queries", QUERIES as f64, "count"),
+            ],
+        );
+        for method in METHODS {
+            let mut total = QueryStats::default();
+            for i in 0..QUERIES {
+                let q = (i * 2_654_435_769 % n) as NodeId;
+                let output = engine.query(method, q, K).expect("digest query");
+                total.accumulate(&output.stats);
+            }
+            records.extend(track::records(
+                &format!("{tier}/{}", method.name()),
+                &[
+                    ("nodes_expanded", total.nodes_expanded as f64, "count"),
+                    ("heap_operations", total.heap_operations as f64, "count"),
+                    ("oracle_calls", total.oracle_calls as f64, "count"),
+                    ("candidates_examined", total.candidates_examined as f64, "count"),
+                    ("matrix_cells", total.matrix_cells as f64, "count"),
+                ],
+            ));
+        }
+        records
+    }
+}
 
 /// Index-artifact persistence behind the `--save DIR` / `--load DIR` flags:
 /// build once, write the versioned artifact, and let every later run (or a
@@ -1103,6 +1173,44 @@ mod tests {
         assert!(bed.workload_stats(Method::IerPhl, 5).is_none());
         // The parallel path answers the same workload.
         assert!(bed.avg_batch_query_micros(Method::Gtree, 5).is_finite());
+    }
+
+    /// Recomputes one tier of `BENCH_work.json` and compares it exactly.
+    fn work_tier_matches_the_committed_digest(size: usize) {
+        let committed = track::read_committed("work");
+        let measured = work::measure(size);
+        let tier = measured[0].name.rsplit_once('/').expect("tier prefix").0.to_string();
+        let committed_tier: Vec<&track::Record> =
+            committed.iter().filter(|r| r.name.starts_with(&format!("{tier}/"))).collect();
+        let differs: Vec<String> = measured
+            .iter()
+            .filter(|r| track::value(&committed, &r.name) != Some(r.value))
+            .map(|r| {
+                format!(
+                    "{} = {} (committed {:?})",
+                    r.name,
+                    r.value,
+                    track::value(&committed, &r.name)
+                )
+            })
+            .collect();
+        assert!(
+            differs.is_empty() && committed_tier.len() == measured.len(),
+            "{tier} differs from BENCH_work.json (a change to the indexes or the searches \
+             re-baselines with `trajectory_bench work`, and the diff is its record):\n{}",
+            differs.join("\n")
+        );
+    }
+
+    #[test]
+    fn work_digest_of_the_2k_tier_is_exact() {
+        work_tier_matches_the_committed_digest(work::SIZES[0]);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn work_digest_of_the_23k_tier_is_exact() {
+        work_tier_matches_the_committed_digest(work::SIZES[1]);
     }
 
     #[test]

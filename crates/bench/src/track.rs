@@ -151,6 +151,14 @@ fn path(bench: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{bench}.json"))
 }
 
+/// The records of the committed `BENCH_<bench>.json`.
+#[cfg(test)]
+pub(crate) fn read_committed(bench: &str) -> Vec<Record> {
+    let path = path(bench);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    read(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 /// Merges `records` into `BENCH_<bench>.json` and returns the file's previous
 /// contents (what a regression gate compares against).
 pub fn update(bench: &str, records: &[Record]) -> Vec<Record> {

@@ -14,8 +14,9 @@
 //! Labels are written on the **write side** only: [`ChTargetDirectory::build`]
 //! fills every object's label and [`ChTargetDirectory::insert`] fills the new one,
 //! each with one unbudgeted upward search on the calling thread. A reader only looks
-//! labels up. Labels are reference-counted, so a cloned directory shares them with
-//! its original instead of copying them.
+//! labels up. Labels are reference-counted, so a cloned directory — and a directory
+//! copied over with `clone_from` — shares them with its original instead of
+//! copying or recomputing them.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -29,12 +30,30 @@ use crate::build::ContractionHierarchy;
 type Label = Arc<[(NodeId, Weight)]>;
 
 /// Per-object CH target labels (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChTargetDirectory {
     /// Identity of the hierarchy the labels are spaces of.
     num_vertices: usize,
     num_shortcuts: usize,
     labels: HashMap<NodeId, Label>,
+}
+
+impl Clone for ChTargetDirectory {
+    fn clone(&self) -> Self {
+        ChTargetDirectory {
+            num_vertices: self.num_vertices,
+            num_shortcuts: self.num_shortcuts,
+            labels: self.labels.clone(),
+        }
+    }
+
+    /// Field by field: the map keeps its table when the bucket counts agree, and
+    /// every label is shared, never copied.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_vertices = source.num_vertices;
+        self.num_shortcuts = source.num_shortcuts;
+        self.labels.clone_from(&source.labels);
+    }
 }
 
 impl ChTargetDirectory {
@@ -212,6 +231,38 @@ mod tests {
         assert_eq!(clone.label(77), Some(label.as_slice()), "the clone lost a shared label");
         assert!(targets.insert(&ch, 77));
         assert_eq!((targets.label(77), targets.memory_bytes()), (Some(label.as_slice()), three));
+    }
+
+    /// `clone_from` over a directory of other objects, after seeded churn on
+    /// both, equals `clone`: the same objects, each with the source's own label.
+    #[test]
+    fn clone_from_after_churn_equals_clone_and_shares_every_label() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(400, 9));
+        let ch = ContractionHierarchy::build(&net.graph(EdgeWeightKind::Distance));
+        let n = ch.num_vertices() as u64;
+        let churned = |modulus: NodeId, mut state: u64| {
+            let objects: Vec<NodeId> = (0..n as NodeId).filter(|v| v % modulus == 3).collect();
+            let mut targets = ChTargetDirectory::build(&ch, &objects);
+            for _ in 0..300 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = (state % n) as NodeId;
+                if !targets.insert(&ch, v) {
+                    assert!(targets.remove(v));
+                }
+            }
+            targets
+        };
+        let source = churned(6, 0xD6E8_FEB8_6659_FD93);
+        let mut target = churned(23, 0xA076_1D64_78BD_642F);
+        target.clone_from(&source);
+        let cloned = source.clone();
+        assert_eq!((target.len(), target.memory_bytes()), (cloned.len(), cloned.memory_bytes()));
+        for (v, label) in &source.labels {
+            assert!(Arc::ptr_eq(&target.labels[v], label), "label of {v} not shared");
+            assert!(Arc::ptr_eq(&cloned.labels[v], label));
+        }
     }
 
     #[test]

@@ -48,7 +48,12 @@ fn next_object_generation() -> u64 {
 /// Obtain one from `Engine::build_object_indexes` (full rebuild — the Section 7.4
 /// decoupled step) and evolve it with [`ObjectIndexes::apply`] (incremental, the
 /// serving path). The indexes inside always describe exactly `objects()`.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies index by index into the target's own buffers, so a copy
+/// over a bundle of the same engine allocates (almost) nothing and shares every
+/// CH target label: it is how the serving store brings its working bundle level
+/// with a published epoch.
+#[derive(Debug)]
 pub struct ObjectIndexes {
     objects: ObjectSet,
     rtree: ObjectRTree,
@@ -56,6 +61,30 @@ pub struct ObjectIndexes {
     association: Option<AssociationDirectory>,
     ch_targets: Option<ChTargetDirectory>,
     generation: u64,
+}
+
+impl Clone for ObjectIndexes {
+    fn clone(&self) -> Self {
+        ObjectIndexes {
+            objects: self.objects.clone(),
+            rtree: self.rtree.clone(),
+            occurrence: self.occurrence.clone(),
+            association: self.association.clone(),
+            ch_targets: self.ch_targets.clone(),
+            generation: self.generation,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // `Option::clone_from` forwards to the inner `clone_from` when both are
+        // `Some`, which they are for two bundles of one engine.
+        self.objects.clone_from(&source.objects);
+        self.rtree.clone_from(&source.rtree);
+        self.occurrence.clone_from(&source.occurrence);
+        self.association.clone_from(&source.association);
+        self.ch_targets.clone_from(&source.ch_targets);
+        self.generation = source.generation;
+    }
 }
 
 impl ObjectIndexes {

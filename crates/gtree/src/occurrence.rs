@@ -10,7 +10,7 @@ use rnknn_graph::NodeId;
 use crate::tree::{Gtree, NodeIndex};
 
 /// An occurrence list for one object set over one G-tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct OccurrenceList {
     /// For every G-tree node: indexes (into `node.children`) of children containing
     /// objects.
@@ -19,6 +19,25 @@ pub struct OccurrenceList {
     leaf_objects: Vec<Vec<NodeId>>,
     /// Total number of objects.
     num_objects: usize,
+}
+
+impl Clone for OccurrenceList {
+    fn clone(&self) -> Self {
+        OccurrenceList {
+            children_with_objects: self.children_with_objects.clone(),
+            leaf_objects: self.leaf_objects.clone(),
+            num_objects: self.num_objects,
+        }
+    }
+
+    /// Field by field: `Vec<Vec<_>>::clone_from` copies each node's list into
+    /// the target's own, so a copy over a list of the same G-tree allocates only
+    /// where a node's list has outgrown the target's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.children_with_objects.clone_from(&source.children_with_objects);
+        self.leaf_objects.clone_from(&source.leaf_objects);
+        self.num_objects = source.num_objects;
+    }
 }
 
 impl OccurrenceList {
@@ -287,6 +306,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `clone_from` over a list of another object set, after seeded churn on
+    /// both, equals `clone`.
+    #[test]
+    fn clone_from_after_churn_equals_clone() {
+        let (g, tree) = tree();
+        let n = g.num_vertices() as u64;
+        let churned = |modulus: NodeId, mut state: u64| {
+            let members: Vec<NodeId> = g.vertices().filter(|v| v % modulus == 1).collect();
+            let mut occ = OccurrenceList::build(&tree, &members);
+            for _ in 0..400 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = (state % n) as NodeId;
+                if !occ.insert(&tree, v) {
+                    assert!(occ.remove(&tree, v));
+                }
+            }
+            occ
+        };
+        let source = churned(7, 0x2545_F491_4F6C_DD1D);
+        let mut target = churned(31, 0x9E37_79B9_7F4A_7C15);
+        assert_ne!(target, source);
+        target.clone_from(&source);
+        assert_eq!(target, source.clone());
     }
 
     #[test]

@@ -14,9 +14,9 @@ use crate::rt;
 
 pub mod atomic;
 
-/// Instrumented `Arc`: clone, drop and [`Arc::try_unwrap`] are scheduling
-/// points, which is what lets models explore reader-pin vs. buffer-reclaim
-/// races.
+/// Instrumented `Arc`: clone, drop, [`Arc::try_unwrap`] and [`Arc::get_mut`] are
+/// scheduling points, which is what lets models explore reader-pin vs.
+/// buffer-reuse races.
 pub struct Arc<T: ?Sized> {
     inner: Option<std::sync::Arc<T>>,
 }
@@ -37,6 +37,13 @@ impl<T> Arc<T> {
 }
 
 impl<T: ?Sized> Arc<T> {
+    /// A mutable borrow of the value iff this is the sole reference, exactly like
+    /// `std::sync::Arc::get_mut` (a scheduling point under a model).
+    pub fn get_mut(this: &mut Arc<T>) -> Option<&mut T> {
+        rt::point(rt::PointKind::Op("arc.get_mut"));
+        std::sync::Arc::get_mut(this.inner.as_mut().expect("loom-shim: Arc inner absent"))
+    }
+
     /// The number of strong references (diagnostic parity with `std`).
     pub fn strong_count(this: &Arc<T>) -> usize {
         std::sync::Arc::strong_count(this.arc())

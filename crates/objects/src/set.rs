@@ -4,7 +4,7 @@ use rnknn_graph::{Graph, NodeId, Point};
 use rnknn_spatial::rtree::{BrowserScratch, EuclideanBrowser, RTree, ScratchBrowser};
 
 /// A set of object (POI) vertices on a road network.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ObjectSet {
     /// Sorted, de-duplicated object vertex ids.
     objects: Vec<NodeId>,
@@ -12,6 +12,24 @@ pub struct ObjectSet {
     bitmap: Vec<u64>,
     /// Human-readable name used in experiment output ("uniform d=0.001", "Hospitals"...).
     name: String,
+}
+
+impl Clone for ObjectSet {
+    fn clone(&self) -> Self {
+        ObjectSet {
+            objects: self.objects.clone(),
+            bitmap: self.bitmap.clone(),
+            name: self.name.clone(),
+        }
+    }
+
+    /// Field by field, into the target's own buffers (no allocation when they
+    /// are large enough).
+    fn clone_from(&mut self, source: &Self) {
+        self.objects.clone_from(&source.objects);
+        self.bitmap.clone_from(&source.bitmap);
+        self.name.clone_from(&source.name);
+    }
 }
 
 impl ObjectSet {
@@ -93,9 +111,20 @@ impl ObjectSet {
 
 /// R-tree over object coordinates: the object index used by IER and by the DB-ENN
 /// variant of Distance Browsing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ObjectRTree {
     rtree: RTree,
+}
+
+impl Clone for ObjectRTree {
+    fn clone(&self) -> Self {
+        ObjectRTree { rtree: self.rtree.clone() }
+    }
+
+    /// [`RTree`]'s field-wise copy.
+    fn clone_from(&mut self, source: &Self) {
+        self.rtree.clone_from(&source.rtree);
+    }
 }
 
 impl ObjectRTree {
@@ -195,6 +224,46 @@ mod tests {
         // Browser yields the same first results.
         let browsed: Vec<NodeId> = rtree.browse(q).take(5).map(|(_, o)| o).collect();
         assert_eq!(browsed, knn.iter().map(|&(_, o)| o).collect::<Vec<_>>());
+    }
+
+    /// `clone_from` over another set and tree, after seeded churn on both,
+    /// equals `clone`: the same members, name and R-tree browse order.
+    #[test]
+    fn clone_from_after_churn_equals_clone() {
+        use crate::{churn_stream, uniform, ChurnConfig, UpdateEvent};
+        let net = RoadNetwork::generate(&GeneratorConfig::new(600, 13));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let churned = |density: f64, seed: u64| {
+            let mut set = uniform(&g, density, seed);
+            let mut rtree = ObjectRTree::build(&g, &set);
+            let config = ChurnConfig { events: 200, seed, ..Default::default() };
+            for event in churn_stream(g.num_vertices(), &set, &config) {
+                if event.apply_to(&mut set) {
+                    match event {
+                        UpdateEvent::Insert(v) => rtree.insert(&g, v),
+                        UpdateEvent::Remove(v) => assert!(rtree.remove(&g, v)),
+                        UpdateEvent::Move { from, to } => {
+                            assert!(rtree.remove(&g, from));
+                            rtree.insert(&g, to);
+                        }
+                    }
+                }
+            }
+            (set, rtree)
+        };
+        let (source_set, source_tree) = churned(0.05, 1);
+        let (mut set, mut rtree) = churned(0.01, 2);
+        set.clone_from(&source_set);
+        rtree.clone_from(&source_tree);
+        let (cloned_set, cloned_tree) = (source_set.clone(), source_tree.clone());
+        assert_eq!(set.vertices(), cloned_set.vertices());
+        assert_eq!(set.name(), cloned_set.name());
+        assert!(g.vertices().all(|v| set.contains(v) == cloned_set.contains(v)));
+        assert_eq!(rtree.len(), source_set.len());
+        for q in [0, 211, 599] {
+            let order = |tree: &ObjectRTree| tree.browse(g.coord(q)).collect::<Vec<_>>();
+            assert_eq!(order(&rtree), order(&cloned_tree), "browse from {q}");
+        }
     }
 
     #[test]

@@ -16,13 +16,31 @@ use crate::index::{RnetIndex, RoadIndex};
 /// of every Rnet on the object's leaf-to-root path and
 /// [`AssociationDirectory::remove`] decrements them, so an Rnet whose last object
 /// leaves reads object-free at once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AssociationDirectory {
     /// Objects inside each Rnet.
     rnet_objects: Vec<u32>,
     /// One bit per road-network vertex: set when the vertex is an object.
     vertex_is_object: Vec<u64>,
     num_objects: usize,
+}
+
+impl Clone for AssociationDirectory {
+    fn clone(&self) -> Self {
+        AssociationDirectory {
+            rnet_objects: self.rnet_objects.clone(),
+            vertex_is_object: self.vertex_is_object.clone(),
+            num_objects: self.num_objects,
+        }
+    }
+
+    /// Field by field, into the target's own buffers (no allocation between
+    /// directories of one ROAD index).
+    fn clone_from(&mut self, source: &Self) {
+        self.rnet_objects.clone_from(&source.rnet_objects);
+        self.vertex_is_object.clone_from(&source.vertex_is_object);
+        self.num_objects = source.num_objects;
+    }
 }
 
 impl AssociationDirectory {
@@ -189,6 +207,35 @@ mod tests {
                 .count();
         }
         assert!(emptied > 0, "no removal emptied an Rnet: the churn is too gentle");
+    }
+
+    /// `clone_from` over a directory of another object set, after seeded churn
+    /// on both, equals `clone`: the same per-Rnet counts and vertex bits.
+    #[test]
+    fn clone_from_after_churn_equals_clone() {
+        let net = RoadNetwork::generate(&GeneratorConfig::new(600, 6));
+        let g = net.graph(EdgeWeightKind::Distance);
+        let road = derive_for_tests(&g, 16);
+        let n = g.num_vertices() as u64;
+        let churned = |modulus: NodeId, mut state: u64| {
+            let members: Vec<NodeId> = g.vertices().filter(|v| v % modulus == 2).collect();
+            let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &members);
+            for _ in 0..400 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = (state % n) as NodeId;
+                if !dir.insert(&road, v) {
+                    assert!(dir.remove(&road, v));
+                }
+            }
+            dir
+        };
+        let source = churned(5, 0xBF58_476D_1CE4_E5B9);
+        let mut target = churned(41, 0x94D0_49BB_1331_11EB);
+        assert_ne!(target, source);
+        target.clone_from(&source);
+        assert_eq!(target, source.clone());
     }
 
     #[test]

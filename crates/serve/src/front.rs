@@ -608,7 +608,7 @@ fn worker_loop(seed: &WorkerSeed, initial: Vec<KnnRequest>) -> Lifecycle {
         let end = serve_batch(seed, &engine, &snapshot, &mut scratch, &mut out, &mut batch);
         let epoch = snapshot.epoch();
         // `snapshot` drops here, releasing the epoch before the next pin so the
-        // store's double buffer can reclaim it.
+        // store can reuse its bundle.
         drop(snapshot);
         match end {
             BatchEnd::Completed => {

@@ -12,7 +12,8 @@
 //!   association dirty-marking — see [`rnknn::live`]) and become visible
 //!   atomically at an epoch [`ObjectStore::publish`]. Readers pin an
 //!   [`EpochSnapshot`] and keep a consistent object view for as long as they
-//!   hold it; double buffering makes a publish `O(batch)`, not `O(|objects|)`.
+//!   hold it. A publish copies the new epoch into a bundle no reader holds, so
+//!   every update is applied once and a publish allocates nothing once warm.
 //!
 //! * [`ServeFront`] — a sharded pool of long-lived worker threads, each with a
 //!   bounded request queue and its own [`rnknn::EngineScratch`]. Workers admit

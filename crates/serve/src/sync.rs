@@ -7,7 +7,7 @@
 //! the threads of a `loom::model(...)` body and exhaustively explores the
 //! interleavings of their synchronization operations. That is what lets
 //! `tests/loom_store.rs`, `tests/loom_front.rs` and `tests/loom_channel.rs`
-//! model-check the epoch publish/reclaim protocol, the front-end shutdown
+//! model-check the epoch publish protocol, the front-end shutdown
 //! handshake and the channels' park/wake protocol:
 //!
 //! ```text

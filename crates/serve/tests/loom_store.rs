@@ -1,20 +1,24 @@
-//! Loom models of the epoch publish/reclaim protocol.
+//! Loom models of the epoch publish protocol.
 //!
 //! Each test explores every interleaving (within the explorer's preemption
-//! bound) of one writer driving the stage → publish → reclaim lifecycle against
+//! bound) of one writer driving the stage → publish → copy lifecycle against
 //! reader threads pinning and releasing [`EpochSnapshot`]s. The properties:
 //!
 //! 1. **Snapshot atomicity** — a reader sees a staged `Move` entirely or not at
 //!    all (XOR membership), never a torn view, no matter where its pin lands.
-//! 2. **Reclaim replays** — events published in epoch `n` are still present in
-//!    epoch `n+1` even though `n+1` is built from the *reclaimed previous
-//!    buffer*, which was two epochs behind (the `mutant-skip-replay` feature
-//!    deletes the catch-up replay and makes this model fail).
-//! 3. **Bounded-spin reclaim** — when readers release their pins promptly, the
-//!    double buffer always wins: `clone_fallbacks()` stays 0 in every schedule,
-//!    because `RECLAIM_SPINS` exceeds the explorer's preemption bound (the
-//!    `mutant-no-reclaim-spin` feature clones unconditionally and fails this in
+//! 2. **The copy levels the reused bundle** — events published in epoch `n` are
+//!    still present in epoch `n+1` even though `n+1` is staged on a *reused
+//!    retired bundle* that held an older epoch (the `mutant-skip-copy` feature
+//!    deletes the copy and makes this model fail).
+//! 3. **One pinned epoch never forces a clone** — a reader pins at most one
+//!    epoch at a time, and the store's spare leaves every publish two retired
+//!    bundles to choose from, so `clone_fallbacks()` stays 0 in every schedule,
+//!    with no spin and no dependence on the preemption bound (the
+//!    `mutant-no-reuse` feature never reuses a retired bundle and fails this in
 //!    every schedule).
+//!    Every epoch a reader pins holds a CH target label for each of its objects:
+//!    the label is filled once, at stage, and travels with its object through the
+//!    copy.
 //! 4. **TTL ordering** — a TTL that is due expires *before* the working buffer
 //!    is moved in, so no published epoch ever exposes the expired object.
 //!
@@ -46,7 +50,8 @@ fn engine() -> Arc<Engine> {
     static ENGINE: OnceLock<Arc<Engine>> = OnceLock::new();
     Arc::clone(ENGINE.get_or_init(|| {
         let net = RoadNetwork::generate(&GeneratorConfig::new(60, 7));
-        Arc::new(Engine::build(net.graph(EdgeWeightKind::Distance), &EngineConfig::minimal()))
+        let config = EngineConfig { build_ch: true, ..EngineConfig::minimal() };
+        Arc::new(Engine::build(net.graph(EdgeWeightKind::Distance), &config))
     }))
 }
 
@@ -58,7 +63,7 @@ fn store() -> Arc<ObjectStore> {
 }
 
 /// Property 1 + 3: a concurrent reader observes a staged move atomically, and
-/// prompt pin release keeps the publish on the O(batch) reclaim path.
+/// its pin, wherever it lands, leaves the publish a retired bundle to copy into.
 #[test]
 fn move_is_atomic_under_every_schedule() {
     loom::model(|| {
@@ -87,24 +92,27 @@ fn move_is_atomic_under_every_schedule() {
         assert_eq!(
             store.clone_fallbacks(),
             0,
-            "publish must reclaim the double buffer when pins are released promptly"
+            "one reader's pin forced a clone: the publish found no free retired bundle"
         );
     });
 }
 
-/// Property 2 + 3: the buffer reclaimed at publish `n` is caught up by replaying
-/// the pending events, so epoch `n+1` still contains epoch `n`'s insert.
+/// Property 2 + 3: the bundle reused at publish `n` is brought level by copying
+/// epoch `n` into it, so epoch `n+1` still contains epoch `n`'s insert.
 #[test]
-fn reclaimed_buffer_replays_previous_epochs_events() {
+fn reused_bundle_keeps_previous_epochs_events() {
     loom::model(|| {
         let store = store();
         let reader = {
             let store = Arc::clone(&store);
             thread::spawn(move || {
                 // Pin an arbitrary epoch and release promptly; membership of the
-                // base objects must hold in every epoch.
+                // base objects, and a label per object, must hold in every epoch.
                 let snap = store.snapshot();
                 assert!(snap.objects().contains(BASE[1]));
+                let targets = snap.indexes().ch_targets().expect("the model engine has a CH");
+                assert_eq!(targets.len(), snap.objects().len(), "epoch {}", snap.epoch());
+                assert!(snap.objects().vertices().iter().all(|&v| targets.label(v).is_some()));
             })
         };
         assert!(store.insert(FREE_A));
@@ -117,7 +125,7 @@ fn reclaimed_buffer_replays_previous_epochs_events() {
         assert_eq!(fin.epoch(), 2);
         assert!(
             fin.objects().contains(FREE_A),
-            "epoch 1's insert vanished from epoch 2: the reclaimed buffer was not replayed"
+            "epoch 1's insert vanished from epoch 2: the reused bundle was not copied level"
         );
         assert!(fin.objects().contains(FREE_B));
         assert_eq!(fin.objects().len(), BASE.len() + 2);

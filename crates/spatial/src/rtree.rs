@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 /// performance; 16 is a good default for point data in memory.
 pub const DEFAULT_NODE_CAPACITY: usize = 16;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     rect: Rect,
     /// Child node indices for internal nodes; empty for leaves.
@@ -25,9 +25,24 @@ struct Node {
     entries: Vec<u32>,
 }
 
+impl Clone for Node {
+    fn clone(&self) -> Node {
+        Node { rect: self.rect, children: self.children.clone(), entries: self.entries.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Node) {
+        self.rect = source.rect;
+        self.children.clone_from(&source.children);
+        self.entries.clone_from(&source.entries);
+    }
+}
+
 /// A bulk-loaded R-tree over `(Point, payload)` entries that also supports
 /// incremental [`RTree::insert`] / [`RTree::remove`] for live-object workloads.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` copies field by field into the target's own vectors, every node's
+/// included, so copying a tree over a same-shaped one allocates nothing.
+#[derive(Debug)]
 pub struct RTree {
     nodes: Vec<Node>,
     root: u32,
@@ -41,6 +56,34 @@ pub struct RTree {
     free_nodes: Vec<u32>,
     /// Number of live entries (`points.len()` minus free slots).
     active: usize,
+}
+
+impl Clone for RTree {
+    fn clone(&self) -> RTree {
+        RTree {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            points: self.points.clone(),
+            payloads: self.payloads.clone(),
+            node_capacity: self.node_capacity,
+            free: self.free.clone(),
+            free_nodes: self.free_nodes.clone(),
+            active: self.active,
+        }
+    }
+
+    fn clone_from(&mut self, source: &RTree) {
+        // `Vec::clone_from` clones the common prefix element-wise, so each node
+        // reuses its own `children` / `entries` buffers.
+        self.nodes.clone_from(&source.nodes);
+        self.root = source.root;
+        self.points.clone_from(&source.points);
+        self.payloads.clone_from(&source.payloads);
+        self.node_capacity = source.node_capacity;
+        self.free.clone_from(&source.free);
+        self.free_nodes.clone_from(&source.free_nodes);
+        self.active = source.active;
+    }
 }
 
 impl RTree {
@@ -834,6 +877,47 @@ mod tests {
         let mut expect: Vec<u32> = live.iter().map(|&(_, id)| id).collect();
         expect.sort_unstable();
         assert_eq!(seen, expect, "browse lost or duplicated entries");
+    }
+
+    /// `clone_from` over a tree of another shape, after seeded churn on both,
+    /// equals `clone`: the same structure field by field and the same browse
+    /// order from every probe.
+    #[test]
+    #[cfg_attr(miri, ignore = "large input; Miri covers the sized-down stress tests")]
+    fn clone_from_after_churn_equals_clone() {
+        let pool = scattered_points(300);
+        let mut state = 0x5851_F42D_4C95_7F2Du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let mut churn = |tree: &mut RTree, live: &mut Vec<(Point, u32)>, steps: usize| {
+            for _ in 0..steps {
+                let candidate = pool[rng() % pool.len()];
+                match live.iter().position(|&(_, id)| id == candidate.1) {
+                    Some(at) => assert!(tree.remove(live.swap_remove(at).0, candidate.1)),
+                    None => {
+                        tree.insert(candidate.0, candidate.1);
+                        live.push(candidate);
+                    }
+                }
+            }
+        };
+        let (mut source_live, mut target_live) = (pool[..120].to_vec(), pool[150..].to_vec());
+        let mut source = RTree::bulk_load_with_capacity(&source_live, 4);
+        let mut target = RTree::bulk_load_with_capacity(&target_live, 4);
+        churn(&mut source, &mut source_live, 500);
+        churn(&mut target, &mut target_live, 300);
+        target.clone_from(&source);
+        let cloned = source.clone();
+        assert_eq!(format!("{target:?}"), format!("{cloned:?}"));
+        for q in [Point::new(0.0, 0.0), Point::new(512.0, 300.0), Point::new(999.0, 999.0)] {
+            let order = |tree: &RTree| tree.browse(q).collect::<Vec<(f64, u32)>>();
+            assert_eq!(order(&target), order(&cloned));
+            assert_eq!(order(&target).len(), source_live.len());
+        }
     }
 
     /// Randomized free-list stress against a reference model: across heavy
