@@ -5,8 +5,9 @@
 //! ground truth for kNN, per-epoch interleaved verification plus exactly-once
 //! accounting for serving, post-clock verification for cold start), measures,
 //! and merges its records by name into `BENCH_<bench>.json` in the workspace
-//! root (`rnknn_bench::track`). After writing, `knn` gates the G-tree, ROAD and
-//! IER-CH p50s against the file's previous contents, and `gtree`, `knn` /
+//! root (`rnknn_bench::track`). After writing, `knn` gates every method's
+//! summed query counters exactly and its p50 within 2× against the file's
+//! previous contents, and `gtree`, `knn` /
 //! `cold-start` fail when the G-tree's or ROAD's `memory_bytes` / the artifact's
 //! `artifact_bytes` grew (deterministic counts); re-baselining an intentional
 //! change is committing the written file. `work` writes the identity digests

@@ -290,18 +290,30 @@ pub mod work {
                 let output = engine.query(method, q, K).expect("digest query");
                 total.accumulate(&output.stats);
             }
-            records.extend(track::records(
-                &format!("{tier}/{}", method.name()),
-                &[
-                    ("nodes_expanded", total.nodes_expanded as f64, "count"),
-                    ("heap_operations", total.heap_operations as f64, "count"),
-                    ("oracle_calls", total.oracle_calls as f64, "count"),
-                    ("candidates_examined", total.candidates_examined as f64, "count"),
-                    ("matrix_cells", total.matrix_cells as f64, "count"),
-                ],
-            ));
+            records.extend(track::records(&format!("{tier}/{}", method.name()), &counters(&total)));
         }
         records
+    }
+
+    /// The names of the five exact [`QueryStats`] counters, in record order.
+    pub(crate) const COUNTERS: [&str; 5] = [
+        "nodes_expanded",
+        "heap_operations",
+        "oracle_calls",
+        "candidates_examined",
+        "matrix_cells",
+    ];
+
+    /// `total`'s five counters as record fields named by [`COUNTERS`].
+    pub(crate) fn counters(total: &QueryStats) -> [(&'static str, f64, &'static str); 5] {
+        let values = [
+            total.nodes_expanded,
+            total.heap_operations,
+            total.oracle_calls,
+            total.candidates_examined,
+            total.matrix_cells,
+        ];
+        std::array::from_fn(|i| (COUNTERS[i], values[i] as f64, "count"))
     }
 }
 
@@ -509,20 +521,22 @@ pub mod gtree_build {
 
 /// kNN query-latency scaling (`BENCH_knn_query.json`): build the query-side
 /// indexes on generated networks of increasing size, verify every method
-/// against the Dijkstra ground truth, then measure per-method p50 latency and
-/// queries/sec of `Engine::query_into` on the warm per-thread scratch pool.
+/// against the Dijkstra ground truth, then measure per-method work (the summed
+/// `QueryStats` counters), p50 latency and queries/sec of `Engine::query_into`
+/// on the warm per-thread scratch pool.
 pub mod knn_query {
     use std::time::Instant;
 
-    use rnknn::engine::{EngineConfig, Method};
+    use rnknn::engine::{Engine, EngineConfig, Method};
     use rnknn::verify::matches_ground_truth;
-    use rnknn::QueryOutput;
+    use rnknn::{QueryOutput, QueryStats};
     use rnknn_graph::NodeId;
     use rnknn_objects::uniform;
 
     use crate::artifacts::{engine_config, tier_engine, ArtifactIo};
     use crate::defaults::K;
     use crate::track::{self, Record};
+    use crate::work::{counters, COUNTERS};
 
     /// The methods the trajectory tracks: the acceptance trio (G-tree, INE, IER-CH),
     /// IER-Gt, which shares the G-tree materialization pool, and ROAD — the other
@@ -532,10 +546,17 @@ pub mod knn_query {
     pub const METHODS: [Method; 5] =
         [Method::Ine, Method::Gtree, Method::IerGtree, Method::IerCh, Method::Road];
 
+    /// Timed passes per method; `p50_us` and `qps` are their medians.
+    const PASSES: usize = 3;
+
     /// Measures every tracked method at every requested size. Each method is
     /// first verified against the Dijkstra ground truth on 3 query vertices,
     /// so a fast-but-wrong query path never lands in the trajectory — on the
-    /// `--load` path this doubles as the loaded-artifact conformance gate.
+    /// `--load` path this doubles as the loaded-artifact conformance gate. Then
+    /// one warm-up pass per method, and three timed passes interleaved
+    /// across the methods, so a slow stretch of the host lands on one sample of
+    /// each method rather than on every sample of one. Every pass must do the
+    /// same work.
     pub fn measure(
         sizes: &[usize],
         queries_per_size: usize,
@@ -581,7 +602,10 @@ pub mod knn_query {
                 records.extend(track::records(&tier, &[("ROAD/memory_bytes", bytes, "bytes")]));
             }
 
-            for method in METHODS.into_iter().filter(|&m| engine.supports(m)) {
+            let methods: Vec<Method> =
+                METHODS.into_iter().filter(|&m| engine.supports(m)).collect();
+            let mut out = QueryOutput::default();
+            for &method in &methods {
                 // Exactness gate.
                 for &q in queries.iter().take(3) {
                     let output = engine.query(method, q, K).expect("query");
@@ -591,130 +615,197 @@ pub mod knn_query {
                         method.name()
                     );
                 }
-                // One warm-up pass, then `query_into` on a reused output.
-                let mut out = QueryOutput::default();
-                for &q in &queries {
-                    engine.query_into(method, q, K, &mut out).expect("warm-up query");
+                timed_pass(&engine, method, &queries, &mut out);
+            }
+            let mut passes: Vec<Vec<Pass>> =
+                methods.iter().map(|_| Vec::with_capacity(PASSES)).collect();
+            for _ in 0..PASSES {
+                for (samples, &method) in passes.iter_mut().zip(&methods) {
+                    samples.push(timed_pass(&engine, method, &queries, &mut out));
                 }
-                let mut times = Vec::with_capacity(queries.len());
-                let pass_start = Instant::now();
-                for &q in &queries {
-                    let start = Instant::now();
-                    engine.query_into(method, q, K, &mut out).expect("pooled query");
-                    times.push(start.elapsed().as_micros() as u64);
-                    std::hint::black_box(out.result.len());
+            }
+            for (samples, method) in passes.iter_mut().zip(methods) {
+                let work = counters(&samples[0].work);
+                for pass in &samples[1..] {
+                    assert_eq!(
+                        counters(&pass.work),
+                        work,
+                        "{} did different work in two passes over the same queries at {tier}",
+                        method.name()
+                    );
                 }
-                let qps = queries.len() as f64 / pass_start.elapsed().as_secs_f64().max(1e-9);
-                times.sort_unstable();
-                let p50 = times[times.len() / 2] as f64;
+                let p50 = median(samples.iter().map(|pass| pass.p50_us).collect());
+                let qps = median(samples.iter().map(|pass| pass.qps).collect());
                 println!("  {:<8} p50={:>8.1}µs ({:>9.0} q/s)", method.name(), p50, qps);
-                records.extend(track::records(
-                    &format!("{tier}/{}", method.name()),
-                    &[("p50_us", p50, "µs"), ("qps", qps.round(), "q/s")],
-                ));
+                let mut fields = vec![("p50_us", p50, "µs"), ("qps", qps.round(), "q/s")];
+                fields.extend(work);
+                records.extend(track::records(&format!("{tier}/{}", method.name()), &fields));
             }
         }
         records
     }
 
-    /// Fails the run if a G-tree, ROAD or IER-CH p50 in `current` regressed by more
-    /// than 20% against `baseline` (the trajectory file's previous contents).
-    /// Host-speed differences are normalised out with the INE p50 of the same
-    /// tier: its current/baseline ratio measures the machine as long as the
-    /// change under test leaves INE alone. INE shares none of G-tree's matrix
-    /// assembly but it does share `rnknn_pathfinding`'s `MinHeap` and
-    /// `SearchScratch` with every method here (all of ROAD's search; ≈ 53 heap
-    /// operations per G-tree query), so a change under `rnknn-pathfinding` moves
-    /// the normaliser itself and re-baselines in the commit that makes it. Tiers
-    /// are matched by record name, i.e. by exact vertex count — the generator is
-    /// deterministic, so a miss means the baseline predates a generator change (or
-    /// the method's row) and the tier is skipped rather than misjudged.
-    /// Re-baselining an intentional change is committing the file the run has
-    /// already written.
+    /// One timed pass of `method` over `queries`.
+    struct Pass {
+        p50_us: f64,
+        qps: f64,
+        /// The pass's summed counters.
+        work: QueryStats,
+    }
+
+    /// Runs `method` once over `queries` with `query_into` on a reused output.
+    fn timed_pass(
+        engine: &Engine,
+        method: Method,
+        queries: &[NodeId],
+        out: &mut QueryOutput,
+    ) -> Pass {
+        let mut times = Vec::with_capacity(queries.len());
+        let mut work = QueryStats::default();
+        let pass_start = Instant::now();
+        for &q in queries {
+            let start = Instant::now();
+            engine.query_into(method, q, K, out).expect("pooled query");
+            times.push(start.elapsed().as_micros() as u64);
+            work.accumulate(&out.stats);
+        }
+        let qps = queries.len() as f64 / pass_start.elapsed().as_secs_f64().max(1e-9);
+        times.sort_unstable();
+        Pass { p50_us: times[times.len() / 2] as f64, qps, work }
+    }
+
+    fn median(mut samples: Vec<f64>) -> f64 {
+        samples.sort_unstable_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
+
+    /// Fails the run if a method's work or time in `current` moved against
+    /// `baseline` (the trajectory file's previous contents), for every tracked
+    /// method. Work is gated exactly: each summed `QueryStats` counter must equal
+    /// its committed value, on any host. Time is gated coarsely: a `p50_us` may
+    /// be at most twice its committed value — wide enough that a shared or
+    /// slower host does not fail it, while a search that does the same work at
+    /// twice the cost does. Tiers are matched by record name, i.e. by
+    /// exact vertex count — the generator is deterministic, so a miss means the
+    /// baseline predates a generator change (or the row) and the row is skipped
+    /// rather than misjudged. Re-baselining an intentional change is committing
+    /// the file the run has already written: its diff is the change's record of
+    /// its work.
     pub fn check_regression(current: &[Record], baseline: &[Record]) {
-        const TOLERANCE: f64 = 1.2;
-        for method in [Method::Gtree, Method::Road, Method::IerCh].map(Method::name) {
-            let suffix = format!("/{method}/p50_us");
-            for gated in current.iter().filter(|r| r.name.ends_with(&suffix)) {
-                let tier = gated.name.trim_end_matches(&suffix);
-                let ine = format!("{tier}/INE/p50_us");
-                let (Some(base), Some(base_ine), Some(cur_ine)) = (
-                    track::value(baseline, &gated.name),
-                    track::value(baseline, &ine),
-                    track::value(current, &ine),
-                ) else {
-                    println!("regression guard: no {method} baseline for {tier}, skipping");
-                    continue;
-                };
-                let host_scale = cur_ine.max(1.0) / base_ine.max(1.0);
-                let limit = base * TOLERANCE * host_scale;
-                println!(
-                    "regression guard @ {tier}: {method} p50 {:.1}µs vs limit {limit:.1}µs \
-                     (baseline {base:.1}µs × {TOLERANCE} tolerance × {host_scale:.2} host scale)",
-                    gated.value
-                );
+        let (mut exact, mut within, mut skipped) = (0, 0, 0);
+        for row in current.iter().filter(|r| r.name.starts_with("knn_query/")) {
+            let stat = row.name.rsplit('/').next().unwrap_or_default();
+            let timed = stat == "p50_us";
+            if !timed && !COUNTERS.contains(&stat) {
+                continue;
+            }
+            let Some(base) = track::value(baseline, &row.name) else {
+                skipped += 1;
+                continue;
+            };
+            if timed {
+                let limit = base * TIME_TOLERANCE;
                 assert!(
-                    gated.value <= limit,
-                    "{method} pooled p50 regressed at {tier}: {:.1}µs > {limit:.1}µs (baseline \
-                     {base:.1}µs, host scale {host_scale:.2}); if intentional, commit the \
-                     trajectory file this run has written",
-                    gated.value
+                    row.value <= limit,
+                    "{} regressed: {:.1}µs > {limit:.1}µs ({TIME_TOLERANCE} × the committed \
+                     {base:.1}µs); if intentional, commit the trajectory file this run has written",
+                    row.name,
+                    row.value
                 );
+                within += 1;
+            } else {
+                assert!(
+                    row.value == base,
+                    "{} changed: {} now, {base} committed; the work is exact, so \
+                     re-baselining is committing the diff of the trajectory file this run \
+                     has written",
+                    row.name,
+                    row.value
+                );
+                exact += 1;
             }
         }
+        println!(
+            "regression guard: {exact} counters exact, {within} p50s within {TIME_TOLERANCE}× \
+             the baseline, {skipped} rows without a baseline skipped"
+        );
     }
+
+    /// How far a `p50_us` may rise over its committed value before
+    /// [`check_regression`] fails the run.
+    const TIME_TOLERANCE: f64 = 2.0;
 
     #[cfg(test)]
     mod guard_tests {
         use super::*;
 
-        fn tier(vertices: usize, gtree_p50: f64, ine_p50: f64) -> Vec<Record> {
-            vec![
-                Record::new(format!("knn_query/{vertices}/INE/p50_us"), ine_p50, "µs"),
-                Record::new(format!("knn_query/{vertices}/Gtree/p50_us"), gtree_p50, "µs"),
-                Record::new(format!("knn_query/{vertices}/ROAD/p50_us"), 300.0, "µs"),
-                Record::new(format!("knn_query/{vertices}/IER-CH/p50_us"), gtree_p50 / 4.0, "µs"),
-            ]
+        /// One tier's rows: per method its p50 and its five counters.
+        fn tier(vertices: usize, gtree_p50: f64) -> Vec<Record> {
+            let mut rows = Vec::new();
+            for (i, method) in METHODS.into_iter().enumerate() {
+                let prefix = format!("knn_query/{vertices}/{}", method.name());
+                let p50 = if method == Method::Gtree { gtree_p50 } else { 50.0 + i as f64 };
+                rows.push(Record::new(format!("{prefix}/p50_us"), p50, "µs"));
+                rows.push(Record::new(format!("{prefix}/qps"), 1e6 / p50, "q/s"));
+                for (j, counter) in COUNTERS.into_iter().enumerate() {
+                    let value = (1_000 * (i + 1) + j) as f64;
+                    rows.push(Record::new(format!("{prefix}/{counter}"), value, "count"));
+                }
+            }
+            rows
+        }
+
+        /// The baseline goes through the file shape, as in a real run.
+        fn committed(rows: &[Record]) -> Vec<Record> {
+            track::read(&track::write(rows)).unwrap()
+        }
+
+        /// The panic message of `check_regression(current, baseline)`.
+        fn failure(current: &[Record], baseline: &[Record]) -> String {
+            let panic = std::panic::catch_unwind(|| check_regression(current, baseline))
+                .expect_err("the guard passed");
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
         }
 
         #[test]
-        fn guard_accepts_equal_and_scaled_results() {
-            // The baseline goes through the file shape, as in a real run.
-            let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
-            // Same numbers: fine. Slower host (INE 2x): G-tree 2x is also fine.
-            check_regression(&tier(23_190, 1000.0, 100.0), &baseline);
-            check_regression(&tier(23_190, 2000.0, 200.0), &baseline);
-            // Unknown tier: skipped, not misjudged.
-            check_regression(&tier(99_999, 9e9, 100.0), &baseline);
-            // A baseline from before ROAD had a row: G-tree judged, ROAD skipped.
-            check_regression(&tier(23_190, 1000.0, 100.0), &baseline[..2]);
+        fn equal_rows_pass() {
+            check_regression(&tier(23_190, 100.0), &committed(&tier(23_190, 100.0)));
         }
 
         #[test]
-        #[should_panic(expected = "Gtree pooled p50 regressed")]
-        fn guard_rejects_a_real_regression() {
-            let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
-            // INE unchanged (same host) but G-tree 1.5x slower: over the 1.2x gate.
-            check_regression(&tier(23_190, 1500.0, 100.0), &baseline);
+        fn a_counter_off_by_one_fails_naming_its_row() {
+            let baseline = committed(&tier(23_190, 100.0));
+            let mut current = tier(23_190, 100.0);
+            let row = "knn_query/23190/IER-CH/oracle_calls";
+            let at = current.iter().position(|r| r.name == row).unwrap();
+            current[at].value += 1.0;
+            let message = failure(&current, &baseline);
+            assert!(message.contains(row), "{message}");
+            assert!(message.contains("4003 now, 4002 committed"), "{message}");
+            assert!(message.contains("commit"), "{message}");
         }
 
         #[test]
-        #[should_panic(expected = "ROAD pooled p50 regressed")]
-        fn guard_rejects_a_road_regression() {
-            let baseline = track::read(&track::write(&tier(23_190, 1000.0, 100.0))).unwrap();
-            // A host that got 2x faster by INE's measure: ROAD standing still is a regression.
-            check_regression(&tier(23_190, 500.0, 50.0), &baseline);
+        fn p50_at_1_9x_passes_and_at_2_1x_fails() {
+            let baseline = committed(&tier(23_190, 100.0));
+            check_regression(&tier(23_190, 190.0), &baseline);
+            let message = failure(&tier(23_190, 210.0), &baseline);
+            assert!(message.contains("knn_query/23190/Gtree/p50_us regressed"), "{message}");
+            assert!(message.contains("210.0µs > 200.0µs"), "{message}");
         }
 
         #[test]
-        #[should_panic(expected = "IER-CH pooled p50 regressed")]
-        fn guard_rejects_an_ier_ch_regression() {
-            let mut baseline = tier(23_190, 1000.0, 100.0);
-            // Only the IER-CH row moves (42 -> 120 µs): back to a search per candidate.
-            baseline[3].value = 42.0;
-            let mut current = baseline.clone();
-            current[3].value = 120.0;
-            check_regression(&current, &track::read(&track::write(&baseline)).unwrap());
+        fn a_tier_without_baseline_is_skipped() {
+            let baseline = committed(&tier(23_190, 100.0));
+            let mut current = tier(99_999, 9e9);
+            for row in &mut current {
+                row.value += 7.0;
+            }
+            check_regression(&current, &baseline);
+            // A baseline from before a method had rows: the rest are judged.
+            let without_road: Vec<Record> =
+                baseline.iter().filter(|r| !r.name.contains("/ROAD/")).cloned().collect();
+            check_regression(&tier(23_190, 100.0), &without_road);
         }
     }
 }
@@ -810,27 +901,25 @@ pub mod serving {
         }
     }
 
-    /// Per-cell response bookkeeping: exactly-once accounting plus the latency
-    /// samples behind the p50/p99 columns. Error responses are only legal when
-    /// a robustness knob is active — a knob-free run still panics on any `Err`,
-    /// so the committed trajectory keeps its strict gate.
+    /// Per-cell response bookkeeping: exactly-once accounting. Error responses
+    /// are only legal when a robustness knob is active — a knob-free run still
+    /// panics on any `Err`, so the committed trajectory keeps its strict gate.
+    /// A closed-loop flood measures no request latency (its queue is always
+    /// full), so the cell records none: the repo benchmark's open-loop ladder
+    /// is the serving latency.
     struct Tally {
         drained: u64,
         shed: u64,
         deadline_cut: u64,
         poisoned: u64,
-        /// Submit→response latency in µs, successfully served requests only.
-        latencies: Vec<u64>,
         strict: bool,
     }
 
     impl Tally {
-        fn absorb(&mut self, r: &rnknn_serve::KnnResponse, submitted_at: &[Instant]) {
+        fn absorb(&mut self, r: &rnknn_serve::KnnResponse) {
             self.drained += 1;
             match &r.output {
-                Ok(_) => {
-                    self.latencies.push(submitted_at[r.id as usize].elapsed().as_micros() as u64)
-                }
+                Ok(_) => {}
                 Err(ServeError::ShedExpired) if !self.strict => self.shed += 1,
                 Err(ServeError::Engine(rnknn::EngineError::DeadlineExceeded { .. }))
                     if !self.strict =>
@@ -841,20 +930,11 @@ pub mod serving {
                 Err(e) => panic!("request {} failed: {e}", r.id),
             }
         }
-
-        fn percentile(&mut self, p: f64) -> u64 {
-            if self.latencies.is_empty() {
-                return 0;
-            }
-            self.latencies.sort_unstable();
-            let idx = ((self.latencies.len() - 1) as f64 * p) as usize;
-            self.latencies[idx]
-        }
     }
 
     /// One measured cell: drive the front with a saturating query stream for
     /// `duration` while pacing updates at `rate * |O|` events per second, then
-    /// drain and report sustained QPS plus the shed/cut/latency records under
+    /// drain and report sustained QPS plus the shed/cut records under
     /// `<tier>/rate=<rate>/`.
     fn measure_cell(
         tier: &str,
@@ -886,15 +966,8 @@ pub mod serving {
         let mut submitted = 0u64;
         let mut updates_sent = 0u64;
         let mut id = 0u64;
-        let mut submitted_at: Vec<Instant> = Vec::new();
-        let mut tally = Tally {
-            drained: 0,
-            shed: 0,
-            deadline_cut: 0,
-            poisoned: 0,
-            latencies: Vec::new(),
-            strict: !robust.active(),
-        };
+        let mut tally =
+            Tally { drained: 0, shed: 0, deadline_cut: 0, poisoned: 0, strict: !robust.active() };
         loop {
             let elapsed = start.elapsed();
             if elapsed >= duration {
@@ -930,26 +1003,25 @@ pub mod serving {
                 deadline: None,
             }) {
                 Ok(()) => {
-                    submitted_at.push(Instant::now());
                     submitted += 1;
                     id += 1;
                 }
                 Err(SubmitError::Saturated(_)) => {
                     // Shard full: let the workers catch up by draining responses.
                     if let Ok(r) = responses.recv_timeout(Duration::from_millis(50)) {
-                        tally.absorb(&r, &submitted_at);
+                        tally.absorb(&r);
                     }
                 }
                 Err(e) => panic!("submit failed: {e}"),
             }
             while let Ok(r) = responses.try_recv() {
-                tally.absorb(&r, &submitted_at);
+                tally.absorb(&r);
             }
         }
         // Drain the tail (still part of the measured window: the work was real).
         while tally.drained < submitted {
             let r = responses.recv_timeout(Duration::from_secs(60)).expect("drain timed out");
-            tally.absorb(&r, &submitted_at);
+            tally.absorb(&r);
         }
         let seconds = start.elapsed().as_secs_f64();
         let mut front = front;
@@ -959,14 +1031,13 @@ pub mod serving {
         assert_eq!(stats.worker_panics, tally.poisoned, "panic accounting diverged");
         let updates_applied = front.updates_applied() - applied_before;
         let qps = submitted as f64 / seconds.max(1e-9);
-        let (p50, p99) = (tally.percentile(0.50), tally.percentile(0.99));
         println!(
             "  rate={:>4.0}%/s ({updates_per_sec:>6.1} ev/s): {qps:>8.0} q/s sustained ({submitted} queries, {updates_applied} updates, {} epochs, {seconds:.2}s)",
             rate * 100.0,
             stats.epochs_published,
         );
         println!(
-            "               latency p50={p50}µs p99={p99}µs shed={} ({:.2}% shed rate) deadline_cut={} panics={}",
+            "               shed={} ({:.2}% shed rate) deadline_cut={} panics={}",
             tally.shed,
             100.0 * tally.shed as f64 / submitted.max(1) as f64,
             tally.deadline_cut,
@@ -984,8 +1055,6 @@ pub mod serving {
                 ("shed", tally.shed as f64, "count"),
                 ("deadline_cut", tally.deadline_cut as f64, "count"),
                 ("worker_panics", stats.worker_panics as f64, "count"),
-                ("p50_us", p50 as f64, "µs"),
-                ("p99_us", p99 as f64, "µs"),
             ],
         )
     }

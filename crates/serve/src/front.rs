@@ -16,9 +16,8 @@
 //! the [`ObjectStore`] under one writer lock ([`ObjectStore::stage_batch`]), and
 //! publishes an epoch every [`ServeConfig::publish_every`] applied events (or
 //! when its queue momentarily drains, so a trickle of updates still becomes
-//! visible promptly). Workers additionally nudge the store at batch boundaries
-//! ([`ObjectStore::publish_if_expiry_due`]) so TTL expirations become visible
-//! even when no updates are flowing.
+//! visible promptly). The updater is the only publisher: workers only read the
+//! published slot, so with no updates flowing the epoch never moves.
 //!
 //! ## Robustness (see `docs/ROBUSTNESS.md`)
 //!
@@ -149,11 +148,6 @@ pub struct ServeConfig {
     /// Deadline adopted at admission by requests that carry none. `None` (the
     /// default) leaves such requests unbudgeted.
     pub default_deadline: Option<Duration>,
-    /// How far past its earliest TTL deadline the store may lag before a worker
-    /// forces a publish at a batch boundary (the updater publishes expirations
-    /// on its own cadence when updates are flowing; this bounds staleness when
-    /// they are not).
-    pub ttl_slack: Duration,
     /// Seeded fault injection for chaos tests. `None` (the default) is inert.
     pub fault_plan: Option<FaultPlan>,
 }
@@ -166,7 +160,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             publish_every: NonZeroU64::new(64).unwrap(),
             default_deadline: None,
-            ttl_slack: Duration::from_millis(100),
             fault_plan: None,
         }
     }
@@ -233,7 +226,10 @@ pub struct FrontStats {
     pub batches: u64,
     /// Update events applied by the updater (no-op events excluded).
     pub updates_applied: u64,
-    /// Epochs published by the updater and by worker TTL-expiry nudges.
+    /// Epochs published by the updater, the store's only publisher. Not
+    /// seed-exact: the updater also publishes early whenever its queue drains,
+    /// so the count depends on how update arrivals interleave with its batches
+    /// (a fast updater that catches its submitter publishes one more epoch).
     pub epochs_published: u64,
     /// Requests shed because their deadline passed before the query ran
     /// (at admission or while queued).
@@ -269,7 +265,6 @@ struct WorkerSeed {
     alive: Sender<std::convert::Infallible>,
     counters: Arc<FrontCounters>,
     max_batch: usize,
-    ttl_slack: Duration,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -283,7 +278,6 @@ impl WorkerSeed {
             alive: self.alive.clone(),
             counters: Arc::clone(&self.counters),
             max_batch: self.max_batch,
-            ttl_slack: self.ttl_slack,
             fault_plan: self.fault_plan,
         }
     }
@@ -336,7 +330,6 @@ impl ServeFront {
                 alive: alive_tx.clone(),
                 counters: Arc::clone(&counters),
                 max_batch: config.max_batch.max(1),
-                ttl_slack: config.ttl_slack,
                 fault_plan: config.fault_plan,
             };
             spawn_worker(seed, Vec::new());
@@ -457,11 +450,6 @@ impl ServeFront {
             Some(tx) => tx.send(event).map_err(|_| SubmitError::ShuttingDown),
             None => Err(SubmitError::ShuttingDown),
         }
-    }
-
-    /// Requests answered so far (monotonic, readable while serving).
-    pub fn served(&self) -> u64 {
-        self.counters.served.load(Ordering::Relaxed)
     }
 
     /// Update events applied so far (no-ops excluded; readable while serving).
@@ -611,14 +599,7 @@ fn worker_loop(seed: &WorkerSeed, initial: Vec<KnnRequest>) -> Lifecycle {
         // store can reuse its bundle.
         drop(snapshot);
         match end {
-            BatchEnd::Completed => {
-                batch.clear();
-                // TTL staleness bound: with no updates flowing the updater never
-                // publishes, so workers nudge expiry-driven publishes along.
-                if seed.store.publish_if_expiry_due(seed.ttl_slack).is_some() {
-                    seed.counters.epochs_published.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            BatchEnd::Completed => batch.clear(),
             BatchEnd::Panicked { poisoned, leftover } => {
                 return Lifecycle::Panicked { epoch, poisoned, leftover };
             }
@@ -779,7 +760,7 @@ fn updater_loop(
             since_publish = 0;
         }
     }
-    // Channel closed: flush anything staged (incl. TTL expirations).
+    // Channel closed: flush anything staged.
     if store.pending_updates() > 0 {
         store.publish();
         counters.epochs_published.fetch_add(1, Ordering::Relaxed);
@@ -891,6 +872,23 @@ mod tests {
         assert_eq!(stats.worker_panics, 0);
         // Idempotent and cumulative: a second shutdown reports the same totals.
         assert_eq!(front.shutdown(), stats);
+    }
+
+    /// The updater is the store's only publisher: batches served with no update
+    /// submitted leave the store at epoch 0 and publish nothing.
+    #[test]
+    fn serving_without_updates_never_publishes() {
+        let store = store();
+        let config = ServeConfig { workers: 2, max_batch: 1, ..Default::default() };
+        let (mut front, responses) = ServeFront::start(Arc::clone(&store), config);
+        for id in 0..60u64 {
+            front.submit(request(id, Method::Ine, id as NodeId, 2)).unwrap();
+            assert_eq!(responses.recv().unwrap().epoch, 0, "request {id}");
+        }
+        let stats = front.shutdown();
+        assert!(stats.batches >= 50, "{} batches served", stats.batches);
+        assert_eq!(stats.epochs_published, 0);
+        assert_eq!(store.snapshot().epoch(), 0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! crate is that serving layer, in two pieces:
 //!
 //! * [`ObjectStore`] — the single-writer store for a live object set. Mutations
-//!   ([`ObjectStore::insert`] (optionally with TTL), [`ObjectStore::remove`],
-//!   [`ObjectStore::move_to`]) are applied **incrementally** to every method's
+//!   (an [`rnknn_objects::UpdateEvent`] insert, remove or move, through
+//!   [`ObjectStore::stage`]) are applied **incrementally** to every method's
 //!   object index (R-tree surgery, G-tree occurrence propagation, ROAD
 //!   association dirty-marking — see [`rnknn::live`]) and become visible
 //!   atomically at an epoch [`ObjectStore::publish`]. Readers pin an
@@ -20,7 +20,9 @@
 //!   requests in batches, pinning the epoch once per batch, so updates publish
 //!   between batches without blocking queries (and vice versa). A dedicated
 //!   updater thread applies [`rnknn_objects::UpdateEvent`]s and paces epoch
-//!   publishes ([`ServeConfig::publish_every`]).
+//!   publishes ([`ServeConfig::publish_every`]); it is the only publisher.
+//!   The store keeps membership, not policy: a caller whose objects expire
+//!   submits a `Remove` when its own timer fires.
 //!
 //! The front is **deadline-aware and supervised** (see `docs/ROBUSTNESS.md`):
 //! requests may carry a [`KnnRequest::deadline`], enforced by shedding before a

@@ -1,10 +1,11 @@
 //! The epoch-snapshotted object store.
 //!
 //! [`ObjectStore`] is the single writer for a live object set. Mutations
-//! ([`insert`], [`remove`], [`move_to`], plus TTL-driven expirations) are applied
-//! **incrementally** to a private working copy of the engine's [`ObjectIndexes`]
-//! (no index is ever rebuilt) and become visible to readers only at a
-//! [`publish`]: one atomic swap of an `Arc`-shared [`EpochSnapshot`]. A reader
+//! ([`UpdateEvent`]s: insert, remove, move, [staged](ObjectStore::stage) one at a
+//! time or as a batch) are applied **incrementally** to a private working copy
+//! of the engine's [`ObjectIndexes`] (no index is ever rebuilt) and become
+//! visible to readers only at a [`publish`]: one atomic swap of an `Arc`-shared
+//! [`EpochSnapshot`]. A reader
 //! that grabbed a snapshot keeps a fully consistent object-set + index view for
 //! as long as it holds the `Arc`, no matter how many epochs are published
 //! underneath it — exactly what a pooled kNN query needs.
@@ -30,18 +31,14 @@
 //! a small bound, so the pool grows to what the readers pin. Nothing spins or
 //! yields, and correctness never depends on which path a publish takes.
 //!
-//! [`insert`]: ObjectStore::insert
-//! [`remove`]: ObjectStore::remove
-//! [`move_to`]: ObjectStore::move_to
+//! The store keeps membership, not policy: an object with a lifetime is removed
+//! by its owner staging an [`UpdateEvent::Remove`] when the owner's timer fires.
+//!
 //! [`publish`]: ObjectStore::publish
-
-use std::collections::{BinaryHeap, HashMap};
-use std::time::{Duration, Instant};
 
 use crate::sync::{Arc, Mutex, RwLock};
 
 use rnknn::{Engine, ObjectIndexes};
-use rnknn_graph::NodeId;
 use rnknn_objects::{ObjectSet, UpdateEvent};
 
 /// One published epoch: an immutable object-set + object-index view tagged with
@@ -70,7 +67,7 @@ impl EpochSnapshot {
     }
 }
 
-/// Writer-side state: the working bundle, the retired epochs and the TTL tracker.
+/// Writer-side state: the working bundle and the retired epochs.
 struct WriterState {
     /// The next epoch, staged in place. The writer holds its only reference until
     /// a publish moves it into the published slot.
@@ -80,12 +77,6 @@ struct WriterState {
     retired: Vec<Arc<EpochSnapshot>>,
     /// Events staged since the last publish.
     pending: usize,
-    /// Per-vertex expiry deadline for TTL'd objects. Authoritative: heap entries
-    /// whose deadline disagrees are stale and skipped.
-    ttl: HashMap<NodeId, Instant>,
-    /// Expiry deadlines as a min-heap (std's `BinaryHeap` is a max-heap, hence
-    /// `Reverse`). May hold stale entries; `ttl` disambiguates.
-    ttl_queue: BinaryHeap<std::cmp::Reverse<(Instant, NodeId)>>,
     /// Publishes that found every retired epoch pinned and cloned the new one.
     clone_fallbacks: u64,
 }
@@ -106,17 +97,6 @@ pub struct ObjectStore {
     engine: Arc<Engine>,
     writer: Mutex<WriterState>,
     published: RwLock<Arc<EpochSnapshot>>,
-    /// Store birth; TTL deadlines are cached relative to it (monotonic clocks
-    /// have no portable epoch, so we make our own).
-    created: Instant,
-    /// Earliest deadline in `ttl_queue` as nanos since `created` (`u64::MAX` =
-    /// none), maintained conservatively: it may be *early* (stale heap entries)
-    /// but never late. Lets [`ObjectStore::publish_if_expiry_due`] answer "is
-    /// anything overdue?" with one relaxed load, no lock. Deliberately a plain
-    /// `std` atomic (observe-and-nudge only — the loom models never take the
-    /// TTL path, and correctness never depends on this cache, only staleness
-    /// bounds do).
-    earliest_ttl: std::sync::atomic::AtomicU64,
 }
 
 /// How many superseded epochs the store keeps. When readers pin every one of
@@ -136,17 +116,8 @@ impl ObjectStore {
         let working = Arc::new(EpochSnapshot { epoch: 1, indexes: indexes.clone() });
         ObjectStore {
             engine,
-            writer: Mutex::new(WriterState {
-                working,
-                retired,
-                pending: 0,
-                ttl: HashMap::new(),
-                ttl_queue: BinaryHeap::new(),
-                clone_fallbacks: 0,
-            }),
+            writer: Mutex::new(WriterState { working, retired, pending: 0, clone_fallbacks: 0 }),
             published: RwLock::new(Arc::new(EpochSnapshot { epoch: 0, indexes })),
-            created: Instant::now(),
-            earliest_ttl: std::sync::atomic::AtomicU64::new(u64::MAX),
         }
     }
 
@@ -161,48 +132,11 @@ impl ObjectStore {
         self.published.read().expect("object store poisoned").clone()
     }
 
-    /// Stages an object appearing at vertex `v` (no TTL). Returns whether the
-    /// working set changed (`false` if `v` was already present).
-    pub fn insert(&self, v: NodeId) -> bool {
-        self.stage(UpdateEvent::Insert(v))
-    }
-
-    /// [`ObjectStore::insert`] with a time-to-live: unless removed or moved first,
-    /// the object is expired (staged as a removal) by the first
-    /// [`ObjectStore::publish`] at or after `now + ttl`.
-    pub fn insert_with_ttl(&self, v: NodeId, ttl: Duration) -> bool {
-        let mut w = self.writer.lock().expect("object store poisoned");
-        let inserted = Self::stage_locked(&self.engine, &mut w, UpdateEvent::Insert(v));
-        if inserted {
-            let deadline = Instant::now() + ttl;
-            w.ttl.insert(v, deadline);
-            w.ttl_queue.push(std::cmp::Reverse((deadline, v)));
-            self.earliest_ttl
-                .fetch_min(self.deadline_nanos(deadline), std::sync::atomic::Ordering::Relaxed);
-        }
-        inserted
-    }
-
-    /// `deadline` as nanos since store birth (the cache's unit), saturating.
-    fn deadline_nanos(&self, deadline: Instant) -> u64 {
-        u64::try_from(deadline.saturating_duration_since(self.created).as_nanos())
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Stages the removal of the object at `v`. Returns whether it was present.
-    pub fn remove(&self, v: NodeId) -> bool {
-        self.stage(UpdateEvent::Remove(v))
-    }
-
-    /// Stages a relocation of the object at `from` to the free vertex `to` (one
-    /// atomic event — readers can never see the object at both or neither
-    /// location). Any TTL moves with the object. Returns whether the move was
-    /// valid (`from` present, `to` absent, `from != to`).
-    pub fn move_to(&self, from: NodeId, to: NodeId) -> bool {
-        self.stage(UpdateEvent::Move { from, to })
-    }
-
-    /// Stages one [`UpdateEvent`] (the generic form of the mutators above).
+    /// Stages one [`UpdateEvent`]: an insert, a removal, or a move, which is one
+    /// atomic event (readers can never see the object at both or neither
+    /// location). Returns whether the working set changed: `false` for an insert
+    /// at an occupied vertex, a removal at an empty one, or a move whose source
+    /// is empty, whose target is occupied or that goes nowhere.
     pub fn stage(&self, event: UpdateEvent) -> bool {
         let mut w = self.writer.lock().expect("object store poisoned");
         Self::stage_locked(&self.engine, &mut w, event)
@@ -217,23 +151,9 @@ impl ObjectStore {
     }
 
     fn stage_locked(engine: &Engine, w: &mut WriterState, event: UpdateEvent) -> bool {
-        if !engine.apply_object_update(w.working_mut(), event) {
-            return false;
-        }
-        w.pending += 1;
-        match event {
-            UpdateEvent::Remove(v) => {
-                w.ttl.remove(&v);
-            }
-            UpdateEvent::Move { from, to } => {
-                if let Some(deadline) = w.ttl.remove(&from) {
-                    w.ttl.insert(to, deadline);
-                    w.ttl_queue.push(std::cmp::Reverse((deadline, to)));
-                }
-            }
-            UpdateEvent::Insert(_) => {}
-        }
-        true
+        let changed = engine.apply_object_update(w.working_mut(), event);
+        w.pending += usize::from(changed);
+        changed
     }
 
     /// Number of staged events not yet visible to readers.
@@ -247,47 +167,11 @@ impl ObjectStore {
         self.writer.lock().expect("object store poisoned").clone_fallbacks
     }
 
-    /// Expires every TTL'd object whose deadline has passed (staged as ordinary
-    /// removals), then atomically publishes the working state as a new epoch.
-    /// Returns the new snapshot (also immediately visible to
-    /// [`ObjectStore::snapshot`] callers). A publish with nothing pending still
-    /// advances the epoch.
+    /// Atomically publishes the working state as a new epoch and returns it
+    /// (also immediately visible to [`ObjectStore::snapshot`] callers). A
+    /// publish with nothing pending still advances the epoch.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
         let mut w = self.writer.lock().expect("object store poisoned");
-        self.expire_due_locked(&mut w, Instant::now());
-        self.publish_locked(&mut w)
-    }
-
-    /// Expiry-driven publish: if the earliest TTL deadline is overdue by more
-    /// than `slack`, expire and publish; otherwise do nothing. The not-due path
-    /// is one relaxed atomic load — cheap enough for serving workers to call at
-    /// every batch boundary, which is what bounds how stale an expired object
-    /// can remain visible when no ordinary updates are flowing (the updater
-    /// only publishes on update traffic). Returns the new snapshot if one was
-    /// published.
-    pub fn publish_if_expiry_due(&self, slack: Duration) -> Option<Arc<EpochSnapshot>> {
-        let nanos = self.earliest_ttl.load(std::sync::atomic::Ordering::Relaxed);
-        if nanos == u64::MAX {
-            return None;
-        }
-        if Instant::now() < self.created + Duration::from_nanos(nanos) + slack {
-            return None;
-        }
-        let mut w = self.writer.lock().expect("object store poisoned");
-        let staged_before = w.pending;
-        self.expire_due_locked(&mut w, Instant::now());
-        if w.pending == staged_before {
-            // Raced with another publisher, or the cache was early because of
-            // stale heap entries (now popped and the cache refreshed): nothing
-            // actually expired, so leave the updater's publish pacing alone.
-            return None;
-        }
-        Some(self.publish_locked(&mut w))
-    }
-
-    /// The swap-and-copy core of [`ObjectStore::publish`], expirations already
-    /// staged.
-    fn publish_locked(&self, w: &mut WriterState) -> Arc<EpochSnapshot> {
         // Move the working bundle in as the published epoch (no copy)...
         let previous = std::mem::replace(
             &mut *self.published.write().expect("object store poisoned"),
@@ -326,30 +210,6 @@ impl ObjectStore {
         w.pending = 0;
         std::mem::replace(&mut w.working, next)
     }
-
-    /// Stages removals for every TTL deadline at or before `now`.
-    fn expire_due_locked(&self, w: &mut WriterState, now: Instant) {
-        while let Some(&std::cmp::Reverse((deadline, v))) = w.ttl_queue.peek() {
-            if deadline > now {
-                break;
-            }
-            w.ttl_queue.pop();
-            // Only expire if this heap entry is still the vertex's live deadline
-            // (it is stale after a remove, a move, or a TTL refresh).
-            if w.ttl.get(&v) == Some(&deadline) {
-                Self::stage_locked(&self.engine, w, UpdateEvent::Remove(v));
-            }
-        }
-        // Re-derive the cache from the heap top: never later than the true
-        // earliest live deadline (every live deadline is in the heap), at worst
-        // early because of stale entries — which only costs a spurious
-        // `publish_if_expiry_due` lock round that then self-cleans.
-        let nanos = match w.ttl_queue.peek() {
-            Some(&std::cmp::Reverse((deadline, _))) => self.deadline_nanos(deadline),
-            None => u64::MAX,
-        };
-        self.earliest_ttl.store(nanos, std::sync::atomic::Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -371,8 +231,8 @@ mod tests {
         let store = ObjectStore::new(Arc::clone(&engine), uniform(engine.graph(), 0.02, 3));
         let before = store.snapshot();
         let v = engine.graph().vertices().find(|&v| !before.objects().contains(v)).unwrap();
-        assert!(store.insert(v));
-        assert!(!store.insert(v), "duplicate insert must be a no-op");
+        assert!(store.stage(UpdateEvent::Insert(v)));
+        assert!(!store.stage(UpdateEvent::Insert(v)), "duplicate insert must be a no-op");
         assert_eq!(store.pending_updates(), 1);
         // Still epoch 0 and still without v.
         let unpublished = store.snapshot();
@@ -428,7 +288,7 @@ mod tests {
         };
         same(&batched.publish(), &single.publish());
         assert_eq!(batched.stage_batch(&[UpdateEvent::Remove(a)]), 1);
-        assert!(single.remove(a));
+        assert!(single.stage(UpdateEvent::Remove(a)));
         same(&batched.publish(), &single.publish());
         assert_eq!(batched.clone_fallbacks(), 0);
     }
@@ -444,8 +304,9 @@ mod tests {
             let population = snap.objects().len();
             // A reader pinning the newest epoch across the publish never costs a
             // clone: the publish reuses an older bundle.
-            assert!(store.move_to(from, to), "round {round}");
-            assert!(!store.move_to(from, to), "round {round}: a repeated move must no-op");
+            let event = UpdateEvent::Move { from, to };
+            assert!(store.stage(event), "round {round}");
+            assert!(!store.stage(event), "round {round}: a repeated move must no-op");
             let published = store.publish();
             assert!(!published.objects().contains(from));
             assert!(published.objects().contains(to));
@@ -466,7 +327,7 @@ mod tests {
         for round in 0..4 {
             let v = engine.graph().vertices().find(|&v| !store.snapshot().objects().contains(v));
             let v = v.unwrap();
-            assert!(store.insert(v));
+            assert!(store.stage(UpdateEvent::Insert(v)));
             let published = store.publish();
             let w = store.writer.lock().unwrap();
             let label = |indexes: &ObjectIndexes| {
@@ -497,12 +358,12 @@ mod tests {
         );
 
         // One pinned epoch: the publish copies into the spare.
-        assert!(store.insert(a));
+        assert!(store.stage(UpdateEvent::Insert(a)));
         let second_pin = store.publish();
         assert_eq!(store.clone_fallbacks(), 0, "one pinned epoch forced a clone");
         // Two pinned epochs: every retired bundle is held, so this publish
         // *must* clone.
-        assert!(store.insert(b));
+        assert!(store.stage(UpdateEvent::Insert(b)));
         let cloned = store.publish();
         assert_eq!(store.clone_fallbacks(), 1, "two pinned epochs must force the clone fallback");
         assert_eq!(cloned.epoch(), 2);
@@ -538,79 +399,14 @@ mod tests {
         // Release every pin: the next publish copies into a released bundle,
         // which held epoch 0 or 1. No further fallback.
         drop((first_pin, second_pin, cloned));
-        assert!(store.insert(c));
+        assert!(store.stage(UpdateEvent::Insert(c)));
         let copied = store.publish();
-        assert!(store.insert(d));
+        assert!(store.stage(UpdateEvent::Insert(d)));
         let after = store.publish();
         assert_eq!(store.clone_fallbacks(), 1, "a released bundle must be reused");
         assert_eq!((copied.epoch(), after.epoch()), (3, 4));
         assert!([a, b, c].iter().all(|&v| copied.objects().contains(v)), "the copy lost an insert");
         matches_rebuild(&copied, &[a, b, c]);
         matches_rebuild(&after, &[a, b, c]);
-    }
-
-    /// The expiry-driven publish path: with no update traffic at all, an
-    /// overdue TTL forces a fresh epoch via `publish_if_expiry_due` — and a
-    /// reader pinned *across* that expiry keeps seeing the object while every
-    /// post-expiry snapshot does not (the "query straddling an expiry"
-    /// regression).
-    #[test]
-    fn expiry_driven_publish_fires_without_update_traffic() {
-        let engine = engine();
-        let store = ObjectStore::new(Arc::clone(&engine), uniform(engine.graph(), 0.02, 11));
-        let base = store.snapshot();
-        let v = engine.graph().vertices().find(|&v| !base.objects().contains(v)).unwrap();
-
-        // Nothing due yet: the cheap path declines without publishing.
-        assert!(store.publish_if_expiry_due(Duration::ZERO).is_none());
-
-        assert!(store.insert_with_ttl(v, Duration::from_millis(5)));
-        let with_v = store.publish(); // make the TTL'd object visible
-        assert!(with_v.objects().contains(v));
-
-        // A query pinned on this epoch straddles the expiry: it must keep its
-        // consistent pre-expiry view no matter what publishes underneath.
-        let straddling = store.snapshot();
-        assert!(straddling.objects().contains(v));
-
-        // Not yet overdue (generous slack): no publish.
-        assert!(store.publish_if_expiry_due(Duration::from_secs(3600)).is_none());
-
-        std::thread::sleep(Duration::from_millis(10));
-        let expired =
-            store.publish_if_expiry_due(Duration::ZERO).expect("overdue TTL must force a publish");
-        assert!(!expired.objects().contains(v), "expired object still visible");
-        assert_eq!(expired.epoch(), with_v.epoch() + 1);
-
-        // The straddling reader's epoch was never mutated...
-        assert!(straddling.objects().contains(v));
-        let out = engine.query_snapshot(Method::Ine, v, 1, straddling.indexes()).unwrap();
-        assert_eq!(out.result[0], (v, 0), "pinned epoch must still answer with the object");
-        // ...while fresh snapshots see the expiry.
-        assert!(!store.snapshot().objects().contains(v));
-
-        // One-shot: with the expiry handled, the nudge goes quiet again.
-        assert!(store.publish_if_expiry_due(Duration::ZERO).is_none());
-    }
-
-    #[test]
-    fn ttl_expiry_fires_on_publish_and_respects_churn() {
-        let engine = engine();
-        let store = ObjectStore::new(Arc::clone(&engine), uniform(engine.graph(), 0.02, 5));
-        let base = store.snapshot();
-        let mut free = engine.graph().vertices().filter(|&v| !base.objects().contains(v));
-        let (a, b, c) = (free.next().unwrap(), free.next().unwrap(), free.next().unwrap());
-        let dest = free.next().unwrap();
-
-        assert!(store.insert_with_ttl(a, Duration::from_secs(0)));
-        assert!(store.insert_with_ttl(b, Duration::from_secs(3600)));
-        assert!(store.insert_with_ttl(c, Duration::from_secs(0)));
-        assert!(store.move_to(c, dest)); // TTL travels to `dest`.
-
-        let snap = store.publish();
-        assert!(!snap.objects().contains(a), "expired TTL must be gone");
-        assert!(snap.objects().contains(b), "live TTL must survive");
-        assert!(!snap.objects().contains(dest), "moved TTL expires at the new vertex");
-        assert!(!snap.objects().contains(c));
     }
 }

@@ -19,8 +19,6 @@
 //!    Every epoch a reader pins holds a CH target label for each of its objects:
 //!    the label is filled once, at stage, and travels with its object through the
 //!    copy.
-//! 4. **TTL ordering** — a TTL that is due expires *before* the working buffer
-//!    is moved in, so no published epoch ever exposes the expired object.
 //!
 //! Run with `cargo test -p rnknn-serve --features loom-model`; see
 //! docs/CORRECTNESS.md for the mutant matrix these models reject.
@@ -28,12 +26,11 @@
 #![cfg(feature = "loom-model")]
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use rnknn::{Engine, EngineConfig};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::EdgeWeightKind;
-use rnknn_objects::ObjectSet;
+use rnknn_objects::{ObjectSet, UpdateEvent};
 use rnknn_serve::sync::{thread, Arc};
 use rnknn_serve::ObjectStore;
 
@@ -81,7 +78,7 @@ fn move_is_atomic_under_every_schedule() {
                 );
             })
         };
-        assert!(store.move_to(BASE[0], FREE_A));
+        assert!(store.stage(UpdateEvent::Move { from: BASE[0], to: FREE_A }));
         store.publish();
         reader.join().expect("reader");
 
@@ -115,9 +112,9 @@ fn reused_bundle_keeps_previous_epochs_events() {
                 assert!(snap.objects().vertices().iter().all(|&v| targets.label(v).is_some()));
             })
         };
-        assert!(store.insert(FREE_A));
+        assert!(store.stage(UpdateEvent::Insert(FREE_A)));
         store.publish();
-        assert!(store.insert(FREE_B));
+        assert!(store.stage(UpdateEvent::Insert(FREE_B)));
         store.publish();
         reader.join().expect("reader");
 
@@ -133,30 +130,6 @@ fn reused_bundle_keeps_previous_epochs_events() {
     });
 }
 
-/// Property 4: an already-due TTL is expired before the epoch is moved in — no
-/// published epoch ever exposes the object, under any reader interleaving.
-#[test]
-fn due_ttl_never_reaches_a_published_epoch() {
-    loom::model(|| {
-        let store = store();
-        assert!(store.insert_with_ttl(FREE_A, Duration::ZERO));
-        let reader = {
-            let store = Arc::clone(&store);
-            thread::spawn(move || {
-                let snap = store.snapshot();
-                assert!(
-                    !snap.objects().contains(FREE_A),
-                    "expired TTL visible at epoch {}",
-                    snap.epoch()
-                );
-            })
-        };
-        let published = store.publish();
-        assert!(!published.objects().contains(FREE_A));
-        reader.join().expect("reader");
-    });
-}
-
 /// Concurrent staging from two threads serializes cleanly on the writer lock:
 /// both events survive into the next publish, whichever order they land in.
 #[test]
@@ -165,11 +138,11 @@ fn concurrent_staging_loses_no_events() {
         let store = store();
         let a = {
             let store = Arc::clone(&store);
-            thread::spawn(move || assert!(store.insert(FREE_A)))
+            thread::spawn(move || assert!(store.stage(UpdateEvent::Insert(FREE_A))))
         };
         let b = {
             let store = Arc::clone(&store);
-            thread::spawn(move || assert!(store.remove(BASE[2])))
+            thread::spawn(move || assert!(store.stage(UpdateEvent::Remove(BASE[2]))))
         };
         a.join().expect("stager a");
         b.join().expect("stager b");
@@ -194,7 +167,7 @@ fn epochs_are_monotonic_per_reader() {
                 assert!(second >= first, "epoch went backwards: {first} then {second}");
             })
         };
-        store.insert(FREE_A);
+        store.stage(UpdateEvent::Insert(FREE_A));
         store.publish();
         store.publish();
         reader.join().expect("reader");

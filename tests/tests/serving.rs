@@ -14,7 +14,7 @@ use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::ground_truth;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
-use rnknn_objects::{churn_stream, uniform, ChurnConfig};
+use rnknn_objects::{churn_stream, uniform, ChurnConfig, UpdateEvent};
 use rnknn_serve::{EpochSnapshot, KnnRequest, ObjectStore, ServeConfig, ServeFront};
 
 fn build_engine(size: usize, seed: u64) -> Arc<Engine> {
@@ -146,7 +146,7 @@ fn epoch_swap_is_atomic_under_concurrent_readers() {
         let (mut from, mut to) = (a, b);
         let mut published = 0u64;
         loop {
-            assert!(store.move_to(from, to), "round {published}");
+            assert!(store.stage(UpdateEvent::Move { from, to }), "round {published}");
             store.publish();
             published += 1;
             std::mem::swap(&mut from, &mut to);
