@@ -27,8 +27,8 @@ use rnknn_gtree::{
     LeafSearchMode, NodeIndex, OccurrenceList,
 };
 use rnknn_objects::{
-    build_association_directory, build_occurrence_list, build_rtree, clustered,
-    min_object_distance, uniform, ObjectRTree, ObjectSet, PoiSets,
+    build_occurrence_list, build_rtree, clustered, min_object_distance, uniform, ObjectRTree,
+    ObjectSet, PoiSets,
 };
 use rnknn_pathfinding::SearchScratch;
 use rnknn_road::{RoadIndex, RoadKnn};
@@ -746,11 +746,6 @@ fn network_size_study(ctx: &mut Ctx) {
         let road = RoadIndex::from_gtree(&graph, &gtree);
         let objects = uniform(&graph, defaults::DENSITY, 7);
         let occ = OccurrenceList::build(&gtree, objects.vertices());
-        let directory = rnknn_road::AssociationDirectory::build(
-            &road,
-            graph.num_vertices(),
-            objects.vertices(),
-        );
         let rtree = ObjectRTree::build(&graph, &objects);
 
         let (mut gtree_sum, mut ier_sum) = ([0u64; 4], [0u64; 4]);
@@ -764,7 +759,7 @@ fn network_size_study(ctx: &mut Ctx) {
             ier.knn(q, defaults::K, &rtree);
             add(&mut ier_sum, ier.oracle().stats());
 
-            let (_, stats) = RoadKnn::new(&graph, &road).knn_with_stats(q, defaults::K, &directory);
+            let (_, stats) = RoadKnn::new(&graph, &road).knn_with_stats(q, defaults::K, &occ);
             bypassed += stats.vertices_bypassed;
         }
         let qn = queries.len() as f64;
@@ -933,20 +928,20 @@ fn original_settings(ctx: &mut Ctx) {
     ctx.emit(table);
 }
 
-/// Figure 18: object-index size and construction time vs density. The CH target
+/// Figure 18: object-index size and construction time vs density. The paper's
+/// G-tree occurrence list and ROAD association directory are one structure here
+/// (an Rnet is a G-tree node), so they share one column, "G-tree/ROAD". The CH target
 /// directory's build fills every object's label.
 fn object_index_study(ctx: &mut Ctx) {
     let graph = ctx.testbed(DatasetPreset::US, EdgeWeightKind::Distance).graph().clone();
     let gtree = Gtree::build(&graph);
-    let road = RoadIndex::from_gtree(&graph, &gtree);
     let ch = rnknn::ch::ContractionHierarchy::build(&graph);
     let mut size = Table::new(
         "Figure 18(a): object index size vs density (US)",
         "density",
         vec![
             "objects (INE)".into(),
-            "G-tree OccList".into(),
-            "ROAD AssocDir".into(),
+            "G-tree/ROAD".into(),
             "IER/DB R-tree".into(),
             "CH tgt labels".into(),
         ],
@@ -955,12 +950,7 @@ fn object_index_study(ctx: &mut Ctx) {
     let mut time = Table::new(
         "Figure 18(b): object index construction time vs density (US)",
         "density",
-        vec![
-            "G-tree OccList".into(),
-            "ROAD AssocDir".into(),
-            "IER/DB R-tree".into(),
-            "CH tgt labels".into(),
-        ],
+        vec!["G-tree/ROAD".into(), "IER/DB R-tree".into(), "CH tgt labels".into()],
         "µs",
     );
     let kb = |bytes: usize| bytes as f64 / 1024.0;
@@ -968,7 +958,6 @@ fn object_index_study(ctx: &mut Ctx) {
         let objects = uniform(&graph, d, 41);
         let (_, rtree_cost) = build_rtree(&graph, &objects);
         let (_, occ_cost) = build_occurrence_list(&gtree, &objects);
-        let (_, ad_cost) = build_association_directory(&graph, &road, &objects);
         let start = Instant::now();
         let targets = ChTargetDirectory::build(&ch, objects.vertices());
         let targets_micros = start.elapsed().as_micros();
@@ -977,7 +966,6 @@ fn object_index_study(ctx: &mut Ctx) {
             vec![
                 kb(objects.memory_bytes()),
                 kb(occ_cost.bytes),
-                kb(ad_cost.bytes),
                 kb(rtree_cost.bytes),
                 kb(targets.memory_bytes()),
             ],
@@ -986,7 +974,6 @@ fn object_index_study(ctx: &mut Ctx) {
             format!("{d}"),
             vec![
                 occ_cost.build_micros as f64,
-                ad_cost.build_micros as f64,
                 rtree_cost.build_micros as f64,
                 targets_micros as f64,
             ],

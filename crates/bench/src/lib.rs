@@ -833,8 +833,13 @@ pub mod serving {
     use crate::defaults::K;
     use crate::track::{self, Record};
 
-    /// The update rates the trajectory tracks, as a fraction of |O| per second.
-    pub const UPDATE_RATES: [f64; 3] = [0.0, 0.01, 0.10];
+    /// The churn the trajectory tracks: update events per cell, spread evenly over
+    /// the cell. A count, not a rate per |O|, so every churn cell applies at least
+    /// [`MIN_CHURN_EVENTS`] whatever the tier's object count and cell length.
+    pub const CHURN_EVENTS: [u64; 3] = [0, 1_000, 10_000];
+
+    /// The fewest events a churn cell applies; `measure_cell` asserts it.
+    pub const MIN_CHURN_EVENTS: u64 = 1_000;
 
     /// Robustness knobs for a measured run (docs/ROBUSTNESS.md): a per-request
     /// deadline adopted at admission and/or a seeded fault plan. The defaults
@@ -933,15 +938,15 @@ pub mod serving {
     }
 
     /// One measured cell: drive the front with a saturating query stream for
-    /// `duration` while pacing updates at `rate * |O|` events per second, then
-    /// drain and report sustained QPS plus the shed/cut records under
-    /// `<tier>/rate=<rate>/`.
+    /// `duration` while submitting `events` updates at an even pace, then drain
+    /// and report sustained QPS plus the shed/cut records under
+    /// `<tier>/events=<events>/`.
     fn measure_cell(
         tier: &str,
         store: &Arc<ObjectStore>,
         feeder: &mut ObjectSet,
         workers: usize,
-        rate: f64,
+        events: u64,
         duration: Duration,
         robust: Robustness,
     ) -> Vec<Record> {
@@ -953,18 +958,34 @@ pub mod serving {
         };
         let (front, responses) = ServeFront::start(Arc::clone(store), config);
         let n = store.engine().graph().num_vertices();
-        let updates_per_sec = rate * feeder.len() as f64;
+        let updates_per_sec = events as f64 / duration.as_secs_f64();
 
-        // Pre-generate more churn than the pacing can consume; regenerate from the
-        // evolved membership if the run outlasts the batch.
+        // Churn is generated in batches from the evolved membership, so every
+        // event applies.
         let mut churn_seed = 10_000u64;
         let mut pending: Vec<UpdateEvent> = Vec::new();
-        let mut next_event = 0usize;
+        let mut updates_sent = 0u64;
+        let mut send_until = |due: u64| {
+            while updates_sent < due {
+                if pending.is_empty() {
+                    pending = churn_stream(
+                        n,
+                        feeder,
+                        &ChurnConfig { events: 256, seed: churn_seed, ..Default::default() },
+                    );
+                    pending.reverse();
+                    churn_seed += 1;
+                }
+                let event = pending.pop().expect("churn batch");
+                event.apply_to(feeder);
+                front.submit_update(event).expect("updater alive");
+                updates_sent += 1;
+            }
+        };
 
         let applied_before = front.updates_applied();
         let start = Instant::now();
         let mut submitted = 0u64;
-        let mut updates_sent = 0u64;
         let mut id = 0u64;
         let mut tally =
             Tally { drained: 0, shed: 0, deadline_cut: 0, poisoned: 0, strict: !robust.active() };
@@ -973,24 +994,8 @@ pub mod serving {
             if elapsed >= duration {
                 break;
             }
-            // Pace updates: keep the submitted count at rate * elapsed.
-            let due = (updates_per_sec * elapsed.as_secs_f64()) as u64;
-            while updates_sent < due {
-                if next_event >= pending.len() {
-                    pending = churn_stream(
-                        n,
-                        feeder,
-                        &ChurnConfig { events: 256, seed: churn_seed, ..Default::default() },
-                    );
-                    churn_seed += 1;
-                    next_event = 0;
-                }
-                let event = pending[next_event];
-                next_event += 1;
-                event.apply_to(feeder);
-                front.submit_update(event).expect("updater alive");
-                updates_sent += 1;
-            }
+            // Pace updates: keep the submitted count at updates_per_sec * elapsed.
+            send_until((updates_per_sec * elapsed.as_secs_f64()) as u64);
             // Saturating query stream: push until backpressure, then drain.
             let q = ((id * 2_654_435_769) % n as u64) as NodeId;
             // (The front stamps `default_deadline` on admission when the
@@ -1018,6 +1023,7 @@ pub mod serving {
                 tally.absorb(&r);
             }
         }
+        send_until(events);
         // Drain the tail (still part of the measured window: the work was real).
         while tally.drained < submitted {
             let r = responses.recv_timeout(Duration::from_secs(60)).expect("drain timed out");
@@ -1030,10 +1036,14 @@ pub mod serving {
         assert_eq!(stats.shed_expired, tally.shed, "shed accounting diverged");
         assert_eq!(stats.worker_panics, tally.poisoned, "panic accounting diverged");
         let updates_applied = front.updates_applied() - applied_before;
+        assert!(
+            events == 0 || updates_applied >= MIN_CHURN_EVENTS,
+            "a churn cell applied {updates_applied} events, fewer than {MIN_CHURN_EVENTS}"
+        );
+        assert_eq!(updates_applied, events, "the updater dropped events");
         let qps = submitted as f64 / seconds.max(1e-9);
         println!(
-            "  rate={:>4.0}%/s ({updates_per_sec:>6.1} ev/s): {qps:>8.0} q/s sustained ({submitted} queries, {updates_applied} updates, {} epochs, {seconds:.2}s)",
-            rate * 100.0,
+            "  events={events:>5} ({updates_per_sec:>7.1} ev/s): {qps:>8.0} q/s sustained ({submitted} queries, {updates_applied} updates, {} epochs, {seconds:.2}s)",
             stats.epochs_published,
         );
         println!(
@@ -1044,7 +1054,7 @@ pub mod serving {
             stats.worker_panics
         );
         track::records(
-            &format!("{tier}/rate={rate:.2}"),
+            &format!("{tier}/events={events}"),
             &[
                 ("target_updates_per_sec", updates_per_sec, "events/s"),
                 ("updates_applied", updates_applied as f64, "count"),
@@ -1059,9 +1069,9 @@ pub mod serving {
         )
     }
 
-    /// Measures every update-rate cell at every requested size: a
+    /// Measures every churn cell at every requested size: a
     /// Dijkstra-verified interleaved warm-up, then one sustained-throughput
-    /// cell per update rate. `robust` threads the `--deadline-ms` /
+    /// cell per churn count. `robust` threads the `--deadline-ms` /
     /// `--fault-seed` knobs into every cell's [`ServeConfig`]; the default is
     /// the knob-free committed workload, which panics on any error response.
     /// Under a knob the exactly-once and census asserts inside `measure_cell`
@@ -1096,13 +1106,13 @@ pub mod serving {
             let store = Arc::new(ObjectStore::new(Arc::clone(&engine), initial));
             verify_interleaved(&engine, &store, &mut feeder, 3, 3);
             println!("  interleaved update/query rounds Dijkstra-verified");
-            for rate in UPDATE_RATES {
+            for events in CHURN_EVENTS {
                 records.extend(measure_cell(
                     &tier,
                     &store,
                     &mut feeder,
                     workers,
-                    rate,
+                    events,
                     duration,
                     robust,
                 ));

@@ -4,7 +4,7 @@
 //!
 //! A file is a JSON array holding one `{"name", "value", "unit"}` object per
 //! line, so diffs stay line-oriented. Names are `/`-separated paths —
-//! `knn_query/115766/Gtree/p50_us`, `serving/23190/rate=0.10/qps` — and
+//! `knn_query/115766/Gtree/p50_us`, `serving/23190/events=10000/qps` — and
 //! [`update`] merges by name: re-measuring one tier never erases another.
 
 use std::path::{Path, PathBuf};

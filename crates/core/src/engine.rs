@@ -528,10 +528,6 @@ impl Engine {
             "object indexes lack the occurrence list this engine's G-tree needs"
         );
         debug_assert!(
-            self.road.is_none() || live.association().is_some(),
-            "object indexes lack the association directory this engine's ROAD needs"
-        );
-        debug_assert!(
             self.ch.is_none() || live.ch_targets().is_some(),
             "object indexes lack the target directory this engine's CH needs"
         );
@@ -542,13 +538,7 @@ impl Engine {
     /// road-network indexes, without installing it — the full-rebuild baseline, and
     /// the way the serving layer seeds an epoch before evolving it incrementally.
     pub fn build_object_indexes(&self, objects: ObjectSet) -> ObjectIndexes {
-        ObjectIndexes::build(
-            &self.graph,
-            self.gtree.as_ref(),
-            self.road.as_ref(),
-            self.ch.as_ref(),
-            objects,
-        )
+        ObjectIndexes::build(&self.graph, self.gtree.as_ref(), self.ch.as_ref(), objects)
     }
 
     /// Applies one update event to `live` **in place** (no index rebuild; see
@@ -557,7 +547,7 @@ impl Engine {
     /// engine (via [`Engine::build_object_indexes`] or cloned from another such
     /// bundle).
     pub fn apply_object_update(&self, live: &mut ObjectIndexes, event: UpdateEvent) -> bool {
-        live.apply(&self.graph, self.gtree.as_ref(), self.road.as_ref(), self.ch.as_ref(), event)
+        live.apply(&self.graph, self.gtree.as_ref(), self.ch.as_ref(), event)
     }
 
     /// Applies one update event to the engine's installed object indexes in place.

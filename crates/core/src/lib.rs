@@ -10,7 +10,7 @@
 //! | INE    | [`ine`] | the graph itself | object bitmap |
 //! | IER    | [`ier`] | any [`ier::DistanceOracle`] (Dijkstra, A*, CH, PHL, TNR, MGtree) | R-tree |
 //! | DisBrw | [`disbrw`] | SILC | R-tree (DB-ENN) or object hierarchy |
-//! | ROAD   | re-exported [`rnknn_road`] | Rnet hierarchy + Route Overlay | Association Directory |
+//! | ROAD   | re-exported [`rnknn_road`] | Rnet hierarchy + Route Overlay | Occurrence List (as its association directory) |
 //! | G-tree | re-exported [`rnknn_gtree`] | partition tree + distance matrices | Occurrence List |
 //!
 //! [`engine::Engine`] bundles everything behind a single facade: build the indexes

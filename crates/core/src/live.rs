@@ -11,8 +11,7 @@
 //! |-------|-----------------|
 //! | object set (INE bitmap + sorted list) | exact in-place insert/remove |
 //! | R-tree (IER, DB-ENN) | incremental insert / delete with rect refits |
-//! | G-tree occurrence list | leaf-path presence propagation, both directions |
-//! | ROAD association directory | per-Rnet object counts along the leaf-to-root path, both directions |
+//! | occurrence list (G-tree, IER-Gt, ROAD) | one leaf-to-root walk adding or subtracting 1 per node, plus the vertex bit |
 //! | CH target directory (IER-CH) | label filled on insert (one upward search), dropped on remove |
 //!
 //! Every index is exact after every event, and only [`ObjectIndexes::build`] and
@@ -30,7 +29,6 @@ use rnknn_ch::{ChTargetDirectory, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId};
 use rnknn_gtree::{Gtree, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet, UpdateEvent};
-use rnknn_road::{AssociationDirectory, RoadIndex};
 
 /// Process-wide object-set generation counter. Monotonic across every engine and
 /// every snapshot, so one per-thread scratch can interleave queries against many
@@ -58,7 +56,6 @@ pub struct ObjectIndexes {
     objects: ObjectSet,
     rtree: ObjectRTree,
     occurrence: Option<OccurrenceList>,
-    association: Option<AssociationDirectory>,
     ch_targets: Option<ChTargetDirectory>,
     generation: u64,
 }
@@ -69,7 +66,6 @@ impl Clone for ObjectIndexes {
             objects: self.objects.clone(),
             rtree: self.rtree.clone(),
             occurrence: self.occurrence.clone(),
-            association: self.association.clone(),
             ch_targets: self.ch_targets.clone(),
             generation: self.generation,
         }
@@ -81,7 +77,6 @@ impl Clone for ObjectIndexes {
         self.objects.clone_from(&source.objects);
         self.rtree.clone_from(&source.rtree);
         self.occurrence.clone_from(&source.occurrence);
-        self.association.clone_from(&source.association);
         self.ch_targets.clone_from(&source.ch_targets);
         self.generation = source.generation;
     }
@@ -94,20 +89,16 @@ impl ObjectIndexes {
     pub fn build(
         graph: &Graph,
         gtree: Option<&Gtree>,
-        road: Option<&RoadIndex>,
         ch: Option<&ContractionHierarchy>,
         objects: ObjectSet,
     ) -> ObjectIndexes {
         let rtree = ObjectRTree::build(graph, &objects);
         let occurrence = gtree.map(|g| OccurrenceList::build(g, objects.vertices()));
-        let association =
-            road.map(|r| AssociationDirectory::build(r, graph.num_vertices(), objects.vertices()));
         let ch_targets = ch.map(|c| ChTargetDirectory::build(c, objects.vertices()));
         ObjectIndexes {
             objects,
             rtree,
             occurrence,
-            association,
             ch_targets,
             generation: next_object_generation(),
         }
@@ -123,14 +114,17 @@ impl ObjectIndexes {
         &self.rtree
     }
 
-    /// The G-tree occurrence list (present iff the engine built a G-tree).
+    /// The occurrence list (present iff the engine built a G-tree, which ROAD
+    /// implies): the object index G-tree and IER-Gt search through.
     pub fn occurrence(&self) -> Option<&OccurrenceList> {
         self.occurrence.as_ref()
     }
 
-    /// The ROAD association directory (present iff the engine built ROAD).
-    pub fn association(&self) -> Option<&AssociationDirectory> {
-        self.association.as_ref()
+    /// The same occurrence list under ROAD's name for it: its per-node counts and
+    /// vertex bitmap are the paper's association directory, since an Rnet is a
+    /// G-tree node.
+    pub fn association(&self) -> Option<&OccurrenceList> {
+        self.occurrence.as_ref()
     }
 
     /// The CH target directory (present iff the engine built a CH).
@@ -146,32 +140,31 @@ impl ObjectIndexes {
 
     /// Applies one update event to the set and every index **in place**, without
     /// any rebuild: `O(log |O|)` for the set, `O(log |O| + split)` R-tree
-    /// surgery, `O(tree depth)` occurrence and association-count propagation, and
+    /// surgery, one `O(tree depth)` walk of the occurrence list's counts, and
     /// one CH target label filled (an unbudgeted upward search, on the calling
     /// thread) or dropped. Returns whether the event changed anything — the
     /// semantics match [`UpdateEvent::apply_to`] exactly: inserts of members,
     /// removals of non-members and invalid moves are no-ops.
     ///
-    /// `graph`, `gtree`, `road` and `ch` must be the same structures these indexes
+    /// `graph`, `gtree` and `ch` must be the same structures these indexes
     /// were built against.
     pub fn apply(
         &mut self,
         graph: &Graph,
         gtree: Option<&Gtree>,
-        road: Option<&RoadIndex>,
         ch: Option<&ContractionHierarchy>,
         event: UpdateEvent,
     ) -> bool {
         let applied = match event {
-            UpdateEvent::Insert(v) => self.insert(graph, gtree, road, ch, v),
-            UpdateEvent::Remove(v) => self.remove(graph, gtree, road, v),
+            UpdateEvent::Insert(v) => self.insert(graph, gtree, ch, v),
+            UpdateEvent::Remove(v) => self.remove(graph, gtree, v),
             UpdateEvent::Move { from, to } => {
                 if from == to || !self.objects.contains(from) || self.objects.contains(to) {
                     false
                 } else {
-                    let removed = self.remove(graph, gtree, road, from);
+                    let removed = self.remove(graph, gtree, from);
                     debug_assert!(removed);
-                    let inserted = self.insert(graph, gtree, road, ch, to);
+                    let inserted = self.insert(graph, gtree, ch, to);
                     debug_assert!(inserted);
                     true
                 }
@@ -187,7 +180,6 @@ impl ObjectIndexes {
         &mut self,
         graph: &Graph,
         gtree: Option<&Gtree>,
-        road: Option<&RoadIndex>,
         ch: Option<&ContractionHierarchy>,
         v: NodeId,
     ) -> bool {
@@ -199,10 +191,6 @@ impl ObjectIndexes {
             let inserted = occ.insert(g, v);
             debug_assert!(inserted, "occurrence list out of sync with object set");
         }
-        if let (Some(r), Some(assoc)) = (road, self.association.as_mut()) {
-            let inserted = assoc.insert(r, v);
-            debug_assert!(inserted, "association directory out of sync with object set");
-        }
         if let (Some(c), Some(targets)) = (ch, self.ch_targets.as_mut()) {
             let inserted = targets.insert(c, v);
             debug_assert!(inserted, "CH target directory out of sync with object set");
@@ -210,13 +198,7 @@ impl ObjectIndexes {
         true
     }
 
-    fn remove(
-        &mut self,
-        graph: &Graph,
-        gtree: Option<&Gtree>,
-        road: Option<&RoadIndex>,
-        v: NodeId,
-    ) -> bool {
+    fn remove(&mut self, graph: &Graph, gtree: Option<&Gtree>, v: NodeId) -> bool {
         if !self.objects.remove(v) {
             return false;
         }
@@ -225,10 +207,6 @@ impl ObjectIndexes {
         if let (Some(g), Some(occ)) = (gtree, self.occurrence.as_mut()) {
             let removed = occ.remove(g, v);
             debug_assert!(removed, "occurrence list out of sync with object set");
-        }
-        if let (Some(r), Some(assoc)) = (road, self.association.as_mut()) {
-            let removed = assoc.remove(r, v);
-            debug_assert!(removed, "association directory out of sync with object set");
         }
         if let Some(targets) = self.ch_targets.as_mut() {
             let removed = targets.remove(v);

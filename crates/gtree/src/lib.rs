@@ -10,7 +10,9 @@
 //!   [`Cell`]s (the hashed layouts of the paper's Figure 6 / Table 3 live in
 //!   `experiments fig6 table3`, filled from these cells). A graph whose distances do
 //!   not fit the cell range is refused at build time ([`GtreeBuildError`]).
-//! * [`OccurrenceList`] — the decoupled object index (Section 3.5).
+//! * [`OccurrenceList`] — the decoupled object index (Section 3.5), which also serves
+//!   as ROAD's association directory: a subtree object count per node and a bit per
+//!   vertex.
 //! * [`GtreeSearch`] — materialized distance assembly, the kNN algorithm with the
 //!   improved leaf search of Appendix A.2.1 (the original leaf search is kept for the
 //!   Figure 22 ablation), and the `MGtree` point-to-point oracle used by IER-Gt. One

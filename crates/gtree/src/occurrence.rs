@@ -1,9 +1,13 @@
-//! Occurrence lists: G-tree's decoupled object index (Section 3.5).
+//! Occurrence lists: the one object index over the G-tree's hierarchy.
 //!
-//! Given an object set, the occurrence list records, for every G-tree node, which of
-//! its children contain at least one object (and, for leaves, which of their vertices
-//! are objects), so that the kNN search can prune object-free subtrees. Construction is
-//! a bottom-up propagation from the objects' leaves (the cost measured in Figure 18(b)).
+//! The paper gives G-tree an occurrence list (Section 3.5) and ROAD an association
+//! directory; both exist so a search can skip subtrees that hold no objects. ROAD's
+//! Rnets are this tree's nodes, so one structure serves both: for one object set it
+//! records a subtree object count per node, the sorted objects of every leaf, and a
+//! bit per road-network vertex. G-tree's child scans and ROAD's Rnet bypass skip a
+//! node whose count is 0, and both leaf tests read the bit. An insert or remove is one
+//! leaf-to-root walk adding or subtracting 1 at each node, so the list is exact after
+//! every event; construction is that walk per object (the cost of Figure 18(b)).
 
 use rnknn_graph::NodeId;
 
@@ -12,31 +16,31 @@ use crate::tree::{Gtree, NodeIndex};
 /// An occurrence list for one object set over one G-tree.
 #[derive(Debug, PartialEq, Eq)]
 pub struct OccurrenceList {
-    /// For every G-tree node: indexes (into `node.children`) of children containing
-    /// objects.
-    children_with_objects: Vec<Vec<u32>>,
+    /// For every G-tree node: the number of objects in its subtree (node 0, the
+    /// root, counts them all).
+    counts: Vec<u32>,
     /// For every G-tree node that is a leaf: the object vertices it contains (sorted).
     leaf_objects: Vec<Vec<NodeId>>,
-    /// Total number of objects.
-    num_objects: usize,
+    /// One bit per road-network vertex: set when the vertex is an object.
+    vertex_is_object: Vec<u64>,
 }
 
 impl Clone for OccurrenceList {
     fn clone(&self) -> Self {
         OccurrenceList {
-            children_with_objects: self.children_with_objects.clone(),
+            counts: self.counts.clone(),
             leaf_objects: self.leaf_objects.clone(),
-            num_objects: self.num_objects,
+            vertex_is_object: self.vertex_is_object.clone(),
         }
     }
 
-    /// Field by field: `Vec<Vec<_>>::clone_from` copies each node's list into
+    /// Field by field: `Vec<Vec<_>>::clone_from` copies each leaf's list into
     /// the target's own, so a copy over a list of the same G-tree allocates only
-    /// where a node's list has outgrown the target's buffer.
+    /// where a leaf's list has outgrown the target's buffer.
     fn clone_from(&mut self, source: &Self) {
-        self.children_with_objects.clone_from(&source.children_with_objects);
+        self.counts.clone_from(&source.counts);
         self.leaf_objects.clone_from(&source.leaf_objects);
-        self.num_objects = source.num_objects;
+        self.vertex_is_object.clone_from(&source.vertex_is_object);
     }
 }
 
@@ -45,142 +49,68 @@ impl OccurrenceList {
     /// ignored).
     pub fn build(gtree: &Gtree, objects: &[NodeId]) -> OccurrenceList {
         let num_nodes = gtree.num_nodes();
-        let mut has_object = vec![false; num_nodes];
-        let mut leaf_objects: Vec<Vec<NodeId>> = vec![Vec::new(); num_nodes];
-        let mut unique: Vec<NodeId> = objects.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        let num_objects = unique.len();
-        for &o in &unique {
-            let leaf = gtree.leaf_of(o);
-            leaf_objects[leaf as usize].push(o);
-            // Propagate the presence flag up to the root.
-            let mut node = leaf;
-            loop {
-                if has_object[node as usize] {
-                    break;
-                }
-                has_object[node as usize] = true;
-                match gtree.hierarchy().parent(node) {
-                    Some(p) => node = p,
-                    None => break,
-                }
-            }
+        let num_vertices = gtree.hierarchy().num_vertices(gtree.root()) as usize;
+        let mut list = OccurrenceList {
+            counts: vec![0; num_nodes],
+            leaf_objects: vec![Vec::new(); num_nodes],
+            vertex_is_object: vec![0; num_vertices.div_ceil(64)],
+        };
+        for &o in objects {
+            list.insert(gtree, o);
         }
-        let mut children_with_objects: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
-        for (i, with_objects) in children_with_objects.iter_mut().enumerate() {
-            for (ci, &c) in gtree.hierarchy().children(i as NodeIndex).iter().enumerate() {
-                if has_object[c as usize] {
-                    with_objects.push(ci as u32);
-                }
-            }
-        }
-        OccurrenceList { children_with_objects, leaf_objects, num_objects }
+        list
     }
 
     /// Number of (distinct) objects indexed.
     pub fn num_objects(&self) -> usize {
-        self.num_objects
+        self.counts[0] as usize
     }
 
-    /// Registers a new object at vertex `v` in place, propagating the presence
-    /// flag along the leaf-to-root path and stopping as soon as an ancestor
-    /// already knows about objects below it — `O(depth)` worst case, usually far
-    /// less. Returns whether `v` was newly indexed.
+    /// Registers a new object at vertex `v` in place: sets its bit, adds it to its
+    /// leaf's list and counts it at every node from the leaf up to the root. Returns
+    /// whether `v` was newly indexed.
     pub fn insert(&mut self, gtree: &Gtree, v: NodeId) -> bool {
-        let leaf = gtree.leaf_of(v);
-        let objects = &mut self.leaf_objects[leaf as usize];
-        let at = objects.partition_point(|&o| o < v);
-        if objects.get(at) == Some(&v) {
+        let (word, mask) = ((v / 64) as usize, 1u64 << (v % 64));
+        if self.vertex_is_object[word] & mask != 0 {
             return false;
         }
-        let was_occupied = !objects.is_empty();
-        objects.insert(at, v);
-        self.num_objects += 1;
-        if !was_occupied {
-            self.propagate_presence(gtree, leaf);
-        }
+        self.vertex_is_object[word] |= mask;
+        let leaf = gtree.leaf_of(v);
+        let objects = &mut self.leaf_objects[leaf as usize];
+        objects.insert(objects.partition_point(|&o| o < v), v);
+        self.count_path(gtree, leaf, |count| *count += 1);
         true
     }
 
-    /// Removes the object at vertex `v` in place; when its leaf empties, the
-    /// presence flags along the leaf-to-root path are withdrawn until an ancestor
-    /// still holds objects through another child. Returns whether `v` was indexed.
+    /// Removes the object at vertex `v` in place: clears its bit, drops it from its
+    /// leaf's list and uncounts it at every node from the leaf up to the root.
+    /// Returns whether `v` was indexed.
     pub fn remove(&mut self, gtree: &Gtree, v: NodeId) -> bool {
-        let leaf = gtree.leaf_of(v);
-        let objects = &mut self.leaf_objects[leaf as usize];
-        let at = objects.partition_point(|&o| o < v);
-        if objects.get(at) != Some(&v) {
+        let (word, mask) = ((v / 64) as usize, 1u64 << (v % 64));
+        if self.vertex_is_object[word] & mask == 0 {
             return false;
         }
-        objects.remove(at);
-        self.num_objects -= 1;
-        if objects.is_empty() {
-            self.withdraw_presence(gtree, leaf);
-        }
+        self.vertex_is_object[word] &= !mask;
+        let leaf = gtree.leaf_of(v);
+        let objects = &mut self.leaf_objects[leaf as usize];
+        objects.remove(objects.partition_point(|&o| o < v));
+        self.count_path(gtree, leaf, |count| *count -= 1);
         true
     }
 
-    /// Walks from newly-occupied `node` towards the root, recording it (and then
-    /// each newly-occupied ancestor) in its parent's `children_with_objects`.
-    fn propagate_presence(&mut self, gtree: &Gtree, mut node: NodeIndex) {
-        while let Some(parent) = gtree.hierarchy().parent(node) {
-            let position = gtree
-                .hierarchy()
-                .children(parent)
-                .iter()
-                .position(|&c| c == node)
-                .expect("child missing from its parent") as u32;
-            let list = &mut self.children_with_objects[parent as usize];
-            let at = list.partition_point(|&ci| ci < position);
-            if list.get(at) == Some(&position) {
-                return; // The parent already knew; ancestors do too.
-            }
-            let parent_was_occupied = !list.is_empty();
-            list.insert(at, position);
-            if parent_was_occupied {
-                return;
-            }
-            node = parent;
-        }
-    }
-
-    /// Walks from newly-emptied `node` towards the root, removing it from its
-    /// parent's `children_with_objects`; stops at the first ancestor that still
-    /// has objects through another child.
-    fn withdraw_presence(&mut self, gtree: &Gtree, mut node: NodeIndex) {
-        while let Some(parent) = gtree.hierarchy().parent(node) {
-            let position = gtree
-                .hierarchy()
-                .children(parent)
-                .iter()
-                .position(|&c| c == node)
-                .expect("child missing from its parent") as u32;
-            let list = &mut self.children_with_objects[parent as usize];
-            let at = list.partition_point(|&ci| ci < position);
-            if list.get(at) != Some(&position) {
-                return; // Already absent (defensive; flags were consistent).
-            }
-            list.remove(at);
-            if !list.is_empty() {
-                return;
-            }
-            node = parent;
+    /// Applies `f` to the count of every node from `leaf` up to the root.
+    fn count_path(&mut self, gtree: &Gtree, leaf: NodeIndex, f: impl Fn(&mut u32)) {
+        let mut node = Some(leaf);
+        while let Some(n) = node {
+            f(&mut self.counts[n as usize]);
+            node = gtree.hierarchy().parent(n);
         }
     }
 
     /// True when the subtree rooted at `node` contains at least one object.
-    pub fn has_objects(&self, gtree: &Gtree, node: NodeIndex) -> bool {
-        if gtree.hierarchy().is_leaf(node) {
-            !self.leaf_objects[node as usize].is_empty()
-        } else {
-            !self.children_with_objects[node as usize].is_empty()
-        }
-    }
-
-    /// Children (as indexes into `node.children`) of `node` that contain objects.
-    pub fn children_with_objects(&self, node: NodeIndex) -> &[u32] {
-        &self.children_with_objects[node as usize]
+    #[inline]
+    pub fn has_objects(&self, node: NodeIndex) -> bool {
+        self.counts[node as usize] != 0
     }
 
     /// Object vertices contained in leaf `node`.
@@ -188,21 +118,18 @@ impl OccurrenceList {
         &self.leaf_objects[node as usize]
     }
 
-    /// True when vertex `v` (which must lie in leaf `leaf`) is an object.
-    pub fn is_object_in_leaf(&self, leaf: NodeIndex, v: NodeId) -> bool {
-        self.leaf_objects[leaf as usize].binary_search(&v).is_ok()
+    /// True when vertex `v` is an object.
+    #[inline]
+    pub fn is_object(&self, v: NodeId) -> bool {
+        self.vertex_is_object[(v / 64) as usize] & (1u64 << (v % 64)) != 0
     }
 
     /// Approximate resident size in bytes (Figure 18(a)).
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = 0;
-        for c in &self.children_with_objects {
-            bytes += std::mem::size_of::<Vec<u32>>() + c.len() * 4;
-        }
-        for l in &self.leaf_objects {
-            bytes += std::mem::size_of::<Vec<NodeId>>() + l.len() * 4;
-        }
-        bytes
+        let lists: usize = self.leaf_objects.iter().map(|l| l.len() * 4).sum();
+        self.counts.len() * (4 + std::mem::size_of::<Vec<NodeId>>())
+            + lists
+            + self.vertex_is_object.len() * 8
     }
 }
 
@@ -221,6 +148,27 @@ mod tests {
         (g, t)
     }
 
+    /// Brute force over leaf ranges: for every internal node, the children a search
+    /// visits (count > 0, in child-index order) are exactly those whose subtree
+    /// holds one of `objects`.
+    fn assert_children_with_objects_hold_objects(
+        tree: &Gtree,
+        occ: &OccurrenceList,
+        objects: &[NodeId],
+    ) {
+        let h = tree.hierarchy();
+        for p in 0..tree.num_nodes() as NodeIndex {
+            let children = h.children(p).iter().copied();
+            let visited: Vec<NodeIndex> =
+                children.clone().filter(|&c| occ.has_objects(c)).collect();
+            let holding: Vec<NodeIndex> = children
+                .filter(|&c| objects.iter().any(|&o| !h.outside(h.leaf_range(c), o)))
+                .collect();
+            assert_eq!(visited, holding, "node {p}");
+        }
+        assert_eq!(occ.has_objects(tree.root()), !objects.is_empty());
+    }
+
     #[test]
     fn occurrence_flags_cover_exactly_the_object_leaves() {
         let (g, tree) = tree();
@@ -229,12 +177,12 @@ mod tests {
         assert_eq!(occ.num_objects(), objects.len());
         for &o in &objects {
             let leaf = tree.leaf_of(o);
-            assert!(occ.is_object_in_leaf(leaf, o));
+            assert!(occ.is_object(o));
             assert!(occ.leaf_objects(leaf).contains(&o));
             // Every ancestor must report objects below it.
             let mut node = leaf;
             loop {
-                assert!(occ.has_objects(&tree, node));
+                assert!(occ.has_objects(node));
                 match tree.hierarchy().parent(node) {
                     Some(p) => node = p,
                     None => break,
@@ -242,70 +190,72 @@ mod tests {
             }
         }
         // Non-object vertices are not flagged.
-        let non_object = g.vertices().find(|v| v % 17 != 0).unwrap();
-        assert!(!occ.is_object_in_leaf(tree.leaf_of(non_object), non_object));
+        assert!(g.vertices().filter(|v| v % 17 != 0).all(|v| !occ.is_object(v)));
     }
 
     #[test]
     fn children_with_objects_point_to_occupied_subtrees() {
         let (g, tree) = tree();
-        let objects: Vec<NodeId> = g.vertices().filter(|v| v % 29 == 3).collect();
-        let occ = OccurrenceList::build(&tree, &objects);
-        for i in 0..tree.num_nodes() as NodeIndex {
-            for &ci in occ.children_with_objects(i) {
-                let child = tree.hierarchy().children(i)[ci as usize];
-                assert!(occ.has_objects(&tree, child));
-            }
+        for modulus in [2, 29, 97, 401] {
+            let objects: Vec<NodeId> = g.vertices().filter(|v| v % modulus == 3).collect();
+            let occ = OccurrenceList::build(&tree, &objects);
+            assert_children_with_objects_hold_objects(&tree, &occ, &objects);
         }
     }
 
-    /// Incremental insert/remove must leave the list structurally identical to a
-    /// full rebuild from the same membership, at every step of a random churn.
+    /// Under churn — removes, re-inserts of just-removed vertices, duplicate
+    /// inserts and double removes — incremental insert/remove leave the list equal
+    /// to a fresh build after every event, and at least one removal empties a node.
     #[test]
     fn incremental_updates_match_full_rebuild_under_churn() {
         let (g, tree) = tree();
-        let n = g.num_vertices() as NodeId;
-        let mut members: Vec<NodeId> = g.vertices().filter(|v| v % 13 == 2).collect();
+        let n = g.num_vertices() as u64;
+        let mut members: Vec<NodeId> = g.vertices().filter(|v| v % 19 == 4).collect();
         let mut occ = OccurrenceList::build(&tree, &members);
-        let mut state = 0xDEADBEEFu64;
+        let mut state = 0xACE1u64;
         let mut rng = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        for step in 0..500 {
-            if rng() % 2 == 0 && members.len() > 1 {
-                let at = (rng() as usize) % members.len();
-                let v = members.swap_remove(at);
-                assert!(occ.remove(&tree, v), "step {step}: remove({v})");
-                assert!(!occ.remove(&tree, v), "step {step}: double remove({v})");
-            } else {
-                let v = (rng() % n as u64) as NodeId;
-                let fresh = !members.contains(&v);
-                assert_eq!(occ.insert(&tree, v), fresh, "step {step}: insert({v})");
-                if fresh {
-                    members.push(v);
+        let mut removed = Vec::new();
+        let mut emptied = 0;
+        for step in 0..600 {
+            let before = occ.counts.clone();
+            match rng() % 3 {
+                0 if members.len() > 1 => {
+                    let v = members.swap_remove((rng() as usize) % members.len());
+                    assert!(occ.remove(&tree, v), "step {step}: remove({v})");
+                    assert!(!occ.remove(&tree, v), "step {step}: double remove({v})");
+                    removed.push(v);
+                }
+                1 if !removed.is_empty() => {
+                    let v = removed.swap_remove((rng() as usize) % removed.len());
+                    if !members.contains(&v) {
+                        assert!(occ.insert(&tree, v), "step {step}: re-insert({v})");
+                        assert!(!occ.insert(&tree, v), "step {step}: duplicate insert({v})");
+                        members.push(v);
+                    }
+                }
+                _ => {
+                    let v = (rng() % n) as NodeId;
+                    let fresh = !members.contains(&v);
+                    assert_eq!(occ.insert(&tree, v), fresh, "step {step}: insert({v})");
+                    if fresh {
+                        members.push(v);
+                    }
                 }
             }
-            if step % 25 == 0 {
-                let rebuilt = OccurrenceList::build(&tree, &members);
-                assert_eq!(occ.num_objects(), rebuilt.num_objects(), "step {step}");
-                for node in 0..tree.num_nodes() {
-                    let node = node as NodeIndex;
-                    assert_eq!(
-                        occ.children_with_objects(node),
-                        rebuilt.children_with_objects(node),
-                        "step {step}: node {node} children diverged"
-                    );
-                    assert_eq!(
-                        occ.leaf_objects(node),
-                        rebuilt.leaf_objects(node),
-                        "step {step}: node {node} leaf objects diverged"
-                    );
-                }
-            }
+            assert!(
+                occ == OccurrenceList::build(&tree, &members),
+                "step {step}: differs from a fresh build"
+            );
+            assert_eq!(occ.num_objects(), members.len(), "step {step}");
+            assert_children_with_objects_hold_objects(&tree, &occ, &members);
+            emptied += before.iter().zip(&occ.counts).filter(|&(&b, &a)| b != 0 && a == 0).count();
         }
+        assert!(emptied > 0, "no removal emptied a node: the churn is too gentle");
     }
 
     /// `clone_from` over a list of another object set, after seeded churn on
@@ -342,7 +292,7 @@ mod tests {
         assert_eq!(occ.num_objects(), 1);
         let empty = OccurrenceList::build(&tree, &[]);
         assert_eq!(empty.num_objects(), 0);
-        assert!(!empty.has_objects(&tree, tree.root()));
+        assert!(!empty.has_objects(tree.root()));
         assert!(empty.memory_bytes() > 0);
     }
 }

@@ -787,13 +787,11 @@ impl<'a> GtreeSearch<'a> {
         let dists = &self.store.rows[src as usize];
         let entries = &self.store.entries[src as usize];
         let mut cells = 0u64;
-        for &ci in occurrence.children_with_objects(p) {
-            let c = hierarchy.children(p)[ci as usize];
-            if c == src {
+        for (ci, &c) in hierarchy.children(p).iter().enumerate() {
+            if c == src || !occurrence.has_objects(c) {
                 continue;
             }
-            let minima =
-                &gtree.child_min_column(p, ci as usize)[first_row..first_row + dists.len()];
+            let minima = &gtree.child_min_column(p, ci)[first_row..first_row + dists.len()];
             // Every term is at most `2 · CELL_INFINITY < 2^32`; the min never exceeds
             // the sentinel it starts from. The list may stop at `bound`: then a key
             // above it is too large, but it is pruned either way.
@@ -862,10 +860,8 @@ impl<'a> GtreeSearch<'a> {
             return (parent, INFINITY);
         }
         let tmin = self.min_border_distance_bounded(parent, b);
-        let children = gtree.hierarchy().children(parent);
-        for &ci in occurrence.children_with_objects(parent) {
-            let c = children[ci as usize];
-            if c == tn {
+        for &c in gtree.hierarchy().children(parent) {
+            if c == tn || !occurrence.has_objects(c) {
                 continue;
             }
             let dist = self.min_border_distance_bounded(c, b);
@@ -951,7 +947,7 @@ impl<'a> GtreeSearch<'a> {
         let mut wanted = k.min(occurrence.leaf_objects(leaf).len());
         while wanted > 0 {
             let Some((v, d)) = self.settle_leaf_vertex() else { break };
-            if occurrence.is_object_in_leaf(leaf, v) {
+            if occurrence.is_object(v) {
                 wanted -= 1;
                 if d < least_seed {
                     result.push((v, d));
@@ -976,7 +972,7 @@ impl<'a> GtreeSearch<'a> {
         let mut remaining = objects.len();
         while remaining > 0 {
             let Some((v, _)) = self.settle_leaf_vertex() else { break };
-            if occurrence.is_object_in_leaf(leaf, v) {
+            if occurrence.is_object(v) {
                 remaining -= 1;
             }
         }

@@ -9,8 +9,9 @@
 //!   OpenStreetMap extracts of Table 2 (docs/ARCHITECTURE.md, "Substitutions");
 //! * the object indexes whose size and construction time Figure 18 compares:
 //!   an R-tree over object coordinates ([`ObjectRTree`], used by IER and DB-ENN),
-//!   G-tree occurrence lists and ROAD association directories (re-exported from their
-//!   home crates and wrapped by [`builders`] so the harness can time them uniformly).
+//!   and the occurrence list that serves as both G-tree's occurrence list and ROAD's
+//!   association directory (from `rnknn-gtree`, wrapped by [`builders`] so the
+//!   harness can time them uniformly).
 
 #![forbid(unsafe_code)]
 
@@ -19,9 +20,7 @@ pub mod generators;
 pub mod poi;
 pub mod set;
 
-pub use builders::{
-    build_association_directory, build_occurrence_list, build_rtree, ObjectIndexCost,
-};
+pub use builders::{build_occurrence_list, build_rtree, ObjectIndexCost};
 pub use generators::{
     churn_stream, clustered, min_object_distance, uniform, ChurnConfig, MinDistanceSets,
     UpdateEvent,

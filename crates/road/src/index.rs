@@ -242,12 +242,15 @@ fn pack_overlay(graph: &Graph, h: &Hierarchy, kept: &[KeptShortcuts]) -> (Rows, 
     (overlay, rows_of_vertex)
 }
 
-/// A ROAD index derived from a G-tree with leaves of at most `leaf_capacity`
-/// vertices: the small-network shape the crate's tests search on.
+/// A G-tree with leaves of at most `leaf_capacity` vertices and the ROAD index
+/// derived from it: the small-network shape the crate's tests search on (the
+/// G-tree is what their object indexes are built over).
 #[cfg(test)]
-pub(crate) fn derive_for_tests(graph: &Graph, leaf_capacity: usize) -> RoadIndex {
+pub(crate) fn derive_for_tests(graph: &Graph, leaf_capacity: usize) -> (Gtree, RoadIndex) {
     let config = rnknn_gtree::GtreeConfig { leaf_capacity, ..Default::default() };
-    RoadIndex::from_gtree(graph, &Gtree::build_with_config(graph, config))
+    let gtree = Gtree::build_with_config(graph, config);
+    let road = RoadIndex::from_gtree(graph, &gtree);
+    (gtree, road)
 }
 
 #[cfg(test)]
@@ -261,7 +264,7 @@ mod tests {
     fn build(n: usize, seed: u64) -> (Graph, RoadIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
         let g = net.graph(EdgeWeightKind::Distance);
-        let idx = derive_for_tests(&g, 16);
+        let (_, idx) = derive_for_tests(&g, 16);
         (g, idx)
     }
 
@@ -383,7 +386,7 @@ mod tests {
     /// distance: per Rnet, Dijkstra over the kept rows (borders only) must equal
     /// Dijkstra over the whole network.
     fn check_kept_shortcuts(g: &Graph) -> BorderPairs {
-        let idx = derive_for_tests(g, 16);
+        let (_, idx) = derive_for_tests(g, 16);
         let mut pairs = BorderPairs::default();
         for r in (0..idx.num_rnets() as RnetIndex).filter(|&r| r != idx.root()) {
             let borders = idx.hierarchy().borders(r);

@@ -22,7 +22,7 @@
 //! The rows are triangle-sparsified (`sparsify` in `index.rs`), so a border of the
 //! bypassed Rnet may be reached over several kept shortcuts instead of one, and the
 //! kept shortcuts of an Rnet join every pair of its borders at their network distance.
-//! Nothing is lost. What a vertex relaxes depends on the vertex and the directory only,
+//! Nothing is lost. What a vertex relaxes depends on the vertex and the object index only,
 //! so the search is Dijkstra on a fixed graph, and that graph preserves the distance
 //! from every vertex `x` to every object `o`, by induction on that distance (among
 //! equals, on the edges of a fewest-edges shortest path `P`). If `x` does not bypass,
@@ -34,13 +34,17 @@
 //! ends at a border strictly nearer to `o`, or at `c` with the shorter suffix of `P`
 //! still to go, where the induction applies whichever Rnet that vertex bypasses in
 //! turn. Only an Rnet read as object-free while it holds an object could break this,
-//! and the directory's per-Rnet counts are exact after every update.
+//! and the object index's per-Rnet counts are exact after every update.
+//!
+//! That index is the G-tree's [`OccurrenceList`]: an Rnet is a G-tree node, so its
+//! subtree object count says whether the Rnet is object-free, and its vertex bitmap
+//! is the association directory's "is this vertex an object?" test.
 
 use rnknn_graph::{Graph, NodeId, Weight};
+use rnknn_gtree::OccurrenceList;
 use rnknn_pathfinding::scratch::SearchScratch;
 use rnknn_pathfinding::{QueryBudget, UNLIMITED};
 
-use crate::association::AssociationDirectory;
 use crate::index::RoadIndex;
 
 /// Operation counters for one ROAD query (Figure 9(b) plots `vertices_bypassed`).
@@ -86,9 +90,9 @@ impl<'a> RoadKnn<'a> {
         &self,
         query: NodeId,
         k: usize,
-        directory: &AssociationDirectory,
+        occurrence: &OccurrenceList,
     ) -> Vec<(NodeId, Weight)> {
-        self.knn_with_stats(query, k, directory).0
+        self.knn_with_stats(query, k, occurrence).0
     }
 
     /// Same as [`RoadKnn::knn`] but also returns operation counters.
@@ -96,11 +100,11 @@ impl<'a> RoadKnn<'a> {
         &self,
         query: NodeId,
         k: usize,
-        directory: &AssociationDirectory,
+        occurrence: &OccurrenceList,
     ) -> (Vec<(NodeId, Weight)>, RoadSearchStats) {
         let mut scratch = SearchScratch::new();
         let mut result = Vec::new();
-        let stats = self.knn_with_stats_in(query, k, directory, &mut scratch, &mut result);
+        let stats = self.knn_with_stats_in(query, k, occurrence, &mut scratch, &mut result);
         (result, stats)
     }
 
@@ -111,13 +115,13 @@ impl<'a> RoadKnn<'a> {
         &self,
         query: NodeId,
         k: usize,
-        directory: &AssociationDirectory,
+        occurrence: &OccurrenceList,
         scratch: &mut SearchScratch,
         result: &mut Vec<(NodeId, Weight)>,
     ) -> RoadSearchStats {
         let mut stats = RoadSearchStats::default();
         result.clear();
-        if k == 0 || directory.num_objects() == 0 {
+        if k == 0 || occurrence.num_objects() == 0 {
             return stats;
         }
         scratch.begin(self.graph.num_vertices());
@@ -129,7 +133,7 @@ impl<'a> RoadKnn<'a> {
                 continue;
             }
             stats.settled += 1;
-            if directory.is_object(v) {
+            if occurrence.is_object(v) {
                 result.push((v, d));
                 if result.len() >= k {
                     break;
@@ -138,7 +142,7 @@ impl<'a> RoadKnn<'a> {
             if !self.budget.charge(1) {
                 break;
             }
-            self.expand(v, d, directory, scratch, &mut stats);
+            self.expand(v, d, occurrence, scratch, &mut stats);
         }
         stats
     }
@@ -150,7 +154,7 @@ impl<'a> RoadKnn<'a> {
         &self,
         v: NodeId,
         d: Weight,
-        directory: &AssociationDirectory,
+        occurrence: &OccurrenceList,
         scratch: &mut SearchScratch,
         stats: &mut RoadSearchStats,
     ) {
@@ -159,7 +163,7 @@ impl<'a> RoadKnn<'a> {
         // its overlay row — kept shortcuts, then the edges of v that leave the Rnet —
         // is everything v relaxes.
         let (rnets, first_row) = road.border_rows(v);
-        if let Some(j) = rnets.iter().position(|&r| !directory.rnet_has_object(r)) {
+        if let Some(j) = rnets.iter().position(|&r| !occurrence.has_objects(r)) {
             let row = road.overlay_row(first_row + j);
             stats.bypasses += 1;
             stats.vertices_bypassed += road.interior_vertices(rnets[j]);
@@ -187,13 +191,14 @@ mod tests {
     use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
     use rnknn_graph::testgraphs::{unit_grids, zero_weight_grid};
     use rnknn_graph::EdgeWeightKind;
+    use rnknn_gtree::Gtree;
     use rnknn_pathfinding::dijkstra;
 
-    fn setup(n: usize, seed: u64) -> (Graph, RoadIndex) {
+    fn setup(n: usize, seed: u64) -> (Graph, Gtree, RoadIndex) {
         let net = RoadNetwork::generate(&GeneratorConfig::new(n, seed));
         let g = net.graph(EdgeWeightKind::Distance);
-        let road = derive_for_tests(&g, 16);
-        (g, road)
+        let (gtree, road) = derive_for_tests(&g, 16);
+        (g, gtree, road)
     }
 
     fn brute_knn(g: &Graph, q: NodeId, k: usize, objects: &[NodeId]) -> Vec<Weight> {
@@ -206,11 +211,11 @@ mod tests {
 
     #[test]
     fn knn_matches_brute_force_across_densities() {
-        let (g, road) = setup(900, 21);
+        let (g, gtree, road) = setup(900, 21);
         let n = g.num_vertices() as NodeId;
         for modulo in [3u32, 29, 113] {
             let objects: Vec<NodeId> = (0..n).filter(|v| v % modulo == 1).collect();
-            let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+            let dir = OccurrenceList::build(&gtree, &objects);
             let knn = RoadKnn::new(&g, &road);
             for q in [0u32, n / 2, n - 7] {
                 let got: Vec<Weight> = knn.knn(q, 8, &dir).iter().map(|&(_, d)| d).collect();
@@ -222,10 +227,10 @@ mod tests {
 
     #[test]
     fn sparse_objects_trigger_bypasses() {
-        let (g, road) = setup(1200, 2);
+        let (g, gtree, road) = setup(1200, 2);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = vec![n - 1, n - 2, n - 3];
-        let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let dir = OccurrenceList::build(&gtree, &objects);
         let knn = RoadKnn::new(&g, &road);
         let (got, stats) = knn.knn_with_stats(0, 2, &dir);
         let want = brute_knn(&g, 0, 2, &objects);
@@ -238,13 +243,13 @@ mod tests {
 
     #[test]
     fn sparse_searches_queue_improving_labels_only() {
-        let (g, road) = setup(2500, 17);
+        let (g, gtree, road) = setup(2500, 17);
         let n = g.num_vertices() as NodeId;
         assert!(n >= 2000);
         // <= 0.5 % objects: most Rnets are object-free, so most pops are bypasses.
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 250 == 7).collect();
         assert!(objects.len() * 200 <= n as usize);
-        let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let dir = OccurrenceList::build(&gtree, &objects);
         let knn = RoadKnn::new(&g, &road);
         let (mut pushes, mut settled, mut relaxed) = (0, 0, 0);
         for i in 0..60 {
@@ -273,13 +278,13 @@ mod tests {
 
     /// Removing every object of an Rnet makes it object-free at once: a search from
     /// one of its borders bypasses it, and every search counts the same bypasses as
-    /// on a freshly built directory.
+    /// on a freshly built index.
     #[test]
     fn an_rnet_emptied_by_removals_is_bypassed() {
-        let (g, road) = setup(1500, 31);
+        let (g, gtree, road) = setup(1500, 31);
         let n = g.num_vertices() as NodeId;
         let mut objects: Vec<NodeId> = (0..n).filter(|v| v % 40 == 3).collect();
-        let mut dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let mut dir = OccurrenceList::build(&gtree, &objects);
         let h = road.hierarchy();
         // A leaf with objects and interior vertices whose parent keeps objects once
         // the leaf's own are gone.
@@ -295,17 +300,17 @@ mod tests {
             })
             .expect("a leaf to empty");
         for v in objects.iter().copied().filter(|&o| road.leaf_of(o) == emptied) {
-            assert!(dir.remove(&road, v));
+            assert!(dir.remove(&gtree, v));
         }
         objects.retain(|&o| road.leaf_of(o) != emptied);
-        assert!(!dir.rnet_has_object(emptied));
-        let fresh = AssociationDirectory::build(&road, g.num_vertices(), &objects);
-        assert!(dir == fresh, "the directory differs from a fresh build");
+        assert!(!dir.has_objects(emptied));
+        let fresh = OccurrenceList::build(&gtree, &objects);
+        assert!(dir == fresh, "the index differs from a fresh build");
 
         let knn = RoadKnn::new(&g, &road);
         let border = h.borders(emptied)[0];
         let (rnets, _) = road.border_rows(border);
-        let first_free = rnets.iter().copied().find(|&r| !dir.rnet_has_object(r));
+        let first_free = rnets.iter().copied().find(|&r| !dir.has_objects(r));
         assert_eq!(first_free, Some(emptied), "its border does not bypass the emptied leaf");
         let queries = (0..40).map(|i| (i * 7919 + 11) % n).chain(h.borders(emptied).to_vec());
         for q in queries {
@@ -326,10 +331,10 @@ mod tests {
     #[test]
     fn knn_is_exact_on_ties_zero_weights_and_split_networks() {
         for g in [unit_grids(24, 1), zero_weight_grid(24), unit_grids(12, 4)] {
-            let road = derive_for_tests(&g, 16);
+            let (gtree, road) = derive_for_tests(&g, 16);
             let n = g.num_vertices() as NodeId;
             let objects: Vec<NodeId> = (0..n).filter(|v| v % 37 == 5).collect();
-            let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+            let dir = OccurrenceList::build(&gtree, &objects);
             let knn = RoadKnn::new(&g, &road);
             for i in 0..40 {
                 let q = (i * 7919 + 1) % n;
@@ -344,9 +349,9 @@ mod tests {
 
     #[test]
     fn query_on_an_object_and_k_exceeding_object_count() {
-        let (g, road) = setup(400, 6);
+        let (g, gtree, road) = setup(400, 6);
         let objects: Vec<NodeId> = vec![10, 20, 30];
-        let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let dir = OccurrenceList::build(&gtree, &objects);
         let knn = RoadKnn::new(&g, &road);
         let got = knn.knn(10, 5, &dir);
         assert_eq!(got.len(), 3);
@@ -356,10 +361,10 @@ mod tests {
 
     #[test]
     fn results_are_sorted_and_distinct() {
-        let (g, road) = setup(700, 13);
+        let (g, gtree, road) = setup(700, 13);
         let n = g.num_vertices() as NodeId;
         let objects: Vec<NodeId> = (0..n).filter(|v| v % 11 == 4).collect();
-        let dir = AssociationDirectory::build(&road, g.num_vertices(), &objects);
+        let dir = OccurrenceList::build(&gtree, &objects);
         let knn = RoadKnn::new(&g, &road);
         let got = knn.knn(5, 20, &dir);
         assert_eq!(got.len(), 20);

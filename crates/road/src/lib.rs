@@ -14,18 +14,18 @@
 //!
 //! * [`RoadIndex`] — the Rnet hierarchy plus Route Overlay (triangle-sparsified border
 //!   shortcut rows stored vertex-major in one flat array, as Section 6.2 recommends);
-//! * [`AssociationDirectory`] — the decoupled object index: an exact object count per
-//!   Rnet plus the object bitmap (Section 7.4 measures this structure with a bit per
-//!   Rnet in place of the count);
 //! * [`RoadKnn`] — the kNN search of Appendix A.3, including the fix that skips
 //!   re-inserting already-visited borders.
+//!
+//! ROAD's association directory is not a structure of its own: the G-tree's
+//! [`rnknn_gtree::OccurrenceList`] already holds an exact object count per node (an
+//! Rnet) and the object bitmap, so [`RoadKnn`] reads it (Section 7.4 measures the
+//! paper's directory, with a bit per Rnet in place of the count).
 
 #![forbid(unsafe_code)]
 
-mod association;
 mod index;
 mod knn;
 
-pub use association::AssociationDirectory;
 pub use index::{RnetIndex, RoadIndex};
 pub use knn::{RoadKnn, RoadSearchStats};

@@ -8,8 +8,8 @@
 //! * [`ObjectStore`] — the single-writer store for a live object set. Mutations
 //!   (an [`rnknn_objects::UpdateEvent`] insert, remove or move, through
 //!   [`ObjectStore::stage`]) are applied **incrementally** to every method's
-//!   object index (R-tree surgery, G-tree occurrence propagation, ROAD
-//!   association dirty-marking — see [`rnknn::live`]) and become visible
+//!   object index (R-tree surgery, one walk of the occurrence list's exact
+//!   per-node counts that G-tree and ROAD share — see [`rnknn::live`]) and become visible
 //!   atomically at an epoch [`ObjectStore::publish`]. Readers pin an
 //!   [`EpochSnapshot`] and keep a consistent object view for as long as they
 //!   hold it. A publish copies the new epoch into a bundle no reader holds, so

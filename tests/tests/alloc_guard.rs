@@ -340,8 +340,8 @@ fn query_overhead_over_query_into_is_exactly_the_result_vector() {
 /// A publish copies the new epoch into a retired bundle's own buffers, so once
 /// the buffers have grown to the churn's high-water mark it allocates (almost)
 /// nothing. Over a seeded steady churn (insert : remove : move = 1 : 1 : 2, four
-/// events per publish) on an engine with every object index — R-tree, G-tree
-/// occurrence list, ROAD association directory, CH labels — a warm publish
+/// events per publish) on an engine with every object index — R-tree, the
+/// occurrence list G-tree and ROAD share, CH labels — a warm publish
 /// averages at most 2 allocator calls, where a `clone()` of the bundle makes
 /// hundreds.
 #[test]

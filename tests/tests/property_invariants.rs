@@ -14,7 +14,7 @@ use rnknn_graph::{EdgeWeightKind, Graph, NodeId};
 use rnknn_gtree::{Gtree, GtreeConfig, GtreeSearch, LeafSearchMode, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet};
 use rnknn_pathfinding::{dijkstra, SearchScratch};
-use rnknn_road::{AssociationDirectory, RoadIndex, RoadKnn};
+use rnknn_road::{RoadIndex, RoadKnn};
 use rnknn_silc::{SilcConfig, SilcIndex};
 
 /// A tiny deterministic generator for sweep parameters (SplitMix64).
@@ -147,10 +147,10 @@ fn road_matches_ground_truth() {
         let (graph, objects) = make_world(size, seed, EdgeWeightKind::Distance, stride);
         let q = (sweep.next() as NodeId) % graph.num_vertices() as NodeId;
         let config = GtreeConfig { fanout, leaf_capacity: tau, ..Default::default() };
-        let road = RoadIndex::from_gtree(&graph, &Gtree::build_with_config(&graph, config));
-        let directory =
-            AssociationDirectory::build(&road, graph.num_vertices(), objects.vertices());
-        let answer = RoadKnn::new(&graph, &road).knn(q, k, &directory);
+        let gtree = Gtree::build_with_config(&graph, config);
+        let road = RoadIndex::from_gtree(&graph, &gtree);
+        let occurrence = OccurrenceList::build(&gtree, objects.vertices());
+        let answer = RoadKnn::new(&graph, &road).knn(q, k, &occurrence);
         assert!(
             matches_ground_truth(&graph, q, k, &objects, &answer),
             "seed={seed} size={size} stride={stride} k={k} q={q} fanout={fanout} tau={tau}"

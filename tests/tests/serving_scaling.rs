@@ -36,8 +36,8 @@ fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
     let mut membership = objects.clone();
     let num_objects = objects.len();
 
-    // The full-rebuild baseline (R-tree bulk load + occurrence list + association
-    // directory), measured on the same membership the churn starts from.
+    // The full-rebuild baseline (R-tree bulk load + occurrence list, which G-tree
+    // and ROAD share), measured on the same membership the churn starts from.
     let start = Instant::now();
     let mut live = engine.build_object_indexes(objects.clone());
     let rebuild = start.elapsed();
@@ -79,8 +79,8 @@ fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
         }
     }
 
-    // The scaling claim. Rebuild is O(|O| log |O| + occurrence + association
-    // propagation); the batch is ~12 O(depth) edits — 10x is a deliberately
+    // The scaling claim. Rebuild is O(|O| log |O| + one occurrence-count walk per
+    // object); the batch is ~12 O(depth) edits — 10x is a deliberately
     // conservative floor (measured headroom is orders of magnitude).
     assert!(
         rebuild >= incremental * 10,
