@@ -24,6 +24,10 @@
 
 #![forbid(unsafe_code)]
 
+/// Tests of ROAD's reading of the shared occurrence list (test-only).
+#[cfg(test)]
+#[path = "directory_tests.rs"]
+mod association;
 mod index;
 mod knn;
 
