@@ -930,8 +930,8 @@ fn original_settings(ctx: &mut Ctx) {
 
 /// Figure 18: object-index size and construction time vs density. The paper's
 /// G-tree occurrence list and ROAD association directory are one structure here
-/// (an Rnet is a G-tree node), so they share one column, "G-tree/ROAD". The CH target
-/// directory's build fills every object's label.
+/// (an Rnet is a G-tree node), so they share one column, "OccList (G-tree + ROAD)".
+/// The CH target directory's build fills every object's label.
 fn object_index_study(ctx: &mut Ctx) {
     let graph = ctx.testbed(DatasetPreset::US, EdgeWeightKind::Distance).graph().clone();
     let gtree = Gtree::build(&graph);
@@ -941,7 +941,7 @@ fn object_index_study(ctx: &mut Ctx) {
         "density",
         vec![
             "objects (INE)".into(),
-            "G-tree/ROAD".into(),
+            "OccList (G-tree + ROAD)".into(),
             "IER/DB R-tree".into(),
             "CH tgt labels".into(),
         ],
@@ -950,7 +950,7 @@ fn object_index_study(ctx: &mut Ctx) {
     let mut time = Table::new(
         "Figure 18(b): object index construction time vs density (US)",
         "density",
-        vec!["G-tree/ROAD".into(), "IER/DB R-tree".into(), "CH tgt labels".into()],
+        vec!["OccList (G-tree + ROAD)".into(), "IER/DB R-tree".into(), "CH tgt labels".into()],
         "µs",
     );
     let kb = |bytes: usize| bytes as f64 / 1024.0;

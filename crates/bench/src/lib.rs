@@ -185,24 +185,28 @@ impl Table {
     }
 
     /// Renders the table as monospace text (stdout and `experiments_results.md`).
+    /// A series column is 14 characters wide, or one more than its header, so
+    /// neighbouring headers never run together.
     pub fn render(&self) -> String {
+        let widths: Vec<usize> =
+            self.series.iter().map(|s| (s.chars().count() + 1).max(14)).collect();
         let mut out = String::new();
         out.push_str(&format!("## {}\n", self.title));
         out.push_str(&format!("(values in {})\n", self.unit));
         out.push_str(&format!("{:<16}", self.key));
-        for s in &self.series {
-            out.push_str(&format!("{:>14}", s));
+        for (s, &w) in self.series.iter().zip(&widths) {
+            out.push_str(&format!("{s:>w$}"));
         }
         out.push('\n');
         for row in &self.rows {
             out.push_str(&format!("{:<16}", row.label));
-            for v in &row.values {
+            for (v, &w) in row.values.iter().zip(&widths) {
                 if v.is_nan() {
-                    out.push_str(&format!("{:>14}", "n/a"));
+                    out.push_str(&format!("{:>w$}", "n/a"));
                 } else if *v >= 100.0 {
-                    out.push_str(&format!("{:>14.0}", v));
+                    out.push_str(&format!("{v:>w$.0}"));
                 } else {
-                    out.push_str(&format!("{:>14.2}", v));
+                    out.push_str(&format!("{v:>w$.2}"));
                 }
             }
             out.push('\n');
@@ -238,7 +242,8 @@ pub const BENCHES: [(&str, &str); 6] = [
 
 /// Identity digests (`BENCH_work.json`): what a tier's indexes are and how much
 /// work each benchmarked method does on them, all exact counts. Per tier it holds
-/// the saved artifact's size and checksum, and per method of
+/// the saved artifact's size and checksum, the object bundle's CH label entries
+/// (summed label lengths), and per method of
 /// [`knn_query::METHODS`] the sum of every `QueryStats` counter over a fixed
 /// seeded query set. A change that leaves the indexes and the searches alone
 /// leaves the file as it is; one that changes them shows the change as a diff of
@@ -270,6 +275,11 @@ pub mod work {
         let artifact = engine.save_indexes_to_vec().expect("save the tier's indexes");
         let checksum = rnknn_persist::checksum(&artifact);
         engine.set_objects(uniform(engine.graph(), DENSITY, 1));
+        let label_entries = engine
+            .object_indexes()
+            .and_then(|live| live.ch_targets())
+            .expect("the work tier builds a CH")
+            .label_entries();
         let n = engine.graph().num_vertices() as u64;
         let tier = format!("work/{n}");
         // A JSON number holds a 32-bit half exactly, not the whole 64-bit checksum.
@@ -280,6 +290,7 @@ pub mod work {
                 ("artifact_checksum_hi", (checksum >> 32) as f64, "u32"),
                 ("artifact_checksum_lo", (checksum & u64::from(u32::MAX)) as f64, "u32"),
                 ("objects", engine.objects().map_or(0, |o| o.len()) as f64, "count"),
+                ("ch_label_entries", label_entries as f64, "count"),
                 ("queries", QUERIES as f64, "count"),
             ],
         );
@@ -1301,5 +1312,23 @@ mod tests {
         assert!(text.contains("Figure X"));
         assert!(text.contains("n/a"));
         assert!(text.lines().count() >= 5);
+    }
+
+    #[test]
+    fn long_headers_keep_a_space_between_columns() {
+        let series = ["twenty-char-header-1", "B", "twenty-char-header-2", "fourteen-chars"];
+        let mut t =
+            Table::new("Figure Y", "density", series.iter().map(|s| s.to_string()).collect(), "KB");
+        t.push("0.01", vec![123_456_789.0, 1.5, f64::NAN, 12_345_678_901_234.0]);
+        let text = t.render();
+        let header = text.lines().nth(2).expect("header line");
+        // The headers hold no spaces, so splitting at whitespace gives them back
+        // only when a space separates every pair.
+        let words: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(words[0], "density");
+        assert_eq!(words[1..], series, "{header:?}");
+        // Each value sits right-aligned under its header.
+        let row = text.lines().nth(3).expect("value line");
+        assert_eq!(row.len(), header.len(), "{row:?} vs {header:?}");
     }
 }

@@ -78,7 +78,7 @@ impl UpwardSearch {
     /// vertex's upward edges — unless `stop` holds for it, or `stall` is set and it
     /// is stalled on demand (a stopped or stalled vertex is still settled: its label
     /// is a valid upper bound). Returns the vertex with its distance, in
-    /// non-decreasing distance order over the search.
+    /// non-decreasing distance order over the search, and whether it was stalled.
     ///
     /// `None` when no entry below `limit` is left or `budget` refuses the step (one
     /// step per settle); the popped entry is then pushed back, so a search paused
@@ -92,7 +92,7 @@ impl UpwardSearch {
         stop: impl Fn(NodeId) -> bool,
         budget: &QueryBudget,
         counters: &mut ChSearchCounters,
-    ) -> Option<(NodeId, Weight)> {
+    ) -> Option<(NodeId, Weight, bool)> {
         loop {
             if self.heap.peek_key()? >= limit {
                 return None;
@@ -106,10 +106,12 @@ impl UpwardSearch {
                 return None;
             }
             counters.settled += 1;
+            let mut stalled = false;
             if stop(x) {
                 // Settled, never expanded.
             } else if stall && ch.is_stalled(&self.labels, x, d) {
                 counters.stalled += 1;
+                stalled = true;
             } else {
                 for (y, w) in ch.upward_edges(x) {
                     let nd = d + w;
@@ -120,7 +122,7 @@ impl UpwardSearch {
                     }
                 }
             }
-            return Some((x, d));
+            return Some((x, d, stalled));
         }
     }
 }
@@ -243,17 +245,18 @@ impl ContractionHierarchy {
         (best, counters)
     }
 
-    /// The target label of `v`: its upward search space with stall-on-demand, written
-    /// into a caller-owned buffer in **settle order** — non-decreasing distance, so a
-    /// scan against a forward search can stop at its bound — and never sorted. This
-    /// is how [`crate::ChTargetDirectory`] fills a label.
+    /// The target label of `v`: the vertices its upward search with stall-on-demand
+    /// settles and does not stall, written into a caller-owned buffer in **settle
+    /// order** — non-decreasing distance, so a scan against a forward search can stop
+    /// at its bound — and never sorted. This is how [`crate::ChTargetDirectory`]
+    /// fills a label. The counters are the search's: `settled` is the label's length
+    /// plus `stalled`.
     ///
-    /// Dominated labels are still *recorded* (they are valid upper bounds) but not
-    /// *expanded*, which shrinks the label the same way stalling shrinks the
-    /// bidirectional search (−27% settled at 69k). Safe for meets against any
-    /// upward search from the other side, stalled or not, for the usual stalling
-    /// reason: a path through a pruned label is matched by one through the
-    /// dominating neighbour, which both sides do explore.
+    /// A stalled vertex is settled but neither expanded nor recorded: its distance is
+    /// dominated via a higher-ranked neighbour, and a meet never needs it (the proof
+    /// is on [`ChForwardSearch`]). Stalling shrinks the search the way it shrinks the
+    /// bidirectional one (−27% settled at 69k); not recording the stalled vertices
+    /// roughly halves what is left.
     pub fn target_label_into(
         &self,
         v: NodeId,
@@ -283,7 +286,7 @@ impl ContractionHierarchy {
     }
 
     /// Runs an upward search from `v` to exhaustion on the thread-local scratch,
-    /// writing every settled vertex into `entries` in settle order.
+    /// writing every settled vertex it did not stall into `entries` in settle order.
     fn upward_into(
         &self,
         v: NodeId,
@@ -296,10 +299,12 @@ impl ContractionHierarchy {
         SCRATCH.with(|scratch| {
             let search = &mut scratch.borrow_mut()[FORWARD];
             search.start(self.num_vertices(), v, &mut counters);
-            while let Some(entry) =
+            while let Some((x, d, stalled)) =
                 search.settle_next(self, INFINITY, stall, &stop, &UNLIMITED, &mut counters)
             {
-                entries.push(entry);
+                if !stalled {
+                    entries.push((x, d));
+                }
             }
         });
         counters
@@ -382,13 +387,34 @@ impl ChSearchSpace {
 ///    exhaustion — until its minimum key is `>= best`, each settled vertex found in
 ///    the projection lowering `best`.
 ///
-/// Exact below `B`: the full stall-pruned forward space and `t`'s label share a
-/// vertex `h` with `f(h) + d_t(h) = d(s, t)`, `f(h)` being the distance `h` is
-/// settled at. If the scan leaves `best` above `d(s, t)`, `h` is not settled yet, so
-/// the heap's minimum key is at most `f(h) < best` (settles come in non-decreasing
-/// key order): the extension runs, `h` is in the projection, and settling `h` brings
-/// `best` down to `d(s, t)` unless another meet did first. Every value `best` takes
-/// is a path length, so a target at or beyond `B` answers `>= B`.
+/// Exact below `B`. First, the forward search run to exhaustion and `t`'s label
+/// share a vertex `h` with `f(h) + d_t(h) = d(s, t)`, `f(h)` being the distance `h`
+/// is settled at — although the label leaves out every vertex its fill stalled.
+/// Call `x` *s-exact* when the forward search settles it at `d(s, x)`, and
+/// *t-exact* when the fill settles it at `d(x, t)`. A *state* is a pair `(a, b)`,
+/// `a` s-exact and `b` t-exact, with `d(s, a) + d(a, b) + d(b, t) = d(s, t)`;
+/// `(s, t)` is one. While `a != b`, take a shortest path from `a` to `b` that only
+/// climbs in rank, then only descends (contraction keeps every distance with a
+/// shortcut or a witness, so one exists). If it climbs from `a` to `c`, `a` was
+/// either expanded, relaxing `c` to `d(s, c)`, which makes `(c, b)` a state, or
+/// stalled via a neighbour `z` with `f(z) + w(z, a) <= d(s, a)`, so `z` is s-exact
+/// and `(z, b)` is a state. Otherwise it climbs from `b`, and the same holds on
+/// `t`'s side. At `a = b = h`, if the fill stalled `h` via `y`
+/// (`d_t(y) + w(h, y) <= d(h, t)`), then `y` is t-exact and `s ⇝ h – y ⇝ t` is
+/// shortest: `(y, y)` is a state if the forward search expanded `h` (it relaxed
+/// `y`), and `(z, y)` is one if it stalled `h` via `z`, the path `z – h – y` being
+/// no shorter than `d(z, y)`. Each step raises the rank of `a` or of `b` and lowers
+/// neither, so the walk ends, and only at an `a = b = h` the fill did not stall: `h`
+/// is s-exact and in `t`'s label at `d(h, t)`. Nothing here depends on the order in
+/// which equal keys pop, so a search that was paused, cut and resumed is covered
+/// too. (A vertex stalled with `<` has a label above its distance and is never in a
+/// state; the `<=` test's ties are what the walk is for.)
+///
+/// Then the lazy part: if the scan leaves `best` above `d(s, t)`, `h` is not settled
+/// yet, so the heap's minimum key is at most `f(h) < best` (settles come in
+/// non-decreasing key order): the extension runs, `h` is in the projection, and
+/// settling `h` brings `best` down to `d(s, t)` unless another meet did first. Every
+/// value `best` takes is a path length, so a target at or beyond `B` answers `>= B`.
 ///
 /// The engine pools one per thread.
 #[derive(Debug, Default)]
@@ -459,7 +485,7 @@ impl ChForwardSearch {
                 self.target.set(h as usize, d_t);
                 read += 1;
             }
-            while let Some((x, d)) =
+            while let Some((x, d, _)) =
                 forward.settle_next(ch, best, true, |_| false, budget, counters)
             {
                 if let Some(d_t) = self.target.get(x as usize) {
@@ -616,6 +642,65 @@ mod tests {
         check_one_forward_search_per_source(&testgraphs::unit_grids(5, 5), "5 parts");
     }
 
+    /// Small seeded random graphs with weights 0–3, so zero-length edges and equal
+    /// distances are everywhere and the fill's `<=` stall drops exact ties: every
+    /// source still meets every target, under a bound just above its distance or
+    /// none, at Dijkstra's answer.
+    #[test]
+    fn tie_heavy_random_graphs_meet_every_target_exactly() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let mut dropped = 0;
+        for round in 0..300 {
+            let n = 4 + next(30) as usize;
+            let mut adjacent: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
+            for _ in 0..2 * n {
+                let (a, b, w) = (next(n as u64) as usize, next(n as u64) as NodeId, next(4));
+                if a != b as usize && !adjacent[a].iter().any(|&(x, _)| x == b) {
+                    adjacent[a].push((b, w));
+                    adjacent[b as usize].push((a as NodeId, w));
+                }
+            }
+            let mut offsets = vec![0u32];
+            for edges in &adjacent {
+                offsets.push(offsets[offsets.len() - 1] + edges.len() as u32);
+            }
+            let (heads, weights): (Vec<NodeId>, Vec<Weight>) =
+                adjacent.iter().flatten().copied().unzip();
+            let coords = (0..n).map(|i| rnknn_graph::Point { x: i as f64, y: 0.0 }).collect();
+            let g = Graph::from_csr(offsets, heads, weights, coords);
+            let ch = ContractionHierarchy::build(&g);
+            let all: Vec<NodeId> = (0..n as NodeId).collect();
+            let targets = ChTargetDirectory::build(&ch, &all);
+            let mut label = Vec::new();
+            dropped +=
+                all.iter().map(|&t| ch.target_label_into(t, &mut label).stalled).sum::<u64>();
+            let mut search = ChForwardSearch::new();
+            for s in 0..n as NodeId {
+                let truth = dijkstra::single_source(&g, s);
+                let mut counters = ChSearchCounters::default();
+                search.begin(&ch, s, &mut counters);
+                for t in shuffled(all.clone(), round * 64 + u64::from(s) + 1) {
+                    let exact = truth[t as usize];
+                    let bound = if next(2) == 0 { INFINITY } else { (exact + 1).min(INFINITY) };
+                    let got =
+                        search.distance_within(&ch, &targets, t, bound, &UNLIMITED, &mut counters);
+                    if exact < bound {
+                        assert_eq!(got, exact, "round {round}: {s}->{t} bound={bound}");
+                    } else {
+                        assert!(got >= bound, "round {round}: {s}->{t} bound={bound} got={got}");
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "no fill stalled a vertex");
+    }
+
     #[test]
     fn a_candidate_inside_the_reached_radius_settles_nothing() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
@@ -685,24 +770,28 @@ mod tests {
 
     #[test]
     fn stalled_labels_shrink_and_forward_searches_stay_exact() {
-        // Stalling must not enlarge a label, and stalled labels must still meet a
-        // stalled forward search at the exact distance.
+        // Stalling must not enlarge a label, a label records every settled vertex
+        // but the stalled ones, and labels without them must still meet a stalled
+        // forward search at the exact distance.
         for kind in [EdgeWeightKind::Distance, EdgeWeightKind::Time] {
             let net = RoadNetwork::generate(&GeneratorConfig::new(800, 64));
             let g = net.graph(kind);
             let ch = ContractionHierarchy::build(&g);
             let n = g.num_vertices() as NodeId;
             let mut label = Vec::new();
+            let mut dropped = 0;
             for s in [2u32, n / 3, n - 7] {
-                let stalled = ch.target_label_into(s, &mut label);
+                let fill = ch.target_label_into(s, &mut label);
                 let full = full_space(&ch, s);
                 assert!(label.len() <= full.len(), "stalling enlarged the label of {s}");
-                assert_eq!(stalled.settled, label.len() as u64);
+                assert_eq!(fill.settled, label.len() as u64 + fill.stalled);
+                dropped += fill.stalled;
                 for t in (0..n).step_by(29) {
                     let exact = dijkstra::distance(&g, s, t);
                     assert_eq!(forward_distance(&ch, s, t, INFINITY), exact, "{s}->{t} {kind:?}");
                 }
             }
+            assert!(dropped > 0, "no probe's fill stalled a vertex on {kind:?} weights");
         }
     }
 

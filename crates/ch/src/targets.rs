@@ -6,10 +6,13 @@
 //! `t` only — never on the query — so searching it once per candidate per query
 //! recomputes the same `(vertex, distance)` set over and over. A
 //! [`ChTargetDirectory`] keeps that set beside the object instead: one **label** per
-//! object vertex, the vertex's stall-pruned upward space in settle order —
-//! non-decreasing distance — so a candidate costs a scan of the label's prefix
-//! below the running bound against the query's forward search, which is extended
-//! only when that prefix reaches past it ([`crate::ChForwardSearch::distance_within`]).
+//! object vertex, the vertices its upward search with stall-on-demand settles and
+//! does not stall, in settle order — non-decreasing distance. A stalled vertex's
+//! distance is dominated via a higher-ranked neighbour, and no meet needs it
+//! ([`crate::ChForwardSearch`] has the proof). A candidate costs a scan of the
+//! label's prefix below the running bound against the query's forward search, which
+//! is extended only when that prefix reaches past it
+//! ([`crate::ChForwardSearch::distance_within`]).
 //!
 //! Labels are written on the **write side** only: [`ChTargetDirectory::build`]
 //! fills every object's label and [`ChTargetDirectory::insert`] fills the new one,
@@ -25,8 +28,8 @@ use rnknn_graph::{NodeId, Weight};
 
 use crate::build::ContractionHierarchy;
 
-/// A label: the settled `(vertex, distance)` pairs in settle order (non-decreasing
-/// distance).
+/// A label: the settled, unstalled `(vertex, distance)` pairs in settle order
+/// (non-decreasing distance).
 type Label = Arc<[(NodeId, Weight)]>;
 
 /// Per-object CH target labels (see the module docs).
@@ -99,6 +102,11 @@ impl ChTargetDirectory {
     /// True when no object has a label.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
+    }
+
+    /// Entries over all labels (one per recorded vertex).
+    pub fn label_entries(&self) -> usize {
+        self.labels.values().map(|l| l.len()).sum()
     }
 
     /// Resident size in bytes: one entry per object plus its label, counted in full
@@ -197,6 +205,18 @@ mod tests {
                 vertices.sort_unstable();
                 vertices.dedup();
                 assert_eq!(vertices.len(), label.len(), "label of {t} repeats a vertex");
+                // No entry is dominated via a higher neighbour in the label: on
+                // positive weights that neighbour settled first, so the fill would
+                // have stalled the entry and left it out.
+                let at: HashMap<NodeId, Weight> = label.iter().copied().collect();
+                for &(h, d) in label {
+                    for (m, w) in ch.upward_edges(h) {
+                        assert!(
+                            at.get(&m).is_none_or(|&dm| dm + w > d),
+                            "label of {t} keeps {h} at {d}, dominated via {m}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -6,7 +6,8 @@
 //! every object index. This guard pins that claim at the 116k-vertex tier:
 //! applying a 1%-of-|O| churn batch through the incremental path must be at
 //! least 10x faster than one full rebuild, and must leave the indexes
-//! answering exactly like the rebuild.
+//! answering exactly like the rebuild. Both sides are timed as the minimum of
+//! five interleaved passes.
 
 #![cfg(not(debug_assertions))]
 
@@ -17,6 +18,9 @@ use rnknn::verify::ground_truth;
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{churn_stream, uniform, ChurnConfig};
+
+/// Interleaved timed passes per side; each side reports its fastest.
+const PASSES: usize = 5;
 
 #[test]
 fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
@@ -35,25 +39,39 @@ fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
     let objects = uniform(engine.graph(), 0.01, 1);
     let mut membership = objects.clone();
     let num_objects = objects.len();
+    let batch = (num_objects / 100).max(10);
 
-    // The full-rebuild baseline (R-tree bulk load + occurrence list, which G-tree
-    // and ROAD share), measured on the same membership the churn starts from.
-    let start = Instant::now();
-    let mut live = engine.build_object_indexes(objects.clone());
-    let rebuild = start.elapsed();
-
-    // A 1%-of-|O| churn batch through the incremental path.
+    // A 1%-of-|O| churn batch for the incremental path.
     let events = churn_stream(
         engine.graph().num_vertices(),
         &membership,
-        &ChurnConfig { events: (num_objects / 100).max(10), seed: 7, ..Default::default() },
+        &ChurnConfig { events: batch, seed: 7, ..Default::default() },
     );
     assert!(events.len() >= 10, "churn generator under-delivered");
-    let start = Instant::now();
-    for &event in &events {
-        engine.apply_object_update(&mut live, event);
+
+    // Each side's time is its minimum over `PASSES` interleaved passes, so one
+    // stolen time slice cannot decide the ratio. A pass times the full rebuild
+    // (R-tree bulk load + occurrence list, which G-tree and ROAD share) of the
+    // membership the churn starts from, then the batch applied to that freshly
+    // built bundle, so every pass applies the same events to the same start. (A
+    // clone of the bundle would not do: its arenas are allocated to the exact
+    // length, so its first events pay a reallocation a built bundle does not.)
+    let pass = || {
+        let start = Instant::now();
+        let mut bundle = engine.build_object_indexes(objects.clone());
+        let rebuild = start.elapsed();
+        let start = Instant::now();
+        for &event in &events {
+            engine.apply_object_update(&mut bundle, event);
+        }
+        (rebuild, start.elapsed(), bundle)
+    };
+    let (mut rebuild, mut incremental, live) = pass();
+    for _ in 1..PASSES {
+        let (r, i, _) = pass();
+        rebuild = rebuild.min(r);
+        incremental = incremental.min(i);
     }
-    let incremental = start.elapsed();
     for event in events {
         event.apply_to(&mut membership);
     }
@@ -79,13 +97,17 @@ fn one_percent_churn_is_10x_cheaper_than_a_rebuild_at_116k() {
         }
     }
 
+    println!(
+        "rebuild of {num_objects} objects {rebuild:?}, {batch} churn events {incremental:?} \
+         (each the minimum of {PASSES} passes)"
+    );
     // The scaling claim. Rebuild is O(|O| log |O| + one occurrence-count walk per
-    // object); the batch is ~12 O(depth) edits — 10x is a deliberately
-    // conservative floor (measured headroom is orders of magnitude).
+    // object); the batch is ~11 O(depth) edits. Measured ≈ 20x on a 2-core
+    // x86-64 host (95–100 µs against 4.0–4.5 µs), so the 10x floor keeps about
+    // 2x of headroom.
     assert!(
         rebuild >= incremental * 10,
-        "1% churn ({} events) took {incremental:?}, rebuild of {num_objects} objects took \
-         {rebuild:?} — incremental path lost its 10x advantage",
-        (num_objects / 100).max(10)
+        "1% churn ({batch} events) took {incremental:?}, rebuild of {num_objects} objects took \
+         {rebuild:?} — incremental path lost its 10x advantage"
     );
 }
