@@ -627,7 +627,10 @@ fn index_costs(ctx: &mut Ctx, kind: EdgeWeightKind, figure: &str) {
         DatasetPreset::NW,
     ];
     let mut size = Table::new(
-        &format!("{figure}(a): road-network index size vs |V| ({kind:?})"),
+        &format!(
+            "{figure}(a): road-network index size vs |V| ({kind:?}; \
+             ROAD's Rnets are the G-tree's hierarchy, counted under Gtree)"
+        ),
         "network",
         vec![
             "INE (graph)".into(),

@@ -852,6 +852,11 @@ pub mod serving {
     /// The fewest events a churn cell applies; `measure_cell` asserts it.
     pub const MIN_CHURN_EVENTS: u64 = 1_000;
 
+    /// Samples per churn cell: the cells run in rotation this many times, so a
+    /// slow stretch of the host lands on one sample of each cell rather than on
+    /// every sample of one.
+    pub const ROUNDS: usize = 3;
+
     /// Robustness knobs for a measured run (docs/ROBUSTNESS.md): a per-request
     /// deadline adopted at admission and/or a seeded fault plan. The defaults
     /// (no deadline, no faults) reproduce the committed trajectory exactly.
@@ -948,7 +953,7 @@ pub mod serving {
         }
     }
 
-    /// One measured cell: drive the front with a saturating query stream for
+    /// One sample of a cell: drive the front with a saturating query stream for
     /// `duration` while submitting `events` updates at an even pace, then drain
     /// and report sustained QPS plus the shed/cut records under
     /// `<tier>/events=<events>/`.
@@ -1080,14 +1085,38 @@ pub mod serving {
         )
     }
 
-    /// Measures every churn cell at every requested size: a
-    /// Dijkstra-verified interleaved warm-up, then one sustained-throughput
-    /// cell per churn count. `robust` threads the `--deadline-ms` /
-    /// `--fault-seed` knobs into every cell's [`ServeConfig`]; the default is
-    /// the knob-free committed workload, which panics on any error response.
-    /// Under a knob the exactly-once and census asserts inside `measure_cell`
-    /// are the gate (the CI chaos smoke), and `trajectory_bench` does not
-    /// track the run.
+    /// One cell's rows from its samples (each `measure_cell`'s rows, in one
+    /// order): `qps` is the median sample with `qps_min` / `qps_max` beside it,
+    /// the target rate is every sample's, and every other row is summed.
+    fn fold_samples(samples: &[Vec<Record>]) -> Vec<Record> {
+        let mut rows = Vec::new();
+        for (i, row) in samples[0].iter().enumerate() {
+            let mut values: Vec<f64> = samples.iter().map(|sample| sample[i].value).collect();
+            values.sort_unstable_by(f64::total_cmp);
+            let (min, median, max) =
+                (values[0], values[values.len() / 2], values[values.len() - 1]);
+            let record =
+                |suffix, value| Record::new(format!("{}{suffix}", row.name), value, &row.unit);
+            if row.name.ends_with("/qps") {
+                println!("  {}: {median} q/s median of {} ({min}..{max})", row.name, values.len());
+                rows.extend([record("", median), record("_min", min), record("_max", max)]);
+            } else if row.name.ends_with("/target_updates_per_sec") {
+                rows.push(row.clone());
+            } else {
+                rows.push(record("", values.iter().sum()));
+            }
+        }
+        rows
+    }
+
+    /// Measures every churn cell at every requested size: a Dijkstra-verified
+    /// interleaved warm-up, then [`ROUNDS`] rotations through one
+    /// sustained-throughput sample per churn count. `robust` threads the
+    /// `--deadline-ms` / `--fault-seed` knobs into every cell's [`ServeConfig`];
+    /// the default is the knob-free committed workload, which panics on any
+    /// error response. Under a knob the exactly-once and census asserts inside
+    /// `measure_cell` are the gate (the CI chaos smoke), and `trajectory_bench`
+    /// does not track the run.
     pub fn measure(
         sizes: &[usize],
         density: f64,
@@ -1117,17 +1146,15 @@ pub mod serving {
             let store = Arc::new(ObjectStore::new(Arc::clone(&engine), initial));
             verify_interleaved(&engine, &store, &mut feeder, 3, 3);
             println!("  interleaved update/query rounds Dijkstra-verified");
-            for events in CHURN_EVENTS {
-                records.extend(measure_cell(
-                    &tier,
-                    &store,
-                    &mut feeder,
-                    workers,
-                    events,
-                    duration,
-                    robust,
-                ));
+            let mut samples: Vec<Vec<Vec<Record>>> = CHURN_EVENTS.map(|_| Vec::new()).into();
+            for _ in 0..ROUNDS {
+                for (cell, events) in samples.iter_mut().zip(CHURN_EVENTS) {
+                    let sample =
+                        measure_cell(&tier, &store, &mut feeder, workers, events, duration, robust);
+                    cell.push(sample);
+                }
             }
+            records.extend(samples.iter().flat_map(|cell| fold_samples(cell)));
         }
         records
     }

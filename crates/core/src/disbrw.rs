@@ -37,19 +37,6 @@ pub struct DisBrwScratch {
     best: Vec<(NodeId, Weight)>,
 }
 
-impl DisBrwScratch {
-    /// Drops everything derived from an object set (candidates, queued bounds,
-    /// best-k entries), keeping every buffer's capacity. Queries re-arm these
-    /// themselves; the engine calls this when the object generation changes so no
-    /// stale candidate can ever survive a scratch handoff.
-    pub(crate) fn clear_object_state(&mut self) {
-        self.queue.clear();
-        self.hierarchy_queue.clear();
-        self.pool.clear();
-        self.best.clear();
-    }
-}
-
 /// Which candidate generator Distance Browsing uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DisBrwVariant {

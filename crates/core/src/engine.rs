@@ -506,10 +506,6 @@ impl Engine {
 
     /// Injects an object set, rebuilding the per-method object indexes (the cheap,
     /// decoupled step of Section 7.4).
-    ///
-    /// Installing a new set also advances the process-wide object generation, so
-    /// per-thread scratches that served the old set invalidate their object-derived
-    /// state on their next query (see [`crate::scratch`]).
     pub fn set_objects(&mut self, objects: ObjectSet) {
         let live = self.build_object_indexes(objects);
         self.set_object_indexes(live);
@@ -649,9 +645,9 @@ impl Engine {
     }
 
     /// The one query body: validate, pick the object view, range-check the query
-    /// vertex, sync the scratch's object generation and run the method's arm of the
-    /// dispatch `match`. [`Engine::execute`] calls it with the thread's pooled scratch; a
-    /// serving worker calls it directly with its thread-private one.
+    /// vertex and run the method's arm of the dispatch `match`. [`Engine::execute`]
+    /// calls it with the thread's pooled scratch; a serving worker calls it
+    /// directly with its thread-private one.
     ///
     /// On error, `out` is left cleared. When the request's budget exhausts, the
     /// search unwinds normally — no thread is killed, `scratch` stays reusable —
@@ -670,12 +666,6 @@ impl Engine {
         let num_vertices = self.graph.num_vertices();
         if query as usize >= num_vertices {
             return Err(EngineError::InvalidVertex { vertex: query, num_vertices });
-        }
-        // Mutant hook (`mutant-skip-generation-stamp`, for the serving-layer
-        // models only): without the stamp, pooled scratch silently reuses
-        // object-dependent state across different object sets.
-        if !cfg!(feature = "mutant-skip-generation-stamp") {
-            scratch.sync_object_generation(live.generation());
         }
         let start = Instant::now();
         self.dispatch(request, live, scratch, out)?;
@@ -1152,7 +1142,7 @@ mod tests {
     }
 
     /// External snapshots answer through `query_snapshot` without touching (or
-    /// requiring) the engine's installed set, and generations stay distinct.
+    /// requiring) the engine's installed set.
     #[test]
     fn external_snapshots_serve_queries_independently() {
         let net = RoadNetwork::generate(&GeneratorConfig::new(400, 6));
@@ -1164,7 +1154,6 @@ mod tests {
         let a = engine.build_object_indexes(uniform(engine.graph(), 0.02, 1));
         let mut b = a.clone();
         assert!(engine.apply_object_update(&mut b, UpdateEvent::Insert(3)));
-        assert!(b.generation() > a.generation(), "updates must advance the generation");
 
         let from_a = engine.query_snapshot(Method::Gtree, 3, 3, &a).unwrap();
         let from_b = engine.query_snapshot(Method::Gtree, 3, 3, &b).unwrap();

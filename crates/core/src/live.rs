@@ -17,31 +17,13 @@
 //! Every index is exact after every event, and only [`ObjectIndexes::build`] and
 //! [`ObjectIndexes::apply`] change one: a query reads the bundle and writes
 //! nothing into it.
-//!
-//! Every successful update advances a process-wide **object generation** counter
-//! (also bumped by full rebuilds). The engine stamps the generation a thread's
-//! scratch last saw and invalidates object-derived scratch state on mismatch, so
-//! a pooled query can never observe a stale object view through its scratch.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rnknn_ch::{ChTargetDirectory, ContractionHierarchy};
 use rnknn_graph::{Graph, NodeId};
 use rnknn_gtree::{Gtree, OccurrenceList};
 use rnknn_objects::{ObjectRTree, ObjectSet, UpdateEvent};
 
-/// Process-wide object-set generation counter. Monotonic across every engine and
-/// every snapshot, so one per-thread scratch can interleave queries against many
-/// engines/epochs and still detect every object-view change.
-static OBJECT_GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// Draws the next unused object generation (used by builds and updates).
-fn next_object_generation() -> u64 {
-    OBJECT_GENERATION.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// An object set together with every derived per-method object index, stamped
-/// with the object generation it was produced under.
+/// An object set together with every derived per-method object index.
 ///
 /// Obtain one from `Engine::build_object_indexes` (full rebuild — the Section 7.4
 /// decoupled step) and evolve it with [`ObjectIndexes::apply`] (incremental, the
@@ -57,7 +39,6 @@ pub struct ObjectIndexes {
     rtree: ObjectRTree,
     occurrence: Option<OccurrenceList>,
     ch_targets: Option<ChTargetDirectory>,
-    generation: u64,
 }
 
 impl Clone for ObjectIndexes {
@@ -67,7 +48,6 @@ impl Clone for ObjectIndexes {
             rtree: self.rtree.clone(),
             occurrence: self.occurrence.clone(),
             ch_targets: self.ch_targets.clone(),
-            generation: self.generation,
         }
     }
 
@@ -78,7 +58,6 @@ impl Clone for ObjectIndexes {
         self.rtree.clone_from(&source.rtree);
         self.occurrence.clone_from(&source.occurrence);
         self.ch_targets.clone_from(&source.ch_targets);
-        self.generation = source.generation;
     }
 }
 
@@ -95,13 +74,7 @@ impl ObjectIndexes {
         let rtree = ObjectRTree::build(graph, &objects);
         let occurrence = gtree.map(|g| OccurrenceList::build(g, objects.vertices()));
         let ch_targets = ch.map(|c| ChTargetDirectory::build(c, objects.vertices()));
-        ObjectIndexes {
-            objects,
-            rtree,
-            occurrence,
-            ch_targets,
-            generation: next_object_generation(),
-        }
+        ObjectIndexes { objects, rtree, occurrence, ch_targets }
     }
 
     /// The object set these indexes describe.
@@ -132,12 +105,6 @@ impl ObjectIndexes {
         self.ch_targets.as_ref()
     }
 
-    /// The object generation these indexes were last modified under. Strictly
-    /// increasing across rebuilds and applied updates, unique process-wide.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Applies one update event to the set and every index **in place**, without
     /// any rebuild: `O(log |O|)` for the set, `O(log |O| + split)` R-tree
     /// surgery, one `O(tree depth)` walk of the occurrence list's counts, and
@@ -155,7 +122,7 @@ impl ObjectIndexes {
         ch: Option<&ContractionHierarchy>,
         event: UpdateEvent,
     ) -> bool {
-        let applied = match event {
+        match event {
             UpdateEvent::Insert(v) => self.insert(graph, gtree, ch, v),
             UpdateEvent::Remove(v) => self.remove(graph, gtree, v),
             UpdateEvent::Move { from, to } => {
@@ -169,11 +136,7 @@ impl ObjectIndexes {
                     true
                 }
             }
-        };
-        if applied {
-            self.generation = next_object_generation();
         }
-        applied
     }
 
     fn insert(

@@ -21,22 +21,18 @@
 //! * **Thread-local lifecycle** — one scratch per OS thread, created lazily on the
 //!   first query and kept until the thread exits. Scratches are never shared, so the
 //!   engine stays [`Sync`] and `knn_batch`'s worker threads each warm their own.
-//! * **Epoch invalidation** — nothing in the scratch carries meaning across queries;
-//!   each query re-arms what it uses (stamp bump or `clear()` that keeps capacity).
-//!   A scratch serves engines of different sizes interleaved on one thread: tables
-//!   size to the largest graph seen, stamps keep smaller queries correct.
+//! * **Per-query re-arm** — the one invalidation rule: nothing in the scratch
+//!   carries meaning across queries; each query re-arms what it uses (stamp bump
+//!   or `clear()` that keeps capacity) before reading it. So a scratch serves
+//!   engines of different sizes and object sets changed by `Engine::set_objects`,
+//!   an applied update or an epoch swap, interleaved on one thread: tables size
+//!   to the largest graph seen, stamps keep smaller queries correct, and every
+//!   candidate buffer, browse heap and best-k store is refilled from the queried
+//!   bundle.
 //! * **One oracle contract** — every IER oracle answers through
 //!   [`crate::ier::DistanceOracle::distance_within`] (exact below the bound, anything
 //!   `>=` it otherwise), so the pooled state above is only ever driven by one
 //!   bounded, budgeted loop body per search algorithm.
-//! * **Object-generation invalidation** — candidate buffers, browse heaps and
-//!   best-k storage are refilled per query, but as a hard backstop every scratch
-//!   also carries the [object generation](crate::ObjectIndexes::generation) it
-//!   last served. The dispatch path compares it against the queried indexes'
-//!   generation and, on mismatch, clears all object-derived buffers (keeping
-//!   capacity) before stamping the new generation — so `Engine::set_objects`,
-//!   an applied update or an epoch swap can never leak stale candidates into a
-//!   pooled query, even across engines interleaved on one thread.
 
 use rnknn_objects::BrowserScratch;
 use rnknn_pathfinding::scratch::SearchScratch;
@@ -62,35 +58,11 @@ pub struct EngineScratch {
     pub(crate) tnr: rnknn_tnr::TnrSourceState,
     /// Distance Browsing candidate pool, refinement queues and best-k storage.
     pub(crate) disbrw: DisBrwScratch,
-    /// The object generation this scratch last served (0 = never). See the module
-    /// docs: a mismatch on dispatch clears all object-derived buffers.
-    pub(crate) objects_generation: u64,
 }
 
 impl EngineScratch {
     /// Creates an empty scratch: nothing is allocated until a query uses a piece.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The [object generation](crate::ObjectIndexes::generation) this scratch last
-    /// served (0 = never). Read-only verification hook: after any dispatched query
-    /// it must equal the queried indexes' generation — the serving-layer loom
-    /// models assert exactly that to pin the stamp protocol in place.
-    pub fn objects_generation(&self) -> u64 {
-        self.objects_generation
-    }
-
-    /// Ensures this scratch carries no state derived from an object view other than
-    /// `generation`: on mismatch, clears every object-derived buffer (browse heap,
-    /// Distance Browsing candidates/queues/best-k — capacity kept) and stamps the
-    /// new generation. `O(1)` in the steady state where the generation is unchanged.
-    pub(crate) fn sync_object_generation(&mut self, generation: u64) {
-        if self.objects_generation == generation {
-            return;
-        }
-        self.browser.clear();
-        self.disbrw.clear_object_state();
-        self.objects_generation = generation;
     }
 }

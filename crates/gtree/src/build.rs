@@ -200,7 +200,7 @@ impl Gtree {
         let matrices = vec![DistanceMatrix::new(0, 0, CELL_INFINITY); hierarchy.num_parts()];
         let child_min_offsets = child_min_offsets(&hierarchy);
         let mut tree = Gtree {
-            hierarchy,
+            hierarchy: hierarchy.into(),
             leaves,
             matrices,
             border_positions,

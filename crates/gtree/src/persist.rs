@@ -228,7 +228,7 @@ pub fn load_gtree(
 
     let border_positions = hierarchy.border_positions(&leaves);
     Ok(Gtree {
-        hierarchy,
+        hierarchy: hierarchy.into(),
         leaves,
         matrices,
         border_positions,

@@ -1,6 +1,8 @@
 //! The G-tree data structure: the partition hierarchy it holds, one distance matrix
 //! per node, and basic accessors.
 
+use std::sync::Arc;
+
 use rnknn_graph::NodeId;
 use rnknn_partition::hierarchy::{Hierarchy, LeafLayout};
 use rnknn_persist::PVec;
@@ -17,7 +19,7 @@ pub struct Gtree {
     /// Nodes, children, borders (a node's child borders grouped child by child: the
     /// layout that makes assembly scans sequential, Figure 5) and the leaf of every
     /// vertex.
-    pub(crate) hierarchy: Hierarchy,
+    pub(crate) hierarchy: Arc<Hierarchy>,
     /// Every leaf's vertices, in the order of its matrix columns.
     pub(crate) leaves: LeafLayout,
     /// One matrix per node:
@@ -77,9 +79,10 @@ impl Gtree {
         0
     }
 
-    /// The tree's topology: parents, children, borders, leaf ranges.
+    /// The tree's topology: parents, children, borders, leaf ranges. Shared, so
+    /// an index over the same nodes (ROAD's Rnets) holds it without a copy.
     #[inline]
-    pub fn hierarchy(&self) -> &Hierarchy {
+    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
         &self.hierarchy
     }
 

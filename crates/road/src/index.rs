@@ -1,5 +1,7 @@
 //! The Rnet hierarchy and Route Overlay, derived from a built G-tree.
 
+use std::sync::Arc;
+
 use rnknn_graph::{Graph, NodeId, Weight};
 use rnknn_gtree::{widen, Cell, Gtree, CELL_INFINITY};
 use rnknn_partition::hierarchy::{sparsify, Hierarchy};
@@ -46,9 +48,9 @@ impl Rows {
 /// The ROAD road-network index: Rnet hierarchy plus Route Overlay.
 #[derive(Debug, Clone)]
 pub struct RoadIndex {
-    /// The Rnets: a copy of the G-tree's hierarchy, one Rnet per G-tree node, with
-    /// its parent, borders and leaf range, and the leaf Rnet of every vertex.
-    hierarchy: Hierarchy,
+    /// The Rnets: the G-tree's own hierarchy, shared, one Rnet per G-tree node,
+    /// with its parent, borders and leaf range, and the leaf Rnet of every vertex.
+    hierarchy: Arc<Hierarchy>,
     /// The Route Overlay, one flat vertex-major CSR (Section 6.2: a single array with
     /// offsets). A row is the kept shortcuts of one (Rnet, border) followed by the
     /// border's graph edges that leave the Rnet: its complete out-list while that Rnet
@@ -70,7 +72,7 @@ impl RoadIndex {
     /// nodes, and an Rnet's shortcuts are its border × border block of the node's
     /// matrix — global network distances, thinned by [`sparsify`].
     pub fn from_gtree(graph: &Graph, gtree: &Gtree) -> RoadIndex {
-        let hierarchy = gtree.hierarchy().clone();
+        let hierarchy = Arc::clone(gtree.hierarchy());
         let kept: Vec<KeptShortcuts> =
             (0..hierarchy.num_parts() as RnetIndex).map(|i| border_shortcuts(gtree, i)).collect();
         let (overlay, rows_of_vertex) = pack_overlay(graph, &hierarchy, &kept);
@@ -93,8 +95,8 @@ impl RoadIndex {
     }
 
     /// The Rnet hierarchy: every Rnet's parent, children, level, borders (sorted by
-    /// vertex id) and leaf range.
-    pub fn hierarchy(&self) -> &Hierarchy {
+    /// vertex id) and leaf range: the G-tree's own, shared.
+    pub fn hierarchy(&self) -> &Arc<Hierarchy> {
         &self.hierarchy
     }
 
@@ -183,13 +185,14 @@ impl RoadIndex {
         self.overlay.targets.len()
     }
 
-    /// Resident size in bytes of everything the index holds (Figure 8(a)), its copy
-    /// of the G-tree's hierarchy included. The overlay dominates; with
+    /// Resident size in bytes of what the index owns (Figure 8(a)): the overlay and
+    /// the per-vertex and per-Rnet lookups. The Rnets are the G-tree's hierarchy,
+    /// shared and counted under the G-tree. The overlay dominates; with
     /// triangle-sparsified rows it is smaller than the G-tree's matrices even though
     /// border lists repeat across levels.
     pub fn memory_bytes(&self) -> usize {
         let words = self.rows_of_vertex.len() + self.chain_entries.len() + self.chain_offsets.len();
-        words * 4 + self.overlay.memory_bytes() + self.hierarchy.memory_bytes()
+        words * 4 + self.overlay.memory_bytes()
     }
 }
 
@@ -425,7 +428,7 @@ mod tests {
         assert!(split.apart > 0 && split.kept < split.connected, "{split:?}");
     }
 
-    /// The Rnets are the G-tree's nodes, on the G-tree's own hierarchy.
+    /// The Rnets are the G-tree's nodes, on the G-tree's own hierarchy, shared.
     #[test]
     fn rnets_are_the_gtree_nodes() {
         let g =
@@ -436,8 +439,7 @@ mod tests {
         );
         let idx = RoadIndex::from_gtree(&g, &gtree);
         assert_eq!(idx.num_rnets(), gtree.num_nodes());
-        assert_eq!(idx.hierarchy(), gtree.hierarchy());
+        assert!(Arc::ptr_eq(idx.hierarchy(), gtree.hierarchy()));
         assert!(idx.num_shortcut_entries() > 0);
-        assert!(idx.memory_bytes() > gtree.hierarchy().memory_bytes());
     }
 }

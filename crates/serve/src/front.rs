@@ -700,17 +700,6 @@ fn run_one(
         .with_budget(&budget)
         .with_objects(snapshot.indexes());
     let result = engine.execute_with_scratch(&query, scratch, out).map(|()| std::mem::take(out));
-    // Model-checked protocol obligation: a successfully dispatched query
-    // leaves the pooled scratch stamped with the generation of the exact
-    // object view it served — the backstop that makes scratch reuse safe
-    // across epoch flips (see docs/CORRECTNESS.md; the
-    // `mutant-skip-generation-stamp` feature breaks precisely this).
-    // Rejected queries (bad k / bad vertex) bail out before the stamp.
-    #[cfg(feature = "loom-model")]
-    assert!(
-        result.is_err() || scratch.objects_generation() == snapshot.indexes().generation(),
-        "pooled scratch not synced to the served object generation"
-    );
     if matches!(result, Err(EngineError::DeadlineExceeded { .. })) {
         counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }

@@ -11,12 +11,7 @@
 //! 2. **Update visibility** — an update published before a request was
 //!    submitted is visible to that request's batch (the per-batch epoch pin
 //!    happens after admission).
-//! 3. **Scratch generation stamping** — a worker's pooled scratch is re-stamped
-//!    to the generation of every object view it serves (asserted inside
-//!    `worker_loop` under this feature). The `mutant-skip-generation-stamp`
-//!    feature removes the stamp in the engine's dispatch path and makes every
-//!    schedule of these models fail.
-//! 4. **Supervised respawn** — a worker panic (simulated under the model via
+//! 3. **Supervised respawn** — a worker panic (simulated under the model via
 //!    the fault plan, so no real unwinding crosses the shim) poisons exactly
 //!    its own request; the dying generation's supervision sentry answers it
 //!    `WorkerPanicked`, respawns a fresh generation on the same shard queue,
@@ -93,17 +88,16 @@ fn every_request_is_answered_exactly_once_through_shutdown() {
     });
 }
 
-/// Properties 2 + 3: an update that published before a request was submitted is
-/// visible to that request, and the worker's scratch is re-stamped to the new
-/// object generation (the in-loop assertion under this feature).
+/// Property 2: an update that published before a request was submitted is
+/// visible to that request.
 #[test]
 fn published_update_is_visible_to_later_requests() {
     loom::model(|| {
         let store = store();
         let (front, responses) = ServeFront::start(Arc::clone(&store), config());
 
-        // A first request may be served against epoch 0 — it stamps the
-        // worker's scratch with epoch 0's generation.
+        // A first request may be served against epoch 0, through the same
+        // pooled worker scratch the later request reuses.
         front.submit(request(0, BASE[0])).expect("submit 0");
 
         // Route an insert through the updater thread and wait for its publish.
@@ -113,8 +107,7 @@ fn published_update_is_visible_to_later_requests() {
         }
 
         // Submitted strictly after the publish: the worker pins its batch's
-        // epoch after admission, so this request must see the insert — and the
-        // worker's scratch must be re-stamped to the flipped generation.
+        // epoch after admission, so this request must see the insert.
         front.submit(request(1, FREE)).expect("submit 1");
         for _ in 0..2 {
             let r = responses.recv().expect("response");
@@ -150,7 +143,7 @@ fn targeted_plan(victims: &[u64], spared: &[u64]) -> rnknn_serve::FaultPlan {
         .expect("a seed matching the victim set exists")
 }
 
-/// Property 4: supervised respawn. The fault plan poisons exactly request 1;
+/// Property 3: supervised respawn. The fault plan poisons exactly request 1;
 /// under every schedule it is answered `WorkerPanicked`, a fresh generation
 /// takes over the shard, and requests 0 and 2 — whether they were
 /// already served, leftover in the poisoned batch, or still queued — are all

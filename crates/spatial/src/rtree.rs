@@ -559,13 +559,6 @@ impl BrowserScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Drops any queued traversal state, keeping the heap's capacity. Browses
-    /// re-arm the heap themselves; this exists so a pool owner can invalidate
-    /// state derived from an R-tree that no longer exists.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 /// [`EuclideanBrowser`] over a borrowed [`BrowserScratch`] heap: identical traversal,

@@ -1,8 +1,9 @@
 //! Release-only per-method query-latency regression guard (the query-side analogue
 //! of `ch_scaling.rs` / `gtree_scaling.rs`).
 //!
-//! ISSUE 5 established the committed kNN query-latency trajectory
-//! (`BENCH_knn_query.json`); this guard keeps future PRs honest at the 116k tier.
+//! The committed kNN trajectory is `BENCH_knn_query.json`; this guard holds its
+//! 116k tier: each p50 is the fastest of 5 interleaved passes, and every method's
+//! summed work must be bit-equal between the built and the loaded engine.
 //! Budgets are ≈ 4-5x the p50s this test measures on the 2-core reference box
 //! (built / loaded engine at k=10, d=0.01: G-tree ~270 / 290µs, INE ~90 / 105µs,
 //! IER-CH ~36 / 52µs, IER-Gt ~160 / 170µs; run with `--nocapture` to see today's)
@@ -18,29 +19,38 @@ use std::time::{Duration, Instant};
 
 use rnknn::engine::{Engine, EngineConfig, Method};
 use rnknn::verify::matches_ground_truth;
-use rnknn::{QueryOutput, QueryRequest};
+use rnknn::{QueryOutput, QueryRequest, QueryStats};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::uniform;
 
-/// Median of per-query wall-clock times for `method` over `queries`. With
-/// `budgeted`, every query runs under a generous wall-clock deadline at the
-/// serving layer's default check cadence — the exact configuration a deadline-
-/// carrying [`rnknn_serve::KnnRequest`] dispatches with — so the deadline
-/// checks' overhead is inside the measurement.
-fn p50_micros(
+/// The guarded methods and their p50 budgets at 116k.
+const BUDGETS: [(Method, Duration); 4] = [
+    (Method::Gtree, Duration::from_micros(1_100)),
+    (Method::Ine, Duration::from_micros(400)),
+    (Method::IerCh, Duration::from_micros(200)),
+    (Method::IerGtree, Duration::from_micros(600)),
+];
+
+/// Timed passes per method and mode; a p50 is the fastest pass's median.
+const PASSES: usize = 5;
+
+/// One pass of `method` over `queries`: the median per-query wall-clock time
+/// and the summed work counters (`elapsed_micros` left 0). With `budgeted`,
+/// every query runs under a generous wall-clock deadline at the serving
+/// layer's default check cadence — the exact configuration a deadline-carrying
+/// [`rnknn_serve::KnnRequest`] dispatches with — so the deadline checks'
+/// overhead is inside the measurement.
+fn pass(
     engine: &Engine,
     method: Method,
     queries: &[NodeId],
     k: usize,
     budgeted: bool,
-) -> f64 {
-    let mut out = QueryOutput::default();
-    // Warm-up pass: grow every pooled buffer to the workload's high-water mark.
-    for &q in queries {
-        engine.query_into(method, q, k, &mut out).expect("warm-up query");
-    }
+    out: &mut QueryOutput,
+) -> (f64, QueryStats) {
     let mut times: Vec<u64> = Vec::with_capacity(queries.len());
+    let mut work = QueryStats::default();
     for &q in queries {
         let budget = rnknn::QueryBudget::new(
             budgeted.then(|| Instant::now() + Duration::from_secs(3600)),
@@ -49,17 +59,19 @@ fn p50_micros(
         );
         let start = Instant::now();
         engine
-            .execute(&QueryRequest::new(method, q, k).with_budget(&budget), &mut out)
+            .execute(&QueryRequest::new(method, q, k).with_budget(&budget), out)
             .expect("measured query");
         times.push(start.elapsed().as_micros() as u64);
+        work.accumulate(&QueryStats { elapsed_micros: 0, ..out.stats });
     }
     times.sort_unstable();
-    times[times.len() / 2] as f64
+    (times[times.len() / 2] as f64, work)
 }
 
-/// Applies the exactness gate plus the per-method p50 budgets to one engine.
-/// `label` names the engine provenance ("built" / "loaded") in failures.
-fn run_guard(engine: &mut Engine, label: &str) {
+/// Applies the exactness gate plus the per-method p50 budgets to one engine and
+/// returns each guarded method's summed work over the query set. `label` names
+/// the engine provenance ("built" / "loaded") in failures.
+fn run_guard(engine: &mut Engine, label: &str) -> Vec<QueryStats> {
     let objects = uniform(engine.graph(), 0.01, 1);
     engine.set_objects(objects.clone());
 
@@ -70,7 +82,7 @@ fn run_guard(engine: &mut Engine, label: &str) {
 
     // Exactness first: a fast-but-wrong query path must never pass the guard.
     for &q in queries.iter().take(3) {
-        for method in [Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree] {
+        for (method, _) in BUDGETS {
             let output = engine.query(method, q, k).expect("query");
             assert!(
                 matches_ground_truth(engine.graph(), q, k, &objects, &output.result),
@@ -80,36 +92,44 @@ fn run_guard(engine: &mut Engine, label: &str) {
         }
     }
 
-    let budgets = [
-        (Method::Gtree, Duration::from_micros(1_100)),
-        (Method::Ine, Duration::from_micros(400)),
-        (Method::IerCh, Duration::from_micros(200)),
-        (Method::IerGtree, Duration::from_micros(600)),
-    ];
-    for (method, budget) in budgets {
-        let p50 = p50_micros(engine, method, &queries, k, false);
-        println!("{} p50 {p50}µs at 116k on the {label} engine (budget {budget:?})", method.name());
-        assert!(
-            Duration::from_micros(p50 as u64) < budget,
-            "{} p50 {}µs exceeds the {budget:?} budget at 116k on the {label} engine",
-            method.name(),
-            p50
-        );
-        // Deadline-checked serving path, same thresholds: the cooperative
-        // budget checks (one relaxed load + counter compare per charge, a
-        // clock read every `DEFAULT_CHECK_EVERY` steps) must be invisible at
-        // this granularity — measured overhead is under 2% locally, far inside
-        // the 5x headroom these budgets carry.
-        let p50_deadline = p50_micros(engine, method, &queries, k, true);
-        assert!(
-            Duration::from_micros(p50_deadline as u64) < budget,
-            "{} deadline-checked p50 {}µs exceeds the unchanged {budget:?} budget at 116k on \
-             the {label} engine (unbudgeted p50 {}µs)",
-            method.name(),
-            p50_deadline,
-            p50
-        );
+    // Warm-up pass: grow every pooled buffer to the workload's high-water mark.
+    let mut out = QueryOutput::default();
+    let work: Vec<QueryStats> =
+        BUDGETS.iter().map(|&(m, _)| pass(engine, m, &queries, k, false, &mut out).1).collect();
+    // Then the timed passes, the methods and both modes interleaved within
+    // each, so a slow stretch of the host lands on one pass of every method
+    // rather than on every pass of one.
+    let mut fastest = [[f64::INFINITY; 2]; BUDGETS.len()];
+    for p in 0..PASSES {
+        for (i, &(method, _)) in BUDGETS.iter().enumerate() {
+            // The mode that runs first alternates, so neither always runs on a
+            // cache the previous method's pass left behind.
+            for budgeted in [p % 2 == 1, p % 2 == 0] {
+                let (p50, pass_work) = pass(engine, method, &queries, k, budgeted, &mut out);
+                assert_eq!(pass_work, work[i], "{} work differs between passes", method.name());
+                let best = &mut fastest[i][budgeted as usize];
+                *best = best.min(p50);
+            }
+        }
     }
+
+    // The deadline-checked serving path has the same thresholds: the
+    // cooperative budget checks (one relaxed load + counter compare per charge,
+    // a clock read every `DEFAULT_CHECK_EVERY` steps) must be invisible at this
+    // granularity — measured overhead is under 2% locally, far inside the 5x
+    // headroom these budgets carry.
+    for (&(method, budget), p50s) in BUDGETS.iter().zip(&fastest) {
+        let name = method.name();
+        println!("{name} p50 {p50s:?}µs (plain, deadline-checked) at 116k on the {label} engine");
+        for (&p50, mode) in p50s.iter().zip(["", "deadline-checked "]) {
+            assert!(
+                Duration::from_micros(p50 as u64) < budget,
+                "{name} {mode}p50 {p50}µs exceeds the {budget:?} budget at 116k on the {label} \
+                 engine"
+            );
+        }
+    }
+    work
 }
 
 #[test]
@@ -126,7 +146,7 @@ fn per_method_query_p50_stays_within_budget_at_116k_built_and_loaded() {
         ..Default::default()
     };
     let mut engine = Engine::build(graph, &config);
-    run_guard(&mut engine, "built");
+    let built_work = run_guard(&mut engine, "built");
 
     // ISSUE 8: an engine cold-started from its persisted artifact must meet
     // the same budgets with the same answers — zero-copy views over the
@@ -145,7 +165,7 @@ fn per_method_query_p50_stays_within_budget_at_116k_built_and_loaded() {
     let n = engine.graph().num_vertices() as NodeId;
     for i in 0..5u64 {
         let q = ((i * 7919 + 1) % n as u64) as NodeId;
-        for method in [Method::Gtree, Method::Ine, Method::IerCh, Method::IerGtree] {
+        for (method, _) in BUDGETS {
             assert_eq!(
                 loaded.query(method, q, 10).unwrap().result,
                 engine.query(method, q, 10).unwrap().result,
@@ -155,5 +175,9 @@ fn per_method_query_p50_stays_within_budget_at_116k_built_and_loaded() {
         }
     }
     drop(engine);
-    run_guard(&mut loaded, "loaded");
+    let loaded_work = run_guard(&mut loaded, "loaded");
+    // The exact gate: the same searches over the same structures do the same
+    // work, whatever the host's timing (one summed `QueryStats` per method, in
+    // `BUDGETS` order).
+    assert_eq!(built_work, loaded_work, "built/loaded work differs over the queries");
 }

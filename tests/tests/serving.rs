@@ -1,6 +1,6 @@
 //! Serving-layer integration tests: interleaved update/query conformance, epoch
-//! atomicity under concurrent readers, and the `set_objects` scratch-invalidation
-//! regression.
+//! atomicity under concurrent readers, and pooled-scratch reuse across object
+//! sets, bundles and engines.
 //!
 //! The conformance harness in `conformance_fuzz.rs` proves every method agrees on
 //! a *static* object set; this file proves the same property while the object set
@@ -10,8 +10,9 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use rnknn::engine::{Engine, EngineConfig, Method};
-use rnknn::verify::ground_truth;
+use rnknn::engine::{Engine, EngineConfig, Method, QueryRequest};
+use rnknn::verify::{ground_truth, matches_ground_truth};
+use rnknn::{EngineScratch, ObjectIndexes, QueryOutput, QueryStats};
 use rnknn_graph::generator::{GeneratorConfig, RoadNetwork};
 use rnknn_graph::{EdgeWeightKind, NodeId};
 use rnknn_objects::{churn_stream, uniform, ChurnConfig, UpdateEvent};
@@ -170,54 +171,66 @@ fn epoch_swap_is_atomic_under_concurrent_readers() {
     assert_eq!(store.snapshot().epoch(), published);
 }
 
-/// The `set_objects` scratch-invalidation regression (the bug class: a pooled
-/// per-thread scratch carrying object-derived state across an object-set flip).
-/// Worker threads outlive several flips, reusing their thread-local scratch for
-/// pooled `Engine::query` calls; every answer must match the ground truth of the
-/// set installed for that round.
+/// Every index the engine can build (G-tree, ROAD, SILC, CH, PHL, TNR), so every
+/// method in `Method::ALL` is dispatchable (a query of a missing one errors).
+fn build_full_engine(size: usize, seed: u64) -> Engine {
+    let net = RoadNetwork::generate(&GeneratorConfig::new(size, seed));
+    let config = EngineConfig { build_tnr: true, ..EngineConfig::default() };
+    Engine::build(net.graph(EdgeWeightKind::Distance), &config)
+}
+
+/// The `set_objects` scratch-reuse regression (the bug class: a pooled per-thread
+/// scratch carrying object-derived state across an object-set flip). Worker
+/// threads outlive several flips, reusing their thread-local scratch for pooled
+/// `Engine::query` calls of every method; every answer must match the ground
+/// truth of the set installed for that round.
 #[test]
 fn object_set_flips_between_pooled_queries_never_leak_stale_state() {
-    let engine_slot = Arc::new(std::sync::RwLock::new({
-        let net = RoadNetwork::generate(&GeneratorConfig::new(700, 4242));
-        let graph = net.graph(EdgeWeightKind::Distance);
-        let mut e = Engine::build(graph, &EngineConfig::minimal());
+    let engine_slot = std::sync::RwLock::new({
+        let mut e = build_full_engine(700, 4242);
         e.set_objects(uniform(e.graph(), 0.02, 0));
         e
-    }));
+    });
     let workers = 4;
     let rounds = 8;
     // Two sync points per round: everyone queries between them; flips happen
     // outside them, under the write lock.
-    let barrier = Arc::new(Barrier::new(workers + 1));
+    let barrier = Barrier::new(workers + 1);
+    // A worker's failed round is recorded rather than unwound past the barrier,
+    // so the other threads still meet it and the test fails instead of hanging.
+    let failed_rounds = std::sync::Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let engine_slot = Arc::clone(&engine_slot);
-            let barrier = Arc::clone(&barrier);
+            let (engine_slot, barrier, failed_rounds) = (&engine_slot, &barrier, &failed_rounds);
             scope.spawn(move || {
                 for round in 0..rounds {
                     barrier.wait(); // Flip is complete; this round's set is live.
                     let engine = engine_slot.read().unwrap();
                     let n = engine.graph().num_vertices();
                     let objects = engine.objects().unwrap().clone();
-                    for probe in 0..5u32 {
-                        let q = ((worker as u32 * 7919 + round as u32 * 131 + probe * 977) as usize
-                            % n) as NodeId;
-                        let truth: Vec<_> = ground_truth(engine.graph(), q, 4, &objects)
-                            .iter()
-                            .map(|&(_, d)| d)
-                            .collect();
-                        for method in [Method::Ine, Method::Gtree, Method::Road, Method::IerAStar] {
-                            // Pooled path: reuses this OS thread's scratch across
-                            // all rounds and therefore across all flips.
-                            let out = engine.query(method, q, 4).unwrap();
-                            assert_eq!(
-                                out.distances(),
-                                truth,
-                                "worker {worker} round {round}: {} served stale state at q={q}",
-                                method.name()
-                            );
+                    let queried = std::panic::catch_unwind(|| {
+                        for probe in 0..5 {
+                            let q = ((worker * 7919 + round * 131 + probe * 977) % n) as NodeId;
+                            let truth: Vec<_> = ground_truth(engine.graph(), q, 4, &objects)
+                                .iter()
+                                .map(|&(_, d)| d)
+                                .collect();
+                            for method in Method::ALL {
+                                // Pooled path: reuses this OS thread's scratch across
+                                // all rounds and therefore across all flips.
+                                let out = engine.query(method, q, 4).unwrap();
+                                assert_eq!(
+                                    out.distances(),
+                                    truth,
+                                    "worker {worker} round {round}: {} served stale state at q={q}",
+                                    method.name()
+                                );
+                            }
                         }
+                    });
+                    if queried.is_err() {
+                        failed_rounds.lock().unwrap().push((worker, round));
                     }
                     drop(engine);
                     barrier.wait(); // Round done; main may flip again.
@@ -235,6 +248,60 @@ fn object_set_flips_between_pooled_queries_never_leak_stale_state() {
             engine.set_objects(objects);
         }
     });
+    let failed_rounds = failed_rounds.into_inner().unwrap();
+    assert!(failed_rounds.is_empty(), "(worker, round)s that failed: {failed_rounds:?}");
+}
+
+/// The one rule for pooled state, checked by answers: each search re-arms what it
+/// reads, so one explicit scratch driven across two engines of different sizes
+/// and three bundles each (dense, sparse, evolved by updates), interleaved query
+/// by query, answers every method exactly as a fresh scratch does — same result,
+/// same work counters — and as Dijkstra does.
+#[test]
+fn one_explicit_scratch_across_engines_and_bundles_answers_like_a_fresh_one() {
+    let engines = [build_full_engine(700, 77), build_full_engine(300, 78)];
+    let bundles: Vec<Vec<ObjectIndexes>> = engines
+        .iter()
+        .map(|engine| {
+            let graph = engine.graph();
+            let mut evolved = engine.build_object_indexes(uniform(graph, 0.03, 3));
+            let churn = ChurnConfig { events: 60, seed: 4, ..Default::default() };
+            for event in churn_stream(graph.num_vertices(), evolved.objects(), &churn) {
+                engine.apply_object_update(&mut evolved, event);
+            }
+            vec![
+                engine.build_object_indexes(uniform(graph, 0.15, 1)),
+                engine.build_object_indexes(uniform(graph, 0.01, 2)),
+                evolved,
+            ]
+        })
+        .collect();
+
+    let k = 5;
+    let mut pooled = EngineScratch::new();
+    let (mut out, mut fresh_out) = (QueryOutput::default(), QueryOutput::default());
+    for probe in 0..6u32 {
+        for method in Method::ALL {
+            // Every query switches engine or bundle from the one before it.
+            for slot in 0..6 {
+                let (e, b) = ((slot + probe as usize) % 2, (slot / 2 + probe as usize) % 3);
+                let (engine, bundle) = (&engines[e], &bundles[e][b]);
+                let q = (probe * 977 + slot as u32 * 131) % engine.graph().num_vertices() as NodeId;
+                let request = QueryRequest::new(method, q, k).with_objects(bundle);
+                engine.execute_with_scratch(&request, &mut pooled, &mut out).unwrap();
+                engine
+                    .execute_with_scratch(&request, &mut EngineScratch::new(), &mut fresh_out)
+                    .unwrap();
+                let at = format!("{} on engine {e}, bundle {b}, q={q}", method.name());
+                assert_eq!(out.result, fresh_out.result, "{at}: pooled != fresh");
+                let work = |o: &QueryOutput| QueryStats { elapsed_micros: 0, ..o.stats };
+                assert_eq!(work(&out), work(&fresh_out), "{at}: pooled work != fresh");
+                let exact =
+                    matches_ground_truth(engine.graph(), q, k, bundle.objects(), &out.result);
+                assert!(exact, "{at}: != Dijkstra");
+            }
+        }
+    }
 }
 
 /// Ten paced rounds through a running `ServeFront` — stage a churn batch, publish
