@@ -1111,7 +1111,8 @@ pub mod serving {
 
     /// Measures every churn cell at every requested size: a Dijkstra-verified
     /// interleaved warm-up, then [`ROUNDS`] rotations through one
-    /// sustained-throughput sample per churn count. `robust` threads the
+    /// sustained-throughput sample per churn count, each rotation on a fresh
+    /// store over the tier's initial objects. `robust` threads the
     /// `--deadline-ms` / `--fault-seed` knobs into every cell's [`ServeConfig`];
     /// the default is the knob-free committed workload, which panics on any
     /// error response. Under a knob the exactly-once and census asserts inside
@@ -1132,7 +1133,6 @@ pub mod serving {
             // verifies it, needs no index.
             let engine = Arc::new(tier_engine("serve", size, &engine_config(true, false), io));
             let initial = uniform(engine.graph(), density, 1);
-            let mut feeder = initial.clone();
             let tier = format!("serving/{}", engine.graph().num_vertices());
             println!(
                 "serving bench n={size:>7} {tier} objects={:>6} workers={workers} (built in {:.1}s)",
@@ -1143,11 +1143,19 @@ pub mod serving {
                 &tier,
                 &[("objects", initial.len() as f64, "count"), ("workers", workers as f64, "count")],
             ));
-            let store = Arc::new(ObjectStore::new(Arc::clone(&engine), initial));
+            // A store over `initial` and the feeder that mirrors its membership.
+            let fresh = || {
+                (Arc::new(ObjectStore::new(Arc::clone(&engine), initial.clone())), initial.clone())
+            };
+            let (store, mut feeder) = fresh();
             verify_interleaved(&engine, &store, &mut feeder, 3, 3);
             println!("  interleaved update/query rounds Dijkstra-verified");
             let mut samples: Vec<Vec<Vec<Record>>> = CHURN_EVENTS.map(|_| Vec::new()).into();
             for _ in 0..ROUNDS {
+                // Every round starts from the same objects and replays the same
+                // churn, so a drift between rounds is the host's, not a cost
+                // that grows with the churn applied so far.
+                let (store, mut feeder) = fresh();
                 for (cell, events) in samples.iter_mut().zip(CHURN_EVENTS) {
                     let sample =
                         measure_cell(&tier, &store, &mut feeder, workers, events, duration, robust);

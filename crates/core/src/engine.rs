@@ -117,11 +117,6 @@ impl Method {
             Method::Road => &[IndexKind::Road],
         }
     }
-
-    /// [`Method::ALL`] as a vector.
-    pub fn all() -> Vec<Method> {
-        Method::ALL.to_vec()
-    }
 }
 
 /// One kNN query as [`Engine::execute`] sees it: the method, the query vertex and
@@ -785,7 +780,7 @@ mod tests {
         let n = engine.graph().num_vertices() as NodeId;
         for &q in &[5u32, n / 2, n - 3] {
             let reference = engine.query(Method::Ine, q, 8).unwrap().distances();
-            for m in Method::all() {
+            for m in Method::ALL {
                 assert!(engine.supports(m), "{} should be supported", m.name());
                 let output = engine.query(m, q, 8).unwrap();
                 assert_eq!(output.distances(), reference, "method {} disagrees at q={q}", m.name());
@@ -832,7 +827,7 @@ mod tests {
         engine.set_objects(uniform(engine.graph(), 0.02, 5));
         let n = engine.graph().num_vertices() as NodeId;
         let mut answers = Vec::new();
-        for method in Method::all().into_iter().filter(|&m| engine.supports(m)) {
+        for method in Method::ALL.into_iter().filter(|&m| engine.supports(m)) {
             for i in 0..50 {
                 answers.push((method, engine.query(method, (i * 41) % n, 5).unwrap().result));
             }
@@ -963,7 +958,7 @@ mod tests {
     fn method_names_and_lineup() {
         assert_eq!(Method::IerPhl.name(), "IER-PHL");
         assert_eq!(Method::Gtree.name(), "Gtree");
-        assert_eq!(Method::all().len(), 11);
+        assert_eq!(Method::ALL.len(), 11);
         let distinct: std::collections::HashSet<Method> = Method::ALL.into_iter().collect();
         assert_eq!(distinct.len(), 11, "Method::ALL lists a method twice");
         assert_eq!(Method::IerPhl.required_indexes(), &[crate::IndexKind::Phl]);

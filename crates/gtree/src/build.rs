@@ -243,9 +243,9 @@ impl Gtree {
 /// callers drop to a single worker under this bound.
 const MIN_PARALLEL_WORK: usize = 1 << 20;
 
-// The min-plus kernels (`out[i] = min(out[i], s + addend[i])`, runtime-dispatched
-// AVX-512F/AVX2/scalar) live in `crate::kernel`, shared with the query-side
-// materialization sweep; see that module for the dispatch and value contract.
+// The min-plus kernel (`out[i] = min(out[i], s + addend[i])`, one portable loop run
+// at the CPU's tier) lives in `crate::kernel`, shared with the query-side
+// materialization sweep; see that module for the value contract.
 
 /// Rows per refinement-sweep block: every border-row tile loaded in stage 2 is reused
 /// by this many output rows before the next tile is streamed in, dividing the sweep's

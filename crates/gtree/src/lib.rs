@@ -27,13 +27,7 @@
 //! always runs — the queries and the leaf search's seeds read cells as global
 //! distances — so every distance returned by this crate equals the Dijkstra distance.
 
-// The only crate in the workspace allowed to contain `unsafe` (the SIMD
-// min-plus kernels in `kernel.rs`, shared by the build-side refinement sweep
-// and the query-side materialization sweep); every other crate root forbids
-// it, enforced
-// by `cargo xtask lint`. Unsafe operations must be wrapped in explicit blocks
-// even inside `unsafe fn`, each with its own `// SAFETY:` justification.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod build;

@@ -16,11 +16,12 @@
 //! The query-side optimisations (see `docs/METHODS.md` "Query performance"):
 //!
 //! * **SIMD min-plus assembly** — the row-major sweep `dist[b] = min(dist[b],
-//!   src[a] + M[a][b])` over the contiguous matrix arena dispatches to the shared
-//!   [`crate::kernel`] min-plus kernels (AVX-512F/AVX2, scalar under Miri and off
-//!   x86-64), the same code the build-side refinement sweep runs. Border rows are
-//!   32-bit cells like the matrices they are swept against; a distance widens to
-//!   `Weight` (sentinel → [`INFINITY`]) where it becomes a queue key or a result.
+//!   src[a] + M[a][b])` over the contiguous matrix arena runs the shared
+//!   [`crate::kernel`] min-plus loop (one portable body, compiled per CPU tier by
+//!   `rnknn_persist::simd`), the same code the build-side refinement sweep runs.
+//!   Border rows are 32-bit cells like the matrices they are swept against; a
+//!   distance widens to `Weight` (sentinel → [`INFINITY`]) where it becomes a queue
+//!   key or a result.
 //! * **Bound-pruned materialization** — once the kNN search holds `k` candidate
 //!   distances, their maximum `B` upper-bounds the final answer: source borders
 //!   whose distance exceeds `B` are skipped, materialized entries above `B` are

@@ -17,15 +17,14 @@
 //! the checksum** — the property the corruption-fuzz battery leans on.
 //!
 //! The block loop is written once, in plain Rust, and compiled per CPU tier
-//! with `#[target_feature]`: AVX-512 F+DQ (whose `vpmullq` multiplies eight
-//! 64-bit lanes at once), AVX2 (four lanes, the multiply built from 32-bit
-//! halves) and the baseline. The tier is detected once per process; every
-//! tier computes the same value. Single-core throughput on the AVX-512 bench
-//! box (GB/s, in L2 / from a 13 MB buffer / from a 256 MB buffer): AVX-512
-//! 62 / 20 / 8.2, AVX2 26 / 16 / 6.6, baseline 9.5 / 9.5 / 5.1; the 8-lane
-//! scalar loop of format 6 ran 19 / 15 / 5.8.
+//! by [`crate::simd`]: AVX-512 F+DQ (whose `vpmullq` multiplies eight 64-bit
+//! lanes at once), AVX2 (four lanes, the multiply built from 32-bit halves)
+//! and the baseline. Every tier computes the same value. Single-core
+//! throughput on the AVX-512 bench box (GB/s, in L2 / from a 13 MB buffer /
+//! from a 256 MB buffer): AVX-512 62 / 20 / 8.2, AVX2 26 / 16 / 6.6, baseline
+//! 9.5 / 9.5 / 5.1; the 8-lane scalar loop of format 6 ran 19 / 15 / 5.8.
 
-use std::sync::OnceLock;
+use crate::simd::{self, Kernel, Tier};
 
 /// Lanes per block.
 const LANES: usize = 64;
@@ -54,89 +53,27 @@ const fn lane_seeds() -> [u64; LANES] {
     seeds
 }
 
-/// One compiled variant of the block loop, ordered weakest to strongest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Tier {
-    /// The target's baseline instruction set (every architecture, and Miri).
-    Baseline,
-    /// AVX2: four lanes per 256-bit register.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    Avx2,
-    /// AVX-512 F+DQ: eight lanes per `vpxorq` / `vpmullq`.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    Avx512,
+/// The block loop: one portable body, compiled per CPU tier by [`simd`].
+struct Absorb<'a> {
+    lanes: &'a mut [u64; LANES],
+    blocks: &'a [[u8; BLOCK]],
 }
 
-/// The strongest tier this CPU supports.
-fn detected_tier() -> Tier {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-    {
-        return Tier::Avx512;
-    }
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Tier::Avx2;
-    }
-    Tier::Baseline
-}
+impl Kernel for Absorb<'_> {
+    type Output = ();
 
-/// The tier every [`Checksummer`] in this process runs: detected on first use,
-/// then cached.
-fn active_tier() -> Tier {
-    static TIER: OnceLock<Tier> = OnceLock::new();
-    *TIER.get_or_init(detected_tier)
-}
-
-/// The block loop, inlined into each tier's compiled variant.
-#[inline(always)]
-fn absorb_blocks(lanes: &mut [u64; LANES], blocks: &[[u8; BLOCK]]) {
-    // Local accumulators stay in registers across the whole pass instead of
-    // round-tripping through `lanes`.
-    let mut acc = *lanes;
-    for block in blocks {
-        let (words, _) = block.as_chunks::<8>();
-        for (lane, word) in acc.iter_mut().zip(words) {
-            *lane = (*lane ^ u64::from_le_bytes(*word)).wrapping_mul(LANE_MUL);
+    #[inline(always)]
+    fn run(self) {
+        // Local accumulators stay in registers across the whole pass instead of
+        // round-tripping through `lanes`.
+        let mut acc = *self.lanes;
+        for block in self.blocks {
+            let (words, _) = block.as_chunks::<8>();
+            for (lane, word) in acc.iter_mut().zip(words) {
+                *lane = (*lane ^ u64::from_le_bytes(*word)).wrapping_mul(LANE_MUL);
+            }
         }
-    }
-    *lanes = acc;
-}
-
-/// The block loop compiled for AVX-512 F+DQ.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512DQ.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn absorb_avx512(lanes: &mut [u64; LANES], blocks: &[[u8; BLOCK]]) {
-    absorb_blocks(lanes, blocks)
-}
-
-/// The block loop compiled for AVX2.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-unsafe fn absorb_avx2(lanes: &mut [u64; LANES], blocks: &[[u8; BLOCK]]) {
-    absorb_blocks(lanes, blocks)
-}
-
-fn absorb(tier: Tier, lanes: &mut [u64; LANES], blocks: &[[u8; BLOCK]]) {
-    match tier {
-        Tier::Baseline => absorb_blocks(lanes, blocks),
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: `Tier::Avx2` is only produced by `detected_tier` (or by tests that
-        // checked it first), after runtime detection found AVX2.
-        Tier::Avx2 => unsafe { absorb_avx2(lanes, blocks) },
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: `Tier::Avx512` is only produced by `detected_tier` (or by tests
-        // that checked it first), after runtime detection found AVX-512F and DQ.
-        Tier::Avx512 => unsafe { absorb_avx512(lanes, blocks) },
+        *self.lanes = acc;
     }
 }
 
@@ -162,7 +99,7 @@ impl Default for Checksummer {
 impl Checksummer {
     /// A fresh checksummer with seeded lanes.
     pub fn new() -> Checksummer {
-        Self::with_tier(active_tier())
+        Self::with_tier(simd::active_tier())
     }
 
     fn with_tier(tier: Tier) -> Checksummer {
@@ -181,11 +118,11 @@ impl Checksummer {
                 return; // buffer still partial; keep accumulating
             }
             let block = self.buf;
-            absorb(self.tier, &mut self.lanes, &[block]);
+            simd::run_at(self.tier, Absorb { lanes: &mut self.lanes, blocks: &[block] });
             self.buf_len = 0;
         }
         let (blocks, rem) = data.as_chunks::<BLOCK>();
-        absorb(self.tier, &mut self.lanes, blocks);
+        simd::run_at(self.tier, Absorb { lanes: &mut self.lanes, blocks });
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
@@ -197,7 +134,7 @@ impl Checksummer {
         if self.buf_len > 0 {
             self.buf[self.buf_len..].fill(0);
             let block = self.buf;
-            absorb(self.tier, &mut self.lanes, &[block]);
+            simd::run_at(self.tier, Absorb { lanes: &mut self.lanes, blocks: &[block] });
         }
         let mut h = self.total ^ 0x9AE1_6A3B_2F90_404F;
         for lane in self.lanes {
@@ -219,14 +156,6 @@ pub fn checksum(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every tier this CPU runs, weakest first.
-    fn available_tiers() -> Vec<Tier> {
-        let mut tiers = vec![Tier::Baseline];
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        tiers.extend([Tier::Avx2, Tier::Avx512].into_iter().filter(|&t| t <= detected_tier()));
-        tiers
-    }
 
     fn checksum_at(tier: Tier, data: &[u8], chunk: usize) -> u64 {
         let mut c = Checksummer::with_tier(tier);
@@ -279,7 +208,7 @@ mod tests {
             for len in lengths {
                 let data = &backing[start..start + len];
                 let want = checksum_at(Tier::Baseline, data, data.len());
-                for tier in available_tiers() {
+                for tier in simd::available_tiers() {
                     for chunk in [data.len(), 1, 3, 13, 100, 511, 513] {
                         let got = checksum_at(tier, data, chunk);
                         assert_eq!(got, want, "{tier:?} start {start} len {len} chunk {chunk}");

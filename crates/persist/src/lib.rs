@@ -26,9 +26,12 @@
 //!   built and mapped indexes.
 //! * [`hash::Checksummer`] — the 64-lane section checksum, compiled per CPU
 //!   tier.
+//! * [`simd`] — CPU-tier detection and dispatch: a portable loop body (the
+//!   checksum's, and the G-tree min-plus sweep's) run inside a
+//!   `#[target_feature]` function for the strongest tier this CPU supports.
 //!
-//! This crate is one of the two permitted `unsafe` sites in the workspace
-//! (`cargo xtask lint`); every site carries a `// SAFETY:` contract. See
+//! This crate is the workspace's only permitted `unsafe` site (`cargo xtask
+//! lint`); every site carries a `// SAFETY:` contract. See
 //! `docs/PERSISTENCE.md` for the format layout and the safety argument.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -44,6 +47,7 @@ pub mod buffer;
 pub mod error;
 pub mod format;
 pub mod hash;
+pub mod simd;
 pub mod view;
 
 pub use buffer::Bytes;

@@ -20,9 +20,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Crates allowed to contain `unsafe` code. Everything else must forbid it.
-/// `rnknn-persist` hosts the artifact mmap + typed-view layer (the zero-copy
-/// cold-start path); see docs/PERSISTENCE.md for its safety argument.
-const UNSAFE_ALLOWLIST: &[&str] = &["rnknn-gtree", "rnknn-persist"];
+/// `rnknn-persist` alone: it hosts the artifact mmap + typed-view layer (the
+/// zero-copy cold-start path) and the CPU-tier dispatch that runs the
+/// workspace's portable SIMD loops; see docs/PERSISTENCE.md for its safety
+/// argument.
+const UNSAFE_ALLOWLIST: &[&str] = &["rnknn-persist"];
 
 /// Individual files (workspace-relative, `/`-separated) allowed to contain
 /// `unsafe` inside an otherwise-forbidding crate. Integration-test binaries are

@@ -45,7 +45,7 @@ fn main() {
     //    instead of panicking — and every answer carries unified QueryStats.
     let query = (engine.graph().num_vertices() / 3) as u32;
     let k = 5;
-    for method in Method::all() {
+    for method in Method::ALL {
         match engine.query(method, query, k) {
             Ok(output) => println!(
                 "{:<10} {:>7} µs  distances: {:?}  (expanded {}, oracle calls {})",

@@ -81,7 +81,7 @@ fn check_conformance(
             truth.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
             "INE disagrees with Dijkstra ground truth at q={q} under {config:?}"
         );
-        for method in Method::all() {
+        for method in Method::ALL {
             if !engine.supports(method) {
                 continue;
             }
@@ -205,10 +205,7 @@ fn seeded_config_matrix_agrees_across_all_supported_methods() {
     // The satellite contract: at least 20 seeded configurations in debug CI, every
     // one exercising every supported method.
     assert!(configurations >= 20, "only {configurations} configurations ran");
-    assert!(
-        checks >= configurations * Method::all().len() / 2,
-        "suspiciously few checks: {checks}"
-    );
+    assert!(checks >= configurations * Method::ALL.len() / 2, "suspiciously few checks: {checks}");
 }
 
 /// Ties-by-distance stress: many objects at identical distances (a grid with unit
@@ -269,7 +266,7 @@ fn exhausted_budgets_fail_cleanly_with_partial_stats() {
     let n = engine.graph().num_vertices() as NodeId;
     let k = objects.len().min(8);
     let mut methods_cut = 0;
-    for method in Method::all() {
+    for method in Method::ALL {
         if !engine.supports(method) {
             continue;
         }

@@ -24,7 +24,7 @@ fn check_engine(engine: &Engine, queries: &[NodeId], ks: &[usize]) {
     let objects = engine.objects().expect("objects injected").clone();
     for &q in queries {
         for &k in ks {
-            for method in Method::all() {
+            for method in Method::ALL {
                 if !engine.supports(method) {
                     continue;
                 }
@@ -114,7 +114,7 @@ fn edge_cases_are_consistent_across_methods() {
     let count = objects.len();
     engine.set_objects(objects);
     // k exceeding |O| returns every object, k = 1 returns the single nearest.
-    for method in Method::all() {
+    for method in Method::ALL {
         if !engine.supports(method) {
             continue;
         }
@@ -125,7 +125,7 @@ fn edge_cases_are_consistent_across_methods() {
     }
     // A query located on an object returns itself at distance zero.
     let object_vertex = engine.objects().unwrap().vertices()[0];
-    for method in Method::all() {
+    for method in Method::ALL {
         if !engine.supports(method) {
             continue;
         }

@@ -54,7 +54,7 @@ fn minimal_config_reports_missing_index_not_panic() {
         EngineError::MissingIndex { method: Method::IerPhl, index: IndexKind::Phl }
     );
     // Method::required_indexes keeps supports() and query() in agreement.
-    for method in Method::all() {
+    for method in Method::ALL {
         assert_eq!(
             engine.supports(method),
             engine.query(method, 5, 3).is_ok(),
@@ -105,7 +105,7 @@ fn knn_batch_agrees_with_sequential_query_for_all_supported_methods() {
     };
     let n = engine.graph().num_vertices() as NodeId;
     let queries: Vec<NodeId> = (0..32u32).map(|i| (i * 1_237 + 5) % n).collect();
-    for method in Method::all() {
+    for method in Method::ALL {
         assert!(engine.supports(method), "{} should be supported", method.name());
         // Explicit 4-way fan-out, independent of how many cores this host reports.
         let batch =
@@ -186,7 +186,7 @@ fn every_method_reports_non_trivial_query_stats() {
         Method::Road,
         Method::Gtree,
     ];
-    for method in Method::all() {
+    for method in Method::ALL {
         let output: QueryOutput = engine.query(method, q, 8).expect("supported method");
         assert_eq!(output.result.len(), 8, "{}", method.name());
         let s = output.stats;

@@ -26,7 +26,7 @@ fn full_engine(n: usize, seed: u64) -> Engine {
 }
 
 fn supported(engine: &Engine) -> Vec<Method> {
-    Method::all().into_iter().filter(|&m| engine.supports(m)).collect()
+    Method::ALL.into_iter().filter(|&m| engine.supports(m)).collect()
 }
 
 #[test]
@@ -35,7 +35,7 @@ fn k_zero_is_invalid_k_for_every_method() {
     engine.set_objects(uniform(engine.graph(), 0.05, 3));
     // k = 0 is rejected before dispatch, so the error is identical for every
     // method — supported or not.
-    for method in Method::all() {
+    for method in Method::ALL {
         assert_eq!(
             engine.query(method, 1, 0).unwrap_err(),
             EngineError::InvalidK { k: 0 },

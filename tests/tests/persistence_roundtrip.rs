@@ -49,7 +49,7 @@ fn check_conformance(engine: &Engine, objects: &ObjectSet, queries: &[NodeId], k
             truth.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
             "loaded engine: INE disagrees with Dijkstra at q={q}"
         );
-        for method in Method::all() {
+        for method in Method::ALL {
             if !engine.supports(method) {
                 continue;
             }

@@ -35,7 +35,7 @@ fn interleaved_updates_conform_to_a_rebuilt_engine() {
     let mut reference = initial.clone();
     let store = ObjectStore::new(Arc::clone(&engine), initial);
 
-    let methods: Vec<Method> = Method::all().into_iter().filter(|&m| engine.supports(m)).collect();
+    let methods: Vec<Method> = Method::ALL.into_iter().filter(|&m| engine.supports(m)).collect();
     assert!(methods.len() >= 5, "minimal config should support at least 5 methods");
 
     let n = engine.graph().num_vertices();
